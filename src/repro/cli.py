@@ -764,6 +764,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+#: Exit code of a certificate verdict, shared by ``certify`` and
+#: ``reliability``: 0 = proven, 1 = a breaking subset exists,
+#: 2 = estimated only (sampled levels left the hypothesis unproven but
+#: unrefuted).
+_VERDICT_EXIT = {"certified": 0, "refuted": 1, "estimated": 2}
+
+
 def _cmd_reliability(args: argparse.Namespace) -> int:
     problem = problem_from_dict(load_json(args.problem))
     result = schedule_ftbar(problem)
@@ -799,7 +806,7 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
         print(report)
         mttf = mean_time_to_failure_iterations(report.reliability)
         print(f"mean iterations to first unmasked failure: {mttf:g}")
-    return 0 if certificate.certified else 1
+    return _VERDICT_EXIT[certificate.verdict]
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -904,9 +911,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             print(f"ENGINE MISMATCH: {', '.join(mismatches)}")
             return 1
         print("engines agree: batched and per-scenario verdicts bit-identical")
-    # 0 = proven, 1 = a breaking subset exists, 2 = estimated only
-    # (sampled levels left the hypothesis unproven but unrefuted).
-    return {"certified": 0, "refuted": 1, "estimated": 2}[certificate.verdict]
+    return _VERDICT_EXIT[certificate.verdict]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -1401,6 +1406,15 @@ def main(argv: list[str] | None = None) -> int:
             return _COMMANDS[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except OSError as error:
+        # A missing or unreadable input path: one line, no traceback.
+        detail = (
+            f"{error.strerror}: {error.filename}"
+            if error.filename is not None
+            else str(error)
+        )
+        print(f"error: {detail}", file=sys.stderr)
         return 1
     finally:
         obs.disable()

@@ -818,10 +818,11 @@ class SchedulingKernel:
         reads is indistinguishable), so evaluating the orbit's smallest
         id covers all of them.  Between two sweeps the net state change
         is the surviving commit records (rollbacks restore exactly), so
-        the replica check only walks the delta rows; the availability
-        arrays are cheap enough to check whole.  The drop is monotone:
-        a generator that dies is never re-admitted, which keeps the
-        check O(delta) instead of O(schedule).
+        the replica check only walks the delta rows.  Every check walks
+        only the generator's moved processors and links — a fixed point
+        compares a value with itself.  The drop is monotone: a
+        generator that dies is never re-admitted, which keeps the check
+        O(delta) instead of O(schedule).
         """
         alive = self._sym_alive
         ops = self._op_buffer
@@ -837,13 +838,14 @@ class SchedulingKernel:
         survivors = []
         for gen in alive:
             gp = gen.proc
+            moved = gen.moved_procs
             ok = True
-            for p in range(n_procs):
+            for p in moved:
                 if proc_avail[p] != proc_avail[gp[p]]:
                     ok = False
                     break
             if ok:
-                for l, m in enumerate(gen.link):
+                for l, m in zip(gen.moved_links, gen.link_images):
                     if link_avail[l] != link_avail[m]:
                         ok = False
                         break
@@ -852,7 +854,7 @@ class SchedulingKernel:
                     o_base = o * n_procs
                     if any(
                         rep_end[o_base + p] != rep_end[o_base + gp[p]]
-                        for p in range(n_procs)
+                        for p in moved
                     ):
                         ok = False
                         break

@@ -14,10 +14,11 @@ This module computes the *static* half of that argument once per
 compiled problem: candidate processor permutations read off the
 topology shape (transpositions for the generic/orbit-refinement case,
 rotations and reflections for rings), each **verified** — never
-assumed — against
+assumed — on its *support* (the processors and links it moves and the
+routes touching them: a fixed point cannot break invariance) against
 
 * the induced link permutation (endpoint sets must map to endpoint
-  sets, bijectively),
+  sets),
 * the execution table (``Exe(o, p) == Exe(o, g(p))``, ``inf``
   included, so distribution constraints are preserved),
 * the communication table (every edge's duration is invariant under
@@ -40,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.exceptions import ArchitectureError
+
 #: With link replication the verification enumerates avoidance subsets,
 #: which is exponential in the processor count; past this size the
 #: group is simply not built.
@@ -48,10 +51,14 @@ _NPL_VERIFY_MAX_PROCS = 6
 
 @dataclass(frozen=True)
 class Generator:
-    """One verified automorphism: a processor and induced link permutation."""
+    """A verified processor permutation and its sparse induced link
+    permutation: ``moved_links[i]`` (ascending) maps to ``link_images[i]``
+    and every other link is fixed."""
 
     proc: tuple[int, ...]
-    link: tuple[int, ...]
+    moved_procs: tuple[int, ...]
+    moved_links: tuple[int, ...]
+    link_images: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,11 +78,11 @@ def orbit_representatives(
 ) -> list[int]:
     """``rep[p]`` = smallest processor id in ``p``'s orbit.
 
-    Plain union-find over the generator edges ``p — g(p)``; the
-    smallest-id representative is what makes pruning pick the same
-    processor the exhaustive argmin/argmax tie-breaks would (ties
-    resolve to the lowest id, and every orbit member carries an equal
-    value).
+    Plain union-find over the generator edges ``p — g(p)`` of the moved
+    points; the smallest-id representative is what makes pruning pick
+    the same processor the exhaustive argmin/argmax tie-breaks would
+    (ties resolve to the lowest id, and every orbit member carries an
+    equal value).
     """
     parent = list(range(n_procs))
 
@@ -86,143 +93,139 @@ def orbit_representatives(
         return p
 
     for generator in generators:
-        for p, q in enumerate(generator.proc):
-            a, b = find(p), find(q)
+        proc = generator.proc
+        for p in generator.moved_procs:
+            a, b = find(p), find(proc[p])
             if a != b:
                 if b < a:
                     a, b = b, a
                 parent[b] = a
-    # Path-compress to the minimum id of each class.
-    rep = [0] * n_procs
-    for p in range(n_procs):
-        root = find(p)
-        rep[p] = root
-    return rep
+    return [find(p) for p in range(n_procs)]
 
 
-def _induced_link_perm(compiled, proc_perm: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Link permutation induced by a processor permutation, or ``None``.
+def _classes(columns) -> list[int]:
+    """Intern each column to the id of the first equal column."""
+    seen: dict[tuple, int] = {}
+    return [seen.setdefault(tuple(column), len(seen)) for column in columns]
 
-    A link maps to the (unique) link whose endpoint set is the image of
-    its own; if some image set matches no link — or two links collide —
-    the candidate is not an automorphism of the interconnect.
-    """
-    proc_names = compiled.proc_names
-    proc_ids = compiled.proc_ids
-    by_endpoints: dict[frozenset[str], int] = {}
-    links = list(compiled.architecture.links())
-    for link in links:
-        endpoints = frozenset(link.endpoints)
-        if endpoints in by_endpoints:
-            return None  # parallel links: name-based tie-breaks, no pruning
-        by_endpoints[endpoints] = compiled.link_ids[link.name]
-    perm = [-1] * compiled.n_links
-    for link in links:
-        image = frozenset(
-            proc_names[proc_perm[proc_ids[endpoint]]]
-            for endpoint in link.endpoints
-        )
-        target = by_endpoints.get(image)
-        if target is None:
+
+class _SupportIndex:
+    """Per-problem lookup tables for support-restricted verification."""
+
+    def __init__(self, compiled, ends: list[frozenset[int]]) -> None:
+        n_procs = compiled.n_procs
+        n_links = compiled.n_links
+        self.compiled = compiled
+        self.by_ends = {link_ends: l for l, link_ends in enumerate(ends)}
+        self.ends = ends
+        link_ids, arc = compiled.link_ids, compiled.architecture
+        self.incident = [
+            [link_ids[link.name] for link in arc.links_of(name)]
+            for name in compiled.proc_names
+        ]
+        exe = compiled.exe
+        self.exe_class = _classes(exe[p::n_procs] for p in range(n_procs))
+        rows = list(compiled.comm_rows.values())
+        self.comm_class = _classes(zip(*rows) if rows else [()] * n_links)
+        self._hops: dict[tuple[int, int], tuple] | None = None
+
+    def _route_index(self):
+        """All shortest routes in id form, indexed by touched proc/link."""
+        if self._hops is None:
+            compiled = self.compiled
+            proc_ids = compiled.proc_ids
+            self._hops = hops = {}
+            self._by_proc = [[] for _ in range(compiled.n_procs)]
+            self._by_link = [[] for _ in range(compiled.n_links)]
+            for a in range(compiled.n_procs):
+                for b in range(compiled.n_procs):
+                    if a == b:
+                        continue
+                    pair = (a, b)
+                    hops[pair] = route = tuple(
+                        (proc_ids[origin], link, proc_ids[relay])
+                        for origin, link, relay in compiled.route_hops(a, b)
+                    )
+                    for origin, link, relay in route:
+                        self._by_proc[origin].append(pair)
+                        self._by_proc[relay].append(pair)
+                        self._by_link[link].append(pair)
+        return self._hops, self._by_proc, self._by_link
+
+    def verify(self, perm: tuple[int, ...]) -> Generator | None:
+        """The generator of ``perm`` if every check passes on its support."""
+        moved = [p for p, q in enumerate(perm) if p != q]
+        exe_class = self.exe_class
+        if any(exe_class[p] != exe_class[perm[p]] for p in moved):
             return None
-        perm[compiled.link_ids[link.name]] = target
-    if sorted(perm) != list(range(compiled.n_links)):
-        return None
-    return tuple(perm)
-
-
-def _exe_invariant(compiled, proc_perm: tuple[int, ...]) -> bool:
-    exe = compiled.exe
-    n_procs = compiled.n_procs
-    for o in range(compiled.n_ops):
-        base = o * n_procs
-        for p in range(n_procs):
-            if exe[base + p] != exe[base + proc_perm[p]]:
-                return False
-    return True
-
-
-def _comm_invariant(compiled, link_perm: tuple[int, ...]) -> bool:
-    for row in compiled.comm_rows.values():
-        for l, duration in enumerate(row):
-            if duration != row[link_perm[l]]:
-                return False
-    return True
-
-
-def _routes_equivariant(
-    compiled, proc_perm: tuple[int, ...], link_perm: tuple[int, ...]
-) -> bool:
-    """The route planner's choices commute with the permutation."""
-    n_procs = compiled.n_procs
-    proc_names = compiled.proc_names
-    proc_ids = compiled.proc_ids
-
-    def map_hops(hops):
-        return tuple(
-            (
-                proc_names[proc_perm[proc_ids[origin]]],
-                link_perm[link_id],
-                proc_names[proc_perm[proc_ids[relay]]],
+        # Links off the support map to themselves, so the induced
+        # permutation is a bijection as soon as every image exists.
+        link_map: dict[int, int] = {}
+        ends, by_ends, comm_class = self.ends, self.by_ends, self.comm_class
+        for l in {l for p in moved for l in self.incident[p]}:
+            target = by_ends.get(frozenset(perm[e] for e in ends[l]))
+            if target is None or comm_class[l] != comm_class[target]:
+                return None
+            if target != l:
+                link_map[l] = target
+        hops, by_proc, by_link = self._route_index()
+        touched = {key for p in moved for key in by_proc[p]}
+        for l in link_map:
+            touched.update(by_link[l])
+        for a, b in touched:
+            image = tuple(
+                (perm[origin], link_map.get(link, link), perm[relay])
+                for origin, link, relay in hops[a, b]
             )
-            for origin, link_id, relay in hops
+            if image != hops[perm[a], perm[b]]:
+                return None
+        moved_links = tuple(sorted(link_map))
+        generator = Generator(
+            perm, tuple(moved), moved_links,
+            tuple(link_map[l] for l in moved_links),
         )
+        compiled = self.compiled
+        if compiled.npl < 1 or _disjoint_equivariant(compiled, generator):
+            return generator
+        return None
 
-    for a in range(n_procs):
-        for b in range(n_procs):
-            if a == b:
-                continue
-            image = map_hops(compiled.route_hops(a, b))
-            if image != compiled.route_hops(proc_perm[a], proc_perm[b]):
-                return False
-    if compiled.npl < 1:
-        return True
-    # Disjoint route sets: enumerate every avoidance subset the kernel
-    # could ever pass (subsets of the other processors).  Gated by
-    # _NPL_VERIFY_MAX_PROCS at build time.
+
+def _disjoint_equivariant(compiled, generator: Generator) -> bool:
+    """Every disjoint route set over every avoidance subset commutes
+    (both sides infeasible counts); gated by ``_NPL_VERIFY_MAX_PROCS``."""
+    perm = generator.proc
+    link_of = dict(zip(generator.moved_links, generator.link_images))
+    n_procs, names = compiled.n_procs, compiled.proc_names
+    image_of = {name: names[perm[p]] for p, name in enumerate(names)}
+
+    def routes(a: int, b: int, avoid):
+        try:
+            return compiled.disjoint_routes(
+                names[a], names[b], frozenset(names[p] for p in avoid)
+            )
+        except ArchitectureError:  # fewer than npl + 1 routes
+            return None
+
     for a in range(n_procs):
         for b in range(n_procs):
             if a == b:
                 continue
             others = [p for p in range(n_procs) if p != a and p != b]
             for mask in range(1 << len(others)):
-                avoid = frozenset(
-                    proc_names[p]
-                    for i, p in enumerate(others)
-                    if mask & (1 << i)
-                )
-                image_avoid = frozenset(
-                    proc_names[proc_perm[proc_ids[name]]] for name in avoid
-                )
-                try:
-                    routes = compiled.disjoint_routes(
-                        proc_names[a], proc_names[b], avoid
-                    )
-                except Exception:
-                    try:
-                        compiled.disjoint_routes(
-                            proc_names[proc_perm[a]],
-                            proc_names[proc_perm[b]],
-                            image_avoid,
-                        )
-                    except Exception:
-                        continue  # both infeasible: equivariant
+                avoid = [p for i, p in enumerate(others) if mask >> i & 1]
+                found = routes(a, b, avoid)
+                image = routes(perm[a], perm[b], [perm[p] for p in avoid])
+                if (found is None) != (image is None):
                     return False
-                try:
-                    image_routes = compiled.disjoint_routes(
-                        proc_names[proc_perm[a]],
-                        proc_names[proc_perm[b]],
-                        image_avoid,
+                if found is not None and image != tuple(
+                    tuple(
+                        (image_of[o], link_of.get(l, l), image_of[r])
+                        for o, l, r in route
                     )
-                except Exception:
-                    return False
-                if tuple(map_hops(r) for r in routes) != image_routes:
+                    for route in found
+                ):
                     return False
     return True
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[x] for x in q)
 
 
 def build_symmetry(compiled) -> KernelSymmetry:
@@ -233,13 +236,21 @@ def build_symmetry(compiled) -> KernelSymmetry:
     connected and bus interconnects and the leaf group of a star), plus
     the rotations and the reflection of a cycle (rings, where single
     transpositions are not automorphisms).  Each candidate is verified
-    in full; an empty generator tuple means "no usable symmetry".
+    on its support; an empty generator tuple means "no usable symmetry".
     """
     n_procs = compiled.n_procs
     if compiled.pins or n_procs < 2:
         return KernelSymmetry((), n_procs)
     if compiled.npl >= 1 and n_procs > _NPL_VERIFY_MAX_PROCS:
         return KernelSymmetry((), n_procs)
+    proc_ids = compiled.proc_ids
+    ends = [
+        frozenset(proc_ids[endpoint] for endpoint in link.endpoints)
+        for link in compiled.architecture.links()
+    ]
+    if len(set(ends)) != len(ends):
+        return KernelSymmetry((), n_procs)  # parallel links: name tie-breaks
+    index = _SupportIndex(compiled, ends)
     candidates: list[tuple[int, ...]] = []
     for i in range(n_procs):
         for j in range(i + 1, n_procs):
@@ -251,16 +262,5 @@ def build_symmetry(compiled) -> KernelSymmetry:
     candidates.append(rotation)
     if reflection not in candidates:
         candidates.append(reflection)
-    generators: list[Generator] = []
-    for proc_perm in candidates:
-        link_perm = _induced_link_perm(compiled, proc_perm)
-        if link_perm is None:
-            continue
-        if not _exe_invariant(compiled, proc_perm):
-            continue
-        if not _comm_invariant(compiled, link_perm):
-            continue
-        if not _routes_equivariant(compiled, proc_perm, link_perm):
-            continue
-        generators.append(Generator(proc_perm, link_perm))
-    return KernelSymmetry(tuple(generators), n_procs)
+    generators = tuple(filter(None, map(index.verify, candidates)))
+    return KernelSymmetry(generators, n_procs)

@@ -42,7 +42,10 @@ class Architecture:
         self._links_view: tuple[Link, ...] | None = None
         self._link_names_view: tuple[str, ...] | None = None
         self._processor_names_view: tuple[str, ...] | None = None
-        self._between: dict[tuple[str, str], tuple[Link, ...]] = {}
+        #: Endpoint-pair -> links and processor -> incident links,
+        #: both in sorted-name order; built together on first use.
+        self._between: dict[tuple[str, str], tuple[Link, ...]] | None = None
+        self._incident: dict[str, tuple[Link, ...]] | None = None
         #: Bumped by every mutation; lets derived-table caches (the
         #: compiled kernel's content hashes) revalidate in O(1).
         self._version = 0
@@ -58,7 +61,7 @@ class Architecture:
             return existing
         self._processors[proc.name] = proc
         self._planner = None
-        self._between.clear()
+        self._between = self._incident = None
         self._processor_names_view = None
         self._version += 1
         return proc
@@ -97,7 +100,7 @@ class Architecture:
         self._planner = None
         self._links_view = None
         self._link_names_view = None
-        self._between.clear()
+        self._between = self._incident = None
         self._version += 1
         return built
 
@@ -149,24 +152,39 @@ class Architecture:
             self._links_view = tuple(self._links[n] for n in self.link_names())
         return self._links_view
 
+    def _link_index(self) -> None:
+        """One pass over the links builds both adjacency indexes."""
+        between: dict[tuple[str, str], list[Link]] = {}
+        incident: dict[str, list[Link]] = {name: [] for name in self._processors}
+        for link in self.links():
+            ends = link.sorted_endpoints()
+            for first in ends:
+                incident[first].append(link)
+                for second in ends:
+                    if first != second:
+                        between.setdefault((first, second), []).append(link)
+        self._between = {pair: tuple(ls) for pair, ls in between.items()}
+        self._incident = {name: tuple(ls) for name, ls in incident.items()}
+
     def links_of(self, processor: str) -> tuple[Link, ...]:
         """Links on which ``processor`` has a communication unit."""
-        self.processor(processor)
-        return tuple(l for l in self.links() if l.attaches(processor))
+        if self._incident is None:
+            self._link_index()
+        try:
+            return self._incident[processor]
+        except KeyError:
+            raise ArchitectureError(f"unknown processor {processor!r}") from None
 
     def links_between(self, first: str, second: str) -> tuple[Link, ...]:
         """All direct links joining two distinct processors, sorted."""
-        cached = self._between.get((first, second))
-        if cached is not None:
-            return cached
-        self.processor(first)
-        self.processor(second)
-        if first == second:
-            result: tuple[Link, ...] = ()
-        else:
-            result = tuple(l for l in self.links() if l.connects(first, second))
-        self._between[(first, second)] = result
-        return result
+        if self._between is None:
+            self._link_index()
+        links = self._between.get((first, second))
+        if links is None:
+            self.processor(first)
+            self.processor(second)
+            return ()
+        return links
 
     def neighbors(self, processor: str) -> tuple[str, ...]:
         """Processors directly reachable from ``processor``."""

@@ -95,6 +95,25 @@ class TestQueries:
         arc.add_link(Link.between("L1.2bis", "P1", "P2"))
         assert [l.name for l in arc.links_between("P1", "P2")] == ["L1.2", "L1.2bis"]
 
+    def test_link_indexes_follow_mutations(self):
+        arc = line_of_three()
+        assert arc.links_between("P1", "P3") == ()
+        assert [l.name for l in arc.links_of("P1")] == ["L1.2"]
+        arc.add_link(Link.bus("B", ["P1", "P2", "P3"]))
+        arc.add_link(Link.between("A1.3", "P1", "P3"))
+        assert [l.name for l in arc.links_between("P3", "P1")] == ["A1.3", "B"]
+        assert [l.name for l in arc.links_of("P1")] == ["A1.3", "B", "L1.2"]
+        arc.add_processor("P4")
+        assert arc.links_of("P4") == ()
+        assert arc.links_between("P1", "P4") == ()
+
+    def test_link_queries_reject_unknown_processors(self):
+        arc = line_of_three()
+        with pytest.raises(ArchitectureError):
+            arc.links_of("P9")
+        with pytest.raises(ArchitectureError):
+            arc.links_between("P1", "P9")
+
     def test_neighbors(self):
         arc = line_of_three()
         assert arc.neighbors("P2") == ("P1", "P3")

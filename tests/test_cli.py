@@ -166,6 +166,53 @@ class TestValidateAndReliability:
         assert "reliability" in output
         assert "mean iterations" in output
 
+    @pytest.mark.parametrize(
+        "verdict,code", [("certified", 0), ("refuted", 1), ("estimated", 2)]
+    )
+    def test_reliability_exit_code_follows_certify(
+        self, tmp_path, capsys, monkeypatch, verdict, code
+    ):
+        """``reliability`` maps verdicts to exit codes like ``certify``."""
+        from repro import cli as cli_module
+
+        class Certificate:
+            certified = verdict == "certified"
+
+            def __init__(self):
+                self.verdict = verdict
+
+            def __str__(self):
+                return f"verdict: {verdict}"
+
+        problem = tmp_path / "problem.json"
+        main(["generate", str(problem), "--operations", "6", "--seed", "4",
+              "--processors", "3"])
+        monkeypatch.setattr(
+            cli_module,
+            "fault_tolerance_certificate",
+            lambda *args, **kwargs: Certificate(),
+        )
+        assert main(["reliability", str(problem)]) == code
+        assert f"verdict: {verdict}" in capsys.readouterr().out
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize(
+        "command,name",
+        [("schedule", "missing.json"), ("certify", "missing.json"),
+         ("trace", "missing")],
+    )
+    def test_missing_path_is_one_error_line(
+        self, tmp_path, capsys, command, name
+    ):
+        missing = tmp_path / name
+        assert main([command, str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: No such file or directory: {missing}"
+        ]
+        assert "Traceback" not in captured.out
+
 
 class TestBench:
     def test_bench_npf_small(self, capsys):
