@@ -12,12 +12,10 @@ direct comparison; the recorded table adds a small N sweep.
 The module also measures the perf trajectory of the scheduling engines
 and records it in ``BENCH_runtime.json`` at the repository root:
 
-* ``ftbar_incremental_vs_legacy`` — the PR-1 incremental engine against
-  the seed full-recompute path;
-* ``ftbar_compiled_vs_incremental`` — the compiled kernel
-  (``SchedulerOptions(compiled=True)``) against the object incremental
-  engine, with the kernel's work counters (candidates evaluated, cache
-  hits, scratch-buffer reuses);
+* ``ftbar_kernel_vs_reference`` — the compiled kernel (with and without
+  symmetry pruning) against the paper-literal reference engine
+  (:func:`~repro.core.ftbar.ftbar_reference`), with the kernel's work
+  counters (candidates evaluated, cache hits, scratch-buffer reuses);
 * ``profile_top`` — the top cProfile hotspots of one compiled
   scheduling run (``--profile``), so perf PRs can prove where the time
   went before/after;
@@ -39,6 +37,12 @@ Run it directly::
     PYTHONPATH=src python benchmarks/bench_runtime.py \
         [--full] [--profile] [--phases] [--force-workers N] \
         [--backend local|directory]
+
+Only a direct run writes ``BENCH_runtime.json``; the pytest benches
+print their tables and leave the file alone.  Every section whose size
+depends on ``--full`` records its scale in the file's ``scale`` map,
+and a run without ``--full`` never replaces a section recorded at full
+scale.
 """
 
 import cProfile
@@ -76,7 +80,7 @@ from repro.campaign.pool import cpu_affinity_count, default_worker_count
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, WorkloadSpec
 from repro.core.compile import compile_cache_stats, reset_compile_cache
-from repro.core.ftbar import schedule_ftbar
+from repro.core.ftbar import ftbar_reference, schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
@@ -85,15 +89,8 @@ _PROBLEM = generate_problem(
 )
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
-#: The seed engine: no incremental cache, no compiled kernel.
-_LEGACY = SchedulerOptions(incremental=False, compiled=False)
-#: The PR-1 engine: incremental cache on the object path.
-_INCREMENTAL = SchedulerOptions(compiled=False)
-#: This PR's engine: the compiled kernel (the default options).
-_COMPILED = SchedulerOptions()
-#: The compiled kernel with symmetry pruning disabled — the escape
-#: hatch whose counters must match the object engine bit for bit.
-_COMPILED_NOSYM = SchedulerOptions(symmetry=False)
+#: The compiled kernel with symmetry pruning disabled (exhaustive sweep).
+_KERNEL_NOSYM = SchedulerOptions(symmetry=False)
 
 
 def _best_of(function, problem, options, repeats: int) -> tuple[float, object]:
@@ -142,54 +139,19 @@ def _interleaved_best_of(problem, legs, repeats: int) -> dict[str, list]:
     return results
 
 
-def run_incremental_sweep(full: bool = False, repeats: int = 5) -> dict:
-    """Time FTBAR's incremental engine against the seed path per N."""
-    counts = (40, 100, 200, 500) if full else (40, 100)
-    sweep: dict[str, dict] = {}
-    for n in counts:
-        problem = generate_problem(
-            RandomWorkloadConfig(
-                operations=n, ccr=1.0, processors=4, npf=1, seed=2003
-            )
-        )
-        incremental_s, incremental = _best_of(
-            schedule_ftbar, problem, _INCREMENTAL, repeats
-        )
-        legacy_s, legacy = _best_of(schedule_ftbar, problem, _LEGACY, repeats)
-        assert incremental.makespan == legacy.makespan, (
-            f"engines diverge at N={n}"
-        )
-        sweep[str(n)] = {
-            "incremental_s": incremental_s,
-            "legacy_s": legacy_s,
-            "speedup": legacy_s / incremental_s,
-            "incremental_pressure_evaluations":
-                incremental.stats.pressure_evaluations,
-            "legacy_pressure_evaluations": legacy.stats.pressure_evaluations,
-            "cache_hits": incremental.stats.cache_hits,
-            "makespan": incremental.makespan,
-        }
-    return sweep
+def run_reference_sweep(full: bool = False, repeats: int = 5) -> dict:
+    """Time the compiled kernel against the reference engine per N.
 
-
-def run_compiled_sweep(full: bool = False, repeats: int = 5) -> dict:
-    """Time the compiled kernel against the object incremental engine.
-
-    Equivalence is asserted before recording — the kernel is a
-    pure-performance change, so any divergence voids the measurement:
-
-    * all four engines (compiled, compiled ``symmetry=False``,
-      incremental, legacy) must produce the same makespan;
-    * with symmetry pruning disabled the kernel probes exactly the
-      candidate set the object engine does, so its work counters must
-      match the incremental engine's bit for bit.  With pruning on the
-      evaluation count is *lower* by construction; the gap is recorded
-      as ``symmetry_pruned``.
+    All three legs — kernel, kernel with ``symmetry=False`` and the
+    reference engine — must produce the same makespan before anything
+    is recorded (the engines are bit-identical, so any divergence voids
+    the measurement), and pruning may only skip work the exhaustive
+    sweep would have done.
 
     Each point also records the shared-compilation memo deltas: after
-    the first run of a problem every later run (and every variant leg)
-    reuses the memoized ``CompiledProblem`` core, which is where the
-    repeat-loop hit counts come from.
+    the first run of a problem every later run (and the
+    ``symmetry=False`` leg) reuses the memoized ``CompiledProblem``
+    core, which is where the repeat-loop hit counts come from.
     """
     counts = (40, 80, 120, 200, 300, 500, 800) if full else (40, 80)
     sweep: dict[str, dict] = {}
@@ -205,46 +167,34 @@ def run_compiled_sweep(full: bool = False, repeats: int = 5) -> dict:
         leg_repeats = repeats if n >= 300 else repeats * 2
         legs = _interleaved_best_of(
             problem,
-            (("compiled", _COMPILED), ("incremental", _INCREMENTAL)),
+            (("kernel", None), ("kernel_nosym", _KERNEL_NOSYM)),
             leg_repeats,
         )
-        compiled_s, compiled = legs["compiled"]
-        incremental_s, incremental = legs["incremental"]
-        legacy_s, legacy = _best_of(
-            schedule_ftbar, problem, _LEGACY, max(1, repeats // 2)
+        kernel_s, kernel = legs["kernel"]
+        nosym_s, nosym = legs["kernel_nosym"]
+        reference_s, reference = _best_of(
+            ftbar_reference, problem, None, max(1, repeats // 2)
         )
-        nosym_s, nosym = _best_of(schedule_ftbar, problem, _COMPILED_NOSYM, 1)
         cache_after = compile_cache_stats()
         assert (
-            compiled.makespan
-            == nosym.makespan
-            == incremental.makespan
-            == legacy.makespan
+            kernel.makespan == nosym.makespan == reference.makespan
         ), f"engines diverge at N={n}"
         assert (
-            nosym.stats.pressure_evaluations,
-            nosym.stats.cache_hits,
-        ) == (
-            incremental.stats.pressure_evaluations,
-            incremental.stats.cache_hits,
-        ), f"counters diverge at N={n}"
-        assert (
-            compiled.stats.pressure_evaluations
-            + compiled.stats.symmetry_pruned
+            kernel.stats.pressure_evaluations + kernel.stats.symmetry_pruned
             >= nosym.stats.pressure_evaluations
         ), f"symmetry pruning lost work at N={n}"
         sweep[str(n)] = {
-            "compiled_s": compiled_s,
-            "compiled_nosym_s": nosym_s,
-            "incremental_s": incremental_s,
-            "legacy_s": legacy_s,
-            "speedup": incremental_s / compiled_s,
-            "speedup_vs_seed": legacy_s / compiled_s,
-            "pressure_evaluations": compiled.stats.pressure_evaluations,
+            "kernel_s": kernel_s,
+            "kernel_nosym_s": nosym_s,
+            "reference_s": reference_s,
+            "speedup": reference_s / kernel_s,
+            "pressure_evaluations": kernel.stats.pressure_evaluations,
             "nosym_pressure_evaluations": nosym.stats.pressure_evaluations,
-            "symmetry_pruned": compiled.stats.symmetry_pruned,
-            "cache_hits": compiled.stats.cache_hits,
-            "buffer_reuses": compiled.stats.buffer_reuses,
+            "reference_pressure_evaluations":
+                reference.stats.pressure_evaluations,
+            "symmetry_pruned": kernel.stats.symmetry_pruned,
+            "cache_hits": kernel.stats.cache_hits,
+            "buffer_reuses": kernel.stats.buffer_reuses,
             "compile_cache_core_hits": (
                 cache_after["core_hits"] - cache_before["core_hits"]
             ),
@@ -254,7 +204,7 @@ def run_compiled_sweep(full: bool = False, repeats: int = 5) -> dict:
             "compile_cache_variant_hits": (
                 cache_after["variant_hits"] - cache_before["variant_hits"]
             ),
-            "makespan": compiled.makespan,
+            "makespan": kernel.makespan,
         }
     return sweep
 
@@ -607,31 +557,38 @@ def write_bench_json(
 
     Keys owned by other benches (e.g. ``bench_reliability.py``'s
     certificate sweep) are preserved, so the file accumulates the whole
-    perf trajectory regardless of which bench ran last.
+    perf trajectory regardless of which bench ran last.  The sections
+    sized by ``full`` record their scale under ``scale``; without
+    ``full`` a section recorded at full scale is kept, not re-run.
     """
     payload = (
         json.loads(_RESULT_PATH.read_text()) if _RESULT_PATH.exists() else {}
     )
-    payload.update(
-        {
-            "generated_by": "benchmarks/bench_runtime.py",
-            "config": {
-                "ccr": 1.0, "processors": 4, "npf": 1, "seed": 2003,
-                "repeats": repeats, "full": full,
-            },
-            "ftbar_incremental_vs_legacy": run_incremental_sweep(full, repeats),
-            "ftbar_compiled_vs_incremental": run_compiled_sweep(full, repeats),
-            "ftbar_vs_hbp": run_hbp_sweep(full, repeats),
-            "phase_breakdown": run_phase_breakdown(),
-            "campaign_compile_reuse": run_campaign_compile_reuse(full),
-            "campaign_jobs1_vs_cpu": run_campaign_jobs_sweep(
-                full, force_workers
-            ),
-            "campaign_backend_scaling": run_campaign_backend_scaling(
-                full, force_workers, backend
-            ),
-        }
-    )
+    payload["generated_by"] = "benchmarks/bench_runtime.py"
+    payload["config"] = {
+        "ccr": 1.0, "processors": 4, "npf": 1, "seed": 2003,
+        "repeats": repeats,
+    }
+    scaled = {
+        "ftbar_kernel_vs_reference": lambda: run_reference_sweep(
+            full, repeats
+        ),
+        "ftbar_vs_hbp": lambda: run_hbp_sweep(full, repeats),
+        "campaign_compile_reuse": lambda: run_campaign_compile_reuse(full),
+        "campaign_jobs1_vs_cpu": lambda: run_campaign_jobs_sweep(
+            full, force_workers
+        ),
+        "campaign_backend_scaling": lambda: run_campaign_backend_scaling(
+            full, force_workers, backend
+        ),
+    }
+    scales = payload.setdefault("scale", {})
+    for name, run in scaled.items():
+        if not full and scales.get(name) == "full" and name in payload:
+            continue
+        payload[name] = run()
+        scales[name] = "full" if full else "smoke"
+    payload["phase_breakdown"] = run_phase_breakdown()
     if profile:
         payload["profile_top"] = run_profile()
     _RESULT_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -665,23 +622,25 @@ def bench_runtime_hbp(benchmark, record_result):
         assert point.ftbar_seconds < point.hbp_seconds, point
 
 
-def bench_runtime_incremental_vs_legacy(benchmark, record_result):
-    """Time the incremental engine and record the JSON perf trajectory."""
-    result = benchmark(schedule_ftbar, _PROBLEM)
+def bench_runtime_kernel_vs_reference(benchmark, record_result):
+    """Time the reference engine; print the kernel-vs-reference table.
+
+    Writes only ``benchmarks/results/``, never ``BENCH_runtime.json``
+    (see :func:`write_bench_json` for the recorded trajectory).
+    """
+    result = benchmark(ftbar_reference, _PROBLEM)
     assert result.makespan > 0
 
-    payload = write_bench_json(full=full_scale())
-    lines = ["incremental engine vs legacy full-recompute path"]
-    for n, point in sorted(
-        payload["ftbar_incremental_vs_legacy"].items(), key=lambda kv: int(kv[0])
-    ):
+    sweep = run_reference_sweep(full=full_scale())
+    lines = ["compiled kernel vs reference engine"]
+    for n, point in sorted(sweep.items(), key=lambda kv: int(kv[0])):
         lines.append(
-            f"  N={n:>4}: {point['incremental_s']*1e3:8.1f} ms vs "
-            f"{point['legacy_s']*1e3:8.1f} ms  ({point['speedup']:.2f}x, "
-            f"{point['incremental_pressure_evaluations']} vs "
-            f"{point['legacy_pressure_evaluations']} plans computed)"
+            f"  N={n:>4}: {point['kernel_s']*1e3:8.1f} ms vs "
+            f"{point['reference_s']*1e3:8.1f} ms  ({point['speedup']:.2f}x, "
+            f"{point['pressure_evaluations']} vs "
+            f"{point['reference_pressure_evaluations']} plans computed)"
         )
-    record_result("runtime_incremental", "\n".join(lines))
+    record_result("runtime_kernel_vs_reference", "\n".join(lines))
 
 
 def main(argv: list[str]) -> int:
@@ -715,20 +674,12 @@ def main(argv: list[str]) -> int:
         backend=backend,
     )
     print(json.dumps(payload, indent=1, sort_keys=True))
-    n100 = payload["ftbar_incremental_vs_legacy"].get("100")
-    if n100 is not None:
-        print(
-            f"\nFTBAR N=100 speedup over non-incremental path: "
-            f"{n100['speedup']:.2f}x",
-            file=sys.stderr,
-        )
     for n, point in sorted(
-        payload["ftbar_compiled_vs_incremental"].items(),
+        payload["ftbar_kernel_vs_reference"].items(),
         key=lambda kv: int(kv[0]),
     ):
         print(
-            f"compiled kernel N={n}: {point['speedup']:.2f}x vs incremental, "
-            f"{point['speedup_vs_seed']:.2f}x vs seed "
+            f"compiled kernel N={n}: {point['speedup']:.2f}x vs reference "
             f"({point['pressure_evaluations']} evaluations, "
             f"{point['symmetry_pruned']} symmetry-pruned, "
             f"{point['cache_hits']} cache hits, "

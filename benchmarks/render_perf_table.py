@@ -10,9 +10,8 @@ recorded data rather than hand-copied::
 
 Covered sections, one table per engine-trajectory PR:
 
-* ``ftbar_incremental_vs_legacy`` — PR 1's incremental engine vs seed;
-* ``ftbar_compiled_vs_incremental`` — this PR's compiled kernel vs the
-  incremental engine (and cumulatively vs seed);
+* ``ftbar_kernel_vs_reference`` — the compiled kernel (PRs 5/6) vs the
+  paper-literal reference engine, with and without symmetry pruning;
 * ``reliability_certificates`` — PR 3/4's batched scenario engine;
 * ``reliability_sampled_vs_exhaustive`` — PR 8's adaptive sampled
   certification (bounds + confidence intervals past the enumeration
@@ -70,52 +69,32 @@ def _skip_note(skipped: list) -> list[str]:
     ]
 
 
-def render_incremental(section: dict) -> list[str]:
+def render_kernel_vs_reference(section: dict, scale: str | None) -> list[str]:
     rows, skipped = _complete_rows(
         section,
         (
-            "legacy_s", "incremental_s", "speedup",
-            "incremental_pressure_evaluations",
-            "legacy_pressure_evaluations",
+            "reference_s", "kernel_s", "kernel_nosym_s", "speedup",
+            "pressure_evaluations", "reference_pressure_evaluations",
         ),
     )
     lines = [
-        "### PR 1 — incremental engine vs seed full recompute",
+        "### Compiled kernel vs reference engine",
         "",
-        "| N | seed engine | incremental | speedup | plans computed (vs seed) |",
-        "|---:|---:|---:|---:|---:|",
+        f"Scale: {scale or 'unrecorded'} (P=4, npf=1, CCR 1.0, seed 2003).",
+        "",
+        "| N | reference | kernel | kernel, no symmetry | speedup "
+        "| plans computed (vs reference) | symmetry-pruned |",
+        "|---:|---:|---:|---:|---:|---:|---:|",
     ]
     for n, point in rows:
         lines.append(
-            f"| {n} | {_fmt_ms(point['legacy_s'])} "
-            f"| {_fmt_ms(point['incremental_s'])} "
+            f"| {n} | {_fmt_ms(point['reference_s'])} "
+            f"| {_fmt_ms(point['kernel_s'])} "
+            f"| {_fmt_ms(point['kernel_nosym_s'])} "
             f"| {point['speedup']:.1f}x "
-            f"| {point['incremental_pressure_evaluations']} vs "
-            f"{point['legacy_pressure_evaluations']} |"
-        )
-    return lines + _skip_note(skipped) if rows else []
-
-
-def render_compiled(section: dict) -> list[str]:
-    rows, skipped = _complete_rows(
-        section,
-        ("incremental_s", "compiled_s", "speedup", "speedup_vs_seed"),
-    )
-    lines = [
-        "### PR 5/6 — compiled kernel vs incremental engine",
-        "",
-        "| N | incremental | compiled kernel | speedup | vs seed "
-        "| symmetry-pruned |",
-        "|---:|---:|---:|---:|---:|---:|",
-    ]
-    for n, point in rows:
-        pruned = point.get("symmetry_pruned")
-        lines.append(
-            f"| {n} | {_fmt_ms(point['incremental_s'])} "
-            f"| {_fmt_ms(point['compiled_s'])} "
-            f"| {point['speedup']:.1f}x "
-            f"| {point['speedup_vs_seed']:.1f}x "
-            f"| {'-' if pruned is None else pruned} |"
+            f"| {point['pressure_evaluations']} vs "
+            f"{point['reference_pressure_evaluations']} "
+            f"| {point.get('symmetry_pruned', '-')} |"
         )
     return lines + _skip_note(skipped) if rows else []
 
@@ -350,10 +329,13 @@ def render_obs_overhead(section: dict) -> list[str]:
 
 def render(payload: dict) -> str:
     blocks: list[list[str]] = []
-    if "ftbar_incremental_vs_legacy" in payload:
-        blocks.append(render_incremental(payload["ftbar_incremental_vs_legacy"]))
-    if "ftbar_compiled_vs_incremental" in payload:
-        blocks.append(render_compiled(payload["ftbar_compiled_vs_incremental"]))
+    if "ftbar_kernel_vs_reference" in payload:
+        blocks.append(
+            render_kernel_vs_reference(
+                payload["ftbar_kernel_vs_reference"],
+                payload.get("scale", {}).get("ftbar_kernel_vs_reference"),
+            )
+        )
     for key, label in (
         (
             "reliability_certificate_batched_vs_scenario",

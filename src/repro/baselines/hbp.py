@@ -31,9 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.core.compile import CompiledProblem
-from repro.core.incremental import MutationTracker, PlanCache
 from repro.core.kernel import SchedulingKernel
-from repro.core.placement import PlacementPlanner, commit_plan
 from repro.problem import ProblemSpec
 from repro.schedule.schedule import Schedule
 from repro.timing.constraints import RtcReport
@@ -47,10 +45,10 @@ HBP_REPLICAS = 2
 class HBPStats:
     """Run statistics, used by the complexity experiment (E6).
 
-    ``pair_evaluations`` counts *computed* pair costs; the incremental
-    pair-cost cache (the same :class:`~repro.core.incremental.PlanCache`
-    machinery the FTBAR engine uses, so the E6 runtime comparison stays
-    apples-to-apples) serves the rest as ``pair_cache_hits``.
+    ``pair_evaluations`` counts *computed* pair costs; the pair-cost
+    cache (the same :class:`~repro.core.kernel.KernelPlanCache` the FTBAR
+    kernel uses, so the E6 runtime comparison stays apples-to-apples)
+    serves the rest as ``pair_cache_hits``.
     """
 
     steps: int = 0
@@ -76,14 +74,12 @@ class HBPResult:
 class HBPScheduler:
     """Height-based partitioning scheduler with task duplication.
 
-    ``compiled`` (default) runs the ordered-pair cost search on the
-    same :class:`~repro.core.kernel.SchedulingKernel` as FTBAR —
-    bit-identical schedules and pair counters, so the E6 runtime
-    comparison measures the heuristics, not the data structures.
-    ``compiled=False`` keeps the object path.
+    The ordered-pair cost search runs on the same
+    :class:`~repro.core.kernel.SchedulingKernel` as FTBAR, so the E6
+    runtime comparison measures the heuristics, not the data structures.
     """
 
-    def __init__(self, problem: ProblemSpec, compiled: bool = True) -> None:
+    def __init__(self, problem: ProblemSpec) -> None:
         if problem.npf != 1:
             raise SchedulingError(
                 f"HBP duplicates tasks exactly once and tolerates exactly one "
@@ -97,26 +93,14 @@ class HBPScheduler:
         self._problem = problem
         self._algorithm = problem.algorithm
         self._architecture = problem.architecture
-        self._exec_times = problem.exec_times
-        self._comm_times = problem.comm_times
-        self._planner = PlacementPlanner(
+        self._compiled = CompiledProblem(
             self._algorithm,
             self._architecture,
-            self._exec_times,
-            self._comm_times,
-            npf=HBP_REPLICAS - 1,
+            problem.exec_times,
+            problem.comm_times,
+            HBP_REPLICAS - 1,
+            0,
         )
-        self._cache = PlanCache()
-        self._compiled: CompiledProblem | None = None
-        if compiled:
-            self._compiled = CompiledProblem(
-                self._algorithm,
-                self._architecture,
-                self._exec_times,
-                self._comm_times,
-                HBP_REPLICAS - 1,
-                0,
-            )
 
     def run(self) -> HBPResult:
         """Schedule the height groups from the highest down.
@@ -136,31 +120,13 @@ class HBPScheduler:
             npf=HBP_REPLICAS - 1,
             name=f"{self._problem.name}-hbp",
         )
-        if self._compiled is not None:
-            self._run_compiled(schedule, stats)
-        else:
-            self._run_object(schedule, stats)
+        self._run_kernel(schedule, stats)
         stats.wall_time_s = time.perf_counter() - started
         rtc_report = self._problem.rtc.check(schedule)
         return HBPResult(schedule=schedule, rtc_report=rtc_report, stats=stats)
 
-    def _run_object(self, schedule: Schedule, stats: HBPStats) -> None:
-        self._cache = PlanCache()
-        tracker = MutationTracker(schedule)
-        for group in self._height_groups():
-            remaining = list(group)
-            while remaining:
-                stats.steps += 1
-                task, first, second = self._select(remaining, schedule, stats)
-                tracker.begin()
-                self._commit_pair(task, first, second, schedule)
-                self._cache.drop_operation(task)
-                self._cache.invalidate(tracker.delta())
-                remaining.remove(task)
-        stats.pair_cache_hits = self._cache.hits
-
-    def _run_compiled(self, schedule: Schedule, stats: HBPStats) -> None:
-        """The same group loop over the compiled kernel's pair costs."""
+    def _run_kernel(self, schedule: Schedule, stats: HBPStats) -> None:
+        """The group loop over the compiled kernel's pair costs."""
         compiled = self._compiled
         kernel = SchedulingKernel(compiled, schedule, vector=False)
         op_ids = compiled.op_ids
@@ -170,9 +136,7 @@ class HBPScheduler:
             remaining = [op_ids[task] for task in group]
             while remaining:
                 stats.steps += 1
-                task, first, second = self._select_compiled(
-                    remaining, kernel
-                )
+                task, first, second = self._select(remaining, kernel)
                 kernel.begin_step()
                 kernel.commit_pair(task, first, second)
                 kernel.forget_range(
@@ -184,10 +148,10 @@ class HBPScheduler:
         stats.pair_evaluations = kernel.misses
         stats.pair_cache_hits = kernel.hits
 
-    def _select_compiled(
+    def _select(
         self, tasks: list[int], kernel: SchedulingKernel
     ) -> tuple[int, int, int]:
-        """The cheapest (task, pair) — `_select` over dense ids."""
+        """The cheapest (task, processor pair) among the ready tasks."""
         compiled = self._compiled
         best: tuple[float, int, int, int] | None = None
         for task in tasks:
@@ -211,7 +175,7 @@ class HBPScheduler:
         if best is None:
             raise InfeasibleReplicationError(
                 f"no feasible processor pair among tasks "
-                f"{[self._compiled.op_names[t] for t in tasks]!r}"
+                f"{[compiled.op_names[t] for t in tasks]!r}"
             )
         return best[1], best[2], best[3]
 
@@ -230,124 +194,7 @@ class HBPScheduler:
             groups.setdefault(heights[task], []).append(task)
         return [sorted(groups[h]) for h in sorted(groups, reverse=True)]
 
-    # ------------------------------------------------------------------
-    # placement
-    # ------------------------------------------------------------------
-    def _select(
-        self, tasks: list[str], schedule: Schedule, stats: HBPStats
-    ) -> tuple[str, str, str]:
-        """The cheapest (task, processor pair) among the ready tasks."""
-        best: tuple[float, str, str, str] | None = None
-        for task in tasks:
-            processors = self._exec_times.allowed_processors(
-                task, self._architecture.processor_names()
-            )
-            if len(processors) < HBP_REPLICAS:
-                raise InfeasibleReplicationError(
-                    f"task {task!r} can run on {len(processors)} processor(s), "
-                    f"{HBP_REPLICAS} required by HBP"
-                )
-            for first in processors:
-                for second in processors:
-                    if first == second:
-                        continue
-                    cost = self._pair_cost(task, first, second, schedule, stats)
-                    if cost is None:
-                        continue
-                    key = (cost, task, first, second)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            raise InfeasibleReplicationError(
-                f"no feasible processor pair among tasks {tasks!r}"
-            )
-        return best[1], best[2], best[3]
 
-    def _commit_pair(
-        self, task: str, first: str, second: str, schedule: Schedule
-    ) -> None:
-        for processor in (first, second):
-            plan = self._planner.plan(task, processor, schedule)
-            if plan is None:  # pragma: no cover - defensive
-                raise SchedulingError(
-                    f"placement of {task!r} on {processor!r} became infeasible"
-                )
-            commit_plan(plan, schedule)
-
-    def _pair_cost(
-        self,
-        task: str,
-        first: str,
-        second: str,
-        schedule: Schedule,
-        stats: HBPStats,
-    ) -> float | None:
-        """Later completion time of the two replicas, or None if infeasible.
-
-        Both replicas are planned against one shared link-state overlay
-        so their feeding comms contend for the same links, exactly as
-        they will once committed.
-
-        Costs are cached per ``(task, first, second)`` with the same
-        dirty-set machinery as the FTBAR engine: an entry's feeds stay
-        valid while its predecessors' replica sets are untouched and no
-        reserved link's availability has grown past the first planned
-        start (append-mode threshold rule); ``processor_ready`` of both
-        targets is refreshed in O(1) on every hit.
-        """
-        cache = self._cache
-        key = (task, first, second)
-        entry = cache.entries.get(key)
-        if entry is not None:
-            # Same append-mode staleness rule as PressureCalculator.
-            # cached_pressure (kept inline there for the hot path);
-            # change both together.
-            stale = False
-            for link, start in entry.link_thresholds:
-                if schedule.link_available(link) > start:
-                    stale = True
-                    break
-            if not stale:
-                cache.hits += 1
-                plans = entry.value
-                if plans is None:
-                    return None
-                first_plan, second_plan = plans
-                first_plan.processor_ready = schedule.processor_available(first)
-                second_plan.processor_ready = schedule.processor_available(second)
-                first_end = first_plan.s_best + first_plan.duration
-                second_end = second_plan.s_best + second_plan.duration
-                return max(first_end, second_end)
-            cache.discard(key)
-        cache.misses += 1
-        stats.pair_evaluations += 1
-        dependencies = frozenset(self._algorithm.predecessors(task))
-        state = self._planner.fresh_link_state(schedule)
-        first_plan = self._planner.plan(task, first, schedule, state)
-        if first_plan is None:
-            cache.put(key, None, operations=dependencies)
-            return None
-        second_plan = self._planner.plan(task, second, schedule, state)
-        if second_plan is None:
-            cache.put(key, None, operations=dependencies)
-            return None
-        thresholds: dict[str, float] = {}
-        for plan in (first_plan, second_plan):
-            for link, start in plan.link_thresholds():
-                current = thresholds.get(link)
-                if current is None or start < current:
-                    thresholds[link] = start
-        cache.put(
-            key,
-            (first_plan, second_plan),
-            operations=dependencies,
-            link_thresholds=tuple(thresholds.items()),
-        )
-        first_end = first_plan.s_best + first_plan.duration
-        second_end = second_plan.s_best + second_plan.duration
-        return max(first_end, second_end)
-
-
-def schedule_hbp(problem: ProblemSpec, compiled: bool = True) -> HBPResult:
+def schedule_hbp(problem: ProblemSpec) -> HBPResult:
     """Convenience one-call API for the HBP baseline."""
-    return HBPScheduler(problem, compiled=compiled).run()
+    return HBPScheduler(problem).run()

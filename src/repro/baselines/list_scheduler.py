@@ -10,10 +10,9 @@ example; :func:`schedule_basic` is that variant — the same pressure-based
 list scheduling with neither replication nor LIP duplication.
 
 Both baselines delegate to :class:`~repro.core.ftbar.FTBARScheduler`, so
-they run on the same incremental engine (ready-set maintenance, dirty-set
-pressure cache, indexed schedule state) as the fault-tolerant runs they
-are compared against; pass ``SchedulerOptions(incremental=False)`` to
-time the legacy full-recompute path instead.
+they run on the same engine as the fault-tolerant runs they are compared
+against: the compiled kernel, or the reference engine when the options
+ask for ``link_insertion``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.campaign.spec import (
     ReliabilitySpec,
     WorkloadSpec,
 )
-from repro.exceptions import CompiledFallbackWarning, SerializationError
+from repro.exceptions import SerializationError
 from repro.faultinject import failpoint
 from repro.analysis.metrics import degraded_lengths
 from repro.analysis.reliability import (
@@ -316,8 +316,7 @@ def execute_job(job: Job) -> dict:
     ``elapsed_s`` is the ``job.run`` root span's duration, and the new
     ``obs`` subsection carries the per-phase span totals plus the
     worker heartbeat.  Structured warnings raised while the job runs
-    (:class:`~repro.exceptions.CompiledFallbackWarning`,
-    :class:`~repro.analysis.reliability.CertificationCapWarning`) are
+    (:class:`~repro.analysis.reliability.CertificationCapWarning`) are
     additionally recorded — deterministically, without timestamps — as
     ``record["events"]``, then re-emitted for the caller.
     """
@@ -490,8 +489,6 @@ def _warning_events(caught) -> list[dict]:
                 "enumerated_subsets": message.enumerated_subsets,
                 "total_subsets": message.total_subsets,
             }
-        elif isinstance(message, CompiledFallbackWarning):
-            event = {"kind": "compiled_fallback"}
         else:
             continue
         if event not in events:

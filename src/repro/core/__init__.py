@@ -6,16 +6,10 @@ from repro.core.ftbar import (
     FTBARScheduler,
     FTBARStats,
     StepRecord,
+    ftbar_reference,
     schedule_ftbar,
 )
-from repro.core.incremental import (
-    KernelPlanCache,
-    MutationTracker,
-    PlanCache,
-    ReadySet,
-    StepDelta,
-)
-from repro.core.kernel import CompiledReadySet, SchedulingKernel
+from repro.core.kernel import CompiledReadySet, KernelPlanCache, SchedulingKernel
 from repro.core.minimize import DuplicationStats, StartTimeMinimizer
 from repro.core.options import SchedulerOptions
 from repro.core.placement import (
@@ -37,19 +31,16 @@ __all__ = [
     "FTBARStats",
     "KernelPlanCache",
     "LinkState",
-    "MutationTracker",
     "PlacementPlan",
     "PlacementPlanner",
-    "PlanCache",
     "PlannedComm",
     "PredecessorFeed",
     "PressureCalculator",
-    "ReadySet",
     "SchedulerOptions",
     "SchedulingKernel",
     "StartTimeMinimizer",
-    "StepDelta",
     "StepRecord",
     "commit_plan",
+    "ftbar_reference",
     "schedule_ftbar",
 ]

@@ -1,6 +1,6 @@
 """Problem lowering for the compiled scheduling kernel.
 
-The object engine spends its inner loop walking string-keyed dicts:
+The reference engine spends its inner loop walking string-keyed dicts:
 ``ExecutionTimes.time_of`` and ``CommunicationTimes.time_of`` hash a
 freshly built tuple per lookup, ``Architecture.links_between`` hashes a
 processor-name pair, and every trial plan allocates a
@@ -15,7 +15,7 @@ lowers the tables the hot loop reads into flat preallocated lists:
 * ``comm_rows[q * O + o]`` — per-link transfer durations of one edge;
 * ``sbar[o]`` / ``tail[o]`` — the static pressure terms, produced by the
   same :class:`~repro.core.pressure.PressureCalculator` arithmetic so
-  the floats are bit-identical to the object path;
+  the floats are bit-identical to the reference engine's;
 * ``direct[a * P + b]`` — ids of the direct links joining two
   processors, in sorted-name order;
 * ``preds[o]`` / ``succs[o]`` — the algorithm adjacency as id tuples.
@@ -412,7 +412,7 @@ class CompiledProblem:
             self.sbar, self.tail = variant
             return
         _STATS["variant_misses"] += 1
-        # --- static pressure terms (bit-identical to the object path) -----
+        # --- static pressure terms (bit-identical to the reference) -------
         # Same arithmetic as PressureCalculator.sbar/tail on the flat
         # tables: averages sum in sorted-name order (== row order), the
         # reverse-topological sweep maxes over sorted successors, and

@@ -25,58 +25,48 @@ the real-time constraints are checked on the finished schedule — the
 scheduler reports ``Rtc`` satisfaction rather than failing, so the
 designer can decide to add hardware or relax the constraints.
 
-Incremental engine invariants
------------------------------
-The default engine (``SchedulerOptions.incremental``) avoids the naive
-O(steps x candidates x processors) replanning of macro-step À by caching
-every trial plan and only recomputing the ones a placement could have
-changed.  Its correctness rests on two invariants of the paper's
-append-only list scheduling:
+Engines
+-------
+Two engines run the heuristic, chosen from the input alone:
 
-1. **Ready-set maintenance.**  An operation becomes a candidate exactly
-   when its last unscheduled predecessor (or, for a pinned memory half,
-   its anchor half) is placed.  Indegree counters decremented on each
-   placement therefore reproduce the full rescan, including its sorted
-   candidate order (tie-breaks are order-sensitive).
-
-2. **Dirty-set rule.**  A cached plan for ``(o, p)`` reads only: the
-   timeline of ``p`` (``processor_ready``, co-located predecessor
-   replicas), the busy intervals of the links it consulted while routing
-   feeds, and the replica sets of ``o``'s predecessors.  Committing a
-   macro-step mutates only: the timelines of the processors that
-   received replicas (the selected operation's ``Npf + 1`` hosts, which
-   also host every LIP duplicate), the links its comms landed on, and
-   the replica sets of the operations that gained replicas (the selected
-   operation and any duplicated LIP ancestors).  Hence a cached plan
-   whose dependency sets are disjoint from the step's dirty set would be
-   recomputed *identically* — serving it from cache is exact, not
-   approximate, and the produced schedules, tie-breaks and
-   :class:`StepRecord` streams are bit-identical to the legacy path
-   (enforced by ``tests/test_engine_equivalence.py`` against recorded
-   seed-engine fingerprints).
-
-Rollbacks inside ``Minimize_start_time`` cannot poison the cache: the
-dirty set is diffed on the *committed* post-step state, and a rolled
-back trial restores the exact pre-trial timelines.
+* **The compiled kernel** (:mod:`repro.core.kernel`) runs every
+  append-mode problem.  It interns the problem to dense integer ids
+  once, maintains the candidate list with indegree counters
+  (:class:`~repro.core.kernel.CompiledReadySet`: an operation becomes a
+  candidate when its last unscheduled predecessor, or the anchor half
+  of a pinned memory half, is placed; sorted ids are the sorted-name
+  candidate order, so tie-breaks are unchanged) and caches every trial
+  plan, recomputing only the plans a committed macro-step could have
+  changed.  The dirty-set rule: a plan for ``(o, p)`` reads the
+  timeline of ``p``, the links its feeds reserved and the replica sets
+  of ``o``'s predecessors; a macro-step mutates the timelines of the
+  processors that received replicas, the links its comms landed on and
+  the replica sets of the operations that gained replicas.  A plan
+  whose dependencies are disjoint from that dirty set would be
+  recomputed identically, so serving it from the cache is exact.
+* **The reference engine** (:func:`ftbar_reference`) is the
+  paper-literal loop: rescan the candidates, plan every pair from
+  scratch (:meth:`~repro.core.pressure.PressureCalculator.pressure`),
+  place through
+  :class:`~repro.core.minimize.StartTimeMinimizer`.  It runs
+  ``link_insertion`` problems, whose gap insertion the kernel's
+  append-mode arrays do not model, and is the kernel's test oracle:
+  schedules, observer :class:`StepRecord` streams and content hashes of
+  the two engines are bit-identical (``tests/test_engine_equivalence.py``
+  and ``tests/test_compiled_kernel.py``).
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro import obs
-from repro.exceptions import (
-    CompiledFallbackWarning,
-    InfeasibleReplicationError,
-    SchedulingError,
-)
+from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.core.compile import CompiledProblem, validated_once
-from repro.core.incremental import MutationTracker, ReadySet
 from repro.core.kernel import CompiledReadySet, SchedulingKernel
 from repro.core.minimize import DuplicationStats, StartTimeMinimizer
 from repro.core.options import SchedulerOptions
@@ -94,9 +84,9 @@ from repro.timing.exec_times import ExecutionTimes
 class FTBARStats:
     """Run statistics, used by the complexity experiment (E6).
 
-    ``pressure_evaluations`` counts *computed* trial plans; with the
-    incremental engine the cache serves the rest (``cache_hits``), which
-    is exactly the saving the refactor buys.
+    ``pressure_evaluations`` counts *computed* trial plans; the kernel's
+    plan cache serves the rest (``cache_hits``, 0 on the reference
+    engine, which plans every pair every step).
     """
 
     steps: int = 0
@@ -105,13 +95,13 @@ class FTBARStats:
     duplication: DuplicationStats = field(default_factory=DuplicationStats)
     wall_time_s: float = 0.0
     #: Trial plans served by the compiled kernel's reused scratch
-    #: buffers (0 on the object path, which allocates a fresh overlay
-    #: per evaluation) — recorded by ``benchmarks/bench_runtime.py``.
+    #: buffers (0 on the reference engine, which allocates a fresh
+    #: overlay per evaluation) — recorded by ``benchmarks/bench_runtime.py``.
     buffer_reuses: int = 0
     #: ``(candidate, processor)`` pairs the compiled kernel skipped
     #: because a verified topology automorphism made their σ a
-    #: bit-identical copy of an orbit representative's (0 on the object
-    #: path and with ``SchedulerOptions.symmetry=False``).
+    #: bit-identical copy of an orbit representative's (0 on the
+    #: reference engine and with ``SchedulerOptions.symmetry=False``).
     symmetry_pruned: int = 0
 
 
@@ -155,7 +145,15 @@ class FTBARResult:
 
 
 class FTBARScheduler:
-    """One-shot scheduler object; build it with a problem, call :meth:`run`."""
+    """One-shot scheduler object; build it with a problem, call :meth:`run`.
+
+    Runs the compiled kernel, or the reference engine when
+    ``options.link_insertion`` is set (see the module docstring).
+    """
+
+    #: True on the subclass behind :func:`ftbar_reference`, which runs
+    #: the reference engine on append-mode problems too.
+    _reference_engine = False
 
     def __init__(
         self,
@@ -172,24 +170,8 @@ class FTBARScheduler:
         )
         if self._npl < 0:
             raise SchedulingError(f"npl must be >= 0, got {self._npl}")
-        # The compiled kernel covers append-mode scheduling; gap
-        # insertion keeps the object path (see SchedulerOptions).
+        compiling = not (self._reference_engine or self._options.link_insertion)
         self._compiled: CompiledProblem | None = None
-        if self._options.compiled and self._options.link_insertion:
-            warnings.warn(
-                "compiled=True has no effect with link_insertion=True: "
-                "the compiled kernel models append-mode reservations "
-                "only, so this run uses the object path (bit-identical "
-                "schedules, object-path speed)",
-                CompiledFallbackWarning,
-                stacklevel=3,
-            )
-            obs.event(
-                "warn.compiled_fallback",
-                problem=problem.name,
-                reason="link_insertion",
-            )
-        compiling = self._options.compiled and not self._options.link_insertion
         if not compiling:
             problem.validate()
         self._architecture = problem.architecture
@@ -234,8 +216,8 @@ class FTBARScheduler:
             problem.architecture.route_planner.require_disjoint_routes(
                 self._npl + 1
             )
-        # The object-path machinery is built on demand (properties
-        # below): a compiled run never touches it, and its construction
+        # The reference-engine machinery is built on demand (properties
+        # below): a kernel run never touches it, and its construction
         # is a measurable fraction of a small-N run.
         self._planner_obj: PlacementPlanner | None = None
         self._pressure_obj: PressureCalculator | None = None
@@ -296,7 +278,7 @@ class FTBARScheduler:
             operations=len(self._algorithm),
             npf=self._npf,
             npl=self._npl,
-            engine="kernel" if self._compiled is not None else "object",
+            engine="kernel" if self._compiled is not None else "reference",
         ) as span:
             result = self._run(tracer)
             stats = result.stats
@@ -324,150 +306,19 @@ class FTBARScheduler:
             name=f"{self._problem.name}-ftbar",
         )
         stats = FTBARStats()
-        scheduled: set[str] = set()
-        incremental = self._options.incremental
-        observer = self._observer
-        kernel: SchedulingKernel | None = None
         if self._compiled is not None:
-            kernel = SchedulingKernel(
-                self._compiled,
-                schedule,
-                cache=incremental,
-                processor_aware=self._options.processor_aware_pressure,
-                duplication=self._options.duplication,
-                symmetry=self._options.symmetry,
-                workers=resolve_workers(self._options.sweep_workers),
+            self._run_kernel(schedule, stats, tracer)
+        else:
+            self._run_reference(schedule, stats, tracer)
+        # Every step places one new operation.
+        if stats.steps != len(self._algorithm):
+            missing = sorted(
+                set(self._algorithm.operation_names())
+                - set(schedule.scheduled_operations())
             )
-            if tracer is not None:
-                # Sub-step phases too hot to span individually (the
-                # replay-repair pool pass) accumulate totals here and
-                # are emitted as aggregate spans after the loop.
-                kernel.phase_times = {}
-        ready: ReadySet | None = None
-        ready_ids: CompiledReadySet | None = None
-        tracker: MutationTracker | None = None
-        if incremental:
-            if kernel is not None:
-                # Candidate maintenance on dense ids: sorted ids are
-                # the sorted-name candidate order by construction.  The
-                # kernel derives each step's dirty set from its own
-                # undo log, so no MutationTracker is needed.
-                ready_ids = CompiledReadySet(self._compiled)
-            else:
-                tracker = MutationTracker(schedule)
-                ready = ReadySet(self._algorithm, self._pins)
-                self._pressure.attach(schedule)
-        op_names = self._compiled.op_names if kernel is not None else None
-        while True:
-            if ready_ids is not None:
-                candidate_ids = ready_ids.candidates()
-                if not candidate_ids:
-                    break
-                candidates = None
-            else:
-                candidates = (
-                    list(ready.candidates()) if incremental
-                    else self._candidates(scheduled)
-                )
-                if not candidates:
-                    break
-            stats.steps += 1
-            with (
-                tracer.span("kernel.sweep", step=stats.steps)
-                if tracer is not None
-                else obs.NOOP_SPAN
-            ):
-                if kernel is not None:
-                    if ready_ids is not None:
-                        operation, processors, urgency, pressures = (
-                            kernel.select_ids(
-                                candidate_ids, observer is not None
-                            )
-                        )
-                    else:
-                        operation, processors, urgency, pressures = (
-                            kernel.select(candidates, observer is not None)
-                        )
-                else:
-                    operation, processors, urgency, pressures = self._select(
-                        candidates, schedule
-                    )
-            if incremental:
-                if kernel is not None:
-                    kernel.begin_step()
-                else:
-                    tracker.begin()
-            with (
-                tracer.span("kernel.place", step=stats.steps)
-                if tracer is not None
-                else obs.NOOP_SPAN
-            ):
-                if kernel is not None:
-                    # Macro-step trial batching: the kernel plans the
-                    # whole step's Npf + 1 trials in one pass where that
-                    # is exact (see SchedulingKernel.place_step).
-                    kernel.place_step(operation, processors)
-                else:
-                    for processor in processors:
-                        self._place(operation, processor, schedule)
-            scheduled.add(operation)
-            if incremental:
-                if ready_ids is not None:
-                    ready_ids.mark_scheduled(self._compiled.op_ids[operation])
-                else:
-                    ready.mark_scheduled(operation)
-                if kernel is not None:
-                    kernel.forget(operation)
-                    kernel.invalidate_step()
-                else:
-                    self._pressure.forget_operation(operation)
-                    self._pressure.invalidate(tracker.delta())
-            if observer is not None:
-                if candidates is None:
-                    candidates = [op_names[o] for o in candidate_ids]
-                observer(
-                    StepRecord(
-                        step=stats.steps,
-                        candidates=tuple(candidates),
-                        operation=operation,
-                        processors=processors,
-                        urgency=urgency,
-                        pressures=pressures,
-                        makespan=(
-                            kernel.makespan if kernel is not None
-                            else schedule.makespan()
-                        ),
-                    )
-                )
-        if kernel is not None:
-            # The kernel buffered its placements; write the survivors
-            # into the real schedule now that the run is over.
-            with (
-                tracer.span("kernel.materialize")
-                if tracer is not None
-                else obs.NOOP_SPAN
-            ):
-                kernel.materialize()
-            if tracer is not None and kernel.phase_times:
-                for name, (total, count) in sorted(
-                    kernel.phase_times.items()
-                ):
-                    tracer.aggregate(name, total, count)
-        if len(scheduled) != len(self._algorithm):
-            missing = sorted(set(self._algorithm.operation_names()) - scheduled)
             raise SchedulingError(
                 f"scheduling stalled; unplaced operations: {missing}"
             )
-        if kernel is not None:
-            stats.pressure_evaluations = kernel.evaluations
-            stats.cache_hits = kernel.hits
-            stats.duplication = kernel.dup_stats
-            stats.buffer_reuses = kernel.buffer_reuses
-            stats.symmetry_pruned = kernel.symmetry_pruned
-        else:
-            stats.pressure_evaluations = self._pressure.evaluations
-            stats.cache_hits = self._pressure.cache_stats[0]
-            stats.duplication = self._minimizer.stats
         stats.wall_time_s = time.perf_counter() - started
         rtc_report = self._expanded_rtc().check(schedule)
         return FTBARResult(
@@ -477,6 +328,124 @@ class FTBARScheduler:
             expanded_algorithm=self._algorithm,
             memory_pairs=self._memory_pairs,
         )
+
+    def _run_kernel(self, schedule: Schedule, stats: FTBARStats, tracer) -> None:
+        """The macro-step loop on the compiled kernel."""
+        compiled = self._compiled
+        observer = self._observer
+        kernel = SchedulingKernel(
+            compiled,
+            schedule,
+            processor_aware=self._options.processor_aware_pressure,
+            duplication=self._options.duplication,
+            symmetry=self._options.symmetry,
+            workers=resolve_workers(self._options.sweep_workers),
+        )
+        if tracer is not None:
+            # Sub-step phases too hot to span individually (the
+            # replay-repair pool pass) accumulate totals here and are
+            # emitted as aggregate spans after the loop.
+            kernel.phase_times = {}
+        # Candidate maintenance on dense ids: sorted ids are the
+        # sorted-name candidate order by construction.
+        ready = CompiledReadySet(compiled)
+        op_names = compiled.op_names
+        while True:
+            candidate_ids = ready.candidates()
+            if not candidate_ids:
+                break
+            stats.steps += 1
+            with (
+                tracer.span("kernel.sweep", step=stats.steps)
+                if tracer is not None
+                else obs.NOOP_SPAN
+            ):
+                operation, processors, urgency, pressures = kernel.select_ids(
+                    candidate_ids, observer is not None
+                )
+            kernel.begin_step()
+            with (
+                tracer.span("kernel.place", step=stats.steps)
+                if tracer is not None
+                else obs.NOOP_SPAN
+            ):
+                # Macro-step trial batching: the kernel plans the whole
+                # step's Npf + 1 trials in one pass where that is exact
+                # (see SchedulingKernel.place_step).
+                kernel.place_step(operation, processors)
+            ready.mark_scheduled(compiled.op_ids[operation])
+            kernel.forget(operation)
+            kernel.invalidate_step()
+            if observer is not None:
+                observer(
+                    StepRecord(
+                        step=stats.steps,
+                        candidates=tuple(op_names[o] for o in candidate_ids),
+                        operation=operation,
+                        processors=processors,
+                        urgency=urgency,
+                        pressures=pressures,
+                        makespan=kernel.makespan,
+                    )
+                )
+        # The kernel buffered its placements; write the survivors into
+        # the real schedule now that the run is over.
+        with (
+            tracer.span("kernel.materialize")
+            if tracer is not None
+            else obs.NOOP_SPAN
+        ):
+            kernel.materialize()
+        if tracer is not None and kernel.phase_times:
+            for name, (total, count) in sorted(kernel.phase_times.items()):
+                tracer.aggregate(name, total, count)
+        stats.pressure_evaluations = kernel.evaluations
+        stats.cache_hits = kernel.hits
+        stats.duplication = kernel.dup_stats
+        stats.buffer_reuses = kernel.buffer_reuses
+        stats.symmetry_pruned = kernel.symmetry_pruned
+
+    def _run_reference(
+        self, schedule: Schedule, stats: FTBARStats, tracer
+    ) -> None:
+        """The paper-literal macro-step loop."""
+        observer = self._observer
+        scheduled: set[str] = set()
+        while True:
+            candidates = self._candidates(scheduled)
+            if not candidates:
+                break
+            stats.steps += 1
+            with (
+                tracer.span("kernel.sweep", step=stats.steps)
+                if tracer is not None
+                else obs.NOOP_SPAN
+            ):
+                operation, processors, urgency, pressures = self._select(
+                    candidates, schedule
+                )
+            with (
+                tracer.span("kernel.place", step=stats.steps)
+                if tracer is not None
+                else obs.NOOP_SPAN
+            ):
+                for processor in processors:
+                    self._place(operation, processor, schedule)
+            scheduled.add(operation)
+            if observer is not None:
+                observer(
+                    StepRecord(
+                        step=stats.steps,
+                        candidates=tuple(candidates),
+                        operation=operation,
+                        processors=processors,
+                        urgency=urgency,
+                        pressures=pressures,
+                        makespan=schedule.makespan(),
+                    )
+                )
+        stats.pressure_evaluations = self._pressure.evaluations
+        stats.duplication = self._minimizer.stats
 
     # ------------------------------------------------------------------
     # candidate management (macro-step Ã)
@@ -505,11 +474,7 @@ class FTBARScheduler:
         """Pick the most urgent candidate and its ``Npf + 1`` processors."""
         best_choice: tuple[float, str, tuple[str, ...]] | None = None
         pressures: dict[tuple[str, str], float] = {}
-        evaluate = (
-            self._pressure.cached_pressure
-            if self._options.incremental
-            else self._pressure.pressure
-        )
+        evaluate = self._pressure.pressure
         infinity = math.inf
         for operation in candidates:
             processors = self._processor_pool(operation, schedule)
@@ -635,3 +600,24 @@ def schedule_ftbar(
     section 4.3 (Figures 5 and 6) is reproduced.
     """
     return FTBARScheduler(problem, options, observer=observer).run()
+
+
+def ftbar_reference(
+    problem: ProblemSpec,
+    options: SchedulerOptions | None = None,
+    observer: Callable[[StepRecord], None] | None = None,
+) -> FTBARResult:
+    """Run the paper-literal reference engine on any problem.
+
+    The engine :func:`schedule_ftbar` uses for ``link_insertion`` runs,
+    here forced for append-mode problems too: it is the oracle the
+    compiled kernel is tested against (identical schedules, observer
+    streams and content hashes), at the cost of replanning every
+    candidate pair every step.
+    """
+    scheduler = _ReferenceScheduler(problem, options, observer=observer)
+    return scheduler.run()
+
+
+class _ReferenceScheduler(FTBARScheduler):
+    _reference_engine = True

@@ -1,35 +1,39 @@
 """The compiled scheduling kernel: flat-array candidate evaluation.
 
-This module is the execution engine behind ``SchedulerOptions(compiled
-=True)``.  It consumes the dense id tables of
-:class:`~repro.core.compile.CompiledProblem` and rewrites the FTBAR
-inner loop — the per-step ready-set sweep, the per-candidate
+This module is the production FTBAR engine for every append-mode
+problem (:mod:`repro.core.ftbar` sends ``link_insertion`` runs to the
+reference engine).  It consumes the dense id tables of
+:class:`~repro.core.compile.CompiledProblem` and runs the FTBAR inner
+loop — the per-step ready-set sweep, the per-candidate
 ``(operation, processor)`` trial plan, the append-mode link reservation
 and the pressure/σ computation — as tight passes over preallocated
 lists with reused scratch buffers, instead of the per-pair
 :class:`~repro.core.placement.PlacementPlan` object graphs of the
-object engine.  The HBP baseline's ordered-pair cost search runs on the
-same kernel (:meth:`SchedulingKernel.pair_cost`), keeping the E6
+reference engine.  The HBP baseline's ordered-pair cost search runs on
+the same kernel (:meth:`SchedulingKernel.pair_cost`), keeping the E6
 runtime comparison apples-to-apples.
 
 Bit-identity contract
 ---------------------
-Every float expression mirrors the object path *textually*, not just
-mathematically: the link reservation advances its free pointer by
+Every float expression mirrors the reference engine *textually*, not
+just mathematically: the link reservation advances its free pointer by
 re-deriving the duration (``start + (end - start)``, see
 ``LinkState.reserve``), the worst-case arrival is the ``(npf + 1)``-th
 of a sorted copy, ties break on ids — which equal name order because
 :class:`CompiledProblem` interns ids in sorted-name order.  The plan
-cache (:class:`~repro.core.incremental.KernelPlanCache`) reproduces the
-object engine's dirty-set semantics on id-indexed rows: entries are
-dropped when a predecessor's replica set grows, flagged suspect when a
-threshold link's availability grows past the first planned start, and
-*repaired* in place by replaying the recorded reservation chains when
-the plan is repairable (every transfer single-hop on a unique direct
-link).  Schedules, observer streams, content hashes, and the
-``pressure_evaluations`` / ``cache_hits`` counters are bit-identical to
-the object engine — enforced by the goldens and by the randomized
-corpus of ``tests/test_compiled_kernel.py``.
+cache (:class:`KernelPlanCache`) keeps each trial plan until a
+committed step could have changed it: entries are dropped when a
+predecessor's replica set grows, flagged suspect when a threshold
+link's availability grows past the first planned start, and *repaired*
+in place by replaying the recorded reservation chains when the plan is
+repairable (every transfer single-hop on a unique direct link).  A
+served plan is therefore the plan the reference engine computes from
+scratch: schedules, observer streams and content hashes are
+bit-identical to :func:`~repro.core.ftbar.ftbar_reference` — enforced
+by the goldens and by the randomized corpora of
+``tests/test_compiled_kernel.py`` and ``tests/test_engine_equivalence.py``,
+which also pin the work counters (``pressure_evaluations`` /
+``cache_hits``) as literals.
 
 Scratch-buffer reuse
 --------------------
@@ -45,8 +49,8 @@ Most cached entries qualify for the *replay pools*: their worst-case
 start is a closed form over the current link availabilities (chains at
 most two deep, at most two arrivals per feed), so one batched numpy
 pass per macro-step recomputes all of them at once — the vectorised
-equivalent of the object engine's per-entry threshold repairs, with
-identical floats.  Only entries outside that shape (deep chains,
+equivalent of the scalar per-entry threshold repairs, with identical
+floats.  Only entries outside that shape (deep chains,
 parallel-link choices, multi-hop or ``npl`` routes) keep the scalar
 threshold/suspect/repair machinery.
 
@@ -57,13 +61,14 @@ compiled run — resource availabilities, replica sets and the makespan
 live in flat kernel mirrors — so placements are buffered (rollbacks
 inside the duplication procedure just truncate the buffers) and only
 the *surviving* placements are written into the schedule at the end,
-through the exact calls the object engine's ``commit_plan`` makes.
+through the exact calls the reference engine's ``commit_plan`` makes.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from typing import Any, Iterable
 
 try:  # Vectorised sweep; the kernel degrades to its pure-Python loops
     import numpy as _np  # when numpy is not installed (results identical).
@@ -71,7 +76,6 @@ except ImportError:  # pragma: no cover - numpy present in the dev image
     _np = None
 
 from repro.core.compile import CompiledProblem
-from repro.core.incremental import KernelPlanCache
 from repro.core.minimize import DuplicationStats
 from repro.core.parallel import run_sharded
 from repro.core.symmetry import orbit_representatives
@@ -93,8 +97,8 @@ _VECTOR_MIN_CELLS = 1280
 #: ``S_worst`` strictly improves beyond it).
 _EPSILON = 1e-9
 
-#: Cached marker for a forbidden pair (``Exe = inf``): the object engine
-#: caches these too, so the hit counters stay aligned.
+#: Cached marker for a forbidden pair (``Exe = inf``): serving it counts
+#: as a hit, so a forbidden pair is planned once, not once per sweep.
 _FORBIDDEN = (None,)
 
 #: Shared empty threshold list for plans that record no chains.
@@ -104,7 +108,7 @@ _NO_THRESHOLDS: list = []
 #: One predecessor feed of a kernel plan, as a plain tuple:
 #: ``(pred_id, local_end | None, arrivals | None, firsts | None)``.
 #: Plain tuples keep the trial-plan hot path allocation-light; the
-#: object engine's :class:`~repro.core.placement.PredecessorFeed`
+#: reference engine's :class:`~repro.core.placement.PredecessorFeed`
 #: remains the readable counterpart.
 _FEED_PRED = 0
 _FEED_LOCAL_END = 1
@@ -124,7 +128,7 @@ class KernelPlan:
 
     ``operation`` / ``processor`` are names (they feed the schedule's
     placement API), ``op`` / ``proc`` the dense ids; ``earliest`` /
-    ``worst`` are the feed aggregates the object plan computes lazily;
+    ``worst`` are the feed aggregates the reference plan computes lazily;
     ``comms`` is the flat hop-tuple list a commit replays (in the exact
     order ``commit_plan`` would place them).
     """
@@ -148,12 +152,15 @@ class KernelPlan:
 
 
 class CompiledReadySet:
-    """Id-level mirror of :class:`~repro.core.incremental.ReadySet`.
+    """Indegree-counter maintenance of the list-scheduling candidate set.
 
-    Same indegree-counter maintenance over the compiled adjacency;
-    ``candidates()`` returns sorted ids, which is exactly the sorted
-    name order the legacy rescan produced (ids are interned in
-    sorted-name order), without re-sorting strings every macro-step.
+    Each unscheduled operation carries a counter of unmet requirements:
+    its unscheduled predecessors plus, for pinned memory halves, the
+    anchor operation whose replicas define the allowed processors.
+    Scheduling an operation decrements its dependents; a counter at
+    zero makes a candidate.  ``candidates()`` returns sorted ids, which
+    is exactly the sorted name order of the reference engine's full
+    rescan (ids are interned in sorted-name order).
     """
 
     __slots__ = ("_succs", "_pin_dependents", "_waiting", "_ready")
@@ -193,6 +200,114 @@ class CompiledReadySet:
             self._ready.add(operation)
         else:
             self._waiting[operation] = remaining
+
+
+class KernelPlanCache:
+    """Dependency-tracked trial-plan cache over dense integer ids.
+
+    Keys are flat candidate-pair indices (``operation * P + processor``
+    for FTBAR, ``task * P² + p1 * P + p2`` for HBP); values are opaque
+    to the cache (the kernel stores mutable entry lists it updates in
+    place on threshold repairs).  Dependency declarations — the
+    operations whose replica sets the plan enumerated, the links whose
+    availability thresholds guard it — are ids too, so
+    :meth:`invalidate_replicated` and :meth:`suspects_for` are set
+    unions over small int sets.  Callers read ``entries`` directly on
+    the hot path and keep the ``hits`` / ``misses`` counters themselves.
+    """
+
+    __slots__ = (
+        "entries", "_meta", "_by_dependency", "_by_threshold_link",
+        "hits", "misses",
+    )
+
+    def __init__(self) -> None:
+        self.entries: dict[int, Any] = {}
+        #: key -> (dependency op ids, threshold link ids)
+        self._meta: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._by_dependency: dict[int, set[int]] = {}
+        self._by_threshold_link: dict[int, set[int]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def put(
+        self,
+        key: int,
+        value: Any,
+        operations: tuple[int, ...] = (),
+        threshold_links: tuple[int, ...] = (),
+    ) -> None:
+        """Store ``value`` under ``key`` with its id-level dependencies.
+
+        There is no candidate reverse index: a candidate's keys are a
+        computable id range (``op * P + p`` / ``task * P² + …``), so
+        dropping a placed candidate probes that range directly.
+        """
+        if key in self.entries:
+            self.discard(key)
+        self.entries[key] = value
+        self._meta[key] = (operations, threshold_links)
+        for operation in operations:
+            self._by_dependency.setdefault(operation, set()).add(key)
+        for link in threshold_links:
+            self._by_threshold_link.setdefault(link, set()).add(key)
+
+    def discard(self, key: int) -> None:
+        """Drop one entry (used when a lookup finds it stale)."""
+        if self.entries.pop(key, None) is None:
+            return
+        operations, threshold_links = self._meta.pop(key)
+        for operation in operations:
+            dependents = self._by_dependency.get(operation)
+            if dependents is not None:
+                dependents.discard(key)
+        for link in threshold_links:
+            watchers = self._by_threshold_link.get(link)
+            if watchers is not None:
+                watchers.discard(key)
+
+    def invalidate_replicated(self, operations: Iterable[int]) -> set[int]:
+        """Drop every entry depending on an operation that gained replicas.
+
+        Returns the dropped keys so the kernel can clear its parallel
+        sweep arrays.
+        """
+        dead: set[int] = set()
+        for operation in operations:
+            dependents = self._by_dependency.get(operation)
+            if dependents:
+                dead |= dependents
+        for key in dead:
+            self.discard(key)
+        return dead
+
+    def suspects_for(self, links: Iterable[int]) -> set[int]:
+        """Keys whose thresholds watch one of the just-touched links.
+
+        Only these entries can have gone stale: availability of every
+        other link is unchanged, so the threshold check can be skipped
+        for everything else.
+        """
+        suspects: set[int] = set()
+        for link in links:
+            watchers = self._by_threshold_link.get(link)
+            if watchers:
+                suspects |= watchers
+        return suspects
+
+    def drop_range(self, start: int, stop: int) -> list[int]:
+        """Forget every entry in one candidate's key range (it placed).
+
+        Returns the dropped keys (see :meth:`invalidate_replicated`).
+        """
+        entries = self.entries
+        dropped = [key for key in range(start, stop) if key in entries]
+        for key in dropped:
+            self.discard(key)
+        return dropped
 
 
 class _RowPool:
@@ -260,16 +375,14 @@ class SchedulingKernel:
 
     One kernel serves one schedule under construction: it owns the
     availability snapshots, the scratch reservation buffers, the
-    id-indexed plan cache (when ``cache`` is set — the compiled
-    counterpart of ``SchedulerOptions.incremental``) and the
-    duplication statistics of the placement path.
+    id-indexed plan cache and the duplication statistics of the
+    placement path.
     """
 
     def __init__(
         self,
         compiled: CompiledProblem,
         schedule: Schedule,
-        cache: bool = True,
         processor_aware: bool = False,
         duplication: bool = True,
         vector: bool = True,
@@ -334,7 +447,7 @@ class SchedulingKernel:
         self._link_free = [0.0] * compiled.n_links
         self._link_stamp = [0] * compiled.n_links
         self._epoch = 0
-        self._cache = KernelPlanCache() if cache else None
+        self._cache = KernelPlanCache()
         self._suspects: set[int] = set()
         self._step_mark = 0
         self._step_comm_mark = 0
@@ -352,7 +465,7 @@ class SchedulingKernel:
         # arithmetic and the scalar sweep is faster — unless a worker
         # pool was requested, which only the vector sweep can shard.
         self._vector = (
-            vector and _np is not None and cache and not compiled.pins
+            vector and _np is not None and not compiled.pins
             and (
                 compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
                 or self._workers >= 2
@@ -418,13 +531,13 @@ class SchedulingKernel:
 
     @property
     def hits(self) -> int:
-        """Plan-cache hits (0 without a cache), for ``FTBARStats``."""
-        return self._cache.hits if self._cache is not None else 0
+        """Plan-cache hits, for ``FTBARStats``."""
+        return self._cache.hits
 
     @property
     def misses(self) -> int:
-        """Plan-cache misses (0 without a cache)."""
-        return self._cache.misses if self._cache is not None else 0
+        """Plan-cache misses."""
+        return self._cache.misses
 
     # ------------------------------------------------------------------
     # mirrored commits and rollbacks
@@ -504,7 +617,7 @@ class SchedulingKernel:
         """Write the surviving placements into the real schedule.
 
         Replays the buffers in commit order, so replica indexes, event
-        objects, timelines and indexes land exactly as the object
+        objects, timelines and indexes land exactly as the reference
         engine's immediate commits would have produced them.
         """
         schedule = self._schedule
@@ -869,15 +982,6 @@ class SchedulingKernel:
             self._sym_reps = orbit_representatives(survivors, n_procs)
         return self._sym_reps
 
-    def select(
-        self, candidates: "list[str]", record: bool
-    ) -> tuple[str, tuple[str, ...], float, dict | None]:
-        """:meth:`select_ids` over candidate names (non-incremental path)."""
-        op_ids = self._c.op_ids
-        return self.select_ids(
-            [op_ids[name] for name in candidates], record
-        )
-
     def select_ids(
         self, candidates: "list[int]", record: bool
     ) -> tuple[str, tuple[str, ...], float, dict | None]:
@@ -900,8 +1004,7 @@ class SchedulingKernel:
         required = npf + 1
         pressures: dict | None = {} if record else None
         cache = self._cache
-        cached = cache is not None
-        entries = cache.entries if cached else None
+        entries = cache.entries
         suspects = self._suspects
         proc_avail = self._proc_avail
         link_avail = self._link_avail
@@ -915,7 +1018,7 @@ class SchedulingKernel:
         best_kept: list[tuple[float, int]] | None = None
         reps = self._orbit_reps() if self._sym_alive else None
         row: list[float] | None = [0.0] * n_procs if reps is not None else None
-        if cached and suspects:
+        if suspects:
             # Per-sweep suspect pass — the scalar mirror of the vector
             # sweep's: availabilities are frozen during a sweep and
             # every live entry's candidate is ready, so the whole
@@ -1023,7 +1126,7 @@ class SchedulingKernel:
                 # adds (suspects were settled by the per-sweep pass
                 # above) — this loop runs once per (candidate,
                 # processor) pair per macro-step.
-                elif cached:
+                else:
                     key = base_key + p
                     entry = entries.get(key)
                     if entry is None:
@@ -1040,8 +1143,6 @@ class SchedulingKernel:
                             value = s_worst + entry[6] + entry[1]
                         else:
                             value = s_worst + entry[1]
-                else:
-                    value = self._fresh_sigma(o, p)
                 if row is not None:
                     row[p] = value
                 if record:
@@ -1098,8 +1199,7 @@ class SchedulingKernel:
                     best_p0 = b0p
                 else:
                     best_kept = kept
-        if cached:
-            cache.hits += hits
+        cache.hits += hits
         assert best_op >= 0
         if two:
             placements = (proc_names[best_p0], proc_names[best_p1])
@@ -1270,8 +1370,8 @@ class SchedulingKernel:
         behind level 0's re-derived free pointer, mirroring
         ``LinkState.reserve``), two feed passes reduce arrivals to feed
         worsts, then a row-max and one scatter write the sweep's worst
-        array — the batched equivalent of every scalar repair the
-        object engine would perform this step.
+        array — the batched equivalent of every scalar repair
+        :meth:`_repair` would perform this step.
         """
         np = _np
         slots = self._slot_count
@@ -1527,16 +1627,6 @@ class SchedulingKernel:
             pressures,
         )
 
-    def _fresh_sigma(self, o: int, p: int) -> float:
-        """σ(o, p) recomputed from scratch (``incremental=False``)."""
-        self.evaluations += 1
-        plan = self._plan(o, p, False, False)
-        if plan is None:
-            return _INF
-        if self._aware:
-            return plan.s_worst + plan.duration + self._c.tail[o]
-        return plan.s_worst + self._c.sbar[o]
-
     def _miss(self, o: int, p: int, key: int) -> float:
         """Plan the pair for real, cache it with its id dependencies."""
         cache = self._cache
@@ -1586,8 +1676,9 @@ class SchedulingKernel:
     def _repair(self, entry: list) -> None:
         """Replay the trial chains of every outdated link in place.
 
-        The flat mirror of ``PressureCalculator._repair`` — identical
-        float expressions, including the re-derived duration advance.
+        Each chain is re-reserved from the link's current free instant
+        with the planner's float expressions, including the re-derived
+        duration advance, so the repaired entry equals a fresh plan.
         """
         link_avail = self._link_avail
         feeds = entry[0]
@@ -1634,15 +1725,11 @@ class SchedulingKernel:
     def invalidate_step(self) -> None:
         """Apply the dirty set of the committed macro-step.
 
-        The buffer suffixes since :meth:`begin_step` are the id-level
-        :class:`~repro.core.incremental.StepDelta`: surviving records
-        name the operations that gained replicas and the links their
-        comms landed on (rollbacks truncated their records, so the
-        suffix is net — exactly the ``MutationTracker`` contract,
-        without re-deriving names from the schedule log).
+        The buffer suffixes since :meth:`begin_step` are the step's dirty
+        set: surviving records name the operations that gained replicas
+        and the links their comms landed on (rollbacks truncated their
+        records, so the suffix is net).
         """
-        if self._cache is None:
-            return
         replicated = {
             record[6] for record in self._op_buffer[self._step_mark:]
         }
@@ -1660,8 +1747,6 @@ class SchedulingKernel:
 
     def forget(self, operation: str) -> None:
         """Drop every cached plan of an operation that has been placed."""
-        if self._cache is None:
-            return
         o = self._c.op_ids[operation]
         dropped = self._cache.drop_range(o * self._P, (o + 1) * self._P)
         if self._vector and dropped:
@@ -1670,8 +1755,7 @@ class SchedulingKernel:
 
     def forget_range(self, start: int, stop: int) -> None:
         """Drop every cached entry in a candidate's key range (HBP)."""
-        if self._cache is not None:
-            self._cache.drop_range(start, stop)
+        self._cache.drop_range(start, stop)
 
     # ------------------------------------------------------------------
     # placement (macro-step Â — the flat Minimize_start_time)
@@ -1720,7 +1804,7 @@ class SchedulingKernel:
                 self.place(operation, processor)
             return
         procs = [c.proc_ids[name] for name in processors]
-        entries = self._cache.entries if self._cache is not None else None
+        entries = self._cache.entries
         self._epoch += 1
         if self._epoch > 1:
             self.buffer_reuses += 1
@@ -1729,9 +1813,7 @@ class SchedulingKernel:
         for index, p in enumerate(procs):
             if index:
                 self.buffer_reuses += 1
-            entry = (
-                entries.get(base_key + p) if entries is not None else None
-            )
+            entry = entries.get(base_key + p)
             if (
                 entry is not None and entry[0] is not None
                 and entry[2] is not None
@@ -1941,11 +2023,15 @@ class SchedulingKernel:
     def pair_cost(self, task: int, first: int, second: int) -> float | None:
         """Later completion of the two replicas; ``None`` if infeasible.
 
-        The flat mirror of ``HBPScheduler._pair_cost``: both replicas
-        are planned against one shared overlay so their feeding comms
-        contend for the same links; costs are cached per ordered pair
-        with the same threshold staleness rule (checked value-wise on
-        every hit — HBP entries carry no repair chains).
+        Both replicas are planned against one shared overlay so their
+        feeding comms contend for the same links, exactly as they will
+        once committed.  Costs are cached per ordered pair with the
+        append-mode threshold staleness rule: an entry stays valid while
+        its predecessors' replica sets are untouched and no reserved
+        link's availability has grown past the first planned start
+        (checked value-wise on every hit — HBP entries carry no repair
+        chains); ``processor_ready`` of both targets is re-read on
+        every hit.
         """
         cache = self._cache
         n_procs = self._P
@@ -2003,7 +2089,7 @@ class SchedulingKernel:
         return max(first_end, second_end)
 
     def commit_pair(self, task: int, first: int, second: int) -> None:
-        """Commit an HBP winning pair (mirrors ``_commit_pair``)."""
+        """Commit an HBP winning pair: both replicas, first then second."""
         c = self._c
         for p in (first, second):
             plan = self._plan(task, p, True, False)

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 class SchedulerOptions:
     """Configuration of :class:`~repro.core.ftbar.FTBARScheduler`.
 
+    No field picks an engine.  The compiled kernel
+    (:mod:`repro.core.kernel`) runs every problem except
+    ``link_insertion`` ones, whose gap insertion only the paper-literal
+    reference engine models (:func:`repro.core.ftbar.ftbar_reference`,
+    also the kernel's test oracle).
+
     Parameters
     ----------
     duplication:
@@ -24,7 +30,9 @@ class SchedulerOptions:
         Allow comms to be inserted into idle gaps of link timelines
         instead of always appending after the last scheduled comm.  The
         paper's description is append-only; insertion is a common
-        refinement and is measured by the ablation bench.
+        refinement and is measured by the ablation bench.  The compiled
+        kernel models append-mode reservations only, so these runs use
+        the reference engine (see :mod:`repro.core.ftbar`).
     processor_aware_pressure:
         Replace the paper's pressure ``σ = S_worst(o, p) + S̄(o)`` (whose
         ``S̄`` uses the *average* execution time of ``o``) by the
@@ -34,36 +42,12 @@ class SchedulerOptions:
         numbers exactly (the worked example lands on 15.05 with it); the
         aware variant is an improvement measured by the ablation bench
         (it finds 12.05 on the same example).
-    incremental:
-        Run the incremental engine: indegree-counter candidate
-        maintenance plus the dirty-set pressure cache (see
-        :mod:`repro.core.ftbar`).  The produced schedules and observer
-        streams are bit-identical to the legacy full-recompute path —
-        the flag is a pure-performance escape hatch kept so the E6
-        runtime bench can measure the speedup in-repo and so a
-        regression can be bisected to the caching layer.
     npl:
         Override of the problem's link-failure hypothesis ``Npl``
         (``None`` keeps the problem's own value).  With an effective
         ``Npl >= 1`` every inter-processor transfer is scheduled over
         ``Npl + 1`` link-disjoint routes; ``Npl = 0`` is bit-identical
         to the paper's single-route engine.
-    compiled:
-        Run the compiled scheduling kernel: operations, processors,
-        links and edges are interned to dense integer ids once per
-        problem and the per-step inner loop (ready-set sweep, candidate
-        pressure evaluation, placement trials) runs as batched passes
-        over flat preallocated arrays instead of per-pair object graphs
-        (see :mod:`repro.core.kernel`).  The produced schedules,
-        observer streams, content hashes and evaluation counters are
-        bit-identical to the object path — the flag is a
-        pure-performance escape hatch, kept so the equivalence corpus
-        can pin compiled-vs-legacy and a regression can be bisected to
-        the compilation layer.  Composes with ``incremental`` (the plan
-        cache then runs on id-indexed dirty rows).  Ignored (object
-        path used) when ``link_insertion`` is set: gap insertion makes
-        whole link timelines relevant, which the flat append-mode
-        arrays deliberately do not model.
     symmetry:
         Prune isomorphic candidate placements in the compiled kernel:
         the architecture's processor/link automorphism group is computed
@@ -73,10 +57,10 @@ class SchedulerOptions:
         other orbit members is a bit-identical copy, so schedules,
         observer streams and content hashes are unchanged (the
         ``pressure_evaluations`` / ``cache_hits`` counters shrink;
-        ``FTBARStats.symmetry_pruned`` counts the skipped pairs).  Only
-        the compiled kernel implements the pruning; the object engine
-        ignores the flag.  ``symmetry=False`` is the escape hatch that
-        restores the exhaustive sweep (and the PR-5 counter pins).
+        ``FTBARStats.symmetry_pruned`` counts the skipped pairs).  The
+        reference engine ignores the flag.  ``symmetry=False`` restores
+        the exhaustive sweep (and the ``PINNED_COUNTERS`` pins of
+        ``tests/test_compiled_kernel.py``).
     sweep_workers:
         Worker-thread count of the compiled kernel's parallel selection
         sweep (:mod:`repro.core.parallel`).  ``None`` reads the
@@ -89,8 +73,6 @@ class SchedulerOptions:
     duplication: bool = True
     link_insertion: bool = False
     processor_aware_pressure: bool = False
-    incremental: bool = True
     npl: int | None = None
-    compiled: bool = True
     symmetry: bool = True
     sweep_workers: int | None = None

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.hardware.architecture import Architecture
@@ -26,9 +25,6 @@ from repro.schedule.events import ScheduledOperation
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 _EPSILON = 1e-9
 
@@ -45,8 +41,6 @@ class LinkState:
     mode only tracks one running free instant per link (seeded from the
     O(1) ``link_available``), and insertion mode copies the schedule's
     maintained ``link_busy_intervals`` list lazily on first reservation.
-    Every link whose availability was read is recorded, so the planner
-    can report the exact link dependencies of each plan.
     """
 
     def __init__(self, schedule: Schedule, insertion: bool = False) -> None:
@@ -54,15 +48,6 @@ class LinkState:
         self._insertion = insertion
         self._free: dict[str, float] = {}
         self._overlay: dict[str, list[tuple[float, float]]] = {}
-        self._consulted: list[str] = []
-
-    def mark(self) -> int:
-        """Cursor into the consultation log (for per-plan attribution)."""
-        return len(self._consulted)
-
-    def consulted_since(self, mark: int) -> frozenset[str]:
-        """The links whose availability was read since ``mark``."""
-        return frozenset(self._consulted[mark:])
 
     def _intervals(self, link: str) -> list[tuple[float, float]]:
         intervals = self._overlay.get(link)
@@ -75,7 +60,6 @@ class LinkState:
 
     def preview(self, link: str, ready: float, duration: float) -> tuple[float, float]:
         """The slot a reservation would take, without reserving it."""
-        self._consulted.append(link)
         if not self._insertion:
             free = self._free.get(link)
             if free is None:
@@ -173,15 +157,7 @@ class PredecessorFeed:
 
 @dataclass
 class PlacementPlan:
-    """The full consequence of placing one replica on one processor.
-
-    ``consulted_links`` lists every link whose availability the planner
-    read while building the plan (including links it previewed but did
-    not pick); the incremental engine uses it as the set-based cache
-    dependency in link-insertion mode, and ``link_thresholds`` /
-    ``reserved_links`` report the links the plan would actually occupy
-    (the append-mode dependency).
-    """
+    """The full consequence of placing one replica on one processor."""
 
     operation: str
     processor: str
@@ -189,48 +165,15 @@ class PlacementPlan:
     processor_ready: float
     feeds: list[PredecessorFeed]
     npf: int
-    consulted_links: frozenset[str] = frozenset()
-    repairable: bool = False
     _feeds_earliest: float | None = field(default=None, init=False, repr=False)
     _feeds_worst: float | None = field(default=None, init=False, repr=False)
-
-    def invalidate_feed_aggregates(self) -> None:
-        """Force recomputation after an in-place arrival repair."""
-        self._feeds_earliest = None
-        self._feeds_worst = None
-
-    @property
-    def reserved_links(self) -> frozenset[str]:
-        """The links this plan's comms would actually occupy."""
-        return frozenset(
-            comm.link for feed in self.feeds for comm in feed.comms
-        )
-
-    def link_thresholds(self) -> tuple[tuple[str, float], ...]:
-        """Per reserved link, the start of this plan's first trial comm.
-
-        In append mode the plan replans identically while every reserved
-        link's availability stays at or below this threshold (later
-        trial comms of the same plan queue behind the first, and
-        previewed-but-unchosen parallel links can only get worse), so
-        the incremental cache revalidates entries with one O(1)
-        ``link_available`` read per link instead of evicting them.
-        """
-        first: dict[str, float] = {}
-        for feed in self.feeds:
-            for comm in feed.comms:
-                current = first.get(comm.link)
-                if current is None or comm.start < current:
-                    first[comm.link] = comm.start
-        return tuple(first.items())
 
     @property
     def feeds_earliest(self) -> float:
         """Latest over feeds of the first possible arrival (−inf if none).
 
         Feeds are fixed at planning time, so both aggregates are
-        computed once; only ``processor_ready`` varies while a cached
-        plan stays valid (the incremental engine refreshes it in O(1)).
+        computed once, on first use.
         """
         if self._feeds_earliest is None:
             self._feeds_earliest = max(
@@ -307,43 +250,25 @@ class PlacementPlanner:
         self._npf = npf
         self._npl = npl
         self._link_insertion = link_insertion
-        self._plan_simple = False
-
-    @property
-    def link_insertion(self) -> bool:
-        """True when comms may be inserted into idle link gaps."""
-        return self._link_insertion
-
-    def fresh_link_state(self, schedule: Schedule) -> LinkState:
-        """A side-effect-free reservation overlay for trial planning."""
-        return LinkState(schedule, insertion=self._link_insertion)
 
     def plan(
-        self,
-        operation: str,
-        processor: str,
-        schedule: Schedule,
-        link_state: LinkState | None = None,
+        self, operation: str, processor: str, schedule: Schedule
     ) -> PlacementPlan | None:
         """Plan placing the next replica of ``operation`` on ``processor``.
 
         Returns ``None`` when the pair is forbidden (``Exe = inf``) or
         the processor already hosts a replica of the operation.  All
         predecessors must already have at least one replica scheduled
-        (guaranteed by the list-scheduling candidate rule).
+        (guaranteed by the list-scheduling candidate rule).  Trial
+        reservations go to a fresh :class:`LinkState` overlay, so
+        planning never touches ``schedule``.
         """
         duration = self._exec_times.time_of(operation, processor)
         if duration == float("inf"):
             return None
         if schedule.replica_on(operation, processor) is not None:
             return None
-        state = link_state if link_state is not None else self.fresh_link_state(schedule)
-        mark = state.mark()
-        # ``_plan_simple`` stays True while every transfer reserves the
-        # unique direct link of its processor pair in one hop — the
-        # condition under which a cached plan can be *repaired* per link
-        # instead of replanned (plan() is not re-entrant).
-        self._plan_simple = not self._link_insertion
+        state = LinkState(schedule, insertion=self._link_insertion)
         feeds: list[PredecessorFeed] = []
         for predecessor in self._algorithm.predecessors(operation):
             feeds.append(
@@ -356,8 +281,6 @@ class PlacementPlanner:
             processor_ready=schedule.processor_available(processor),
             feeds=feeds,
             npf=self._npf,
-            consulted_links=state.consulted_since(mark),
-            repairable=self._plan_simple,
         )
 
     def _plan_feed(
@@ -421,8 +344,6 @@ class PlacementPlanner:
             )
         direct = self._architecture.links_between(producer.processor, processor)
         if direct:
-            if len(direct) != 1:
-                self._plan_simple = False
             best: tuple[float, float, str] | None = None
             for link in direct:
                 duration = self._comm_times.time_of(edge, link.name)
@@ -444,7 +365,6 @@ class PlacementPlanner:
             )
             return end, end, [comm]
         # Multi-hop route: store-and-forward over the shortest hop path.
-        self._plan_simple = False
         hops = self._architecture.route_hops(producer.processor, processor)
         ready = producer.end
         comms: list[PlannedComm] = []
@@ -486,7 +406,6 @@ class PlacementPlanner:
         when possible — and raise a clear error when the topology cannot
         provide ``Npl + 1`` disjoint routes.
         """
-        self._plan_simple = False
         routes = self._architecture.route_planner.disjoint_routes(
             producer.processor,
             processor,

@@ -26,7 +26,6 @@ import math
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.hardware.architecture import Architecture
 from repro.schedule.schedule import Schedule
-from repro.core.incremental import PlanCache, StepDelta
 from repro.core.placement import PlacementPlan, PlacementPlanner
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
@@ -35,12 +34,9 @@ from repro.timing.exec_times import ExecutionTimes
 class PressureCalculator:
     """Computes ``S̄`` (static) and σ (dynamic) for candidate pairs.
 
-    When :meth:`attach` has bound the calculator to the schedule under
-    construction, trial plans (and their pressures) are cached per
-    ``(operation, processor)`` pair and served until the incremental
-    engine reports, via :meth:`invalidate`, that a resource the plan
-    depends on was touched.  ``pressure`` itself always recomputes —
-    the cache is opt-in through :meth:`cached_pressure`.
+    Every σ evaluation plans the pair from scratch — this is the
+    reference engine's cost function; the compiled kernel caches plans
+    instead (:mod:`repro.core.kernel`).
     """
 
     def __init__(
@@ -61,17 +57,6 @@ class PressureCalculator:
         self._planner = planner
         self._processor_aware = processor_aware
         self._sbar_cache: dict[str, float] = {}
-        self._plan_cache = PlanCache()
-        self._cache_schedule: Schedule | None = None
-        # Per-schedule-version memo of resource availabilities: the
-        # schedule is frozen during a whole selection sweep, so one
-        # O(P + L) refresh serves every lookup of the sweep.
-        self._avail_version = -1
-        self._proc_avail: dict[str, float] = {}
-        self._link_avail: dict[str, float] = {}
-        # Entries whose threshold links were touched by recent steps;
-        # only these need the per-lookup threshold check.
-        self._suspects: set[tuple] = set()
         self.evaluations = 0
 
     # ------------------------------------------------------------------
@@ -129,10 +114,10 @@ class PressureCalculator:
         """``(S̄, tail)`` per operation, in ``operation_names()`` order.
 
         The compiled kernel (:mod:`repro.core.kernel`) lowers the static
-        pressure terms into flat arrays once per problem; producing them
-        through this calculator — same reverse-topological sweep, same
-        averaging order — is what keeps the compiled σ values
-        bit-identical to the object path.
+        pressure terms into flat arrays once per problem with the same
+        reverse-topological sweep and averaging order, which keeps its
+        σ values bit-identical to the reference engine's (cross-checked
+        against this method by ``tests/test_compiled_kernel.py``).
         """
         names = self._algorithm.operation_names()
         return (
@@ -171,210 +156,6 @@ class PressureCalculator:
             return plan.s_worst + plan.duration + self.tail(operation)
         return plan.s_worst + self.sbar(operation)
 
-    # ------------------------------------------------------------------
-    # incremental plan cache
-    # ------------------------------------------------------------------
-    def attach(self, schedule: Schedule) -> None:
-        """Bind the plan cache to the schedule under construction.
-
-        Cached entries are only valid for this exact schedule object and
-        only as long as the engine keeps reporting placements through
-        :meth:`invalidate` / :meth:`forget_operation`; cached lookups
-        against any other schedule silently fall back to fresh planning.
-        """
-        self._cache_schedule = schedule
-        self._plan_cache.clear()
-        self._suspects.clear()
-
-    @property
-    def cache_stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the plan cache, for the E6 bench."""
-        return self._plan_cache.hits, self._plan_cache.misses
-
-    def invalidate(self, delta: StepDelta) -> None:
-        """Drop the cached plans whose resource dependencies were touched.
-
-        Entries watching a touched link are not dropped but flagged for
-        the threshold check (and possible in-place repair) on their next
-        lookup; all other entries keep skipping the check.
-        """
-        self._plan_cache.invalidate(delta)
-        if delta.links:
-            self._suspects |= self._plan_cache.suspects_for(delta.links)
-
-    def forget_operation(self, operation: str) -> None:
-        """Drop every cached plan of an operation that has been placed."""
-        self._plan_cache.drop_operation(operation)
-
-    def cached_pressure(
-        self, operation: str, processor: str, schedule: Schedule
-    ) -> float:
-        """σ(o, p) served from the plan cache when it is still valid.
-
-        This is the engine's hot path — called once per (candidate,
-        processor) pair per macro-step — so it is deliberately flat.
-
-        A cache entry depends on the links the planner reserved and on
-        the predecessors whose replica sets it enumerated — the two
-        resources whose mutation can change the plan's *feeds*.  The
-        plan's only dependency on the target processor's own timeline is
-        ``processor_ready``, which is refreshed in O(1) on every hit, so
-        placements on a processor do not evict the plans targeting it.
-
-        Link dependencies are revalidated value-wise: a reserved link
-        whose availability grew past the planned start shifts exactly
-        that link's trial reservation chain, which a *repairable* plan
-        (every transfer single-hop on a unique direct link) replays in
-        place instead of replanning every feed.  See the dirty-set
-        argument in :mod:`repro.core.ftbar`.
-        """
-        if schedule is not self._cache_schedule:
-            return self.pressure(operation, processor, schedule)
-        cache = self._plan_cache
-        version = schedule.version()
-        if version != self._avail_version:
-            self._proc_avail = schedule.processor_availabilities()
-            self._link_avail = schedule.link_availabilities()
-            self._avail_version = version
-        key = (operation, processor)
-        entry = cache.entries.get(key)
-        if entry is None:
-            return self._miss(operation, processor, schedule)
-        plan, static, chains, worst_cell, feed_worsts = entry.value
-        if plan is None:
-            cache.hits += 1
-            return math.inf
-        suspects = self._suspects
-        if key in suspects:
-            suspects.discard(key)
-            link_avail = self._link_avail
-            for threshold in entry.link_thresholds:
-                if link_avail[threshold[0]] > threshold[1]:
-                    if chains is None:
-                        # Not repairable (parallel links or multi-hop):
-                        # recompute the whole plan.
-                        cache.discard(key)
-                        return self._miss(operation, processor, schedule)
-                    self._repair(entry, plan, chains, worst_cell, feed_worsts)
-                    break
-        cache.hits += 1
-        ready = self._proc_avail[processor]
-        worst = worst_cell[0]
-        s_worst = ready if ready > worst else worst
-        if self._processor_aware:
-            # Same association as ``pressure``: bit-identical results.
-            return s_worst + plan.duration + static
-        return s_worst + static
-
-    def _repair(self, entry, plan, chains, worst_cell, feed_worsts) -> None:
-        """Replay the trial chains of every outdated link in place."""
-        link_avail = self._link_avail
-        feeds = plan.feeds
-        touched: set[int] = set()
-        for threshold in entry.link_thresholds:
-            available = link_avail[threshold[0]]
-            if available <= threshold[1]:
-                continue
-            # Replay this link's chain from its new free instant; other
-            # links are untouched by construction (append mode keeps
-            # per-link reservations independent).
-            free = available
-            first = None
-            for feed_index, arrival_index, ready, duration in chains[threshold[0]]:
-                start = ready if ready > free else free
-                end = start + duration
-                feeds[feed_index].arrivals[arrival_index] = end
-                # Not simplified to ``free = end``: the planner advances
-                # its free pointer by re-deriving the duration as
-                # ``end - start`` (see _plan_transfer's reserve call),
-                # and ``start + (end - start) == end`` is not an IEEE
-                # identity — mirror the expression, not its value.
-                free = start + (end - start)
-                touched.add(feed_index)
-                if first is None:
-                    first = start
-            threshold[1] = first
-        plan.invalidate_feed_aggregates()
-        # Only the replayed feeds changed; refresh their worst-case
-        # arrivals and take the max with the untouched ones.
-        npf = plan.npf
-        for feed_index in touched:
-            feed_worsts[feed_index] = feeds[feed_index].worst_case(npf)
-        worst_cell[0] = max(feed_worsts)
-
-    def _miss(self, operation: str, processor: str, schedule: Schedule) -> float:
-        """Plan the pair for real, cache it with its dependencies."""
-        cache = self._plan_cache
-        key = (operation, processor)
-        cache.misses += 1
-        self.evaluations += 1
-        plan = self._planner.plan(operation, processor, schedule)
-        if plan is None:
-            cache.put(key, (None, math.inf, None, None, None))
-            return math.inf
-        if self._processor_aware:
-            static = self.tail(operation)
-            sigma = plan.s_worst + plan.duration + static
-        else:
-            static = self.sbar(operation)
-            sigma = plan.s_worst + static
-        links: frozenset[str] = frozenset()
-        thresholds: list[list] = []
-        chains: dict[str, list[tuple[int, int, float, float]]] | None = None
-        if self._planner.link_insertion:
-            # Gap insertion makes a link's whole timeline relevant, so
-            # fall back to set-based invalidation on touched links.
-            links = plan.consulted_links
-        else:
-            thresholds = [list(pair) for pair in plan.link_thresholds()]
-            if plan.repairable:
-                chains = {}
-                for feed_index, feed in enumerate(plan.feeds):
-                    if feed.local_end is not None:
-                        continue
-                    for arrival_index, comm in enumerate(feed.comms):
-                        producer = schedule.replica(
-                            comm.source, comm.source_replica
-                        )
-                        # The table duration, not end - start: replays
-                        # must redo the planner's exact arithmetic.
-                        chains.setdefault(comm.link, []).append(
-                            (feed_index, arrival_index, producer.end,
-                             self._comm_times.time_of(
-                                (comm.source, comm.target), comm.link))
-                        )
-        feed_worsts = [feed.worst_case(plan.npf) for feed in plan.feeds]
-        cache.put(
-            key,
-            (plan, static, chains, [plan.feeds_worst], feed_worsts),
-            links=links,
-            operations=frozenset(self._algorithm.predecessors(operation)),
-            link_thresholds=thresholds,
-        )
-        return sigma
-
-    def cached_plan(
-        self, operation: str, processor: str, schedule: Schedule
-    ) -> PlacementPlan | None:
-        """The (possibly cached) trial plan of one candidate pair.
-
-        Served plans carry exact ``s_best``/``s_worst``/feed arrivals;
-        after an in-place repair the per-comm time slots are *not*
-        rewritten, so treat cached plans as pressure introspection data
-        and replan before committing (the engine's placement path always
-        does).
-        """
-        if schedule is not self._cache_schedule:
-            self.evaluations += 1
-            return self._planner.plan(operation, processor, schedule)
-        # Revalidates (or computes) the entry as a side effect.
-        self.cached_pressure(operation, processor, schedule)
-        entry = self._plan_cache.entries.get((operation, processor))
-        plan = entry.value[0]
-        if plan is not None:
-            plan.processor_ready = self._proc_avail[processor]
-        return plan
-
     def schedule_flexibility(
         self, operation: str, processor: str, schedule: Schedule, r_estimate: float
     ) -> float:
@@ -390,16 +171,14 @@ class PressureCalculator:
         """``R(n)``: the current critical-path length estimate.
 
         Lower-bounded by the partial schedule's makespan and by the best
-        achievable ``S_worst + S̄`` of every remaining candidate.  Plans
-        are served from the incremental cache when the calculator is
-        attached to ``schedule``, so computing ``R`` alongside a
-        selection step costs no extra planning.
+        achievable ``S_worst + S̄`` of every remaining candidate.
         """
         estimate = schedule.makespan()
         for operation in candidates:
             best = math.inf
             for processor in self._architecture.processor_names():
-                plan = self.cached_plan(operation, processor, schedule)
+                self.evaluations += 1
+                plan = self._planner.plan(operation, processor, schedule)
                 if plan is not None:
                     best = min(best, plan.s_worst + self.sbar(operation))
             if not math.isinf(best):

@@ -67,14 +67,3 @@ class CacheDegradedWarning(UserWarning):
     once per cache instance instead of once per job (deduped — a
     thousand-job campaign on a full disk warns a single time).
     """
-
-
-class CompiledFallbackWarning(UserWarning):
-    """``compiled=True`` was combined with an option the kernel cannot model.
-
-    The scheduler silently used to fall back to the object path; it now
-    emits this structured warning so benchmark harnesses and callers
-    that *expect* kernel-speed runs notice the downgrade.  The produced
-    schedules are unaffected (the object path is bit-identical); only
-    performance differs.
-    """

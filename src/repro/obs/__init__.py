@@ -13,8 +13,7 @@ the batched scenario engine, campaign job lifecycles, the CLI commands
   one ``snapshot()``;
 * a schema-versioned JSONL **trace** (:mod:`repro.obs.export`,
   :mod:`repro.obs.schema`) that also records structured warnings
-  (``CompiledFallbackWarning``, ``CertificationCapWarning``) as
-  events instead of stderr noise.
+  (``CertificationCapWarning``) as events instead of stderr noise.
 
 Off by default, on by request
 -----------------------------

@@ -6,7 +6,7 @@ absorbs the repo's scattered per-subsystem counters behind a single
 ``snapshot()`` API:
 
 * **counters** — monotone totals (``ftbar.steps``,
-  ``obs.events.compiled_fallback``);
+  ``obs.events.<event name>``);
 * **gauges** — last-written values (``campaign.jobs.pending``);
 * **histograms** — ``count/sum/min/max`` summaries of observations
   (``ftbar.run_s``) — enough for throughput and latency reporting

@@ -88,12 +88,8 @@ class Schedule:
             l: [] for l in self._link_timelines
         }
         # Mutation log: one tuple per placement, enough to undo it in
-        # LIFO order (``mark``/``undo_to``) and to diff a macro-step's
-        # dirty set in O(changes) (``mutations_since``).
+        # LIFO order (``mark``/``undo_to``).
         self._log: list[tuple] = []
-        # Monotone change counter: bumped by every placement, undo and
-        # restore, never reused — safe as a memoization key.
-        self._version = 0
         # The resource sets are fixed at construction; memoize the
         # sorted name views.
         self._processor_names_view: tuple[str, ...] | None = None
@@ -139,7 +135,6 @@ class Schedule:
         self._replicas.setdefault(operation, []).append(event)
         self._replica_index[(operation, processor)] = event
         self._log.append(("op", processor, index, operation, self._makespan))
-        self._version += 1
         if event.end > self._makespan:
             self._makespan = event.end
         return event
@@ -188,7 +183,6 @@ class Schedule:
             ("comm", link, index, inbound_key, inbound_idx, edge_key, edge_idx,
              self._makespan)
         )
-        self._version += 1
         if event.end > self._makespan:
             self._makespan = event.end
         return event
@@ -226,7 +220,7 @@ class Schedule:
         return index
 
     # ------------------------------------------------------------------
-    # mutation log: O(changes) rollback and dirty-set diffing
+    # mutation log: O(changes) rollback
     # ------------------------------------------------------------------
     def mark(self) -> int:
         """An O(1) rollback point for :meth:`undo_to` (LIFO only).
@@ -238,14 +232,9 @@ class Schedule:
         """
         return len(self._log)
 
-    def version(self) -> int:
-        """Monotone mutation counter (never reused across undo/restore)."""
-        return self._version
-
     def undo_to(self, mark: int) -> None:
         """Unwind every placement made since ``mark``, newest first."""
         while len(self._log) > mark:
-            self._version += 1
             entry = self._log.pop()
             if entry[0] == "op":
                 _, processor, index, operation, makespan = entry
@@ -264,10 +253,6 @@ class Schedule:
                 del self._inbound_comms[inbound_key][inbound_idx]
                 del self._edge_comms[edge_key][edge_idx]
                 self._makespan = makespan
-
-    def mutations_since(self, mark: int) -> tuple[tuple, ...]:
-        """The raw log entries appended since ``mark`` (net of undos)."""
-        return tuple(self._log[mark:])
 
     # ------------------------------------------------------------------
     # snapshot / rollback
@@ -294,7 +279,6 @@ class Schedule:
         restore must not be passed to :meth:`undo_to` afterwards.
         """
         self._log.clear()
-        self._version += 1
         self._processor_timelines = {
             p: list(t) for p, t in saved.processor_timelines.items()
         }
@@ -413,20 +397,6 @@ class Schedule:
             raise ScheduleValidationError(f"unknown link {link!r}")
         return timeline[-1].end if timeline else 0.0
 
-    def processor_availabilities(self) -> dict[str, float]:
-        """``processor_available`` for every processor, in one pass."""
-        return {
-            p: (t[-1].end if t else 0.0)
-            for p, t in self._processor_timelines.items()
-        }
-
-    def link_availabilities(self) -> dict[str, float]:
-        """``link_available`` for every link, in one pass."""
-        return {
-            l: (t[-1].end if t else 0.0)
-            for l, t in self._link_timelines.items()
-        }
-
     def link_busy_intervals(self, link: str) -> list[tuple[float, float]]:
         """The maintained ``(start, end)`` busy list of ``link``.
 
@@ -462,17 +432,9 @@ class Schedule:
         """Total number of placed operation replicas."""
         return len(self._replica_index)
 
-    def replica_counts(self) -> dict[str, int]:
-        """Replica count per operation (used for dirty-set diffing)."""
-        return {o: len(r) for o, r in self._replicas.items()}
-
     def comm_count(self) -> int:
         """Total number of placed comms."""
         return sum(len(t) for t in self._link_timelines.values())
-
-    def link_comm_counts(self) -> dict[str, int]:
-        """Comm count per link (used for dirty-set diffing)."""
-        return {l: len(t) for l, t in self._link_timelines.items()}
 
     def duplicated_count(self) -> int:
         """Number of extra replicas created by LIP duplication."""

@@ -219,13 +219,28 @@ def problem_to_dict(problem: ProblemSpec) -> dict:
     return document
 
 
+def _hypothesis(document: Mapping, key: str) -> int:
+    """A failure hypothesis (``npf`` / ``npl``, default 0): an int >= 0.
+
+    Strings, booleans and floats are rejected rather than coerced:
+    ``int("1")``, ``int(True)`` and ``int(1.7)`` would each silently
+    schedule a hypothesis the document does not state.
+    """
+    value = document.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SerializationError(
+            f"{key} must be an integer >= 0, got {value!r}"
+        )
+    return value
+
+
 def problem_from_dict(document: Mapping) -> ProblemSpec:
     """Rebuild a full scheduling problem from its document form."""
     try:
         return ProblemSpec(
             name=document.get("name", "problem"),
-            npf=int(document.get("npf", 0)),
-            npl=int(document.get("npl", 0)),
+            npf=_hypothesis(document, "npf"),
+            npl=_hypothesis(document, "npl"),
             algorithm=algorithm_from_dict(document["algorithm"]),
             architecture=architecture_from_dict(document["architecture"]),
             exec_times=exec_times_from_dict(document["exec_times"]),
@@ -298,8 +313,8 @@ def schedule_from_dict(document: Mapping) -> Schedule:
         schedule = Schedule(
             processors=document["processors"],
             links=document.get("links", []),
-            npf=int(document.get("npf", 0)),
-            npl=int(document.get("npl", 0)),
+            npf=_hypothesis(document, "npf"),
+            npl=_hypothesis(document, "npl"),
             name=document.get("name", "schedule"),
         )
         events = sorted(

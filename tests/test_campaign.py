@@ -91,6 +91,18 @@ class TestSpec:
         with pytest.raises(SerializationError):
             golden_spec(options={"turbo": True})
 
+    @pytest.mark.parametrize("option", ["incremental", "compiled"])
+    def test_removed_engine_switches_rejected(self, option):
+        # The engine follows from the input; the old switches are
+        # unknown options, not a TypeError from SchedulerOptions.
+        document = campaign_to_dict(golden_spec())
+        document["options"] = {option: False}
+        with pytest.raises(
+            SerializationError,
+            match=rf"^unknown scheduler options: \['{option}'\]$",
+        ):
+            campaign_from_dict(document)
+
     def test_gauss_size_one_rejected(self):
         # gauss needs a >= 2x2 matrix; clamping would silently collapse
         # the size=1 and size=2 grid points into one job.

@@ -52,6 +52,28 @@ class TestGenerateAndSchedule:
         assert main(["schedule", str(problem), "--npf", "0"]) == 0
         assert "npf=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("npf", "1"), ("npf", True), ("npf", 1.7), ("npf", -1),
+         ("npl", "1"), ("npl", False)],
+        ids=["npf-string", "npf-bool", "npf-float", "npf-negative",
+             "npl-string", "npl-bool"],
+    )
+    def test_schedule_rejects_non_integer_hypothesis(
+        self, tmp_path, capsys, key, value
+    ):
+        problem = tmp_path / "problem.json"
+        main(["generate", str(problem), "--operations", "6", "--seed", "2"])
+        document = load_json(problem)
+        document[key] = value
+        problem.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["schedule", str(problem)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {key} must be an integer >= 0, got {value!r}"
+        ]
+
     def test_schedule_infeasible_problem_reports_error(self, tmp_path, capsys):
         problem = tmp_path / "problem.json"
         main(["generate", str(problem), "--operations", "6", "--processors", "2"])

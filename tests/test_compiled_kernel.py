@@ -1,38 +1,38 @@
 """Randomized equivalence corpus for the compiled scheduling kernel.
 
-``SchedulerOptions(compiled=True)`` must be a pure-performance change:
-bit-identical replica placements, comm orders, observer ``StepRecord``
-streams, *and* evaluation counters (the compiled plan cache reproduces
-the PR-1 dirty-set semantics exactly, so its hit/miss pattern pins
-against the object engine's).
+The kernel must schedule exactly like the reference engine
+(:func:`~repro.core.ftbar.ftbar_reference`, the paper-literal
+full-recompute loop): bit-identical replica placements, comm orders and
+observer ``StepRecord`` streams.
 
 The corpus spans 32 problems — npf in {0, 1, 2} x npl in {0, 1} x
 ring / star / fully-connected / bus topologies x two seeds — plus the
 scheduler option variants, the scalar (numpy-free) sweep fallback, the
-pinned-memory fallback, and the HBP baseline's kernel path.  The
-``PINNED_COUNTERS`` literals are the (pressure_evaluations, cache_hits)
-pairs of the PR-1 incremental engine; with ``symmetry=False`` both
-engines must keep landing on them exactly.  With symmetry pruning on
-(the default) the *schedules and observer streams stay bit-identical*
-but the counters drop on the symmetric topologies — those land on the
-``PRUNED_COUNTERS`` pins (evaluations, hits, pruned pairs) instead;
-ring (the route planner's relay tie-break is not rotation-equivariant)
-and every npl >= 1 problem verify no usable group and keep the PR-1
+pinned-memory sweep and the HBP baseline.  The work counters are pinned
+as literals on the kernel alone: ``PINNED_COUNTERS`` holds the
+(pressure_evaluations, cache_hits) pairs of the exhaustive sweep
+(``symmetry=False``); with symmetry pruning on (the default) the
+schedules and observer streams stay bit-identical but the counters drop
+on the symmetric topologies — those land on the ``PRUNED_COUNTERS``
+pins (evaluations, hits, pruned pairs) instead; ring (the route
+planner's relay tie-break is not rotation-equivariant) and every
+npl >= 1 problem verify no usable group and keep their exhaustive
 values with zero pruned pairs.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
-from test_engine_equivalence import ftbar_fingerprint, ftbar_trace, hbp_fingerprint
+from test_engine_equivalence import ftbar_trace, hbp_fingerprint
 
 from repro.baselines.hbp import schedule_hbp
 from repro.core import kernel as kernel_module
 from repro.core.compile import CompiledProblem
-from repro.core.ftbar import FTBARScheduler, schedule_ftbar
+from repro.core.ftbar import FTBARScheduler, ftbar_reference, schedule_ftbar
 from repro.core.options import SchedulerOptions
-from repro.exceptions import CompiledFallbackWarning
 from repro.hardware.topologies import ring, single_bus, star
 from repro.problem import ProblemSpec
 from repro.schedule.schedule import Schedule
@@ -40,14 +40,17 @@ from repro.timing.comm_times import CommunicationTimes
 from repro.workloads.paper_example import build_problem
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
-OBJECT = SchedulerOptions(compiled=False)
-OBJECT_LEGACY = SchedulerOptions(compiled=False, incremental=False)
 COMPILED = SchedulerOptions()
 COMPILED_NOSYM = SchedulerOptions(symmetry=False)
-COMPILED_LEGACY = SchedulerOptions(incremental=False)
 
-#: (pressure_evaluations, cache_hits) of the PR-1 incremental engine
-#: over the corpus; the compiled engine must match them exactly.
+
+def reference_trace(problem, options=None):
+    """The reference engine's trace (the oracle of this module)."""
+    return ftbar_trace(problem, options, run=ftbar_reference)
+
+
+#: (pressure_evaluations, cache_hits) of the kernel's exhaustive sweep
+#: (``symmetry=False``) over the corpus.
 PINNED_COUNTERS = {
     "fc4-npf0-seed21": (84, 160),
     "bus4-npf0-seed21": (72, 172),
@@ -85,7 +88,7 @@ PINNED_COUNTERS = {
 
 #: (pressure_evaluations, cache_hits, symmetry_pruned) of the default
 #: engine (symmetry pruning on).  Labels without a usable group (rings,
-#: npl >= 1) must reproduce their PR-1 pair with zero pruned pairs.
+#: npl >= 1) must reproduce their exhaustive pair with zero pruned pairs.
 PRUNED_COUNTERS = {
     "bus4-npf0-seed21": (48, 122, 74),
     "bus4-npf0-seed22": (62, 156, 26),
@@ -129,7 +132,7 @@ def _vector_sweep_everywhere(monkeypatch):
     The corpus problems sit below ``_VECTOR_MIN_CELLS`` (a pure speed
     gate — both sweeps are bit-identical), and this module's job is to
     pin the *vector* machinery (replay pools, batched passes) against
-    the object engine.  ``test_small_problem_gates_to_scalar_sweep``
+    the reference engine.  ``test_small_problem_gates_to_scalar_sweep``
     covers the gate itself.
     """
     monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
@@ -205,29 +208,22 @@ def corpus_case(label: str) -> ProblemSpec:
 
 @pytest.mark.parametrize("label", sorted(PINNED_COUNTERS))
 def test_compiled_bit_identical_and_counters_pinned(label):
-    """Compiled == object engine, incremental on and off, over the corpus."""
+    """Kernel == reference engine over the corpus; kernel counters pinned."""
     problem = corpus_case(label)
-    object_trace = ftbar_trace(problem, OBJECT)
-    compiled_trace = ftbar_trace(problem, COMPILED)
-    assert compiled_trace == object_trace, f"{label}: engines diverge"
-    assert ftbar_trace(problem, COMPILED_LEGACY) == ftbar_trace(
-        problem, OBJECT_LEGACY
-    ), f"{label}: non-incremental paths diverge"
-    assert ftbar_trace(problem, COMPILED_NOSYM) == object_trace, (
+    reference = reference_trace(problem)
+    assert ftbar_trace(problem, COMPILED) == reference, (
+        f"{label}: engines diverge"
+    )
+    assert ftbar_trace(problem, COMPILED_NOSYM) == reference, (
         f"{label}: symmetry=False diverges"
     )
-    object_result = schedule_ftbar(problem, OBJECT)
     nosym_result = schedule_ftbar(problem, COMPILED_NOSYM)
     counters = (
         nosym_result.stats.pressure_evaluations,
         nosym_result.stats.cache_hits,
     )
-    assert counters == (
-        object_result.stats.pressure_evaluations,
-        object_result.stats.cache_hits,
-    ), f"{label}: counters diverge between engines"
     assert counters == PINNED_COUNTERS[label], (
-        f"{label}: counters moved from the pinned PR-1 values"
+        f"{label}: counters moved from the pinned exhaustive values"
     )
     pruned_result = schedule_ftbar(problem, COMPILED)
     assert (
@@ -237,7 +233,6 @@ def test_compiled_bit_identical_and_counters_pinned(label):
     ) == PRUNED_COUNTERS[label], (
         f"{label}: symmetry-pruned counters moved from their pins"
     )
-    assert object_result.stats.symmetry_pruned == 0
     assert nosym_result.stats.symmetry_pruned == 0
 
 
@@ -266,7 +261,7 @@ def test_scalar_sweep_matches_vector_sweep(monkeypatch):
 def test_pinned_memory_problem_uses_scalar_sweep_bit_identically():
     """Memory halves (pinned pools) fall back to the scalar sweep."""
     problem = build_problem()
-    assert ftbar_trace(problem, COMPILED) == ftbar_trace(problem, OBJECT)
+    assert ftbar_trace(problem, COMPILED) == reference_trace(problem)
 
 
 @pytest.mark.parametrize(
@@ -282,38 +277,30 @@ def test_option_variants_bit_identical(options):
     problem = generate_problem(
         RandomWorkloadConfig(operations=20, ccr=2.0, processors=4, npf=1, seed=31)
     )
-    compiled = ftbar_trace(problem, SchedulerOptions(**options))
-    plain = ftbar_trace(problem, SchedulerOptions(compiled=False, **options))
-    assert compiled == plain
+    variant = SchedulerOptions(**options)
+    assert ftbar_trace(problem, variant) == reference_trace(problem, variant)
 
 
 def test_link_insertion_falls_back_to_object_path():
-    """Gap insertion is not modelled by the kernel; compiled is a no-op."""
+    """Gap insertion is not modelled by the kernel: the reference runs it.
+
+    The engine follows from the input alone, silently — neither run
+    emits a warning.
+    """
     problem = generate_problem(
         RandomWorkloadConfig(operations=16, ccr=1.0, processors=4, npf=1, seed=5)
     )
     insertion = SchedulerOptions(link_insertion=True)
-    with pytest.warns(CompiledFallbackWarning, match="link_insertion"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert FTBARScheduler(problem, insertion)._compiled is None
-    with pytest.warns(CompiledFallbackWarning):
+        assert FTBARScheduler(problem, COMPILED)._compiled is not None
         insertion_trace = ftbar_trace(problem, insertion)
-    assert insertion_trace == ftbar_trace(
-        problem, SchedulerOptions(link_insertion=True, compiled=False)
+        schedule_ftbar(problem, COMPILED)
+    assert insertion_trace == reference_trace(problem, insertion)
+    assert insertion_trace != reference_trace(problem), (
+        "insertion must change this schedule, or the test proves nothing"
     )
-
-
-def test_fallback_warning_only_on_compiled_link_insertion(recwarn):
-    """Neither plain compiled nor explicit object runs warn."""
-    problem = generate_problem(
-        RandomWorkloadConfig(operations=10, ccr=1.0, processors=3, npf=1, seed=5)
-    )
-    schedule_ftbar(problem, COMPILED)
-    schedule_ftbar(
-        problem, SchedulerOptions(compiled=False, link_insertion=True)
-    )
-    assert not [
-        w for w in recwarn if issubclass(w.category, CompiledFallbackWarning)
-    ]
 
 
 def test_heterogeneous_problem_bit_identical():
@@ -323,30 +310,28 @@ def test_heterogeneous_problem_bit_identical():
             heterogeneous=True,
         )
     )
-    assert ftbar_trace(problem, COMPILED) == ftbar_trace(problem, OBJECT)
+    assert ftbar_trace(problem, COMPILED) == reference_trace(problem)
+
+
+#: (pair_evaluations, pair_cache_hits, fingerprint) of HBP per seed.
+HBP_PINS = {
+    21: (442, 98, "7229373901cf6ce89886d4a78323dd73e45d77d0b4634f547d9ee08925c95cf9"),
+    22: (274, 218, "c59bf93cd02104ea8b5f920a7daebea945e00719808360a2000401d48f824d92"),
+}
 
 
 def test_hbp_kernel_path_bit_identical_with_matching_counters():
-    for seed in (21, 22):
+    """HBP schedules and pair counters on the kernel, pinned as literals."""
+    for seed, pins in HBP_PINS.items():
         problem = generate_problem(
             RandomWorkloadConfig(operations=16, ccr=1.0, processors=4, npf=1, seed=seed)
         )
-        compiled = schedule_hbp(problem)
-        plain = schedule_hbp(problem, compiled=False)
-        assert hbp_fingerprint(problem) == hbp_fingerprint(problem)
-        events = lambda r: [  # noqa: E731 - tiny local shape helper
-            (e.operation, e.replica, e.processor, e.start, e.end)
-            for e in r.schedule.all_operations()
-        ]
-        comms = lambda r: [  # noqa: E731
-            (c.source, c.target, c.source_replica, c.target_replica, c.link,
-             c.start, c.end)
-            for c in r.schedule.all_comms()
-        ]
-        assert events(compiled) == events(plain)
-        assert comms(compiled) == comms(plain)
-        assert compiled.stats.pair_evaluations == plain.stats.pair_evaluations
-        assert compiled.stats.pair_cache_hits == plain.stats.pair_cache_hits
+        result = schedule_hbp(problem)
+        assert (
+            result.stats.pair_evaluations,
+            result.stats.pair_cache_hits,
+            hbp_fingerprint(problem),
+        ) == pins, f"seed {seed}: HBP moved from its pins"
 
 
 def test_static_tables_match_pressure_calculator():

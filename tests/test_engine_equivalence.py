@@ -1,39 +1,47 @@
-"""Seed-equivalence corpus for the incremental scheduling engine.
+"""Equivalence corpus: the compiled kernel against the reference engine.
 
-The incremental engine (dirty-set pressure caching, O(1) ready-set
-maintenance, indexed schedule state) must be a pure-performance change:
-bit-identical replica placements, comm orders and observer
-``StepRecord`` streams.  Two layers of protection:
+The compiled kernel (plan cache, indegree ready set, flat arrays) must
+schedule exactly like the paper-literal reference engine
+(:func:`~repro.core.ftbar.ftbar_reference`): bit-identical replica
+placements, comm orders and observer ``StepRecord`` streams.  Three
+layers of protection:
 
 * ``golden_engine_corpus.json`` stores SHA-256 fingerprints recorded
-  with the *seed* (pre-refactor) engine over a corpus of random-DAG
-  problems (seeds x npf in {0, 1, 2} x point-to-point/bus topologies);
-  both the incremental and the legacy (``incremental=False``) paths
-  must still land on them exactly;
-* old-vs-new comparisons re-run both paths in-process over the corpus,
-  the option variants and the paper example, comparing full event
-  streams rather than hashes so a failure names the diverging step.
+  with the *seed* engine over a corpus of random-DAG problems (seeds x
+  npf in {0, 1, 2} x point-to-point/bus topologies); both engines must
+  still land on them exactly;
+* kernel-vs-reference comparisons re-run both engines in-process over
+  the corpus, the option variants and the paper example, comparing
+  full event streams rather than hashes so a failure names the
+  diverging step;
+* a seeded differential corpus of generated instances (P 2-8, four
+  topologies, npf 0-2, npl 0-1, homogeneous and heterogeneous tables,
+  three option variants, a memory problem) does the same across the
+  input space.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.experiments import _bus_variant
 from repro.baselines.hbp import schedule_hbp
-from repro.core.ftbar import schedule_ftbar
+from repro.campaign.jobs import build_problem
+from repro.campaign.spec import WorkloadSpec
+from repro.core import kernel as kernel_module
+from repro.core.ftbar import ftbar_reference, schedule_ftbar
 from repro.core.options import SchedulerOptions
+from repro.workloads.paper_example import build_problem as paper_problem_spec
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
 GOLDENS = json.loads(
     (Path(__file__).parent / "golden_engine_corpus.json").read_text()
 )
-
-LEGACY = SchedulerOptions(incremental=False)
 
 
 def corpus_problem(seed: int, npf: int, topology: str):
@@ -45,10 +53,15 @@ def corpus_problem(seed: int, npf: int, topology: str):
     return problem if topology == "p2p" else _bus_variant(problem)
 
 
-def ftbar_trace(problem, options=None):
-    """Every engine decision: events, comms and the StepRecord stream."""
+def ftbar_trace(problem, options=None, run=schedule_ftbar):
+    """Every engine decision: events, comms and the StepRecord stream.
+
+    ``run`` is the engine entry point: :func:`schedule_ftbar` (the
+    kernel, or the reference engine for ``link_insertion``) or
+    :func:`ftbar_reference`.
+    """
     records = []
-    result = schedule_ftbar(problem, options, observer=records.append)
+    result = run(problem, options, observer=records.append)
     events = [
         (e.operation, e.replica, e.processor, e.start, e.end, e.duplicated)
         for e in result.schedule.all_operations()
@@ -99,10 +112,11 @@ CORPUS = [
 
 
 class TestSeedGoldens:
-    """Both paths still land exactly on the recorded seed fingerprints."""
+    """Both engines still land exactly on the recorded seed fingerprints."""
 
     @pytest.mark.parametrize("seed,npf,topology", CORPUS)
     def test_incremental_matches_seed_golden(self, seed, npf, topology):
+        """The production engine: the compiled kernel with its cache."""
         problem = corpus_problem(seed, npf, topology)
         golden = GOLDENS[f"N18-seed{seed}-npf{npf}-{topology}"]
         trace = ftbar_trace(problem)
@@ -110,9 +124,10 @@ class TestSeedGoldens:
 
     @pytest.mark.parametrize("seed,npf,topology", CORPUS)
     def test_legacy_matches_seed_golden(self, seed, npf, topology):
+        """The full-recompute reference engine."""
         problem = corpus_problem(seed, npf, topology)
         golden = GOLDENS[f"N18-seed{seed}-npf{npf}-{topology}"]
-        trace = ftbar_trace(problem, LEGACY)
+        trace = ftbar_trace(problem, run=ftbar_reference)
         assert ftbar_fingerprint(trace) == golden["sha256"]
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -123,20 +138,24 @@ class TestSeedGoldens:
         assert hbp_fingerprint(problem) == golden["sha256"]
 
 
+def assert_kernel_matches_reference(problem, options=None):
+    """Kernel and reference traces, compared step by step."""
+    new = ftbar_trace(problem, options)
+    old = ftbar_trace(problem, options, run=ftbar_reference)
+    assert new[0] == old[0], "replica placements diverge"
+    assert new[1] == old[1], "comm orders diverge"
+    for new_step, old_step in zip(new[2], old[2]):
+        assert new_step == old_step, f"StepRecord diverges: {new_step[0]}"
+    assert len(new[2]) == len(old[2])
+
+
 class TestOldVsNew:
-    """Incremental vs legacy compared step-by-step, not just by hash."""
+    """Kernel vs reference engine compared step-by-step, not just by hash."""
 
     def assert_identical(self, problem, options_kwargs=None):
-        kwargs = options_kwargs or {}
-        new = ftbar_trace(problem, SchedulerOptions(**kwargs))
-        old = ftbar_trace(
-            problem, SchedulerOptions(**kwargs, incremental=False)
+        assert_kernel_matches_reference(
+            problem, SchedulerOptions(**(options_kwargs or {}))
         )
-        assert new[0] == old[0], "replica placements diverge"
-        assert new[1] == old[1], "comm orders diverge"
-        for new_step, old_step in zip(new[2], old[2]):
-            assert new_step == old_step, f"StepRecord diverges: {new_step[0]}"
-        assert len(new[2]) == len(old[2])
 
     @pytest.mark.parametrize("seed,npf,topology", CORPUS)
     def test_corpus(self, seed, npf, topology):
@@ -171,7 +190,7 @@ class TestOldVsNew:
 
     def test_multi_hop_ring(self):
         # A ring forces store-and-forward routes, exercising the
-        # non-repairable plan path of the cache.
+        # kernel's non-repairable plan path.
         from repro.hardware.topologies import ring
         from repro.problem import ProblemSpec
         from repro.timing.comm_times import CommunicationTimes
@@ -203,9 +222,88 @@ class TestOldVsNew:
     def test_cache_actually_serves_hits(self):
         result = schedule_ftbar(corpus_problem(1, 1, "p2p"))
         assert result.stats.cache_hits > 0
-        legacy = schedule_ftbar(corpus_problem(1, 1, "p2p"), LEGACY)
+        legacy = ftbar_reference(corpus_problem(1, 1, "p2p"))
         assert legacy.stats.cache_hits == 0
         assert (
             result.stats.pressure_evaluations
             < legacy.stats.pressure_evaluations
         )
+
+
+#: Option variants of the differential corpus.
+VARIANTS = {
+    "default": SchedulerOptions(),
+    "aware": SchedulerOptions(processor_aware_pressure=True),
+    "nodup": SchedulerOptions(duplication=False),
+}
+TOPOLOGY_NAMES = {
+    "fc": "fully_connected", "bus": "single_bus", "ring": "ring",
+    "star": "star",
+}
+
+
+def differential_cases(count: int = 60, seed: int = 2003) -> list[str]:
+    """Seeded case labels ``{topology}{P}-npf{k}-npl{l}-{tables}-{variant}-s{seed}``.
+
+    Rings start at P=3 (two processors form no ring); ``npl = 1`` needs
+    two link-disjoint routes between every pair, which only the fully
+    connected and ring topologies of P >= 3 offer.
+    """
+    rng = random.Random(seed)
+    labels = []
+    while len(labels) < count:
+        topology = rng.choice(sorted(TOPOLOGY_NAMES))
+        processors = rng.randint(3 if topology == "ring" else 2, 8)
+        npf = rng.randint(0, min(2, processors - 1))
+        npl = (
+            rng.randint(0, 1)
+            if topology in ("fc", "ring") and processors >= 3 else 0
+        )
+        tables = rng.choice(("hom", "het"))
+        variant = rng.choice(sorted(VARIANTS))
+        label = (
+            f"{topology}{processors}-npf{npf}-npl{npl}-{tables}-{variant}"
+            f"-s{rng.randint(0, 999)}"
+        )
+        if label not in labels:
+            labels.append(label)
+    return labels
+
+
+def differential_problem(label: str):
+    """Rebuild one differential case from its label (deterministic)."""
+    shape, npf, npl, tables, _variant, seed = label.split("-")
+    topology = shape.rstrip("0123456789")
+    processors = int(shape[len(topology):])
+    return build_problem(
+        WorkloadSpec(
+            family="random", size=10 + int(seed[1:]) % 7,
+            heterogeneous=tables == "het",
+        ),
+        TOPOLOGY_NAMES[topology],
+        processors,
+        int(npf[3:]),
+        1.0 + int(seed[1:]) % 3 * 0.5,
+        int(seed[1:]),
+        npl=int(npl[3:]),
+    )
+
+
+class TestKernelVsReference:
+    """The differential corpus: generated instances across the input space."""
+
+    @pytest.mark.parametrize(
+        "index,label", list(enumerate(differential_cases())),
+        ids=lambda value: str(value),
+    )
+    def test_generated(self, index, label, monkeypatch):
+        if index % 2:
+            # Odd cases drop the scalar/vector size gate (a pure speed
+            # gate) so both sweeps meet the reference.
+            monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
+        options = VARIANTS[label.split("-")[4]]
+        assert_kernel_matches_reference(differential_problem(label), options)
+
+    def test_memory_problem(self):
+        # Pinned memory halves: per-candidate processor pools.
+        assert_kernel_matches_reference(paper_problem_spec())

@@ -4,7 +4,7 @@ Covers the acceptance criteria of the unified resource-failure model:
 
 * ``npl = 0`` is bit-identical to the paper-era engine (no ``npl`` /
   ``route`` keys in serialized documents, same schedules from the
-  incremental and legacy paths — the golden corpus of
+  compiled kernel and the reference engine — the golden corpus of
   ``test_engine_equivalence.py`` pins the rest);
 * ``npl >= 1`` schedules place every inter-processor transfer on
   ``Npl + 1`` pairwise link-disjoint routes and pass the independent
@@ -27,7 +27,7 @@ from repro.analysis.reliability import (
 )
 from repro.campaign.jobs import build_problem
 from repro.campaign.spec import WorkloadSpec
-from repro.core.ftbar import schedule_ftbar
+from repro.core.ftbar import ftbar_reference, schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.exceptions import ArchitectureError
 from repro.graphs.builder import diamond, fork_join
@@ -179,13 +179,14 @@ class TestNplScheduling:
         assert any(c.route == 1 for c in result.schedule.all_comms())
 
     def test_incremental_and_legacy_engines_identical_at_npl_one(self):
+        """The compiled kernel equals the reference engine at npl = 1."""
         for seed in (0, 1):
             problem = build_problem(
                 WorkloadSpec(family="random", size=12),
                 "fully_connected", 4, 1, 0.5, seed, npl=1,
             )
-            fast = schedule_ftbar(problem, SchedulerOptions(incremental=True))
-            slow = schedule_ftbar(problem, SchedulerOptions(incremental=False))
+            fast = schedule_ftbar(problem)
+            slow = ftbar_reference(problem)
             assert schedule_to_dict(fast.schedule) == schedule_to_dict(slow.schedule)
 
     def test_schedule_round_trips_with_routes(self):

@@ -23,6 +23,7 @@ import warnings
 import pytest
 
 from repro import obs
+from repro.analysis.reliability import CertificationCapWarning
 from repro.campaign import (
     CampaignSpec,
     ResultStore,
@@ -324,6 +325,26 @@ class TestCompileCacheReset:
 # campaign integration
 # ----------------------------------------------------------------------
 
+def cap_spec(**overrides) -> CampaignSpec:
+    """A campaign whose every job raises ``CertificationCapWarning``.
+
+    The warning only exists on the legacy ``method="exact"`` path —
+    the default adaptive ladder answers past the cap without one
+    (tests/test_sampled_certification.py).
+    """
+    values = dict(
+        name="obs-cap",
+        workloads=(WorkloadSpec(family="in_tree", size=2),),
+        topologies=("single_bus",),
+        processors=(13,),  # > ENUMERATION_CAP
+        seeds=(1,),
+        measures=("ftbar", "reliability"),
+        reliability=ReliabilitySpec(probabilities=(0.01,), method="exact"),
+    )
+    values.update(overrides)
+    return tiny_spec(**values)
+
+
 def tiny_spec(**overrides) -> CampaignSpec:
     values = dict(
         name="obs-tiny",
@@ -375,38 +396,23 @@ class TestCampaignTelemetry:
         ]
         assert len(completions) == traced.executed
 
-    def test_fallback_warning_lands_in_store(self, tmp_path):
-        """Satellite: CompiledFallbackWarning → record["events"] → store."""
-        spec = tiny_spec(
-            name="obs-fallback",
-            options={"compiled": True, "link_insertion": True},
-            seeds=(1,),
-        )
+    def test_cap_warning_lands_in_every_record(self, tmp_path):
+        """Every job's warning reaches its own stored record, once."""
+        spec = cap_spec(seeds=(1, 2))
         store = ResultStore(tmp_path / "results.jsonl")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run_campaign(spec, jobs=1, store=store)
         stored = store.load()
-        assert len(stored) == len(report.records) == 1
-        (record,) = stored.values()
-        assert record["events"] == [{"kind": "compiled_fallback"}]
+        assert len(stored) == len(report.records) == 2
+        for record in stored.values():
+            assert [e["kind"] for e in record["events"]] == [
+                "certification_cap"
+            ]
 
     def test_certification_cap_lands_in_store(self, tmp_path):
-        """Satellite: CertificationCapWarning → record["events"] → store.
-
-        The warning only exists on the legacy ``method="exact"`` path —
-        the default adaptive ladder answers past the cap without one
-        (tests/test_sampled_certification.py).
-        """
-        spec = tiny_spec(
-            name="obs-cap",
-            workloads=(WorkloadSpec(family="in_tree", size=2),),
-            topologies=("single_bus",),
-            processors=(13,),  # > ENUMERATION_CAP
-            seeds=(1,),
-            measures=("ftbar", "reliability"),
-            reliability=ReliabilitySpec(probabilities=(0.01,), method="exact"),
-        )
+        """Satellite: CertificationCapWarning → record["events"] → store."""
+        spec = cap_spec()
         store = ResultStore(tmp_path / "results.jsonl")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -418,25 +424,20 @@ class TestCampaignTelemetry:
         assert event["enumerated_subsets"] <= event["total_subsets"]
 
     def test_events_identical_across_worker_counts(self, tmp_path):
-        spec = tiny_spec(
-            name="obs-fallback-workers",
-            options={"compiled": True, "link_insertion": True},
-        )
+        spec = cap_spec(name="obs-cap-workers", seeds=(1, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             serial = run_campaign(spec, jobs=1)
             parallel = run_campaign(spec, jobs=2)
         assert serial.records == parallel.records
         for record in serial.records.values():
-            assert record["events"] == [{"kind": "compiled_fallback"}]
+            assert [e["kind"] for e in record["events"]] == [
+                "certification_cap"
+            ]
 
     def test_warnings_still_reach_the_caller(self):
-        spec = tiny_spec(
-            name="obs-warn",
-            options={"compiled": True, "link_insertion": True},
-            seeds=(1,),
-        )
-        with pytest.warns(Warning, match="link_insertion"):
+        spec = cap_spec(name="obs-warn")
+        with pytest.warns(CertificationCapWarning):
             run_campaign(spec, jobs=1)
 
 

@@ -112,26 +112,10 @@ class TestPlanning:
         assert feed.arrivals == [pytest.approx(1.5), pytest.approx(1.5)]
         assert {c.link for c in feed.comms} == {"L1.3", "L2.3"}
 
-    def test_plan_reports_reserved_and_consulted_links(self):
-        planner, schedule = planner_setup()
-        schedule.place_operation("A", "P1", 0.0, 1.0)
-        schedule.place_operation("A", "P2", 0.0, 1.0)
-        plan = planner.plan("B", "P3", schedule)
-        assert plan.reserved_links == {"L1.3", "L2.3"}
-        # One direct link per processor pair: consulted == reserved and
-        # the plan is repairable by the incremental cache.
-        assert plan.consulted_links == {"L1.3", "L2.3"}
-        assert plan.repairable
-        assert dict(plan.link_thresholds()) == {
-            "L1.3": pytest.approx(1.0),
-            "L2.3": pytest.approx(1.0),
-        }
-
     def test_source_plan_reserves_nothing(self):
         planner, schedule = planner_setup()
         plan = planner.plan("A", "P1", schedule)
-        assert plan.reserved_links == frozenset()
-        assert plan.link_thresholds() == ()
+        assert plan.feeds == []
 
     def test_s_worst_is_kth_smallest_arrival(self):
         planner, schedule = planner_setup(npf=1)

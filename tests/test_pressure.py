@@ -154,7 +154,7 @@ class TestPressure:
 
 
 class TestCriticalPathEstimateRegression:
-    """Pin ``R(n)`` on the paper example (it now reuses cached plans)."""
+    """Pin ``R(n)`` on the paper example."""
 
     def build(self, paper_problem):
         from repro.core.ftbar import FTBARScheduler
@@ -184,17 +184,3 @@ class TestCriticalPathEstimateRegression:
         )
         assert estimate == pytest.approx(15.05)
 
-    def test_estimate_identical_with_and_without_cache(self, paper_problem):
-        # Attached (cache-serving) and detached calculators must agree.
-        from repro.core.ftbar import schedule_ftbar
-
-        scheduler, schedule = self.build(paper_problem)
-        detached = scheduler._pressure.critical_path_estimate(["I"], schedule)
-        scheduler._pressure.attach(schedule)
-        attached = scheduler._pressure.critical_path_estimate(["I"], schedule)
-        assert attached == detached
-        # Second call is served entirely from the cache.
-        evaluations = scheduler._pressure.evaluations
-        again = scheduler._pressure.critical_path_estimate(["I"], schedule)
-        assert again == detached
-        assert scheduler._pressure.evaluations == evaluations

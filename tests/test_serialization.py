@@ -135,6 +135,16 @@ class TestScheduleRoundTrip:
         with pytest.raises(SerializationError):
             schedule_from_dict({"name": "x"})
 
+    @pytest.mark.parametrize("key", ["npf", "npl"])
+    @pytest.mark.parametrize("value", ["1", True, 1.7, -1])
+    def test_hypothesis_must_be_a_non_negative_int(
+        self, paper_result, key, value
+    ):
+        document = schedule_to_dict(paper_result.schedule)
+        document[key] = value
+        with pytest.raises(SerializationError, match=f"^{key} must be"):
+            schedule_from_dict(document)
+
 
 class TestFileHelpers:
     def test_save_and_load(self, tmp_path):

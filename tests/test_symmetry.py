@@ -23,7 +23,7 @@ import pytest
 from test_engine_equivalence import ftbar_fingerprint, ftbar_trace
 
 from repro.core.compile import CompiledProblem
-from repro.core.ftbar import schedule_ftbar
+from repro.core.ftbar import ftbar_reference, schedule_ftbar
 from repro.core.kernel import SchedulingKernel
 from repro.core.options import SchedulerOptions
 from repro.core.symmetry import build_symmetry
@@ -38,7 +38,6 @@ from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
-OBJECT = SchedulerOptions(compiled=False)
 COMPILED = SchedulerOptions()
 COMPILED_NOSYM = SchedulerOptions(symmetry=False)
 
@@ -137,8 +136,8 @@ def test_pruned_indistinguishable_from_unpruned(topology, npf, npl, seed):
     assert ftbar_fingerprint(pruned_trace) == ftbar_fingerprint(
         unpruned_trace
     ), f"{label}: fingerprints diverge"
-    assert pruned_trace == ftbar_trace(problem, OBJECT), (
-        f"{label}: compiled diverges from the object engine"
+    assert pruned_trace == ftbar_trace(problem, run=ftbar_reference), (
+        f"{label}: compiled diverges from the reference engine"
     )
 
     pruned = schedule_ftbar(problem, COMPILED)
