@@ -31,7 +31,10 @@ SUMMARY = (
     "FTBAR: distributed and fault-tolerant static scheduling "
     "(reproduction of Girault et al., DSN 2003)"
 )
-REQUIRES = ["networkx>=2.6"]
+#: No runtime dependencies.  networkx (``to_networkx()`` exports) and
+#: numpy (the kernel's vectorised sweep) are optional and imported only
+#: where they are used.
+REQUIRES: list[str] = []
 TAG = "py3-none-any"
 
 _METADATA = "\n".join(

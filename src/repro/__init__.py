@@ -16,73 +16,44 @@ Quickstart
 True
 """
 
-from repro import (
-    analysis,
-    baselines,
-    campaign,
-    graphs,
-    hardware,
-    obs,
-    schedule,
-    simulation,
-    timing,
-    workloads,
-)
-from repro.baselines import (
-    HBPResult,
-    HBPScheduler,
-    schedule_basic,
-    schedule_hbp,
-    schedule_non_fault_tolerant,
-)
-from repro.core import (
-    FTBARResult,
-    FTBARScheduler,
-    FTBARStats,
-    SchedulerOptions,
-    schedule_ftbar,
-)
-from repro.exceptions import (
-    ArchitectureError,
-    ConstraintError,
-    GraphError,
-    InfeasibleReplicationError,
-    ReproError,
-    ScheduleValidationError,
-    SchedulingError,
-    SerializationError,
-    SimulationError,
-    TimingError,
-)
-from repro.graphs import AlgorithmGraph, AlgorithmGraphBuilder, Operation, OperationKind
-from repro.hardware import Architecture, Link, LinkKind, Processor
-from repro.problem import ProblemSpec
-from repro.schedule import (
-    Schedule,
-    ScheduledComm,
-    ScheduledOperation,
-    assert_valid_schedule,
-    render_gantt,
-    schedule_table,
-    validate_schedule,
-)
-from repro.simulation import (
-    BatchScenarioEngine,
-    DetectionPolicy,
-    EventStatus,
-    ExecutionTrace,
-    FailureScenario,
-    ProcessorFailure,
-    ScheduleSimulator,
-    simulate,
-)
-from repro.timing import (
-    FORBIDDEN,
-    CommunicationTimes,
-    ExecutionTimes,
-    RealTimeConstraints,
-    RtcReport,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "baselines": (
+        "HBPResult", "HBPScheduler", "schedule_basic", "schedule_hbp",
+        "schedule_non_fault_tolerant",
+    ),
+    "core": (
+        "FTBARResult", "FTBARScheduler", "FTBARStats", "SchedulerOptions",
+        "schedule_ftbar",
+    ),
+    "exceptions": (
+        "ArchitectureError", "ConstraintError", "GraphError",
+        "InfeasibleReplicationError", "ReproError", "ScheduleValidationError",
+        "SchedulingError", "SerializationError", "SimulationError",
+        "TimingError",
+    ),
+    "graphs": (
+        "AlgorithmGraph", "AlgorithmGraphBuilder", "Operation",
+        "OperationKind",
+    ),
+    "hardware": ("Architecture", "Link", "LinkKind", "Processor"),
+    "problem": ("ProblemSpec",),
+    "schedule": (
+        "Schedule", "ScheduledComm", "ScheduledOperation",
+        "assert_valid_schedule", "render_gantt", "schedule_table",
+        "validate_schedule",
+    ),
+    "simulation": (
+        "BatchScenarioEngine", "DetectionPolicy", "EventStatus",
+        "ExecutionTrace", "FailureScenario", "ProcessorFailure",
+        "ScheduleSimulator", "simulate",
+    ),
+    "timing": (
+        "FORBIDDEN", "CommunicationTimes", "ExecutionTimes",
+        "RealTimeConstraints", "RtcReport",
+    ),
+})
 
 __version__ = "1.0.0"
 

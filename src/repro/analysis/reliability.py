@@ -54,9 +54,10 @@ from repro.simulation.failures import FailureScenario
 #: Beyond this many processors (or links) the per-level subset
 #: enumeration leaves the regime the exhaustive certifier was designed
 #: for; levels are then capped at :data:`MAX_SUBSETS_PER_LEVEL` subsets
-#: (taken in canonical order, deterministically) and the analysis emits
-#: a :class:`CertificationCapWarning` naming the cap and the enumerated
-#: fraction — never a silent weakening of the verdict.
+#: (taken in canonical order, deterministically).  When that cuts a
+#: level short, the analysis emits a :class:`CertificationCapWarning`
+#: naming the cap and the enumerated fraction — never a silent
+#: weakening of the verdict.
 ENUMERATION_CAP = 12
 
 #: Per-(crash size, link size) level ceiling once a cap is exceeded.
@@ -470,8 +471,9 @@ def fault_tolerance_certificate(
       sampling for the levels enumeration cannot reach (see
       :mod:`repro.analysis.sampling`).
     * ``"exact"`` — the legacy exhaustive path, including the
-      deterministic canonical-prefix cap and its
-      :class:`CertificationCapWarning` past ``P > 12`` / ``L > 12``.
+      deterministic canonical-prefix cap past ``P > 12`` / ``L > 12``
+      and its :class:`CertificationCapWarning` when the cap cuts a
+      level short.
     * ``"sampled"`` — force the sampling machinery even on levels small
       enough to enumerate (test/benchmark escape hatch).
 
@@ -555,7 +557,9 @@ def fault_tolerance_certificate(
             certificate.levels.append(
                 ToleranceLevel(size, masked, total, link_failures=link_size)
             )
-    if capped_resources:
+    # A resource past the cap only weakens the verdict when the
+    # per-level ceiling actually cut a level short.
+    if capped_resources and enumerated_subsets < full_subsets:
         warnings.warn(
             CertificationCapWarning(
                 capped_resources,

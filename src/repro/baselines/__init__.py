@@ -1,21 +1,17 @@
 """Baseline schedulers: the paper's comparison points and references."""
 
-from repro.baselines.exhaustive import (
-    ExhaustiveResult,
-    ExhaustiveScheduler,
-    schedule_exhaustive,
-)
-from repro.baselines.hbp import (
-    HBP_REPLICAS,
-    HBPResult,
-    HBPScheduler,
-    HBPStats,
-    schedule_hbp,
-)
-from repro.baselines.list_scheduler import (
-    schedule_basic,
-    schedule_non_fault_tolerant,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "exhaustive": (
+        "ExhaustiveResult", "ExhaustiveScheduler", "schedule_exhaustive",
+    ),
+    "hbp": (
+        "HBP_REPLICAS", "HBPResult", "HBPScheduler", "HBPStats",
+        "schedule_hbp",
+    ),
+    "list_scheduler": ("schedule_basic", "schedule_non_fault_tolerant"),
+})
 
 __all__ = [
     "ExhaustiveResult",

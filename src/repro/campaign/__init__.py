@@ -11,54 +11,34 @@ campaign resumable), memoized in a content-addressed
 bit-identically across shards with :func:`merge_stores`.
 """
 
-from repro.campaign.backends import (
-    BACKENDS,
-    DirectoryBackend,
-    ExecutionBackend,
-    LocalPoolBackend,
-    SerialBackend,
-    make_backend,
-)
-from repro.campaign.backends.directory import (
-    DirectoryCampaign,
-    WorkerReport,
-    worker_loop,
-)
-from repro.campaign.cache import ScheduleCache
-from repro.campaign.jobs import (
-    Job,
-    build_architecture,
-    build_problem,
-    execute_job,
-    expand_jobs,
-    job_digest,
-    job_problem,
-)
-from repro.campaign.merge import MergeConflictError, MergeReport, merge_stores
-from repro.campaign.pool import (
-    cpu_affinity_count,
-    default_worker_count,
-    execute_jobs,
-)
-from repro.campaign.runner import (
-    CampaignReport,
-    CampaignStatus,
-    campaign_report,
-    campaign_status,
-    reliability_heatmap,
-    run_campaign,
-)
-from repro.campaign.spec import (
-    CampaignSpec,
-    FailureSpec,
-    ReliabilitySpec,
-    WorkloadSpec,
-    campaign_from_dict,
-    campaign_to_dict,
-    load_campaign,
-    save_campaign,
-)
-from repro.campaign.store import ResultStore
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "backends": (
+        "BACKENDS", "DirectoryBackend", "ExecutionBackend", "LocalPoolBackend",
+        "SerialBackend", "make_backend",
+    ),
+    "backends.directory": (
+        "DirectoryCampaign", "WorkerReport", "worker_loop",
+    ),
+    "cache": ("ScheduleCache",),
+    "jobs": (
+        "Job", "build_architecture", "build_problem", "execute_job",
+        "expand_jobs", "job_digest", "job_problem",
+    ),
+    "merge": ("MergeConflictError", "MergeReport", "merge_stores"),
+    "pool": ("cpu_affinity_count", "default_worker_count", "execute_jobs"),
+    "runner": (
+        "CampaignReport", "CampaignStatus", "campaign_report",
+        "campaign_status", "reliability_heatmap", "run_campaign",
+    ),
+    "spec": (
+        "CampaignSpec", "FailureSpec", "ReliabilitySpec", "WorkloadSpec",
+        "campaign_from_dict", "campaign_to_dict", "load_campaign",
+        "save_campaign",
+    ),
+    "store": ("ResultStore",),
+})
 
 __all__ = [
     "BACKENDS",

@@ -27,65 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from repro import obs
-from repro.analysis import (
-    audit_schedule,
-    degraded_lengths,
-    event_boundary_times,
-    format_schedule_report,
-    fault_tolerance_certificate,
-    format_ablation,
-    format_bus_comparison,
-    format_optimality_gap,
-    mean_time_to_failure_iterations,
-    run_bus_comparison,
-    run_optimality_gap,
-    schedule_reliability,
-    format_npf_sweep,
-    format_overhead_sweep,
-    format_paper_example,
-    format_runtime_comparison,
-    run_ablation,
-    run_npf_sweep,
-    run_overhead_vs_ccr,
-    run_overhead_vs_operations,
-    run_paper_example,
-    run_runtime_comparison,
-)
-from repro.core import SchedulerOptions, schedule_ftbar
 from repro.exceptions import ReproError
-from repro.schedule import (
-    render_gantt,
-    schedule_table,
-    schedule_to_dot,
-    validate_schedule,
-)
-from repro.schedule.serialization import (
-    load_json,
-    problem_from_dict,
-    problem_to_dict,
-    save_json,
-    schedule_to_dict,
-)
-from repro.simulation import (
-    DetectionPolicy,
-    FailureScenario,
-    ProcessorFailure,
-    simulate,
-    simulate_iterations,
-)
-from repro.workloads import (
-    PAPER_BASIC_LENGTH,
-    PAPER_DEGRADED_LENGTHS,
-    PAPER_FT_LENGTH,
-    PAPER_OVERHEAD,
-    RandomWorkloadConfig,
-    build_problem,
-    generate_problem,
-)
 
 
 def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
@@ -97,6 +44,17 @@ def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="record a telemetry trace JSONL "
         "(bare flag: repro-trace.jsonl; see docs/observability.md)",
+    )
+
+
+#: Values of :class:`repro.simulation.executor.DetectionPolicy`, spelled
+#: out so that building the parser imports no simulation code.
+_DETECTION_CHOICES = ("none", "timeout-array")
+
+
+def _add_detection_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--detection", choices=_DETECTION_CHOICES, default="none"
     )
 
 
@@ -137,11 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PROC[@TIME]",
         help="crash PROC at TIME (default 0); repeatable",
     )
-    sim.add_argument(
-        "--detection",
-        choices=[p.value for p in DetectionPolicy],
-        default=DetectionPolicy.NONE.value,
-    )
+    _add_detection_flag(sim)
 
     report = commands.add_parser(
         "report", help="full audit of the schedule of a problem"
@@ -160,11 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PROC[@TIME]",
         help="crash PROC at absolute TIME (default 0); repeatable",
     )
-    iterate.add_argument(
-        "--detection",
-        choices=[p.value for p in DetectionPolicy],
-        default=DetectionPolicy.NONE.value,
-    )
+    _add_detection_flag(iterate)
 
     validate = commands.add_parser(
         "validate", help="schedule a problem and re-check every invariant"
@@ -204,11 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="problem JSON file (default: the paper's worked example)",
     )
-    certify.add_argument(
-        "--detection",
-        choices=[p.value for p in DetectionPolicy],
-        default=DetectionPolicy.NONE.value,
-    )
+    _add_detection_flag(certify)
     certify.add_argument(
         "--npl",
         type=int,
@@ -634,6 +580,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import run_paper_example
+    from repro.analysis.reporting import format_paper_example
+    from repro.workloads.paper_example import (
+        PAPER_BASIC_LENGTH,
+        PAPER_DEGRADED_LENGTHS,
+        PAPER_FT_LENGTH,
+        PAPER_OVERHEAD,
+    )
+
     results = run_paper_example()
     references = {
         "ft_length": PAPER_FT_LENGTH,
@@ -643,6 +598,10 @@ def _cmd_example(args: argparse.Namespace) -> int:
     }
     print(format_paper_example(results, references))
     if args.gantt:
+        from repro.core.ftbar import schedule_ftbar
+        from repro.schedule.gantt import render_gantt
+        from repro.workloads.paper_example import build_problem
+
         result = schedule_ftbar(build_problem())
         print()
         print(render_gantt(result.schedule))
@@ -650,6 +609,16 @@ def _cmd_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from repro.core.ftbar import schedule_ftbar
+    from repro.core.options import SchedulerOptions
+    from repro.schedule.gantt import render_gantt, schedule_table
+    from repro.schedule.serialization import (
+        load_json,
+        problem_from_dict,
+        save_json,
+        schedule_to_dict,
+    )
+
     problem = problem_from_dict(load_json(args.problem))
     if args.npf is not None:
         problem.npf = args.npf
@@ -671,6 +640,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         save_json(schedule_to_dict(result.schedule), args.output)
         print(f"\nschedule written to {args.output}")
     if args.dot is not None:
+        from repro.schedule.graphviz import schedule_to_dot
+
         args.dot.write_text(schedule_to_dot(result.schedule))
         print(f"DOT rendering written to {args.dot}")
     return 0
@@ -682,6 +653,12 @@ def _parse_crash(spec: str) -> tuple[str, float]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.analysis.metrics import degraded_lengths
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.serialization import load_json, problem_from_dict
+    from repro.simulation.executor import DetectionPolicy, simulate
+    from repro.simulation.failures import FailureScenario, ProcessorFailure
+
     problem = problem_from_dict(load_json(args.problem))
     result = schedule_ftbar(problem)
     algorithm = result.expanded_algorithm
@@ -711,6 +688,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.summary import audit_schedule, format_schedule_report
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.serialization import load_json, problem_from_dict
+
     problem = problem_from_dict(load_json(args.problem))
     result = schedule_ftbar(problem)
     report = audit_schedule(result)
@@ -719,6 +700,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.serialization import load_json, problem_from_dict
+    from repro.simulation.executor import DetectionPolicy
+    from repro.simulation.failures import FailureScenario, ProcessorFailure
+    from repro.simulation.iterative import simulate_iterations
+
     problem = problem_from_dict(load_json(args.problem))
     result = schedule_ftbar(problem)
     algorithm = result.expanded_algorithm
@@ -749,6 +736,10 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.serialization import load_json, problem_from_dict
+    from repro.schedule.validation import validate_schedule
+
     problem = problem_from_dict(load_json(args.problem))
     result = schedule_ftbar(problem)
     print(result.schedule.summary())
@@ -772,6 +763,16 @@ _VERDICT_EXIT = {"certified": 0, "refuted": 1, "estimated": 2}
 
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
+    from repro.analysis.reliability import (
+        event_boundary_times,
+        fault_tolerance_certificate,
+        mean_time_to_failure_iterations,
+        schedule_reliability,
+    )
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.serialization import load_json, problem_from_dict
+    from repro.simulation.batch import BatchScenarioEngine
+
     problem = problem_from_dict(load_json(args.problem))
     result = schedule_ftbar(problem)
     print(result.schedule.summary())
@@ -782,8 +783,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     )
     # One engine serves the certificate and the reliability sum, so the
     # schedule is compiled (and each scenario simulated) only once.
-    from repro.simulation.batch import BatchScenarioEngine
-
     engine = BatchScenarioEngine(result.schedule, result.expanded_algorithm)
     certificate = fault_tolerance_certificate(
         result.schedule,
@@ -810,11 +809,22 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from repro.analysis.reliability import (
+        event_boundary_times,
+        fault_tolerance_certificate,
+        mean_time_to_failure_iterations,
+        schedule_reliability,
+    )
+    from repro.core.ftbar import schedule_ftbar
+    from repro.schedule.serialization import load_json, problem_from_dict, save_json
     from repro.simulation.batch import BatchScenarioEngine
+    from repro.simulation.executor import DetectionPolicy
 
     if args.problem is not None:
         problem = problem_from_dict(load_json(args.problem))
     else:
+        from repro.workloads.paper_example import build_problem
+
         problem = build_problem()
         print("(no problem file given — certifying the paper's example)")
     if args.npl is not None:
@@ -915,6 +925,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.schedule.serialization import problem_to_dict, save_json
+    from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+
     problem = generate_problem(
         RandomWorkloadConfig(
             operations=args.operations,
@@ -961,16 +974,14 @@ _PERF_SMOKE_PINS = {
 def _bench_smoke() -> int:
     """Schedule the pinned problems; fail on any counter drift."""
     from repro.baselines.hbp import schedule_hbp
-    from repro.workloads.random_dag import (
-        RandomWorkloadConfig as _Config,
-        generate_problem as _generate,
-    )
+    from repro.core.ftbar import schedule_ftbar
+    from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
-    problem_40 = _generate(
-        _Config(operations=40, ccr=1.0, processors=4, npf=1, seed=2003)
+    problem_40 = generate_problem(
+        RandomWorkloadConfig(operations=40, ccr=1.0, processors=4, npf=1, seed=2003)
     )
-    problem_24 = _generate(
-        _Config(operations=24, ccr=2.0, processors=4, npf=2, seed=7)
+    problem_24 = generate_problem(
+        RandomWorkloadConfig(operations=24, ccr=2.0, processors=4, npf=2, seed=7)
     )
     ftbar_40 = schedule_ftbar(problem_40)
     ftbar_24 = schedule_ftbar(problem_24)
@@ -1062,6 +1073,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: a figure is required unless --profile/--smoke is given",
               file=sys.stderr)
         return 2
+    from repro.analysis.experiments import (
+        run_ablation,
+        run_bus_comparison,
+        run_npf_sweep,
+        run_optimality_gap,
+        run_overhead_vs_ccr,
+        run_overhead_vs_operations,
+        run_runtime_comparison,
+    )
+    from repro.analysis.reporting import (
+        format_ablation,
+        format_bus_comparison,
+        format_npf_sweep,
+        format_optimality_gap,
+        format_overhead_sweep,
+        format_runtime_comparison,
+    )
+
     if args.figure == "figure9":
         sweep = run_overhead_vs_operations(graphs_per_point=graphs, jobs=jobs)
         print(format_overhead_sweep(sweep, "Figure 9 — overhead vs N (CCR=5, P=4)"))
@@ -1396,11 +1425,13 @@ def main(argv: list[str] | None = None) -> int:
             obs.enable(flag or None, meta={"command": args.command})
         else:
             obs.configure_from_env()
-        from repro.faultinject import configure_from_env as _fault_env
-
         # REPRO_FAULT_PLAN arms fault injection in any sub-command —
-        # how chaos subprocesses and CI smoke runs inherit a plan.
-        _fault_env()
+        # how chaos subprocesses and CI smoke runs inherit a plan.  Unset,
+        # it arms nothing, so the injection runtime is not even imported.
+        if os.environ.get("REPRO_FAULT_PLAN", "").strip():
+            from repro.faultinject.runtime import configure_from_env
+
+            configure_from_env()
     try:
         with obs.span(f"cli.{args.command}"):
             return _COMMANDS[args.command](args)

@@ -1,26 +1,22 @@
 """FTBAR — the paper's fault-tolerant scheduling heuristic (section 4)."""
 
-from repro.core.compile import CompiledProblem
-from repro.core.ftbar import (
-    FTBARResult,
-    FTBARScheduler,
-    FTBARStats,
-    StepRecord,
-    ftbar_reference,
-    schedule_ftbar,
-)
-from repro.core.kernel import CompiledReadySet, KernelPlanCache, SchedulingKernel
-from repro.core.minimize import DuplicationStats, StartTimeMinimizer
-from repro.core.options import SchedulerOptions
-from repro.core.placement import (
-    LinkState,
-    PlacementPlan,
-    PlacementPlanner,
-    PlannedComm,
-    PredecessorFeed,
-    commit_plan,
-)
-from repro.core.pressure import PressureCalculator
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compile": ("CompiledProblem",),
+    "ftbar": (
+        "FTBARResult", "FTBARScheduler", "FTBARStats", "StepRecord",
+        "ftbar_reference", "schedule_ftbar",
+    ),
+    "kernel": ("CompiledReadySet", "KernelPlanCache", "SchedulingKernel"),
+    "minimize": ("DuplicationStats", "StartTimeMinimizer"),
+    "options": ("SchedulerOptions",),
+    "placement": (
+        "LinkState", "PlacementPlan", "PlacementPlanner", "PlannedComm",
+        "PredecessorFeed", "commit_plan",
+    ),
+    "pressure": ("PressureCalculator",),
+})
 
 __all__ = [
     "CompiledProblem",

@@ -66,14 +66,10 @@ through the exact calls the reference engine's ``commit_plan`` makes.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Any, Iterable
-
-try:  # Vectorised sweep; the kernel degrades to its pure-Python loops
-    import numpy as _np  # when numpy is not installed (results identical).
-except ImportError:  # pragma: no cover - numpy present in the dev image
-    _np = None
 
 from repro.core.compile import CompiledProblem
 from repro.core.minimize import DuplicationStats
@@ -103,6 +99,21 @@ _FORBIDDEN = (None,)
 
 #: Shared empty threshold list for plans that record no chains.
 _NO_THRESHOLDS: list = []
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy() -> Any:
+    """numpy for the vectorised sweep, imported on first use.
+
+    Only a kernel that passes the vector gate calls this, so scalar runs
+    never pay numpy's import.  ``None`` when numpy is not installed: the
+    kernel then keeps its pure-Python loops (results identical).
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy present in the dev image
+        return None
+    return numpy
 
 
 #: One predecessor feed of a kernel plan, as a plain tuple:
@@ -326,9 +337,10 @@ class _RowPool:
     __slots__ = ("float_cols", "int_cols", "float_stage", "int_stage", "count")
 
     def __init__(self, float_width: int, int_width: int) -> None:
-        self.float_cols = [_np.zeros(0) for _ in range(float_width)]
+        np = _numpy()
+        self.float_cols = [np.zeros(0) for _ in range(float_width)]
         self.int_cols = [
-            _np.zeros(0, dtype=_np.int64) for _ in range(int_width)
+            np.zeros(0, dtype=np.int64) for _ in range(int_width)
         ]
         self.float_stage: list[list] = [[] for _ in range(float_width)]
         self.int_stage: list[list] = [[] for _ in range(int_width)]
@@ -353,12 +365,13 @@ class _RowPool:
         base = count - staged
         reference = self.int_cols[0] if self.int_cols else self.float_cols[0]
         if count > len(reference):
+            np = _numpy()
             capacity = max(64, 2 * count)
             for cols, dtype in (
-                (self.float_cols, None), (self.int_cols, _np.int64)
+                (self.float_cols, None), (self.int_cols, np.int64)
             ):
                 for index, column in enumerate(cols):
-                    grown = _np.zeros(capacity, dtype=dtype or column.dtype)
+                    grown = np.zeros(capacity, dtype=dtype or column.dtype)
                     grown[:base] = column[:base]
                     cols[index] = grown
         for cols, stages in (
@@ -395,7 +408,6 @@ class SchedulingKernel:
         self._duplication = duplication
         self._P = compiled.n_procs
         self._all_procs = tuple(range(compiled.n_procs))
-        self._workers = workers if _np is not None else 0
         # Macro-step trial batching is exact only when every overlay
         # advance matches the committed advance: on all-direct
         # interconnects (every ordered pair has a direct link and
@@ -464,21 +476,27 @@ class SchedulingKernel:
         # the per-sweep numpy dispatch overhead outweighs the batched
         # arithmetic and the scalar sweep is faster — unless a worker
         # pool was requested, which only the vector sweep can shard.
-        self._vector = (
-            vector and _np is not None and not compiled.pins
-            and (
+        # numpy is imported only once this gate passes; without numpy
+        # the kernel stays scalar and a worker request degrades to the
+        # serial sweep (the pool only shards the vector sweep).
+        np = (
+            _numpy()
+            if vector and not compiled.pins and (
                 compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
-                or self._workers >= 2
+                or workers >= 2
             )
+            else None
         )
+        self._vector = np is not None
+        self._workers = workers if np is not None else 0
         if self._vector:
             size = compiled.n_ops * compiled.n_procs
             #: 0 = absent, 1 = forbidden (Exe = inf), 2 = cached plan.
-            self._arr_state = _np.zeros(size, dtype=_np.int8)
-            self._arr_worst = _np.zeros(size)
-            self._arr_static = _np.zeros(size)
-            self._arr_duration = _np.zeros(size)
-            self._pool_offsets = _np.arange(compiled.n_procs, dtype=_np.int64)
+            self._arr_state = np.zeros(size, dtype=np.int8)
+            self._arr_worst = np.zeros(size)
+            self._arr_static = np.zeros(size)
+            self._arr_duration = np.zeros(size)
+            self._pool_offsets = np.arange(compiled.n_procs, dtype=np.int64)
             # Replay pools: entries whose reservation chains are at
             # most two deep and whose remote feeds carry at most two
             # arrivals have a closed-form worst over the *current* link
@@ -494,11 +512,11 @@ class SchedulingKernel:
             ) or 1
             self._slot_of: dict[int, int] = {}
             self._slot_count = 0
-            self._slot_key = _np.zeros(0, dtype=_np.int64)
-            self._slot_alive = _np.zeros(0, dtype=bool)
-            self._slot_worst = _np.zeros((0, self._feed_width))
+            self._slot_key = np.zeros(0, dtype=np.int64)
+            self._slot_alive = np.zeros(0, dtype=bool)
+            self._slot_worst = np.zeros((0, self._feed_width))
             #: Arrival value store, rewritten by the level passes.
-            self._arrivals = _np.zeros(0)
+            self._arrivals = np.zeros(0)
             self._arrival_count = 0
             #: Reservation rows, leveled by replay dependency depth: a
             #: row's free pointer may queue behind an earlier row on the
@@ -512,9 +530,9 @@ class SchedulingKernel:
             self._row_levels: list[_RowPool] = []
             self._row_level_of: list[int] = []
             self._row_count = 0
-            self._row_start = _np.zeros(0)
-            self._row_end = _np.zeros(0)
-            self._row_free = _np.zeros(0)
+            self._row_start = np.zeros(0)
+            self._row_end = np.zeros(0)
+            self._row_free = np.zeros(0)
             #: Arrival reductions: one-route copy rows (gid, apos) and,
             #: per route count, the max over route ends (npl plans).
             self._acopy = _RowPool(0, 2)
@@ -1310,14 +1328,15 @@ class SchedulingKernel:
     def _alloc_slot(self, key: int) -> int:
         slot = self._slot_count
         if slot == len(self._slot_alive):
+            np = _numpy()
             capacity = max(64, 2 * slot)
-            keys = _np.zeros(capacity, dtype=_np.int64)
+            keys = np.zeros(capacity, dtype=np.int64)
             keys[:slot] = self._slot_key[:slot]
             self._slot_key = keys
-            alive = _np.zeros(capacity, dtype=bool)
+            alive = np.zeros(capacity, dtype=bool)
             alive[:slot] = self._slot_alive[:slot]
             self._slot_alive = alive
-            worst = _np.full((capacity, self._feed_width), -_INF)
+            worst = np.full((capacity, self._feed_width), -_INF)
             worst[:slot] = self._slot_worst[:slot]
             self._slot_worst = worst
         self._slot_key[slot] = key
@@ -1373,7 +1392,7 @@ class SchedulingKernel:
         array — the batched equivalent of every scalar repair
         :meth:`_repair` would perform this step.
         """
-        np = _np
+        np = _numpy()
         slots = self._slot_count
         if not slots:
             return
@@ -1491,7 +1510,7 @@ class SchedulingKernel:
         ids are name-ordered, and ``argmax`` / stable ``argsort`` pick
         the same first-of-equals the tuple comparisons do.
         """
-        np = _np
+        np = _numpy()
         c = self._c
         n_procs = self._P
         cache = self._cache

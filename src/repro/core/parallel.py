@@ -19,7 +19,10 @@ are daemonic (an interpreter exit never hangs on the pool).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # imported when a pool is first built
+    from concurrent.futures import ThreadPoolExecutor
 
 _EXECUTORS: dict[int, ThreadPoolExecutor] = {}
 
@@ -42,6 +45,8 @@ def get_executor(workers: int) -> ThreadPoolExecutor:
     """Shared thread pool for ``workers`` threads (memoized)."""
     executor = _EXECUTORS.get(workers)
     if executor is None:
+        from concurrent.futures import ThreadPoolExecutor
+
         executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-sweep"
         )

@@ -26,30 +26,20 @@ catalog and a plan-writing guide.
 
 from __future__ import annotations
 
-from repro.faultinject.plan import (
-    ACTIONS,
-    DATA_ACTIONS,
-    FAILPOINT_SITES,
-    FaultTrigger,
-    InjectionPlan,
-    derive_unit,
-    load_plan,
-    plan_from_dict,
-    plan_to_dict,
-)
-from repro.faultinject.runtime import (
-    Fault,
-    InjectedFault,
-    active_plan,
-    configure,
-    configure_from_env,
-    deconfigure,
-    failpoint,
-    fired_faults,
-    hit_counts,
-    is_active,
-    set_worker,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "plan": (
+        "ACTIONS", "DATA_ACTIONS", "FAILPOINT_SITES", "FaultTrigger",
+        "InjectionPlan", "derive_unit", "load_plan", "plan_from_dict",
+        "plan_to_dict",
+    ),
+    "runtime": (
+        "Fault", "InjectedFault", "active_plan", "configure",
+        "configure_from_env", "deconfigure", "failpoint", "fired_faults",
+        "hit_counts", "is_active", "set_worker",
+    ),
+})
 
 __all__ = [
     "ACTIONS",

@@ -11,9 +11,8 @@ expansion of :meth:`AlgorithmGraph.expand_memories`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+import heapq
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import GraphError
 from repro.graphs.operations import (
@@ -27,10 +26,12 @@ from repro.graphs.operations import (
 class AlgorithmGraph:
     """A directed data-flow graph of :class:`Operation` vertices.
 
-    The class wraps a :class:`networkx.DiGraph` and adds the paper's
-    domain vocabulary (operations, data-dependencies, sources/sinks,
-    levels) plus validation.  All query methods return deterministically
-    ordered results so that the scheduler is reproducible.
+    The graph is stored as plain dicts (operations by name, plus
+    successor and predecessor maps carrying each edge's ``data_size``)
+    and adds the paper's domain vocabulary (operations,
+    data-dependencies, sources/sinks, levels) plus validation.  All
+    query methods return deterministically ordered results so that the
+    scheduler is reproducible.
 
     Examples
     --------
@@ -44,7 +45,10 @@ class AlgorithmGraph:
 
     def __init__(self, name: str = "algorithm") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        self._ops: dict[str, Operation] = {}
+        #: ``source -> {target: data_size}`` and its mirror.
+        self._succ: dict[str, dict[str, float]] = {}
+        self._pred: dict[str, dict[str, float]] = {}
         # Memoized adjacency views: the scheduler asks for the (sorted)
         # predecessors/successors of an operation on every trial plan.
         self._pred_view: dict[str, tuple[str, ...]] = {}
@@ -72,15 +76,17 @@ class AlgorithmGraph:
             op = operation
         else:
             op = Operation(str(operation), OperationKind(kind))
-        if op.name in self._graph:
-            existing: Operation = self._graph.nodes[op.name]["operation"]
+        existing = self._ops.get(op.name)
+        if existing is not None:
             if existing.kind is not op.kind:
                 raise GraphError(
                     f"operation {op.name!r} already exists with kind "
                     f"{existing.kind.value!r} (got {op.kind.value!r})"
                 )
             return existing
-        self._graph.add_node(op.name, operation=op)
+        self._ops[op.name] = op
+        self._succ[op.name] = {}
+        self._pred[op.name] = {}
         self._version += 1
         return op
 
@@ -89,15 +95,17 @@ class AlgorithmGraph:
 
         ``data_size`` is an abstract volume used when communication times
         are derived from link bandwidths instead of explicit tables.
+        Re-adding an existing edge updates its ``data_size``.
         """
         for endpoint in (source, target):
-            if endpoint not in self._graph:
+            if endpoint not in self._ops:
                 raise GraphError(f"unknown operation {endpoint!r}")
         if source == target:
             raise GraphError(f"self dependency on {source!r} is not allowed")
         if data_size <= 0:
             raise GraphError(f"data_size must be positive, got {data_size!r}")
-        self._graph.add_edge(source, target, data_size=float(data_size))
+        self._succ[source][target] = float(data_size)
+        self._pred[target][source] = float(data_size)
         self._pred_view.pop(target, None)
         self._succ_view.pop(source, None)
         self._version += 1
@@ -106,10 +114,10 @@ class AlgorithmGraph:
     # queries
     # ------------------------------------------------------------------
     def __contains__(self, name: object) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.operation_names())
@@ -117,41 +125,45 @@ class AlgorithmGraph:
     def operation(self, name: str) -> Operation:
         """The :class:`Operation` stored under ``name``."""
         try:
-            return self._graph.nodes[name]["operation"]
+            return self._ops[name]
         except KeyError:
             raise GraphError(f"unknown operation {name!r}") from None
 
     def operation_names(self) -> tuple[str, ...]:
         """All vertex names, sorted for determinism."""
-        return tuple(sorted(self._graph.nodes))
+        return tuple(sorted(self._ops))
 
     def operations(self) -> tuple[Operation, ...]:
         """All :class:`Operation` objects, sorted by name."""
-        return tuple(self.operation(n) for n in self.operation_names())
+        return tuple(self._ops[n] for n in self.operation_names())
 
     def dependencies(self) -> tuple[tuple[str, str], ...]:
         """All data-dependency edges, sorted for determinism."""
-        return tuple(sorted(self._graph.edges))
+        return tuple(sorted(
+            (source, target)
+            for source, targets in self._succ.items()
+            for target in targets
+        ))
 
     def data_size(self, source: str, target: str) -> float:
         """Abstract data volume of the edge ``source . target``."""
         try:
-            return self._graph.edges[source, target]["data_size"]
+            return self._succ[source][target]
         except KeyError:
             raise GraphError(f"unknown dependency {source!r} -> {target!r}") from None
 
     def has_dependency(self, source: str, target: str) -> bool:
         """True when the edge ``source . target`` exists."""
-        return self._graph.has_edge(source, target)
+        return target in self._succ.get(source, ())
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         """Direct predecessors of ``name``, sorted."""
         cached = self._pred_view.get(name)
         if cached is not None:
             return cached
-        if name not in self._graph:
+        if name not in self._ops:
             raise GraphError(f"unknown operation {name!r}")
-        result = tuple(sorted(self._graph.predecessors(name)))
+        result = tuple(sorted(self._pred[name]))
         self._pred_view[name] = result
         return result
 
@@ -160,36 +172,65 @@ class AlgorithmGraph:
         cached = self._succ_view.get(name)
         if cached is not None:
             return cached
-        if name not in self._graph:
+        if name not in self._ops:
             raise GraphError(f"unknown operation {name!r}")
-        result = tuple(sorted(self._graph.successors(name)))
+        result = tuple(sorted(self._succ[name]))
         self._succ_view[name] = result
         return result
 
     def sources(self) -> tuple[str, ...]:
         """Operations without predecessors (the external input interfaces)."""
-        return tuple(n for n in self.operation_names() if self._graph.in_degree(n) == 0)
+        return tuple(n for n in self.operation_names() if not self._pred[n])
 
     def sinks(self) -> tuple[str, ...]:
         """Operations without successors (the external output interfaces)."""
-        return tuple(n for n in self.operation_names() if self._graph.out_degree(n) == 0)
+        return tuple(n for n in self.operation_names() if not self._succ[n])
 
     def number_of_dependencies(self) -> int:
         """Number of data-dependency edges."""
-        return self._graph.number_of_edges()
+        return sum(len(targets) for targets in self._succ.values())
 
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
+    def _kahn(self, keep: set[str] | None = None) -> list[str]:
+        """Kahn's algorithm, smallest ready name first.
+
+        Runs on the subgraph induced by ``keep`` (all operations when
+        ``None``).  The order covers every kept operation exactly when
+        that subgraph is acyclic.
+        """
+        nodes = self._ops if keep is None else keep
+        indegree = {
+            n: sum(1 for p in self._pred[n] if p in nodes) for n in nodes
+        }
+        ready = [n for n, degree in indegree.items() if degree == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for child in self._succ[node]:
+                if child in indegree:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        heapq.heappush(ready, child)
+        return order
+
     def is_acyclic(self) -> bool:
         """True when the graph is a DAG (memories must be expanded first)."""
-        return nx.is_directed_acyclic_graph(self._graph)
+        return len(self._kahn()) == len(self._ops)
 
     def topological_order(self) -> tuple[str, ...]:
-        """A deterministic topological order of the operations."""
-        if not self.is_acyclic():
+        """A deterministic topological order of the operations.
+
+        Among the operations ready at each step, the smallest name comes
+        first (a lexicographical topological sort).
+        """
+        order = self._kahn()
+        if len(order) != len(self._ops):
             raise GraphError(f"graph {self.name!r} contains a cycle")
-        return tuple(nx.lexicographical_topological_sort(self._graph))
+        return tuple(order)
 
     def levels(self) -> Mapping[str, int]:
         """ASAP level of each operation (sources are level 0)."""
@@ -211,21 +252,33 @@ class AlgorithmGraph:
             height[node] = 0 if not succs else 1 + max(height[s] for s in succs)
         return height
 
+    def _reachable(
+        self, name: str, adjacency: dict[str, dict[str, float]]
+    ) -> frozenset[str]:
+        """Operations reachable from ``name`` along ``adjacency`` (excluded)."""
+        if name not in self._ops:
+            raise GraphError(f"unknown operation {name!r}")
+        seen = {name}
+        frontier = [name]
+        while frontier:
+            for neighbour in adjacency[frontier.pop()]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    frontier.append(neighbour)
+        seen.discard(name)
+        return frozenset(seen)
+
     def descendants(self, name: str) -> frozenset[str]:
         """All operations reachable from ``name`` (excluded)."""
-        if name not in self._graph:
-            raise GraphError(f"unknown operation {name!r}")
-        return frozenset(nx.descendants(self._graph, name))
+        return self._reachable(name, self._succ)
 
     def ancestors(self, name: str) -> frozenset[str]:
         """All operations from which ``name`` is reachable (excluded)."""
-        if name not in self._graph:
-            raise GraphError(f"unknown operation {name!r}")
-        return frozenset(nx.ancestors(self._graph, name))
+        return self._reachable(name, self._pred)
 
     def memory_operations(self) -> tuple[str, ...]:
         """Names of all ``mem`` vertices, sorted."""
-        return tuple(n for n in self.operation_names() if self.operation(n).is_memory())
+        return tuple(n for n in self.operation_names() if self._ops[n].is_memory())
 
     # ------------------------------------------------------------------
     # validation / transformation
@@ -239,15 +292,27 @@ class AlgorithmGraph:
         """
         if len(self) == 0:
             raise GraphError(f"algorithm graph {self.name!r} is empty")
-        if self.is_acyclic():
+        # Every cycle passes through a mem exactly when the subgraph of
+        # the other operations is acyclic.
+        combinational = {n for n, op in self._ops.items() if not op.is_memory()}
+        stuck = combinational.difference(self._kahn(combinational))
+        if not stuck:
             return
-        # A cycle is legal only when it traverses a mem vertex; expansion
-        # then breaks it.  Check every simple cycle touches a memory.
-        for cycle in nx.simple_cycles(self._graph):
-            if not any(self.operation(n).is_memory() for n in cycle):
-                raise GraphError(
-                    f"combinational cycle {' -> '.join(cycle)} in graph {self.name!r}"
-                )
+        # Each operation Kahn left over keeps a left-over predecessor, so
+        # walking predecessors from any of them must revisit one: the
+        # revisited stretch, reversed, is a combinational cycle.
+        path = [min(stuck)]
+        position = {path[0]: 0}
+        while True:
+            node = min(p for p in self._pred[path[-1]] if p in stuck)
+            if node in position:
+                cycle = path[position[node]:][::-1]
+                break
+            position[node] = len(path)
+            path.append(node)
+        raise GraphError(
+            f"combinational cycle {' -> '.join(cycle)} in graph {self.name!r}"
+        )
 
     def expand_memories(self) -> tuple["AlgorithmGraph", Mapping[str, tuple[str, str]]]:
         """Split every ``mem`` M into ``M#read`` (source) and ``M#write``.
@@ -266,7 +331,7 @@ class AlgorithmGraph:
         expanded = AlgorithmGraph(self.name)
         pairs: dict[str, tuple[str, str]] = {}
         for name in self.operation_names():
-            op = self.operation(name)
+            op = self._ops[name]
             if op.is_memory():
                 read, write = memory_read_name(name), memory_write_name(name)
                 expanded.add_operation(read, OperationKind.MEMORY)
@@ -288,12 +353,26 @@ class AlgorithmGraph:
     def copy(self) -> "AlgorithmGraph":
         """Deep-enough copy (operations are immutable)."""
         clone = AlgorithmGraph(self.name)
-        clone._graph = self._graph.copy()
+        clone._ops = dict(self._ops)
+        clone._succ = {n: dict(targets) for n, targets in self._succ.items()}
+        clone._pred = {n: dict(sources) for n, sources in self._pred.items()}
         return clone
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`."""
-        return self._graph.copy()
+    def to_networkx(self) -> Any:
+        """The graph as a new :class:`networkx.DiGraph` (needs networkx).
+
+        Nodes carry their :class:`Operation` under ``"operation"`` and
+        edges their ``"data_size"``.
+        """
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        for name, op in self._ops.items():
+            graph.add_node(name, operation=op)
+        for source, targets in self._succ.items():
+            for target, size in targets.items():
+                graph.add_edge(source, target, data_size=size)
+        return graph
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,14 @@
 """Architecture model: processors and communication links (section 3.3)."""
 
-from repro.hardware.architecture import Architecture
-from repro.hardware.link import Link, LinkKind
-from repro.hardware.processor import Processor
-from repro.hardware.routing import RoutePlanner
-from repro.hardware.topologies import fully_connected, ring, single_bus, star
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "architecture": ("Architecture",),
+    "link": ("Link", "LinkKind"),
+    "processor": ("Processor",),
+    "routing": ("RoutePlanner",),
+    "topologies": ("fully_connected", "ring", "single_bus", "star"),
+})
 
 __all__ = [
     "Architecture",

@@ -10,9 +10,7 @@ between replica processors, and the schedule validator can enforce that.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import ArchitectureError
 from repro.hardware.link import Link, LinkKind
@@ -282,8 +280,13 @@ class Architecture:
                     f"no route from {root!r} to {other!r}"
                 ) from None
 
-    def to_networkx(self) -> nx.Graph:
-        """A multigraph view: processor nodes, one edge per link pair."""
+    def to_networkx(self) -> Any:
+        """A multigraph view: processor nodes, one edge per link pair.
+
+        Returns a :class:`networkx.MultiGraph` (needs networkx).
+        """
+        import networkx as nx
+
         graph = nx.MultiGraph(name=self.name)
         graph.add_nodes_from(self.processor_names())
         for link in self.links():

@@ -41,6 +41,8 @@ the trace schema.
 from __future__ import annotations
 
 import os
+import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -116,8 +118,17 @@ def enable(target=None, *, meta: dict | None = None) -> Tracer:
     ``None`` for :func:`default_trace_path`.  Re-enabling while a
     tracer is active closes the previous one first (last call wins) —
     each enable starts a fresh stream with its own ``meta`` line.
+
+    The meta line records the process's start-up cost so far: the CPU
+    seconds spent since the interpreter started (``startup_cpu_s`` —
+    interpreter start-up plus every import made before tracing) and
+    the number of modules loaded (``modules_loaded``).
     """
     global _TRACER
+    startup = {
+        "startup_cpu_s": time.process_time(),
+        "modules_loaded": len(sys.modules),
+    }
     if _TRACER is not None:
         disable()
     if target is None:
@@ -125,7 +136,7 @@ def enable(target=None, *, meta: dict | None = None) -> Tracer:
     exporter = (
         JsonlExporter(target) if isinstance(target, (str, Path)) else target
     )
-    _TRACER = Tracer(exporter, meta=meta)
+    _TRACER = Tracer(exporter, meta=meta, header=startup)
     return _TRACER
 
 

@@ -112,6 +112,12 @@ def render_phase_table(lines: list[dict]) -> str:
         f"span coverage: {coverage(lines):.1%} of {extent:.3f}s wall extent"
         " (aggregates book time inside their parents and are excluded)"
     )
+    meta = lines[0] if lines and lines[0].get("type") == "meta" else {}
+    if "startup_cpu_s" in meta:
+        out.append(
+            f"start-up before tracing: {meta['startup_cpu_s']:.3f}s CPU, "
+            f"{meta['modules_loaded']} modules loaded"
+        )
     return "\n".join(out)
 
 

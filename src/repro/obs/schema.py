@@ -13,7 +13,10 @@ Line types
 ----------
 ``meta``
     First line of every stream: schema name/version, the producing
-    pid, the wall-clock instant anchoring the monotonic timestamps.
+    pid, the wall-clock instant anchoring the monotonic timestamps and,
+    for the process tracer (:func:`repro.obs.enable`), the start-up
+    cost paid before tracing began (``startup_cpu_s``,
+    ``modules_loaded``).
 ``span``
     One finished timing span.  Real spans carry ``t0``/``t1``/``dur``
     on the monotonic clock; *aggregate* spans (``agg.count`` present)
@@ -51,6 +54,8 @@ TRACE_LINE_SCHEMA: dict = {
                 "pid": {"type": "integer", "minimum": 0},
                 "started_wall": {"type": "number"},
                 "started": {"type": "number"},
+                "startup_cpu_s": {"type": "number", "minimum": 0},
+                "modules_loaded": {"type": "integer", "minimum": 0},
                 "attrs": _ATTRS,
             },
             "additionalProperties": False,

@@ -126,10 +126,14 @@ class Tracer:
     One tracer serves one telemetry stream (a trace file, or a
     campaign worker's in-memory line list).  All methods are
     thread-safe; the per-thread span stacks keep nesting correct when
-    spans are opened from worker threads.
+    spans are opened from worker threads.  ``meta`` becomes the meta
+    line's ``attrs``; ``header`` adds top-level meta-line fields (the
+    start-up cost :func:`repro.obs.enable` records).
     """
 
-    def __init__(self, exporter, *, meta: dict | None = None) -> None:
+    def __init__(
+        self, exporter, *, meta: dict | None = None, header: dict | None = None
+    ) -> None:
         self._exporter = exporter
         self._clock = time.perf_counter
         self._ids = itertools.count(1)
@@ -142,6 +146,7 @@ class Tracer:
             "pid": os.getpid(),
             "started_wall": time.time(),
             "started": self._clock(),
+            **(header or {}),
         }
         if meta:
             line["attrs"] = dict(meta)

@@ -1,18 +1,18 @@
 """Static schedule model: events, timelines, validation, rendering."""
 
-from repro.schedule.events import ScheduledComm, ScheduledOperation
-from repro.schedule.gantt import render_gantt, schedule_table
-from repro.schedule.graphviz import (
-    algorithm_to_dot,
-    architecture_to_dot,
-    schedule_to_dot,
-)
-from repro.schedule.schedule import Schedule, ScheduleSnapshot
-from repro.schedule.validation import (
-    ValidationReport,
-    assert_valid_schedule,
-    validate_schedule,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "events": ("ScheduledComm", "ScheduledOperation"),
+    "gantt": ("render_gantt", "schedule_table"),
+    "graphviz": (
+        "algorithm_to_dot", "architecture_to_dot", "schedule_to_dot",
+    ),
+    "schedule": ("Schedule", "ScheduleSnapshot"),
+    "validation": (
+        "ValidationReport", "assert_valid_schedule", "validate_schedule",
+    ),
+})
 
 __all__ = [
     "Schedule",

@@ -1,35 +1,20 @@
 """Runtime behaviour: failure scenarios and schedule replay (section 5)."""
 
-from repro.simulation.batch import (
-    BatchScenarioEngine,
-    BatchStats,
-)
-from repro.simulation.compiled import (
-    CompiledSchedule,
-    CompiledTrace,
-)
-from repro.simulation.executor import (
-    DetectionPolicy,
-    ScheduleSimulator,
-    simulate,
-)
-from repro.simulation.failures import (
-    FailureScenario,
-    LinkFailure,
-    ProcessorFailure,
-)
-from repro.simulation.iterative import (
-    IterationOutcome,
-    IterativeSimulator,
-    IterativeTrace,
-    simulate_iterations,
-)
-from repro.simulation.trace import (
-    EventStatus,
-    ExecutionTrace,
-    SimulatedComm,
-    SimulatedOperation,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "batch": ("BatchScenarioEngine", "BatchStats"),
+    "compiled": ("CompiledSchedule", "CompiledTrace"),
+    "executor": ("DetectionPolicy", "ScheduleSimulator", "simulate"),
+    "failures": ("FailureScenario", "LinkFailure", "ProcessorFailure"),
+    "iterative": (
+        "IterationOutcome", "IterativeSimulator", "IterativeTrace",
+        "simulate_iterations",
+    ),
+    "trace": (
+        "EventStatus", "ExecutionTrace", "SimulatedComm", "SimulatedOperation",
+    ),
+})
 
 __all__ = [
     "BatchScenarioEngine",

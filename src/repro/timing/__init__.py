@@ -1,8 +1,12 @@
 """Timing characterisation: ``Exe``, ``Dis`` and ``Rtc`` (section 3.4)."""
 
-from repro.timing.comm_times import CommunicationTimes
-from repro.timing.constraints import RealTimeConstraints, RtcReport, RtcViolation
-from repro.timing.exec_times import FORBIDDEN, ExecutionTimes
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "comm_times": ("CommunicationTimes",),
+    "constraints": ("RealTimeConstraints", "RtcReport", "RtcViolation"),
+    "exec_times": ("FORBIDDEN", "ExecutionTimes"),
+})
 
 __all__ = [
     "CommunicationTimes",

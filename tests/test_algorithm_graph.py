@@ -212,7 +212,16 @@ class TestCopyAndExport:
         assert "E" in clone
         assert "E" not in graph
 
+    def test_copy_edges_are_independent(self):
+        graph = diamond()
+        clone = graph.copy()
+        clone.add_dependency("B", "C", 3.0)
+        assert clone.has_dependency("B", "C")
+        assert not graph.has_dependency("B", "C")
+        assert graph.successors("B") == ("D",)
+
     def test_to_networkx_is_a_copy(self):
+        pytest.importorskip("networkx")  # an optional, export-only dependency
         graph = diamond()
         nx_graph = graph.to_networkx()
         nx_graph.add_node("Z")

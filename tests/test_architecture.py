@@ -209,6 +209,7 @@ class TestValidation:
         line_of_three().validate()
 
     def test_to_networkx(self):
+        pytest.importorskip("networkx")  # an optional, export-only dependency
         graph = triangle().to_networkx()
         assert set(graph.nodes) == {"P1", "P2", "P3"}
         assert graph.number_of_edges() == 3

@@ -14,10 +14,12 @@ cap it switches to bounds/projection/sampling with quantified output
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import pytest
 
+from repro import obs
 from repro.analysis import reliability as reliability_module
 from repro.analysis.reliability import (
     CertificationCapWarning,
@@ -80,22 +82,48 @@ def test_below_the_cap_no_warning():
 
 
 def test_processor_cap_emits_structured_warning():
-    processors = ENUMERATION_CAP + 1
+    processors = ENUMERATION_CAP + 3
     result = schedule_ftbar(_wide_problem(processors))
+    # Crash level 6 has C(15, 6) = 5005 > MAX_SUBSETS_PER_LEVEL subsets,
+    # so the enumeration really is cut short.
     with pytest.warns(CertificationCapWarning) as captured:
-        certificate = fault_tolerance_certificate(
-            result.schedule, result.expanded_algorithm, method="exact"
+        fault_tolerance_certificate(
+            result.schedule, result.expanded_algorithm, max_failures=6,
+            method="exact",
         )
     warning = captured[0].message
     assert warning.resources == ("processors",)
     assert warning.cap == ENUMERATION_CAP
-    assert warning.enumerated_subsets == warning.total_subsets
-    assert warning.sampled_fraction == 1.0
+    assert warning.enumerated_subsets < warning.total_subsets
+    assert 0.0 < warning.sampled_fraction < 1.0
     assert "processors" in str(warning)
     assert str(ENUMERATION_CAP) in str(warning)
-    # Nothing was actually truncated at these level sizes, so the
-    # verdict still covers every subset.
+
+
+def test_full_enumeration_past_the_cap_does_not_warn():
+    """Past the cap, every level may still fit under the per-level
+    ceiling: the certificate then covers every subset and must not warn
+    (nor emit ``warn.certification_cap``)."""
+    processors = ENUMERATION_CAP + 1
+    result = schedule_ftbar(_wide_problem(processors))
+    exporter = obs.ListExporter()
+    obs.enable(exporter)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CertificationCapWarning)
+            certificate = fault_tolerance_certificate(
+                result.schedule, result.expanded_algorithm, method="exact"
+            )
+    finally:
+        obs.disable()
     assert certificate.certified
+    assert sum(level.total_subsets for level in certificate.levels) == sum(
+        math.comb(processors, level.failures) for level in certificate.levels
+    )
+    assert not [
+        line for line in exporter.lines
+        if line.get("name") == "warn.certification_cap"
+    ]
 
 
 def test_truncated_levels_report_the_sampled_fraction(monkeypatch):
@@ -132,13 +160,16 @@ def test_truncated_levels_report_the_sampled_fraction(monkeypatch):
 
 def test_link_cap_emits_warning_naming_links():
     result = schedule_ftbar(_linky_problem())
+    # Level (1 crash, 4 links) has 6 * C(15, 4) = 8190 subsets, past
+    # MAX_SUBSETS_PER_LEVEL, so the enumeration really is cut short.
     with pytest.warns(CertificationCapWarning) as captured:
         fault_tolerance_certificate(
             result.schedule,
             result.expanded_algorithm,
-            max_link_failures=1,
+            max_link_failures=4,
             method="exact",
         )
     warning = captured[0].message
     assert warning.resources == ("links",)
+    assert warning.enumerated_subsets < warning.total_subsets
     assert "links" in str(warning)

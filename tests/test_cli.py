@@ -117,6 +117,12 @@ class TestSimulate:
             == 0
         )
 
+    def test_detection_choices_match_the_policy_enum(self):
+        from repro.cli import _DETECTION_CHOICES
+        from repro.simulation import DetectionPolicy
+
+        assert _DETECTION_CHOICES == tuple(p.value for p in DetectionPolicy)
+
 
 class TestIterate:
     def test_nominal_iterations(self, tmp_path, capsys):
@@ -195,7 +201,7 @@ class TestValidateAndReliability:
         self, tmp_path, capsys, monkeypatch, verdict, code
     ):
         """``reliability`` maps verdicts to exit codes like ``certify``."""
-        from repro import cli as cli_module
+        from repro.analysis import reliability as reliability_module
 
         class Certificate:
             certified = verdict == "certified"
@@ -209,8 +215,10 @@ class TestValidateAndReliability:
         problem = tmp_path / "problem.json"
         main(["generate", str(problem), "--operations", "6", "--seed", "4",
               "--processors", "3"])
+        # The command imports the certificate function when it runs, so
+        # patching its defining module reaches it.
         monkeypatch.setattr(
-            cli_module,
+            reliability_module,
             "fault_tolerance_certificate",
             lambda *args, **kwargs: Certificate(),
         )

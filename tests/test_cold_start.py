@@ -1,0 +1,108 @@
+"""Cold-start import guard: a process imports only what its command runs.
+
+Each check starts a fresh interpreter, runs one import or one CLI
+command and reads back the set of modules loaded at exit.  Module sets
+are deterministic, so this is the noise-free anchor of the cold-start
+budget: no networkx or numpy in the common commands, and no subsystem
+(campaign, chaos harness, experiment sweeps) a command does not run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent.parent
+EXAMPLES = SRC.parent / "examples"
+
+#: Prints the loaded module names as the process exits, whatever the
+#: exit path (``SystemExit`` from the CLI included).
+PROBE = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: sys.stderr.write("
+    "'\\nMODULES ' + json.dumps(sorted(sys.modules)) + '\\n'))\n"
+)
+
+LAZY_PACKAGES = (
+    "repro", "repro.analysis", "repro.baselines", "repro.campaign",
+    "repro.core", "repro.faultinject", "repro.graphs", "repro.hardware",
+    "repro.schedule", "repro.simulation", "repro.timing", "repro.workloads",
+)
+
+
+def loaded_modules(code: str) -> set[str]:
+    """Module names loaded by a fresh interpreter running ``code``."""
+    env = {
+        key: value for key, value in os.environ.items()
+        if not key.startswith("REPRO_")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE + code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    marker = done.stderr.rindex("\nMODULES ")
+    assert done.returncode in (0, 1, 2), done.stderr[:marker]
+    return set(json.loads(done.stderr[marker + len("\nMODULES "):]))
+
+
+def run_cli(*argv: str) -> str:
+    return (
+        "from repro.cli import main\n"
+        f"raise SystemExit(main({list(argv)!r}))\n"
+    )
+
+
+def test_import_repro_loads_no_subpackage():
+    modules = loaded_modules("import repro")
+    assert {m for m in modules if m.startswith("repro")} == {"repro", "repro._lazy"}
+
+
+def test_import_cli_loads_no_heavy_module():
+    modules = loaded_modules("import repro.cli")
+    for heavy in ("networkx", "numpy", "repro.campaign", "repro.analysis"):
+        assert heavy not in modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schedule", str(EXAMPLES / "problem_fc4_npf1_npl1.json")),
+        ("certify", str(EXAMPLES / "problem_fc4_npf1_npl1.json")),
+    ],
+    ids=["schedule", "certify"],
+)
+def test_cold_command_loads_only_what_it_runs(argv):
+    modules = loaded_modules(run_cli(*argv))
+    assert "repro.core.ftbar" in modules  # the command really ran
+    for heavy in (
+        "networkx",
+        "numpy",
+        "repro.campaign",
+        "repro.faultinject.chaos",
+        "repro.analysis.experiments",
+    ):
+        assert heavy not in modules, f"{argv[0]} imported {heavy}"
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_public_name_resolves(package):
+    module = importlib.import_module(package)
+    listed = dir(module)
+    for name in module.__all__:
+        assert getattr(module, name) is not None
+        assert name in listed
+    with pytest.raises(AttributeError):
+        module.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec(f"from {package} import no_such_name", {})

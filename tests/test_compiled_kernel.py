@@ -243,7 +243,7 @@ def test_scalar_sweep_matches_vector_sweep(monkeypatch):
     # vector leg must drop the size gate to actually exercise numpy.
     monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
     vector_trace = ftbar_trace(problem, COMPILED)
-    monkeypatch.setattr(kernel_module, "_np", None)
+    monkeypatch.setattr(kernel_module, "_numpy", lambda: None)
     scalar_trace = ftbar_trace(problem, COMPILED)
     assert scalar_trace == vector_trace
     result = schedule_ftbar(problem, COMPILED)

@@ -330,16 +330,20 @@ def cap_spec(**overrides) -> CampaignSpec:
 
     The warning only exists on the legacy ``method="exact"`` path —
     the default adaptive ladder answers past the cap without one
-    (tests/test_sampled_certification.py).
+    (tests/test_sampled_certification.py) — and only when a level is
+    cut short: with 15 processors, crash level 6 has C(15, 6) = 5005
+    subsets, past ``MAX_SUBSETS_PER_LEVEL``.
     """
     values = dict(
         name="obs-cap",
         workloads=(WorkloadSpec(family="in_tree", size=2),),
         topologies=("single_bus",),
-        processors=(13,),  # > ENUMERATION_CAP
+        processors=(15,),  # > ENUMERATION_CAP
         seeds=(1,),
         measures=("ftbar", "reliability"),
-        reliability=ReliabilitySpec(probabilities=(0.01,), method="exact"),
+        reliability=ReliabilitySpec(
+            probabilities=(0.01,), method="exact", max_failures=6
+        ),
     )
     values.update(overrides)
     return tiny_spec(**values)
@@ -499,6 +503,37 @@ class TestCli:
         trace_path = tmp_path / "trace.jsonl"
         main(["schedule", str(problem_path), "--trace", str(trace_path)])
         assert main(["stats", str(trace_path)]) == 0
+        assert "ftbar.steps" in capsys.readouterr().out
+
+    def test_meta_line_records_startup_cost(self, tmp_path, capsys):
+        problem_path = tmp_path / "problem.json"
+        main(["generate", str(problem_path), "--operations", "12"])
+        trace_path = tmp_path / "trace.jsonl"
+        main(["schedule", str(problem_path), "--trace", str(trace_path)])
+        meta = obs.read_trace(trace_path)[0]
+        assert meta["startup_cpu_s"] > 0.0
+        assert meta["modules_loaded"] > 1
+        assert obs.validate_line(meta) == []
+        capsys.readouterr()
+        assert main(["trace", str(trace_path)]) == 0
+        assert "start-up before tracing" in capsys.readouterr().out
+
+    def test_traces_without_startup_fields_still_read(self, tmp_path, capsys):
+        """Traces written before the start-up fields keep validating and
+        rendering through ``repro trace`` and ``repro stats``."""
+        problem_path = tmp_path / "problem.json"
+        main(["generate", str(problem_path), "--operations", "12"])
+        trace_path = tmp_path / "trace.jsonl"
+        main(["schedule", str(problem_path), "--trace", str(trace_path)])
+        lines = obs.read_trace(trace_path)
+        del lines[0]["startup_cpu_s"], lines[0]["modules_loaded"]
+        old_path = tmp_path / "old.jsonl"
+        old_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["trace", str(old_path), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "trace OK" in out and "start-up before tracing" not in out
+        assert main(["stats", str(old_path)]) == 0
         assert "ftbar.steps" in capsys.readouterr().out
 
     def test_trace_command_rejects_garbage(self, tmp_path, capsys):
