@@ -1,15 +1,16 @@
 """Reliability-certification throughput: batched vs per-scenario engine.
 
 The section-5 guarantee is machine-checked by replaying every crash
-subset; the batched engine (compile-once arrays, dirty-cone
-re-decision, footprint-equivalence pruning) must give *bit-identical*
-verdicts to the per-scenario executor while replaying far fewer (and
-far cheaper) events.  This bench times ``fault_tolerance_certificate``
-at t = 0 with both engines over P ∈ {4, 6, 8} processors (Npf = 1,
-N = 20 operations, CCR = 1, seed 2003), records scenarios/sec and the
-event-decision counts of both engines in ``BENCH_runtime.json``
-(merging with the sweeps written by ``bench_runtime.py``), and asserts
-the verdicts agree.
+subset; the batched engine (compile-once arrays, crash lanes at
+instant 0, dirty-cone re-decision, footprint-equivalence pruning) must
+give *bit-identical* verdicts to the per-scenario executor while doing
+far less work.  This bench times ``fault_tolerance_certificate`` at
+t = 0 with both engines over P ∈ {4, 6, 8, 16, 32} processors (Npf = 1,
+N = 20 operations, CCR = 1, seed 2003), records scenarios/sec, the
+event-decision counts of both engines and the batched engine's crash
+lanes and lane passes in ``BENCH_runtime.json`` (merging with the
+sweeps written by ``bench_runtime.py``), and asserts the verdicts
+agree.
 
 Run it directly::
 
@@ -114,6 +115,8 @@ def bench_certificate(processors: int, repeats: int = 5) -> dict:
         "batched_scenarios": stats.scenarios,
         "batched_scenarios_per_s": stats.scenarios / batched_s,
         "batched_simulated": stats.simulated,
+        "batched_lanes": stats.lanes,
+        "batched_lane_passes": stats.lane_passes,
         "batched_pruned_nominal": stats.pruned_nominal,
         "batched_memo_hits": stats.memo_hits,
         "legacy_decisions": simulator.decisions,
@@ -162,6 +165,8 @@ def bench_combined_certificate(processors: int, repeats: int = 5) -> dict:
         "speedup": legacy_s / batched_s,
         "batched_scenarios": stats.scenarios,
         "batched_simulated": stats.simulated,
+        "batched_lanes": stats.lanes,
+        "batched_lane_passes": stats.lane_passes,
         "batched_decisions": stats.decisions,
         "certified": batched.certified,
     }
@@ -349,7 +354,7 @@ def run_sampled_sweep(
 
 
 def run_reliability_sweep(
-    processor_counts=(4, 6, 8), repeats: int = 5
+    processor_counts=(4, 6, 8, 16, 32), repeats: int = 5
 ) -> dict:
     """The recorded table: one certificate comparison per P."""
     sweep = {
@@ -412,7 +417,8 @@ def main(argv: list[str]) -> int:
             f"{point['legacy_scenarios_per_s']:.0f} -> "
             f"{point['batched_scenarios_per_s']:.0f} scenarios/s, "
             f"{point['legacy_decisions']} -> {point['batched_decisions']} "
-            f"event decisions)"
+            f"event decisions, {point['batched_lanes']} lanes in "
+            f"{point['batched_lane_passes']} passes)"
         )
     for key in sorted((k for k in combined if k.isdigit()), key=int):
         point = combined[key]

@@ -17,8 +17,8 @@ and records it in ``BENCH_runtime.json`` at the repository root:
   (:func:`~repro.core.ftbar.ftbar_reference`), with the kernel's work
   counters (candidates evaluated, cache hits, scratch-buffer reuses);
 * ``profile_top`` — the top cProfile hotspots of one compiled
-  scheduling run (``--profile``), so perf PRs can prove where the time
-  went before/after;
+  scheduling run (``--profile``; N=300 at full scale, N=60 otherwise),
+  so perf PRs can prove where the time went before/after;
 * ``campaign_jobs1_vs_cpu`` — campaign throughput at ``jobs=1`` versus
   one worker per CPU (``--force-workers N`` oversubscribes on 1-CPU
   hosts so the comparison always produces numbers);
@@ -289,10 +289,13 @@ def run_profile(operations: int = 300, top: int = 20) -> dict:
     stats.sort_stats("cumulative")
     hotspots = []
     total = 0.0
+    root = str(_RESULT_PATH.parent) + os.sep
     for function, (cc, ncalls, tottime, cumtime, _) in stats.stats.items():
         total = max(total, cumtime)
+        path, line, name = function
         hotspots.append({
-            "function": "{}:{}:{}".format(*function),
+            # Repository files by their path in the checkout.
+            "function": f"{path.removeprefix(root)}:{line}:{name}",
             "ncalls": ncalls,
             "tottime_s": round(tottime, 6),
             "cumtime_s": round(cumtime, 6),
@@ -582,6 +585,8 @@ def write_bench_json(
             full, force_workers, backend
         ),
     }
+    if profile:
+        scaled["profile_top"] = lambda: run_profile(300 if full else 60)
     scales = payload.setdefault("scale", {})
     for name, run in scaled.items():
         if not full and scales.get(name) == "full" and name in payload:
@@ -589,8 +594,6 @@ def write_bench_json(
         payload[name] = run()
         scales[name] = "full" if full else "smoke"
     payload["phase_breakdown"] = run_phase_breakdown()
-    if profile:
-        payload["profile_top"] = run_profile()
     _RESULT_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return payload
 

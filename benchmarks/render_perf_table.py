@@ -12,7 +12,8 @@ Covered sections, one table per engine-trajectory PR:
 
 * ``ftbar_kernel_vs_reference`` — the compiled kernel (PRs 5/6) vs the
   paper-literal reference engine, with and without symmetry pruning;
-* ``reliability_certificates`` — PR 3/4's batched scenario engine;
+* ``reliability_certificates`` — the batched scenario engine and its
+  crash lanes;
 * ``reliability_sampled_vs_exhaustive`` — PR 8's adaptive sampled
   certification (bounds + confidence intervals past the enumeration
   cap, pinned against exhaustive truth on the small corpus);
@@ -121,10 +122,11 @@ def render_compile_reuse(section: dict) -> list[str]:
 
 def render_reliability(label: str, section: dict) -> list[str]:
     lines = [
-        f"### PR 3/4 — batched scenario engine ({label})",
+        f"### Batched scenario engine and crash lanes ({label})",
         "",
-        "| P | per-scenario | batched | speedup |",
-        "|---:|---:|---:|---:|",
+        "| P | per-scenario | batched | speedup | verdicts | replays "
+        "| lanes (passes) |",
+        "|---:|---:|---:|---:|---:|---:|---:|",
     ]
     for processors, point in sorted(
         ((k, v) for k, v in section.items() if isinstance(v, dict)),
@@ -132,10 +134,17 @@ def render_reliability(label: str, section: dict) -> list[str]:
     ):
         if "batched_s" not in point:
             continue
+        lanes = (
+            f"{point['batched_lanes']} ({point['batched_lane_passes']})"
+            if "batched_lanes" in point
+            else "–"
+        )
         lines.append(
             f"| {processors} | {_fmt_ms(point['legacy_s'])} "
             f"| {_fmt_ms(point['batched_s'])} "
-            f"| {point['speedup']:.1f}x |"
+            f"| {point['speedup']:.1f}x "
+            f"| {point.get('batched_scenarios', '–')} "
+            f"| {point.get('batched_simulated', '–')} | {lanes} |"
         )
     return lines
 

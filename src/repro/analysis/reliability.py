@@ -38,7 +38,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro import obs
 from repro.analysis import sampling
@@ -46,7 +46,7 @@ from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import schedule_content_hash
-from repro.simulation.batch import BatchScenarioEngine
+from repro.simulation.batch import MAX_SUBSETS_PER_LEVEL, BatchScenarioEngine
 from repro.simulation.executor import DetectionPolicy, ScheduleSimulator
 from repro.simulation.failures import FailureScenario
 
@@ -60,8 +60,9 @@ from repro.simulation.failures import FailureScenario
 #: weakening of the verdict.
 ENUMERATION_CAP = 12
 
-#: Per-(crash size, link size) level ceiling once a cap is exceeded.
-MAX_SUBSETS_PER_LEVEL = 4096
+# ``MAX_SUBSETS_PER_LEVEL`` (imported above) is the per-(crash size,
+# link size) level ceiling once a cap is exceeded; it lives beside the
+# batch engine, whose crash-lane passes share that width.
 
 
 class CertificationCapWarning(UserWarning):
@@ -385,10 +386,10 @@ def _subset_verdicts(
     detection: DetectionPolicy,
     batched: bool,
     engine: BatchScenarioEngine | ScheduleSimulator | None,
-) -> Callable[[tuple[str, ...], tuple[float, ...]], bool]:
-    """The masking oracle both analyses enumerate with.
+) -> sampling.Oracle:
+    """The batched masking oracle both analyses enumerate with.
 
-    ``batched=True`` routes every verdict through one (possibly shared)
+    ``batched=True`` routes every request through one (possibly shared)
     :class:`BatchScenarioEngine`; ``batched=False`` is the legacy
     one-full-simulation-per-scenario path the batched verdicts are
     pinned against (``engine`` may then be a prebuilt
@@ -400,12 +401,13 @@ def _subset_verdicts(
             if isinstance(engine, ScheduleSimulator)
             else ScheduleSimulator(schedule, algorithm, detection)
         )
-        return lambda subset, times, links=(): _masked(
-            simulator, algorithm, subset, times, links
-        )
+        return lambda pairs, times: [
+            _masked(simulator, algorithm, subset, times, links)
+            for subset, links in pairs
+        ]
     return _resolve_engine(
         schedule, algorithm, detection, engine
-    ).crash_subset_masked
+    ).crash_subsets_masked
 
 
 def _resolve_engine(
@@ -527,7 +529,6 @@ def fault_tolerance_certificate(
     for size in range(bound + 1):
         for link_size in range(link_bound + 1):
             masked = 0
-            total = 0
             level_subsets = (
                 (subset, link_subset)
                 for subset in itertools.combinations(processors, size)
@@ -542,9 +543,12 @@ def fault_tolerance_certificate(
                 full_subsets += math.comb(
                     len(processors), size
                 ) * math.comb(len(links), link_size)
-            for subset, link_subset in level_subsets:
-                total += 1
-                if is_masked(subset, times, link_subset):
+            pairs = list(level_subsets)
+            total = len(pairs)
+            for (subset, link_subset), ok in zip(
+                pairs, is_masked(pairs, times)
+            ):
+                if ok:
                     masked += 1
                 elif size <= schedule.npf and link_size <= npl:
                     if link_size:
@@ -644,7 +648,7 @@ def _certificate_adaptive(
                 outcome = sampling.evaluate_level(
                     size=size,
                     link_size=link_size,
-                    oracle=engine.crash_subset_masked,
+                    oracle=engine.crash_subsets_masked,
                     times=times,
                     processors=processors,
                     links=links,
@@ -850,7 +854,7 @@ def schedule_reliability(
         with obs.span("certify.sample"):
             estimate = sampling.sampled_reliability(
                 schedule=schedule,
-                oracle=resolved.crash_subset_masked,
+                oracle=resolved.crash_subsets_masked,
                 baseline_delivered=resolved.baseline_delivered,
                 failure_probabilities=failure_probabilities,
                 times=tuple(crash_times),
@@ -891,14 +895,16 @@ def schedule_reliability(
     is_masked = _subset_verdicts(schedule, algorithm, detection, batched, engine)
     npl = getattr(schedule, "npl", 0)
     times = tuple(crash_times)
-    reliability = 0.0
-    masked_mass = 0.0
     guaranteed = 0.0
     evaluated = 0
     # With no link probabilities, ``links`` is empty and the inner loop
     # degenerates to a single ``link_subset = ()`` iteration whose mass,
     # enumeration order and masking keys are exactly the historical
-    # processor-only sum — bit-identical floats, one code path.
+    # processor-only sum — bit-identical floats, one code path.  The
+    # subsets to ask about are collected first and answered in one
+    # request; the sums then run in the same canonical order.
+    masses: list[tuple[float, bool]] = []
+    pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     for size in range(len(processors) + 1):
         for subset in itertools.combinations(processors, size):
             proc_mass = 1.0
@@ -922,12 +928,18 @@ def schedule_reliability(
                         continue
                     if size <= schedule.npf and link_size <= npl:
                         guaranteed += mass
-                    if (size == 0 and link_size == 0) or is_masked(
-                        subset, times, link_subset
-                    ):
-                        reliability += mass
-                        if size > 0 or link_size > 0:
-                            masked_mass += mass
+                    empty = size == 0 and link_size == 0
+                    masses.append((mass, empty))
+                    if not empty:
+                        pairs.append((subset, link_subset))
+    verdicts = iter(is_masked(pairs, times))
+    reliability = 0.0
+    masked_mass = 0.0
+    for mass, empty in masses:
+        if empty or next(verdicts):
+            reliability += mass
+            if not empty:
+                masked_mass += mass
     return ReliabilityReport(
         reliability=min(reliability, 1.0),
         masked_probability_mass=masked_mass,

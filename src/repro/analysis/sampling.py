@@ -52,7 +52,18 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
+
+#: A batched masking oracle: ``oracle(pairs, times)`` answers, for each
+#: ``(processors, links)`` pair in order, whether that crash subset is
+#: masked at every instant of ``times``
+#: (:meth:`~repro.simulation.batch.BatchScenarioEngine.crash_subsets_masked`).
+#: Callers collect the pairs a step needs and ask once, so the engine can
+#: answer them together.
+Oracle = Callable[
+    [Sequence[tuple[tuple[str, ...], tuple[str, ...]]], tuple[float, ...]],
+    list[bool],
+]
 
 # ----------------------------------------------------------------------
 # confidence intervals
@@ -400,7 +411,7 @@ def evaluate_level(
     *,
     size: int,
     link_size: int,
-    oracle: Callable[..., bool],
+    oracle: Oracle,
     times: tuple[float, ...],
     processors: Sequence[str],
     links: Sequence[str],
@@ -434,21 +445,24 @@ def evaluate_level(
     ip, il = len(involved_procs), len(involved_links)
     up, ul = len(uninvolved_procs), len(uninvolved_links)
 
-    def verdict(proc_core: Iterable[str], link_core: Iterable[str]) -> bool:
-        return oracle(tuple(proc_core), times, tuple(link_core))
+    def pad(proc_core, link_core) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        return (
+            _pad_witness(proc_core, size, uninvolved_procs),
+            _pad_witness(link_core, link_size, uninvolved_links),
+        )
 
     # --- exhaustive ----------------------------------------------------
     if population <= level_cap and not force_sampled:
-        masked = 0
-        breaking: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-        for subset in itertools.combinations(processors, size):
-            for link_subset in itertools.combinations(links, link_size):
-                if verdict(subset, link_subset):
-                    masked += 1
-                else:
-                    breaking.append((subset, link_subset))
+        pairs = [
+            (subset, link_subset)
+            for subset in itertools.combinations(processors, size)
+            for link_subset in itertools.combinations(links, link_size)
+        ]
+        verdicts = oracle(pairs, times)
+        breaking = [pair for pair, ok in zip(pairs, verdicts) if not ok]
         return LevelEstimate(
-            "exact", masked, population, population, breaking=breaking
+            "exact", population - len(breaking), population, population,
+            breaking=breaking,
         )
 
     # --- involved-set projection --------------------------------------
@@ -466,18 +480,20 @@ def evaluate_level(
     cells = [cell for cell in cells if cell.weight > 0 and cell.count > 0]
     reduced_total = sum(cell.count for cell in cells)
     if reduced_total <= level_cap and not force_sampled:
-        masked_total = 0
-        breaking = []
+        pairs = []
+        weights = []
         for cell in cells:
             for core in itertools.combinations(involved_procs, cell.k):
                 for link_core in itertools.combinations(involved_links, cell.j):
-                    if verdict(core, link_core):
-                        masked_total += cell.weight
-                    else:
-                        breaking.append((
-                            _pad_witness(core, size, uninvolved_procs),
-                            _pad_witness(link_core, link_size, uninvolved_links),
-                        ))
+                    pairs.append((core, link_core))
+                    weights.append(cell.weight)
+        masked_total = 0
+        breaking = []
+        for pair, weight, ok in zip(pairs, weights, oracle(pairs, times)):
+            if ok:
+                masked_total += weight
+            else:
+                breaking.append(pad(*pair))
         return LevelEstimate(
             "projected", masked_total, population, population,
             breaking=breaking,
@@ -509,43 +525,49 @@ def evaluate_level(
     breaking = []
     exact_share = 0.0       # mass share resolved exactly
     exact_masked_share = 0.0
+    exact_cells: list[_Cell] = []
     sampled_cells: list[_Cell] = []
+    pairs = []
     for cell in cells:
         if cell.count <= (0 if force_sampled else EXACT_CELL_CAP) or cell.count == 1:
-            masked = 0
-            for core in itertools.combinations(involved_procs, cell.k):
-                for link_core in itertools.combinations(involved_links, cell.j):
-                    if verdict(core, link_core):
-                        masked += 1
-                    elif len(breaking) < 8:
-                        breaking.append((
-                            _pad_witness(core, size, uninvolved_procs),
-                            _pad_witness(link_core, link_size, uninvolved_links),
-                        ))
-            exact_share += cell.share(population)
-            exact_masked_share += cell.share(population) * masked / cell.count
+            exact_cells.append(cell)
+            pairs.extend(
+                (core, link_core)
+                for core in itertools.combinations(involved_procs, cell.k)
+                for link_core in itertools.combinations(involved_links, cell.j)
+            )
         else:
             sampled_cells.append(cell)
+    verdicts = iter(zip(pairs, oracle(pairs, times)))
+    for cell in exact_cells:
+        masked = 0
+        for pair, ok in itertools.islice(verdicts, cell.count):
+            if ok:
+                masked += 1
+            elif len(breaking) < 8:
+                breaking.append(pad(*pair))
+        exact_share += cell.share(population)
+        exact_masked_share += cell.share(population) * masked / cell.count
 
     # Deterministic break hunt: combinations of the largest-cone
     # resources, the subsets most likely to break if any do.  Hunt
     # verdicts are *evidence only* (possibly biased toward breaks), so
     # they never enter the estimate.
-    hunted = 0
+    hunt = []
     for cell in sampled_cells:
-        if hunted >= HUNT_LIMIT:
+        if len(hunt) >= HUNT_LIMIT:
             break
         ranked = [p for p in proc_cone_rank if p in set(involved_procs)]
-        for core in itertools.islice(
-            itertools.combinations(ranked, cell.k), HUNT_LIMIT - hunted
-        ):
-            hunted += 1
-            link_core = tuple(involved_links[: cell.j])
-            if not verdict(core, link_core) and len(breaking) < 8:
-                breaking.append((
-                    _pad_witness(core, size, uninvolved_procs),
-                    _pad_witness(link_core, link_size, uninvolved_links),
-                ))
+        link_core = tuple(involved_links[: cell.j])
+        hunt.extend(
+            (core, link_core)
+            for core in itertools.islice(
+                itertools.combinations(ranked, cell.k), HUNT_LIMIT - len(hunt)
+            )
+        )
+    for pair, ok in zip(hunt, oracle(hunt, times)):
+        if not ok and len(breaking) < 8:
+            breaking.append(pad(*pair))
 
     drawn_total = 0
     cell_confidence = 1.0 - max(
@@ -555,22 +577,20 @@ def evaluate_level(
 
         def draw_batch(cell: _Cell, n: int) -> None:
             nonlocal drawn_total
-            for _ in range(n):
-                core = tuple(
-                    sorted(rng.sample(list(involved_procs), cell.k))
+            draws = [
+                (
+                    tuple(sorted(rng.sample(list(involved_procs), cell.k))),
+                    tuple(sorted(rng.sample(list(involved_links), cell.j))),
                 )
-                link_core = tuple(
-                    sorted(rng.sample(list(involved_links), cell.j))
-                )
-                cell.drawn += 1
-                drawn_total += 1
-                if verdict(core, link_core):
+                for _ in range(n)
+            ]
+            cell.drawn += n
+            drawn_total += n
+            for pair, ok in zip(draws, oracle(draws, times)):
+                if ok:
                     cell.masked += 1
                 elif len(breaking) < 8:
-                    breaking.append((
-                        _pad_witness(core, size, uninvolved_procs),
-                        _pad_witness(link_core, link_size, uninvolved_links),
-                    ))
+                    breaking.append(pad(*pair))
 
         def interval(cell: _Cell) -> tuple[float, float]:
             return wilson_interval(cell.masked, cell.drawn, cell_confidence)
@@ -663,7 +683,7 @@ def _partition(
 def sampled_reliability(
     *,
     schedule,
-    oracle: Callable[..., bool],
+    oracle: Oracle,
     baseline_delivered: bool,
     failure_probabilities: Mapping[str, float],
     times: tuple[float, ...],
@@ -788,12 +808,16 @@ def sampled_reliability(
     sampled_strata: list[_Stratum] = []
     samplers: dict[int, tuple] = {}
     samples_drawn = 0
+    # Exact slabs: full conditional enumeration, collected first and
+    # answered in one request; each slab's masses then sum in order.
+    slab_sizes: list[int] = []
+    slab_pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    slab_masses: list[float] = []
     for stratum in strata:
         kr = stratum.k - len(p_always)
         jr = stratum.j - len(l_always)
         if stratum.count <= max(1, exact_cap):
-            # Exact slab: full conditional enumeration.
-            masked_mass = 0.0
+            before = len(slab_pairs)
             for core in itertools.combinations(p_rand, kr):
                 proc_core = tuple(sorted(set(core) | set(p_always)))
                 pm = conditional_core_mass(proc_core, inv_procs,
@@ -809,10 +833,9 @@ def sampled_reliability(
                         if links
                         else 1.0
                     )
-                    evaluated += 1
-                    if oracle(proc_core, times, link_core):
-                        masked_mass += pm * lm
-            exact_contribution += masked_mass
+                    slab_pairs.append((proc_core, link_core))
+                    slab_masses.append(pm * lm)
+            slab_sizes.append(len(slab_pairs) - before)
             stratum.drawn = -1  # marker: resolved exactly
         else:
             tilt_p = [
@@ -870,6 +893,15 @@ def sampled_reliability(
             )
             sampled_strata.append(stratum)
 
+    evaluated += len(slab_pairs)
+    slab_verdicts = iter(zip(slab_masses, oracle(slab_pairs, times)))
+    for slab_size in slab_sizes:
+        masked_mass = 0.0
+        for mass, ok in itertools.islice(slab_verdicts, slab_size):
+            if ok:
+                masked_mass += mass
+        exact_contribution += masked_mass
+
     alpha_each = (
         max(1e-12, (1.0 - confidence) / len(sampled_strata))
         if sampled_strata
@@ -882,15 +914,15 @@ def sampled_reliability(
         (base_p, base_l, prop_p, prop_l, tilt_p, tilt_l, kr, jr, rng) = (
             samplers[id(stratum)]
         )
+        draws = []
+        weights = []
         for _ in range(n):
             idx_p = prop_p.draw(kr, rng) if kr else ()
             idx_l = prop_l.draw(jr, rng) if jr else ()
-            proc_core = tuple(
-                sorted({p_rand[i] for i in idx_p} | set(p_always))
-            )
-            link_core = tuple(
-                sorted({l_rand[i] for i in idx_l} | set(l_always))
-            )
+            draws.append((
+                tuple(sorted({p_rand[i] for i in idx_p} | set(p_always))),
+                tuple(sorted({l_rand[i] for i in idx_l} | set(l_always))),
+            ))
             weight = 1.0
             if stratum.tilted:
                 weight = 1.0
@@ -906,10 +938,12 @@ def sampled_reliability(
                     weight /= tilt_p[i]
                 for i in idx_l:
                     weight /= tilt_l[i]
-            stratum.drawn += 1
-            samples_drawn += 1
-            evaluated += 1
-            if oracle(proc_core, times, link_core):
+            weights.append(weight)
+        stratum.drawn += n
+        samples_drawn += n
+        evaluated += n
+        for weight, ok in zip(weights, oracle(draws, times)):
+            if ok:
                 stratum.weighted_masked += weight
                 stratum.masked_draws += 1
 

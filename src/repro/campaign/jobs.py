@@ -597,6 +597,7 @@ def _certify(spec: ReliabilitySpec, ftbar) -> dict:
         "sweep": sweep,
         "scenarios": engine.stats.scenarios,
         "simulated": engine.stats.simulated,
+        "lanes": engine.stats.lanes,
     }
     if certificate.npl:
         record["npl"] = certificate.npl

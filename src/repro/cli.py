@@ -893,7 +893,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             f"{stats.simulated} simulated ({stats.simulated_cone} dirty-cone, "
             f"{stats.simulated_full} full), {stats.pruned_nominal} pruned as "
             f"nominal-equivalent, {stats.memo_hits} memo hits, "
-            f"{stats.decisions} event decisions, {stats.copied} copied"
+            f"{stats.decisions} event decisions, {stats.copied} copied, "
+            f"{stats.lanes} lanes in {stats.lane_passes} passes"
         )
     if args.compare:
         other, other_reports, _ = certificate_and_reports(args.legacy)

@@ -27,10 +27,18 @@ actually requires:
   ``itertools.combinations``, so consecutive subsets reuse each other's
   partial unions.  Events outside the cone are copied from the baseline
   instead of re-decided;
-* **verdict memoization** — every simulated ``(subset, instant)``
-  verdict is cached under its canonical reduced form, so equivalent
-  scenarios across certificate levels, crash-instant sweeps and
-  reliability sums are simulated once per equivalence class.
+* **verdict memoization** — every ``(subset, instant)`` verdict is
+  cached under its canonical reduced form, so equivalent scenarios
+  across certificate levels, crash-instant sweeps and reliability sums
+  are decided once per equivalence class;
+* **crash lanes** — at crash instant 0 (the certificates' default) on a
+  clean ``NONE``-detection baseline with positive durations, a verdict
+  depends only on which events complete, so
+  :meth:`BatchScenarioEngine.crash_subsets_masked` answers a whole
+  request with one pass of
+  :meth:`~repro.simulation.compiled.CompiledSchedule.crash_lanes`, bit
+  ``i`` of every event value standing for the request's ``i``-th subset.
+  Every other instant, detection policy or baseline is replayed.
 
 All answers are bit-identical to replaying
 :class:`~repro.simulation.executor.ScheduleSimulator` per scenario —
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro import obs
 from repro.graphs.algorithm import AlgorithmGraph
@@ -57,6 +65,11 @@ from repro.simulation.compiled import (
 from repro.simulation.executor import DetectionPolicy
 from repro.simulation.failures import FailureScenario
 from repro.simulation.trace import ExecutionTrace
+
+#: Per-(crash size, link size) level ceiling of the certifier once a
+#: resource count passes its enumeration cap — and the widest crash-lane
+#: pass, so one pass answers a whole capped level.
+MAX_SUBSETS_PER_LEVEL = 4096
 
 
 @dataclass
@@ -79,6 +92,11 @@ class BatchStats:
     decisions: int = 0
     #: Event outcomes copied from the baseline instead of re-decided.
     copied: int = 0
+    #: Verdicts answered by a crash-lane pass instead of a replay.
+    lanes: int = 0
+    #: Crash-lane passes run (each answers up to
+    #: :data:`MAX_SUBSETS_PER_LEVEL` lanes).
+    lane_passes: int = 0
 
     @property
     def simulated(self) -> int:
@@ -113,7 +131,7 @@ class BatchScenarioEngine:
     Build once per ``(schedule, algorithm, detection)``; every query is
     side-effect free apart from cache growth.  :meth:`run` yields full
     executor-compatible traces for arbitrary scenarios;
-    :meth:`crash_subset_masked` is the hot verdict path used by the
+    :meth:`crash_subsets_masked` is the batched verdict path used by the
     reliability certificates.
     """
 
@@ -296,59 +314,160 @@ class BatchScenarioEngine:
         crash_times: Iterable[float],
         links: Iterable[str] = (),
     ) -> bool:
-        """True when the crash subset is masked at every instant.
+        """:meth:`crash_subsets_masked` for one ``(processors, links)`` pair."""
+        return self.crash_subsets_masked(
+            [(processors, links)], crash_times
+        )[0]
+
+    def crash_subsets_masked(
+        self,
+        pairs: Sequence[tuple[Iterable[str], Iterable[str]]],
+        crash_times: Iterable[float],
+    ) -> list[bool]:
+        """Whether each ``(processors, links)`` crash subset is masked.
 
         Mirrors the per-scenario rule: every operation must complete on
         at least one processor under simultaneous permanent crashes of
-        ``processors`` (and, for combined processor+link certification,
-        permanent failures of ``links``) at each instant of
-        ``crash_times`` (checked in order, stopping at the first break —
-        verdicts are memoized, so the short-circuit never loses
-        information).
+        the pair's processors (and, for combined processor+link
+        certification, permanent failures of its links) at each instant
+        of ``crash_times``.  Instants are checked in order and a pair
+        stops at its first break, so a later instant only asks about
+        the pairs still masked (verdicts are memoized, so the
+        short-circuit never loses information).  At instant 0 the
+        pending pairs are answered by crash lanes in as few passes as
+        possible (see :meth:`_verdicts_at`).
+        """
+        reduced = [self._reduce(procs, links) for procs, links in pairs]
+        verdicts = [True] * len(reduced)
+        pending = list(range(len(reduced)))
+        for at in crash_times:
+            if not pending:
+                break
+            answers = self._verdicts_at([reduced[i] for i in pending], at)
+            still = []
+            for index, masked in zip(pending, answers):
+                if masked:
+                    still.append(index)
+                else:
+                    verdicts[index] = False
+            pending = still
+        return verdicts
+
+    def _reduce(
+        self, processors: Iterable[str], links: Iterable[str]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A subset's involved processor and link ids, sorted.
+
+        Uninvolved resources never change a decision, so the verdict
+        depends only on this reduced form.
         """
         proc_ids = self._compiled.proc_ids
         involved = self._compiled.proc_involved
-        reduced = tuple(
-            sorted(
+        link_ids = self._compiled.link_ids
+        link_involved = self._link_involved
+        return (
+            tuple(sorted(
                 proc_ids[name]
                 for name in processors
                 if name in proc_ids and involved[proc_ids[name]]
-            )
-        )
-        link_ids = self._compiled.link_ids
-        link_involved = self._link_involved
-        reduced_links = tuple(
-            sorted(
+            )),
+            tuple(sorted(
                 link_ids[name]
                 for name in links
                 if name in link_ids and link_involved[link_ids[name]]
-            )
+            )),
         )
-        for at in crash_times:
-            if not self._crash_masked(reduced, at, reduced_links):
-                return False
-        return True
 
-    def _crash_masked(
+    def _verdicts_at(
+        self, subsets: list[tuple[tuple[int, ...], tuple[int, ...]]], at: float
+    ) -> list[bool]:
+        """Verdicts for reduced subsets at one crash instant.
+
+        Each subset is answered, in order, from the baseline (empty
+        subset), the nominal class, or the verdict memo.  The rest are
+        replayed one by one, except at instant 0 on a clean
+        ``NONE``-detection baseline with positive durations, where
+        :meth:`CompiledSchedule.crash_lanes` answers them all together
+        (a repeat within the request counts as a memo hit, as it would
+        one subset at a time).
+        """
+        stats = self.stats
+        verdicts: list[bool | None] = [None] * len(subsets)
+        lanes: dict[tuple, int] = {}  # memo key -> its first index
+        repeats: list[tuple[int, tuple]] = []
+        use_lanes = (
+            at == 0.0
+            and self._cone_ok
+            and self._compiled.lane_order() is not None
+        )
+        for index, (reduced, reduced_links) in enumerate(subsets):
+            stats.scenarios += 1
+            if not reduced and not reduced_links:
+                verdicts[index] = self._baseline_delivered
+                continue
+            if self._baseline_clean and self._is_nominal_equivalent(
+                reduced, at, reduced_links
+            ):
+                stats.pruned_nominal += 1
+                verdicts[index] = self._baseline_delivered
+                continue
+            key = (
+                (reduced, at)
+                if not reduced_links
+                else (reduced, at, reduced_links)
+            )
+            cached = self._verdict_memo.get(key)
+            if cached is not None:
+                stats.memo_hits += 1
+            elif use_lanes:
+                if key in lanes:
+                    stats.memo_hits += 1
+                    repeats.append((index, key))
+                else:
+                    lanes[key] = index
+                continue
+            else:
+                cached = self._replay_masked(reduced, at, reduced_links)
+                self._verdict_memo[key] = cached
+            verdicts[index] = cached
+        keys = list(lanes)
+        for first in range(0, len(keys), MAX_SUBSETS_PER_LEVEL):
+            chunk = keys[first:first + MAX_SUBSETS_PER_LEVEL]
+            masked = self._lane_pass([subsets[lanes[key]] for key in chunk])
+            for key, verdict in zip(chunk, masked):
+                self._verdict_memo[key] = verdict
+                verdicts[lanes[key]] = verdict
+        for index, key in repeats:
+            verdicts[index] = self._verdict_memo[key]
+        return verdicts
+
+    def _lane_pass(
+        self, subsets: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    ) -> list[bool]:
+        """One crash-lane pass at instant 0: lane ``i`` is ``subsets[i]``."""
+        compiled = self._compiled
+        proc_down = [0] * len(compiled.proc_names)
+        link_down = [0] * len(compiled.link_names)
+        bit = 1
+        for reduced, reduced_links in subsets:
+            for proc in reduced:
+                proc_down[proc] |= bit
+            for link in reduced_links:
+                link_down[link] |= bit
+            bit <<= 1
+        masked = compiled.crash_lanes(proc_down, link_down, len(subsets))
+        self.stats.lanes += len(subsets)
+        self.stats.lane_passes += 1
+        bits = format(masked, f"0{len(subsets)}b")
+        return [bit == "1" for bit in reversed(bits)]
+
+    def _replay_masked(
         self,
         reduced: tuple[int, ...],
         at: float,
-        reduced_links: tuple[int, ...] = (),
+        reduced_links: tuple[int, ...],
     ) -> bool:
-        """Verdict for one reduced subset at one crash instant."""
-        self.stats.scenarios += 1
-        if not reduced and not reduced_links:
-            return self._baseline_delivered
-        if self._baseline_clean and self._is_nominal_equivalent(
-            reduced, at, reduced_links
-        ):
-            self.stats.pruned_nominal += 1
-            return self._baseline_delivered
-        key = (reduced, at) if not reduced_links else (reduced, at, reduced_links)
-        cached = self._verdict_memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            return cached
+        """Replay verdict for one reduced subset at one crash instant."""
         queries = _CrashSetQueries(
             frozenset(reduced), at, frozenset(reduced_links)
         )
@@ -374,9 +493,7 @@ class BatchScenarioEngine:
             self.stats.simulated_full += 1
         self.stats.decisions += state.decisions
         self.stats.copied += state.copied
-        verdict = state.truncated or state.delivered(self._compiled)
-        self._verdict_memo[key] = verdict
-        return verdict
+        return state.truncated or state.delivered(self._compiled)
 
     def _is_nominal_equivalent(
         self,

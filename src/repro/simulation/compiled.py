@@ -24,6 +24,12 @@ progressively cheaper modes:
   has one completed replica (exact for masking checks, which only ask
   whether all operations were delivered).
 
+Beside the replay, :meth:`CompiledSchedule.crash_lanes` answers the
+masking verdicts of many crash subsets at instant 0 in one dataflow
+pass (one bit per subset); it is exact only where the batch engine
+gates it (no detection, clean baseline, positive durations), and the
+replay stays its oracle.
+
 The cone replay is only attempted without failure detection and with a
 clean baseline: the timeout-array knowledge table makes decisions
 order-dependent, and a baseline that needed the stalled-worklist
@@ -463,6 +469,7 @@ class CompiledSchedule:
         )
         self._proc_cones: list[int | None] = [None] * len(self.proc_names)
         self._link_cones: list[int | None] = [None] * len(self.link_names)
+        self._lane_order: list[int] | None | bool = False  # False: not built
 
     # ------------------------------------------------------------------
     # dirty cones
@@ -509,6 +516,137 @@ class CompiledSchedule:
             if link is not None:
                 cone |= self.link_cone(link)
         return cone
+
+    # ------------------------------------------------------------------
+    # crash lanes (instant-0 verdicts, one bit per crash subset)
+    # ------------------------------------------------------------------
+    def lane_order(self) -> list[int] | None:
+        """Events in a dependency order for :meth:`crash_lanes` (memoized).
+
+        Operation ``op`` appears as ``op`` and comm ``c`` as ``~c``.  An
+        operation follows its processor predecessor, its local feed and
+        its input comms; a comm follows its producer or previous hop.
+        ``None`` when some event lasts zero time (a zero-length window
+        still fits before a crash at instant 0, so completion is no
+        longer "resource up") or when the dependencies are cyclic.
+        """
+        if self._lane_order is not False:
+            return self._lane_order
+        order = None
+        if all(d > 0 for d in self.op_duration) and all(
+            d > 0 for d in self.comm_duration
+        ):
+            n_ops = self._n_ops
+            successors: list[list[int]] = [
+                [] for _ in range(n_ops + len(self.comm_events))
+            ]
+            for proc_order in self.proc_order:
+                for before, after in zip(proc_order, proc_order[1:]):
+                    successors[before].append(after)
+            for op, entries in enumerate(self.op_inputs):
+                for local_id, comms in entries:
+                    if local_id >= 0:
+                        successors[local_id].append(op)
+                    for comm in comms:
+                        successors[n_ops + comm].append(op)
+            for comm, producer in enumerate(self.comm_producer):
+                source = producer if producer >= 0 else (
+                    n_ops + self.comm_prev_hop[comm]
+                )
+                successors[source].append(n_ops + comm)
+            indegree = [0] * len(successors)
+            for targets in successors:
+                for node in targets:
+                    indegree[node] += 1
+            ready = [node for node, count in enumerate(indegree) if not count]
+            order = []
+            while ready:
+                node = ready.pop()
+                order.append(node if node < n_ops else ~(node - n_ops))
+                for after in successors[node]:
+                    indegree[after] -= 1
+                    if not indegree[after]:
+                        ready.append(after)
+            if len(order) < len(successors):
+                order = None
+        self._lane_order = order
+        return order
+
+    def crash_lanes(
+        self, proc_down: list[int], link_down: list[int], lanes: int
+    ) -> int:
+        """Masked lanes among ``lanes`` crash subsets, all at instant 0.
+
+        Bit ``i`` of ``proc_down[p]`` (``link_down[l]``) is set when lane
+        ``i`` crashes processor ``p`` (breaks link ``l``) at instant 0;
+        bit ``i`` of the result is set when that lane is masked.  With
+        :attr:`DetectionPolicy.NONE` and positive durations an outcome
+        there depends only on which events complete, never on when:
+
+        * a replica completes iff its processor is up, no earlier
+          replica in the processor's static order starved, and every
+          predecessor has a completed local replica or a delivered
+          incoming comm (a replica on a down processor is lost and
+          blocks nothing);
+        * a comm is delivered iff its producer completed (or its
+          previous hop was delivered) and its sender, link and
+          destination are up.
+
+        One pass over :meth:`lane_order` therefore answers every lane,
+        each event value an int bitset.  The caller must check
+        :meth:`lane_order` is not ``None`` and that the baseline replay
+        is clean (see :class:`~repro.simulation.batch.BatchScenarioEngine`).
+        """
+        full = (1 << lanes) - 1
+        up = [full ^ down for down in proc_down]
+        link_up = [full ^ down for down in link_down]
+        run = list(up)
+        done = [0] * self._n_ops
+        delivered = [0] * len(self.comm_events)
+        op_proc = self.op_proc
+        op_inputs = self.op_inputs
+        comm_producer = self.comm_producer
+        comm_prev_hop = self.comm_prev_hop
+        comm_link = self.comm_link
+        comm_dst = self.comm_dst_proc
+        for node in self.lane_order():
+            if node >= 0:
+                proc = op_proc[node]
+                live = run[proc]
+                if live:
+                    for local_id, comms in op_inputs[node]:
+                        arrived = done[local_id] if local_id >= 0 else 0
+                        for comm in comms:
+                            arrived |= delivered[comm]
+                        live &= arrived
+                        if not live:
+                            break
+                    run[proc] = live
+                    done[node] = live
+            else:
+                comm = ~node
+                producer = comm_producer[comm]
+                data = (
+                    done[producer]
+                    if producer >= 0
+                    else delivered[comm_prev_hop[comm]]
+                )
+                # ``data`` already implies the sender is up: hop 0 needs
+                # its producer to complete there, a later hop needs the
+                # previous hop delivered there.
+                if data:
+                    delivered[comm] = (
+                        data & link_up[comm_link[comm]] & up[comm_dst[comm]]
+                    )
+        masked = full
+        for group in self.operation_groups:
+            reached = 0
+            for op in group:
+                reached |= done[op]
+            masked &= reached
+            if not masked:
+                break
+        return masked
 
     # ------------------------------------------------------------------
     # replay

@@ -261,15 +261,17 @@ class TestMaskingVerdicts:
             pytest.skip("scheduler used every processor for this workload")
         assert engine.crash_subset_masked(tuple(idle), (0.0,))
         assert engine.stats.simulated == 0
+        assert engine.stats.lanes == 0
 
     def test_verdict_memo_across_repeats(self):
         schedule, algorithm = corpus_schedule(1, 1)
         engine = BatchScenarioEngine(schedule, algorithm)
         subset = schedule.processor_names()[:2]
         engine.crash_subset_masked(subset, (0.0,))
-        simulated = engine.stats.simulated
+        # At instant 0 the first ask is a crash lane, not a replay.
+        assert (engine.stats.simulated, engine.stats.lanes) == (0, 1)
         engine.crash_subset_masked(subset, (0.0,))
-        assert engine.stats.simulated == simulated
+        assert (engine.stats.simulated, engine.stats.lanes) == (0, 1)
         assert engine.stats.memo_hits >= 1
 
 
@@ -315,7 +317,7 @@ class TestBatchedReliability:
         schedule, algorithm = corpus_schedule(0, 1)
         engine = BatchScenarioEngine(schedule, algorithm)
         fault_tolerance_certificate(schedule, algorithm, engine=engine)
-        before = engine.stats.simulated
+        before = engine.stats.simulated + engine.stats.lanes
         report = schedule_reliability(
             schedule,
             algorithm,
@@ -332,7 +334,7 @@ class TestBatchedReliability:
             batched=False,
         )
         assert report.reliability == legacy.reliability
-        assert engine.stats.simulated >= before
+        assert engine.stats.simulated + engine.stats.lanes >= before
 
     def test_engine_detection_mismatch_rejected(self):
         schedule, algorithm = corpus_schedule(0, 1)

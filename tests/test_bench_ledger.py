@@ -76,3 +76,19 @@ def test_pytest_bench_does_not_write_the_ledger(ledger, monkeypatch):
     )
     assert not ledger.exists()
     assert "N=  40" in printed["runtime_kernel_vs_reference"]
+
+
+def test_profile_section_records_its_scale(ledger, monkeypatch):
+    monkeypatch.setattr(
+        bench_runtime, "run_profile",
+        lambda operations: {"operations": operations},
+    )
+    bench_runtime.write_bench_json(full=True, profile=True)
+    recorded = json.loads(ledger.read_text())
+    assert recorded["profile_top"] == {"operations": 300}
+    assert recorded["scale"]["profile_top"] == "full"
+
+    bench_runtime.write_bench_json(full=False, profile=True)
+    after = json.loads(ledger.read_text())
+    assert after["profile_top"] == {"operations": 300}
+    assert after["scale"]["profile_top"] == "full"

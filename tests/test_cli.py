@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -275,3 +276,24 @@ class TestBench:
         monkeypatch.setattr(cli_module, "_PERF_SMOKE_PINS", drifted)
         assert main(["bench", "--smoke"]) == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+
+class TestCertifyBatchLine:
+    def test_batch_line_reports_crash_lanes(self, capsys):
+        """At crash instant 0 every verdict is a lane, none a replay;
+        the counters end the line so existing parsers still match."""
+        assert main(["certify"]) == 0
+        line = next(
+            text for text in capsys.readouterr().out.splitlines()
+            if text.startswith("batch engine:")
+        )
+        match = re.search(
+            r"(\d+) scenario verdicts — (\d+) simulated .*"
+            r"(\d+) event decisions, (\d+) copied, "
+            r"(\d+) lanes in (\d+) passes$",
+            line,
+        )
+        assert match is not None, line
+        scenarios, simulated, _, _, lanes, passes = map(int, match.groups())
+        assert simulated == 0
+        assert 0 < lanes < scenarios and passes >= 1

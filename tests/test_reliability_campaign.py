@@ -98,7 +98,8 @@ class TestReliabilityJobs:
         # stored as None so the record stays strict JSON.
         assert first["reliability"]["sweep"][0]["reliability"] == 1.0
         assert first["reliability"]["sweep"][0]["mttf_iterations"] is None
-        assert block["scenarios"] >= block["simulated"]
+        assert block["scenarios"] >= block["simulated"] + block["lanes"]
+        assert block["lanes"] > 0
         json.dumps(first)  # strict-JSON serializable (no inf/nan)
 
     def test_boundary_crash_times_policy(self):
