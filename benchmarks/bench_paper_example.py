@@ -11,7 +11,7 @@ Regenerates every number the paper reports for the Figure 2 problem:
 The timed body is one full FTBAR run on the example.
 """
 
-from repro.analysis.experiments import run_paper_example
+from repro.analysis.paper_example import run_paper_example
 from repro.analysis.reporting import format_paper_example
 from repro.core.ftbar import schedule_ftbar
 from repro.workloads.paper_example import (

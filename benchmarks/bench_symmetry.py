@@ -9,13 +9,19 @@ homogeneous random graph per point (N = 40, Npf = 1, CCR = 1, seed
 2003, uniform link durations):
 
 * **cold** — a fresh problem object after ``reset_compile_cache()``:
-  compilation, symmetry verification and the run, one measurement;
-* **warm** — the same problem again with every memo warm, best of
-  ``repeats``.
+  compilation, symmetry verification and the run;
+* **warm** — the same problem again with every memo warm.
 
-Times are process CPU seconds of one ``schedule_ftbar`` call.  Each
-point also records the verified generator and orbit counts and
-``FTBARStats.symmetry_pruned``, and asserts the pruned and unpruned
+Each leg keeps its best of ``repeats`` runs, or of as many as it takes
+to accumulate ``_MIN_LEG_S`` of CPU on the small points; the legs
+alternate so host drift hits both.
+
+Times are process CPU seconds of one ``schedule_ftbar`` call.  One
+untimed point and numpy's import (the kernel's vector sweep loads it on
+first use) run before the grid, so no cold leg pays a process's
+one-time imports.  Each point also records the verified
+generator and orbit counts, the candidate verifications one build makes
+and ``FTBARStats.symmetry_pruned``, and asserts the pruned and unpruned
 schedules serialize to the same content hash before any time counts.
 
 Results go to the ``symmetry_grid`` section of ``BENCH_runtime.json``;
@@ -23,8 +29,8 @@ no other section is touched.  Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_symmetry.py [--smoke]
 
-``--smoke`` runs P ∈ {4, 8} with two warm repeats, checks pruned ==
-unpruned, and writes nothing, so it can never overwrite full-scale
+``--smoke`` runs P ∈ {4, 8} with a floor of two repeats, checks
+pruned == unpruned, and writes nothing, so it can never overwrite full-scale
 data.
 """
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,6 +46,7 @@ from pathlib import Path
 from repro.core.compile import CompiledProblem, reset_compile_cache
 from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
+from repro.core.symmetry import build_symmetry
 from repro.hardware.topologies import fully_connected, ring, single_bus, star
 from repro.problem import ProblemSpec
 from repro.schedule.serialization import (
@@ -59,6 +67,10 @@ _TOPOLOGIES = {
     "star": star,
     "ring": ring,
 }
+#: Minimum CPU seconds each leg of a point accumulates: a P=4 run takes
+#: under 10 ms, where the best of a handful of runs still swings ±10%
+#: with the host.
+_MIN_LEG_S = 0.25
 _LEGS = (("pruned", SchedulerOptions()),
          ("nosym", SchedulerOptions(symmetry=False)))
 
@@ -98,36 +110,52 @@ def _cpu(call):
 def measure_point(topology: str, processors: int, repeats: int) -> dict:
     """Cold and warm CPU seconds of both legs on one grid point."""
     document = grid_document(topology, processors)
-    point: dict = {}
+    point: dict = {f"cold_{name}_s": float("inf") for name, _ in _LEGS}
     problems = {}
     hashes = set()
-    for name, options in _LEGS:
-        problems[name] = problem = problem_from_dict(document)
-        reset_compile_cache()
-        cold_s, result = _cpu(lambda: schedule_ftbar(problem, options))
-        hashes.add(content_hash("schedule", schedule_to_dict(result.schedule)))
-        point[f"cold_{name}_s"] = cold_s
-        if name == "pruned":
-            point["symmetry_pruned"] = result.stats.symmetry_pruned
-            point["pressure_evaluations"] = result.stats.pressure_evaluations
-            point["makespan"] = result.makespan
+    # Cold: best of ``repeats`` fresh runs per leg, legs alternating —
+    # more on small points, until each leg has run ``_MIN_LEG_S``.
+    rounds = repeats
+    done = 0
+    while done < rounds:
+        done += 1
+        for name, options in _LEGS:
+            problems[name] = problem = problem_from_dict(document)
+            reset_compile_cache()
+            cold_s, result = _cpu(lambda: schedule_ftbar(problem, options))
+            hashes.add(
+                content_hash("schedule", schedule_to_dict(result.schedule))
+            )
+            point[f"cold_{name}_s"] = min(point[f"cold_{name}_s"], cold_s)
+            if name == "pruned":
+                point["symmetry_pruned"] = result.stats.symmetry_pruned
+                point["pressure_evaluations"] = (
+                    result.stats.pressure_evaluations
+                )
+                point["makespan"] = result.makespan
+        if done == 1:
+            rounds = max(
+                repeats, math.ceil(_MIN_LEG_S / point["cold_nosym_s"])
+            )
     assert len(hashes) == 1, f"{topology}{processors}: pruned != unpruned"
     # Warm: one untimed pass refills the memos the other leg's cold
     # reset dropped, then the legs alternate so host drift hits both.
     for name, options in _LEGS:
         schedule_ftbar(problems[name], options)
         point[f"warm_{name}_s"] = float("inf")
-    for _ in range(repeats):
+    for _ in range(rounds):
         for name, options in _LEGS:
             seconds, _ = _cpu(lambda: schedule_ftbar(problems[name], options))
             point[f"warm_{name}_s"] = min(point[f"warm_{name}_s"], seconds)
     problem = problems["pruned"]
-    group = CompiledProblem(
+    group = build_symmetry(CompiledProblem(
         problem.algorithm, problem.architecture, problem.exec_times,
         problem.comm_times, problem.npf, problem.npl,
-    ).symmetry_group()
-    point["generators"] = len(group.generators) if group else 0
-    point["orbits"] = group.orbit_count() if group else processors
+    ))
+    point["generators"] = len(group.generators)
+    point["orbits"] = group.orbit_count()
+    point["verifications"] = group.verifications
+    point["rounds"] = rounds
     for phase in ("cold", "warm"):
         point[f"{phase}_ratio"] = (
             point[f"{phase}_pruned_s"] / point[f"{phase}_nosym_s"]
@@ -135,7 +163,16 @@ def measure_point(topology: str, processors: int, repeats: int) -> dict:
     return point
 
 
-def run_grid(processors=(4, 8, 16, 32), repeats: int = 5) -> dict:
+def run_grid(processors=(4, 8, 16, 32), repeats: int = 9) -> dict:
+    # Pay the one-time costs of a process untimed, so no cold leg
+    # carries them: the kernel modules the first run imports, and numpy,
+    # which the kernel imports on the first run past its vector gate
+    # (fc P=32 is the first such grid point).
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        pass
+    measure_point(next(iter(_TOPOLOGIES)), min(processors), 1)
     return {
         f"{topology}-P{count}": measure_point(topology, count, repeats)
         for count in processors
@@ -152,7 +189,8 @@ def write_grid(grid: dict, repeats: int) -> None:
         "generated_by": "benchmarks/bench_symmetry.py",
         "config": {
             "operations": _OPERATIONS, "npf": 1, "ccr": 1.0, "seed": _SEED,
-            "repeats": repeats, "clock": "process_time",
+            "repeats": repeats, "min_leg_s": _MIN_LEG_S,
+            "clock": "process_time",
         },
         "points": grid,
     }
@@ -161,13 +199,14 @@ def write_grid(grid: dict, repeats: int) -> None:
 
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv
-    repeats = 2 if smoke else 5
+    repeats = 2 if smoke else 9
     grid = run_grid((4, 8) if smoke else (4, 8, 16, 32), repeats)
-    print(f"{'point':10s} {'gens':>5s} {'orbits':>6s} "
+    print(f"{'point':10s} {'gens':>5s} {'verif':>5s} {'orbits':>6s} "
           f"{'cold pruned/nosym':>22s} {'warm pruned/nosym':>22s}")
     for label, point in grid.items():
         print(
-            f"{label:10s} {point['generators']:5d} {point['orbits']:6d} "
+            f"{label:10s} {point['generators']:5d} "
+            f"{point['verifications']:5d} {point['orbits']:6d} "
             f"{point['cold_pruned_s']:9.4f}/{point['cold_nosym_s']:<8.4f}"
             f"({point['cold_ratio']:4.2f}x) "
             f"{point['warm_pruned_s']:9.4f}/{point['warm_nosym_s']:<8.4f}"

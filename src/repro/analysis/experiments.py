@@ -21,14 +21,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import degraded_lengths, overhead_percent
 from repro.baselines.hbp import schedule_hbp
-from repro.baselines.list_scheduler import (
-    schedule_basic,
-    schedule_non_fault_tolerant,
-)
+from repro.baselines.list_scheduler import schedule_non_fault_tolerant
 from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.problem import ProblemSpec
-from repro.workloads.paper_example import build_problem
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
 
@@ -234,43 +230,6 @@ def run_overhead_vs_ccr(
             )
         )
     return sweep
-
-
-# ----------------------------------------------------------------------
-# E1: the worked example
-# ----------------------------------------------------------------------
-
-@dataclass
-class PaperExampleResults:
-    """Every number section 4.3/4.4 reports for the worked example."""
-
-    ft_length: float
-    basic_length: float
-    non_ft_length: float
-    overhead: float
-    degraded: dict[str, float]
-    rtc_satisfied: bool
-    replicas: int
-    comms: int
-
-
-def run_paper_example() -> PaperExampleResults:
-    """Reproduce the worked example end to end (E1a–E1c)."""
-    problem = build_problem()
-    ftbar = schedule_ftbar(problem)
-    basic = schedule_basic(problem)
-    non_ft = schedule_non_fault_tolerant(problem)
-    degraded = degraded_lengths(ftbar.schedule, ftbar.expanded_algorithm)
-    return PaperExampleResults(
-        ft_length=ftbar.makespan,
-        basic_length=basic.makespan,
-        non_ft_length=non_ft.makespan,
-        overhead=ftbar.makespan - basic.makespan,
-        degraded=degraded,
-        rtc_satisfied=ftbar.rtc_satisfied,
-        replicas=ftbar.schedule.replica_count(),
-        comms=ftbar.schedule.comm_count(),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -7,17 +7,18 @@ a terminal.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.experiments import (
-    AblationPoint,
-    BusComparisonPoint,
-    NpfPoint,
-    OptimalityGapPoint,
-    OverheadSweep,
-    PaperExampleResults,
-    RuntimePoint,
-)
+if TYPE_CHECKING:  # annotations only: ``repro example`` stays light
+    from repro.analysis.experiments import (
+        AblationPoint,
+        BusComparisonPoint,
+        NpfPoint,
+        OptimalityGapPoint,
+        OverheadSweep,
+        RuntimePoint,
+    )
+    from repro.analysis.paper_example import PaperExampleResults
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -580,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_paper_example
+    from repro.analysis.paper_example import run_paper_example
     from repro.analysis.reporting import format_paper_example
     from repro.workloads.paper_example import (
         PAPER_BASIC_LENGTH,

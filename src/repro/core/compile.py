@@ -66,9 +66,9 @@ _INF = math.inf
 #: safe.
 _CORE_MEMO: "OrderedDict[str, CompiledCore]" = OrderedDict()
 _VARIANT_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
-#: Verified symmetry groups per (core, comm-hash, npl) — the group
-#: verification walks every candidate permutation against the tables,
-#: which is worth sharing across the runs of one benchmark/campaign.
+#: Verified symmetry groups per (core, comm-hash, npl) — verification
+#: checks candidate permutations against the tables and routes, which
+#: is worth sharing across the runs of one benchmark/campaign.
 _SYMMETRY_MEMO: "OrderedDict[tuple, object]" = OrderedDict()
 #: Content hashes of problems that already passed ``ProblemSpec.validate``
 #: (keyed per npf/npl, which the replica- and route-feasibility checks
@@ -448,7 +448,8 @@ class CompiledProblem:
     # topology symmetry
     # ------------------------------------------------------------------
     def symmetry_group(self):
-        """The verified automorphism generators of this problem.
+        """The verified automorphisms of this problem (a
+        :class:`~repro.core.symmetry.KernelSymmetry`).
 
         Computed lazily (``SchedulerOptions.symmetry=False`` runs never
         pay for it) by :mod:`repro.core.symmetry`: candidate processor

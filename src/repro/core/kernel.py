@@ -419,8 +419,9 @@ class SchedulingKernel:
             compiled.direct[a * P + b]
             for a in range(P) for b in range(P) if a != b
         )
-        # Symmetry pruning: the verified automorphism generators of the
-        # problem (None when there are none).  A generator stays usable
+        # Symmetry pruning: the verified automorphisms of the problem
+        # (None when there are none), as transposition classes plus the
+        # other generators.  A transposition or generator stays usable
         # while the partial schedule is invariant under it — checked per
         # sweep in :meth:`_orbit_reps` — and the drop is monotone.
         group = compiled.symmetry_group() if symmetry else None
@@ -429,7 +430,10 @@ class SchedulingKernel:
         #: the timing reads entirely.  The scheduler turns it on when
         #: tracing is active and emits the totals as aggregate spans.
         self.phase_times: dict[str, list] | None = None
-        self._sym_alive = list(group.generators) if group is not None else []
+        self._sym = group
+        self._sym_classes = list(group.classes) if group is not None else []
+        self._sym_others = list(group.others) if group is not None else []
+        self._sym_live = group is not None
         self._sym_mark = 0
         self._sym_reps: list[int] | None = None
         self.symmetry_pruned = 0
@@ -940,34 +944,70 @@ class SchedulingKernel:
     # selection sweep (macro-steps À and Á)
     # ------------------------------------------------------------------
     def _orbit_reps(self) -> list[int] | None:
-        """Orbit representatives under the still-usable generators.
+        """Orbit representatives under the still-usable automorphisms.
 
-        A generator is usable while the partial schedule is *invariant*
-        under it: processor and link availabilities map to themselves,
-        and every replica row does too — then ``σ(o, p)`` and
-        ``σ(o, g(p))`` are the same IEEE floats (the state the plan
-        reads is indistinguishable), so evaluating the orbit's smallest
-        id covers all of them.  Between two sweeps the net state change
-        is the surviving commit records (rollbacks restore exactly), so
-        the replica check only walks the delta rows.  Every check walks
-        only the generator's moved processors and links — a fixed point
-        compares a value with itself.  The drop is monotone: a
-        generator that dies is never re-admitted, which keeps the check
-        O(delta) instead of O(schedule).
+        A transposition or generator is usable while the partial
+        schedule is *invariant* under it: processor and link
+        availabilities map to themselves, and every replica row does
+        too — then ``σ(o, p)`` and ``σ(o, g(p))`` are the same IEEE
+        floats (the state the plan reads is indistinguishable), so
+        evaluating the orbit's smallest id covers all of them.  Between
+        two sweeps the net state change is the surviving commit records
+        (rollbacks restore exactly), so the replica check only walks the
+        delta rows.  Every check walks only the moved processors and
+        links — a fixed point compares a value with itself.  The drop is
+        monotone: a transposition or generator that dies is never
+        re-admitted, which keeps the check O(delta) instead of
+        O(schedule).
+
+        The usable transpositions stay an equivalence relation (the
+        verified ones intersected with the state's stabilizer), so a
+        sweep splits each class by checking every member against the
+        sub-class representatives only: O(P · links) per class instead
+        of a check per pair.  Other generators are checked one by one.
         """
-        alive = self._sym_alive
         ops = self._op_buffer
         mark = self._sym_mark
-        delta = (
-            {record[6] for record in ops[mark:]} if len(ops) > mark else ()
+        bases = (
+            [o * self._P for o in {record[6] for record in ops[mark:]}]
+            if len(ops) > mark else ()
         )
         self._sym_mark = len(ops)
         proc_avail = self._proc_avail
         link_avail = self._link_avail
         rep_end = self._rep_end
-        n_procs = self._P
+        swap_links = self._sym.swap_links
+
+        def same(r: int, m: int) -> bool:
+            if proc_avail[r] != proc_avail[m]:
+                return False
+            for base in bases:
+                if rep_end[base + r] != rep_end[base + m]:
+                    return False
+            for l, image in zip(*swap_links(r, m)):
+                if link_avail[l] != link_avail[image]:
+                    return False
+            return True
+
+        changed = False
+        classes = []
+        for members in self._sym_classes:
+            subclasses: list[list[int]] = []
+            for m in members:
+                for sub in subclasses:
+                    if same(sub[0], m):
+                        sub.append(m)
+                        break
+                else:
+                    subclasses.append([m])
+            if len(subclasses) > 1:
+                changed = True
+                classes.extend(sub for sub in subclasses if len(sub) > 1)
+            else:
+                classes.append(members)
+        others = self._sym_others
         survivors = []
-        for gen in alive:
+        for gen in others:
             gp = gen.proc
             moved = gen.moved_procs
             ok = True
@@ -981,23 +1021,26 @@ class SchedulingKernel:
                         ok = False
                         break
             if ok:
-                for o in delta:
-                    o_base = o * n_procs
+                for base in bases:
                     if any(
-                        rep_end[o_base + p] != rep_end[o_base + gp[p]]
+                        rep_end[base + p] != rep_end[base + gp[p]]
                         for p in moved
                     ):
                         ok = False
                         break
             if ok:
                 survivors.append(gen)
-        if len(survivors) != len(alive):
-            self._sym_alive = survivors
+        if changed or len(survivors) != len(others):
+            self._sym_classes = classes
+            self._sym_others = survivors
             self._sym_reps = None
-            if not survivors:
+            if not classes and not survivors:
+                self._sym_live = False
                 return None
         if self._sym_reps is None:
-            self._sym_reps = orbit_representatives(survivors, n_procs)
+            self._sym_reps = orbit_representatives(
+                self._P, classes, survivors
+            )
         return self._sym_reps
 
     def select_ids(
@@ -1034,7 +1077,7 @@ class SchedulingKernel:
         best_op = -1
         best_p0 = best_p1 = -1
         best_kept: list[tuple[float, int]] | None = None
-        reps = self._orbit_reps() if self._sym_alive else None
+        reps = self._orbit_reps() if self._sym_live else None
         row: list[float] | None = [0.0] * n_procs if reps is not None else None
         if suspects:
             # Per-sweep suspect pass — the scalar mirror of the vector
@@ -1516,7 +1559,7 @@ class SchedulingKernel:
         cache = self._cache
         entries = cache.entries
         self._pool_pass()
-        reps = self._orbit_reps() if self._sym_alive else None
+        reps = self._orbit_reps() if self._sym_live else None
         ids = np.fromiter(
             candidates, dtype=np.int64, count=len(candidates)
         )

@@ -27,6 +27,8 @@ import json
 import threading
 from pathlib import Path
 
+from repro.exceptions import SerializationError
+
 
 class ListExporter:
     """Collect telemetry lines in memory (workers, tests, benches)."""
@@ -77,22 +79,59 @@ def _jsonable(value):
     return repr(value)
 
 
+#: JSON types of the trace fields the renderers read (bool is not a
+#: number here, though Python's ``isinstance`` would say so).
+_FIELD_TYPES = {
+    "type": (str,), "name": (str,), "id": (int,), "parent": (int,),
+    "t0": (int, float), "t1": (int, float), "t": (int, float),
+    "dur": (int, float), "started": (int, float),
+    "startup_cpu_s": (int, float), "modules_loaded": (int,),
+    "attrs": (dict,), "agg": (dict,), "snapshot": (dict,),
+}
+
+
+def _check_line(line, where: str) -> None:
+    """Reject a line the renderers would crash on, as one error line."""
+    if not isinstance(line, dict):
+        raise SerializationError(f"invalid trace {where}: not a JSON object")
+    for key, types in _FIELD_TYPES.items():
+        value = line.get(key)
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, types)
+        ):
+            raise SerializationError(
+                f"invalid trace {where}: field {key!r} has the wrong type"
+            )
+    agg = line.get("agg")
+    if agg is not None and not isinstance(agg.get("count"), int):
+        raise SerializationError(
+            f"invalid trace {where}: field 'agg' has no integer count"
+        )
+
+
 def read_trace(path: str | Path) -> list[dict]:
     """Load a trace JSONL file, skipping a torn final line.
 
     Mirrors the campaign store's tolerance: a process killed mid-write
     leaves at most one half line at the tail, which carries nothing
-    recoverable.
+    recoverable.  Any other undecodable line, a line that is not a JSON
+    object, or a field of the wrong type raises a one-line
+    :class:`~repro.exceptions.SerializationError`.
     """
     raw = Path(path).read_text(encoding="utf-8").splitlines()
     lines: list[dict] = []
     for number, text in enumerate(raw):
         if not text.strip():
             continue
+        where = f"{path} line {number + 1}"
         try:
-            lines.append(json.loads(text))
-        except json.JSONDecodeError:
+            line = json.loads(text)
+        except json.JSONDecodeError as error:
             if number == len(raw) - 1:
                 break  # torn tail of a killed run
-            raise
+            raise SerializationError(
+                f"invalid JSON in {where}: {error}"
+            ) from error
+        _check_line(line, where)
+        lines.append(line)
     return lines

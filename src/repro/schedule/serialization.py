@@ -39,6 +39,21 @@ def _decode_time(value: Any) -> float:
     raise SerializationError(f"invalid time value {value!r}")
 
 
+_JSON_TYPES = {
+    list: "an array", str: "a string", bool: "a boolean", int: "a number",
+    float: "a number", type(None): "null",
+}
+
+
+def _require_object(document: Any, kind: str) -> None:
+    """Reject a document (or section) that is not a JSON object."""
+    if not isinstance(document, Mapping):
+        found = _JSON_TYPES.get(type(document), type(document).__name__)
+        raise SerializationError(
+            f"invalid {kind} document: expected an object, got {found}"
+        )
+
+
 # ----------------------------------------------------------------------
 # algorithm
 # ----------------------------------------------------------------------
@@ -64,6 +79,7 @@ def algorithm_to_dict(algorithm: AlgorithmGraph) -> dict:
 
 def algorithm_from_dict(document: Mapping) -> AlgorithmGraph:
     """Rebuild an algorithm graph from its document form."""
+    _require_object(document, "algorithm")
     try:
         graph = AlgorithmGraph(document.get("name", "algorithm"))
         for entry in document["operations"]:
@@ -99,6 +115,7 @@ def architecture_to_dict(architecture: Architecture) -> dict:
 
 def architecture_from_dict(document: Mapping) -> Architecture:
     """Rebuild an architecture from its document form."""
+    _require_object(document, "architecture")
     try:
         architecture = Architecture(document.get("name", "architecture"))
         for processor in document["processors"]:
@@ -132,6 +149,7 @@ def exec_times_to_dict(table: ExecutionTimes) -> dict:
 
 def exec_times_from_dict(document: Mapping) -> ExecutionTimes:
     """Rebuild an execution-time table from its document form."""
+    _require_object(document, "exec-times")
     try:
         table = ExecutionTimes()
         for entry in document["entries"]:
@@ -160,6 +178,7 @@ def comm_times_to_dict(table: CommunicationTimes) -> dict:
 
 def comm_times_from_dict(document: Mapping) -> CommunicationTimes:
     """Rebuild a communication-time table from its document form."""
+    _require_object(document, "comm-times")
     try:
         table = CommunicationTimes()
         for entry in document["entries"]:
@@ -183,6 +202,7 @@ def rtc_to_dict(rtc: RealTimeConstraints) -> dict:
 
 def rtc_from_dict(document: Mapping) -> RealTimeConstraints:
     """Rebuild real-time constraints from their document form."""
+    _require_object(document, "rtc")
     try:
         return RealTimeConstraints(
             global_deadline=document.get("global_deadline"),
@@ -236,6 +256,7 @@ def _hypothesis(document: Mapping, key: str) -> int:
 
 def problem_from_dict(document: Mapping) -> ProblemSpec:
     """Rebuild a full scheduling problem from its document form."""
+    _require_object(document, "problem")
     try:
         return ProblemSpec(
             name=document.get("name", "problem"),
@@ -309,6 +330,7 @@ def schedule_from_dict(document: Mapping) -> Schedule:
     must list operations sorted by start date (which
     :func:`schedule_to_dict` guarantees).
     """
+    _require_object(document, "schedule")
     try:
         schedule = Schedule(
             processors=document["processors"],

@@ -245,6 +245,68 @@ class TestMissingInput:
         assert "Traceback" not in captured.out
 
 
+#: Every subcommand that reads a problem or trace file from a path.
+_FILE_COMMANDS = (
+    "schedule", "simulate", "report", "iterate", "validate",
+    "reliability", "certify", "trace", "stats",
+)
+
+#: A problem document whose ``architecture`` section is not an object.
+_BAD_PROBLEM_SECTION = {
+    "npf": 0,
+    "algorithm": {"operations": [{"name": "A"}]},
+    "architecture": 5,
+    "exec_times": {"entries": []},
+    "comm_times": {"entries": []},
+}
+
+#: A trace whose span line carries a non-object ``attrs`` section.
+_BAD_TRACE_SECTION = (
+    '{"type": "meta", "v": 1, "schema": "repro-trace", "pid": 1, '
+    '"started_wall": 0.0}\n'
+    '{"type": "span", "v": 1, "name": "x", "id": 1, "dur": 0.1, '
+    '"attrs": 5}\n'
+)
+
+
+def _bad_input(tmp_path, case: str, command: str):
+    """The path of one malformed input of kind ``case``."""
+    path = tmp_path / "input.json"
+    if case == "missing":
+        return tmp_path / "missing.json"
+    if case == "directory":
+        return tmp_path
+    if case == "empty":
+        path.write_text("")
+    elif case == "bad-json":
+        path.write_text('{"npf": 0}\n{not json\n{"npf": 1}\n')
+    elif case == "top-level-list":
+        path.write_text("[]\n")
+    elif command in ("trace", "stats"):
+        path.write_text(_BAD_TRACE_SECTION)
+    else:
+        path.write_text(json.dumps(_BAD_PROBLEM_SECTION))
+    return path
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", _FILE_COMMANDS)
+    @pytest.mark.parametrize(
+        "case",
+        ("missing", "directory", "empty", "bad-json", "top-level-list",
+         "wrong-section-type"),
+    )
+    def test_one_error_line_no_traceback(
+        self, tmp_path, capsys, command, case
+    ):
+        path = _bad_input(tmp_path, case, command)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestBench:
     def test_bench_npf_small(self, capsys):
         assert main(["bench", "npf", "--graphs", "1"]) == 0

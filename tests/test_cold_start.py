@@ -95,6 +95,20 @@ def test_cold_command_loads_only_what_it_runs(argv):
         assert heavy not in modules, f"{argv[0]} imported {heavy}"
 
 
+def test_example_loads_no_experiment_sweep():
+    modules = loaded_modules(run_cli("example"))
+    assert "repro.analysis.paper_example" in modules  # the command ran
+    for heavy in (
+        "networkx",
+        "numpy",
+        "repro.analysis.experiments",
+        "repro.baselines.hbp",
+        "repro.workloads.random_dag",
+        "repro.campaign",
+    ):
+        assert heavy not in modules, f"example imported {heavy}"
+
+
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
 def test_every_public_name_resolves(package):
     module = importlib.import_module(package)

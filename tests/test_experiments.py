@@ -7,9 +7,9 @@ from repro.analysis.experiments import (
     run_npf_sweep,
     run_overhead_vs_ccr,
     run_overhead_vs_operations,
-    run_paper_example,
     run_runtime_comparison,
 )
+from repro.analysis.paper_example import run_paper_example
 
 
 class TestPaperExampleExperiment:

@@ -5,9 +5,9 @@ from repro.analysis.experiments import (
     NpfPoint,
     OverheadPoint,
     OverheadSweep,
-    PaperExampleResults,
     RuntimePoint,
 )
+from repro.analysis.paper_example import PaperExampleResults
 from repro.analysis.reporting import (
     ascii_plot,
     format_ablation,

@@ -26,7 +26,7 @@ from repro.core.compile import CompiledProblem
 from repro.core.ftbar import ftbar_reference, schedule_ftbar
 from repro.core.kernel import SchedulingKernel
 from repro.core.options import SchedulerOptions
-from repro.core.symmetry import build_symmetry
+from repro.core.symmetry import build_symmetry, orbit_representatives
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.hardware.architecture import Architecture
 from repro.hardware.link import Link
@@ -226,10 +226,18 @@ def test_liveness_drops_exactly_the_generators_moving_a_changed_link():
     link = next(g for g in generators if g.moved_links).moved_links[0]
     kernel._link_avail[link] = 1.0
     kernel._orbit_reps()
-    assert kernel._sym_alive == [
-        g for g in generators if link not in g.moved_links
-    ]
-    assert 0 < len(kernel._sym_alive) < len(generators)
+    # The live transpositions are every pair inside a live class.
+    group = compiled.symmetry_group()
+    alive = [
+        group.transposition(a, b)
+        for a in range(compiled.n_procs)
+        for members in kernel._sym_classes
+        if a in members
+        for b in members
+        if b > a
+    ] + kernel._sym_others
+    assert alive == [g for g in generators if link not in g.moved_links]
+    assert 0 < len(alive) < len(generators)
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +403,26 @@ def twin_bus(count: int) -> Architecture:
     return arc
 
 
+def bus_with_shortcuts(count: int) -> Architecture:
+    """A bus over every processor plus point-to-point links P1–P2 ("A")
+    and P1–P3 ("Z").
+
+    P1–P2 and P1–P3 are each joined by two direct links (distinct
+    endpoint sets, so not parallel links).  Swapping P2 and P3 maps the
+    link sets onto each other, but the planner routes P1 → P2 over "A"
+    and P1 → P3 over the bus (name order), so only a route check on a
+    pair with more than one direct link can reject that swap.
+    """
+    arc = Architecture("bus-with-shortcuts")
+    names = [f"P{i + 1}" for i in range(count)]
+    for name in names:
+        arc.add_processor(name)
+    arc.add_link(Link.bus("M", names))
+    arc.add_link(Link.between("A", names[0], names[1]))
+    arc.add_link(Link.between("Z", names[0], names[2]))
+    return arc
+
+
 ORACLE_TOPOLOGIES = {
     "fc": fully_connected,
     "bus": single_bus,
@@ -469,6 +497,10 @@ def _assert_matches_oracle(compiled, label):
         (generator.proc, full_link_perm(generator, n_links))
         for generator in group.generators
     ] == reference_generators(compiled), label
+    assert len(group.generators) == len(list(group.generators)), label
+    assert group.orbit_count() == len(set(orbit_representatives(
+        compiled.n_procs, (), group.generators
+    ))), label
     for generator in group.generators:
         assert generator.moved_procs == tuple(
             p for p, q in enumerate(generator.proc) if p != q
@@ -502,6 +534,91 @@ def test_moved_bus_rejected_through_route_index(count):
     swap = list(range(count))
     swap[-2], swap[-1] = count - 1, count - 2
     assert tuple(swap) not in {g.proc for g in group.generators}
+
+
+@pytest.mark.parametrize("tables", ("hom", "het", "dis"))
+@pytest.mark.parametrize("count", (5, 6))
+def test_route_checks_run_on_pairs_with_two_direct_links(count, tables):
+    """A pair joined by a p2p link and a bus still has its route checked."""
+    compiled = oracle_compiled(bus_with_shortcuts(count), tables)
+    group = _assert_matches_oracle(
+        compiled, f"bus-with-shortcuts{count}-{tables}"
+    )
+    procs = {g.proc for g in group.generators}
+    assert _swap(count, 1, 2) not in procs
+    if tables == "hom":
+        assert _swap(count, count - 2, count - 1) in procs
+
+
+def _swap(count, a, b):
+    perm = list(range(count))
+    perm[a], perm[b] = b, a
+    return tuple(perm)
+
+
+@pytest.mark.parametrize(
+    "topology,verifications",
+    (("fc", 33), ("bus", 33), ("star", 63), ("ring", 32 * 31 // 2 + 2)),
+)
+def test_verifications_per_build_at_p32(topology, verifications):
+    """One transposition per processor on homogeneous fc and bus (498
+    when every pair was a candidate); rings, where no transposition
+    passes, still check every pair."""
+    compiled = oracle_compiled(ORACLE_TOPOLOGIES[topology](32), "hom")
+    assert build_symmetry(compiled).verifications == verifications
+
+
+def _reference_reps(kernel):
+    """The per-generator liveness check the class split replaced."""
+    alive = getattr(kernel, "_reference_alive", None)
+    if alive is None:
+        alive = list(kernel._sym.generators)
+    ops = kernel._op_buffer
+    delta = {record[6] for record in ops[getattr(kernel, "_reference_mark", 0):]}
+    kernel._reference_mark = len(ops)
+    n_procs = kernel._P
+    proc_avail, link_avail = kernel._proc_avail, kernel._link_avail
+    rep_end = kernel._rep_end
+    alive = kernel._reference_alive = [
+        g for g in alive
+        if all(proc_avail[p] == proc_avail[g.proc[p]] for p in g.moved_procs)
+        and all(
+            link_avail[l] == link_avail[m]
+            for l, m in zip(g.moved_links, g.link_images)
+        )
+        and all(
+            rep_end[o * n_procs + p] == rep_end[o * n_procs + g.proc[p]]
+            for o in delta for p in g.moved_procs
+        )
+    ]
+    return orbit_representatives(n_procs, (), alive) if alive else None
+
+
+@pytest.mark.parametrize("topology", ("fc", "bus", "star"))
+@pytest.mark.parametrize("npf", (0, 1, 2))
+def test_class_liveness_matches_per_generator_liveness(
+    monkeypatch, topology, npf
+):
+    """At every sweep, per-class liveness yields the orbit
+    representatives of the per-generator check it replaced."""
+    production = SchedulingKernel._orbit_reps
+    sweeps = []
+
+    def checked(kernel):
+        expected = _reference_reps(kernel)
+        reps = production(kernel)
+        assert reps == expected
+        sweeps.append(reps is not None and len(set(reps)) < kernel._P)
+        return reps
+
+    monkeypatch.setattr(SchedulingKernel, "_orbit_reps", checked)
+    base = generate_problem(RandomWorkloadConfig(
+        operations=24, ccr=1.0, processors=8, npf=npf, seed=11 + npf,
+    ))
+    architecture = ORACLE_TOPOLOGIES[topology](8)
+    problem = _on_topology(base, architecture, topology)
+    schedule_ftbar(problem, COMPILED)
+    assert any(sweeps)
 
 
 def test_oracle_corpus_is_not_vacuous():
