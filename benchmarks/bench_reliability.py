@@ -1,11 +1,12 @@
-"""Reliability-certification throughput: batched vs per-scenario engine.
+"""Reliability-certification throughput: batch engine vs per-scenario oracle.
 
 The section-5 guarantee is machine-checked by replaying every crash
-subset; the batched engine (compile-once arrays, crash lanes at
+subset; the batch engine (compile-once arrays, crash lanes at
 instant 0, dirty-cone re-decision, footprint-equivalence pruning) must
-give *bit-identical* verdicts to the per-scenario executor while doing
-far less work.  This bench times ``fault_tolerance_certificate`` at
-t = 0 with both engines over P ∈ {4, 6, 8, 16, 32} processors (Npf = 1,
+give *bit-identical* verdicts to the per-scenario oracle
+(``tests/certify_oracle.py``, one executor replay per scenario) while
+doing far less work.  This bench times ``fault_tolerance_certificate``
+at t = 0 against the oracle over P ∈ {4, 6, 8, 16, 32} processors (Npf = 1,
 N = 20 operations, CCR = 1, seed 2003), records scenarios/sec, the
 event-decision counts of both engines and the batched engine's crash
 lanes and lane passes in ``BENCH_runtime.json`` (merging with the
@@ -17,7 +18,7 @@ Run it directly::
     PYTHONPATH=src python benchmarks/bench_reliability.py [--smoke]
 
 ``--smoke`` runs a reduced configuration (P = 4 only), checks the
-engines agree, and does not touch ``BENCH_runtime.json`` — the CI
+engine agrees with the oracle, and does not touch ``BENCH_runtime.json`` — the CI
 guard that keeps the batch path exercised.
 """
 
@@ -40,6 +41,7 @@ from repro.core.ftbar import schedule_ftbar
 from repro.simulation.batch import BatchScenarioEngine
 from repro.simulation.executor import ScheduleSimulator
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests import certify_oracle
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 _OPERATIONS = 20
@@ -72,12 +74,12 @@ def _levels(certificate) -> list[tuple[int, int, int, int]]:
 
 
 def bench_certificate(processors: int, repeats: int = 5) -> dict:
-    """Time both engines on one schedule; verify identical verdicts.
+    """Time the batch engine and the oracle; verify identical verdicts.
 
     Each repeat rebuilds its engine, so the batched time honestly
     includes the compile-once cost the engine amortizes per schedule.
     The work counters (scenarios replayed, event decisions) come from
-    one dedicated fresh run per engine.
+    one dedicated fresh run of each.
     """
     schedule, algorithm = _certificate_problem(processors)
 
@@ -85,12 +87,10 @@ def bench_certificate(processors: int, repeats: int = 5) -> dict:
     for _ in range(repeats):
         gc.collect()
         started = time.perf_counter()
-        legacy = fault_tolerance_certificate(schedule, algorithm, batched=False)
+        legacy = certify_oracle.certificate(schedule, algorithm)
         legacy_s = min(legacy_s, time.perf_counter() - started)
     simulator = ScheduleSimulator(schedule, algorithm)
-    fault_tolerance_certificate(
-        schedule, algorithm, batched=False, engine=simulator
-    )
+    certify_oracle.certificate(schedule, algorithm, simulator=simulator)
 
     batched_s = float("inf")
     for _ in range(repeats):
@@ -141,7 +141,7 @@ def bench_combined_certificate(processors: int, repeats: int = 5) -> dict:
     for _ in range(repeats):
         gc.collect()
         started = time.perf_counter()
-        legacy = fault_tolerance_certificate(schedule, algorithm, batched=False)
+        legacy = certify_oracle.certificate(schedule, algorithm)
         legacy_s = min(legacy_s, time.perf_counter() - started)
 
     batched_s = float("inf")
@@ -272,7 +272,8 @@ def bench_agreement(processors: int, seed: int) -> dict:
 
     The sampled machinery must land on the exhaustive truth: same
     refuted-or-not verdict, and the exhaustive reliability inside the
-    sampled confidence interval.
+    sampled confidence interval.  ``auto`` enumerates every level and
+    the whole ``2^P`` sum of these small instances exactly.
     """
     problem = generate_problem(
         RandomWorkloadConfig(
@@ -285,18 +286,19 @@ def bench_agreement(processors: int, seed: int) -> dict:
     probabilities = {p: 0.05 for p in schedule.processor_names()}
 
     exact_cert = fault_tolerance_certificate(
-        schedule, algorithm, method="exact", engine=engine
+        schedule, algorithm, engine=engine
     )
     sampled_cert = fault_tolerance_certificate(
         schedule, algorithm, method="sampled", engine=engine
     )
     exact_rel = schedule_reliability(
-        schedule, algorithm, probabilities, method="exact", engine=engine
+        schedule, algorithm, probabilities, engine=engine
     )
     sampled_rel = schedule_reliability(
         schedule, algorithm, probabilities, method="sampled", engine=engine
     )
 
+    assert exact_cert.method == "exact" and exact_rel.method == "exact"
     verdicts_agree = (exact_cert.verdict == "refuted") == (
         sampled_cert.verdict == "refuted"
     )
@@ -449,7 +451,7 @@ def main(argv: list[str]) -> int:
         )
     if smoke:
         print(
-            "smoke ok: batched and per-scenario certificates bit-identical, "
+            "smoke ok: batch-engine and oracle certificates bit-identical, "
             "sampled verdicts agree with exhaustive on the small corpus"
         )
     else:

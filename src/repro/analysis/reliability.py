@@ -4,39 +4,37 @@ The paper guarantees masking of up to ``Npf`` fail-silent processor
 failures; its conclusion lists reliability as ongoing work.  This
 module quantifies both:
 
-* :func:`fault_tolerance_certificate` exhaustively replays the schedule
-  under **every** crash subset up to a given size (and at a set of
-  crash instants) and reports which subsets are masked — an independent
-  machine-checked version of the paper's correctness claim, which also
-  reveals *partial* tolerance beyond ``Npf`` (many ``Npf + 1``-subsets
-  are masked by luck of placement).  For link-tolerant schedules
+* :func:`fault_tolerance_certificate` checks masking of **every** crash
+  subset up to a given size (and at a set of crash instants) and
+  reports which subsets are masked — an independent machine-checked
+  version of the paper's correctness claim, which also reveals
+  *partial* tolerance beyond ``Npf`` (many ``Npf + 1``-subsets are
+  masked by luck of placement).  For link-tolerant schedules
   (``npl >= 1``) the enumeration is *combined*: every (processor
-  subset, link subset) pair within the joint hypothesis is replayed
-  and the verdict covers both failure modes at once;
+  subset, link subset) pair within the joint hypothesis is checked and
+  the verdict covers both failure modes at once;
 * :func:`schedule_reliability` turns per-processor failure
   probabilities into the probability that one iteration delivers all
   its outputs, by exact enumeration over the ``2^P`` crash subsets.
 
-Past the exhaustive regime (``P > 12`` or ``L > 12``) both switch to
-the adaptive machinery of :mod:`repro.analysis.sampling`: closed-form
-fault bounds, involved-set projection, and seeded stratified sampling
-with confidence intervals — a quantified verdict-with-error-bars where
-the legacy path could only cap its enumeration
-(``method="exact"`` keeps that path, and its
-:class:`CertificationCapWarning`, available).
+Levels too large to enumerate (and reliability sums past ``P > 12`` or
+``L > 12``) go through the adaptive machinery of
+:mod:`repro.analysis.sampling`: closed-form fault bounds, involved-set
+projection, and seeded stratified sampling with confidence intervals —
+a quantified verdict-with-error-bars, never a silently truncated one.
 
-Both run on the batched scenario engine by default
-(:class:`~repro.simulation.batch.BatchScenarioEngine`: compile-once
-replay, dirty-cone re-decision, footprint-equivalence pruning) and are
-bit-identical to the legacy one-simulation-per-scenario path, which
-``batched=False`` keeps available as the independent cross-check.
+Both ask every masking verdict of the compile-once batch engine
+(:class:`~repro.simulation.batch.BatchScenarioEngine`: crash lanes at
+instant 0, dirty-cone re-decision, footprint-equivalence pruning).  The
+paper-literal one-simulation-per-scenario enumeration they are pinned
+against lives in the test suite (``tests/certify_oracle.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -47,56 +45,12 @@ from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import schedule_content_hash
 from repro.simulation.batch import MAX_SUBSETS_PER_LEVEL, BatchScenarioEngine
-from repro.simulation.executor import DetectionPolicy, ScheduleSimulator
-from repro.simulation.failures import FailureScenario
+from repro.simulation.executor import DetectionPolicy
 
 
-#: Beyond this many processors (or links) the per-level subset
-#: enumeration leaves the regime the exhaustive certifier was designed
-#: for; levels are then capped at :data:`MAX_SUBSETS_PER_LEVEL` subsets
-#: (taken in canonical order, deterministically).  When that cuts a
-#: level short, the analysis emits a :class:`CertificationCapWarning`
-#: naming the cap and the enumerated fraction — never a silent
-#: weakening of the verdict.
+#: :func:`schedule_reliability` enumerates the ``2^P x 2^L`` sum exactly
+#: up to this many processors and links, and samples it beyond.
 ENUMERATION_CAP = 12
-
-# ``MAX_SUBSETS_PER_LEVEL`` (imported above) is the per-(crash size,
-# link size) level ceiling once a cap is exceeded; it lives beside the
-# batch engine, whose crash-lane passes share that width.
-
-
-class CertificationCapWarning(UserWarning):
-    """The certificate sampled its subset enumeration instead of
-    sweeping it exhaustively.
-
-    Structured: ``resources`` names what exceeded the cap
-    (``"processors"`` and/or ``"links"``), ``cap`` the threshold,
-    ``enumerated_subsets`` / ``total_subsets`` the coverage and
-    ``sampled_fraction`` their ratio.  A capped certificate's
-    ``certified`` verdict only vouches for the enumerated subsets.
-    """
-
-    def __init__(
-        self,
-        resources: tuple[str, ...],
-        cap: int,
-        enumerated_subsets: int,
-        total_subsets: int,
-    ) -> None:
-        self.resources = resources
-        self.cap = cap
-        self.enumerated_subsets = enumerated_subsets
-        self.total_subsets = total_subsets
-        self.sampled_fraction = (
-            enumerated_subsets / total_subsets if total_subsets else 1.0
-        )
-        super().__init__(
-            f"certification enumeration capped: {' and '.join(resources)} "
-            f"exceed the cap of {cap}; enumerated "
-            f"{enumerated_subsets}/{total_subsets} subsets "
-            f"({self.sampled_fraction:.2%}) in canonical order — the "
-            f"verdict only vouches for the enumerated fraction"
-        )
 
 
 @dataclass(frozen=True)
@@ -363,61 +317,14 @@ class FaultToleranceCertificate:
         return "\n".join(lines)
 
 
-def _masked(
-    simulator: ScheduleSimulator,
-    algorithm: AlgorithmGraph,
-    processors: Iterable[str],
-    crash_times: tuple[float, ...],
-    links: Iterable[str] = (),
-) -> bool:
-    """True when the subset is masked at every requested crash instant."""
-    for at in crash_times:
-        trace = simulator.run(
-            FailureScenario.resource_crashes(processors, links, at=at)
-        )
-        if not trace.all_operations_delivered(algorithm):
-            return False
-    return True
-
-
-def _subset_verdicts(
-    schedule: Schedule,
-    algorithm: AlgorithmGraph,
-    detection: DetectionPolicy,
-    batched: bool,
-    engine: BatchScenarioEngine | ScheduleSimulator | None,
-) -> sampling.Oracle:
-    """The batched masking oracle both analyses enumerate with.
-
-    ``batched=True`` routes every request through one (possibly shared)
-    :class:`BatchScenarioEngine`; ``batched=False`` is the legacy
-    one-full-simulation-per-scenario path the batched verdicts are
-    pinned against (``engine`` may then be a prebuilt
-    :class:`ScheduleSimulator`, e.g. to read its work counters).
-    """
-    if not batched:
-        simulator = (
-            engine
-            if isinstance(engine, ScheduleSimulator)
-            else ScheduleSimulator(schedule, algorithm, detection)
-        )
-        return lambda pairs, times: [
-            _masked(simulator, algorithm, subset, times, links)
-            for subset, links in pairs
-        ]
-    return _resolve_engine(
-        schedule, algorithm, detection, engine
-    ).crash_subsets_masked
-
-
 def _resolve_engine(
     schedule: Schedule,
     algorithm: AlgorithmGraph,
     detection: DetectionPolicy,
-    engine: BatchScenarioEngine | ScheduleSimulator | None,
+    engine: BatchScenarioEngine | None,
 ) -> BatchScenarioEngine:
     """A batch engine for this schedule, validated when caller-supplied."""
-    if engine is None or isinstance(engine, ScheduleSimulator):
+    if engine is None:
         return BatchScenarioEngine(schedule, algorithm, detection)
     if engine.detection is not DetectionPolicy(detection):
         raise SimulationError(
@@ -434,14 +341,21 @@ def _resolve_engine(
     return engine
 
 
+def _check_method(method: str, kind: str) -> None:
+    if method not in sampling.METHODS:
+        raise SimulationError(
+            f"unknown {kind} method {method!r}; "
+            f"expected one of {sampling.METHODS}"
+        )
+
+
 def fault_tolerance_certificate(
     schedule: Schedule,
     algorithm: AlgorithmGraph,
     max_failures: int | None = None,
     crash_times: Iterable[float] = (0.0,),
     detection: DetectionPolicy = DetectionPolicy.NONE,
-    batched: bool = True,
-    engine: BatchScenarioEngine | ScheduleSimulator | None = None,
+    engine: BatchScenarioEngine | None = None,
     max_link_failures: int | None = None,
     method: str = "auto",
     confidence: float = 0.99,
@@ -452,30 +366,28 @@ def fault_tolerance_certificate(
     """Check masking of every crash subset up to a size.
 
     ``max_failures`` defaults to ``schedule.npf + 1`` so the report also
-    shows how much of the *next* failure level happens to be tolerated.
-    ``crash_times`` are the instants at which all processors of a subset
-    crash simultaneously (the paper's experiment uses t = 0, the worst
-    case for active replication since nothing has been sent yet).
+    shows how much of the *next* failure level happens to be tolerated;
+    a smaller bound weakens the verified hypothesis to
+    ``npf = min(schedule.npf, max_failures)``.  ``crash_times`` are the
+    instants at which all processors of a subset crash simultaneously
+    (the paper's experiment uses t = 0, the worst case for active
+    replication since nothing has been sent yet).
 
     ``max_link_failures`` bounds the *combined* enumeration: every
     (processor subset, link subset) pair with at most that many broken
-    links is replayed alongside the crashes.  It defaults to the
+    links is checked alongside the crashes.  It defaults to the
     schedule's own ``npl`` hypothesis, so a paper-era ``npl = 0``
     schedule gets exactly the original processor-only certificate and a
     link-tolerant schedule is certified against what it promises.
+    Negative bounds are rejected.
 
     ``method`` selects the resolution strategy per level:
 
     * ``"auto"`` (default) — exhaustive enumeration wherever a level
-      fits under :data:`MAX_SUBSETS_PER_LEVEL` (bit-identical to the
-      historical certificate there, and never a cap warning), then
-      involved-set projection, closed-form bounds and seeded stratified
-      sampling for the levels enumeration cannot reach (see
+      fits under :data:`MAX_SUBSETS_PER_LEVEL`, then involved-set
+      projection, closed-form bounds and seeded stratified sampling for
+      the levels enumeration cannot reach (see
       :mod:`repro.analysis.sampling`).
-    * ``"exact"`` — the legacy exhaustive path, including the
-      deterministic canonical-prefix cap past ``P > 12`` / ``L > 12``
-      and its :class:`CertificationCapWarning` when the cap cuts a
-      level short.
     * ``"sampled"`` — force the sampling machinery even on levels small
       enough to enumerate (test/benchmark escape hatch).
 
@@ -485,18 +397,18 @@ def fault_tolerance_certificate(
     random draws is spent, and every draw derives deterministically
     from the schedule content hash and ``seed``.
 
-    ``batched`` selects the compile-once batch engine (default) or the
-    legacy per-scenario replay; the verdicts are bit-identical (the
-    sampling machinery requires the batch engine, so ``batched=False``
-    always takes the legacy path).  Pass ``engine`` to share one
-    prebuilt engine (and its caches) across calls — e.g. a certificate
-    followed by a reliability sweep.
+    Pass ``engine`` to share one prebuilt batch engine (and its caches)
+    across calls — e.g. a certificate followed by a reliability sweep.
     """
-    if method not in ("auto", "exact", "sampled"):
-        raise SimulationError(
-            f"unknown certification method {method!r}; "
-            f"expected 'auto', 'exact' or 'sampled'"
-        )
+    _check_method(method, "certification")
+    sampling.check_sampling_parameters(confidence, budget, epsilon)
+    for name, value in (
+        ("max_failures", max_failures),
+        ("max_link_failures", max_link_failures),
+    ):
+        if value is not None and value < 0:
+            raise SimulationError(f"{name} must be >= 0, got {value!r}")
+    engine = _resolve_engine(schedule, algorithm, detection, engine)
     processors = schedule.processor_names()
     links = schedule.link_names()
     npl = getattr(schedule, "npl", 0)
@@ -505,112 +417,13 @@ def fault_tolerance_certificate(
     link_bound = npl if max_link_failures is None else max_link_failures
     link_bound = min(link_bound, len(links))
     times = tuple(crash_times)
-    if method != "exact" and batched:
-        return _certificate_adaptive(
-            schedule, algorithm, detection, engine, times, bound,
-            link_bound, method, confidence, budget, seed, epsilon,
-        )
-    is_masked = _subset_verdicts(schedule, algorithm, detection, batched, engine)
-    # The certificate only vouches for what it enumerated: capping the
-    # link bound below the schedule's npl weakens the verified
-    # hypothesis accordingly (never a vacuous CERTIFIED).
+    # The certificate only vouches for what it enumerated: a bound below
+    # the schedule's npf or npl weakens the verified hypothesis
+    # accordingly (never a vacuous CERTIFIED).
     certificate = FaultToleranceCertificate(
-        npf=schedule.npf, crash_times=times, npl=min(npl, link_bound)
-    )
-    capped_resources = tuple(
-        name
-        for name, count in (
-            ("processors", len(processors)), ("links", len(links))
-        )
-        if count > ENUMERATION_CAP
-    )
-    enumerated_subsets = 0
-    full_subsets = 0
-    for size in range(bound + 1):
-        for link_size in range(link_bound + 1):
-            masked = 0
-            level_subsets = (
-                (subset, link_subset)
-                for subset in itertools.combinations(processors, size)
-                for link_subset in itertools.combinations(links, link_size)
-            )
-            if capped_resources:
-                # Deterministic sampling: the first
-                # MAX_SUBSETS_PER_LEVEL subsets in canonical order.
-                level_subsets = itertools.islice(
-                    level_subsets, MAX_SUBSETS_PER_LEVEL
-                )
-                full_subsets += math.comb(
-                    len(processors), size
-                ) * math.comb(len(links), link_size)
-            pairs = list(level_subsets)
-            total = len(pairs)
-            for (subset, link_subset), ok in zip(
-                pairs, is_masked(pairs, times)
-            ):
-                if ok:
-                    masked += 1
-                elif size <= schedule.npf and link_size <= npl:
-                    if link_size:
-                        certificate.breaking_combined.append(
-                            (frozenset(subset), frozenset(link_subset))
-                        )
-                    else:
-                        certificate.breaking_subsets.append(frozenset(subset))
-            enumerated_subsets += total
-            certificate.levels.append(
-                ToleranceLevel(size, masked, total, link_failures=link_size)
-            )
-    # A resource past the cap only weakens the verdict when the
-    # per-level ceiling actually cut a level short.
-    if capped_resources and enumerated_subsets < full_subsets:
-        warnings.warn(
-            CertificationCapWarning(
-                capped_resources,
-                ENUMERATION_CAP,
-                enumerated_subsets,
-                full_subsets,
-            ),
-            stacklevel=2,
-        )
-        obs.event(
-            "warn.certification_cap",
-            schedule=schedule.name,
-            resources=capped_resources,
-            cap=ENUMERATION_CAP,
-            enumerated_subsets=enumerated_subsets,
-            total_subsets=full_subsets,
-        )
-    return certificate
-
-
-def _certificate_adaptive(
-    schedule: Schedule,
-    algorithm: AlgorithmGraph,
-    detection: DetectionPolicy,
-    engine: BatchScenarioEngine | ScheduleSimulator | None,
-    times: tuple[float, ...],
-    bound: int,
-    link_bound: int,
-    method: str,
-    confidence: float,
-    budget: int | None,
-    seed: int,
-    epsilon: float,
-) -> FaultToleranceCertificate:
-    """The bounds/projection/sampling certificate (``method != "exact"``).
-
-    Levels small enough to enumerate are resolved exactly (bit-identical
-    counts and breaking subsets to the legacy path, in the same
-    canonical order); everything else goes through
-    :func:`repro.analysis.sampling.evaluate_level`.
-    """
-    engine = _resolve_engine(schedule, algorithm, detection, engine)
-    processors = schedule.processor_names()
-    links = schedule.link_names()
-    npl = getattr(schedule, "npl", 0)
-    certificate = FaultToleranceCertificate(
-        npf=schedule.npf, crash_times=times, npl=min(npl, link_bound)
+        npf=min(schedule.npf, bound),
+        crash_times=times,
+        npl=min(npl, link_bound),
     )
     force_sampled = method == "sampled"
     needs_sampling = force_sampled or any(
@@ -639,10 +452,7 @@ def _certificate_adaptive(
     )
     pruned_before = engine.stats.pruned_nominal + engine.stats.memo_hits
     samples_total = 0
-    span = obs.span("certify.sample") if needs_sampling else None
-    if span is not None:
-        span.__enter__()
-    try:
+    with obs.span("certify.sample") if needs_sampling else nullcontext():
         for size in range(bound + 1):
             for link_size in range(link_bound + 1):
                 outcome = sampling.evaluate_level(
@@ -691,9 +501,6 @@ def _certificate_adaptive(
                             certificate.breaking_subsets.append(
                                 frozenset(proc_subset)
                             )
-    finally:
-        if span is not None:
-            span.__exit__(None, None, None)
     if needs_sampling:
         certificate.method = "sampled"
         certificate.confidence = confidence
@@ -784,8 +591,7 @@ def schedule_reliability(
     failure_probabilities: Mapping[str, float],
     crash_times: Iterable[float] = (0.0,),
     detection: DetectionPolicy = DetectionPolicy.NONE,
-    batched: bool = True,
-    engine: BatchScenarioEngine | ScheduleSimulator | None = None,
+    engine: BatchScenarioEngine | None = None,
     link_failure_probabilities: Mapping[str, float] | None = None,
     method: str = "auto",
     confidence: float = 0.99,
@@ -813,58 +619,42 @@ def schedule_reliability(
     (:data:`ENUMERATION_CAP`) and switches to stratified
     conditional-Bernoulli sampling beyond (seeded, deterministic, with
     a ``ci`` at ``confidence`` — see
-    :func:`repro.analysis.sampling.sampled_reliability`); ``"exact"``
-    and ``"sampled"`` force either path.  ``cone_tilt > 0`` tilts
-    sampled draws toward large dirty cones with exact reweighting.
+    :func:`repro.analysis.sampling.sampled_reliability`); ``"sampled"``
+    forces the sampled path.  ``cone_tilt > 0`` tilts sampled draws
+    toward large dirty cones with exact reweighting.
 
-    The exact probability sum always enumerates subsets in canonical
-    order (so ``batched=True`` and ``batched=False`` land on
-    bit-identical floats); batching changes only how each subset's
-    masking verdict is obtained.  The sampled path requires the batch
-    engine (its involved-set reduction theorem is what makes the
-    strata exact).  ``engine`` shares a prebuilt batch engine's caches,
-    e.g. with a preceding certificate.
+    The exact probability sum enumerates subsets in canonical order and
+    asks the batch engine for all their verdicts in one request.
+    ``engine`` shares a prebuilt batch engine's caches, e.g. with a
+    preceding certificate.
     """
-    if method not in ("auto", "exact", "sampled"):
-        raise SimulationError(
-            f"unknown reliability method {method!r}; "
-            f"expected 'auto', 'exact' or 'sampled'"
-        )
+    _check_method(method, "reliability")
+    sampling.check_sampling_parameters(confidence, budget, epsilon)
     processors = schedule.processor_names()
     _validate_probabilities(processors, failure_probabilities, "processor")
     links = schedule.link_names() if link_failure_probabilities is not None else ()
     _validate_probabilities(links, link_failure_probabilities or {}, "link")
-    if method == "auto":
-        small = (
-            len(processors) <= ENUMERATION_CAP
-            and len(links) <= ENUMERATION_CAP
-        )
-        # The legacy per-scenario engine has no involved-set reduction,
-        # so auto never routes it to the sampled path.
-        method = "exact" if small or not batched else "sampled"
-    if method == "sampled":
-        if not batched:
-            raise SimulationError(
-                "sampled reliability requires the batch engine "
-                "(batched=True): its involved-set reduction is what "
-                "makes the sampling strata exact"
-            )
-        resolved = _resolve_engine(schedule, algorithm, detection, engine)
-        npl = getattr(schedule, "npl", 0)
+    engine = _resolve_engine(schedule, algorithm, detection, engine)
+    npl = getattr(schedule, "npl", 0)
+    times = tuple(crash_times)
+    small = (
+        len(processors) <= ENUMERATION_CAP and len(links) <= ENUMERATION_CAP
+    )
+    if method == "sampled" or not small:
         with obs.span("certify.sample"):
             estimate = sampling.sampled_reliability(
                 schedule=schedule,
-                oracle=resolved.crash_subsets_masked,
-                baseline_delivered=resolved.baseline_delivered,
+                oracle=engine.crash_subsets_masked,
+                baseline_delivered=engine.baseline_delivered,
                 failure_probabilities=failure_probabilities,
-                times=tuple(crash_times),
-                involved_procs=resolved.involved_processors(),
+                times=times,
+                involved_procs=engine.involved_processors(),
                 involved_links=(
-                    resolved.involved_links() if links else ()
+                    engine.involved_links() if links else ()
                 ),
-                proc_cone_fractions=resolved.processor_cone_fractions(),
+                proc_cone_fractions=engine.processor_cone_fractions(),
                 link_cone_fractions=(
-                    resolved.link_cone_fractions() if links else {}
+                    engine.link_cone_fractions() if links else {}
                 ),
                 link_failure_probabilities=link_failure_probabilities,
                 confidence=confidence,
@@ -892,9 +682,6 @@ def schedule_reliability(
             samples=estimate.samples,
             exhaustive_subsets=estimate.exhaustive_subsets,
         )
-    is_masked = _subset_verdicts(schedule, algorithm, detection, batched, engine)
-    npl = getattr(schedule, "npl", 0)
-    times = tuple(crash_times)
     guaranteed = 0.0
     evaluated = 0
     # With no link probabilities, ``links`` is empty and the inner loop
@@ -932,7 +719,7 @@ def schedule_reliability(
                     masses.append((mass, empty))
                     if not empty:
                         pairs.append((subset, link_subset))
-    verdicts = iter(is_masked(pairs, times))
+    verdicts = iter(engine.crash_subsets_masked(pairs, times))
     reliability = 0.0
     masked_mass = 0.0
     for mass, empty in masses:

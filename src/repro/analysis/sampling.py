@@ -54,7 +54,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-#: A batched masking oracle: ``oracle(pairs, times)`` answers, for each
+from repro.exceptions import SimulationError
+
+#: A many-pairs masking oracle: ``oracle(pairs, times)`` answers, for each
 #: ``(processors, links)`` pair in order, whether that crash subset is
 #: masked at every instant of ``times``
 #: (:meth:`~repro.simulation.batch.BatchScenarioEngine.crash_subsets_masked`).
@@ -64,6 +66,30 @@ Oracle = Callable[
     [Sequence[tuple[tuple[str, ...], tuple[str, ...]]], tuple[float, ...]],
     list[bool],
 ]
+
+#: Values of the ``method`` argument of the certifier and the
+#: reliability sum: the adaptive ladder, or sampling forced everywhere.
+METHODS = ("auto", "sampled")
+
+
+def check_sampling_parameters(
+    confidence: float,
+    budget: int | None,
+    epsilon: float | None = None,
+    error: type[Exception] = SimulationError,
+) -> None:
+    """Reject sampling parameters outside their domain with ``error``.
+
+    ``0 < confidence < 1``, ``budget >= 1`` (``None`` = the library
+    default) and ``epsilon > 0`` (``None`` = not configurable here).
+    """
+    if not 0.0 < confidence < 1.0:
+        raise error(f"confidence must be in (0, 1), got {confidence!r}")
+    if budget is not None and budget < 1:
+        raise error(f"sample budget must be >= 1, got {budget!r}")
+    if epsilon is not None and not epsilon > 0.0:
+        raise error(f"epsilon must be > 0, got {epsilon!r}")
+
 
 # ----------------------------------------------------------------------
 # confidence intervals
@@ -361,7 +387,6 @@ DEFAULT_RELIABILITY_BUDGET = 50_000
 
 #: Adaptive refinement batch size.
 BATCH = 128
-
 
 @dataclass
 class LevelEstimate:

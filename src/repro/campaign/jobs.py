@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from repro import obs
-from repro.analysis.reliability import CertificationCapWarning
 from repro.baselines.hbp import schedule_hbp
 from repro.baselines.list_scheduler import schedule_non_fault_tolerant
 from repro.core.compile import compile_cache_stats
@@ -313,12 +311,9 @@ def execute_job(job: Job) -> dict:
     process tracer for the job's duration), so the scheduler and batch
     engine spans land in the job's own stream whether or not the parent
     traces.  The ``timing`` section is derived from that stream:
-    ``elapsed_s`` is the ``job.run`` root span's duration, and the new
+    ``elapsed_s`` is the ``job.run`` root span's duration, and the
     ``obs`` subsection carries the per-phase span totals plus the
-    worker heartbeat.  Structured warnings raised while the job runs
-    (:class:`~repro.analysis.reliability.CertificationCapWarning`) are
-    additionally recorded — deterministically, without timestamps — as
-    ``record["events"]``, then re-emitted for the caller.
+    worker heartbeat.
     """
     # Chaos-harness hook: models slow or dying compute (sleep past a
     # lease TTL, kill mid-job) on any backend; no-op in production.
@@ -327,22 +322,10 @@ def execute_job(job: Job) -> dict:
     tracer = obs.Tracer(
         exporter, meta={"job": job.digest[:12], "campaign": job.campaign}
     )
-    with obs.scoped(tracer), warnings.catch_warnings(record=True) as caught:
-        # Record every occurrence: the default once-per-location filter
-        # would hide repeats inside a long-lived worker process.
-        warnings.simplefilter("always")
-        with tracer.span("job.run", job=job.digest[:12], index=job.index):
-            record, schedule_document, compile_delta = _execute(job, tracer)
-    for entry in caught:
-        warnings.warn_explicit(
-            entry.message, entry.category, entry.filename, entry.lineno
-        )
-    events = _warning_events(caught)
-    if events:
-        # Deterministic (no wall-clock data), so the store records which
-        # jobs fell back or were cap-sampled; omitted when empty to keep
-        # the historical record shape.
-        record["events"] = events
+    with obs.scoped(tracer), tracer.span(
+        "job.run", job=job.digest[:12], index=job.index
+    ):
+        record, schedule_document, compile_delta = _execute(job, tracer)
     spans = obs.aggregate_spans(exporter.lines)
     meta_line = exporter.lines[0]
     return {
@@ -370,9 +353,8 @@ def reemit_job_telemetry(tracer, job: Job, document: dict) -> None:
     Workers trace into in-memory streams (their fork must not touch the
     parent's file — see :func:`repro.campaign.pool._init_worker`); the
     dispatching process re-emits the shipped summary: one
-    ``campaign.job`` completion event carrying the worker heartbeat, the
-    job's per-phase aggregate spans, and one event per structured
-    warning the job recorded.
+    ``campaign.job`` completion event carrying the worker heartbeat and
+    the job's per-phase aggregate spans.
     """
     timing = document.get("timing", {})
     telemetry = timing.get("obs", {})
@@ -390,12 +372,6 @@ def reemit_job_telemetry(tracer, job: Job, document: dict) -> None:
             entry["total_s"],
             entry["count"],
             job=job.digest[:12],
-        )
-    for event in document["record"].get("events", ()):
-        tracer.event(
-            "job." + event["kind"],
-            job=job.digest[:12],
-            **{k: v for k, v in event.items() if k != "kind"},
         )
 
 
@@ -472,34 +448,10 @@ def _execute(job: Job, tracer) -> tuple[dict, dict, dict]:
     return record, schedule_document, compile_delta
 
 
-def _warning_events(caught) -> list[dict]:
-    """Deterministic event entries for the structured warnings caught.
-
-    Occurrence order, deduplicated; only wall-clock-free fields, so the
-    result is byte-identical across runs, machines and worker counts.
-    """
-    events: list[dict] = []
-    for entry in caught:
-        message = entry.message
-        if isinstance(message, CertificationCapWarning):
-            event = {
-                "kind": "certification_cap",
-                "resources": list(message.resources),
-                "cap": message.cap,
-                "enumerated_subsets": message.enumerated_subsets,
-                "total_subsets": message.total_subsets,
-            }
-        else:
-            continue
-        if event not in events:
-            events.append(event)
-    return events
-
-
 def _certify(spec: ReliabilitySpec, ftbar) -> dict:
     """Certify one FTBAR schedule and sweep its failure probabilities.
 
-    One batched scenario engine serves the certificate and every point
+    One batch scenario engine serves the certificate and every point
     of the probability sweep, so the crash-subset verdicts are simulated
     once per equivalence class for the whole record.  The record is
     deterministic: identical across runs, machines and worker counts.

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
+from repro.analysis.sampling import METHODS, check_sampling_parameters
 from repro.core.options import SchedulerOptions
 from repro.exceptions import SerializationError
 from repro.schedule.serialization import load_json, save_json
@@ -94,7 +95,7 @@ class FailureSpec:
 class ReliabilitySpec:
     """Configuration of the ``reliability`` measure (certification jobs).
 
-    Every job certifies its FTBAR schedule with the batched scenario
+    Every job certifies its FTBAR schedule with the batch scenario
     engine and sweeps ``probabilities`` as the uniform per-processor
     failure probability — one reliability/MTTF figure per probability,
     the columns of a campaign heatmap (the ``npfs`` axis of the grid
@@ -115,8 +116,8 @@ class ReliabilitySpec:
     #: Uniform per-link failure probability for the reliability sweep
     #: (None keeps the processor-only probability sum).
     link_probability: float | None = None
-    #: Certification method: ``"auto"`` (adaptive bounds/sampling past
-    #: the enumeration cap), ``"exact"`` (legacy capped enumeration) or
+    #: Certification method: ``"auto"`` (exact enumeration where a
+    #: level fits, adaptive bounds/projection/sampling past it) or
     #: ``"sampled"``.  The defaults of these four knobs are dropped
     #: from job digests so pre-sampling specs keep their identities.
     method: str = "auto"
@@ -159,17 +160,18 @@ class ReliabilitySpec:
             raise SerializationError(
                 f"unknown detection policy {self.detection!r}"
             )
-        if self.method not in ("auto", "exact", "sampled"):
+        if self.method not in METHODS:
             raise SerializationError(
                 f"unknown certification method {self.method!r}; "
-                f"expected 'auto', 'exact' or 'sampled'"
+                f"expected one of {METHODS}"
             )
-        if not 0.0 < self.confidence < 1.0:
-            raise SerializationError(
-                f"confidence must be in (0, 1), got {self.confidence!r}"
-            )
-        if self.budget is not None and self.budget < 1:
-            raise SerializationError("sample budget must be >= 1")
+        for knob in ("max_failures", "max_link_failures"):
+            value = getattr(self, knob)
+            if value is not None and value < 0:
+                raise SerializationError(f"{knob} must be >= 0, got {value!r}")
+        check_sampling_parameters(
+            self.confidence, self.budget, error=SerializationError
+        )
 
 
 @dataclass(frozen=True)
@@ -278,61 +280,129 @@ def campaign_to_dict(spec: CampaignSpec) -> dict:
     return document
 
 
-def campaign_from_dict(document: Mapping) -> CampaignSpec:
-    """Rebuild a campaign spec from its document form."""
-    try:
-        return CampaignSpec(
-            name=document["name"],
-            workloads=tuple(
-                WorkloadSpec(**entry) for entry in document["workloads"]
-            ),
-            topologies=tuple(document.get("topologies", ("fully_connected",))),
-            processors=tuple(document.get("processors", (4,))),
-            npfs=tuple(document.get("npfs", (1,))),
-            npls=tuple(document.get("npls", (0,))),
-            ccrs=tuple(document.get("ccrs", (1.0,))),
-            seeds=tuple(document.get("seeds", (0,))),
-            failures=tuple(
-                FailureSpec(
-                    processors=tuple(entry["processors"]),
-                    at=float(entry.get("at", 0.0)),
-                )
-                for entry in document.get("failures", [])
-            ),
-            measures=tuple(document.get("measures", ("ftbar", "non_ft"))),
-            mean_execution=float(document.get("mean_execution", 10.0)),
-            options=dict(document.get("options", {})),
-            reliability=(
-                ReliabilitySpec(
-                    probabilities=tuple(
-                        document["reliability"].get("probabilities", (0.01,))
-                    ),
-                    crash_times=document["reliability"].get("crash_times", "zero"),
-                    boundary_limit=int(
-                        document["reliability"].get("boundary_limit", 16)
-                    ),
-                    max_failures=document["reliability"].get("max_failures"),
-                    detection=document["reliability"].get("detection", "none"),
-                    max_link_failures=document["reliability"].get(
-                        "max_link_failures"
-                    ),
-                    link_probability=document["reliability"].get(
-                        "link_probability"
-                    ),
-                    method=document["reliability"].get("method", "auto"),
-                    confidence=float(
-                        document["reliability"].get("confidence", 0.99)
-                    ),
-                    budget=document["reliability"].get("budget"),
-                    seed=int(document["reliability"].get("seed", 0)),
-                )
-                if document.get("reliability") is not None
-                else None
-            ),
-            backend=document.get("backend", "local"),
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, (list, tuple)) and all(
+        map(check, value)
+    )
+
+
+#: Expected type of a spec field, as errors name it -> its check.
+_KINDS = {
+    "a string": lambda value: isinstance(value, str),
+    "an integer": _is_int,
+    "an integer or null": lambda value: value is None or _is_int(value),
+    "a number": _is_number,
+    "a number or null": lambda value: value is None or _is_number(value),
+    "a boolean": lambda value: isinstance(value, bool),
+    "an object": lambda value: isinstance(value, Mapping),
+    "an object or null": lambda value: (
+        value is None or isinstance(value, Mapping)
+    ),
+    "a list of strings": _list_of(lambda value: isinstance(value, str)),
+    "a list of integers": _list_of(_is_int),
+    "a list of numbers": _list_of(_is_number),
+    "a list of objects": _list_of(lambda value: isinstance(value, Mapping)),
+}
+
+_CAMPAIGN_FIELDS = {
+    "name": "a string", "workloads": "a list of objects",
+    "topologies": "a list of strings", "processors": "a list of integers",
+    "npfs": "a list of integers", "npls": "a list of integers",
+    "ccrs": "a list of numbers", "seeds": "a list of integers",
+    "failures": "a list of objects", "measures": "a list of strings",
+    "mean_execution": "a number", "options": "an object",
+    "reliability": "an object or null", "backend": "a string",
+}
+_WORKLOAD_FIELDS = {
+    "family": "a string", "size": "an integer", "arity": "an integer",
+    "heterogeneous": "a boolean", "max_predecessors": "an integer",
+}
+_FAILURE_FIELDS = {"processors": "a list of integers", "at": "a number"}
+_RELIABILITY_FIELDS = {
+    "probabilities": "a list of numbers", "crash_times": "a string",
+    "boundary_limit": "an integer", "max_failures": "an integer or null",
+    "detection": "a string", "max_link_failures": "an integer or null",
+    "link_probability": "a number or null", "method": "a string",
+    "confidence": "a number", "budget": "an integer or null",
+    "seed": "an integer",
+}
+
+
+def _read(
+    document, fields: Mapping[str, str], where: str,
+    required: tuple[str, ...] = (), strict: bool = True,
+) -> dict:
+    """The ``fields`` present in ``document``, each type-checked.
+
+    Errors name the field's path and the expected type; with ``strict``
+    an unknown field is an error too.
+    """
+    if not isinstance(document, Mapping):
+        raise SerializationError(
+            f"invalid campaign spec: {where.rstrip('.') or 'the document'} "
+            f"must be a JSON object, got {type(document).__name__}"
         )
-    except (KeyError, TypeError, AttributeError) as error:
-        raise SerializationError(f"invalid campaign document: {error}") from error
+    unknown = sorted(set(document) - set(fields)) if strict else []
+    if unknown:
+        raise SerializationError(
+            f"invalid campaign spec: unknown fields {unknown} in "
+            f"{where.rstrip('.')!r}"
+        )
+    for name in required:
+        if name not in document:
+            raise SerializationError(
+                f"invalid campaign spec: missing the required field "
+                f"{where + name!r}"
+            )
+    for name, kind in fields.items():
+        if name in document and not _KINDS[kind](document[name]):
+            raise SerializationError(
+                f"invalid campaign spec: field {where + name!r} must be "
+                f"{kind}, got {document[name]!r}"
+            )
+    return {name: document[name] for name in fields if name in document}
+
+
+def campaign_from_dict(document: Mapping) -> CampaignSpec:
+    """Rebuild a campaign spec from its document form.
+
+    Every field is type-checked on the way in, so a malformed document
+    fails with one :class:`SerializationError` naming the field and the
+    expected type.
+    """
+    values = _read(
+        document, _CAMPAIGN_FIELDS, "", ("name", "workloads"), strict=False
+    )
+    values["workloads"] = tuple(
+        WorkloadSpec(**_read(
+            entry, _WORKLOAD_FIELDS, f"workloads[{index}].", ("family", "size")
+        ))
+        for index, entry in enumerate(values["workloads"])
+    )
+    failures = []
+    for index, entry in enumerate(values.get("failures", ())):
+        failure = _read(
+            entry, _FAILURE_FIELDS, f"failures[{index}].", ("processors",)
+        )
+        failures.append(FailureSpec(
+            tuple(failure["processors"]), float(failure.get("at", 0.0))
+        ))
+    values["failures"] = tuple(failures)
+    if "mean_execution" in values:
+        values["mean_execution"] = float(values["mean_execution"])
+    if values.get("reliability") is not None:
+        values["reliability"] = ReliabilitySpec(
+            **_read(values["reliability"], _RELIABILITY_FIELDS, "reliability.")
+        )
+    return CampaignSpec(**values)
 
 
 def load_campaign(path: str | Path) -> CampaignSpec:

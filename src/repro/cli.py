@@ -7,7 +7,7 @@ Sub-commands::
     ftbar simulate  problem.json     schedule then crash processors
     ftbar generate  out.json         emit a random problem file
     ftbar bench     figure9|figure10|npf|runtime|ablation
-    ftbar certify   [problem.json]   batched reliability certificate
+    ftbar certify   [problem.json]   fault-tolerance certificate (+ reliability)
     ftbar campaign  run|status|report|heatmap spec.json
     ftbar campaign  init spec.json --dir D    prepare a campaign directory
     ftbar campaign  worker DIR                join it as a stealing worker
@@ -126,26 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also reject multi-hop comms (strict FT guarantee)",
     )
 
-    reliability = commands.add_parser(
-        "reliability", help="exhaustive fault-tolerance certificate"
-    )
-    reliability.add_argument("problem", type=Path)
-    reliability.add_argument(
-        "--failure-probability",
-        type=float,
-        default=None,
-        metavar="Q",
-        help="per-processor failure probability; adds a reliability figure",
-    )
-    reliability.add_argument(
-        "--boundaries",
-        action="store_true",
-        help="crash at every static event boundary instead of t=0 only",
-    )
-
     certify = commands.add_parser(
         "certify",
-        help="fault-tolerance certificate through the batched scenario engine",
+        help="fault-tolerance certificate, optionally with reliability "
+        "figures",
     )
     certify.add_argument(
         "problem",
@@ -185,18 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "reliability figure per value",
     )
     certify.add_argument(
-        "--legacy",
-        action="store_true",
-        help="use the per-scenario engine instead of the batched one",
-    )
-    certify.add_argument(
-        "--exact",
-        action="store_true",
-        help="force the legacy exhaustive enumeration (with its "
-        "deterministic cap and CertificationCapWarning past P > 12) "
-        "instead of the adaptive bounds/sampling path",
-    )
-    certify.add_argument(
         "--confidence",
         type=float,
         default=0.99,
@@ -226,12 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the certificate document (method, samples, "
         "confidence, ci, per-level estimates) as JSON",
-    )
-    certify.add_argument(
-        "--compare",
-        action="store_true",
-        help="run both engines and fail unless their verdicts and "
-        "probabilities are bit-identical",
     )
     _add_trace_flag(certify)
 
@@ -755,57 +721,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-#: Exit code of a certificate verdict, shared by ``certify`` and
-#: ``reliability``: 0 = proven, 1 = a breaking subset exists,
-#: 2 = estimated only (sampled levels left the hypothesis unproven but
-#: unrefuted).
+#: Exit code of a ``certify`` verdict: 0 = proven, 1 = a breaking
+#: subset exists, 2 = estimated only (sampled levels left the
+#: hypothesis unproven but unrefuted).
 _VERDICT_EXIT = {"certified": 0, "refuted": 1, "estimated": 2}
-
-
-def _cmd_reliability(args: argparse.Namespace) -> int:
-    from repro.analysis.reliability import (
-        event_boundary_times,
-        fault_tolerance_certificate,
-        mean_time_to_failure_iterations,
-        schedule_reliability,
-    )
-    from repro.core.ftbar import schedule_ftbar
-    from repro.schedule.serialization import load_json, problem_from_dict
-    from repro.simulation.batch import BatchScenarioEngine
-
-    problem = problem_from_dict(load_json(args.problem))
-    result = schedule_ftbar(problem)
-    print(result.schedule.summary())
-    times = (
-        event_boundary_times(result.schedule)
-        if args.boundaries
-        else (0.0,)
-    )
-    # One engine serves the certificate and the reliability sum, so the
-    # schedule is compiled (and each scenario simulated) only once.
-    engine = BatchScenarioEngine(result.schedule, result.expanded_algorithm)
-    certificate = fault_tolerance_certificate(
-        result.schedule,
-        result.expanded_algorithm,
-        crash_times=times,
-        engine=engine,
-    )
-    print(certificate)
-    if args.failure_probability is not None:
-        report = schedule_reliability(
-            result.schedule,
-            result.expanded_algorithm,
-            {
-                p: args.failure_probability
-                for p in result.schedule.processor_names()
-            },
-            crash_times=times,
-            engine=engine,
-        )
-        print(report)
-        mttf = mean_time_to_failure_iterations(report.reliability)
-        print(f"mean iterations to first unmasked failure: {mttf:g}")
-    return _VERDICT_EXIT[certificate.verdict]
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -834,94 +753,50 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     print(schedule.summary())
     detection = DetectionPolicy(args.detection)
     times = event_boundary_times(schedule) if args.boundaries else (0.0,)
-    probabilities = args.probability
-    max_links = args.links
-    # --compare pins the batched engine against the per-scenario one,
-    # which only exists for the exhaustive path — force it there.
-    method = "exact" if args.exact or args.compare else "auto"
-
-    def certificate_and_reports(batched: bool):
-        engine = (
-            BatchScenarioEngine(schedule, algorithm, detection)
-            if batched
-            else None
-        )
-        certificate = fault_tolerance_certificate(
+    engine = BatchScenarioEngine(schedule, algorithm, detection)
+    knobs = {
+        "confidence": args.confidence,
+        "budget": args.budget,
+        "seed": args.seed,
+    }
+    certificate = fault_tolerance_certificate(
+        schedule,
+        algorithm,
+        crash_times=times,
+        detection=detection,
+        engine=engine,
+        max_link_failures=args.links,
+        **knobs,
+    )
+    reports = [
+        schedule_reliability(
             schedule,
             algorithm,
+            {p: q for p in schedule.processor_names()},
             crash_times=times,
             detection=detection,
-            batched=batched,
             engine=engine,
-            max_link_failures=max_links,
-            method=method,
-            confidence=args.confidence,
-            budget=args.budget,
-            seed=args.seed,
+            **knobs,
         )
-        reports = [
-            schedule_reliability(
-                schedule,
-                algorithm,
-                {p: q for p in schedule.processor_names()},
-                crash_times=times,
-                detection=detection,
-                batched=batched,
-                engine=engine,
-                method=method,
-                confidence=args.confidence,
-                budget=args.budget,
-                seed=args.seed,
-            )
-            for q in probabilities
-        ]
-        return certificate, reports, engine
-
-    certificate, reports, engine = certificate_and_reports(not args.legacy)
+        for q in args.probability
+    ]
     print(certificate)
     if args.json is not None:
         save_json(certificate.to_dict(), args.json)
         print(f"certificate document written to {args.json}")
-    for probability, report in zip(probabilities, reports):
+    for probability, report in zip(args.probability, reports):
         mttf = mean_time_to_failure_iterations(report.reliability)
         print(f"q={probability:g}: {report}")
         print(f"  mean iterations to first unmasked failure: {mttf:g}")
-    if engine is not None:
-        stats = engine.stats
-        print(
-            f"batch engine: {stats.scenarios} scenario verdicts — "
-            f"{stats.simulated} simulated ({stats.simulated_cone} dirty-cone, "
-            f"{stats.simulated_full} full), {stats.pruned_nominal} pruned as "
-            f"nominal-equivalent, {stats.memo_hits} memo hits, "
-            f"{stats.decisions} event decisions, {stats.copied} copied, "
-            f"{stats.lanes} lanes in {stats.lane_passes} passes"
-        )
-    if args.compare:
-        other, other_reports, _ = certificate_and_reports(args.legacy)
-        mismatches = []
-        if [
-            (l.failures, l.link_failures, l.masked_subsets, l.total_subsets)
-            for l in certificate.levels
-        ] != [
-            (l.failures, l.link_failures, l.masked_subsets, l.total_subsets)
-            for l in other.levels
-        ]:
-            mismatches.append("tolerance levels")
-        if certificate.breaking_subsets != other.breaking_subsets:
-            mismatches.append("breaking subsets")
-        if certificate.breaking_combined != other.breaking_combined:
-            mismatches.append("breaking combined subsets")
-        if certificate.certified != other.certified:
-            mismatches.append("certified verdict")
-        for probability, mine, theirs in zip(probabilities, reports, other_reports):
-            if (mine.reliability, mine.masked_probability_mass) != (
-                theirs.reliability, theirs.masked_probability_mass
-            ):
-                mismatches.append(f"reliability at q={probability:g}")
-        if mismatches:
-            print(f"ENGINE MISMATCH: {', '.join(mismatches)}")
-            return 1
-        print("engines agree: batched and per-scenario verdicts bit-identical")
+    stats = engine.stats
+    print(
+        f"batch engine: {stats.scenarios} scenario verdicts — "
+        f"{stats.simulated} simulated ({stats.simulated_cone} dirty-cone, "
+        f"{stats.simulated_full} full), {stats.pruned_nominal} pruned as "
+        f"nominal-equivalent, {stats.memo_hits} memo hits, "
+        f"{stats.decisions} event decisions, {stats.copied} copied, "
+        f"{stats.lanes} lanes in {stats.lane_passes} passes"
+    )
     return _VERDICT_EXIT[certificate.verdict]
 
 
@@ -1399,7 +1274,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "iterate": _cmd_iterate,
     "validate": _cmd_validate,
-    "reliability": _cmd_reliability,
     "certify": _cmd_certify,
     "generate": _cmd_generate,
     "bench": _cmd_bench,

@@ -6,7 +6,7 @@ freshly built tuple per lookup, ``Architecture.links_between`` hashes a
 processor-name pair, and every trial plan allocates a
 :class:`~repro.core.placement.PlacementPlan` object graph.  None of that
 varies across the thousands of candidate evaluations of one run, so —
-exactly like :mod:`repro.simulation.compiled` does for the batched
+exactly like :mod:`repro.simulation.compiled` does for the batch
 failure simulator — :class:`CompiledProblem` interns every operation,
 processor, link and edge to a dense integer id *once per problem* and
 lowers the tables the hot loop reads into flat preallocated lists:

@@ -47,7 +47,7 @@ Replay pools
 ------------
 Most cached entries qualify for the *replay pools*: their worst-case
 start is a closed form over the current link availabilities (chains at
-most two deep, at most two arrivals per feed), so one batched numpy
+most two deep, at most two arrivals per feed), so one vectorised numpy
 pass per macro-step recomputes all of them at once — the vectorised
 equivalent of the scalar per-entry threshold repairs, with identical
 floats.  Only entries outside that shape (deep chains,
@@ -477,7 +477,7 @@ class SchedulingKernel:
         # model — such problems use the scalar sweep.  HBP kernels pass
         # ``vector=False``: their pair keys index a P²-per-task space
         # the sweep arrays do not cover.  Below ``_VECTOR_MIN_CELLS``
-        # the per-sweep numpy dispatch overhead outweighs the batched
+        # the per-sweep numpy dispatch overhead outweighs the vectorised
         # arithmetic and the scalar sweep is faster — unless a worker
         # pool was requested, which only the vector sweep can shard.
         # numpy is imported only once this gate passes; without numpy
@@ -504,7 +504,7 @@ class SchedulingKernel:
             # Replay pools: entries whose reservation chains are at
             # most two deep and whose remote feeds carry at most two
             # arrivals have a closed-form worst over the *current* link
-            # availabilities, recomputed wholesale by one batched pass
+            # availabilities, recomputed wholesale by one vector pass
             # per sweep (`_pool_pass`).  Pooled entries register no
             # thresholds and are never repaired; the recomputation IS
             # the repair (same floats).  Everything is append-only —
@@ -1286,7 +1286,7 @@ class SchedulingKernel:
         floats exactly (the route structure, ready instants and
         durations are static while the entry is alive); arrival and
         feed reductions then rebuild the entry's worst — so the
-        per-sweep pool pass is the batched equivalent of a fresh
+        per-sweep pool pass is the vectorised equivalent of a fresh
         recomputation.  Repairable entries (``"pure"``) register no
         thresholds: the pass *is* their repair.  Multi-hop and npl
         entries (``"volatile"``) keep their thresholds so their
@@ -1432,7 +1432,7 @@ class SchedulingKernel:
         behind level 0's re-derived free pointer, mirroring
         ``LinkState.reserve``), two feed passes reduce arrivals to feed
         worsts, then a row-max and one scatter write the sweep's worst
-        array — the batched equivalent of every scalar repair
+        array — the vectorised equivalent of every scalar repair
         :meth:`_repair` would perform this step.
         """
         np = _numpy()
@@ -1843,7 +1843,7 @@ class SchedulingKernel:
     def place_step(
         self, operation: str, processors: "tuple[str, ...]"
     ) -> None:
-        """Place one macro-step's ``Npf + 1`` replicas, batched.
+        """Place one macro-step's ``Npf + 1`` replicas in one batch.
 
         On all-direct interconnects (``_batch_ok``) the trial plans of
         the whole step are built upfront against ONE shared reservation

@@ -157,6 +157,17 @@ class InjectionPlan:
         return {t.site for t in self.triggers}
 
 
+def _number(entry: dict, key: str, where: str, convert, default=None):
+    """``entry[key]`` converted by ``convert``; one-line error if it is
+    not a number (``default`` when absent or null)."""
+    value = entry.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FaultPlanError(f"{where} {key} must be a number, got {value!r}")
+    return convert(value)
+
+
 def _validate_trigger(entry: dict, index: int, strict: bool) -> FaultTrigger:
     where = f"trigger #{index + 1}"
     if not isinstance(entry, dict):
@@ -180,11 +191,11 @@ def _validate_trigger(entry: dict, index: int, strict: bool) -> FaultTrigger:
         raise FaultPlanError(
             f"{where} action {action!r} is not one of {ACTIONS}"
         )
-    probability = entry.get("probability")
-    if probability is not None and not (0.0 < float(probability) <= 1.0):
+    probability = _number(entry, "probability", where, float)
+    if probability is not None and not (0.0 < probability <= 1.0):
         raise FaultPlanError(f"{where} probability must be in (0, 1]")
-    nth = entry.get("nth")
-    if nth is not None and int(nth) < 1:
+    nth = _number(entry, "nth", where, int)
+    if nth is not None and nth < 1:
         raise FaultPlanError(f"{where} nth must be >= 1 (1-based hits)")
     if probability is None and nth is None and entry.get("worker") is None:
         raise FaultPlanError(
@@ -202,27 +213,27 @@ def _validate_trigger(entry: dict, index: int, strict: bool) -> FaultTrigger:
             raise FaultPlanError(
                 f"{where} names unknown exception class {exception!r}"
             )
-    fraction = float(entry.get("fraction", 0.5))
+    fraction = _number(entry, "fraction", where, float, 0.5)
     if not (0.0 < fraction < 1.0):
         raise FaultPlanError(f"{where} fraction must be in (0, 1)")
-    seconds = float(entry.get("seconds", 0.05))
+    seconds = _number(entry, "seconds", where, float, 0.05)
     if seconds < 0:
         raise FaultPlanError(f"{where} seconds must be >= 0")
-    limit = entry.get("limit")
-    if limit is not None and int(limit) < 1:
+    limit = _number(entry, "limit", where, int)
+    if limit is not None and limit < 1:
         raise FaultPlanError(f"{where} limit must be >= 1")
     return FaultTrigger(
         site=site,
         action=str(action),
-        probability=None if probability is None else float(probability),
-        nth=None if nth is None else int(nth),
+        probability=probability,
+        nth=nth,
         worker=entry.get("worker"),
         errno_name=errno_name,
         exception=None if exception is None else str(exception),
         seconds=seconds,
         fraction=fraction,
-        exit_code=int(entry.get("exit_code", 86)),
-        limit=None if limit is None else int(limit),
+        exit_code=_number(entry, "exit_code", where, int, 86),
+        limit=limit,
     )
 
 

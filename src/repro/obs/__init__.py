@@ -1,7 +1,7 @@
 """Unified telemetry for the FTBAR reproduction: spans, metrics, traces.
 
 One layer instruments every subsystem — the compiled kernel's phases,
-the batched scenario engine, campaign job lifecycles, the CLI commands
+the batch scenario engine, campaign job lifecycles, the CLI commands
 — and exports three things through one pipeline:
 
 * hierarchical timing **spans** (:mod:`repro.obs.spans`) on monotonic
@@ -12,8 +12,7 @@ the batched scenario engine, campaign job lifecycles, the CLI commands
   batch engine's :class:`~repro.simulation.batch.BatchStats`) behind
   one ``snapshot()``;
 * a schema-versioned JSONL **trace** (:mod:`repro.obs.export`,
-  :mod:`repro.obs.schema`) that also records structured warnings
-  (``CertificationCapWarning``) as events instead of stderr noise.
+  :mod:`repro.obs.schema`) that also records point-in-time events.
 
 Off by default, on by request
 -----------------------------

@@ -131,7 +131,7 @@ class BatchScenarioEngine:
     Build once per ``(schedule, algorithm, detection)``; every query is
     side-effect free apart from cache growth.  :meth:`run` yields full
     executor-compatible traces for arbitrary scenarios;
-    :meth:`crash_subsets_masked` is the batched verdict path used by the
+    :meth:`crash_subsets_masked` is the many-pairs verdict path used by the
     reliability certificates.
     """
 

@@ -1,4 +1,4 @@
-"""Compile-once schedule representation for batched failure simulation.
+"""Compile-once schedule representation for batch failure simulation.
 
 :class:`~repro.simulation.executor.ScheduleSimulator` re-walks the
 object graph (frozen-dataclass dict keys, name-keyed resource tables,

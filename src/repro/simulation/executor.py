@@ -127,7 +127,7 @@ class ScheduleSimulator:
         self._algorithm = algorithm
         self._detection = DetectionPolicy(detection)
         #: Cumulative event decisions across every :meth:`run` of this
-        #: instance — the work measure the batched engine is benchmarked
+        #: instance — the work measure the batch engine is benchmarked
         #: against (decided operations + comms; drained events excluded).
         self.decisions = 0
         #: Cumulative number of :meth:`run` invocations (scenarios replayed).

@@ -261,7 +261,7 @@ class FailureScenario:
         Like :meth:`permanent_crash_set` but covering link failures:
         ``None`` unless every failure (processor *or* link) is permanent
         and all share one instant — the shape of the combined
-        processor+link scenarios the batched certifier fast-paths.
+        processor+link scenarios the certifier's batch engine fast-paths.
         """
         if self._failure_set is False:
             self._failure_set = None

@@ -38,6 +38,7 @@ from repro.simulation.failures import (
     ProcessorFailure,
 )
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests import certify_oracle
 
 
 def corpus_schedule(seed: int, npf: int, topology: str = "p2p"):
@@ -281,21 +282,14 @@ class TestBatchedReliability:
     def test_certificate_bit_identical(self, seed, npf):
         schedule, algorithm = corpus_schedule(seed, npf)
         for crash_times in ((0.0,), event_boundary_times(schedule, limit=6)):
-            legacy = fault_tolerance_certificate(
-                schedule, algorithm, crash_times=crash_times, batched=False
+            oracle = certify_oracle.certificate(
+                schedule, algorithm, crash_times=crash_times
             )
             batched = fault_tolerance_certificate(
                 schedule, algorithm, crash_times=crash_times
             )
-            assert [
-                (l.failures, l.masked_subsets, l.total_subsets)
-                for l in legacy.levels
-            ] == [
-                (l.failures, l.masked_subsets, l.total_subsets)
-                for l in batched.levels
-            ]
-            assert legacy.breaking_subsets == batched.breaking_subsets
-            assert legacy.certified == batched.certified
+            assert batched.to_dict() == oracle.to_dict()
+            assert oracle.breaking_subsets == batched.breaking_subsets
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reliability_bit_identical_floats(self, seed):
@@ -304,14 +298,12 @@ class TestBatchedReliability:
             p: 0.03 * (i + 1)
             for i, p in enumerate(schedule.processor_names())
         }
-        legacy = schedule_reliability(
-            schedule, algorithm, probabilities, batched=False
-        )
+        oracle = certify_oracle.reliability(schedule, algorithm, probabilities)
         batched = schedule_reliability(schedule, algorithm, probabilities)
-        assert legacy.reliability == batched.reliability
-        assert legacy.masked_probability_mass == batched.masked_probability_mass
-        assert legacy.guaranteed_lower_bound == batched.guaranteed_lower_bound
-        assert legacy.evaluated_subsets == batched.evaluated_subsets
+        assert oracle.reliability == batched.reliability
+        assert oracle.masked_probability_mass == batched.masked_probability_mass
+        assert oracle.guaranteed_lower_bound == batched.guaranteed_lower_bound
+        assert oracle.evaluated_subsets == batched.evaluated_subsets
 
     def test_shared_engine_across_certificate_and_reliability(self):
         schedule, algorithm = corpus_schedule(0, 1)
@@ -327,13 +319,10 @@ class TestBatchedReliability:
         # The 2^P sweep re-asks the certificate's subsets: all memo hits
         # except the sizes the certificate never simulated.
         assert engine.stats.memo_hits > 0
-        legacy = schedule_reliability(
-            schedule,
-            algorithm,
-            {p: 0.1 for p in schedule.processor_names()},
-            batched=False,
+        oracle = certify_oracle.reliability(
+            schedule, algorithm, {p: 0.1 for p in schedule.processor_names()}
         )
-        assert report.reliability == legacy.reliability
+        assert report.reliability == oracle.reliability
         assert engine.stats.simulated + engine.stats.lanes >= before
 
     def test_engine_detection_mismatch_rejected(self):

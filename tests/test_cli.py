@@ -176,7 +176,7 @@ class TestValidateAndReliability:
         main(["generate", str(problem), "--operations", "6", "--seed", "4",
               "--processors", "3"])
         capsys.readouterr()
-        assert main(["reliability", str(problem)]) == 0
+        assert main(["certify", str(problem)]) == 0
         output = capsys.readouterr().out
         assert "CERTIFIED" in output
 
@@ -185,14 +185,9 @@ class TestValidateAndReliability:
         main(["generate", str(problem), "--operations", "6", "--seed", "4",
               "--processors", "3"])
         capsys.readouterr()
-        assert (
-            main(
-                ["reliability", str(problem), "--failure-probability", "0.05"]
-            )
-            == 0
-        )
+        assert main(["certify", str(problem), "--probability", "0.05"]) == 0
         output = capsys.readouterr().out
-        assert "reliability" in output
+        assert "q=0.05: reliability" in output
         assert "mean iterations" in output
 
     @pytest.mark.parametrize(
@@ -201,7 +196,8 @@ class TestValidateAndReliability:
     def test_reliability_exit_code_follows_certify(
         self, tmp_path, capsys, monkeypatch, verdict, code
     ):
-        """``reliability`` maps verdicts to exit codes like ``certify``."""
+        """With a reliability figure, ``certify`` still exits with the
+        certificate verdict's code."""
         from repro.analysis import reliability as reliability_module
 
         class Certificate:
@@ -223,8 +219,12 @@ class TestValidateAndReliability:
             "fault_tolerance_certificate",
             lambda *args, **kwargs: Certificate(),
         )
-        assert main(["reliability", str(problem)]) == code
-        assert f"verdict: {verdict}" in capsys.readouterr().out
+        assert main(
+            ["certify", str(problem), "--probability", "0.05"]
+        ) == code
+        output = capsys.readouterr().out
+        assert f"verdict: {verdict}" in output
+        assert "q=0.05: reliability" in output
 
 
 class TestMissingInput:
@@ -248,7 +248,7 @@ class TestMissingInput:
 #: Every subcommand that reads a problem or trace file from a path.
 _FILE_COMMANDS = (
     "schedule", "simulate", "report", "iterate", "validate",
-    "reliability", "certify", "trace", "stats",
+    "certify", "trace", "stats",
 )
 
 #: A problem document whose ``architecture`` section is not an object.
@@ -305,6 +305,155 @@ class TestMalformedInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "Traceback" not in captured.err + captured.out
+
+
+#: A valid campaign spec (one tiny job) for the ``--plan`` cases.
+_SPEC = {
+    "name": "malformed",
+    "workloads": [{"family": "random", "size": 4}],
+    "measures": ["ftbar"],
+}
+
+#: A valid plan for the spec cases (never reached: the spec fails first).
+_PLAN = {
+    "seed": 0,
+    "triggers": [
+        {"site": "worker.execute", "action": "raise", "probability": 0.5}
+    ],
+}
+
+#: Wrongly typed or missing campaign spec fields.
+_BAD_SPECS = {
+    "wrong-section-type": {**_SPEC, "workloads": 5},
+    "missing-section": {"name": "malformed"},
+    "probabilities-string": {
+        **_SPEC, "measures": ["ftbar", "reliability"],
+        "reliability": {"probabilities": "x"},
+    },
+    "confidence-string": {
+        **_SPEC, "measures": ["ftbar", "reliability"],
+        "reliability": {"confidence": "x"},
+    },
+    "exact-method": {
+        **_SPEC, "measures": ["ftbar", "reliability"],
+        "reliability": {"method": "exact"},
+    },
+}
+
+#: Malformed-file cases shared by specs and plans.
+_FILE_CASES = ("missing", "directory", "empty", "bad-json", "top-level-list")
+
+_CAMPAIGN_COMMANDS = {
+    "campaign-run": ["campaign", "run", "{spec}", "--quiet", "--no-cache"],
+    "campaign-status": ["campaign", "status", "{spec}"],
+    "campaign-report": ["campaign", "report", "{spec}"],
+    "campaign-init": ["campaign", "init", "{spec}", "--dir", "{dir}"],
+    "chaos-run-spec": ["chaos", "run", "{spec}", "--plan", "{plan}"],
+    "chaos-run-plan": ["chaos", "run", "{spec}", "--plan", "{plan}"],
+}
+
+
+def _bad_document(tmp_path, case: str, name: str, wrong: dict):
+    """A malformed JSON input of kind ``case`` (``wrong`` when typed)."""
+    path = tmp_path / name
+    if case == "missing":
+        return tmp_path / "missing.json"
+    if case == "directory":
+        return tmp_path
+    if case == "empty":
+        path.write_text("")
+    elif case == "bad-json":
+        path.write_text('{"name": "x",\n{not json\n')
+    elif case == "top-level-list":
+        path.write_text("[]\n")
+    else:
+        path.write_text(json.dumps(wrong))
+    return path
+
+
+class TestMalformedCampaignInput:
+    """``campaign run|status|report|init`` and ``chaos run`` turn every
+    malformed spec or plan into one ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "command,case",
+        [
+            (command, case)
+            for command in sorted(_CAMPAIGN_COMMANDS)
+            if command != "chaos-run-plan"
+            for case in _FILE_CASES + tuple(_BAD_SPECS)
+        ]
+        + [
+            ("chaos-run-plan", case)
+            for case in _FILE_CASES + ("wrong-field-type",)
+        ],
+    )
+    def test_one_error_line_no_traceback(
+        self, tmp_path, capsys, command, case
+    ):
+        good_spec = tmp_path / "good-spec.json"
+        good_spec.write_text(json.dumps(_SPEC))
+        good_plan = tmp_path / "good-plan.json"
+        good_plan.write_text(json.dumps(_PLAN))
+        if command == "chaos-run-plan":
+            spec = good_spec
+            plan = _bad_document(
+                tmp_path, case, "plan.json",
+                {"triggers": [{**_PLAN["triggers"][0], "probability": "x"}]},
+            )
+        else:
+            spec = _bad_document(
+                tmp_path, case, "spec.json", _BAD_SPECS.get(case)
+            )
+            plan = good_plan
+        argv = [
+            arg.format(spec=spec, plan=plan, dir=tmp_path / "campaign")
+            for arg in _CAMPAIGN_COMMANDS[command]
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "case,expected",
+        [
+            ("probabilities-string", "'reliability.probabilities' must be "
+             "a list of numbers"),
+            ("confidence-string", "'reliability.confidence' must be a number"),
+            ("missing-section", "missing the required field 'workloads'"),
+            ("exact-method", "expected one of ('auto', 'sampled')"),
+        ],
+    )
+    def test_spec_errors_name_the_field(
+        self, tmp_path, capsys, case, expected
+    ):
+        spec = _bad_document(tmp_path, case, "spec.json", _BAD_SPECS[case])
+        assert main(["campaign", "report", str(spec)]) == 1
+        assert expected in capsys.readouterr().err
+
+    def test_top_level_list_error_names_the_type(self, tmp_path, capsys):
+        spec = _bad_document(tmp_path, "top-level-list", "spec.json", None)
+        assert main(["campaign", "report", str(spec)]) == 1
+        assert "must be a JSON object, got list" in capsys.readouterr().err
+
+
+class TestCertifyArguments:
+    """Out-of-range sampling parameters and bounds end in one
+    ``error:`` line instead of a vacuous or mislabelled verdict."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--confidence", "1.5"), ("--confidence", "0"), ("--budget", "0"),
+         ("--budget", "-5"), ("--links", "-1")],
+    )
+    def test_bad_value_is_one_error_line(self, capsys, flag, value):
+        assert main(["certify", flag, value]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "CERTIFIED" not in captured.out
 
 
 class TestBench:

@@ -8,8 +8,8 @@ P 2-8 plus P 16/32 points, npf 0-2 and npl 0-1, and checks at every
 level up to npf+1 crashes and npl+1 broken links:
 
 * each lane verdict against a per-pair compiled replay;
-* certificate documents and reliability floats against the legacy
-  per-scenario executor (``batched=False``), byte for byte;
+* certificate documents and reliability floats against the
+  per-scenario oracle (``tests/certify_oracle.py``), byte for byte;
 * the sampled paths (P > 12) against the same engine with lanes
   disabled;
 * masking is downward closed at instant 0 (an oracle that does not use
@@ -45,6 +45,7 @@ from repro.workloads.random_dag import (
     generate_comm_times,
     generate_exec_times,
 )
+from tests import certify_oracle
 from tests.test_batch_simulation import stall_schedule
 
 TOPOLOGIES = {
@@ -119,15 +120,6 @@ def replay_masked(compiled, algorithm, procs, links, at=0.0) -> bool:
     return trace.delivered(compiled)
 
 
-def executor_masked(simulator, algorithm, procs, times, links=()) -> bool:
-    return all(
-        simulator.run(
-            FailureScenario.resource_crashes(procs, links, at=at)
-        ).all_operations_delivered(algorithm)
-        for at in times
-    )
-
-
 def document(certificate) -> str:
     return json.dumps(certificate.to_dict(), sort_keys=True)
 
@@ -158,19 +150,19 @@ def test_lanes_match_per_pair_replay(topology, processors, npf, npl):
 )
 def test_certificate_matches_legacy_bytes(topology, processors, npf, npl):
     schedule, algorithm = lane_schedule(topology, processors, npf, npl)
-    batched = fault_tolerance_certificate(schedule, algorithm)
-    legacy = fault_tolerance_certificate(schedule, algorithm, batched=False)
-    assert document(batched) == document(legacy)
+    certificate = fault_tolerance_certificate(schedule, algorithm)
+    oracle = certify_oracle.certificate(schedule, algorithm)
+    assert document(certificate) == document(oracle)
 
 
 def test_refuted_certificate_matches_legacy_bytes():
     # Leaf-to-leaf transfers are relayed by the hub, and crashing the
     # hub breaks this schedule: the document lists breaking subsets.
     schedule, algorithm = lane_schedule("star", 8, 1)
-    batched = fault_tolerance_certificate(schedule, algorithm)
-    legacy = fault_tolerance_certificate(schedule, algorithm, batched=False)
-    assert batched.verdict == "refuted" and batched.breaking_subsets
-    assert document(batched) == document(legacy)
+    certificate = fault_tolerance_certificate(schedule, algorithm)
+    oracle = certify_oracle.certificate(schedule, algorithm)
+    assert certificate.verdict == "refuted" and certificate.breaking_subsets
+    assert document(certificate) == document(oracle)
 
 
 @pytest.mark.parametrize(
@@ -183,11 +175,9 @@ def test_reliability_floats_bit_identical(topology, processors, npf):
     probabilities = {
         p: 0.02 * (i + 1) for i, p in enumerate(schedule.processor_names())
     }
-    batched = schedule_reliability(schedule, algorithm, probabilities)
-    legacy = schedule_reliability(
-        schedule, algorithm, probabilities, batched=False
-    )
-    assert batched == legacy
+    report = schedule_reliability(schedule, algorithm, probabilities)
+    oracle = certify_oracle.reliability(schedule, algorithm, probabilities)
+    assert report == oracle
 
 
 def test_combined_reliability_floats_bit_identical():
@@ -196,15 +186,15 @@ def test_combined_reliability_floats_bit_identical():
     link_probabilities = {
         l: 0.01 * (i + 1) for i, l in enumerate(schedule.link_names())
     }
-    batched = schedule_reliability(
+    report = schedule_reliability(
         schedule, algorithm, probabilities,
         link_failure_probabilities=link_probabilities,
     )
-    legacy = schedule_reliability(
-        schedule, algorithm, probabilities, batched=False,
+    oracle = certify_oracle.reliability(
+        schedule, algorithm, probabilities,
         link_failure_probabilities=link_probabilities,
     )
-    assert batched == legacy
+    assert report == oracle
 
 
 @pytest.mark.parametrize(
@@ -212,7 +202,7 @@ def test_combined_reliability_floats_bit_identical():
 )
 def test_sampled_paths_match_replay(topology, processors, monkeypatch):
     """Past the exhaustive regime the answers cannot come from the
-    legacy path; disabling lanes (a test-only patch) gives the oracle."""
+    per-scenario oracle; disabling lanes (a test-only patch) gives the oracle."""
     schedule, algorithm = lane_schedule(topology, processors, 1)
     probabilities = {p: 0.01 for p in schedule.processor_names()}
 
@@ -291,7 +281,7 @@ def test_zero_duration_event_takes_the_replay():
     pairs = level_pairs(schedule, 2, 1)
     verdicts = engine.crash_subsets_masked(pairs, (0.0,))
     assert verdicts == [
-        executor_masked(simulator, algorithm, procs, (0.0,), links)
+        certify_oracle.masked(simulator, algorithm, procs, (0.0,), links)
         for procs, links in pairs
     ]
     # The crash of P1 alone is masked only because X fits in zero time.
@@ -307,7 +297,7 @@ def test_unclean_baseline_takes_the_replay():
     pairs = level_pairs(schedule, 3, 1)
     verdicts = engine.crash_subsets_masked(pairs, (0.0,))
     assert verdicts == [
-        executor_masked(simulator, algorithm, procs, (0.0,), links)
+        certify_oracle.masked(simulator, algorithm, procs, (0.0,), links)
         for procs, links in pairs
     ]
     assert engine.stats.lanes == 0
@@ -321,7 +311,7 @@ def test_every_detection_policy_matches_the_executor(detection):
     pairs = level_pairs(schedule, 2, 0)
     verdicts = engine.crash_subsets_masked(pairs, (0.0,))
     assert verdicts == [
-        executor_masked(simulator, algorithm, procs, (0.0,))
+        certify_oracle.masked(simulator, algorithm, procs, (0.0,))
         for procs, _ in pairs
     ]
     if detection is DetectionPolicy.NONE:
@@ -340,7 +330,7 @@ def test_mixed_crash_instants(order):
     pairs = level_pairs(schedule, 2, 1)
     verdicts = engine.crash_subsets_masked(pairs, times)
     assert verdicts == [
-        executor_masked(simulator, algorithm, procs, times, links)
+        certify_oracle.masked(simulator, algorithm, procs, times, links)
         for procs, links in pairs
     ]
     # The same request one pair at a time (the pre-lane order) asks the

@@ -9,10 +9,10 @@ Covers the acceptance criteria of the unified resource-failure model:
 * ``npl >= 1`` schedules place every inter-processor transfer on
   ``Npl + 1`` pairwise link-disjoint routes and pass the independent
   structural validator;
-* the batched certifier proves combined masking — every subset of
-  ≤ ``Npf`` processor crashes and ≤ ``Npl`` link failures — on ring,
+* the certifier's batch engine proves combined masking — every subset
+  of ≤ ``Npf`` processor crashes and ≤ ``Npl`` link failures — on ring,
   (reinforced) star and fully-connected topologies, bit-identically to
-  the legacy per-scenario engine;
+  the per-scenario oracle (``tests/certify_oracle.py``);
 * infeasible hypotheses (a plain star at ``npl = 1``) fail with a clear
   error naming the achievable bound.
 """
@@ -50,6 +50,7 @@ from repro.simulation.failures import FailureScenario
 from repro.simulation.trace import EventStatus
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
+from tests import certify_oracle
 
 
 def _uniform(algorithm, architecture, npf=0, npl=0, exec_time=1.0, comm=0.5):
@@ -310,17 +311,9 @@ class TestCombinedCertificateApi:
         result = schedule_ftbar(problem)
         schedule, algorithm = result.schedule, result.expanded_algorithm
         batched = fault_tolerance_certificate(schedule, algorithm)
-        legacy = fault_tolerance_certificate(schedule, algorithm, batched=False)
-        assert [
-            (l.failures, l.link_failures, l.masked_subsets, l.total_subsets)
-            for l in batched.levels
-        ] == [
-            (l.failures, l.link_failures, l.masked_subsets, l.total_subsets)
-            for l in legacy.levels
-        ]
-        assert batched.breaking_subsets == legacy.breaking_subsets
-        assert batched.breaking_combined == legacy.breaking_combined
-        assert batched.certified == legacy.certified
+        oracle = certify_oracle.certificate(schedule, algorithm)
+        assert batched.to_dict() == oracle.to_dict()
+        assert batched.breaking_combined == oracle.breaking_combined
 
     def test_capped_link_bound_weakens_the_verified_hypothesis(self):
         # --links 0 on an npl=1 schedule enumerates no link scenarios:
@@ -363,12 +356,12 @@ class TestLinkReliability:
             schedule, algorithm, probabilities,
             link_failure_probabilities=link_probabilities,
         )
-        legacy = schedule_reliability(
+        oracle = certify_oracle.reliability(
             schedule, algorithm, probabilities,
-            link_failure_probabilities=link_probabilities, batched=False,
+            link_failure_probabilities=link_probabilities,
         )
-        assert combined.reliability == legacy.reliability
-        assert combined.masked_probability_mass == legacy.masked_probability_mass
+        assert combined.reliability == oracle.reliability
+        assert combined.masked_probability_mass == oracle.masked_probability_mass
         assert combined.evaluated_subsets == 2 ** 4 * 2 ** 4
         # Certified npl=1 schedule: reliability covers at least the
         # guaranteed (≤ npf crashes, ≤ npl links) probability mass.

@@ -77,6 +77,50 @@ class TestCertificate:
         assert "1 crash(es)" in text
 
 
+class TestOutOfRangeArguments:
+    """No vacuous verdict from an out-of-range bound, no mislabelled
+    interval from an out-of-range sampling parameter."""
+
+    @pytest.mark.parametrize("knob", ["max_failures", "max_link_failures"])
+    def test_negative_bound_rejected(self, knob):
+        result = ft_result(npf=1)
+        with pytest.raises(SimulationError, match=f"{knob} must be >= 0"):
+            fault_tolerance_certificate(
+                result.schedule, result.expanded_algorithm, **{knob: -1}
+            )
+
+    def test_bound_below_npf_weakens_the_reported_hypothesis(self):
+        result = ft_result(npf=1)
+        certificate = fault_tolerance_certificate(
+            result.schedule, result.expanded_algorithm, max_failures=0
+        )
+        assert certificate.npf == 0
+        assert [level.failures for level in certificate.levels] == [0]
+        assert "npf=0" in str(certificate)
+        assert "npf=1" not in str(certificate)
+
+    @pytest.mark.parametrize(
+        "knobs,message",
+        [
+            ({"confidence": 1.5}, "confidence must be in"),
+            ({"confidence": 0.0}, "confidence must be in"),
+            ({"budget": 0}, "budget must be >= 1"),
+            ({"budget": -5}, "budget must be >= 1"),
+            ({"epsilon": 0.0}, "epsilon must be > 0"),
+        ],
+    )
+    def test_sampling_parameters_validated(self, knobs, message):
+        result = ft_result(npf=1)
+        schedule, algorithm = result.schedule, result.expanded_algorithm
+        with pytest.raises(SimulationError, match=message):
+            fault_tolerance_certificate(schedule, algorithm, **knobs)
+        with pytest.raises(SimulationError, match=message):
+            schedule_reliability(
+                schedule, algorithm,
+                {p: 0.01 for p in schedule.processor_names()}, **knobs,
+            )
+
+
 class TestEventBoundaryTimes:
     def test_includes_zero_and_is_sorted(self):
         result = ft_result(npf=1)

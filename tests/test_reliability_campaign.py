@@ -2,8 +2,8 @@
 
 The ``reliability`` measure turns campaign grids into heatmap sweeps
 (npf axis x failure-probability columns), every job certified by the
-batched scenario engine; ``repro certify`` is the one-schedule front
-end with a built-in cross-engine comparison.
+batch scenario engine; ``repro certify`` is the one-schedule front
+end, diffed here against the per-scenario oracle.
 """
 
 import json
@@ -22,6 +22,7 @@ from repro.campaign.spec import (
 from repro.campaign.store import ResultStore
 from repro.cli import main
 from repro.exceptions import SerializationError
+from tests.certify_oracle import run_certify
 
 
 def heatmap_spec(npfs=(0, 1), probabilities=(0.01, 0.1)) -> CampaignSpec:
@@ -70,10 +71,47 @@ class TestReliabilitySpec:
         with pytest.raises(SerializationError, match="detection"):
             ReliabilitySpec(detection="psychic")
 
+    @pytest.mark.parametrize(
+        "knobs,message",
+        [
+            ({"confidence": 1.5}, "confidence must be in"),
+            ({"budget": 0}, "budget must be >= 1"),
+            ({"max_failures": -1}, "max_failures must be >= 0"),
+            ({"max_link_failures": -1}, "max_link_failures must be >= 0"),
+        ],
+    )
+    def test_out_of_range_knob_rejected(self, knobs, message):
+        with pytest.raises(SerializationError, match=message):
+            ReliabilitySpec(**knobs)
+
     def test_non_dict_reliability_document_rejected(self):
         document = campaign_to_dict(heatmap_spec())
         document["reliability"] = "yes"
         with pytest.raises(SerializationError, match="invalid campaign"):
+            campaign_from_dict(document)
+
+    @pytest.mark.parametrize("method", [None, "auto"])
+    def test_default_method_keeps_the_pinned_job_digest(self, method):
+        """Retiring ``method: "exact"`` leaves every other spec's job
+        identity alone: no ``method`` and the explicit default hash to
+        the digest this spec has always had (a literal pin)."""
+        reliability = {"probabilities": [0.01]}
+        if method is not None:
+            reliability["method"] = method
+        spec = campaign_from_dict({
+            "name": "digest-pin",
+            "workloads": [{"family": "random", "size": 8}],
+            "measures": ["ftbar", "reliability"],
+            "reliability": reliability,
+        })
+        assert [job.digest for job in expand_jobs(spec)] == [
+            "3a9d0f58b58d5dfe1896c7b35f950035cfa4d8088f53b2ba822f7ce375754f2e"
+        ]
+
+    def test_exact_method_rejected_naming_the_allowed_values(self):
+        document = campaign_to_dict(heatmap_spec())
+        document["reliability"]["method"] = "exact"
+        with pytest.raises(SerializationError, match="'auto', 'sampled'"):
             campaign_from_dict(document)
 
     def test_reliability_config_changes_job_digest(self):
@@ -160,10 +198,14 @@ class TestCertifyCli:
         assert "CERTIFIED" in output
         assert "batch engine:" in output
 
-    def test_certify_compare_engines(self, capsys):
-        assert main(["certify", "--compare", "--probability", "0.1"]) == 0
-        output = capsys.readouterr().out
-        assert "bit-identical" in output
+    def test_certify_compare_engines(self, tmp_path):
+        """The batch engine's certificate and reliability line equal the
+        per-scenario oracle's on the paper example."""
+        code, output = run_certify(
+            tmp_path / "certificate.json", probabilities=(0.1,)
+        )
+        assert code == 0
+        assert "q=0.1: reliability" in output
 
     def test_certify_problem_file_with_boundaries(self, tmp_path, capsys):
         problem = tmp_path / "problem.json"
@@ -172,10 +214,14 @@ class TestCertifyCli:
         assert main(["certify", str(problem), "--boundaries"]) == 0
         assert "crash times" in capsys.readouterr().out
 
-    def test_certify_legacy_engine(self, capsys):
-        assert main(["certify", "--legacy"]) == 0
-        output = capsys.readouterr().out
-        assert "batch engine:" not in output
+    @pytest.mark.usefixtures("capsys")
+    def test_certify_legacy_engine(self):
+        """The per-scenario engine is a test oracle only: the flags that
+        selected it or diffed against it are gone from the CLI."""
+        for flag in ("--legacy", "--exact", "--compare"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["certify", flag])
+            assert exit_info.value.code == 2
 
     def test_campaign_heatmap_cli(self, tmp_path, capsys):
         from repro.campaign.spec import save_campaign

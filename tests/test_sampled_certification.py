@@ -4,7 +4,7 @@ The tentpole contract of the sampled certifier (``analysis/sampling.py``
 behind ``fault_tolerance_certificate`` / ``schedule_reliability``):
 
 * on every small instance the auto path is *bit-identical* to the
-  legacy exhaustive certificate (levels, breaking subsets, verdict);
+  exhaustive per-scenario oracle (``tests/certify_oracle.py``);
 * forced sampling never contradicts exhaustive truth — same
   refuted-or-not verdict, and the exhaustive masked fraction /
   reliability lies inside every reported confidence interval;
@@ -27,7 +27,6 @@ import pytest
 
 from repro.analysis import sampling
 from repro.analysis.reliability import (
-    CertificationCapWarning,
     fault_tolerance_certificate,
     schedule_reliability,
 )
@@ -48,6 +47,7 @@ from repro.simulation.batch import BatchScenarioEngine
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests import certify_oracle
 
 
 def _schedule(processors: int, npf: int = 1, seed: int = 2003,
@@ -238,16 +238,11 @@ class TestSmallInstanceAgreement:
     @pytest.mark.parametrize("processors,npf,seed", CORPUS)
     def test_auto_is_bit_identical_to_exact(self, processors, npf, seed):
         schedule, algorithm = _schedule(processors, npf=npf, seed=seed)
-        engine = BatchScenarioEngine(schedule, algorithm)
-        auto = fault_tolerance_certificate(schedule, algorithm, engine=engine)
-        exact = fault_tolerance_certificate(
-            schedule, algorithm, method="exact", engine=engine
-        )
-        assert _levels(auto) == _levels(exact)
+        auto = fault_tolerance_certificate(schedule, algorithm)
+        exact = certify_oracle.certificate(schedule, algorithm)
+        assert auto.to_dict() == exact.to_dict()
         assert auto.breaking_subsets == exact.breaking_subsets
         assert auto.breaking_combined == exact.breaking_combined
-        assert auto.certified == exact.certified
-        assert auto.verdict == exact.verdict
         assert auto.method == "exact"
         assert all(level.method == "exact" for level in auto.levels)
 
@@ -256,12 +251,9 @@ class TestSmallInstanceAgreement:
         self, processors, npf, seed
     ):
         schedule, algorithm = _schedule(processors, npf=npf, seed=seed)
-        engine = BatchScenarioEngine(schedule, algorithm)
-        exact = fault_tolerance_certificate(
-            schedule, algorithm, method="exact", engine=engine
-        )
+        exact = certify_oracle.certificate(schedule, algorithm)
         sampled = fault_tolerance_certificate(
-            schedule, algorithm, method="sampled", engine=engine, seed=1
+            schedule, algorithm, method="sampled", seed=1
         )
         assert (sampled.verdict == "refuted") == (exact.verdict == "refuted")
         # Every exhaustive masked fraction lies inside the level's ci.
@@ -305,7 +297,7 @@ class TestBeyondTheCap:
     def test_auto_emits_no_cap_warning(self):
         schedule, algorithm = _wide_schedule(16)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CertificationCapWarning)
+            warnings.simplefilter("error")
             certificate = fault_tolerance_certificate(schedule, algorithm)
         assert certificate.verdict in ("certified", "refuted", "estimated")
 
@@ -374,25 +366,18 @@ class TestBeyondTheCap:
         assert lo <= report.reliability <= hi
         assert report.guaranteed_lower_bound <= hi + 1e-12
 
-    def test_sampled_reliability_requires_the_batch_engine(self):
-        schedule, algorithm = _wide_schedule(16)
-        probabilities = {p: 0.01 for p in schedule.processor_names()}
-        with pytest.raises(SimulationError, match="batch engine"):
-            schedule_reliability(
-                schedule, algorithm, probabilities,
-                method="sampled", batched=False,
-            )
-
     def test_unknown_method_rejected(self):
         schedule, algorithm = _schedule(4)
-        with pytest.raises(SimulationError, match="unknown certification"):
-            fault_tolerance_certificate(schedule, algorithm, method="bogus")
-        with pytest.raises(SimulationError, match="unknown reliability"):
-            schedule_reliability(
-                schedule, algorithm,
-                {p: 0.01 for p in schedule.processor_names()},
-                method="bogus",
-            )
+        # "exact" was the retired capped enumerator: gone, not aliased.
+        for method in ("bogus", "exact"):
+            with pytest.raises(SimulationError, match="unknown certification"):
+                fault_tolerance_certificate(schedule, algorithm, method=method)
+            with pytest.raises(SimulationError, match="unknown reliability"):
+                schedule_reliability(
+                    schedule, algorithm,
+                    {p: 0.01 for p in schedule.processor_names()},
+                    method=method,
+                )
 
 
 # ----------------------------------------------------------------------
