@@ -39,9 +39,9 @@ from repro.analysis.reliability import (
 )
 from repro.core.ftbar import schedule_ftbar
 from repro.simulation.batch import BatchScenarioEngine
-from repro.simulation.executor import ScheduleSimulator
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 from tests import certify_oracle
+from tests.simulation_oracle import ScheduleSimulator
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 _OPERATIONS = 20

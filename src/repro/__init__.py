@@ -47,7 +47,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "simulation": (
         "BatchScenarioEngine", "DetectionPolicy", "EventStatus",
         "ExecutionTrace", "FailureScenario", "ProcessorFailure",
-        "ScheduleSimulator", "simulate",
+        "simulate",
     ),
     "timing": (
         "FORBIDDEN", "CommunicationTimes", "ExecutionTimes",
@@ -89,7 +89,6 @@ __all__ = [
     "ReproError",
     "RtcReport",
     "Schedule",
-    "ScheduleSimulator",
     "ScheduleValidationError",
     "ScheduledComm",
     "ScheduledOperation",

@@ -17,8 +17,8 @@ from typing import Mapping
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
-from repro.simulation.executor import DetectionPolicy, ScheduleSimulator
-from repro.simulation.failures import FailureScenario
+from repro.simulation.compiled import CompiledSchedule
+from repro.simulation.failures import DetectionPolicy, FailureScenario
 
 
 def overhead_percent(ft_length: float, non_ft_length: float) -> float:
@@ -66,10 +66,12 @@ def degraded_lengths(
     With ``require_delivery`` (default) a missing output raises — under
     the schedule's failure hypothesis every single crash must be masked.
     """
-    simulator = ScheduleSimulator(schedule, algorithm, detection)
+    compiled = CompiledSchedule(schedule, algorithm)
     lengths: dict[str, float] = {}
     for processor in schedule.processor_names():
-        trace = simulator.run(FailureScenario.crash(processor, at))
+        trace = compiled.replay(
+            FailureScenario.crash(processor, at), detection
+        ).to_trace(compiled)
         if require_delivery and trace.outputs_completion(algorithm) is None:
             raise SimulationError(
                 f"crash of {processor!r} at {at} is not masked by the schedule"
@@ -133,11 +135,13 @@ def output_latencies(
     cares about (the paper's per-sub-task ``Rtc``), as opposed to the
     schedule length which also counts straggler replicas.
     """
-    simulator = ScheduleSimulator(schedule, algorithm, detection)
-    nominal = simulator.run(FailureScenario.none())
+    compiled = CompiledSchedule(schedule, algorithm)
+    nominal = compiled.replay(None, detection).to_trace(compiled)
     results: dict[str, OutputLatency] = {}
     crash_traces = {
-        processor: simulator.run(FailureScenario.crash(processor))
+        processor: compiled.replay(
+            FailureScenario.crash(processor), detection
+        ).to_trace(compiled)
         for processor in schedule.processor_names()
     }
     for sink in algorithm.sinks():

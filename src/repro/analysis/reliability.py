@@ -45,7 +45,7 @@ from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import schedule_content_hash
 from repro.simulation.batch import MAX_SUBSETS_PER_LEVEL, BatchScenarioEngine
-from repro.simulation.executor import DetectionPolicy
+from repro.simulation.failures import DetectionPolicy
 
 
 #: :func:`schedule_reliability` enumerates the ``2^P x 2^L`` sum exactly

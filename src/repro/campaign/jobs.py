@@ -49,7 +49,7 @@ from repro.schedule.serialization import (
     problem_to_dict,
     schedule_to_dict,
 )
-from repro.simulation.executor import DetectionPolicy, simulate
+from repro.simulation.compiled import CompiledSchedule
 from repro.simulation.failures import FailureScenario
 from repro.workloads import families
 from repro.workloads.random_dag import (
@@ -425,8 +425,11 @@ def _execute(job: Job, tracer) -> tuple[dict, dict, dict]:
             record["reliability"] = _certify(job.reliability, ftbar)
     if job.failures:
         with tracer.span("job.inject", scenarios=len(job.failures)):
+            compiled = CompiledSchedule(
+                ftbar.schedule, ftbar.expanded_algorithm
+            )
             record["failures"] = [
-                _inject(job, failure, ftbar, problem)
+                _inject(failure, ftbar, problem, compiled)
                 for failure in job.failures
             ]
     # The compile-cache delta goes in the volatile ``timing`` section,
@@ -563,9 +566,12 @@ def _certify(spec: ReliabilitySpec, ftbar) -> dict:
 
 
 def _inject(
-    job: Job, failure: FailureSpec, ftbar, problem: ProblemSpec
+    failure: FailureSpec,
+    ftbar,
+    problem: ProblemSpec,
+    compiled: CompiledSchedule,
 ) -> dict:
-    """Simulate one failure scenario against the job's FTBAR schedule."""
+    """Replay one failure scenario on the job's compiled FTBAR schedule."""
     names = problem.architecture.processor_names()
     if any(i >= len(names) for i in failure.processors) or not failure.processors:
         # The architecture is too small for this scenario: skip it
@@ -576,9 +582,7 @@ def _inject(
     processors = [names[i] for i in failure.processors]
     entry = {"processors": processors, "at": failure.at}
     scenario = FailureScenario.crashes(processors, failure.at)
-    trace = simulate(
-        ftbar.schedule, ftbar.expanded_algorithm, scenario, DetectionPolicy.NONE
-    )
+    trace = compiled.replay(scenario).to_trace(compiled)
     completion = trace.outputs_completion(ftbar.expanded_algorithm)
     entry.update(
         delivered=completion is not None,

@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro import obs
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SimulationError
 
 
 def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
@@ -47,7 +47,7 @@ def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
-#: Values of :class:`repro.simulation.executor.DetectionPolicy`, spelled
+#: Values of :class:`repro.simulation.failures.DetectionPolicy`, spelled
 #: out so that building the parser imports no simulation code.
 _DETECTION_CHOICES = ("none", "timeout-array")
 
@@ -613,27 +613,48 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_crash(spec: str) -> tuple[str, float]:
-    processor, _, when = spec.partition("@")
-    return processor, float(when) if when else 0.0
+def _crash_scenario(specs: list[str], processors: tuple[str, ...]):
+    """The ``--crash PROC[@TIME]`` options as one failure scenario.
+
+    A malformed time or a processor the architecture lacks raises
+    :class:`~repro.exceptions.SimulationError` (one ``error:`` line),
+    never a traceback or a silently nominal run.
+    """
+    from repro.simulation.failures import FailureScenario, ProcessorFailure
+
+    failures = []
+    for spec in specs:
+        processor, _, when = spec.partition("@")
+        if processor not in processors:
+            raise SimulationError(
+                f"--crash {spec}: no processor {processor!r} in the "
+                f"architecture ({', '.join(processors)})"
+            )
+        try:
+            at = float(when) if when else 0.0
+        except ValueError:
+            raise SimulationError(
+                f"--crash {spec}: crash time {when!r} is not a number"
+            ) from None
+        failures.append(ProcessorFailure(processor, at))
+    return FailureScenario(failures)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis.metrics import degraded_lengths
     from repro.core.ftbar import schedule_ftbar
     from repro.schedule.serialization import load_json, problem_from_dict
-    from repro.simulation.executor import DetectionPolicy, simulate
-    from repro.simulation.failures import FailureScenario, ProcessorFailure
+    from repro.simulation.compiled import simulate
+    from repro.simulation.failures import DetectionPolicy
 
     problem = problem_from_dict(load_json(args.problem))
+    scenario = _crash_scenario(
+        args.crash, problem.architecture.processor_names()
+    )
     result = schedule_ftbar(problem)
     algorithm = result.expanded_algorithm
     print(result.schedule.summary())
     if args.crash:
-        crashes = [_parse_crash(spec) for spec in args.crash]
-        scenario = FailureScenario(
-            [ProcessorFailure(processor, at) for processor, at in crashes]
-        )
         trace = simulate(
             result.schedule,
             algorithm,
@@ -643,8 +664,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"scenario: {scenario!r}")
         print(trace.summary())
         completion = trace.outputs_completion(algorithm)
-        verdict = f"outputs delivered at {completion:g}" if completion else "OUTPUTS LOST"
-        print(verdict)
+        if completion is None:
+            print("OUTPUTS LOST")
+            return 1
+        print(f"outputs delivered at {completion:g}")
     else:
         lengths = degraded_lengths(result.schedule, algorithm)
         print("single-crash schedule lengths:")
@@ -668,18 +691,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_iterate(args: argparse.Namespace) -> int:
     from repro.core.ftbar import schedule_ftbar
     from repro.schedule.serialization import load_json, problem_from_dict
-    from repro.simulation.executor import DetectionPolicy
-    from repro.simulation.failures import FailureScenario, ProcessorFailure
+    from repro.simulation.failures import DetectionPolicy
     from repro.simulation.iterative import simulate_iterations
 
     problem = problem_from_dict(load_json(args.problem))
+    scenario = _crash_scenario(
+        args.crash, problem.architecture.processor_names()
+    )
     result = schedule_ftbar(problem)
     algorithm = result.expanded_algorithm
     print(result.schedule.summary())
-    crashes = [_parse_crash(spec) for spec in args.crash]
-    scenario = FailureScenario(
-        [ProcessorFailure(processor, at) for processor, at in crashes]
-    )
     run = simulate_iterations(
         result.schedule,
         algorithm,
@@ -737,7 +758,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.core.ftbar import schedule_ftbar
     from repro.schedule.serialization import load_json, problem_from_dict, save_json
     from repro.simulation.batch import BatchScenarioEngine
-    from repro.simulation.executor import DetectionPolicy
+    from repro.simulation.failures import DetectionPolicy
 
     if args.problem is not None:
         problem = problem_from_dict(load_json(args.problem))

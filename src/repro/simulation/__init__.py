@@ -4,9 +4,11 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "batch": ("BatchScenarioEngine", "BatchStats"),
-    "compiled": ("CompiledSchedule", "CompiledTrace"),
-    "executor": ("DetectionPolicy", "ScheduleSimulator", "simulate"),
-    "failures": ("FailureScenario", "LinkFailure", "ProcessorFailure"),
+    "compiled": ("CompiledSchedule", "CompiledTrace", "simulate"),
+    "failures": (
+        "DetectionPolicy", "FailureScenario", "LinkFailure",
+        "ProcessorFailure",
+    ),
     "iterative": (
         "IterationOutcome", "IterativeSimulator", "IterativeTrace",
         "simulate_iterations",
@@ -30,7 +32,6 @@ __all__ = [
     "IterativeTrace",
     "LinkFailure",
     "ProcessorFailure",
-    "ScheduleSimulator",
     "SimulatedComm",
     "SimulatedOperation",
     "simulate",

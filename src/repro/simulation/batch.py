@@ -3,7 +3,7 @@
 :class:`BatchScenarioEngine` answers "is this crash subset masked?" for
 thousands of scenarios against one schedule — including the *combined*
 processor+link subsets of link-failure certification (``npl >= 1``
-schedules), which silence links exactly like the per-scenario executor
+schedules), which silence links exactly like a per-scenario replay
 does.  It compiles the schedule once
 (:mod:`repro.simulation.compiled`), simulates the failure-free
 baseline once, and then spends per scenario only what the scenario
@@ -40,13 +40,15 @@ actually requires:
   ``i`` of every event value standing for the request's ``i``-th subset.
   Every other instant, detection policy or baseline is replayed.
 
-All answers are bit-identical to replaying
-:class:`~repro.simulation.executor.ScheduleSimulator` per scenario —
-the pruning rules are exact theorems about the worklist semantics, and
-the cone replay falls back to a full compiled replay whenever its
-order-independence argument does not apply (failure detection enabled,
-a baseline that needed the stalled-worklist relaxation, or a scenario
-whose cone replay stalls).
+All answers are bit-identical to one full
+:meth:`~repro.simulation.compiled.CompiledSchedule.replay` (the
+production simulator) per scenario — the pruning rules are exact
+theorems about the worklist semantics, and the cone replay falls back
+to a full compiled replay whenever its order-independence argument does
+not apply (failure detection enabled, a baseline that needed the
+stalled-worklist relaxation, or a scenario whose cone replay stalls).
+The tests pin the verdicts against the object executor kept as the
+oracle (``tests/simulation_oracle.py``).
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ from repro.simulation.compiled import (
     CompiledSchedule,
     _CrashSetQueries,
 )
-from repro.simulation.executor import DetectionPolicy
-from repro.simulation.failures import FailureScenario
-from repro.simulation.trace import ExecutionTrace
+from repro.simulation.failures import DetectionPolicy
 
 #: Per-(crash size, link size) level ceiling of the certifier once a
 #: resource count passes its enumeration cap — and the widest crash-lane
@@ -129,8 +129,7 @@ class BatchScenarioEngine:
     """Compile-once, replay-many scenario engine for one schedule.
 
     Build once per ``(schedule, algorithm, detection)``; every query is
-    side-effect free apart from cache growth.  :meth:`run` yields full
-    executor-compatible traces for arbitrary scenarios;
+    side-effect free apart from cache growth.
     :meth:`crash_subsets_masked` is the many-pairs verdict path used by the
     reliability certificates.
     """
@@ -197,7 +196,6 @@ class BatchScenarioEngine:
         self._verdict_memo: dict[tuple, bool] = {}
         self._cone_prefix: dict[tuple[int, ...], int] = {(): 0}
         self._link_cone_prefix: dict[tuple[int, ...], int] = {(): 0}
-        self._trace_memo: dict[tuple, ExecutionTrace] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -211,10 +209,6 @@ class BatchScenarioEngine:
     def baseline_delivered(self) -> bool:
         """Whether the failure-free run delivers every operation."""
         return self._baseline_delivered
-
-    def baseline_trace(self) -> ExecutionTrace:
-        """The failure-free trace (compiled replay, executor-identical)."""
-        return self._baseline.to_trace(self._compiled)
 
     def involved_processors(self) -> tuple[str, ...]:
         """Processors the schedule involves at all, in canonical order.
@@ -267,43 +261,6 @@ class BatchScenarioEngine:
             / total
             for name in self.involved_links()
         }
-
-    # ------------------------------------------------------------------
-    # generic scenarios (full traces)
-    # ------------------------------------------------------------------
-    def run(self, scenario: FailureScenario | None = None) -> ExecutionTrace:
-        """Simulate one arbitrary scenario, returning the full trace.
-
-        Bit-identical to ``simulate(schedule, algorithm, scenario,
-        detection)`` — the cone replay is used when its exactness
-        argument holds and silently falls back to the full compiled
-        replay otherwise.
-        """
-        if scenario is None or len(scenario) == 0:
-            return self.baseline_trace()
-        key = scenario.signature()
-        cached = self._trace_memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            return cached
-        state = None
-        if self._cone_ok:
-            cone = self._compiled.scenario_cone(scenario)
-            state = self._compiled.replay(
-                scenario, self._detection, baseline=self._baseline, cone=cone
-            )
-            if state is None:
-                self.stats.cone_fallbacks += 1
-            else:
-                self.stats.simulated_cone += 1
-        if state is None:
-            state = self._compiled.replay(scenario, self._detection)
-            self.stats.simulated_full += 1
-        self.stats.decisions += state.decisions
-        self.stats.copied += state.copied
-        trace = state.to_trace(self._compiled)
-        self._trace_memo[key] = trace
-        return trace
 
     # ------------------------------------------------------------------
     # crash-subset verdicts (the certification hot path)

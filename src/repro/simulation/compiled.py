@@ -1,19 +1,34 @@
-"""Compile-once schedule representation for batch failure simulation.
-
-:class:`~repro.simulation.executor.ScheduleSimulator` re-walks the
-object graph (frozen-dataclass dict keys, name-keyed resource tables,
-an O(comms) previous-hop scan) on every replay.  That cost is invisible
-for one scenario but dominates reliability certification, which replays
-the *same* schedule under thousands of crash subsets.
+"""The production simulator: a schedule compiled once, replayed per scenario.
 
 :class:`CompiledSchedule` flattens one ``Schedule`` + ``AlgorithmGraph``
 into int-indexed struct-of-arrays — per-resource static orders,
 predecessor/arrival tables, replica→processor maps, previous/next-hop
 chains — compiled once and replayed many times with list indexing only.
-:meth:`CompiledSchedule.replay` reproduces the worklist semantics of the
-per-scenario executor *bit-identically* (same sweep order, same float
-expressions, same stalled-worklist relaxation) and supports three
-progressively cheaper modes:
+:meth:`CompiledSchedule.replay` is the only production implementation
+of the runtime semantics of section 5:
+
+* every processor executes its operation replicas in the static order;
+  an operation starts when the processor is free *and* the first
+  complete set of inputs has arrived (one value per predecessor);
+* every link transmits its comms in the static order among those whose
+  data exists; a silent producer's comm never occupies the medium;
+* a down processor is silent, and an intermittent one resumes its
+  static sequence when it recovers;
+* with :attr:`DetectionPolicy.TIMEOUT_ARRAY` a missed comm marks its
+  sender faulty at the comm's static date, and processors stop sending
+  to the processors they know are faulty.
+
+Events are decided by a worklist that follows the resource orders and
+the data dependencies; a stalled worklist fires the pending operation
+with the earliest candidate start among those with one delivered input
+per predecessor (what the blocking-receive executive would observe).
+:func:`simulate` is the one-call API.  The iterative simulator, the
+metrics, the CLI and the campaign jobs compile once per schedule and
+replay once per scenario.  The paper-literal object executor survives
+only as the test oracle (``tests/simulation_oracle.py``), which every
+trace of the differential corpus must equal exactly.
+
+:meth:`CompiledSchedule.replay` has three progressively cheaper modes:
 
 * a full replay (any scenario, any detection policy);
 * a *dirty-cone* replay that re-decides only the events reachable from
@@ -34,8 +49,8 @@ The cone replay is only attempted without failure detection and with a
 clean baseline: the timeout-array knowledge table makes decisions
 order-dependent, and a baseline that needed the stalled-worklist
 relaxation voids the order-independence argument.  A cone replay that
-stalls returns ``None`` and the caller falls back to the full replay —
-the executor would have needed the relaxation for that scenario too.
+stalls returns ``None`` and the caller falls back to the full replay,
+which needs the relaxation for that scenario too.
 """
 
 from __future__ import annotations
@@ -46,8 +61,7 @@ from dataclasses import dataclass, field
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
-from repro.simulation.executor import DetectionPolicy
-from repro.simulation.failures import FailureScenario
+from repro.simulation.failures import DetectionPolicy, FailureScenario
 from repro.simulation.trace import (
     EventStatus,
     ExecutionTrace,
@@ -145,7 +159,8 @@ class _GenericQueries:
         return self._scenario.next_window(self._procs[proc], earliest, duration)
 
     def transmit_window(self, proc: int, link: int, earliest: float, duration: float):
-        # Same alternating search as the executor's ``_transmit_window``.
+        # Alternate between the sender's and the medium's next-window
+        # searches until they agree; each round skips a down interval.
         scenario = self._scenario
         sender = self._procs[proc]
         medium = self._links[link]
@@ -223,7 +238,7 @@ class CompiledTrace:
         return True
 
     def to_trace(self, compiled: "CompiledSchedule") -> ExecutionTrace:
-        """Rebuild the executor-compatible :class:`ExecutionTrace`."""
+        """Rebuild the object-level :class:`ExecutionTrace`."""
         if self.truncated:
             raise SimulationError(
                 "a verdict-mode replay is truncated; rerun without "
@@ -504,19 +519,6 @@ class CompiledSchedule:
             self._link_cones[link] = cone
         return cone
 
-    def scenario_cone(self, scenario: FailureScenario) -> int:
-        """Union of the member cones (closure distributes over unions)."""
-        cone = 0
-        for name in scenario.failed_processors():
-            proc = self.proc_ids.get(name)
-            if proc is not None:
-                cone |= self.proc_cone(proc)
-        for name in scenario.failed_links():
-            link = self.link_ids.get(name)
-            if link is not None:
-                cone |= self.link_cone(link)
-        return cone
-
     # ------------------------------------------------------------------
     # crash lanes (instant-0 verdicts, one bit per crash subset)
     # ------------------------------------------------------------------
@@ -659,6 +661,7 @@ class CompiledSchedule:
         cone: int | None = None,
         verdict_only: bool = False,
         queries=None,
+        initial_knowledge: dict[str, set[str]] | None = None,
     ) -> CompiledTrace | None:
         """Replay the schedule under ``scenario`` on the compiled arrays.
 
@@ -666,9 +669,16 @@ class CompiledSchedule:
         events inside the cone and copies every other outcome from the
         baseline; it returns ``None`` when the worklist stalls (the
         caller must fall back to a full replay, which resolves the stall
-        with the executor's relaxation rule).  ``verdict_only`` stops as
-        soon as every operation has a completed replica — exact for
-        masking checks, but the returned trace is marked ``truncated``.
+        with the relaxation rule).  ``verdict_only`` stops as soon as
+        every operation has a completed replica — exact for masking
+        checks, but the returned trace is marked ``truncated``.
+
+        ``initial_knowledge`` seeds the failure-detection arrays
+        (option 2): ``{observer: {known_faulty, ...}}`` by processor
+        name, each entry effective from t = 0.  This is how detection
+        knowledge persists across the iterations of the cyclic
+        execution (section 5: "avoid further comms to the faulty
+        processors in ... the subsequent iterations").
         """
         if queries is None:
             queries = _queries(self, scenario)
@@ -705,6 +715,19 @@ class CompiledSchedule:
         link_index = [0] * len(self.link_names)
         link_free = [0.0] * len(self.link_names)
         knowledge = state.knowledge
+        if initial_knowledge:
+            proc_ids = self.proc_ids
+            for observer, faulty_set in initial_knowledge.items():
+                for faulty in faulty_set:
+                    if observer not in proc_ids or faulty not in proc_ids:
+                        raise SimulationError(
+                            f"detection knowledge {observer!r} -> "
+                            f"{faulty!r} names a processor the schedule "
+                            f"lacks"
+                        )
+                    _learn(
+                        knowledge, proc_ids[observer], proc_ids[faulty], 0.0
+                    )
 
         undecided = n_ops + n_comms
         copied = 0
@@ -933,7 +956,7 @@ class CompiledSchedule:
             if cone_mode:
                 return None  # stall: the caller re-runs the full replay
             # Stalled worklist: fire the pending operation with the
-            # earliest candidate start (the executor's relaxation).
+            # earliest candidate start (the relaxation rule).
             best = None
             for proc, order in enumerate(self.proc_order):
                 if proc_blocked[proc] or proc_index[proc] >= len(order):
@@ -998,3 +1021,19 @@ def _learn(
     known = knowledge.get(key, math.inf)
     if at < known:
         knowledge[key] = at
+
+
+def simulate(
+    schedule: Schedule,
+    algorithm: AlgorithmGraph,
+    scenario: FailureScenario | None = None,
+    detection: DetectionPolicy = DetectionPolicy.NONE,
+) -> ExecutionTrace:
+    """One-call API: simulate ``schedule`` under ``scenario``.
+
+    Compiles the schedule for this one replay; a caller replaying many
+    scenarios should build one :class:`CompiledSchedule` and call
+    :meth:`CompiledSchedule.replay` per scenario instead.
+    """
+    compiled = CompiledSchedule(schedule, algorithm)
+    return compiled.replay(scenario, detection).to_trace(compiled)

@@ -13,15 +13,33 @@ over ``Npl + 1`` link-disjoint routes, so any ``Npl`` broken links leave
 at least one copy's route intact.  The paper's own conclusion left link
 failures as future work; ``npl = 0`` schedules reproduce that original
 engine, where a broken bus can still break the schedule.
+
+How processors react to a missing comm is the scenario's other half:
+:class:`DetectionPolicy` names the paper's two failure-detection options.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.exceptions import SimulationError
+
+
+class DetectionPolicy(str, enum.Enum):
+    """The two failure-detection options of section 5."""
+
+    #: Option 1 — no detection: healthy processors keep sending to
+    #: faulty ones; intermittent failures are recoverable.
+    NONE = "none"
+    #: Option 2 — timeout array: missed comms reveal faulty senders,
+    #: whose processors then stop receiving traffic for good.
+    TIMEOUT_ARRAY = "timeout-array"
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -31,6 +49,11 @@ class _Interval:
     until: float = math.inf
 
     def __post_init__(self) -> None:
+        if math.isnan(self.at) or math.isnan(self.until):
+            raise SimulationError(
+                f"failure of {self.resource!r} at a NaN instant "
+                f"({self.at!r} until {self.until!r})"
+            )
         if self.at < 0:
             raise SimulationError(
                 f"failure of {self.resource!r} at negative time {self.at!r}"

@@ -21,17 +21,17 @@ the static schedule over many iterations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
-from repro.simulation.executor import DetectionPolicy, ScheduleSimulator
-from repro.simulation.failures import FailureScenario, ProcessorFailure
+from repro.simulation.compiled import CompiledSchedule
+from repro.simulation.failures import (
+    DetectionPolicy,
+    FailureScenario,
+    ProcessorFailure,
+)
 from repro.simulation.trace import ExecutionTrace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,9 @@ class IterativeSimulator:
         detection: DetectionPolicy = DetectionPolicy.NONE,
         period: float | None = None,
     ) -> None:
-        self._schedule = schedule
         self._algorithm = algorithm
         self._detection = DetectionPolicy(detection)
-        self._simulator = ScheduleSimulator(schedule, algorithm, detection)
+        self._compiled = CompiledSchedule(schedule, algorithm)
         nominal = schedule.makespan()
         self._period = nominal if period is None else period
         if self._period <= 0 and nominal > 0:
@@ -141,10 +140,11 @@ class IterativeSimulator:
         offset = 0.0
         for index in range(iterations):
             local_scenario = _shift_scenario(scenario, offset)
-            trace = self._simulator.run(
+            trace = self._compiled.replay(
                 local_scenario,
-                initial_knowledge=knowledge if knowledge else None,
-            )
+                self._detection,
+                initial_knowledge=knowledge,
+            ).to_trace(self._compiled)
             outputs = trace.outputs_completion(self._algorithm)
             outcomes.append(
                 IterationOutcome(

@@ -4,9 +4,9 @@ The reference implementation the production certifier
 (:func:`repro.analysis.reliability.fault_tolerance_certificate`) and
 reliability sum (:func:`repro.analysis.reliability.schedule_reliability`)
 are pinned against.  It enumerates every crash subset of every level in
-canonical order and replays each one, at each crash instant, with a
-fresh :meth:`ScheduleSimulator.run` — no compiled arrays, no crash
-lanes, no pruning, no projection, no sampling.  It is exhaustive, so
+canonical order and replays each one, at each crash instant, with the
+object executor of ``tests/simulation_oracle.py`` — no compiled arrays,
+no crash lanes, no pruning, no projection, no sampling.  It is exhaustive, so
 only small instances are practical (every level is enumerated whatever
 its size).
 
@@ -35,9 +35,9 @@ from repro.cli import main
 from repro.core.ftbar import schedule_ftbar
 from repro.exceptions import SimulationError
 from repro.schedule.serialization import load_json, problem_from_dict, save_json
-from repro.simulation.executor import DetectionPolicy, ScheduleSimulator
-from repro.simulation.failures import FailureScenario
+from repro.simulation.failures import DetectionPolicy, FailureScenario
 from repro.workloads.paper_example import build_problem
+from tests.simulation_oracle import ScheduleSimulator
 
 
 def masked(simulator, algorithm, processors, times, links=()) -> bool:

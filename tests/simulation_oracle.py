@@ -1,4 +1,14 @@
-"""Replay of a static schedule under a failure scenario (section 5).
+"""Paper-literal simulation oracle: the object executor of section 5.
+
+The reference implementation the production simulator
+(:meth:`repro.simulation.compiled.CompiledSchedule.replay`, reached
+through :func:`repro.simulation.compiled.simulate`) is pinned against:
+``tests/test_batch_simulation.py`` diffs every trace of its corpus
+(operations, comms, detections) against :meth:`ScheduleSimulator.run`,
+and ``tests/certify_oracle.py`` replays one scenario per crash subset
+with it.  It walks the schedule's objects directly — frozen-dataclass
+dict keys, name-keyed resource tables, an O(comms) previous-hop scan —
+so it is slow, and it is kept only as the oracle.
 
 The simulator enforces the paper's runtime semantics:
 
@@ -34,7 +44,6 @@ blocking-receive executive would observe.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -42,27 +51,13 @@ from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.events import ScheduledComm, ScheduledOperation
 from repro.schedule.schedule import Schedule
-from repro.simulation.failures import FailureScenario
+from repro.simulation.failures import DetectionPolicy, FailureScenario
 from repro.simulation.trace import (
     EventStatus,
     ExecutionTrace,
     SimulatedComm,
     SimulatedOperation,
 )
-
-
-class DetectionPolicy(str, enum.Enum):
-    """The two failure-detection options of section 5."""
-
-    #: Option 1 — no detection: healthy processors keep sending to
-    #: faulty ones; intermittent failures are recoverable.
-    NONE = "none"
-    #: Option 2 — timeout array: missed comms reveal faulty senders,
-    #: whose processors then stop receiving traffic for good.
-    TIMEOUT_ARRAY = "timeout-array"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass

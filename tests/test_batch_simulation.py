@@ -1,14 +1,22 @@
-"""Batched vs per-scenario simulation: bit-identical by construction.
+"""The production simulator against the object-executor oracle.
 
-The batch engine (compile-once arrays, dirty-cone re-decision,
-footprint-equivalence pruning) is a pure-performance change: every
-trace and every masking verdict must equal the per-scenario
-``ScheduleSimulator`` exactly.  The corpus crosses random-DAG schedules
-(seeds x npf x point-to-point/bus topologies) with crash subsets at
-several instants, intermittent and link failures, and both detection
-policies — plus a hand-built schedule whose nominal replay needs the
-executor's stalled-worklist relaxation (the path that disables the
-dirty-cone optimization).
+:meth:`CompiledSchedule.replay` is the only production simulator; the
+paper-literal executor survives as ``tests/simulation_oracle.py``.
+Every trace of the corpus — operations, comms and detections — must
+equal the oracle's exactly, through the three production entry points:
+the one-call :func:`simulate`, the cyclic :func:`simulate_iterations`
+(each iteration's trace, with timeout-array knowledge carried across
+iterations) and the dirty-cone replay
+(``replay(baseline=..., cone=...)``).  The masking verdicts of the batch
+engine (crash lanes, cone replays, footprint-equivalence pruning) must
+equal one oracle replay per scenario too.
+
+The corpus crosses random-DAG schedules (seeds x npf) on point-to-point,
+bus, ring and star topologies and ``npl = 1`` route-replicated schedules
+with crash subsets at several instants, intermittent crashes and link
+failures, under both detection policies — plus a hand-built schedule
+whose nominal replay needs the stalled-worklist relaxation (the path
+that disables the dirty-cone optimization).
 """
 
 import itertools
@@ -26,22 +34,24 @@ from repro.exceptions import SimulationError
 from repro.graphs.algorithm import from_dependencies
 from repro.schedule.schedule import Schedule
 from repro.simulation.batch import BatchScenarioEngine
-from repro.simulation.compiled import CompiledSchedule
-from repro.simulation.executor import (
-    DetectionPolicy,
-    ScheduleSimulator,
-    simulate,
-)
+from repro.simulation.compiled import CompiledSchedule, simulate
 from repro.simulation.failures import (
+    DetectionPolicy,
     FailureScenario,
     LinkFailure,
     ProcessorFailure,
 )
+from repro.simulation.iterative import (
+    _merge_knowledge,
+    _shift_scenario,
+    simulate_iterations,
+)
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
-from tests import certify_oracle
+from tests import certify_oracle, simulation_oracle
+from tests.simulation_oracle import ScheduleSimulator
 
 
-def corpus_schedule(seed: int, npf: int, topology: str = "p2p"):
+def corpus_schedule(seed: int, npf: int, topology: str = "p2p", npl: int = 0):
     problem = generate_problem(
         RandomWorkloadConfig(
             operations=12, ccr=1.0, processors=4, npf=npf, seed=seed
@@ -49,6 +59,20 @@ def corpus_schedule(seed: int, npf: int, topology: str = "p2p"):
     )
     if topology == "bus":
         problem = _bus_variant(problem)
+    problem.npl = npl
+    result = schedule_ftbar(problem)
+    return result.schedule, result.expanded_algorithm
+
+
+def routed_schedule(topology: str, seed: int = 3, npl: int = 0):
+    """A ring/star schedule: comms relayed over several hops."""
+    from repro.campaign.jobs import build_problem as build_campaign_problem
+    from repro.campaign.spec import WorkloadSpec
+
+    problem = build_campaign_problem(
+        WorkloadSpec(family="random", size=10), topology, 4, 1, 1.0, seed
+    )
+    problem.npl = npl
     result = schedule_ftbar(problem)
     return result.schedule, result.expanded_algorithm
 
@@ -61,10 +85,118 @@ def crash_scenarios(schedule, max_size: int = 3, times=(0.0, 5.0, 40.0)):
                 yield FailureScenario.crashes(subset, at=at)
 
 
+def mixed_scenarios(schedule):
+    """Intermittent crashes, link failures and both combined."""
+    processors = schedule.processor_names()
+    links = schedule.link_names()
+    return [
+        FailureScenario.intermittent(processors[0], 2.0, 9.0),
+        FailureScenario.intermittent(processors[-1], 0.0, 4.0),
+        FailureScenario(
+            [
+                ProcessorFailure(processors[1], 3.0, 8.0),
+                ProcessorFailure(processors[2], 0.0),
+            ]
+        ),
+        FailureScenario.link_down(links[0], at=1.0),
+        FailureScenario.link_down(links[-1]),
+        FailureScenario(
+            [
+                LinkFailure(links[-1], 0.0, 6.0),
+                ProcessorFailure(processors[0], 4.0),
+            ]
+        ),
+        FailureScenario(
+            [
+                LinkFailure(links[0], 2.0, 5.0),
+                ProcessorFailure(processors[1], 1.0, 7.0),
+            ]
+        ),
+    ]
+
+
 def assert_traces_equal(reference, candidate, context: str) -> None:
     assert reference.operations == candidate.operations, context
     assert reference.comms == candidate.comms, context
     assert reference.detections == candidate.detections, context
+
+
+def scenario_cone(compiled: CompiledSchedule, scenario) -> int:
+    """Union of the dirty cones of the scenario's failing resources."""
+    cone = 0
+    for name in scenario.failed_processors():
+        cone |= compiled.proc_cone(compiled.proc_ids[name])
+    for name in scenario.failed_links():
+        cone |= compiled.link_cone(compiled.link_ids[name])
+    return cone
+
+
+def assert_matches_oracle(schedule, algorithm, scenarios, detection, label):
+    """``simulate()`` and the cone replay equal the oracle per scenario.
+
+    The cone replay is exact only without detection and on a clean
+    baseline (where the batch engine uses it); a cone replay that
+    stalls returns ``None`` and is not compared.  Returns the number of
+    cone replays compared.
+    """
+    oracle = ScheduleSimulator(schedule, algorithm, detection)
+    compiled = CompiledSchedule(schedule, algorithm)
+    baseline = compiled.replay(None, detection)
+    cone_ok = detection is DetectionPolicy.NONE and baseline.clean
+    cones = 0
+    for scenario in [FailureScenario.none(), *scenarios]:
+        context = f"{label} {detection} {scenario!r}"
+        reference = oracle.run(scenario)
+        assert_traces_equal(
+            reference,
+            simulate(schedule, algorithm, scenario, detection),
+            context,
+        )
+        if not cone_ok:
+            continue
+        state = compiled.replay(
+            scenario,
+            detection,
+            baseline=baseline,
+            cone=scenario_cone(compiled, scenario),
+        )
+        if state is not None:
+            cones += 1
+            assert_traces_equal(
+                reference, state.to_trace(compiled), f"cone {context}"
+            )
+    return cones
+
+
+def oracle_iterations(schedule, algorithm, iterations, scenario, detection):
+    """``IterativeSimulator.run``, each iteration replayed by the oracle."""
+    simulator = ScheduleSimulator(schedule, algorithm, detection)
+    period = schedule.makespan()
+    knowledge: dict[str, set[str]] = {}
+    offset = 0.0
+    outcomes = []
+    for _ in range(iterations):
+        trace = simulator.run(
+            _shift_scenario(scenario, offset),
+            initial_knowledge=knowledge if knowledge else None,
+        )
+        outcomes.append((offset, trace))
+        if detection is DetectionPolicy.TIMEOUT_ARRAY:
+            knowledge = _merge_knowledge(knowledge, trace.detections)
+        offset = max(offset + period, offset + trace.makespan())
+    return outcomes
+
+
+def assert_iterations_match_oracle(schedule, algorithm, scenario, detection):
+    run = simulate_iterations(
+        schedule, algorithm, 6, scenario=scenario, detection=detection
+    )
+    expected = oracle_iterations(schedule, algorithm, 6, scenario, detection)
+    assert len(run) == len(expected)
+    for outcome, (offset, reference) in zip(run.iterations, expected):
+        context = f"{detection} {scenario!r} iteration {outcome.index}"
+        assert outcome.offset == offset, context
+        assert_traces_equal(reference, outcome.trace, context)
 
 
 def stall_schedule():
@@ -73,7 +205,7 @@ def stall_schedule():
     ``A``'s second arrival (from ``X/1`` on ``L3``) is statically
     ordered *behind* a comm produced by ``B``, which runs after ``A``
     on the same processor — the conservative wait-for-all-arrivals rule
-    deadlocks and the executor fires ``A`` from its first delivered
+    deadlocks and the replay fires ``A`` from its first delivered
     arrival, exactly what the blocking-receive executive would do.
     """
     algorithm = from_dependencies([("X", "A"), ("B", "C")])
@@ -95,86 +227,146 @@ class TestTraceEquivalence:
     def test_crash_subsets_bit_identical(self, seed, npf):
         schedule, algorithm = corpus_schedule(seed, npf)
         for detection in DetectionPolicy:
-            engine = BatchScenarioEngine(schedule, algorithm, detection)
-            for scenario in crash_scenarios(schedule):
-                reference = simulate(schedule, algorithm, scenario, detection)
-                assert_traces_equal(
-                    reference,
-                    engine.run(scenario),
-                    f"seed={seed} npf={npf} {detection} {scenario!r}",
-                )
+            assert_matches_oracle(
+                schedule, algorithm, list(crash_scenarios(schedule)),
+                detection, f"seed={seed} npf={npf}",
+            )
 
     @pytest.mark.parametrize("topology", ["p2p", "bus"])
     def test_nominal_equals_executor(self, topology):
         schedule, algorithm = corpus_schedule(0, 1, topology)
-        engine = BatchScenarioEngine(schedule, algorithm)
-        assert_traces_equal(
-            simulate(schedule, algorithm), engine.run(), topology
-        )
+        for detection in DetectionPolicy:
+            oracle = simulation_oracle.simulate(
+                schedule, algorithm, None, detection
+            )
+            assert_traces_equal(
+                oracle,
+                simulate(schedule, algorithm, None, detection),
+                f"{topology} {detection}",
+            )
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_bus_topology_with_detection(self, seed):
         schedule, algorithm = corpus_schedule(seed, 1, "bus")
-        detection = DetectionPolicy.TIMEOUT_ARRAY
-        engine = BatchScenarioEngine(schedule, algorithm, detection)
-        for scenario in crash_scenarios(schedule, max_size=2):
-            reference = simulate(schedule, algorithm, scenario, detection)
-            assert_traces_equal(
-                reference, engine.run(scenario), repr(scenario)
+        scenarios = [
+            *crash_scenarios(schedule, max_size=2),
+            *mixed_scenarios(schedule),
+        ]
+        for detection in DetectionPolicy:
+            assert_matches_oracle(
+                schedule, algorithm, scenarios, detection, f"bus seed={seed}"
             )
 
     @pytest.mark.parametrize("topology", ["ring", "star"])
     def test_multi_hop_routes_bit_identical(self, topology):
         # Ring/star schedules route comms over relays (hop_index > 0),
         # exercising the compiled previous-hop chains.
-        from repro.campaign.jobs import build_problem as build_campaign_problem
-        from repro.campaign.spec import WorkloadSpec
+        schedule, algorithm = routed_schedule(topology)
+        assert any(c.hop_index > 0 for c in schedule.all_comms())
+        scenarios = [
+            *crash_scenarios(schedule, max_size=2, times=(0.0, 8.0)),
+            *mixed_scenarios(schedule),
+        ]
+        for detection in DetectionPolicy:
+            assert_matches_oracle(
+                schedule, algorithm, scenarios, detection, topology
+            )
 
-        problem = build_campaign_problem(
-            WorkloadSpec(family="random", size=10), topology, 4, 1, 1.0, 0
-        )
-        result = schedule_ftbar(problem)
-        schedule, algorithm = result.schedule, result.expanded_algorithm
-        engine = BatchScenarioEngine(schedule, algorithm)
-        for scenario in crash_scenarios(schedule, max_size=2, times=(0.0, 8.0)):
-            reference = simulate(schedule, algorithm, scenario)
-            assert_traces_equal(
-                reference, engine.run(scenario), f"{topology} {scenario!r}"
+    @pytest.mark.parametrize("topology", ["p2p", "ring"])
+    def test_npl1_route_copies_bit_identical(self, topology):
+        # npl = 1 schedules carry every transfer over two link-disjoint
+        # routes (two hop chains per replica pair, told apart by route).
+        if topology == "p2p":
+            schedule, algorithm = corpus_schedule(1, 1, npl=1)
+        else:
+            schedule, algorithm = routed_schedule("ring", npl=1)
+        assert any(c.route > 0 for c in schedule.all_comms())
+        if topology == "ring":
+            assert any(c.hop_index > 0 for c in schedule.all_comms())
+        links = schedule.link_names()
+        scenarios = [
+            *crash_scenarios(schedule, max_size=1, times=(0.0, 6.0)),
+            *mixed_scenarios(schedule),
+            *(
+                FailureScenario.resource_crashes(procs, broken, at)
+                for procs in itertools.combinations(
+                    schedule.processor_names(), 1
+                )
+                for broken in itertools.combinations(links, 1)
+                for at in (0.0, 3.0)
+            ),
+        ]
+        for detection in DetectionPolicy:
+            assert_matches_oracle(
+                schedule, algorithm, scenarios, detection, f"npl=1 {topology}"
             )
 
     def test_intermittent_and_link_failures(self):
         schedule, algorithm = corpus_schedule(2, 1)
+        for detection in DetectionPolicy:
+            cones = assert_matches_oracle(
+                schedule, algorithm, mixed_scenarios(schedule), detection,
+                "mixed",
+            )
+            if detection is DetectionPolicy.NONE:
+                assert cones > 0  # the cone replay really was compared
+
+
+class TestIterationEquivalence:
+    """``simulate_iterations`` against an oracle-driven cyclic run."""
+
+    @pytest.mark.parametrize("topology", ["p2p", "bus", "ring"])
+    @pytest.mark.parametrize("detection", list(DetectionPolicy))
+    def test_iterations_bit_identical(self, topology, detection):
+        if topology == "ring":
+            schedule, algorithm = routed_schedule("ring")
+        else:
+            schedule, algorithm = corpus_schedule(3, 1, topology)
         processors = schedule.processor_names()
         links = schedule.link_names()
+        span = schedule.makespan()
         scenarios = [
-            FailureScenario.intermittent(processors[0], 2.0, 9.0),
-            FailureScenario(
-                [
-                    ProcessorFailure(processors[1], 3.0, 8.0),
-                    ProcessorFailure(processors[2], 0.0),
-                ]
+            FailureScenario.none(),
+            # Crash in the middle of iteration 2, for good.
+            FailureScenario.crash(processors[0], at=1.5 * span),
+            # Down through iterations 1-3, then back.
+            FailureScenario.intermittent(
+                processors[1], 0.5 * span, 3.5 * span
             ),
-            FailureScenario.link_down(links[0], at=1.0),
             FailureScenario(
                 [
-                    LinkFailure(links[1], 0.0, 6.0),
-                    ProcessorFailure(processors[0], 4.0),
+                    ProcessorFailure(processors[2], 0.0, 2.2 * span),
+                    LinkFailure(links[0], 0.7 * span, 4.1 * span),
                 ]
             ),
         ]
-        engine = BatchScenarioEngine(schedule, algorithm)
         for scenario in scenarios:
-            reference = simulate(schedule, algorithm, scenario)
-            assert_traces_equal(reference, engine.run(scenario), repr(scenario))
+            assert_iterations_match_oracle(
+                schedule, algorithm, scenario, detection
+            )
 
-    def test_trace_memo_returns_identical_object(self):
+    def test_detection_knowledge_is_carried(self):
+        # A crash detected in iteration 0 enters every later iteration
+        # as initial knowledge (recorded at t = 0).
         schedule, algorithm = corpus_schedule(0, 1)
-        engine = BatchScenarioEngine(schedule, algorithm)
-        scenario = FailureScenario.crash(schedule.processor_names()[0])
-        first = engine.run(scenario)
-        again = engine.run(FailureScenario.crash(schedule.processor_names()[0]))
-        assert first is again
-        assert engine.stats.memo_hits >= 1
+        victim = schedule.all_comms()[0].source_processor
+        scenario = FailureScenario.crash(victim, at=0.5 * schedule.makespan())
+        detection = DetectionPolicy.TIMEOUT_ARRAY
+        run = simulate_iterations(
+            schedule, algorithm, 6, scenario=scenario, detection=detection
+        )
+        for outcome in run.iterations[1:]:
+            detections = outcome.trace.detections.values()
+            assert any(known.get(victim) == 0.0 for known in detections)
+        assert_iterations_match_oracle(
+            schedule, algorithm, scenario, detection
+        )
+
+    def test_unknown_processor_in_knowledge_rejected(self):
+        schedule, algorithm = corpus_schedule(0, 1)
+        compiled = CompiledSchedule(schedule, algorithm)
+        with pytest.raises(SimulationError, match="lacks"):
+            compiled.replay(initial_knowledge={"P1": {"P99"}})
 
 
 class TestStalledWorklist:
@@ -185,13 +377,15 @@ class TestStalledWorklist:
 
     def test_batched_matches_relaxed_executor(self):
         schedule, algorithm = stall_schedule()
-        engine = BatchScenarioEngine(schedule, algorithm)
-        assert_traces_equal(
-            simulate(schedule, algorithm), engine.run(), "nominal"
-        )
-        for scenario in crash_scenarios(schedule, times=(0.0, 0.5, 4.0)):
-            reference = simulate(schedule, algorithm, scenario)
-            assert_traces_equal(reference, engine.run(scenario), repr(scenario))
+        mixed = mixed_scenarios(schedule)
+        scenarios = [*crash_scenarios(schedule, times=(0.0, 0.5, 4.0)), *mixed]
+        for detection in DetectionPolicy:
+            assert_matches_oracle(
+                schedule, algorithm, scenarios, detection, "stall"
+            )
+            assert_iterations_match_oracle(
+                schedule, algorithm, mixed[0], detection
+            )
 
     def test_masking_verdicts_match_on_stall_schedule(self):
         schedule, algorithm = stall_schedule()

@@ -2,11 +2,23 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.schedule.serialization import load_json
+
+#: A shipped four-processor problem (P1..P4, npf = 1).
+EXAMPLE = (
+    Path(__file__).resolve().parent.parent
+    / "examples" / "problem_fc4_npf1_npl1.json"
+)
+
+#: ``--crash`` options that silence every processor of :data:`EXAMPLE`.
+CRASH_ALL = [
+    arg for proc in ("P1", "P2", "P3", "P4") for arg in ("--crash", proc)
+]
 
 
 class TestExample:
@@ -118,6 +130,14 @@ class TestSimulate:
             == 0
         )
 
+    def test_lost_outputs_exit_one(self, capsys):
+        assert main(["simulate", str(EXAMPLE), *CRASH_ALL]) == 1
+        assert "OUTPUTS LOST" in capsys.readouterr().out
+
+    def test_masked_crash_exits_zero(self, capsys):
+        assert main(["simulate", str(EXAMPLE), "--crash", "P2@1"]) == 0
+        assert "outputs delivered at" in capsys.readouterr().out
+
     def test_detection_choices_match_the_policy_enum(self):
         from repro.cli import _DETECTION_CHOICES
         from repro.simulation import DetectionPolicy
@@ -155,6 +175,11 @@ class TestIterate:
             == 0
         )
         assert "outputs at" in capsys.readouterr().out
+
+    def test_lost_outputs_exit_one(self, capsys):
+        argv = ["iterate", str(EXAMPLE), "--iterations", "2", *CRASH_ALL]
+        assert main(argv) == 1
+        assert "OUTPUTS LOST" in capsys.readouterr().out
 
 
 class TestValidateAndReliability:
@@ -305,6 +330,19 @@ class TestMalformedInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("command", ("simulate", "iterate"))
+    @pytest.mark.parametrize(
+        "crash", ("P1@abc", "P9", "P9@2", "P1@nan", "P1@-1")
+    )
+    def test_bad_crash_is_one_error_line(self, capsys, command, crash):
+        # A bad time used to end in a traceback, and an unknown
+        # processor was simulated as the nominal run.
+        assert main([command, str(EXAMPLE), "--crash", crash]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert captured.out == ""
 
 
 #: A valid campaign spec (one tiny job) for the ``--plan`` cases.

@@ -74,15 +74,30 @@ def test_import_cli_loads_no_heavy_module():
         assert heavy not in modules
 
 
+#: What a replay-only command (``simulate``, ``iterate``) must not load:
+#: the batch certification engine and the reliability analysis.
+_NO_CERTIFICATION = ("repro.simulation.batch", "repro.analysis.reliability")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, also_absent",
     [
-        ("schedule", str(EXAMPLES / "problem_fc4_npf1_npl1.json")),
-        ("certify", str(EXAMPLES / "problem_fc4_npf1_npl1.json")),
+        (("schedule", str(EXAMPLES / "problem_fc4_npf1_npl1.json")), ()),
+        (("certify", str(EXAMPLES / "problem_fc4_npf1_npl1.json")), ()),
+        (
+            ("simulate", str(EXAMPLES / "problem_fc4_npf1_npl1.json"),
+             "--crash", "P1"),
+            _NO_CERTIFICATION,
+        ),
+        (
+            ("iterate", str(EXAMPLES / "problem_fc4_npf1_npl1.json"),
+             "--crash", "P1"),
+            _NO_CERTIFICATION,
+        ),
     ],
-    ids=["schedule", "certify"],
+    ids=["schedule", "certify", "simulate", "iterate"],
 )
-def test_cold_command_loads_only_what_it_runs(argv):
+def test_cold_command_loads_only_what_it_runs(argv, also_absent):
     modules = loaded_modules(run_cli(*argv))
     assert "repro.core.ftbar" in modules  # the command really ran
     for heavy in (
@@ -91,6 +106,7 @@ def test_cold_command_loads_only_what_it_runs(argv):
         "repro.campaign",
         "repro.faultinject.chaos",
         "repro.analysis.experiments",
+        *also_absent,
     ):
         assert heavy not in modules, f"{argv[0]} imported {heavy}"
 

@@ -38,14 +38,14 @@ from repro.problem import ProblemSpec
 from repro.schedule.schedule import Schedule
 from repro.simulation.batch import BatchScenarioEngine
 from repro.simulation.compiled import CompiledSchedule
-from repro.simulation.executor import DetectionPolicy, ScheduleSimulator
-from repro.simulation.failures import FailureScenario
+from repro.simulation.failures import DetectionPolicy, FailureScenario
 from repro.workloads.random_dag import (
     generate_algorithm,
     generate_comm_times,
     generate_exec_times,
 )
 from tests import certify_oracle
+from tests.simulation_oracle import ScheduleSimulator
 from tests.test_batch_simulation import stall_schedule
 
 TOPOLOGIES = {

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.ftbar import schedule_ftbar
 from repro.graphs.builder import diamond, linear_chain
-from repro.simulation.executor import DetectionPolicy, simulate
-from repro.simulation.failures import FailureScenario
+from repro.simulation.compiled import simulate
+from repro.simulation.failures import DetectionPolicy, FailureScenario
 from repro.simulation.trace import EventStatus
 
 from tests.util import uniform_problem

@@ -5,10 +5,15 @@ import pytest
 from repro.core.ftbar import schedule_ftbar
 from repro.graphs.algorithm import from_dependencies
 from repro.graphs.builder import diamond, linear_chain
-from repro.simulation.executor import DetectionPolicy, ScheduleSimulator, simulate
-from repro.simulation.failures import FailureScenario, ProcessorFailure
+from repro.simulation.compiled import simulate
+from repro.simulation.failures import (
+    DetectionPolicy,
+    FailureScenario,
+    ProcessorFailure,
+)
 from repro.simulation.trace import EventStatus
 
+from tests.simulation_oracle import ScheduleSimulator
 from tests.util import uniform_problem
 
 

@@ -16,8 +16,12 @@ from repro.graphs.builder import linear_chain
 from repro.hardware.architecture import Architecture
 from repro.hardware.link import Link
 from repro.problem import ProblemSpec
-from repro.simulation.executor import DetectionPolicy, simulate
-from repro.simulation.failures import FailureScenario, ProcessorFailure
+from repro.simulation.compiled import simulate
+from repro.simulation.failures import (
+    DetectionPolicy,
+    FailureScenario,
+    ProcessorFailure,
+)
 from repro.simulation.trace import EventStatus
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes

@@ -5,7 +5,11 @@ import math
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation.failures import FailureScenario, ProcessorFailure
+from repro.simulation.failures import (
+    FailureScenario,
+    LinkFailure,
+    ProcessorFailure,
+)
 
 
 class TestProcessorFailure:
@@ -28,6 +32,16 @@ class TestProcessorFailure:
     def test_recovery_before_failure_rejected(self):
         with pytest.raises(SimulationError):
             ProcessorFailure("P1", 5.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "at, until", [(math.nan, math.inf), (1.0, math.nan), (math.nan, 2.0)]
+    )
+    @pytest.mark.parametrize("kind", [ProcessorFailure, LinkFailure])
+    def test_nan_instant_rejected(self, kind, at, until):
+        # ``at < 0`` and ``until <= at`` are both False for NaN, so a NaN
+        # failure once slipped through and never silenced anything.
+        with pytest.raises(SimulationError, match="NaN"):
+            kind("P1", at, until)
 
     def test_overlaps(self):
         failure = ProcessorFailure("P1", 2.0, 4.0)

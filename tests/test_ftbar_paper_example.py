@@ -15,7 +15,7 @@ from repro.baselines.list_scheduler import (
     schedule_non_fault_tolerant,
 )
 from repro.schedule.validation import validate_schedule
-from repro.simulation.executor import simulate
+from repro.simulation.compiled import simulate
 from repro.simulation.failures import FailureScenario
 from repro.workloads.paper_example import PAPER_RTC
 

@@ -8,7 +8,7 @@ from repro.graphs.algorithm import AlgorithmGraph
 from repro.graphs.builder import diamond, fork_join, linear_chain
 from repro.graphs.operations import OperationKind
 from repro.schedule.validation import validate_schedule
-from repro.simulation.executor import simulate
+from repro.simulation.compiled import simulate
 from repro.simulation.failures import FailureScenario
 
 from tests.util import uniform_problem

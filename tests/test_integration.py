@@ -10,8 +10,12 @@ from repro.core.options import SchedulerOptions
 from repro.graphs.builder import fork_join, layered
 from repro.hardware.topologies import single_bus
 from repro.schedule.validation import validate_schedule
-from repro.simulation.executor import DetectionPolicy, simulate
-from repro.simulation.failures import FailureScenario, ProcessorFailure
+from repro.simulation.compiled import simulate
+from repro.simulation.failures import (
+    DetectionPolicy,
+    FailureScenario,
+    ProcessorFailure,
+)
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 from repro.problem import ProblemSpec

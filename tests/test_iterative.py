@@ -5,8 +5,11 @@ import pytest
 from repro.core.ftbar import schedule_ftbar
 from repro.exceptions import SimulationError
 from repro.graphs.builder import diamond, linear_chain
-from repro.simulation.executor import DetectionPolicy
-from repro.simulation.failures import FailureScenario, ProcessorFailure
+from repro.simulation.failures import (
+    DetectionPolicy,
+    FailureScenario,
+    ProcessorFailure,
+)
 from repro.simulation.iterative import (
     IterativeSimulator,
     simulate_iterations,

@@ -19,7 +19,8 @@ from repro.exceptions import SimulationError
 from repro.graphs.builder import diamond, fork_join
 from repro.hardware.topologies import single_bus
 from repro.problem import ProblemSpec
-from repro.simulation.executor import DetectionPolicy, simulate
+from repro.simulation.compiled import simulate
+from repro.simulation.failures import DetectionPolicy
 from repro.simulation.failures import (
     FailureScenario,
     LinkFailure,

@@ -45,12 +45,13 @@ from repro.schedule.serialization import (
 )
 from repro.schedule.validation import validate_schedule
 from repro.simulation.batch import BatchScenarioEngine
-from repro.simulation.executor import ScheduleSimulator, simulate
+from repro.simulation.compiled import simulate
 from repro.simulation.failures import FailureScenario
 from repro.simulation.trace import EventStatus
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 from tests import certify_oracle
+from tests.simulation_oracle import ScheduleSimulator
 
 
 def _uniform(algorithm, architecture, npf=0, npl=0, exec_time=1.0, comm=0.5):

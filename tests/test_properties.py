@@ -31,7 +31,7 @@ from repro.schedule.serialization import (
     schedule_to_dict,
 )
 from repro.schedule.validation import validate_schedule
-from repro.simulation.executor import simulate
+from repro.simulation.compiled import simulate
 from repro.simulation.failures import FailureScenario
 from repro.simulation.trace import EventStatus
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem

@@ -17,7 +17,7 @@ from repro.core.ftbar import schedule_ftbar
 from repro.schedule.gantt import render_gantt, schedule_table
 from repro.schedule.graphviz import schedule_to_dot
 from repro.schedule.validation import validate_schedule
-from repro.simulation.executor import simulate
+from repro.simulation.compiled import simulate
 from repro.simulation.failures import FailureScenario
 from repro.simulation.iterative import simulate_iterations
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
