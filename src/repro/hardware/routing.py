@@ -33,8 +33,10 @@ always yields the same routes in the same order.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import TYPE_CHECKING
 
+from repro import obs
 from repro.exceptions import ArchitectureError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,17 +46,71 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``(from_processor, link, to_processor)`` — one hop of a route.
 RouteHop = tuple[str, "Link", str]
 
+#: Process-wide planning counters: max-flow runs, flow networks built
+#: (one per planner that ran a max flow) and disjoint-route / Menger
+#: queries answered from a planner's memo.
+_STATS = {"max_flows": 0, "network_builds": 0, "memo_hits": 0}
+
+
+def routing_stats() -> dict[str, int]:
+    """The route-planning counters (cumulative over the process)."""
+    return dict(_STATS)
+
+
+obs.metrics.register_collector("routing", routing_stats)
+
+
+class _FlowNetwork:
+    """The unit-capacity flow network of one architecture.
+
+    Node ids: processors ``0..P-1`` in sorted-name order, then per link
+    ``i`` (sorted-name order) an entry node ``P+2i`` and an exit node
+    ``P+2i+1``.  The entry->exit edge carries the link's capacity of 1,
+    and every endpoint ``p`` has the edges ``p->entry`` and ``exit->p``
+    of capacity 1.  Every capacity is 0 or 1, so a residual graph is one
+    list per node of the neighbours it can still push a unit to.
+
+    Built once per planner — the architecture drops its planner on every
+    structural change — so a query starts from :attr:`residual` and
+    copies only the rows its augmenting paths change.
+    """
+
+    __slots__ = ("procs", "links", "proc_id", "residual", "forward")
+
+    def __init__(self, architecture: "Architecture") -> None:
+        self.procs = architecture.processor_names()
+        self.links = architecture.links()
+        self.proc_id = proc_id = {name: i for i, name in enumerate(self.procs)}
+        n_procs = len(self.procs)
+        targets: list[list[int]] = [[] for _ in range(n_procs + 2 * len(self.links))]
+        for i, link in enumerate(self.links):
+            entry = n_procs + 2 * i
+            exit_ = entry + 1
+            targets[entry].append(exit_)
+            for endpoint in link.endpoints:
+                p = proc_id[endpoint]
+                targets[p].append(entry)
+                targets[exit_].append(p)
+        #: The empty flow's residual graph: per node, the heads of its
+        #: capacity-1 edges in id order (the BFS expansion order).
+        self.residual = [tuple(sorted(row)) for row in targets]
+        #: Per node, the heads of its capacity-1 edges as a set.
+        self.forward = [frozenset(row) for row in targets]
+
 
 class RoutePlanner:
     """Computes shortest and link-disjoint routes for one architecture.
 
     Built lazily by :class:`~repro.hardware.architecture.Architecture`
     and invalidated whenever a processor or link is added; all results
-    are memoized per ``(source, target)`` pair (and route count).
+    are memoized per ``(source, target)`` pair (and route count), and
+    the flow network behind the disjoint routes is built on the first
+    max-flow query.
     """
 
     def __init__(self, architecture: "Architecture") -> None:
         self._architecture = architecture
+        self._network: _FlowNetwork | None = None
         self._routes: dict[tuple[str, str], tuple["Link", ...]] = {}
         self._disjoint: dict[tuple[str, str, int], tuple[tuple[RouteHop, ...], ...]] = {}
         self._bounds: dict[tuple[str, str], int] = {}
@@ -151,6 +207,7 @@ class RoutePlanner:
             return 0
         cached = self._bounds.get((source, target))
         if cached is not None:
+            _STATS["memo_hits"] += 1
             return cached
         flow, _ = self._max_flow(source, target, limit=None)
         self._bounds[(source, target)] = flow
@@ -191,6 +248,7 @@ class RoutePlanner:
         key = (source, target, count, avoid)
         cached = self._disjoint.get(key)
         if cached is not None:
+            _STATS["memo_hits"] += 1
             return cached
         if count == 1:
             routes: tuple[tuple[RouteHop, ...], ...] = (self.route_hops(source, target),)
@@ -219,28 +277,12 @@ class RoutePlanner:
         return routes
 
     # -- flow network ---------------------------------------------------
-    # Node ids: processors 0..P-1 in sorted-name order, then per link i
-    # (sorted-name order) an entry node P+2i and an exit node P+2i+1;
-    # the entry->exit edge carries the link's capacity of 1.
-    def _network(self):
-        arc = self._architecture
-        procs = arc.processor_names()
-        links = arc.links()
-        proc_id = {name: i for i, name in enumerate(procs)}
-        n = len(procs) + 2 * len(links)
-        capacity: list[dict[int, int]] = [dict() for _ in range(n)]
-        for i, link in enumerate(links):
-            entry = len(procs) + 2 * i
-            exit_ = entry + 1
-            capacity[entry][exit_] = 1
-            capacity[exit_][entry] = 0
-            for endpoint in link.sorted_endpoints():
-                p = proc_id[endpoint]
-                capacity[p][entry] = 1
-                capacity[entry][p] = 0
-                capacity[exit_][p] = 1
-                capacity[p][exit_] = 0
-        return procs, links, proc_id, capacity
+    def _flow_network(self) -> "_FlowNetwork":
+        network = self._network
+        if network is None:
+            network = self._network = _FlowNetwork(self._architecture)
+            _STATS["network_builds"] += 1
+        return network
 
     def _max_flow(
         self,
@@ -248,71 +290,76 @@ class RoutePlanner:
         target: str,
         limit: int | None,
         blocked: frozenset[str] = frozenset(),
-    ):
-        """Edmonds-Karp with deterministic BFS; returns (flow, network).
+    ) -> tuple[int, dict[int, set[int]]]:
+        """Edmonds-Karp with deterministic BFS; returns (flow, flow edges).
 
         ``blocked`` processors cannot act as relays: their outgoing
         transit edges are removed (the terminals are never blocked).
+        The flow edges map a node to the heads of its capacity-1 edges
+        that carry flow.
         """
-        procs, links, proc_id, capacity = self._network()
-        for name in sorted(blocked):
+        network = self._flow_network()
+        _STATS["max_flows"] += 1
+        # Rows are shared tuples until an augmenting path changes them.
+        residual: list = list(network.residual)
+        proc_id = network.proc_id
+        for name in blocked:
             node = proc_id.get(name)
-            if node is None or name in (source, target):
-                continue
-            for neighbor in capacity[node]:
-                capacity[node][neighbor] = 0
+            if node is not None and name != source and name != target:
+                residual[node] = ()
+        forward = network.forward
+        carrying: dict[int, set[int]] = {}
         src, dst = proc_id[source], proc_id[target]
         flow = 0
         while limit is None or flow < limit:
-            parent = self._augmenting_path(capacity, src, dst)
+            parent = self._augmenting_path(residual, src, dst)
             if parent is None:
                 break
             node = dst
             while node != src:
                 prev = parent[node]
-                capacity[prev][node] -= 1
-                capacity[node][prev] += 1
+                # prev->node is used up; node->prev can now push back.
+                row = residual[prev]
+                if type(row) is tuple:
+                    row = residual[prev] = list(row)
+                row.remove(node)
+                row = residual[node]
+                if type(row) is tuple:
+                    row = residual[node] = list(row)
+                insort(row, prev)
+                if node in forward[prev]:
+                    carrying.setdefault(prev, set()).add(node)
+                else:  # pushed back along a flow-carrying node->prev
+                    carrying[node].discard(prev)
                 node = prev
             flow += 1
-        return flow, (procs, links, proc_id, capacity)
+        return flow, carrying
 
     @staticmethod
-    def _augmenting_path(capacity, src: int, dst: int):
+    def _augmenting_path(residual, src: int, dst: int):
         """Shortest augmenting path by BFS in deterministic id order."""
-        parent: dict[int, int] = {src: src}
+        parent = [-1] * len(residual)
+        parent[src] = src
         frontier = [src]
         while frontier:
             next_frontier: list[int] = []
             for here in frontier:
-                for neighbor in sorted(capacity[here]):
-                    if neighbor in parent or capacity[here][neighbor] <= 0:
-                        continue
-                    parent[neighbor] = here
-                    if neighbor == dst:
-                        return parent
-                    next_frontier.append(neighbor)
+                for neighbor in residual[here]:
+                    if parent[neighbor] < 0:
+                        parent[neighbor] = here
+                        if neighbor == dst:
+                            return parent
+                        next_frontier.append(neighbor)
             frontier = next_frontier
         return None
 
     def _decompose(
-        self, source: str, target: str, count: int, network
+        self, source: str, target: str, count: int, carrying: dict[int, set[int]]
     ) -> tuple[tuple[RouteHop, ...], ...]:
         """Split a flow of value ``count`` into ``count`` hop paths."""
-        procs, links, proc_id, capacity = network
+        network = self._flow_network()
+        procs, links, proc_id = network.procs, network.links, network.proc_id
         n_procs = len(procs)
-        # Flow on a forward edge = 1 - residual capacity.
-        used: list[set[int]] = [set() for _ in range(len(capacity))]
-        for i, link in enumerate(links):
-            entry = n_procs + 2 * i
-            exit_ = entry + 1
-            if capacity[entry][exit_] == 0:
-                used[entry].add(exit_)
-            for endpoint in link.sorted_endpoints():
-                p = proc_id[endpoint]
-                if capacity[p][entry] == 0:
-                    used[p].add(entry)
-                if capacity[exit_][p] == 0:
-                    used[exit_].add(p)
         src, dst = proc_id[source], proc_id[target]
         routes: list[tuple[RouteHop, ...]] = []
         for _ in range(count):
@@ -320,8 +367,9 @@ class RoutePlanner:
             sequence = [src]
             node = src
             while node != dst:
-                nxt = min(used[node])
-                used[node].discard(nxt)
+                used = carrying[node]
+                nxt = min(used)
+                used.discard(nxt)
                 sequence.append(nxt)
                 node = nxt
             routes.append(self._hops_from_sequence(sequence, procs, links, n_procs))

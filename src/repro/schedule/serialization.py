@@ -32,9 +32,11 @@ def _encode_time(value: float) -> float | str:
 
 
 def _decode_time(value: Any) -> float:
+    # Booleans are rejected like in ``_hypothesis``: ``isinstance(True,
+    # int)`` holds, and ``float(True)`` would load ``true`` as 1.0.
     if value == "inf":
         return math.inf
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise SerializationError(f"invalid time value {value!r}")
 
@@ -147,15 +149,29 @@ def exec_times_to_dict(table: ExecutionTimes) -> dict:
     }
 
 
+# The two table loaders fill the table's dict in one loop instead of one
+# ``set`` call per entry.  They accept exactly what ``set`` accepts and
+# hand a rejected value to ``set``, which raises its own error.  The
+# table's ``_version`` ends at the entry count, as after that many
+# ``set`` calls: the compiled kernel keys its row cache on it.
+
 def exec_times_from_dict(document: Mapping) -> ExecutionTimes:
     """Rebuild an execution-time table from its document form."""
     _require_object(document, "exec-times")
+    isinf = math.isinf
     try:
         table = ExecutionTimes()
+        times = table._times
+        count = 0
         for entry in document["entries"]:
-            table.set(
-                entry["operation"], entry["processor"], _decode_time(entry["time"])
-            )
+            operation, processor = entry["operation"], entry["processor"]
+            value = entry["time"]
+            duration = value if type(value) is float else _decode_time(value)
+            if not duration > 0 and not isinf(duration):
+                table.set(operation, processor, duration)
+            times[(operation, processor)] = duration
+            count += 1
+        table._version = count
         return table
     except (KeyError, TypeError) as error:
         raise SerializationError(f"invalid exec-times document: {error}") from error
@@ -181,12 +197,17 @@ def comm_times_from_dict(document: Mapping) -> CommunicationTimes:
     _require_object(document, "comm-times")
     try:
         table = CommunicationTimes()
+        times = table._times
+        count = 0
         for entry in document["entries"]:
-            table.set(
-                (entry["source"], entry["target"]),
-                entry["link"],
-                _decode_time(entry["time"]),
-            )
+            source, target, link = entry["source"], entry["target"], entry["link"]
+            value = entry["time"]
+            duration = value if type(value) is float else _decode_time(value)
+            if not 0 < duration < math.inf:
+                table.set((source, target), link, duration)
+            times[((str(source), str(target)), link)] = duration
+            count += 1
+        table._version = count
         return table
     except (KeyError, TypeError) as error:
         raise SerializationError(f"invalid comm-times document: {error}") from error
@@ -376,40 +397,118 @@ def schedule_from_dict(document: Mapping) -> Schedule:
 
 CONTENT_HASH_VERSION = 1
 
+# The canonical form is compact, ASCII-only JSON with sorted object keys
+# in which every array is sorted by its elements' canonical strings:
+# each list in our documents (operations, dependencies, timing entries,
+# links, events) is a *set* whose dump order depends on insertion order
+# — the source of byte-level flakiness between equal problems built in
+# different orders.  Integral finite floats are written as ints, so 3.0
+# and 3 hash identically.  Changing a single byte of this form orphans
+# every campaign cache entry; ``tests/test_content_hash.py`` pins it.
 
-def _canonical_value(value: Any) -> Any:
-    """Normalize a document so logically-equal documents compare equal.
+_encode_string = json.encoder.encode_basestring_ascii
 
-    Dict keys are sorted by the JSON encoder; lists are sorted by the
-    canonical dump of their elements because every list in our documents
-    (operations, dependencies, timing entries, links, events) is a *set*
-    whose dump order depends on insertion order — the source of the
-    byte-level flakiness between equal problems built in different
-    orders.
-    """
+
+def _json_float(value: float) -> str:
+    """A float written the way :mod:`json` writes it."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _canonical_float(value: float) -> str:
+    if value.is_integer():  # False for inf and NaN
+        return int.__repr__(int(value))
+    return _json_float(value)
+
+
+def _canonical_key(key: Any) -> str:
+    """An object key converted the way :mod:`json` converts it."""
+    if isinstance(key, str):
+        text = key
+    elif key is True or key is False:
+        text = "true" if key else "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    elif isinstance(key, float):
+        text = _json_float(key)  # keys get no integral-float rule
+    else:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, "
+            f"not {type(key).__name__}"
+        )
+    return _encode_string(text)
+
+
+def _canonical_object(mapping: Mapping) -> str:
+    keys = sorted(mapping)
+    if not keys:
+        return "{}"
+    # str keys sort only among str keys, so the first key tells.
+    encode_key = _encode_string if type(keys[0]) is str else _canonical_key
+    # ``_canonical`` inlined here and in arrays: a leaf costs one call.
+    encoder = _CANONICAL_BY_TYPE.get
+    parts = []
+    for key in keys:
+        value = mapping[key]
+        parts.append(
+            encode_key(key) + ":" + encoder(type(value), _canonical_other)(value)
+        )
+    return "{" + ",".join(parts) + "}"
+
+
+def _canonical_array(items: list | tuple) -> str:
+    encoder = _CANONICAL_BY_TYPE.get
+    return "[" + ",".join(sorted([
+        encoder(type(item), _canonical_other)(item) for item in items
+    ])) + "]"
+
+
+def _canonical_other(value: Any) -> str:
+    """Subclasses of the JSON types, and non-dict mappings."""
     if isinstance(value, Mapping):
-        return {key: _canonical_value(value[key]) for key in sorted(value)}
+        return _canonical_object(value)
     if isinstance(value, (list, tuple)):
-        normalized = [_canonical_value(item) for item in value]
-        return sorted(normalized, key=lambda item: canonical_json(item))
-    if isinstance(value, float) and value.is_integer() and not math.isinf(value):
-        return int(value)  # 3.0 and 3 hash identically
-    return value
-
-
-def canonical_json(document: Any) -> str:
-    """Dump a document to its canonical JSON string (stable byte-wise)."""
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        return _canonical_array(value)
+    if isinstance(value, str):
+        return _encode_string(value)
+    if isinstance(value, float):
+        return _canonical_float(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
     )
+
+
+#: The encoder of each exact JSON type; any other type goes through
+#: :func:`_canonical_other`.
+_CANONICAL_BY_TYPE = {
+    str: _encode_string,
+    int: int.__repr__,
+    float: _canonical_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    dict: _canonical_object,
+    list: _canonical_array,
+    tuple: _canonical_array,
+}
+
+
+def _canonical(value: Any) -> str:
+    """The canonical JSON string of ``value``, built bottom-up once."""
+    return _CANONICAL_BY_TYPE.get(type(value), _canonical_other)(value)
 
 
 def content_hash(kind: str, document: Mapping) -> str:
     """SHA-256 of the version-tagged canonical form of a document."""
-    payload = (
-        f"repro:{kind}:v{CONTENT_HASH_VERSION}:"
-        + canonical_json(_canonical_value(document))
-    )
+    payload = f"repro:{kind}:v{CONTENT_HASH_VERSION}:" + _canonical(document)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -331,6 +331,19 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "Traceback" not in captured.err + captured.out
 
+    @pytest.mark.parametrize("section", ("exec_times", "comm_times"))
+    def test_boolean_time_is_one_error_line(self, tmp_path, capsys, section):
+        # ``"time": true`` used to load as 1.0 and schedule.
+        document = json.loads(EXAMPLE.read_text())
+        document[section]["entries"][0]["time"] = True
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(document))
+        assert main(["schedule", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines == ["error: invalid time value True"], lines
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ("simulate", "iterate"))
     @pytest.mark.parametrize(
         "crash", ("P1@abc", "P9", "P9@2", "P1@nan", "P1@-1")

@@ -231,6 +231,7 @@ class TestMetrics:
         assert "compile_cache" in collected
         assert "batch_sim" in collected
         assert "core_hits" in collected["compile_cache"]
+        assert {"max_flows", "network_builds", "memo_hits"} <= set(collected["routing"])
 
 
 # ----------------------------------------------------------------------

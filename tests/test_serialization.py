@@ -94,10 +94,17 @@ class TestTimingRoundTrip:
         assert rebuilt.operation_deadlines == {"O": 15.0}
 
     def test_invalid_time_value(self):
-        with pytest.raises(SerializationError):
-            exec_times_from_dict(
-                {"entries": [{"operation": "A", "processor": "P", "time": "soon"}]}
-            )
+        # Booleans are not times: ``isinstance(True, int)`` holds, and
+        # ``true`` used to load as 1.0.
+        for value in ("soon", True, False):
+            with pytest.raises(SerializationError, match="invalid time value"):
+                exec_times_from_dict(
+                    {"entries": [{"operation": "A", "processor": "P", "time": value}]}
+                )
+            with pytest.raises(SerializationError, match="invalid time value"):
+                comm_times_from_dict({"entries": [
+                    {"source": "A", "target": "B", "link": "L", "time": value}
+                ]})
 
 
 class TestProblemRoundTrip:
