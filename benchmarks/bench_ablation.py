@@ -1,12 +1,12 @@
 """E8 — design-choice ablations of the FTBAR heuristic.
 
-Quantifies the two mechanisms DESIGN.md singles out:
+Quantifies the two design choices that separate FTBAR variants:
 
 * ``Minimize_start_time`` LIP duplication (section 4.2 / Figure 4): at
   high CCR a duplicated predecessor replaces an expensive comm, so the
   paper variant should beat the no-duplication variant;
-* link gap-insertion (an extension over the paper's append-only comm
-  scheduling), measured for completeness.
+* the processor-aware pressure, which only separates from the paper's
+  formula on heterogeneous tables.
 
 Each variant is a separately timed benchmark on the same problem.
 """
@@ -27,7 +27,6 @@ _PROBLEM = generate_problem(
 _VARIANTS = {
     "paper": SchedulerOptions(),
     "no-duplication": SchedulerOptions(duplication=False),
-    "link-insertion": SchedulerOptions(link_insertion=True),
 }
 
 

@@ -14,7 +14,8 @@ and records it in ``BENCH_runtime.json`` at the repository root:
 
 * ``ftbar_kernel_vs_reference`` — the compiled kernel (with and without
   symmetry pruning) against the paper-literal reference engine
-  (:func:`~repro.core.ftbar.ftbar_reference`), with the kernel's work
+  (``ftbar_reference`` of ``tests/ftbar_oracle.py``, the kernel's test
+  oracle), with the kernel's work
   counters (candidates evaluated, cache hits, scratch-buffer reuses);
 * ``profile_top`` — the top cProfile hotspots of one compiled
   scheduling run (``--profile``; N=300 at full scale, N=60 otherwise),
@@ -80,9 +81,10 @@ from repro.campaign.pool import cpu_affinity_count, default_worker_count
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, WorkloadSpec
 from repro.core.compile import compile_cache_stats, reset_compile_cache
-from repro.core.ftbar import ftbar_reference, schedule_ftbar
+from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests.ftbar_oracle import ftbar_reference
 
 _PROBLEM = generate_problem(
     RandomWorkloadConfig(operations=40, ccr=1.0, processors=4, npf=1, seed=2003)

@@ -1,6 +1,6 @@
 """Structural comparison of two schedules.
 
-When an option flips (duplication, pressure variant, link insertion)
+When an option flips (duplication, pressure variant)
 the interesting question is *what moved*: which operations changed
 hosts, which replicas appeared or vanished, how the makespan reacted.
 :func:`diff_schedules` answers it; :func:`format_schedule_diff` renders

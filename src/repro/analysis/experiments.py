@@ -525,10 +525,6 @@ def run_ablation(
     variants = {
         "ftbar (paper: duplication, append-only links)": SchedulerOptions(),
         "no duplication": SchedulerOptions(duplication=False),
-        "link insertion": SchedulerOptions(link_insertion=True),
-        "no duplication + link insertion": SchedulerOptions(
-            duplication=False, link_insertion=True
-        ),
         "processor-aware pressure": SchedulerOptions(
             processor_aware_pressure=True
         ),

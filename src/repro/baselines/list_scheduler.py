@@ -10,9 +10,8 @@ example; :func:`schedule_basic` is that variant — the same pressure-based
 list scheduling with neither replication nor LIP duplication.
 
 Both baselines delegate to :class:`~repro.core.ftbar.FTBARScheduler`, so
-they run on the same engine as the fault-tolerant runs they are compared
-against: the compiled kernel, or the reference engine when the options
-ask for ``link_insertion``.
+they run on the same engine — the compiled kernel — as the
+fault-tolerant runs they are compared against.
 """
 
 from __future__ import annotations

@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the file's Npl (link-failure tolerance)",
     )
     sched.add_argument("--no-duplication", action="store_true")
-    sched.add_argument("--link-insertion", action="store_true")
     sched.add_argument("--gantt", action="store_true")
     sched.add_argument("--output", type=Path, default=None, help="save schedule JSON")
     sched.add_argument(
@@ -590,10 +589,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         problem.npf = args.npf
     if args.npl is not None:
         problem.npl = args.npl
-    options = SchedulerOptions(
-        duplication=not args.no_duplication,
-        link_insertion=args.link_insertion,
-    )
+    options = SchedulerOptions(duplication=not args.no_duplication)
     result = schedule_ftbar(problem, options)
     print(result.schedule.summary())
     print(result.rtc_report)

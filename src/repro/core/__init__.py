@@ -6,16 +6,17 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "compile": ("CompiledProblem",),
     "ftbar": (
         "FTBARResult", "FTBARScheduler", "FTBARStats", "StepRecord",
-        "ftbar_reference", "schedule_ftbar",
+        "schedule_ftbar",
     ),
-    "kernel": ("CompiledReadySet", "KernelPlanCache", "SchedulingKernel"),
-    "minimize": ("DuplicationStats", "StartTimeMinimizer"),
+    "kernel": (
+        "CompiledReadySet", "DuplicationStats", "KernelPlanCache",
+        "SchedulingKernel",
+    ),
     "options": ("SchedulerOptions",),
     "placement": (
         "LinkState", "PlacementPlan", "PlacementPlanner", "PlannedComm",
         "PredecessorFeed", "commit_plan",
     ),
-    "pressure": ("PressureCalculator",),
 })
 
 __all__ = [
@@ -31,12 +32,9 @@ __all__ = [
     "PlacementPlanner",
     "PlannedComm",
     "PredecessorFeed",
-    "PressureCalculator",
     "SchedulerOptions",
     "SchedulingKernel",
-    "StartTimeMinimizer",
     "StepRecord",
     "commit_plan",
-    "ftbar_reference",
     "schedule_ftbar",
 ]

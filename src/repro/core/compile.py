@@ -1,6 +1,8 @@
 """Problem lowering for the compiled scheduling kernel.
 
-The reference engine spends its inner loop walking string-keyed dicts:
+The paper-literal FTBAR loop (the kernel's test oracle,
+``tests/ftbar_oracle.py``) spends its inner loop walking string-keyed
+dicts:
 ``ExecutionTimes.time_of`` and ``CommunicationTimes.time_of`` hash a
 freshly built tuple per lookup, ``Architecture.links_between`` hashes a
 processor-name pair, and every trial plan allocates a
@@ -14,8 +16,8 @@ lowers the tables the hot loop reads into flat preallocated lists:
 * ``exe[o * P + p]`` — execution durations (``inf`` = forbidden pair);
 * ``comm_rows[q * O + o]`` — per-link transfer durations of one edge;
 * ``sbar[o]`` / ``tail[o]`` — the static pressure terms, produced by the
-  same :class:`~repro.core.pressure.PressureCalculator` arithmetic so
-  the floats are bit-identical to the reference engine's;
+  same arithmetic as the oracle's ``PressureCalculator``, so the floats
+  are bit-identical to the reference engine's;
 * ``direct[a * P + b]`` — ids of the direct links joining two
   processors, in sorted-name order;
 * ``preds[o]`` / ``succs[o]`` — the algorithm adjacency as id tuples.
@@ -413,11 +415,12 @@ class CompiledProblem:
             return
         _STATS["variant_misses"] += 1
         # --- static pressure terms (bit-identical to the reference) -------
-        # Same arithmetic as PressureCalculator.sbar/tail on the flat
-        # tables: averages sum in sorted-name order (== row order), the
-        # reverse-topological sweep maxes over sorted successors, and
-        # the recurrence is order-independent — cross-checked against
-        # ``PressureCalculator.static_tables`` by the equivalence tests.
+        # Same arithmetic as the oracle's PressureCalculator.sbar/tail
+        # on the flat tables: averages sum in sorted-name order (== row
+        # order), the reverse-topological sweep maxes over sorted
+        # successors, and the recurrence is order-independent —
+        # cross-checked against ``PressureCalculator.static_tables`` by
+        # the equivalence tests.
         n_links = core.n_links
         average_exe = core.average_exe
         # Rebind: the comm-row fast path above skips the lowering block

@@ -25,54 +25,43 @@ the real-time constraints are checked on the finished schedule — the
 scheduler reports ``Rtc`` satisfaction rather than failing, so the
 designer can decide to add hardware or relax the constraints.
 
-Engines
--------
-Two engines run the heuristic, chosen from the input alone:
+Engine
+------
+The compiled kernel (:mod:`repro.core.kernel`) runs every problem.  It
+interns the problem to dense integer ids once, maintains the candidate
+list with indegree counters (:class:`~repro.core.kernel.CompiledReadySet`:
+an operation becomes a candidate when its last unscheduled predecessor,
+or the anchor half of a pinned memory half, is placed; sorted ids are
+the sorted-name candidate order, so tie-breaks are unchanged) and caches
+every trial plan, recomputing only the plans a committed macro-step
+could have changed.  The dirty-set rule: a plan for ``(o, p)`` reads the
+timeline of ``p``, the links its feeds reserved and the replica sets of
+``o``'s predecessors; a macro-step mutates the timelines of the
+processors that received replicas, the links its comms landed on and
+the replica sets of the operations that gained replicas.  A plan whose
+dependencies are disjoint from that dirty set would be recomputed
+identically, so serving it from the cache is exact.
 
-* **The compiled kernel** (:mod:`repro.core.kernel`) runs every
-  append-mode problem.  It interns the problem to dense integer ids
-  once, maintains the candidate list with indegree counters
-  (:class:`~repro.core.kernel.CompiledReadySet`: an operation becomes a
-  candidate when its last unscheduled predecessor, or the anchor half
-  of a pinned memory half, is placed; sorted ids are the sorted-name
-  candidate order, so tie-breaks are unchanged) and caches every trial
-  plan, recomputing only the plans a committed macro-step could have
-  changed.  The dirty-set rule: a plan for ``(o, p)`` reads the
-  timeline of ``p``, the links its feeds reserved and the replica sets
-  of ``o``'s predecessors; a macro-step mutates the timelines of the
-  processors that received replicas, the links its comms landed on and
-  the replica sets of the operations that gained replicas.  A plan
-  whose dependencies are disjoint from that dirty set would be
-  recomputed identically, so serving it from the cache is exact.
-* **The reference engine** (:func:`ftbar_reference`) is the
-  paper-literal loop: rescan the candidates, plan every pair from
-  scratch (:meth:`~repro.core.pressure.PressureCalculator.pressure`),
-  place through
-  :class:`~repro.core.minimize.StartTimeMinimizer`.  It runs
-  ``link_insertion`` problems, whose gap insertion the kernel's
-  append-mode arrays do not model, and is the kernel's test oracle:
-  schedules, observer :class:`StepRecord` streams and content hashes of
-  the two engines are bit-identical (``tests/test_engine_equivalence.py``
-  and ``tests/test_compiled_kernel.py``).
+The paper-literal loop — rescan the candidates, plan every pair from
+scratch, place through ``Minimize_start_time`` — is kept as the
+kernel's test oracle (``tests/ftbar_oracle.py``): schedules, observer
+:class:`StepRecord` streams and content hashes of the two are
+bit-identical (``tests/test_engine_equivalence.py`` and
+``tests/test_compiled_kernel.py``).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro import obs
-from repro.exceptions import InfeasibleReplicationError, SchedulingError
+from repro.exceptions import SchedulingError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.core.compile import CompiledProblem, validated_once
-from repro.core.kernel import CompiledReadySet, SchedulingKernel
-from repro.core.minimize import DuplicationStats, StartTimeMinimizer
+from repro.core.kernel import CompiledReadySet, DuplicationStats, SchedulingKernel
 from repro.core.options import SchedulerOptions
-from repro.core.parallel import resolve_workers
-from repro.core.placement import PlacementPlanner, commit_plan
-from repro.core.pressure import PressureCalculator
 from repro.problem import ProblemSpec
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
@@ -85,8 +74,7 @@ class FTBARStats:
     """Run statistics, used by the complexity experiment (E6).
 
     ``pressure_evaluations`` counts *computed* trial plans; the kernel's
-    plan cache serves the rest (``cache_hits``, 0 on the reference
-    engine, which plans every pair every step).
+    plan cache serves the rest (``cache_hits``).
     """
 
     steps: int = 0
@@ -95,13 +83,12 @@ class FTBARStats:
     duplication: DuplicationStats = field(default_factory=DuplicationStats)
     wall_time_s: float = 0.0
     #: Trial plans served by the compiled kernel's reused scratch
-    #: buffers (0 on the reference engine, which allocates a fresh
-    #: overlay per evaluation) — recorded by ``benchmarks/bench_runtime.py``.
+    #: buffers — recorded by ``benchmarks/bench_runtime.py``.
     buffer_reuses: int = 0
     #: ``(candidate, processor)`` pairs the compiled kernel skipped
     #: because a verified topology automorphism made their σ a
-    #: bit-identical copy of an orbit representative's (0 on the
-    #: reference engine and with ``SchedulerOptions.symmetry=False``).
+    #: bit-identical copy of an orbit representative's (0 with
+    #: ``SchedulerOptions.symmetry=False``).
     symmetry_pruned: int = 0
 
 
@@ -145,15 +132,7 @@ class FTBARResult:
 
 
 class FTBARScheduler:
-    """One-shot scheduler object; build it with a problem, call :meth:`run`.
-
-    Runs the compiled kernel, or the reference engine when
-    ``options.link_insertion`` is set (see the module docstring).
-    """
-
-    #: True on the subclass behind :func:`ftbar_reference`, which runs
-    #: the reference engine on append-mode problems too.
-    _reference_engine = False
+    """One-shot scheduler object; build it with a problem, call :meth:`run`."""
 
     def __init__(
         self,
@@ -170,99 +149,39 @@ class FTBARScheduler:
         )
         if self._npl < 0:
             raise SchedulingError(f"npl must be >= 0, got {self._npl}")
-        compiling = not (self._reference_engine or self._options.link_insertion)
-        self._compiled: CompiledProblem | None = None
-        if not compiling:
-            problem.validate()
         self._architecture = problem.architecture
         try:
             algorithm, pairs = problem.algorithm.expand_memories()
             self._algorithm = algorithm
             self._memory_pairs = dict(pairs)
-            self._pins: dict[str, str] = {
-                write: read for read, write in self._memory_pairs.values()
-            }
-            self._exec_times, self._comm_times = _expand_timing(
-                problem, self._memory_pairs
-            )
-            if compiling:
-                with obs.span("ftbar.compile", problem=problem.name):
-                    self._compiled = CompiledProblem(
-                        self._algorithm,
-                        self._architecture,
-                        self._exec_times,
-                        self._comm_times,
-                        self._npf,
-                        self._npl,
-                        self._pins,
-                    )
+            exec_times, comm_times = _expand_timing(problem, self._memory_pairs)
+            with obs.span("ftbar.compile", problem=problem.name):
+                self._compiled = CompiledProblem(
+                    self._algorithm,
+                    self._architecture,
+                    exec_times,
+                    comm_times,
+                    self._npf,
+                    self._npl,
+                    {write: read for read, write in self._memory_pairs.values()},
+                )
         except Exception:
-            if not compiling:
-                raise
             # Compilation assumes a well-formed problem.  Validate now
             # to surface the canonical TimingError / SchedulingError; a
             # problem that *passes* hit a genuine compilation failure,
             # which must not be masked.
             problem.validate()
             raise
-        if compiling:
-            # Content-addressed validation: the compiled path derives a
-            # hash of everything validate() cross-checks, so each
-            # distinct problem content is validated exactly once.
-            validated_once(self._compiled, problem)
+        # Content-addressed validation: the compiled path derives a
+        # hash of everything validate() cross-checks, so each distinct
+        # problem content is validated exactly once.
+        validated_once(self._compiled, problem)
         if self._npl >= 1 and len(problem.architecture) > 1:
             # The problem's own npl was checked by validate(); an
             # options-level override needs the same feasibility gate.
             problem.architecture.route_planner.require_disjoint_routes(
                 self._npl + 1
             )
-        # The reference-engine machinery is built on demand (properties
-        # below): a kernel run never touches it, and its construction
-        # is a measurable fraction of a small-N run.
-        self._planner_obj: PlacementPlanner | None = None
-        self._pressure_obj: PressureCalculator | None = None
-        self._minimizer_obj: StartTimeMinimizer | None = None
-
-    @property
-    def _planner(self) -> PlacementPlanner:
-        planner = self._planner_obj
-        if planner is None:
-            planner = self._planner_obj = PlacementPlanner(
-                self._algorithm,
-                self._architecture,
-                self._exec_times,
-                self._comm_times,
-                self._npf,
-                link_insertion=self._options.link_insertion,
-                npl=self._npl,
-            )
-        return planner
-
-    @property
-    def _pressure(self) -> PressureCalculator:
-        pressure = self._pressure_obj
-        if pressure is None:
-            pressure = self._pressure_obj = PressureCalculator(
-                self._algorithm,
-                self._architecture,
-                self._exec_times,
-                self._comm_times,
-                self._npf,
-                self._planner,
-                processor_aware=self._options.processor_aware_pressure,
-            )
-        return pressure
-
-    @property
-    def _minimizer(self) -> StartTimeMinimizer:
-        minimizer = self._minimizer_obj
-        if minimizer is None:
-            minimizer = self._minimizer_obj = StartTimeMinimizer(
-                planner=self._planner,
-                exec_times=self._exec_times,
-                duplication=self._options.duplication,
-            )
-        return minimizer
 
     # ------------------------------------------------------------------
     # main loop
@@ -278,7 +197,6 @@ class FTBARScheduler:
             operations=len(self._algorithm),
             npf=self._npf,
             npl=self._npl,
-            engine="kernel" if self._compiled is not None else "reference",
         ) as span:
             result = self._run(tracer)
             stats = result.stats
@@ -306,10 +224,7 @@ class FTBARScheduler:
             name=f"{self._problem.name}-ftbar",
         )
         stats = FTBARStats()
-        if self._compiled is not None:
-            self._run_kernel(schedule, stats, tracer)
-        else:
-            self._run_reference(schedule, stats, tracer)
+        self._run_kernel(schedule, stats, tracer)
         # Every step places one new operation.
         if stats.steps != len(self._algorithm):
             missing = sorted(
@@ -320,7 +235,9 @@ class FTBARScheduler:
                 f"scheduling stalled; unplaced operations: {missing}"
             )
         stats.wall_time_s = time.perf_counter() - started
-        rtc_report = self._expanded_rtc().check(schedule)
+        rtc_report = _expanded_rtc(
+            self._problem.rtc, self._memory_pairs
+        ).check(schedule)
         return FTBARResult(
             schedule=schedule,
             rtc_report=rtc_report,
@@ -339,7 +256,6 @@ class FTBARScheduler:
             processor_aware=self._options.processor_aware_pressure,
             duplication=self._options.duplication,
             symmetry=self._options.symmetry,
-            workers=resolve_workers(self._options.sweep_workers),
         )
         if tracer is not None:
             # Sub-step phases too hot to span individually (the
@@ -405,157 +321,25 @@ class FTBARScheduler:
         stats.buffer_reuses = kernel.buffer_reuses
         stats.symmetry_pruned = kernel.symmetry_pruned
 
-    def _run_reference(
-        self, schedule: Schedule, stats: FTBARStats, tracer
-    ) -> None:
-        """The paper-literal macro-step loop."""
-        observer = self._observer
-        scheduled: set[str] = set()
-        while True:
-            candidates = self._candidates(scheduled)
-            if not candidates:
-                break
-            stats.steps += 1
-            with (
-                tracer.span("kernel.sweep", step=stats.steps)
-                if tracer is not None
-                else obs.NOOP_SPAN
-            ):
-                operation, processors, urgency, pressures = self._select(
-                    candidates, schedule
-                )
-            with (
-                tracer.span("kernel.place", step=stats.steps)
-                if tracer is not None
-                else obs.NOOP_SPAN
-            ):
-                for processor in processors:
-                    self._place(operation, processor, schedule)
-            scheduled.add(operation)
-            if observer is not None:
-                observer(
-                    StepRecord(
-                        step=stats.steps,
-                        candidates=tuple(candidates),
-                        operation=operation,
-                        processors=processors,
-                        urgency=urgency,
-                        pressures=pressures,
-                        makespan=schedule.makespan(),
-                    )
-                )
-        stats.pressure_evaluations = self._pressure.evaluations
-        stats.duplication = self._minimizer.stats
 
-    # ------------------------------------------------------------------
-    # candidate management (macro-step Ã)
-    # ------------------------------------------------------------------
-    def _candidates(self, scheduled: set[str]) -> list[str]:
-        """Operations whose predecessors (and pin anchors) are all placed."""
-        ready: list[str] = []
-        for operation in self._algorithm.operation_names():
-            if operation in scheduled:
-                continue
-            predecessors = self._algorithm.predecessors(operation)
-            if any(p not in scheduled for p in predecessors):
-                continue
-            anchor = self._pins.get(operation)
-            if anchor is not None and anchor not in scheduled:
-                continue
-            ready.append(operation)
-        return ready
-
-    # ------------------------------------------------------------------
-    # selection (macro-steps À and Á)
-    # ------------------------------------------------------------------
-    def _select(
-        self, candidates: list[str], schedule: Schedule
-    ) -> tuple[str, tuple[str, ...], float, dict[tuple[str, str], float]]:
-        """Pick the most urgent candidate and its ``Npf + 1`` processors."""
-        best_choice: tuple[float, str, tuple[str, ...]] | None = None
-        pressures: dict[tuple[str, str], float] = {}
-        evaluate = self._pressure.pressure
-        infinity = math.inf
-        for operation in candidates:
-            processors = self._processor_pool(operation, schedule)
-            ranked: list[tuple[float, str]] = []
-            for processor in processors:
-                sigma = evaluate(operation, processor, schedule)
-                pressures[(operation, processor)] = sigma
-                if sigma != infinity:
-                    ranked.append((sigma, processor))
-            ranked.sort()
-            required = self._npf + 1
-            if len(ranked) < required:
-                raise InfeasibleReplicationError(
-                    f"operation {operation!r} can run on {len(ranked)} "
-                    f"processor(s), {required} required to tolerate "
-                    f"{self._npf} failure(s)"
-                )
-            kept = ranked[:required]
-            urgency = kept[-1][0]
-            key = (urgency, operation)
-            if best_choice is None or (
-                key[0] > best_choice[0]
-                or (key[0] == best_choice[0] and key[1] < best_choice[1])
-            ):
-                best_choice = (
-                    urgency,
-                    operation,
-                    tuple(processor for _, processor in kept),
-                )
-        assert best_choice is not None
-        return best_choice[1], best_choice[2], best_choice[0], pressures
-
-    def _processor_pool(self, operation: str, schedule: Schedule) -> tuple[str, ...]:
-        """Processors considered for one candidate.
-
-        A pinned memory half must live exactly where its anchor half
-        lives; every other operation may go anywhere the ``Dis``
-        constraints allow.
-        """
-        anchor = self._pins.get(operation)
-        if anchor is None:
-            return self._architecture.processor_names()
-        replicas = schedule.replicas_of(anchor)
-        return tuple(sorted(r.processor for r in replicas))
-
-    # ------------------------------------------------------------------
-    # placement (macro-step Â)
-    # ------------------------------------------------------------------
-    def _place(self, operation: str, processor: str, schedule: Schedule) -> None:
-        if operation in self._pins:
-            # Memory halves are placed directly: duplicating register
-            # halves would break the read/write co-location invariant.
-            plan = self._planner.plan(operation, processor, schedule)
-            if plan is None:
-                raise InfeasibleReplicationError(
-                    f"memory half {operation!r} is forbidden on {processor!r} "
-                    f"where its register lives"
-                )
-            commit_plan(plan, schedule)
-            return
-        self._minimizer.place(operation, processor, schedule)
-
-    # ------------------------------------------------------------------
-    # Rtc translation for expanded memories
-    # ------------------------------------------------------------------
-    def _expanded_rtc(self) -> RealTimeConstraints:
-        rtc = self._problem.rtc
-        if not self._memory_pairs or not rtc.operation_deadlines:
-            return rtc
-        deadlines: dict[str, float] = {}
-        for operation, deadline in rtc.operation_deadlines.items():
-            if operation in self._memory_pairs:
-                # The register is "done" when its write half has stored
-                # the new value.
-                deadlines[self._memory_pairs[operation][1]] = deadline
-            else:
-                deadlines[operation] = deadline
-        return RealTimeConstraints(
-            global_deadline=rtc.global_deadline,
-            operation_deadlines=deadlines,
-        )
+def _expanded_rtc(
+    rtc: RealTimeConstraints, memory_pairs: Mapping[str, tuple[str, str]]
+) -> RealTimeConstraints:
+    """Translate operation deadlines onto the memory-expanded graph."""
+    if not memory_pairs or not rtc.operation_deadlines:
+        return rtc
+    deadlines: dict[str, float] = {}
+    for operation, deadline in rtc.operation_deadlines.items():
+        if operation in memory_pairs:
+            # The register is "done" when its write half has stored the
+            # new value.
+            deadlines[memory_pairs[operation][1]] = deadline
+        else:
+            deadlines[operation] = deadline
+    return RealTimeConstraints(
+        global_deadline=rtc.global_deadline,
+        operation_deadlines=deadlines,
+    )
 
 
 def _expand_timing(
@@ -600,24 +384,3 @@ def schedule_ftbar(
     section 4.3 (Figures 5 and 6) is reproduced.
     """
     return FTBARScheduler(problem, options, observer=observer).run()
-
-
-def ftbar_reference(
-    problem: ProblemSpec,
-    options: SchedulerOptions | None = None,
-    observer: Callable[[StepRecord], None] | None = None,
-) -> FTBARResult:
-    """Run the paper-literal reference engine on any problem.
-
-    The engine :func:`schedule_ftbar` uses for ``link_insertion`` runs,
-    here forced for append-mode problems too: it is the oracle the
-    compiled kernel is tested against (identical schedules, observer
-    streams and content hashes), at the cost of replanning every
-    candidate pair every step.
-    """
-    scheduler = _ReferenceScheduler(problem, options, observer=observer)
-    return scheduler.run()
-
-
-class _ReferenceScheduler(FTBARScheduler):
-    _reference_engine = True

@@ -1,15 +1,15 @@
 """The compiled scheduling kernel: flat-array candidate evaluation.
 
-This module is the production FTBAR engine for every append-mode
-problem (:mod:`repro.core.ftbar` sends ``link_insertion`` runs to the
-reference engine).  It consumes the dense id tables of
+This module is the FTBAR engine: :mod:`repro.core.ftbar` runs every
+problem on it.  It consumes the dense id tables of
 :class:`~repro.core.compile.CompiledProblem` and runs the FTBAR inner
 loop — the per-step ready-set sweep, the per-candidate
 ``(operation, processor)`` trial plan, the append-mode link reservation
 and the pressure/σ computation — as tight passes over preallocated
 lists with reused scratch buffers, instead of the per-pair
 :class:`~repro.core.placement.PlacementPlan` object graphs of the
-reference engine.  The HBP baseline's ordered-pair cost search runs on
+paper-literal reference engine (``tests/ftbar_oracle.py``, the test
+oracle).  The HBP baseline's ordered-pair cost search runs on
 the same kernel (:meth:`SchedulingKernel.pair_cost`), keeping the E6
 runtime comparison apples-to-apples.
 
@@ -29,7 +29,7 @@ in place by replaying the recorded reservation chains when the plan is
 repairable (every transfer single-hop on a unique direct link).  A
 served plan is therefore the plan the reference engine computes from
 scratch: schedules, observer streams and content hashes are
-bit-identical to :func:`~repro.core.ftbar.ftbar_reference` — enforced
+bit-identical to the paper-literal oracle's — enforced
 by the goldens and by the randomized corpora of
 ``tests/test_compiled_kernel.py`` and ``tests/test_engine_equivalence.py``,
 which also pin the work counters (``pressure_evaluations`` /
@@ -69,28 +69,23 @@ from __future__ import annotations
 import functools
 import math
 import time
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.core.compile import CompiledProblem
-from repro.core.minimize import DuplicationStats
-from repro.core.parallel import run_sharded
 from repro.core.symmetry import orbit_representatives
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.schedule.schedule import Schedule
 
 _INF = math.inf
-#: Sigma matrices smaller than this stay on one thread: the sharding
-#: dispatch costs more than the partition it would split.
-_PARALLEL_MIN_ELEMS = 4096
 #: Problems with fewer than this many (operation, processor) cells run
 #: the scalar sweep: per-sweep numpy dispatch overhead dominates small
 #: candidate sets (the measured crossover on 4-processor problems sits
 #: around N≈300).  Both sweeps are bit-identical, so the gate is purely
 #: a speed choice.
 _VECTOR_MIN_CELLS = 1280
-#: Improvement threshold of the duplication procedure (same constant as
-#: :mod:`repro.core.minimize` — step Ð keeps a duplication only when
-#: ``S_worst`` strictly improves beyond it).
+#: Improvement threshold of the duplication procedure (step Ð keeps a
+#: duplication only when ``S_worst`` strictly improves beyond it).
 _EPSILON = 1e-9
 
 #: Cached marker for a forbidden pair (``Exe = inf``): serving it counts
@@ -132,6 +127,23 @@ _FEED_FIRSTS = 3
 #:    source_processor, target_processor, hop_index, route, link_id)``
 #: — ``link_id`` rides along so the kernel's commit can update its
 #: link-availability mirror without a name lookup.
+
+
+@dataclass
+class DuplicationStats:
+    """Counters of the LIP-duplication procedure, for the ablation benches."""
+
+    attempts: int = 0
+    kept: int = 0
+    rolled_back: int = 0
+    extra_replicas: int = 0
+
+    def merge(self, other: "DuplicationStats") -> None:
+        """Accumulate another run's counters into this one."""
+        self.attempts += other.attempts
+        self.kept += other.kept
+        self.rolled_back += other.rolled_back
+        self.extra_replicas += other.extra_replicas
 
 
 class KernelPlan:
@@ -400,7 +412,6 @@ class SchedulingKernel:
         duplication: bool = True,
         vector: bool = True,
         symmetry: bool = True,
-        workers: int = 0,
     ) -> None:
         self._c = compiled
         self._schedule = schedule
@@ -478,21 +489,16 @@ class SchedulingKernel:
         # ``vector=False``: their pair keys index a P²-per-task space
         # the sweep arrays do not cover.  Below ``_VECTOR_MIN_CELLS``
         # the per-sweep numpy dispatch overhead outweighs the vectorised
-        # arithmetic and the scalar sweep is faster — unless a worker
-        # pool was requested, which only the vector sweep can shard.
-        # numpy is imported only once this gate passes; without numpy
-        # the kernel stays scalar and a worker request degrades to the
-        # serial sweep (the pool only shards the vector sweep).
+        # arithmetic and the scalar sweep is faster.  numpy is imported
+        # only once this gate passes; without numpy the kernel stays
+        # scalar.
         np = (
             _numpy()
-            if vector and not compiled.pins and (
-                compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
-                or workers >= 2
-            )
+            if vector and not compiled.pins
+            and compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
             else None
         )
         self._vector = np is not None
-        self._workers = workers if np is not None else 0
         if self._vector:
             size = compiled.n_ops * compiled.n_procs
             #: 0 = absent, 1 = forbidden (Exe = inf), 2 = cached plan.
@@ -1048,7 +1054,8 @@ class SchedulingKernel:
     ) -> tuple[str, tuple[str, ...], float, dict | None]:
         """Pick the most urgent candidate and its ``Npf + 1`` processors.
 
-        Mirrors ``FTBARScheduler._select`` over candidate ids (sorted
+        Mirrors the oracle's ``ReferenceScheduler._select``
+        (``tests/ftbar_oracle.py``) over candidate ids (sorted
         ids == the sorted-name candidate order); ``record`` materializes
         the per-pair σ mapping for the observer's :class:`StepRecord`
         (the evaluation pattern — and hence every counter — is
@@ -1656,18 +1663,7 @@ class SchedulingKernel:
         # the k-th order statistic at index k — the same float a full
         # sort would put there — without sorting the whole row.
         k = required - 1
-        count = len(candidates)
-        if self._workers >= 2 and sigma.size >= _PARALLEL_MIN_ELEMS:
-            urgencies = np.empty(count)
-
-            def task(lo: int, hi: int) -> None:
-                urgencies[lo:hi] = np.partition(
-                    sigma[lo:hi], k, axis=1
-                )[:, k]
-
-            run_sharded(self._workers, count, task)
-        else:
-            urgencies = np.partition(sigma, k, axis=1)[:, k]
+        urgencies = np.partition(sigma, k, axis=1)[:, k]
         # Most urgent candidate; argmax keeps the first (= smallest id)
         # among equals, the scalar loop's tie-break.
         winner = int(urgencies.argmax())
@@ -1823,7 +1819,7 @@ class SchedulingKernel:
     # placement (macro-step Â — the flat Minimize_start_time)
     # ------------------------------------------------------------------
     def place(self, operation: str, processor: str) -> None:
-        """Place one replica, mirroring ``FTBARScheduler._place``."""
+        """Place one replica, mirroring the oracle's ``_place``."""
         c = self._c
         o = c.op_ids[operation]
         p = c.proc_ids[processor]

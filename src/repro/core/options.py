@@ -14,11 +14,9 @@ from dataclasses import dataclass
 class SchedulerOptions:
     """Configuration of :class:`~repro.core.ftbar.FTBARScheduler`.
 
-    No field picks an engine.  The compiled kernel
-    (:mod:`repro.core.kernel`) runs every problem except
-    ``link_insertion`` ones, whose gap insertion only the paper-literal
-    reference engine models (:func:`repro.core.ftbar.ftbar_reference`,
-    also the kernel's test oracle).
+    No field picks an engine: the compiled kernel
+    (:mod:`repro.core.kernel`) runs every problem.  Links are reserved
+    append-only, as in the paper.
 
     Parameters
     ----------
@@ -26,13 +24,6 @@ class SchedulerOptions:
         Apply the ``Minimize_start_time`` LIP-duplication procedure when
         placing replicas (section 4.2, micro-step Â).  Disabling it
         yields plain active replication.
-    link_insertion:
-        Allow comms to be inserted into idle gaps of link timelines
-        instead of always appending after the last scheduled comm.  The
-        paper's description is append-only; insertion is a common
-        refinement and is measured by the ablation bench.  The compiled
-        kernel models append-mode reservations only, so these runs use
-        the reference engine (see :mod:`repro.core.ftbar`).
     processor_aware_pressure:
         Replace the paper's pressure ``σ = S_worst(o, p) + S̄(o)`` (whose
         ``S̄`` uses the *average* execution time of ``o``) by the
@@ -57,22 +48,13 @@ class SchedulerOptions:
         other orbit members is a bit-identical copy, so schedules,
         observer streams and content hashes are unchanged (the
         ``pressure_evaluations`` / ``cache_hits`` counters shrink;
-        ``FTBARStats.symmetry_pruned`` counts the skipped pairs).  The
-        reference engine ignores the flag.  ``symmetry=False`` restores
+        ``FTBARStats.symmetry_pruned`` counts the skipped pairs).
+        ``symmetry=False`` restores
         the exhaustive sweep (and the ``PINNED_COUNTERS`` pins of
         ``tests/test_compiled_kernel.py``).
-    sweep_workers:
-        Worker-thread count of the compiled kernel's parallel selection
-        sweep (:mod:`repro.core.parallel`).  ``None`` reads the
-        ``REPRO_SWEEP_WORKERS`` environment variable (0 when unset);
-        values below 2 keep the sweep serial.  The parallel reduction
-        preserves the sequential tie-break order, so results and
-        counters are identical at any worker count.
     """
 
     duplication: bool = True
-    link_insertion: bool = False
     processor_aware_pressure: bool = False
     npl: int | None = None
     symmetry: bool = True
-    sweep_workers: int | None = None

@@ -2,12 +2,12 @@
 
 This module answers the question at the heart of the heuristic: *if
 operation ``o`` were placed on processor ``p`` right now, when could it
-start, and which comms would that imply?*  The same planner serves
-
-* the trial evaluations of macro-step À (schedule pressure needs
-  ``S_worst``),
-* the real placements of micro-step Â (the chosen plan is committed),
-* the recursive ``Minimize_start_time`` procedure.
+start, and which comms would that imply?*  It is the object-level
+planner: the exhaustive baseline (:mod:`repro.baselines.exhaustive`)
+plans with it, and the paper-literal FTBAR loop that serves as the
+compiled kernel's test oracle plans every trial evaluation, placement
+and ``Minimize_start_time`` recursion with it.  The kernel
+(:mod:`repro.core.kernel`) mirrors its arithmetic on flat arrays.
 
 Planning never mutates the real schedule; reservations happen on a
 :class:`LinkState` overlay, and a chosen plan is committed afterwards
@@ -26,67 +26,33 @@ from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 
-_EPSILON = 1e-9
-
 
 class LinkState:
-    """Reservation overlay on the link timelines of a schedule.
+    """Append-mode reservation overlay on the link timelines of a schedule.
 
-    In append mode a link's next free instant is the end of its last
-    comm (real or trial); in insertion mode idle gaps between real comms
-    can also be used.  Trial reservations live only in this object, so a
-    fresh ``LinkState`` per evaluation gives side-effect-free planning.
-
-    The overlay never rebuilds interval lists from the schedule: append
-    mode only tracks one running free instant per link (seeded from the
-    O(1) ``link_available``), and insertion mode copies the schedule's
-    maintained ``link_busy_intervals`` list lazily on first reservation.
+    A link's next free instant is the end of its last comm, real or
+    trial (the paper reserves links append-only).  Trial reservations
+    live only in this object, so a fresh ``LinkState`` per evaluation
+    gives side-effect-free planning: it tracks one running free instant
+    per link, seeded from the O(1) ``link_available``.
     """
 
-    def __init__(self, schedule: Schedule, insertion: bool = False) -> None:
+    def __init__(self, schedule: Schedule) -> None:
         self._schedule = schedule
-        self._insertion = insertion
         self._free: dict[str, float] = {}
-        self._overlay: dict[str, list[tuple[float, float]]] = {}
-
-    def _intervals(self, link: str) -> list[tuple[float, float]]:
-        intervals = self._overlay.get(link)
-        if intervals is None:
-            # Copy-on-write: trial reservations must not leak into the
-            # schedule's maintained busy list.
-            intervals = list(self._schedule.link_busy_intervals(link))
-            self._overlay[link] = intervals
-        return intervals
 
     def preview(self, link: str, ready: float, duration: float) -> tuple[float, float]:
         """The slot a reservation would take, without reserving it."""
-        if not self._insertion:
-            free = self._free.get(link)
-            if free is None:
-                free = self._schedule.link_available(link)
-            start = max(ready, free)
-            return start, start + duration
-        intervals = self._overlay.get(link)
-        if intervals is None:
-            intervals = self._schedule.link_busy_intervals(link)
-        cursor = max(ready, 0.0)
-        for begin, end in intervals:
-            if cursor + duration <= begin + _EPSILON:
-                return cursor, cursor + duration
-            cursor = max(cursor, end)
-        return cursor, cursor + duration
+        free = self._free.get(link)
+        if free is None:
+            free = self._schedule.link_available(link)
+        start = max(ready, free)
+        return start, start + duration
 
     def reserve(self, link: str, ready: float, duration: float) -> tuple[float, float]:
         """Pick a slot with :meth:`preview` and mark it busy."""
         start, end = self.preview(link, ready, duration)
-        if not self._insertion:
-            self._free[link] = end
-            return start, end
-        intervals = self._intervals(link)
-        position = 0
-        while position < len(intervals) and intervals[position][0] < start:
-            position += 1
-        intervals.insert(position, (start, end))
+        self._free[link] = end
         return start, end
 
 
@@ -240,7 +206,6 @@ class PlacementPlanner:
         exec_times: ExecutionTimes,
         comm_times: CommunicationTimes,
         npf: int,
-        link_insertion: bool = False,
         npl: int = 0,
     ) -> None:
         self._algorithm = algorithm
@@ -249,7 +214,6 @@ class PlacementPlanner:
         self._comm_times = comm_times
         self._npf = npf
         self._npl = npl
-        self._link_insertion = link_insertion
 
     def plan(
         self, operation: str, processor: str, schedule: Schedule
@@ -268,7 +232,7 @@ class PlacementPlanner:
             return None
         if schedule.replica_on(operation, processor) is not None:
             return None
-        state = LinkState(schedule, insertion=self._link_insertion)
+        state = LinkState(schedule)
         feeds: list[PredecessorFeed] = []
         for predecessor in self._algorithm.predecessors(operation):
             feeds.append(

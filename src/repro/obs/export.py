@@ -6,7 +6,7 @@ cover every use in the repo:
 
 * :class:`JsonlExporter` — the durable form: one JSON object per line,
   appended to a file.  Writes are serialized under a lock (spans can
-  finish on ``core/parallel.py`` worker threads) and buffered through
+  finish on any thread) and buffered through
   the regular file buffer; ``close()`` flushes.  The format is
   append-only and schema-versioned (:mod:`repro.obs.schema`), so a
   consumer can stream a live file and tolerate a torn tail exactly like

@@ -23,8 +23,8 @@ Design constraints, in order:
    tracing on or off, schedules, counters, observer streams and content
    hashes are bit-identical (pinned by ``tests/test_obs.py``).
 
-3. **Thread-safety.**  The context stack is thread-local (kernel sweep
-   workers and campaign threads do not share parents); span ids come
+3. **Thread-safety.**  The context stack is thread-local (threads do
+   not share parents); span ids come
    from one lock-free counter (`itertools.count`, atomic under the
    GIL); exporters serialize their own writes.
 """

@@ -15,9 +15,7 @@ captured/restored by snapshots) instead of per-query scans:
 * ``makespan`` is a running aggregate (placements only extend it);
 * ``replica_on`` reads a per-``(operation, processor)`` map;
 * ``comms_toward`` / ``comms_for_edge`` read per-target and per-edge
-  comm lists kept in event order;
-* ``link_busy_intervals`` exposes the per-link busy list the planner's
-  :class:`~repro.core.placement.LinkState` overlays without rebuilding.
+  comm lists kept in event order.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ class ScheduleSnapshot:
     replica_index: Mapping[tuple[str, str], ScheduledOperation]
     inbound_comms: Mapping[tuple[str, int], tuple[ScheduledComm, ...]]
     edge_comms: Mapping[tuple[str, str], tuple[ScheduledComm, ...]]
-    link_busy: Mapping[str, tuple[tuple[float, float], ...]]
 
 
 class Schedule:
@@ -84,9 +81,6 @@ class Schedule:
         self._replica_index: dict[tuple[str, str], ScheduledOperation] = {}
         self._inbound_comms: dict[tuple[str, int], list[ScheduledComm]] = {}
         self._edge_comms: dict[tuple[str, str], list[ScheduledComm]] = {}
-        self._link_busy: dict[str, list[tuple[float, float]]] = {
-            l: [] for l in self._link_timelines
-        }
         # Mutation log: one tuple per placement, enough to undo it in
         # LIFO order (``mark``/``undo_to``).
         self._log: list[tuple] = []
@@ -170,7 +164,6 @@ class Schedule:
             route=route,
         )
         index = self._insert(self._link_timelines[link], event, f"link {link!r}")
-        self._link_busy[link].insert(index, (event.start, event.end))
         inbound_key = (target, target_replica)
         inbound = self._inbound_comms.setdefault(inbound_key, [])
         inbound_idx = self._tail_position(inbound, event)
@@ -249,7 +242,6 @@ class Schedule:
                 _, link, index, inbound_key, inbound_idx, edge_key, edge_idx, \
                     makespan = entry
                 del self._link_timelines[link][index]
-                del self._link_busy[link][index]
                 del self._inbound_comms[inbound_key][inbound_idx]
                 del self._edge_comms[edge_key][edge_idx]
                 self._makespan = makespan
@@ -269,7 +261,6 @@ class Schedule:
             replica_index=dict(self._replica_index),
             inbound_comms={k: tuple(v) for k, v in self._inbound_comms.items()},
             edge_comms={k: tuple(v) for k, v in self._edge_comms.items()},
-            link_busy={l: tuple(v) for l, v in self._link_busy.items()},
         )
 
     def restore(self, saved: ScheduleSnapshot) -> None:
@@ -288,7 +279,6 @@ class Schedule:
         self._replica_index = dict(saved.replica_index)
         self._inbound_comms = {k: list(v) for k, v in saved.inbound_comms.items()}
         self._edge_comms = {k: list(v) for k, v in saved.edge_comms.items()}
-        self._link_busy = {l: list(v) for l, v in saved.link_busy.items()}
 
     # ------------------------------------------------------------------
     # queries
@@ -396,30 +386,6 @@ class Schedule:
         if timeline is None:
             raise ScheduleValidationError(f"unknown link {link!r}")
         return timeline[-1].end if timeline else 0.0
-
-    def link_busy_intervals(self, link: str) -> list[tuple[float, float]]:
-        """The maintained ``(start, end)`` busy list of ``link``.
-
-        The returned list is the live index — callers must treat it as
-        read-only (the planner's ``LinkState`` copies it on first write).
-        """
-        intervals = self._link_busy.get(link)
-        if intervals is None:
-            raise ScheduleValidationError(f"unknown link {link!r}")
-        return intervals
-
-    def link_gaps(self, link: str) -> tuple[tuple[float, float], ...]:
-        """Idle intervals of ``link`` before its last comm (for insertion)."""
-        timeline = self._link_timelines.get(link)
-        if timeline is None:
-            raise ScheduleValidationError(f"unknown link {link!r}")
-        gaps: list[tuple[float, float]] = []
-        cursor = 0.0
-        for event in timeline:
-            if event.start > cursor + _EPSILON:
-                gaps.append((cursor, event.start))
-            cursor = max(cursor, event.end)
-        return tuple(gaps)
 
     # ------------------------------------------------------------------
     # aggregate measures

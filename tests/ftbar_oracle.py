@@ -1,0 +1,503 @@
+"""Paper-literal FTBAR: the compiled kernel's test oracle.
+
+The reference the production engine (:func:`repro.core.ftbar.schedule_ftbar`,
+which runs :mod:`repro.core.kernel`) is pinned against:
+``tests/test_engine_equivalence.py`` and ``tests/test_compiled_kernel.py``
+diff the kernel's replica placements, comm orders and observer
+:class:`~repro.core.ftbar.StepRecord` streams against
+:func:`ftbar_reference` over their corpora.  It runs section 4 as
+written:
+
+* the candidate list is rescanned every macro-step (macro-step Ã);
+* every ``(candidate, processor)`` pair is planned from scratch through
+  :class:`~repro.core.placement.PlacementPlanner` and priced by
+  :class:`PressureCalculator` (macro-steps À and Á);
+* each kept processor receives its replica through
+  :class:`StartTimeMinimizer`, the ``Minimize_start_time`` procedure
+  (micro-step Â).
+
+It keeps no plan cache and validates the problem up front, so it is
+slow, and it is kept only as the oracle.  Links are reserved
+append-only, as in the paper and the kernel.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass, field
+from typing import Callable
+
+from repro.core.ftbar import (
+    FTBARResult,
+    FTBARStats,
+    StepRecord,
+    _expand_timing,
+    _expanded_rtc,
+)
+from repro.core.kernel import DuplicationStats
+from repro.core.options import SchedulerOptions
+from repro.core.placement import PlacementPlan, PlacementPlanner, commit_plan
+from repro.exceptions import InfeasibleReplicationError, SchedulingError
+from repro.graphs.algorithm import AlgorithmGraph
+from repro.graphs.operations import is_memory_half
+from repro.hardware.architecture import Architecture
+from repro.problem import ProblemSpec
+from repro.schedule.events import ScheduledOperation
+from repro.schedule.schedule import Schedule
+from repro.timing.comm_times import CommunicationTimes
+from repro.timing.exec_times import ExecutionTimes
+
+_EPSILON = 1e-9
+
+
+class PressureCalculator:
+    """The schedule-pressure cost function (section 4.2).
+
+    The pressure of a pair ``(operation, processor)`` at step ``n`` is::
+
+        σ(n)(o, p) = S_worst(n)(o, p) + S̄(o) − R(n−1)
+
+    where ``S_worst`` is the earliest start of ``o`` on ``p`` accounting
+    for the *latest* predecessor replica (the worst case under failures),
+    ``S̄`` is the *latest start time from the end* — the static bottom
+    level of the operation — and ``R(n−1)`` is the previous critical-path
+    estimate.  The paper notes that ``R(n−1)`` is identical for all
+    candidates of one step, so the comparisons drop it;
+    :meth:`critical_path_estimate` still exposes ``R`` for tests.
+
+    Because the architecture is heterogeneous and the placement is
+    unknown while computing a *static* priority, ``S̄`` uses the average
+    execution time over the allowed processors and the average
+    communication time over all links, exactly like the SynDEx pressure
+    the paper builds on.  Every σ evaluation plans the pair from scratch.
+    """
+
+    def __init__(
+        self,
+        algorithm: AlgorithmGraph,
+        architecture: Architecture,
+        exec_times: ExecutionTimes,
+        comm_times: CommunicationTimes,
+        npf: int,
+        planner: PlacementPlanner,
+        processor_aware: bool = False,
+    ) -> None:
+        self._algorithm = algorithm
+        self._architecture = architecture
+        self._exec_times = exec_times
+        self._comm_times = comm_times
+        self._npf = npf
+        self._planner = planner
+        self._processor_aware = processor_aware
+        self._sbar_cache: dict[str, float] = {}
+        self.evaluations = 0
+
+    # ------------------------------------------------------------------
+    # static part: S̄ (bottom level with average times)
+    # ------------------------------------------------------------------
+    def average_execution(self, operation: str) -> float:
+        """Mean execution time of ``operation`` over its allowed processors."""
+        return self._exec_times.average(
+            operation, self._architecture.processor_names()
+        )
+
+    def average_communication(self, edge: tuple[str, str]) -> float:
+        """Mean transfer time of ``edge`` over all links (0 with no link)."""
+        links = self._architecture.link_names()
+        if not links:
+            return 0.0
+        return self._comm_times.average(edge, links)
+
+    def tail(self, operation: str) -> float:
+        """Latest start time from the *end* of ``o``: the path after it.
+
+        The longest average-time path from the end of ``o`` to the end
+        of the graph, excluding ``o``'s own execution (which enters the
+        pressure with its actual per-processor duration).  A sink's
+        tail is 0.
+        """
+        return self.sbar(operation) - self.average_execution(operation)
+
+    def sbar(self, operation: str) -> float:
+        """``S̄(o)``: longest average-time path from ``o`` to a sink.
+
+        Includes the operation's own average execution time; a sink's
+        ``S̄`` is exactly its average execution time.
+        """
+        cached = self._sbar_cache.get(operation)
+        if cached is not None:
+            return cached
+        # Iterative reverse-topological computation (avoid recursion
+        # limits on deep chains).
+        order = self._algorithm.topological_order()
+        for name in reversed(order):
+            if name in self._sbar_cache:
+                continue
+            tail = 0.0
+            for successor in self._algorithm.successors(name):
+                candidate = (
+                    self.average_communication((name, successor))
+                    + self._sbar_cache[successor]
+                )
+                tail = max(tail, candidate)
+            self._sbar_cache[name] = self.average_execution(name) + tail
+        return self._sbar_cache[operation]
+
+    def static_tables(self) -> tuple[list[float], list[float]]:
+        """``(S̄, tail)`` per operation, in ``operation_names()`` order.
+
+        The compiled problem (:mod:`repro.core.compile`) lowers the
+        static pressure terms into flat arrays once per problem with the
+        same reverse-topological sweep and averaging order, which keeps
+        the kernel's σ values bit-identical to this oracle's
+        (``tests/test_compiled_kernel.py`` cross-checks the two).
+        """
+        names = self._algorithm.operation_names()
+        return (
+            [self.sbar(name) for name in names],
+            [self.tail(name) for name in names],
+        )
+
+    # ------------------------------------------------------------------
+    # dynamic part: σ(o, p)
+    # ------------------------------------------------------------------
+    def pressure(
+        self, operation: str, processor: str, schedule: Schedule
+    ) -> float:
+        """σ(o, p) up to the constant ``R(n−1)``; ``inf`` when forbidden.
+
+        The paper's formula is ``σ = S_worst(o, p) + S̄(o)`` with a
+        processor-independent ``S̄`` (average execution times) — that is
+        the default and what reproduces the paper's numbers.  In
+        processor-aware mode σ instead charges the *actual* execution
+        time on ``p``: ``σ = S_worst(o, p) + Exe(o, p) + tail(o)``.
+
+        Each evaluation plans the placement against a fresh link-state
+        overlay, so trial comms of one pair never pollute another
+        pair's evaluation.
+        """
+        self.evaluations += 1
+        plan = self._planner.plan(operation, processor, schedule)
+        return self._sigma(operation, plan)
+
+    def _sigma(self, operation: str, plan: PlacementPlan | None) -> float:
+        if plan is None:
+            return math.inf
+        if self._processor_aware:
+            return plan.s_worst + plan.duration + self.tail(operation)
+        return plan.s_worst + self.sbar(operation)
+
+    def schedule_flexibility(
+        self, operation: str, processor: str, schedule: Schedule, r_estimate: float
+    ) -> float:
+        """``SF(n)(o, p) = R(n) − S_worst(o, p) − S̄(o)``."""
+        plan = self._planner.plan(operation, processor, schedule)
+        if plan is None:
+            return -math.inf
+        return r_estimate - plan.s_worst - self.sbar(operation)
+
+    def critical_path_estimate(
+        self, candidates: list[str], schedule: Schedule
+    ) -> float:
+        """``R(n)``: the current critical-path length estimate.
+
+        Lower-bounded by the partial schedule's makespan and by the best
+        achievable ``S_worst + S̄`` of every remaining candidate.
+        """
+        estimate = schedule.makespan()
+        for operation in candidates:
+            best = math.inf
+            for processor in self._architecture.processor_names():
+                self.evaluations += 1
+                plan = self._planner.plan(operation, processor, schedule)
+                if plan is not None:
+                    best = min(best, plan.s_worst + self.sbar(operation))
+            if not math.isinf(best):
+                estimate = max(estimate, best)
+        return estimate
+
+
+@dataclass
+class StartTimeMinimizer:
+    """The ``Minimize_start_time`` procedure (section 4.2, steps Ê–Ñ).
+
+    Before a replica of the selected operation ``o`` is placed on
+    processor ``p``, the procedure tries to *duplicate* the operation's
+    Latest Immediate Predecessor (LIP) — the predecessor whose data
+    arrives last in the worst case — onto ``p`` itself.  A co-located
+    predecessor feeds the replica through a zero-cost intra-processor
+    communication, so a successful duplication removes the critical
+    comm.  Duplications are kept only while ``S_worst(o, p)`` strictly
+    improves; otherwise they are rolled back via the schedule's
+    O(changes) mutation log (step Ð).  The procedure recurses: the
+    duplicated LIP's own start is minimised the same way (step Í),
+    following Ahmad & Kwok's duplication-based scheduling.
+    """
+
+    planner: PlacementPlanner
+    exec_times: ExecutionTimes
+    duplication: bool = True
+    stats: DuplicationStats = field(default_factory=DuplicationStats)
+
+    def place(
+        self,
+        operation: str,
+        processor: str,
+        schedule: Schedule,
+        duplicated: bool = False,
+    ) -> ScheduledOperation:
+        """Implement ``Minimize_start_time(operation, processor)``.
+
+        Returns the placed replica.  Raises
+        :class:`~repro.exceptions.SchedulingError` when the operation
+        cannot run on the processor (step Ë: ``S_worst`` undefined).
+        """
+        plan = self.planner.plan(operation, processor, schedule)
+        if plan is None:
+            raise SchedulingError(
+                f"operation {operation!r} cannot be scheduled on {processor!r}"
+            )
+        if self.duplication:
+            plan = self._improve_by_duplication(plan, schedule)
+        return commit_plan(plan, schedule, duplicated=duplicated)
+
+    def _improve_by_duplication(
+        self, plan: PlacementPlan, schedule: Schedule
+    ) -> PlacementPlan:
+        operation, processor = plan.operation, plan.processor
+        best_worst = plan.s_worst
+        while True:
+            lip = self._duplicable_lip(plan, schedule)
+            if lip is None:
+                return plan
+            self.stats.attempts += 1
+            saved = schedule.mark()
+            try:
+                # Step Í: recursively minimise the LIP's start on p, which
+                # places an extra (duplicated) replica of the LIP there.
+                self.place(lip, processor, schedule, duplicated=True)
+            except SchedulingError:
+                schedule.undo_to(saved)
+                self.stats.rolled_back += 1
+                return plan
+            new_plan = self.planner.plan(operation, processor, schedule)
+            if new_plan is None or new_plan.s_worst >= best_worst - _EPSILON:
+                # Step Ð: the replication does not pay off — undo it all.
+                schedule.undo_to(saved)
+                self.stats.rolled_back += 1
+                return plan
+            # Step Ñ: improvement kept; hunt for the new LIP.
+            self.stats.kept += 1
+            self.stats.extra_replicas += 1
+            best_worst = new_plan.s_worst
+            plan = new_plan
+
+    def _duplicable_lip(
+        self, plan: PlacementPlan, schedule: Schedule
+    ) -> str | None:
+        """Step Ì: the LIP of the plan, when duplicating it can help.
+
+        The LIP's feed must be remote (a co-located predecessor already
+        costs nothing), the predecessor must be allowed on the processor,
+        must not be a memory half (register replicas are pinned together
+        and never duplicated), and must not already have a replica there.
+        """
+        feed = plan.critical_feed()
+        if feed is None or feed.local_end is not None:
+            return None
+        predecessor = feed.predecessor
+        if is_memory_half(predecessor):
+            return None
+        if not self.exec_times.is_allowed(predecessor, plan.processor):
+            return None
+        if schedule.replica_on(predecessor, plan.processor) is not None:
+            return None
+        return predecessor
+
+
+class ReferenceScheduler:
+    """The paper-literal macro-step loop over schedule objects."""
+
+    def __init__(
+        self,
+        problem: ProblemSpec,
+        options: SchedulerOptions | None = None,
+        observer: Callable[[StepRecord], None] | None = None,
+    ) -> None:
+        options = options or SchedulerOptions()
+        self._observer = observer
+        self._problem = problem
+        self._npf = problem.npf
+        self._npl = options.npl if options.npl is not None else problem.npl
+        if self._npl < 0:
+            raise SchedulingError(f"npl must be >= 0, got {self._npl}")
+        problem.validate()
+        self._architecture = problem.architecture
+        self._algorithm, pairs = problem.algorithm.expand_memories()
+        self._memory_pairs = dict(pairs)
+        self._pins = {write: read for read, write in self._memory_pairs.values()}
+        exec_times, comm_times = _expand_timing(problem, self._memory_pairs)
+        if self._npl >= 1 and len(problem.architecture) > 1:
+            problem.architecture.route_planner.require_disjoint_routes(
+                self._npl + 1
+            )
+        self.planner = PlacementPlanner(
+            self._algorithm,
+            self._architecture,
+            exec_times,
+            comm_times,
+            self._npf,
+            npl=self._npl,
+        )
+        self.pressure = PressureCalculator(
+            self._algorithm,
+            self._architecture,
+            exec_times,
+            comm_times,
+            self._npf,
+            self.planner,
+            processor_aware=options.processor_aware_pressure,
+        )
+        self.minimizer = StartTimeMinimizer(
+            planner=self.planner,
+            exec_times=exec_times,
+            duplication=options.duplication,
+        )
+
+    def run(self) -> FTBARResult:
+        """Execute the macro-steps until every operation is placed."""
+        started = time.perf_counter()
+        schedule = Schedule(
+            processors=self._architecture.processor_names(),
+            links=self._architecture.link_names(),
+            npf=self._npf,
+            npl=self._npl,
+            name=f"{self._problem.name}-ftbar",
+        )
+        stats = FTBARStats()
+        scheduled: set[str] = set()
+        while True:
+            candidates = self._candidates(scheduled)
+            if not candidates:
+                break
+            stats.steps += 1
+            operation, processors, urgency, pressures = self._select(
+                candidates, schedule
+            )
+            for processor in processors:
+                self._place(operation, processor, schedule)
+            scheduled.add(operation)
+            if self._observer is not None:
+                self._observer(
+                    StepRecord(
+                        step=stats.steps,
+                        candidates=tuple(candidates),
+                        operation=operation,
+                        processors=processors,
+                        urgency=urgency,
+                        pressures=pressures,
+                        makespan=schedule.makespan(),
+                    )
+                )
+        if stats.steps != len(self._algorithm):
+            missing = sorted(
+                set(self._algorithm.operation_names())
+                - set(schedule.scheduled_operations())
+            )
+            raise SchedulingError(
+                f"scheduling stalled; unplaced operations: {missing}"
+            )
+        stats.pressure_evaluations = self.pressure.evaluations
+        stats.duplication = self.minimizer.stats
+        stats.wall_time_s = time.perf_counter() - started
+        return FTBARResult(
+            schedule=schedule,
+            rtc_report=_expanded_rtc(
+                self._problem.rtc, self._memory_pairs
+            ).check(schedule),
+            stats=stats,
+            expanded_algorithm=self._algorithm,
+            memory_pairs=self._memory_pairs,
+        )
+
+    def _candidates(self, scheduled: set[str]) -> list[str]:
+        """Macro-step Ã: operations whose predecessors and anchors are placed."""
+        ready: list[str] = []
+        for operation in self._algorithm.operation_names():
+            if operation in scheduled:
+                continue
+            predecessors = self._algorithm.predecessors(operation)
+            if any(p not in scheduled for p in predecessors):
+                continue
+            anchor = self._pins.get(operation)
+            if anchor is not None and anchor not in scheduled:
+                continue
+            ready.append(operation)
+        return ready
+
+    def _select(
+        self, candidates: list[str], schedule: Schedule
+    ) -> tuple[str, tuple[str, ...], float, dict[tuple[str, str], float]]:
+        """Macro-steps À and Á: the most urgent candidate, its processors."""
+        best_choice: tuple[float, str, tuple[str, ...]] | None = None
+        pressures: dict[tuple[str, str], float] = {}
+        required = self._npf + 1
+        for operation in candidates:
+            ranked: list[tuple[float, str]] = []
+            for processor in self._processor_pool(operation, schedule):
+                sigma = self.pressure.pressure(operation, processor, schedule)
+                pressures[(operation, processor)] = sigma
+                if sigma != math.inf:
+                    ranked.append((sigma, processor))
+            ranked.sort()
+            if len(ranked) < required:
+                raise InfeasibleReplicationError(
+                    f"operation {operation!r} can run on {len(ranked)} "
+                    f"processor(s), {required} required to tolerate "
+                    f"{self._npf} failure(s)"
+                )
+            kept = ranked[:required]
+            urgency = kept[-1][0]
+            if best_choice is None or (
+                urgency > best_choice[0]
+                or (urgency == best_choice[0] and operation < best_choice[1])
+            ):
+                best_choice = (
+                    urgency,
+                    operation,
+                    tuple(processor for _, processor in kept),
+                )
+        assert best_choice is not None
+        return best_choice[1], best_choice[2], best_choice[0], pressures
+
+    def _processor_pool(self, operation: str, schedule: Schedule) -> tuple[str, ...]:
+        """A pinned memory half may only go where its anchor half lives."""
+        anchor = self._pins.get(operation)
+        if anchor is None:
+            return self._architecture.processor_names()
+        return tuple(sorted(r.processor for r in schedule.replicas_of(anchor)))
+
+    def _place(self, operation: str, processor: str, schedule: Schedule) -> None:
+        """Micro-step Â for one kept processor."""
+        if operation in self._pins:
+            # Memory halves are placed directly: duplicating register
+            # halves would break the read/write co-location invariant.
+            plan = self.planner.plan(operation, processor, schedule)
+            if plan is None:
+                raise InfeasibleReplicationError(
+                    f"memory half {operation!r} is forbidden on {processor!r} "
+                    f"where its register lives"
+                )
+            commit_plan(plan, schedule)
+            return
+        self.minimizer.place(operation, processor, schedule)
+
+
+def ftbar_reference(
+    problem: ProblemSpec,
+    options: SchedulerOptions | None = None,
+    observer: Callable[[StepRecord], None] | None = None,
+) -> FTBARResult:
+    """Run the paper-literal loop; same signature as ``schedule_ftbar``."""
+    return ReferenceScheduler(problem, options, observer=observer).run()

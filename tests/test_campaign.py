@@ -10,6 +10,9 @@ The two properties the subsystem promises (and the ISSUE pins):
   cache hits without recomputing anything.
 """
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -32,7 +35,9 @@ from repro.campaign import (
     run_campaign,
     save_campaign,
 )
+from repro.campaign.spec import _OPTION_FIELDS
 from repro.cli import main
+from repro.core.options import SchedulerOptions
 from repro.exceptions import SerializationError
 from repro.schedule.serialization import (
     problem_content_hash,
@@ -70,10 +75,10 @@ class TestSpec:
         assert load_campaign(path) == spec
 
     def test_dict_round_trip_preserves_failures_and_options(self):
-        spec = golden_spec(options={"link_insertion": True})
+        spec = golden_spec(options={"duplication": False})
         rebuilt = campaign_from_dict(campaign_to_dict(spec))
         assert rebuilt.failures == spec.failures
-        assert rebuilt.scheduler_options().link_insertion
+        assert not rebuilt.scheduler_options().duplication
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SerializationError):
@@ -91,7 +96,9 @@ class TestSpec:
         with pytest.raises(SerializationError):
             golden_spec(options={"turbo": True})
 
-    @pytest.mark.parametrize("option", ["incremental", "compiled"])
+    @pytest.mark.parametrize(
+        "option", ["incremental", "compiled", "link_insertion", "sweep_workers"]
+    )
     def test_removed_engine_switches_rejected(self, option):
         # The engine follows from the input; the old switches are
         # unknown options, not a TypeError from SchedulerOptions.
@@ -102,6 +109,32 @@ class TestSpec:
             match=rf"^unknown scheduler options: \['{option}'\]$",
         ):
             campaign_from_dict(document)
+
+    def test_option_fields_cover_scheduler_options(self):
+        assert set(_OPTION_FIELDS) == {
+            f.name for f in dataclasses.fields(SchedulerOptions)
+        }
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ({"npl": "1"}, "'options.npl' must be an integer or null, got '1'"),
+            ({"npl": True}, "'options.npl' must be an integer or null, got True"),
+            ({"npl": -1}, "'options.npl' must be >= 0, got -1"),
+            ({"duplication": "no"},
+             "'options.duplication' must be a boolean, got 'no'"),
+            ({"symmetry": 0}, "'options.symmetry' must be a boolean, got 0"),
+        ],
+    )
+    def test_option_values_type_checked(self, options, message):
+        document = campaign_to_dict(golden_spec())
+        document["options"] = options
+        with pytest.raises(SerializationError, match=re.escape(message)):
+            campaign_from_dict(document)
+
+    def test_option_null_npl_accepted(self):
+        spec = golden_spec(options={"npl": None, "symmetry": False})
+        assert spec.scheduler_options() == SchedulerOptions(symmetry=False)
 
     def test_gauss_size_one_rejected(self):
         # gauss needs a >= 2x2 matrix; clamping would silently collapse

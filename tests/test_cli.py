@@ -389,6 +389,9 @@ _BAD_SPECS = {
         **_SPEC, "measures": ["ftbar", "reliability"],
         "reliability": {"method": "exact"},
     },
+    "option-npl-string": {**_SPEC, "options": {"npl": "1"}},
+    "option-bool-string": {**_SPEC, "options": {"duplication": "no"}},
+    "removed-option": {**_SPEC, "options": {"link_insertion": True}},
 }
 
 #: Malformed-file cases shared by specs and plans.
@@ -475,6 +478,9 @@ class TestMalformedCampaignInput:
             ("confidence-string", "'reliability.confidence' must be a number"),
             ("missing-section", "missing the required field 'workloads'"),
             ("exact-method", "expected one of ('auto', 'sampled')"),
+            ("option-npl-string", "'options.npl' must be an integer or null"),
+            ("option-bool-string", "'options.duplication' must be a boolean"),
+            ("removed-option", "unknown scheduler options: ['link_insertion']"),
         ],
     )
     def test_spec_errors_name_the_field(

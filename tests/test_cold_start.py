@@ -111,6 +111,22 @@ def test_cold_command_loads_only_what_it_runs(argv, also_absent):
         assert heavy not in modules, f"{argv[0]} imported {heavy}"
 
 
+def test_schedule_loads_only_the_kernel_engine():
+    """The kernel is the only FTBAR engine: no object planner, no pool."""
+    modules = loaded_modules(
+        run_cli("schedule", str(EXAMPLES / "problem_fc4_npf1_npl1.json"))
+    )
+    assert "repro.core.kernel" in modules  # the command really ran
+    for module in (
+        "repro.core.placement",
+        "repro.core.pressure",
+        "repro.core.minimize",
+        "repro.core.parallel",
+        "concurrent.futures",
+    ):
+        assert module not in modules, f"schedule imported {module}"
+
+
 def test_example_loads_no_experiment_sweep():
     modules = loaded_modules(run_cli("example"))
     assert "repro.analysis.paper_example" in modules  # the command ran

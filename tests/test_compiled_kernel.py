@@ -1,7 +1,7 @@
 """Randomized equivalence corpus for the compiled scheduling kernel.
 
 The kernel must schedule exactly like the reference engine
-(:func:`~repro.core.ftbar.ftbar_reference`, the paper-literal
+(``ftbar_reference`` of ``tests/ftbar_oracle.py``, the paper-literal
 full-recompute loop): bit-identical replica placements, comm orders and
 observer ``StepRecord`` streams.
 
@@ -22,8 +22,6 @@ values with zero pruned pairs.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from test_engine_equivalence import ftbar_trace, hbp_fingerprint
@@ -31,7 +29,7 @@ from test_engine_equivalence import ftbar_trace, hbp_fingerprint
 from repro.baselines.hbp import schedule_hbp
 from repro.core import kernel as kernel_module
 from repro.core.compile import CompiledProblem
-from repro.core.ftbar import FTBARScheduler, ftbar_reference, schedule_ftbar
+from repro.core.ftbar import FTBARScheduler, schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.hardware.topologies import ring, single_bus, star
 from repro.problem import ProblemSpec
@@ -39,6 +37,7 @@ from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.workloads.paper_example import build_problem
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests.ftbar_oracle import ReferenceScheduler, ftbar_reference
 
 COMPILED = SchedulerOptions()
 COMPILED_NOSYM = SchedulerOptions(symmetry=False)
@@ -152,8 +151,7 @@ def test_small_problem_gates_to_scalar_sweep(monkeypatch):
         ),
     )
     assert not kernel._vector
-    # A requested worker pool re-enables the vector sweep (only it can
-    # be sharded); the gated run stays bit-identical either way.
+    # The gated run stays bit-identical to the vector sweep.
     gated_trace = ftbar_trace(problem, COMPILED)
     monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
     assert ftbar_trace(problem, COMPILED) == gated_trace
@@ -281,28 +279,6 @@ def test_option_variants_bit_identical(options):
     assert ftbar_trace(problem, variant) == reference_trace(problem, variant)
 
 
-def test_link_insertion_falls_back_to_object_path():
-    """Gap insertion is not modelled by the kernel: the reference runs it.
-
-    The engine follows from the input alone, silently — neither run
-    emits a warning.
-    """
-    problem = generate_problem(
-        RandomWorkloadConfig(operations=16, ccr=1.0, processors=4, npf=1, seed=5)
-    )
-    insertion = SchedulerOptions(link_insertion=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert FTBARScheduler(problem, insertion)._compiled is None
-        assert FTBARScheduler(problem, COMPILED)._compiled is not None
-        insertion_trace = ftbar_trace(problem, insertion)
-        schedule_ftbar(problem, COMPILED)
-    assert insertion_trace == reference_trace(problem, insertion)
-    assert insertion_trace != reference_trace(problem), (
-        "insertion must change this schedule, or the test proves nothing"
-    )
-
-
 def test_heterogeneous_problem_bit_identical():
     problem = generate_problem(
         RandomWorkloadConfig(
@@ -335,12 +311,13 @@ def test_hbp_kernel_path_bit_identical_with_matching_counters():
 
 
 def test_static_tables_match_pressure_calculator():
-    """CompiledProblem's S̄/tail equal PressureCalculator's, bit for bit."""
+    """CompiledProblem's S̄/tail equal the oracle's, bit for bit."""
     problem = generate_problem(
         RandomWorkloadConfig(operations=30, ccr=2.0, processors=4, npf=1, seed=3)
     )
     scheduler = FTBARScheduler(problem)
-    sbar, tail = scheduler._pressure.static_tables()
+    pressure = ReferenceScheduler(problem).pressure
+    sbar, tail = pressure.static_tables()
     assert scheduler._compiled.sbar == sbar
     assert scheduler._compiled.tail == tail
 

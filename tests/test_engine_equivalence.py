@@ -2,7 +2,7 @@
 
 The compiled kernel (plan cache, indegree ready set, flat arrays) must
 schedule exactly like the paper-literal reference engine
-(:func:`~repro.core.ftbar.ftbar_reference`): bit-identical replica
+(``ftbar_reference`` of ``tests/ftbar_oracle.py``): bit-identical replica
 placements, comm orders and observer ``StepRecord`` streams.  Three
 layers of protection:
 
@@ -34,10 +34,11 @@ from repro.baselines.hbp import schedule_hbp
 from repro.campaign.jobs import build_problem
 from repro.campaign.spec import WorkloadSpec
 from repro.core import kernel as kernel_module
-from repro.core.ftbar import ftbar_reference, schedule_ftbar
+from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.workloads.paper_example import build_problem as paper_problem_spec
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests.ftbar_oracle import ftbar_reference
 
 GOLDENS = json.loads(
     (Path(__file__).parent / "golden_engine_corpus.json").read_text()
@@ -57,8 +58,7 @@ def ftbar_trace(problem, options=None, run=schedule_ftbar):
     """Every engine decision: events, comms and the StepRecord stream.
 
     ``run`` is the engine entry point: :func:`schedule_ftbar` (the
-    kernel, or the reference engine for ``link_insertion``) or
-    :func:`ftbar_reference`.
+    kernel) or the oracle's ``ftbar_reference``.
     """
     records = []
     result = run(problem, options, observer=records.append)
@@ -164,7 +164,6 @@ class TestOldVsNew:
     @pytest.mark.parametrize(
         "variant",
         [
-            {"link_insertion": True},
             {"processor_aware_pressure": True},
             {"duplication": False},
         ],

@@ -81,8 +81,9 @@ class TestRuntimeComparison:
 
 class TestAblation:
     def test_five_variants(self):
+        # Three rows: the paper, no duplication, processor-aware.
         points = run_ablation(operations=10, graphs_per_point=2, seed=31)
-        assert len(points) == 5
+        assert len(points) == 3
         labels = {p.label for p in points}
         assert any("no duplication" in label for label in labels)
         assert any("processor-aware" in label for label in labels)

@@ -164,11 +164,6 @@ class TestOptions:
         without = schedule_ftbar(problem, SchedulerOptions(duplication=False))
         assert with_dup.makespan <= without.makespan
 
-    def test_link_insertion_valid(self):
-        problem = uniform_problem(fork_join(4), processors=3, npf=1)
-        result = schedule_ftbar(problem, SchedulerOptions(link_insertion=True))
-        assert_valid(problem, result)
-
     def test_stats_populated(self):
         problem = uniform_problem(diamond(), processors=3, npf=1)
         stats = schedule_ftbar(problem).stats

@@ -27,7 +27,7 @@ from repro.analysis.reliability import (
 )
 from repro.campaign.jobs import build_problem
 from repro.campaign.spec import WorkloadSpec
-from repro.core.ftbar import ftbar_reference, schedule_ftbar
+from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.exceptions import ArchitectureError
 from repro.graphs.builder import diamond, fork_join
@@ -51,6 +51,7 @@ from repro.simulation.trace import EventStatus
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 from tests import certify_oracle
+from tests.ftbar_oracle import ftbar_reference
 from tests.simulation_oracle import ScheduleSimulator
 
 

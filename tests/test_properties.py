@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ftbar import schedule_ftbar
-from repro.core.options import SchedulerOptions
 from repro.baselines.list_scheduler import schedule_non_fault_tolerant
 from repro.analysis.metrics import overhead_percent
 from repro.schedule.serialization import (
@@ -178,21 +177,6 @@ def test_schedule_serialization_roundtrip(config):
     assert rebuilt.makespan() == schedule.makespan()
     assert rebuilt.replica_count() == schedule.replica_count()
     assert rebuilt.comm_count() == schedule.comm_count()
-
-
-@given(config=workload_configs(npf_values=(0,)))
-@_SETTINGS
-def test_link_insertion_never_invalidates(config):
-    problem = generate_problem(config)
-    result = schedule_ftbar(problem, SchedulerOptions(link_insertion=True))
-    report = validate_schedule(
-        result.schedule,
-        result.expanded_algorithm,
-        problem.architecture,
-        problem.exec_times,
-        problem.comm_times,
-    )
-    assert report.ok, str(report)
 
 
 @given(

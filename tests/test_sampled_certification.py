@@ -415,35 +415,6 @@ class TestDeterminism:
         # estimates) are independent replications.
         assert a.ci is not None and b.ci is not None
 
-    def test_seed_survives_sweep_worker_count(self):
-        """Same seed ⇒ identical certificate however the schedule is built.
-
-        The RNG streams derive from the schedule *content hash*, so two
-        bit-identical schedules produced with different kernel worker
-        counts sample identically.
-        """
-        from repro.core.options import SchedulerOptions
-
-        problem = generate_problem(
-            RandomWorkloadConfig(
-                operations=12, ccr=1.0, processors=6, npf=1, seed=2003
-            )
-        )
-        certificates = []
-        for workers in (1, 2):
-            result = schedule_ftbar(
-                problem, SchedulerOptions(sweep_workers=workers)
-            )
-            certificates.append(
-                fault_tolerance_certificate(
-                    result.schedule,
-                    result.expanded_algorithm,
-                    method="sampled",
-                    seed=9,
-                )
-            )
-        assert certificates[0].to_dict() == certificates[1].to_dict()
-
     def test_sampled_certificate_reports_the_contract_fields(self):
         schedule, algorithm = _schedule(5, npf=1)
         certificate = fault_tolerance_certificate(

@@ -131,12 +131,6 @@ class TestQueries:
         with pytest.raises(ScheduleValidationError):
             self.populated().link_available("L9")
 
-    def test_link_gaps(self):
-        schedule = empty()
-        schedule.place_comm("A", "B", 0, 0, "L", 1.0, 1.0, "P1", "P2")
-        schedule.place_comm("C", "D", 0, 0, "L", 4.0, 1.0, "P1", "P2")
-        assert schedule.link_gaps("L") == ((0.0, 1.0), (2.0, 4.0))
-
     def test_makespan(self):
         assert self.populated().makespan() == 3.0
         assert empty().makespan() == 0.0

@@ -23,7 +23,7 @@ import pytest
 from test_engine_equivalence import ftbar_fingerprint, ftbar_trace
 
 from repro.core.compile import CompiledProblem
-from repro.core.ftbar import ftbar_reference, schedule_ftbar
+from repro.core.ftbar import schedule_ftbar
 from repro.core.kernel import SchedulingKernel
 from repro.core.options import SchedulerOptions
 from repro.core.symmetry import build_symmetry, orbit_representatives
@@ -37,6 +37,7 @@ from repro.schedule.serialization import content_hash, schedule_to_dict
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests.ftbar_oracle import ftbar_reference
 
 COMPILED = SchedulerOptions()
 COMPILED_NOSYM = SchedulerOptions(symmetry=False)
