@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.metrics import degraded_lengths, overhead_percent
 from repro.baselines.hbp import schedule_hbp
-from repro.baselines.list_scheduler import schedule_non_fault_tolerant
+from repro.baselines.list_scheduler import (
+    non_fault_tolerant_makespan,
+    schedule_non_fault_tolerant,
+)
 from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.problem import ProblemSpec
@@ -270,7 +273,8 @@ def run_npf_sweep(
                     seed=seed + 1000 * index,
                 )
             )
-            non_ft_length = schedule_non_fault_tolerant(problem).makespan
+            # The graph's baseline is shared across the npf points.
+            non_ft_length = non_fault_tolerant_makespan(problem)
             result = schedule_ftbar(problem)
             overheads.append(overhead_percent(result.makespan, non_ft_length))
             makespans.append(result.makespan)

@@ -10,7 +10,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "HBP_REPLICAS", "HBPResult", "HBPScheduler", "HBPStats",
         "schedule_hbp",
     ),
-    "list_scheduler": ("schedule_basic", "schedule_non_fault_tolerant"),
+    "list_scheduler": (
+        "non_fault_tolerant_makespan", "schedule_basic",
+        "schedule_non_fault_tolerant",
+    ),
 })
 
 __all__ = [
@@ -20,6 +23,7 @@ __all__ = [
     "HBPScheduler",
     "HBPStats",
     "HBP_REPLICAS",
+    "non_fault_tolerant_makespan",
     "schedule_basic",
     "schedule_exhaustive",
     "schedule_hbp",

@@ -3,6 +3,10 @@
 Section 6.2 computes the fault-tolerance overhead against the
 *non fault-tolerant schedule length* (non-FTSL) "produced by FTBAR with
 ``Npf = 0``" — that is exactly :func:`schedule_non_fault_tolerant`.
+Callers that need only the length use
+:func:`non_fault_tolerant_makespan`, which computes it once per problem
+content: the baseline does not depend on the problem's ``Npf``, so the
+runs of one problem at several ``Npf`` values share it.
 
 Section 4.4 additionally quotes the schedule length of "a basic
 scheduling heuristic (for instance the one of SynDEx)" on the worked
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
 
-from repro.core.ftbar import FTBARResult, schedule_ftbar
+from repro.core.compile import baseline_makespan
+from repro.core.ftbar import FTBARResult, FTBARScheduler, schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.problem import ProblemSpec
 
@@ -46,6 +51,27 @@ def schedule_non_fault_tolerant(
     cost.
     """
     return schedule_ftbar(_with_npf_zero(problem, "-nonft"), options)
+
+
+def non_fault_tolerant_makespan(
+    problem: ProblemSpec,
+    options: SchedulerOptions | None = None,
+) -> float:
+    """The makespan of :func:`schedule_non_fault_tolerant`, memoized.
+
+    Building the scheduler compiles (a memo hit once the problem's
+    fault-tolerant run has compiled it), validates and checks
+    feasibility as a full run would; the kernel then runs only for a
+    content, effective ``npf`` / ``npl`` and options value not seen
+    before (:func:`repro.core.compile.baseline_makespan`).
+    ``reset_compile_cache()`` empties the memo.
+    """
+    scheduler = FTBARScheduler(_with_npf_zero(problem, "-nonft"), options)
+    return baseline_makespan(
+        scheduler.compiled,
+        scheduler.options,
+        lambda: scheduler.run().makespan,
+    )
 
 
 def schedule_basic(

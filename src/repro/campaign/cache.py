@@ -46,8 +46,24 @@ from repro.faultinject import failpoint
 
 def _checksum(payload: dict) -> str:
     """SHA-256 over the canonical serialization of one cached document."""
-    body = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(body.encode()).hexdigest()
+    return _digest_text(json.dumps(payload, sort_keys=True))
+
+
+def _digest_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _envelope(payload: dict) -> str:
+    """``json.dumps({"checksum": ..., "payload": payload}, sort_keys=True)``
+    with the payload encoded once.
+
+    Nested values encode exactly as they would at the top level, and
+    ``"checksum"`` sorts before ``"payload"``, so splicing the payload
+    text between the two keys reproduces the one-call bytes; the
+    checksum is a hex string, which needs no escaping.
+    """
+    text = json.dumps(payload, sort_keys=True)
+    return f'{{"checksum": "{_digest_text(text)}", "payload": {text}}}'
 
 
 class ScheduleCache:
@@ -151,10 +167,7 @@ class ScheduleCache:
         if self._degraded:
             return None
         path = self.path_for(digest)
-        body = json.dumps(
-            {"checksum": _checksum(document), "payload": document},
-            sort_keys=True,
-        )
+        body = _envelope(document)
         temporary = path.parent / f".{path.name}.{os.getpid()}.tmp"
 
         def attempt() -> None:

@@ -21,7 +21,7 @@ from typing import Mapping
 
 from repro import obs
 from repro.baselines.hbp import schedule_hbp
-from repro.baselines.list_scheduler import schedule_non_fault_tolerant
+from repro.baselines.list_scheduler import non_fault_tolerant_makespan
 from repro.core.compile import compile_cache_stats
 from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
@@ -257,6 +257,12 @@ def expand_jobs(spec: CampaignSpec) -> list[Job]:
     Grid points whose problems (and configuration) hash identically are
     collapsed onto the first occurrence — identical work is never
     scheduled twice, the content-addressed guarantee of the subsystem.
+    Work *inside* distinct jobs that does not depend on their ``npf`` —
+    the ``non_ft`` baseline, FTBAR at ``Npf = 0`` — is shared the same
+    way at execution time: it is memoized per problem content
+    (:func:`~repro.baselines.list_scheduler.non_fault_tolerant_makespan`),
+    so the jobs of one grid point's npf axis compute it once per
+    process.  Records do not depend on which job computed it.
     """
     jobs: list[Job] = []
     seen: set[str] = set()
@@ -397,12 +403,17 @@ def _execute(job: Job, tracer) -> tuple[dict, dict, dict]:
         },
     }
     if "non_ft" in measures:
-        with tracer.span("job.baseline", kind="non_ft"):
+        with tracer.span("job.baseline", kind="non_ft") as span:
+            hits = compile_cache_stats()["baseline_hits"]
             record["non_ft"] = {
-                "makespan": schedule_non_fault_tolerant(
-                    problem, options
-                ).makespan
+                "makespan": non_fault_tolerant_makespan(problem, options)
             }
+            # The job's npf sibling may have computed it already.
+            span.set(
+                memo="hit"
+                if compile_cache_stats()["baseline_hits"] > hits
+                else "miss"
+            )
     hbp = None
     if "hbp" in measures:
         with tracer.span("job.baseline", kind="hbp"):

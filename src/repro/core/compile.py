@@ -43,7 +43,10 @@ variant parts (``comm_rows``, ``sbar`` / ``tail``) memoized per
 ``(core, comm-table hash)``.  One compilation of the core is thus shared
 across a grid's variants within a worker (campaign workers are
 long-lived, so the reuse spans jobs); :func:`compile_cache_stats`
-exposes the hit counts the campaign records.
+exposes the hit counts the campaign records.  The same content key
+also shares *results*: :func:`baseline_makespan` keeps the makespan of
+the non-fault-tolerant baseline, which a campaign's npf axis would
+otherwise recompute once per ``npf`` value.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import hashlib
 import math
 from array import array
 from collections import OrderedDict
+from typing import Callable
 
 from repro import obs
 from repro.graphs.algorithm import AlgorithmGraph
@@ -78,21 +82,31 @@ _SYMMETRY_MEMO: "OrderedDict[tuple, object]" = OrderedDict()
 #: *content* once: re-running the same problem — the common shape in
 #: benchmarks and campaign grids — skips straight to scheduling.
 _VALIDATED_MEMO: "OrderedDict[tuple, bool]" = OrderedDict()
+#: Makespans of the non-fault-tolerant baseline (FTBAR at ``Npf = 0``)
+#: per (content, effective npf/npl, options).  The baseline depends on
+#: the problem's content, not on the ``Npf`` of the run it is compared
+#: against, so a campaign's npf axis computes it once per content.
+#: Only the float is kept: no mutable ``Schedule`` is ever shared.
+_BASELINE_MEMO: "OrderedDict[tuple, float]" = OrderedDict()
 _CORE_CAP = 64
 _VARIANT_CAP = 128
 _SYMMETRY_CAP = 128
 _VALIDATED_CAP = 256
+_BASELINE_CAP = 256
 
 _STATS = {
     "core_hits": 0,
     "core_misses": 0,
     "variant_hits": 0,
     "variant_misses": 0,
+    "baseline_hits": 0,
+    "baseline_misses": 0,
 }
 
 
 def compile_cache_stats() -> dict[str, int]:
-    """Hit/miss counters of the shared-compilation memos (cumulative)."""
+    """Hit/miss counters of the shared-compilation memos and of the
+    non-FT baseline memo (cumulative)."""
     stats = dict(_STATS)
     stats["core_entries"] = len(_CORE_MEMO)
     stats["variant_entries"] = len(_VARIANT_MEMO)
@@ -105,6 +119,7 @@ def reset_compile_cache() -> None:
     _VARIANT_MEMO.clear()
     _SYMMETRY_MEMO.clear()
     _VALIDATED_MEMO.clear()
+    _BASELINE_MEMO.clear()
     for key in _STATS:
         _STATS[key] = 0
 
@@ -124,12 +139,34 @@ def validated_once(compiled: "CompiledProblem", problem) -> None:
     join the key because the replica-count and disjoint-route
     feasibility checks depend on them.
     """
-    key = (*compiled._variant_key, problem.npf, problem.npl)
+    key = (*compiled.content_key, problem.npf, problem.npl)
     if key in _VALIDATED_MEMO:
         _VALIDATED_MEMO.move_to_end(key)
         return
     problem.validate()
     _remember(_VALIDATED_MEMO, _VALIDATED_CAP, key, True)
+
+
+def baseline_makespan(
+    compiled: "CompiledProblem", options, run: "Callable[[], float]"
+) -> float:
+    """The makespan of a baseline run, computed once per content.
+
+    The key is the compiled problem's content key plus the effective
+    ``npf`` / ``npl`` it was compiled for and the full (frozen, hashable)
+    scheduler options: everything the kernel's output depends on.
+    ``run`` is called on a miss only.
+    """
+    key = (*compiled.content_key, compiled.npf, compiled.npl, options)
+    makespan = _BASELINE_MEMO.get(key)
+    if makespan is not None:
+        _STATS["baseline_hits"] += 1
+        _BASELINE_MEMO.move_to_end(key)
+        return makespan
+    _STATS["baseline_misses"] += 1
+    makespan = run()
+    _remember(_BASELINE_MEMO, _BASELINE_CAP, key, makespan)
+    return makespan
 
 
 def _remember(memo: OrderedDict, cap: int, key, value) -> None:
@@ -446,6 +483,13 @@ class CompiledProblem:
         _remember(
             _VARIANT_MEMO, _VARIANT_CAP, variant_key, (self.sbar, self.tail)
         )
+
+    @property
+    def content_key(self) -> tuple[str, str]:
+        """``(core key, comm-table hash)``: the content this problem
+        compiles from, npf/npl excluded.  Equal keys mean equal tables,
+        so results derived from the tables can be shared across them."""
+        return self._variant_key
 
     # ------------------------------------------------------------------
     # topology symmetry

@@ -183,6 +183,16 @@ class FTBARScheduler:
                 self._npl + 1
             )
 
+    @property
+    def compiled(self) -> CompiledProblem:
+        """The compiled tables this scheduler runs on."""
+        return self._compiled
+
+    @property
+    def options(self) -> SchedulerOptions:
+        """The options this scheduler runs with (defaults filled in)."""
+        return self._options
+
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------

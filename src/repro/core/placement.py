@@ -167,34 +167,6 @@ class PlacementPlan:
         """Earliest start in the worst failure case (paper's S_worst)."""
         return max(self.processor_ready, self.feeds_worst)
 
-    def critical_feed(self) -> PredecessorFeed | None:
-        """The feed that determines ``s_worst`` (the LIP's feed).
-
-        Ties are broken toward the lexicographically smallest
-        predecessor name so the heuristic stays deterministic.  Returns
-        ``None`` for source operations.
-        """
-        if not self.feeds:
-            return None
-        return max(
-            self.feeds,
-            key=lambda f: (f.worst_case(self.npf), _reverse_name_key(f.predecessor)),
-        )
-
-
-class _ReverseName(str):
-    """Order-inverted string so ``max`` breaks ties toward small names."""
-
-    def __lt__(self, other):  # type: ignore[override]
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):  # type: ignore[override]
-        return str.__lt__(self, other)
-
-
-def _reverse_name_key(name: str) -> _ReverseName:
-    return _ReverseName(name)
-
 
 class PlacementPlanner:
     """Plans replica placements against the current schedule state."""

@@ -8,7 +8,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "graphviz": (
         "algorithm_to_dot", "architecture_to_dot", "schedule_to_dot",
     ),
-    "schedule": ("Schedule", "ScheduleSnapshot"),
+    "schedule": ("Schedule",),
     "validation": (
         "ValidationReport", "assert_valid_schedule", "validate_schedule",
     ),
@@ -16,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "Schedule",
-    "ScheduleSnapshot",
     "ScheduledComm",
     "ScheduledOperation",
     "ValidationReport",

@@ -5,12 +5,14 @@ of operation replicas on every processor and of comms on every link
 (section 4.2 — the total order over each communication medium is what
 makes the execution deadlock-free on order-preserving networks).
 
-The class supports cheap snapshot/restore so ``Minimize_start_time`` can
-speculatively replicate predecessors and roll back when the replication
-does not pay off (step Ð of the paper's procedure).
+Placements only ever add: the compiled kernel decides (and rolls back)
+its trial placements on its own flat arrays and writes the survivors
+here once.  The paper-literal ``Minimize_start_time``, which rolls back
+on the schedule itself, lives with the test oracle
+(``tests/ftbar_oracle.py``) together with the logged subclass it needs.
 
-Hot queries are backed by indexes maintained on every placement (and
-captured/restored by snapshots) instead of per-query scans:
+Hot queries are backed by indexes maintained on every placement instead
+of per-query scans:
 
 * ``makespan`` is a running aggregate (placements only extend it);
 * ``replica_on`` reads a per-``(operation, processor)`` map;
@@ -21,26 +23,12 @@ captured/restored by snapshots) instead of per-query scans:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import ScheduleValidationError
 from repro.schedule.events import ScheduledComm, ScheduledOperation
 
 _EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class ScheduleSnapshot:
-    """Opaque saved state for :meth:`Schedule.restore`."""
-
-    processor_timelines: Mapping[str, tuple[ScheduledOperation, ...]]
-    link_timelines: Mapping[str, tuple[ScheduledComm, ...]]
-    replicas: Mapping[str, tuple[ScheduledOperation, ...]]
-    makespan: float
-    replica_index: Mapping[tuple[str, str], ScheduledOperation]
-    inbound_comms: Mapping[tuple[str, int], tuple[ScheduledComm, ...]]
-    edge_comms: Mapping[tuple[str, str], tuple[ScheduledComm, ...]]
 
 
 class Schedule:
@@ -81,9 +69,6 @@ class Schedule:
         self._replica_index: dict[tuple[str, str], ScheduledOperation] = {}
         self._inbound_comms: dict[tuple[str, int], list[ScheduledComm]] = {}
         self._edge_comms: dict[tuple[str, str], list[ScheduledComm]] = {}
-        # Mutation log: one tuple per placement, enough to undo it in
-        # LIFO order (``mark``/``undo_to``).
-        self._log: list[tuple] = []
         # The resource sets are fixed at construction; memoize the
         # sorted name views.
         self._processor_names_view: tuple[str, ...] | None = None
@@ -125,10 +110,9 @@ class Schedule:
             duplicated=duplicated,
         )
         timeline = self._processor_timelines[processor]
-        index = self._insert(timeline, event, f"processor {processor!r}")
+        self._insert(timeline, event, f"processor {processor!r}")
         self._replicas.setdefault(operation, []).append(event)
         self._replica_index[(operation, processor)] = event
-        self._log.append(("op", processor, index, operation, self._makespan))
         if event.end > self._makespan:
             self._makespan = event.end
         return event
@@ -163,19 +147,11 @@ class Schedule:
             hop_index=hop_index,
             route=route,
         )
-        index = self._insert(self._link_timelines[link], event, f"link {link!r}")
-        inbound_key = (target, target_replica)
-        inbound = self._inbound_comms.setdefault(inbound_key, [])
-        inbound_idx = self._tail_position(inbound, event)
-        inbound.insert(inbound_idx, event)
-        edge_key = (source, target)
-        edge = self._edge_comms.setdefault(edge_key, [])
-        edge_idx = self._tail_position(edge, event)
-        edge.insert(edge_idx, event)
-        self._log.append(
-            ("comm", link, index, inbound_key, inbound_idx, edge_key, edge_idx,
-             self._makespan)
-        )
+        self._insert(self._link_timelines[link], event, f"link {link!r}")
+        inbound = self._inbound_comms.setdefault((target, target_replica), [])
+        inbound.insert(self._tail_position(inbound, event), event)
+        edge = self._edge_comms.setdefault((source, target), [])
+        edge.insert(self._tail_position(edge, event), event)
         if event.end > self._makespan:
             self._makespan = event.end
         return event
@@ -197,7 +173,7 @@ class Schedule:
         return bisect.bisect_left(events, event)
 
     @staticmethod
-    def _insert(timeline: list, event, resource: str) -> int:
+    def _insert(timeline: list, event, resource: str) -> None:
         index = Schedule._tail_position(timeline, event)
         before = timeline[index - 1] if index > 0 else None
         after = timeline[index] if index < len(timeline) else None
@@ -210,75 +186,6 @@ class Schedule:
                 f"{event!r} overlaps {after!r} on {resource}"
             )
         timeline.insert(index, event)
-        return index
-
-    # ------------------------------------------------------------------
-    # mutation log: O(changes) rollback
-    # ------------------------------------------------------------------
-    def mark(self) -> int:
-        """An O(1) rollback point for :meth:`undo_to` (LIFO only).
-
-        Marks index the mutation log, so they are cheaper than
-        :meth:`snapshot` by the full size of the schedule; in exchange
-        they must be unwound in LIFO order and become invalid after a
-        :meth:`restore` (which resets the log).
-        """
-        return len(self._log)
-
-    def undo_to(self, mark: int) -> None:
-        """Unwind every placement made since ``mark``, newest first."""
-        while len(self._log) > mark:
-            entry = self._log.pop()
-            if entry[0] == "op":
-                _, processor, index, operation, makespan = entry
-                del self._processor_timelines[processor][index]
-                replicas = self._replicas[operation]
-                replicas.pop()
-                if not replicas:
-                    del self._replicas[operation]
-                del self._replica_index[(operation, processor)]
-                self._makespan = makespan
-            else:
-                _, link, index, inbound_key, inbound_idx, edge_key, edge_idx, \
-                    makespan = entry
-                del self._link_timelines[link][index]
-                del self._inbound_comms[inbound_key][inbound_idx]
-                del self._edge_comms[edge_key][edge_idx]
-                self._makespan = makespan
-
-    # ------------------------------------------------------------------
-    # snapshot / rollback
-    # ------------------------------------------------------------------
-    def snapshot(self) -> ScheduleSnapshot:
-        """Capture the current state; events are immutable so this is cheap."""
-        return ScheduleSnapshot(
-            processor_timelines={
-                p: tuple(t) for p, t in self._processor_timelines.items()
-            },
-            link_timelines={l: tuple(t) for l, t in self._link_timelines.items()},
-            replicas={o: tuple(r) for o, r in self._replicas.items()},
-            makespan=self._makespan,
-            replica_index=dict(self._replica_index),
-            inbound_comms={k: tuple(v) for k, v in self._inbound_comms.items()},
-            edge_comms={k: tuple(v) for k, v in self._edge_comms.items()},
-        )
-
-    def restore(self, saved: ScheduleSnapshot) -> None:
-        """Roll the schedule back to a previously captured snapshot.
-
-        Resets the mutation log: :meth:`mark` cookies taken before a
-        restore must not be passed to :meth:`undo_to` afterwards.
-        """
-        self._log.clear()
-        self._processor_timelines = {
-            p: list(t) for p, t in saved.processor_timelines.items()
-        }
-        self._link_timelines = {l: list(t) for l, t in saved.link_timelines.items()}
-        self._replicas = {o: list(r) for o, r in saved.replicas.items()}
-        self._makespan = saved.makespan
-        self._replica_index = dict(saved.replica_index)
-        self._inbound_comms = {k: list(v) for k, v in saved.inbound_comms.items()}
-        self._edge_comms = {k: list(v) for k, v in saved.edge_comms.items()}
 
     # ------------------------------------------------------------------
     # queries

@@ -14,7 +14,8 @@ written:
   :class:`PressureCalculator` (macro-steps À and Á);
 * each kept processor receives its replica through
   :class:`StartTimeMinimizer`, the ``Minimize_start_time`` procedure
-  (micro-step Â).
+  (micro-step Â), which rolls its speculative LIP duplications back
+  through the mutation log of :class:`LoggedSchedule`.
 
 It keeps no plan cache and validates the problem up front, so it is
 slow, and it is kept only as the oracle.  Links are reserved
@@ -23,10 +24,11 @@ append-only, as in the paper and the kernel.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.core.ftbar import (
     FTBARResult,
@@ -37,18 +39,155 @@ from repro.core.ftbar import (
 )
 from repro.core.kernel import DuplicationStats
 from repro.core.options import SchedulerOptions
-from repro.core.placement import PlacementPlan, PlacementPlanner, commit_plan
+from repro.core.placement import (
+    PlacementPlan,
+    PlacementPlanner,
+    PredecessorFeed,
+    commit_plan,
+)
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.graphs.operations import is_memory_half
 from repro.hardware.architecture import Architecture
 from repro.problem import ProblemSpec
-from repro.schedule.events import ScheduledOperation
+from repro.schedule.events import ScheduledComm, ScheduledOperation
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 
 _EPSILON = 1e-9
+
+
+@dataclass(frozen=True)
+class ScheduleSnapshot:
+    """Opaque saved state for :meth:`LoggedSchedule.restore`."""
+
+    processor_timelines: Mapping[str, tuple[ScheduledOperation, ...]]
+    link_timelines: Mapping[str, tuple[ScheduledComm, ...]]
+    replicas: Mapping[str, tuple[ScheduledOperation, ...]]
+    makespan: float
+    replica_index: Mapping[tuple[str, str], ScheduledOperation]
+    inbound_comms: Mapping[tuple[str, int], tuple[ScheduledComm, ...]]
+    edge_comms: Mapping[tuple[str, str], tuple[ScheduledComm, ...]]
+
+
+def _remove(events: list, event) -> None:
+    """Delete ``event`` itself (not an equal twin) from a sorted list."""
+    index = bisect.bisect_left(events, event)
+    while events[index] is not event:
+        index += 1
+    del events[index]
+
+
+class LoggedSchedule(Schedule):
+    """A :class:`Schedule` that can roll placements back.
+
+    ``Minimize_start_time`` places a duplicated LIP speculatively and
+    undoes it when ``S_worst`` does not improve (step Ð).  Every
+    placement appends ``(event, makespan before)`` to a mutation log, so
+    :meth:`undo_to` costs O(changes); :meth:`snapshot` / :meth:`restore`
+    save and restore the whole state.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._log: list[tuple] = []
+
+    def place_operation(self, *args, **kwargs) -> ScheduledOperation:
+        makespan = self._makespan
+        event = super().place_operation(*args, **kwargs)
+        self._log.append((event, makespan))
+        return event
+
+    def place_comm(self, *args, **kwargs) -> ScheduledComm:
+        makespan = self._makespan
+        event = super().place_comm(*args, **kwargs)
+        self._log.append((event, makespan))
+        return event
+
+    def mark(self) -> int:
+        """An O(1) rollback point for :meth:`undo_to` (LIFO only).
+
+        Marks must be unwound in LIFO order and become invalid after a
+        :meth:`restore` (which resets the log).
+        """
+        return len(self._log)
+
+    def undo_to(self, mark: int) -> None:
+        """Unwind every placement made since ``mark``, newest first."""
+        while len(self._log) > mark:
+            event, makespan = self._log.pop()
+            if isinstance(event, ScheduledOperation):
+                _remove(self._processor_timelines[event.processor], event)
+                replicas = self._replicas[event.operation]
+                replicas.pop()
+                if not replicas:
+                    del self._replicas[event.operation]
+                del self._replica_index[(event.operation, event.processor)]
+            else:
+                _remove(self._link_timelines[event.link], event)
+                _remove(
+                    self._inbound_comms[(event.target, event.target_replica)],
+                    event,
+                )
+                _remove(self._edge_comms[(event.source, event.target)], event)
+            self._makespan = makespan
+
+    def snapshot(self) -> ScheduleSnapshot:
+        """Capture the current state; events are immutable so this is cheap."""
+        return ScheduleSnapshot(
+            processor_timelines={
+                p: tuple(t) for p, t in self._processor_timelines.items()
+            },
+            link_timelines={l: tuple(t) for l, t in self._link_timelines.items()},
+            replicas={o: tuple(r) for o, r in self._replicas.items()},
+            makespan=self._makespan,
+            replica_index=dict(self._replica_index),
+            inbound_comms={k: tuple(v) for k, v in self._inbound_comms.items()},
+            edge_comms={k: tuple(v) for k, v in self._edge_comms.items()},
+        )
+
+    def restore(self, saved: ScheduleSnapshot) -> None:
+        """Roll the schedule back to a previously captured snapshot.
+
+        Resets the mutation log: :meth:`mark` cookies taken before a
+        restore must not be passed to :meth:`undo_to` afterwards.
+        """
+        self._log.clear()
+        self._processor_timelines = {
+            p: list(t) for p, t in saved.processor_timelines.items()
+        }
+        self._link_timelines = {l: list(t) for l, t in saved.link_timelines.items()}
+        self._replicas = {o: list(r) for o, r in saved.replicas.items()}
+        self._makespan = saved.makespan
+        self._replica_index = dict(saved.replica_index)
+        self._inbound_comms = {k: list(v) for k, v in saved.inbound_comms.items()}
+        self._edge_comms = {k: list(v) for k, v in saved.edge_comms.items()}
+
+
+def critical_feed(plan: PlacementPlan) -> PredecessorFeed | None:
+    """The feed that determines ``plan.s_worst`` (the LIP's feed).
+
+    Ties are broken toward the lexicographically smallest predecessor
+    name so the heuristic stays deterministic.  Returns ``None`` for
+    source operations.
+    """
+    if not plan.feeds:
+        return None
+    return max(
+        plan.feeds,
+        key=lambda f: (f.worst_case(plan.npf), _ReverseName(f.predecessor)),
+    )
+
+
+class _ReverseName(str):
+    """Order-inverted string so ``max`` breaks ties toward small names."""
+
+    def __lt__(self, other):  # type: ignore[override]
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):  # type: ignore[override]
+        return str.__lt__(self, other)
 
 
 class PressureCalculator:
@@ -229,8 +368,8 @@ class StartTimeMinimizer:
     predecessor feeds the replica through a zero-cost intra-processor
     communication, so a successful duplication removes the critical
     comm.  Duplications are kept only while ``S_worst(o, p)`` strictly
-    improves; otherwise they are rolled back via the schedule's
-    O(changes) mutation log (step Ð).  The procedure recurses: the
+    improves; otherwise they are rolled back via the O(changes)
+    mutation log of a :class:`LoggedSchedule` (step Ð).  The procedure recurses: the
     duplicated LIP's own start is minimised the same way (step Í),
     following Ahmad & Kwok's duplication-based scheduling.
     """
@@ -244,7 +383,7 @@ class StartTimeMinimizer:
         self,
         operation: str,
         processor: str,
-        schedule: Schedule,
+        schedule: LoggedSchedule,
         duplicated: bool = False,
     ) -> ScheduledOperation:
         """Implement ``Minimize_start_time(operation, processor)``.
@@ -263,7 +402,7 @@ class StartTimeMinimizer:
         return commit_plan(plan, schedule, duplicated=duplicated)
 
     def _improve_by_duplication(
-        self, plan: PlacementPlan, schedule: Schedule
+        self, plan: PlacementPlan, schedule: LoggedSchedule
     ) -> PlacementPlan:
         operation, processor = plan.operation, plan.processor
         best_worst = plan.s_worst
@@ -303,7 +442,7 @@ class StartTimeMinimizer:
         must not be a memory half (register replicas are pinned together
         and never duplicated), and must not already have a replica there.
         """
-        feed = plan.critical_feed()
+        feed = critical_feed(plan)
         if feed is None or feed.local_end is not None:
             return None
         predecessor = feed.predecessor
@@ -368,7 +507,7 @@ class ReferenceScheduler:
     def run(self) -> FTBARResult:
         """Execute the macro-steps until every operation is placed."""
         started = time.perf_counter()
-        schedule = Schedule(
+        schedule = LoggedSchedule(
             processors=self._architecture.processor_names(),
             links=self._architecture.link_names(),
             npf=self._npf,

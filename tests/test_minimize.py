@@ -7,10 +7,9 @@ from repro.core.placement import PlacementPlanner
 from repro.exceptions import SchedulingError
 from repro.graphs.algorithm import from_dependencies
 from repro.hardware.topologies import fully_connected
-from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
-from tests.ftbar_oracle import StartTimeMinimizer
+from tests.ftbar_oracle import LoggedSchedule, StartTimeMinimizer
 
 
 def make_minimizer(comm_time: float, exec_time: float = 1.0, npf: int = 0,
@@ -28,7 +27,7 @@ def make_minimizer(comm_time: float, exec_time: float = 1.0, npf: int = 0,
     minimizer = StartTimeMinimizer(
         planner=planner, exec_times=exec_times, duplication=duplication
     )
-    schedule = Schedule(
+    schedule = LoggedSchedule(
         processors=architecture.processor_names(),
         links=architecture.link_names(),
         npf=npf,
@@ -113,7 +112,7 @@ class TestDuplication:
         )
         planner = PlacementPlanner(algorithm, architecture, exec_times, comm_times, 0)
         minimizer = StartTimeMinimizer(planner=planner, exec_times=exec_times)
-        schedule = Schedule(
+        schedule = LoggedSchedule(
             processors=architecture.processor_names(),
             links=architecture.link_names(),
             npf=0,

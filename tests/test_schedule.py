@@ -1,13 +1,19 @@
-"""Unit tests for the Schedule container (timelines, snapshots)."""
+"""Unit tests for the Schedule container (timelines), and for the
+oracle's logged subclass (snapshots, mutation log)."""
 
 import pytest
 
 from repro.exceptions import ScheduleValidationError
 from repro.schedule.schedule import Schedule
+from tests.ftbar_oracle import LoggedSchedule
 
 
 def empty() -> Schedule:
     return Schedule(processors=["P1", "P2"], links=["L"], npf=1)
+
+
+def logged() -> LoggedSchedule:
+    return LoggedSchedule(processors=["P1", "P2"], links=["L"], npf=1)
 
 
 class TestPlacement:
@@ -147,7 +153,7 @@ class TestQueries:
 
 class TestSnapshot:
     def test_restore_discards_later_placements(self):
-        schedule = empty()
+        schedule = logged()
         schedule.place_operation("A", "P1", 0.0, 1.0)
         saved = schedule.snapshot()
         schedule.place_operation("B", "P1", 1.0, 1.0)
@@ -158,7 +164,7 @@ class TestSnapshot:
         assert schedule.makespan() == 1.0
 
     def test_snapshot_is_immutable_view(self):
-        schedule = empty()
+        schedule = logged()
         schedule.place_operation("A", "P1", 0.0, 1.0)
         saved = schedule.snapshot()
         schedule.place_operation("B", "P2", 0.0, 1.0)
@@ -166,10 +172,48 @@ class TestSnapshot:
         assert set(saved.replicas) == {"A"}
 
     def test_restore_then_continue(self):
-        schedule = empty()
+        schedule = logged()
         saved = schedule.snapshot()
         schedule.place_operation("A", "P1", 0.0, 1.0)
         schedule.restore(saved)
         schedule.place_operation("A", "P2", 0.0, 1.0)
         assert schedule.replica_on("A", "P2") is not None
         assert schedule.replica_on("A", "P1") is None
+
+
+class TestMutationLog:
+    def test_undo_restores_every_query(self):
+        schedule = logged()
+        schedule.place_operation("A", "P1", 0.0, 1.0)
+        operations, makespan = schedule.all_operations(), schedule.makespan()
+        mark = schedule.mark()
+        schedule.place_operation("A", "P2", 0.0, 1.0)
+        schedule.place_operation("B", "P2", 2.0, 1.0)
+        schedule.place_comm("A", "B", 0, 1, "L", 1.0, 1.0, "P1", "P2")
+        schedule.undo_to(mark)
+        assert schedule.all_operations() == operations
+        assert schedule.all_comms() == ()
+        assert schedule.makespan() == makespan
+        assert schedule.replicas_of("A") == operations
+        assert schedule.replica_on("A", "P2") is None
+        assert not schedule.is_scheduled("B")
+        assert schedule.comms_toward("B", 1) == ()
+        assert schedule.comms_for_edge("A", "B") == ()
+
+    def test_nested_marks_unwind_lifo(self):
+        schedule = logged()
+        outer = schedule.mark()
+        schedule.place_operation("A", "P1", 0.0, 1.0)
+        inner = schedule.mark()
+        schedule.place_operation("B", "P1", 1.0, 1.0)
+        schedule.undo_to(inner)
+        assert schedule.scheduled_operations() == ("A",)
+        schedule.undo_to(outer)
+        assert schedule.scheduled_operations() == ()
+        assert schedule.makespan() == 0.0
+
+    def test_production_schedule_keeps_no_log(self):
+        schedule = empty()
+        schedule.place_operation("A", "P1", 0.0, 1.0)
+        assert not hasattr(schedule, "_log")
+        assert not hasattr(schedule, "mark")

@@ -6,6 +6,7 @@ never served; a full disk (ENOSPC) flips the cache read-only with one
 warning, never fails a job.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,34 @@ class TestCacheChecksums:
         assert set(envelope) == {"checksum", "payload"}
         assert cache.get(digest) == document
         assert cache.pop_corruptions() == []
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"name": "Zürich → Kraków", "emoji": "\U0001f680", "tab": "a\tb"},
+            {"floats": [0.1, 1e-300, 1e300, -0.0, 15.05, 2.0 / 3.0, 7.0]},
+            {"nested": {"z": [1, {"b": None, "a": [True, False]}], "a": {}},
+             "empty": [], "quote": 'say "hi"\n'},
+        ],
+        ids=["non-ascii", "floats", "nested"],
+    )
+    def test_entry_bytes_are_the_one_call_envelope(self, tmp_path, record):
+        # put() encodes the payload once and splices it into the
+        # envelope; the file must still hold exactly the bytes of
+        # encoding the whole envelope in one sorted-keys call.
+        cache = ScheduleCache(tmp_path / "cache")
+        digest = "f" * 64
+        document = {"digest": digest, "record": record, "timing": {"s": 0.25}}
+        path = cache.put(digest, document)
+        body = json.dumps(document, sort_keys=True)
+        assert path.read_text() == json.dumps(
+            {
+                "checksum": hashlib.sha256(body.encode()).hexdigest(),
+                "payload": document,
+            },
+            sort_keys=True,
+        )
+        assert cache.get(digest) == document
 
     def test_legacy_unwrapped_entry_still_served(self, tmp_path):
         cache = ScheduleCache(tmp_path / "cache")
