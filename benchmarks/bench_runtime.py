@@ -28,6 +28,9 @@ and records it in ``BENCH_runtime.json`` at the repository root:
   at 1/2/4 workers), with every leg's canonically merged store
   asserted byte-identical to the serial reference before its time
   counts;
+* ``ftbar_size_grid`` — FTBAR CPU seconds, makespan and counters of
+  one cold run per size, N ∈ {500, 1000, 2000} × {fc, ring, star} at
+  P=16 plus fc P=8 N=2000 (``--full`` only);
 * ``phase_breakdown`` — per-phase wall time of the pinned
   ``repro bench --smoke`` problems from a traced run (``--phases``
   also prints the table), sourced from the observability layer's span
@@ -76,6 +79,7 @@ from repro import obs
 from repro.analysis.experiments import run_runtime_comparison
 from repro.analysis.reporting import format_runtime_comparison
 from repro.baselines.hbp import schedule_hbp
+from repro.campaign.jobs import build_problem
 from repro.campaign.merge import merge_stores
 from repro.campaign.pool import cpu_affinity_count, default_worker_count
 from repro.campaign.runner import run_campaign
@@ -267,6 +271,46 @@ def run_phase_breakdown() -> dict:
         }
     reset_compile_cache()
     return breakdown
+
+
+#: ``(topology, P, N)`` points of ``ftbar_size_grid``: three topologies
+#: at P=16 up to N=2000, plus fully connected P=8 N=2000, the shape
+#: where the kernel's pure-Python sweep is slowest relative to the
+#: numpy sweep it replaced.
+_SIZE_GRID = tuple(
+    (topology, 16, n)
+    for n in (500, 1000, 2000)
+    for topology in ("fully_connected", "ring", "star")
+) + (("fully_connected", 8, 2000),)
+
+
+def run_size_grid() -> dict:
+    """FTBAR CPU seconds per size at ``Npf = 1``, heterogeneous tables.
+
+    Each point is one cold ``schedule_ftbar`` call (compile memos
+    emptied first, compilation included), timed in process CPU seconds,
+    with its makespan and work counters.  The grid takes minutes, so it
+    runs at full scale only.
+    """
+    grid: dict[str, dict] = {}
+    for topology, processors, n in _SIZE_GRID:
+        problem = build_problem(
+            WorkloadSpec(family="random", size=n, heterogeneous=True),
+            topology, processors, 1, 1.0, 2003,
+        )
+        reset_compile_cache()
+        gc.collect()
+        started = time.process_time()
+        result = schedule_ftbar(problem)
+        cpu_s = time.process_time() - started
+        grid[f"{topology}-P{processors}-N{n}"] = {
+            "cpu_s": cpu_s,
+            "makespan": result.makespan,
+            "pressure_evaluations": result.stats.pressure_evaluations,
+            "cache_hits": result.stats.cache_hits,
+            "symmetry_pruned": result.stats.symmetry_pruned,
+        }
+    return grid
 
 
 def run_profile(operations: int = 300, top: int = 20) -> dict:
@@ -587,6 +631,8 @@ def write_bench_json(
             full, force_workers, backend
         ),
     }
+    if full:
+        scaled["ftbar_size_grid"] = run_size_grid
     if profile:
         scaled["profile_top"] = lambda: run_profile(300 if full else 60)
     scales = payload.setdefault("scale", {})

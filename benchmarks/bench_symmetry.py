@@ -17,8 +17,7 @@ to accumulate ``_MIN_LEG_S`` of CPU on the small points; the legs
 alternate so host drift hits both.
 
 Times are process CPU seconds of one ``schedule_ftbar`` call.  One
-untimed point and numpy's import (the kernel's vector sweep loads it on
-first use) run before the grid, so no cold leg pays a process's
+untimed point runs before the grid, so no cold leg pays a process's
 one-time imports.  Each point also records the verified
 generator and orbit counts, the candidate verifications one build makes
 and ``FTBARStats.symmetry_pruned``, and asserts the pruned and unpruned
@@ -165,13 +164,7 @@ def measure_point(topology: str, processors: int, repeats: int) -> dict:
 
 def run_grid(processors=(4, 8, 16, 32), repeats: int = 9) -> dict:
     # Pay the one-time costs of a process untimed, so no cold leg
-    # carries them: the kernel modules the first run imports, and numpy,
-    # which the kernel imports on the first run past its vector gate
-    # (fc P=32 is the first such grid point).
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
+    # carries them: the kernel modules the first run imports.
     measure_point(next(iter(_TOPOLOGIES)), min(processors), 1)
     return {
         f"{topology}-P{count}": measure_point(topology, count, repeats)

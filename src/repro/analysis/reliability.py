@@ -598,7 +598,6 @@ def schedule_reliability(
     budget: int | None = None,
     seed: int = 0,
     epsilon: float = 0.005,
-    cone_tilt: float = 0.0,
 ) -> ReliabilityReport:
     """Reliability over the ``2^P`` (or ``2^P x 2^L``) crash subsets.
 
@@ -620,8 +619,7 @@ def schedule_reliability(
     conditional-Bernoulli sampling beyond (seeded, deterministic, with
     a ``ci`` at ``confidence`` — see
     :func:`repro.analysis.sampling.sampled_reliability`); ``"sampled"``
-    forces the sampled path.  ``cone_tilt > 0`` tilts sampled draws
-    toward large dirty cones with exact reweighting.
+    forces the sampled path.
 
     The exact probability sum enumerates subsets in canonical order and
     asks the batch engine for all their verdicts in one request.
@@ -652,10 +650,6 @@ def schedule_reliability(
                 involved_links=(
                     engine.involved_links() if links else ()
                 ),
-                proc_cone_fractions=engine.processor_cone_fractions(),
-                link_cone_fractions=(
-                    engine.link_cone_fractions() if links else {}
-                ),
                 link_failure_probabilities=link_failure_probabilities,
                 confidence=confidence,
                 epsilon=epsilon,
@@ -668,7 +662,6 @@ def schedule_reliability(
                 content_hash=schedule_content_hash(schedule),
                 npf=schedule.npf,
                 npl=npl,
-                cone_tilt=cone_tilt,
             )
         obs.metrics.inc("certify.samples_drawn", estimate.samples)
         return ReliabilityReport(

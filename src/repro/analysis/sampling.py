@@ -29,11 +29,10 @@ provides the three layers the sampled certifier is built from:
    counts ``(k procs, j links)``; each stratum's probability mass is a
    Poisson-binomial coefficient, small strata are enumerated exactly,
    large ones are sampled from the *conditional Bernoulli* distribution
-   (importance-weighted by failure-probability mass by construction),
-   optionally tilted toward large dirty cones with exact reweighting.
-   Untilted strata get Wilson score intervals, tilted ones Hoeffding
-   intervals on the weight range; unexplored tail strata are bracketed
-   by ``[0, tail mass]`` so the reported interval is conservative.
+   (importance-weighted by failure-probability mass by construction).
+   Sampled strata get Wilson score intervals; unexplored tail strata
+   are bracketed by ``[0, tail mass]`` so the reported interval is
+   conservative.
    Adaptive refinement keeps drawing batches in the stratum with the
    largest mass-weighted width until the interval undercuts the target
    or the sample budget is hit.
@@ -147,21 +146,6 @@ def wilson_interval(
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
-def hoeffding_interval(
-    mean: float, trials: int, confidence: float, upper: float
-) -> tuple[float, float]:
-    """Hoeffding interval for a mean of i.i.d. values in ``[0, upper]``.
-
-    Used for importance-weighted (cone-tilted) estimators whose samples
-    are ``masked * weight`` with a computable worst-case weight.
-    """
-    if trials <= 0:
-        return (0.0, max(1.0, upper))
-    alpha = max(1e-12, 1.0 - confidence)
-    half = upper * math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
-    return (max(0.0, mean - half), mean + half)
-
-
 # ----------------------------------------------------------------------
 # Poisson binomial + conditional-Bernoulli sampling
 # ----------------------------------------------------------------------
@@ -186,8 +170,7 @@ class ConditionalSubsetSampler:
     drives the classic sequential scheme: item ``i`` joins a draw that
     still needs ``r`` items with probability ``o_i E[i+1][r-1]/E[i][r]``.
     With the odds taken from the failure probabilities this *is* the
-    true conditional distribution (weight 1); with tilted odds the
-    caller reweights through :meth:`weight`.
+    true conditional distribution.
     """
 
     def __init__(self, odds: Sequence[float]) -> None:
@@ -212,12 +195,6 @@ class ConditionalSubsetSampler:
             self._table = table
             self._kmax = k
         return self._table
-
-    def elementary(self, k: int) -> float:
-        """``e_k`` of the *scaled* odds (scale cancels in same-scale ratios)."""
-        if k > self._n:
-            return 0.0
-        return self._ensure(k)[0][k]
 
     def draw(self, k: int, rng: random.Random) -> tuple[int, ...]:
         """One conditional draw: sorted indices of the chosen items."""
@@ -687,10 +664,7 @@ class _Stratum:
     mass: float
     count: int
     drawn: int = 0
-    weighted_masked: float = 0.0
     masked_draws: int = 0
-    weight_bound: float = 1.0
-    tilted: bool = False
 
 
 def _partition(
@@ -714,8 +688,6 @@ def sampled_reliability(
     times: tuple[float, ...],
     involved_procs: Sequence[str],
     involved_links: Sequence[str],
-    proc_cone_fractions: Mapping[str, float],
-    link_cone_fractions: Mapping[str, float],
     link_failure_probabilities: Mapping[str, float] | None = None,
     confidence: float = 0.99,
     epsilon: float = 0.005,
@@ -724,19 +696,13 @@ def sampled_reliability(
     content_hash: str = "",
     npf: int = 0,
     npl: int = 0,
-    cone_tilt: float = 0.0,
-    force_sampled: bool = False,
 ) -> SampledReliability:
     """Estimate reliability with a confidence interval, adaptively.
 
     Strata are the joint involved failure counts; uninvolved resources
     marginalize out of the sum exactly (the masking verdict depends
     only on the involved core — the batch engine's own reduction
-    theorem).  ``cone_tilt > 0`` tilts each in-stratum draw's inclusion
-    odds by ``1 + cone_tilt * cone_fraction`` with exact importance
-    reweighting — more draws land on large-dirty-cone subsets, the ones
-    most likely to break — at the price of Hoeffding (rather than
-    Wilson) intervals over the weight range.
+    theorem).  Each sampled stratum gets a Wilson interval.
     """
     processors = schedule.processor_names()
     links = (
@@ -829,7 +795,6 @@ def sampled_reliability(
             mass *= q if name in in_core else 1.0 - q
         return mass
 
-    exact_cap = 0 if force_sampled else EXACT_CELL_CAP
     sampled_strata: list[_Stratum] = []
     samplers: dict[int, tuple] = {}
     samples_drawn = 0
@@ -841,7 +806,7 @@ def sampled_reliability(
     for stratum in strata:
         kr = stratum.k - len(p_always)
         jr = stratum.j - len(l_always)
-        if stratum.count <= max(1, exact_cap):
+        if stratum.count <= EXACT_CELL_CAP:
             before = len(slab_pairs)
             for core in itertools.combinations(p_rand, kr):
                 proc_core = tuple(sorted(set(core) | set(p_always)))
@@ -863,55 +828,10 @@ def sampled_reliability(
             slab_sizes.append(len(slab_pairs) - before)
             stratum.drawn = -1  # marker: resolved exactly
         else:
-            tilt_p = [
-                1.0 + cone_tilt * proc_cone_fractions.get(p, 0.0)
-                for p in p_rand
-            ]
-            tilt_l = [
-                1.0 + cone_tilt * link_cone_fractions.get(l, 0.0)
-                for l in l_rand
-            ]
-            tilted = cone_tilt > 0.0 and (
-                any(t > 1.0 for t in tilt_p) or any(t > 1.0 for t in tilt_l)
-            )
-            base_p = ConditionalSubsetSampler(p_odds)
-            base_l = ConditionalSubsetSampler(l_odds)
-            prop_p = (
-                ConditionalSubsetSampler(
-                    [o * t for o, t in zip(p_odds, tilt_p)]
-                )
-                if tilted
-                else base_p
-            )
-            prop_l = (
-                ConditionalSubsetSampler(
-                    [o * t for o, t in zip(l_odds, tilt_l)]
-                )
-                if tilted
-                else base_l
-            )
-            if tilted:
-                # w(S) = [e_k(o)/e_k(õ)]^-1 ... exact per-draw weight is
-                # prefactor * prod(1/t_i); the worst case takes the k
-                # (j) smallest tilts.
-                prefactor = 1.0
-                if kr:
-                    prefactor *= prop_p.elementary(kr) / max(
-                        base_p.elementary(kr), 1e-300
-                    )
-                if jr:
-                    prefactor *= prop_l.elementary(jr) / max(
-                        base_l.elementary(jr), 1e-300
-                    )
-                smallest_p = sorted(tilt_p)[:kr]
-                smallest_l = sorted(tilt_l)[:jr]
-                bound = prefactor
-                for t in smallest_p + smallest_l:
-                    bound /= t
-                stratum.weight_bound = bound
-                stratum.tilted = True
             samplers[id(stratum)] = (
-                base_p, base_l, prop_p, prop_l, tilt_p, tilt_l, kr, jr,
+                ConditionalSubsetSampler(p_odds),
+                ConditionalSubsetSampler(l_odds),
+                kr, jr,
                 derive_rng(
                     content_hash, seed, f"rel:{stratum.k}:{stratum.j}"
                 ),
@@ -936,52 +856,23 @@ def sampled_reliability(
 
     def draw_batch(stratum: _Stratum, n: int) -> None:
         nonlocal samples_drawn, evaluated
-        (base_p, base_l, prop_p, prop_l, tilt_p, tilt_l, kr, jr, rng) = (
-            samplers[id(stratum)]
-        )
+        sampler_p, sampler_l, kr, jr, rng = samplers[id(stratum)]
         draws = []
-        weights = []
         for _ in range(n):
-            idx_p = prop_p.draw(kr, rng) if kr else ()
-            idx_l = prop_l.draw(jr, rng) if jr else ()
+            idx_p = sampler_p.draw(kr, rng) if kr else ()
+            idx_l = sampler_l.draw(jr, rng) if jr else ()
             draws.append((
                 tuple(sorted({p_rand[i] for i in idx_p} | set(p_always))),
                 tuple(sorted({l_rand[i] for i in idx_l} | set(l_always))),
             ))
-            weight = 1.0
-            if stratum.tilted:
-                weight = 1.0
-                if kr:
-                    weight *= prop_p.elementary(kr) / max(
-                        base_p.elementary(kr), 1e-300
-                    )
-                if jr:
-                    weight *= prop_l.elementary(jr) / max(
-                        base_l.elementary(jr), 1e-300
-                    )
-                for i in idx_p:
-                    weight /= tilt_p[i]
-                for i in idx_l:
-                    weight /= tilt_l[i]
-            weights.append(weight)
         stratum.drawn += n
         samples_drawn += n
         evaluated += n
-        for weight, ok in zip(weights, oracle(draws, times)):
-            if ok:
-                stratum.weighted_masked += weight
-                stratum.masked_draws += 1
+        stratum.masked_draws += sum(1 for ok in oracle(draws, times) if ok)
 
     def interval(stratum: _Stratum) -> tuple[float, float]:
         if stratum.drawn <= 0:
             return (0.0, 1.0)
-        if stratum.tilted:
-            mean = stratum.weighted_masked / stratum.drawn
-            lo, hi = hoeffding_interval(
-                mean, stratum.drawn, stratum_confidence,
-                max(1.0, stratum.weight_bound),
-            )
-            return (lo, min(1.0, hi))
         return wilson_interval(
             stratum.masked_draws, stratum.drawn, stratum_confidence
         )
@@ -1009,7 +900,7 @@ def sampled_reliability(
     for stratum in sampled_strata:
         s_lo, s_hi = interval(stratum)
         mean = (
-            stratum.weighted_masked / stratum.drawn if stratum.drawn else 0.5
+            stratum.masked_draws / stratum.drawn if stratum.drawn else 0.5
         )
         point += stratum.mass * mean
         lo_total += stratum.mass * s_lo

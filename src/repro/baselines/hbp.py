@@ -128,7 +128,7 @@ class HBPScheduler:
     def _run_kernel(self, schedule: Schedule, stats: HBPStats) -> None:
         """The group loop over the compiled kernel's pair costs."""
         compiled = self._compiled
-        kernel = SchedulingKernel(compiled, schedule, vector=False)
+        kernel = SchedulingKernel(compiled, schedule)
         op_ids = compiled.op_ids
         n_procs = compiled.n_procs
         pair_span = n_procs * n_procs

@@ -28,8 +28,18 @@ from repro.core.options import SchedulerOptions
 from repro.problem import ProblemSpec
 
 
-def _with_npf_zero(problem: ProblemSpec, name_suffix: str) -> ProblemSpec:
-    return ProblemSpec(
+def _with_npf_zero(
+    problem: ProblemSpec,
+    options: SchedulerOptions | None,
+    name_suffix: str,
+) -> tuple[ProblemSpec, SchedulerOptions | None]:
+    """The baseline's inputs: ``Npf = 0`` and ``Npl = 0``.
+
+    The problem is rebuilt without its ``npf`` / ``npl``, and an
+    ``options.npl`` override is dropped too, so the baseline does not
+    depend on where the fault-tolerant run's ``npl`` came from.
+    """
+    baseline = ProblemSpec(
         algorithm=problem.algorithm,
         architecture=problem.architecture,
         exec_times=problem.exec_times,
@@ -38,19 +48,22 @@ def _with_npf_zero(problem: ProblemSpec, name_suffix: str) -> ProblemSpec:
         rtc=problem.rtc,
         name=f"{problem.name}{name_suffix}",
     )
+    if options is not None and options.npl is not None:
+        options = dataclass_replace(options, npl=None)
+    return baseline, options
 
 
 def schedule_non_fault_tolerant(
     problem: ProblemSpec,
     options: SchedulerOptions | None = None,
 ) -> FTBARResult:
-    """FTBAR with ``Npf = 0``: the paper's non-FTSL reference.
+    """FTBAR with ``Npf = 0`` and ``Npl = 0``: the paper's non-FTSL reference.
 
     Keeps every other option (including LIP duplication) identical to
     the fault-tolerant run so the overhead isolates the replication
     cost.
     """
-    return schedule_ftbar(_with_npf_zero(problem, "-nonft"), options)
+    return schedule_ftbar(*_with_npf_zero(problem, options, "-nonft"))
 
 
 def non_fault_tolerant_makespan(
@@ -62,11 +75,11 @@ def non_fault_tolerant_makespan(
     Building the scheduler compiles (a memo hit once the problem's
     fault-tolerant run has compiled it), validates and checks
     feasibility as a full run would; the kernel then runs only for a
-    content, effective ``npf`` / ``npl`` and options value not seen
-    before (:func:`repro.core.compile.baseline_makespan`).
+    content and options value not seen before
+    (:func:`repro.core.compile.baseline_makespan`).
     ``reset_compile_cache()`` empties the memo.
     """
-    scheduler = FTBARScheduler(_with_npf_zero(problem, "-nonft"), options)
+    scheduler = FTBARScheduler(*_with_npf_zero(problem, options, "-nonft"))
     return baseline_makespan(
         scheduler.compiled,
         scheduler.options,
@@ -83,8 +96,8 @@ def schedule_basic(
     This is the reference quoted in section 4.4 for the worked example
     (schedule length 10.7 on the authors' run).
     """
-    base = options or SchedulerOptions()
+    baseline, options = _with_npf_zero(problem, options, "-basic")
     return schedule_ftbar(
-        _with_npf_zero(problem, "-basic"),
-        dataclass_replace(base, duplication=False),
+        baseline,
+        dataclass_replace(options or SchedulerOptions(), duplication=False),
     )

@@ -267,11 +267,6 @@ class FTBARScheduler:
             duplication=self._options.duplication,
             symmetry=self._options.symmetry,
         )
-        if tracer is not None:
-            # Sub-step phases too hot to span individually (the
-            # replay-repair pool pass) accumulate totals here and are
-            # emitted as aggregate spans after the loop.
-            kernel.phase_times = {}
         # Candidate maintenance on dense ids: sorted ids are the
         # sorted-name candidate order by construction.
         ready = CompiledReadySet(compiled)
@@ -322,9 +317,6 @@ class FTBARScheduler:
             else obs.NOOP_SPAN
         ):
             kernel.materialize()
-        if tracer is not None and kernel.phase_times:
-            for name, (total, count) in sorted(kernel.phase_times.items()):
-                tracer.aggregate(name, total, count)
         stats.pressure_evaluations = kernel.evaluations
         stats.cache_hits = kernel.hits
         stats.duplication = kernel.dup_stats

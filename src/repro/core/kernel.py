@@ -43,17 +43,6 @@ stale slot in O(1), so a trial plan costs zero allocation for its
 overlay.  ``buffer_reuses`` counts how many trial plans were served by
 the reused buffers (recorded by ``benchmarks/bench_runtime.py``).
 
-Replay pools
-------------
-Most cached entries qualify for the *replay pools*: their worst-case
-start is a closed form over the current link availabilities (chains at
-most two deep, at most two arrivals per feed), so one vectorised numpy
-pass per macro-step recomputes all of them at once — the vectorised
-equivalent of the scalar per-entry threshold repairs, with identical
-floats.  Only entries outside that shape (deep chains,
-parallel-link choices, multi-hop or ``npl`` routes) keep the scalar
-threshold/suspect/repair machinery.
-
 Deferred materialization
 ------------------------
 Nothing reads the :class:`~repro.schedule.schedule.Schedule` during a
@@ -66,9 +55,7 @@ through the exact calls the reference engine's ``commit_plan`` makes.
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -78,12 +65,6 @@ from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.schedule.schedule import Schedule
 
 _INF = math.inf
-#: Problems with fewer than this many (operation, processor) cells run
-#: the scalar sweep: per-sweep numpy dispatch overhead dominates small
-#: candidate sets (the measured crossover on 4-processor problems sits
-#: around N≈300).  Both sweeps are bit-identical, so the gate is purely
-#: a speed choice.
-_VECTOR_MIN_CELLS = 1280
 #: Improvement threshold of the duplication procedure (step Ð keeps a
 #: duplication only when ``S_worst`` strictly improves beyond it).
 _EPSILON = 1e-9
@@ -94,21 +75,6 @@ _FORBIDDEN = (None,)
 
 #: Shared empty threshold list for plans that record no chains.
 _NO_THRESHOLDS: list = []
-
-
-@functools.lru_cache(maxsize=None)
-def _numpy() -> Any:
-    """numpy for the vectorised sweep, imported on first use.
-
-    Only a kernel that passes the vector gate calls this, so scalar runs
-    never pay numpy's import.  ``None`` when numpy is not installed: the
-    kernel then keeps its pure-Python loops (results identical).
-    """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy present in the dev image
-        return None
-    return numpy
 
 
 #: One predecessor feed of a kernel plan, as a plain tuple:
@@ -159,8 +125,7 @@ class KernelPlan:
     __slots__ = (
         "operation", "processor", "op", "proc", "duration",
         "processor_ready", "feeds", "comms", "earliest", "worst",
-        "feed_worsts", "thresholds", "chains", "repairable",
-        "pool_rows", "pool_feeds", "has_choice",
+        "feed_worsts", "thresholds", "chains",
     )
 
     @property
@@ -292,12 +257,8 @@ class KernelPlanCache:
             if watchers is not None:
                 watchers.discard(key)
 
-    def invalidate_replicated(self, operations: Iterable[int]) -> set[int]:
-        """Drop every entry depending on an operation that gained replicas.
-
-        Returns the dropped keys so the kernel can clear its parallel
-        sweep arrays.
-        """
+    def invalidate_replicated(self, operations: Iterable[int]) -> None:
+        """Drop every entry depending on an operation that gained replicas."""
         dead: set[int] = set()
         for operation in operations:
             dependents = self._by_dependency.get(operation)
@@ -305,7 +266,6 @@ class KernelPlanCache:
                 dead |= dependents
         for key in dead:
             self.discard(key)
-        return dead
 
     def suspects_for(self, links: Iterable[int]) -> set[int]:
         """Keys whose thresholds watch one of the just-touched links.
@@ -321,78 +281,12 @@ class KernelPlanCache:
                 suspects |= watchers
         return suspects
 
-    def drop_range(self, start: int, stop: int) -> list[int]:
-        """Forget every entry in one candidate's key range (it placed).
-
-        Returns the dropped keys (see :meth:`invalidate_replicated`).
-        """
+    def drop_range(self, start: int, stop: int) -> None:
+        """Forget every entry in one candidate's key range (it placed)."""
         entries = self.entries
         dropped = [key for key in range(start, stop) if key in entries]
         for key in dropped:
             self.discard(key)
-        return dropped
-
-
-class _RowPool:
-    """Append-only column store for the replay pools.
-
-    Columns carry the static operands of the replay passes (float
-    columns: ready instants and durations; int columns: link ids and
-    scatter positions).  Appends go to cheap Python staging lists;
-    :meth:`flush` batch-copies the staged tail into the numpy columns
-    once per sweep.  Rows, slots and arrival positions are never
-    reused, so rows of discarded entries need no tombstones — they keep
-    computing into positions nothing reads.  Total rows are bounded by
-    the run's miss count.
-    """
-
-    __slots__ = ("float_cols", "int_cols", "float_stage", "int_stage", "count")
-
-    def __init__(self, float_width: int, int_width: int) -> None:
-        np = _numpy()
-        self.float_cols = [np.zeros(0) for _ in range(float_width)]
-        self.int_cols = [
-            np.zeros(0, dtype=np.int64) for _ in range(int_width)
-        ]
-        self.float_stage: list[list] = [[] for _ in range(float_width)]
-        self.int_stage: list[list] = [[] for _ in range(int_width)]
-        self.count = 0
-
-    def append(self, float_row: tuple, int_row: tuple) -> int:
-        for column, value in zip(self.float_stage, float_row):
-            column.append(value)
-        for column, value in zip(self.int_stage, int_row):
-            column.append(value)
-        index = self.count
-        self.count = index + 1
-        return index
-
-    def flush(self) -> None:
-        """Copy the staged tail into the numpy columns."""
-        stage = self.int_stage[0] if self.int_stage else self.float_stage[0]
-        staged = len(stage)
-        if not staged:
-            return
-        count = self.count
-        base = count - staged
-        reference = self.int_cols[0] if self.int_cols else self.float_cols[0]
-        if count > len(reference):
-            np = _numpy()
-            capacity = max(64, 2 * count)
-            for cols, dtype in (
-                (self.float_cols, None), (self.int_cols, np.int64)
-            ):
-                for index, column in enumerate(cols):
-                    grown = np.zeros(capacity, dtype=dtype or column.dtype)
-                    grown[:base] = column[:base]
-                    cols[index] = grown
-        for cols, stages in (
-            (self.float_cols, self.float_stage),
-            (self.int_cols, self.int_stage),
-        ):
-            for index, column in enumerate(cols):
-                column[base:count] = stages[index]
-                stages[index] = []
 
 
 class SchedulingKernel:
@@ -410,7 +304,6 @@ class SchedulingKernel:
         schedule: Schedule,
         processor_aware: bool = False,
         duplication: bool = True,
-        vector: bool = True,
         symmetry: bool = True,
     ) -> None:
         self._c = compiled
@@ -436,11 +329,6 @@ class SchedulingKernel:
         # while the partial schedule is invariant under it — checked per
         # sweep in :meth:`_orbit_reps` — and the drop is monotone.
         group = compiled.symmetry_group() if symmetry else None
-        #: ``{phase: [total_s, count]}`` accumulator for sub-step phases
-        #: too hot to span individually; ``None`` (the default) disables
-        #: the timing reads entirely.  The scheduler turns it on when
-        #: tracing is active and emits the totals as aggregate spans.
-        self.phase_times: dict[str, list] | None = None
         self._sym = group
         self._sym_classes = list(group.classes) if group is not None else []
         self._sym_others = list(group.others) if group is not None else []
@@ -481,81 +369,6 @@ class SchedulingKernel:
         self.evaluations = 0
         self.buffer_reuses = 0
         self.dup_stats = DuplicationStats()
-        # Vectorised sweep state: parallel arrays mirroring the cache
-        # entries' (state, worst, static, duration) so a whole selection
-        # sweep is one gather + maximum + add.  Pinned memory halves
-        # have per-candidate pools, which the vector sweep does not
-        # model — such problems use the scalar sweep.  HBP kernels pass
-        # ``vector=False``: their pair keys index a P²-per-task space
-        # the sweep arrays do not cover.  Below ``_VECTOR_MIN_CELLS``
-        # the per-sweep numpy dispatch overhead outweighs the vectorised
-        # arithmetic and the scalar sweep is faster.  numpy is imported
-        # only once this gate passes; without numpy the kernel stays
-        # scalar.
-        np = (
-            _numpy()
-            if vector and not compiled.pins
-            and compiled.n_ops * compiled.n_procs >= _VECTOR_MIN_CELLS
-            else None
-        )
-        self._vector = np is not None
-        if self._vector:
-            size = compiled.n_ops * compiled.n_procs
-            #: 0 = absent, 1 = forbidden (Exe = inf), 2 = cached plan.
-            self._arr_state = np.zeros(size, dtype=np.int8)
-            self._arr_worst = np.zeros(size)
-            self._arr_static = np.zeros(size)
-            self._arr_duration = np.zeros(size)
-            self._pool_offsets = np.arange(compiled.n_procs, dtype=np.int64)
-            # Replay pools: entries whose reservation chains are at
-            # most two deep and whose remote feeds carry at most two
-            # arrivals have a closed-form worst over the *current* link
-            # availabilities, recomputed wholesale by one vector pass
-            # per sweep (`_pool_pass`).  Pooled entries register no
-            # thresholds and are never repaired; the recomputation IS
-            # the repair (same floats).  Everything is append-only —
-            # rows, arrival positions and slots of dropped entries are
-            # simply never read again — and bounded by the run's miss
-            # count.
-            self._feed_width = max(
-                [len(preds) for preds in compiled.preds] or [1]
-            ) or 1
-            self._slot_of: dict[int, int] = {}
-            self._slot_count = 0
-            self._slot_key = np.zeros(0, dtype=np.int64)
-            self._slot_alive = np.zeros(0, dtype=bool)
-            self._slot_worst = np.zeros((0, self._feed_width))
-            #: Arrival value store, rewritten by the level passes.
-            self._arrivals = np.zeros(0)
-            self._arrival_count = 0
-            #: Reservation rows, leveled by replay dependency depth: a
-            #: row's free pointer may queue behind an earlier row on the
-            #: same link of the same plan (``free_dep``) and its ready
-            #: instant behind the previous hop of the same transfer
-            #: (``ready_dep``); level = 1 + max(dep levels), so one pass
-            #: per level replays every chain of any depth.
-            #: Columns: (ready, dur | link, free_dep, ready_dep, gid, mode);
-            #: mode 1 advances the link by the re-derived duration
-            #: (direct branch), mode 0 by the previewed end (routes).
-            self._row_levels: list[_RowPool] = []
-            self._row_level_of: list[int] = []
-            self._row_count = 0
-            self._row_start = np.zeros(0)
-            self._row_end = np.zeros(0)
-            self._row_free = np.zeros(0)
-            #: Arrival reductions: one-route copy rows (gid, apos) and,
-            #: per route count, the max over route ends (npl plans).
-            self._acopy = _RowPool(0, 2)
-            self._aroute: dict[int, _RowPool] = {}
-            #: Feed reductions, per arity: the ``npf``-capped k-th
-            #: smallest of the feed's arrivals into its worst slot.
-            self._afeeds: dict[int, _RowPool] = {}
-            #: Volatile pooled entries (multi-hop / npl routes, no
-            #: parallel-link choice): the pool pass recomputes them
-            #: every sweep, but their staleness must still be accounted
-            #: as the scalar discard + miss — key -> [(threshold item,
-            #: first row gid)] for the refresh.
-            self._volatile: dict[int, list[tuple[list, int]]] = {}
 
     @property
     def hits(self) -> int:
@@ -731,17 +544,9 @@ class SchedulingKernel:
             thresholds: list[list] = []
             thr_seen: set[int] = set()
             chains: dict[int, list[tuple[int, int, float, float]]] = {}
-            # Replay-pool recording (vector kernels only): every
-            # reservation as (link, ready, ready_dep, dur, mode) plus
-            # the per-feed arrival structure the reductions need.
-            pool_rows: list[tuple] | None = [] if self._vector else None
-            pool_feeds: list | None = [] if self._vector else None
         else:
             thresholds = _NO_THRESHOLDS
             chains = None
-            pool_rows = None
-            pool_feeds = None
-        has_choice = False
         repairable = not npl
         feed_index = 0
         for q in c.preds[o]:
@@ -755,15 +560,12 @@ class SchedulingKernel:
                     worst = local_end
                 if local_end > earliest:
                     earliest = local_end
-                if pool_feeds is not None:
-                    pool_feeds.append(None)
                 feed_index += 1
                 continue
             row = c.comm_rows[q * n_ops + o]
             replicas = rep_list[q]
             arrivals: list[float] = []
             firsts: list[float] | None = [] if npl else None
-            feed_desc: list | None = [] if pool_feeds is not None else None
             if npl:
                 sender_hosts = frozenset(
                     proc_names[host] for host, _ in replicas
@@ -777,12 +579,8 @@ class SchedulingKernel:
                     )
                     first_copy = _INF
                     guaranteed = -_INF
-                    route_ends: list[int] | None = (
-                        [] if feed_desc is not None else None
-                    )
                     for route_index, hops in enumerate(routes):
                         ready = rend
-                        prev_row = -1
                         for hop_index, (origin, link, relay) in enumerate(hops):
                             current = free[link] if stamp[link] == epoch else base[link]
                             start = ready if ready > current else current
@@ -792,12 +590,6 @@ class SchedulingKernel:
                             if record_chains and link not in thr_seen:
                                 thr_seen.add(link)
                                 thresholds.append([link, start])
-                            if pool_rows is not None:
-                                dep = prev_row
-                                prev_row = len(pool_rows)
-                                pool_rows.append(
-                                    (link, rend, dep, row[link], 0)
-                                )
                             if record_comms:
                                 comms.append((
                                     op_names[q], op_name, replica_index,
@@ -806,14 +598,10 @@ class SchedulingKernel:
                                     link,
                                 ))
                             ready = end
-                        if route_ends is not None:
-                            route_ends.append(prev_row)
                         if ready < first_copy:
                             first_copy = ready
                         if ready > guaranteed:
                             guaranteed = ready
-                    if feed_desc is not None:
-                        feed_desc.append(tuple(route_ends))
                     arrivals.append(guaranteed)
                     firsts.append(first_copy)
                     arrival_index += 1
@@ -832,7 +620,6 @@ class SchedulingKernel:
                         best_end = best_start + row[best_link]
                     else:
                         repairable = False
-                        has_choice = True
                         best_end = _INF
                         best_start = 0.0
                         best_link = -1
@@ -855,11 +642,6 @@ class SchedulingKernel:
                         chains.setdefault(best_link, []).append(
                             (feed_index, arrival_index, rend, row[best_link])
                         )
-                        if pool_rows is not None:
-                            feed_desc.append(len(pool_rows))
-                            pool_rows.append(
-                                (best_link, rend, -1, row[best_link], 1)
-                            )
                     if record_comms:
                         comms.append((
                             op_names[q], op_name, replica_index,
@@ -871,7 +653,6 @@ class SchedulingKernel:
                     # Multi-hop store-and-forward over the shortest route.
                     repairable = False
                     ready = rend
-                    prev_row = -1
                     for hop_index, (origin, link, relay) in enumerate(
                         c.route_hops(rp, p)
                     ):
@@ -883,10 +664,6 @@ class SchedulingKernel:
                         if record_chains and link not in thr_seen:
                             thr_seen.add(link)
                             thresholds.append([link, start])
-                        if pool_rows is not None:
-                            dep = prev_row
-                            prev_row = len(pool_rows)
-                            pool_rows.append((link, rend, dep, row[link], 0))
                         if record_comms:
                             comms.append((
                                 op_names[q], op_name, replica_index,
@@ -894,8 +671,6 @@ class SchedulingKernel:
                                 origin, relay, hop_index, 0, link,
                             ))
                         ready = end
-                    if feed_desc is not None:
-                        feed_desc.append(prev_row)
                     arrivals.append(ready)
                 arrival_index += 1
             if not arrivals:
@@ -923,8 +698,6 @@ class SchedulingKernel:
             if feed_earliest > earliest:
                 earliest = feed_earliest
             feeds.append((q, None, arrivals, firsts))
-            if pool_feeds is not None:
-                pool_feeds.append(feed_desc)
             feed_index += 1
         plan = KernelPlan()
         plan.operation = op_name
@@ -940,10 +713,6 @@ class SchedulingKernel:
         plan.feed_worsts = feed_worsts
         plan.thresholds = thresholds
         plan.chains = chains if repairable else None
-        plan.repairable = repairable
-        plan.pool_rows = pool_rows
-        plan.pool_feeds = pool_feeds
-        plan.has_choice = has_choice
         return plan
 
     # ------------------------------------------------------------------
@@ -1061,8 +830,6 @@ class SchedulingKernel:
         (the evaluation pattern — and hence every counter — is
         identical either way).
         """
-        if self._vector:
-            return self._select_vector(candidates, record)
         c = self._c
         n_procs = self._P
         op_names = c.op_names
@@ -1087,18 +854,17 @@ class SchedulingKernel:
         reps = self._orbit_reps() if self._sym_live else None
         row: list[float] | None = [0.0] * n_procs if reps is not None else None
         if suspects:
-            # Per-sweep suspect pass — the scalar mirror of the vector
-            # sweep's: availabilities are frozen during a sweep and
-            # every live entry's candidate is ready, so the whole
-            # suspect set is due now; handling it here keeps the probe
-            # loop below to one dict lookup per pair.  Repairs replay
-            # the same chains from the same availabilities the lazy
-            # per-probe scan would have seen, so every float — and
+            # Per-sweep suspect pass: availabilities are frozen during a
+            # sweep and every live entry's candidate is ready, so the
+            # whole suspect set is due now; handling it here keeps the
+            # probe loop below to one dict lookup per pair.  Repairs
+            # replay the same chains from the same availabilities the
+            # lazy per-probe scan would have seen, so every float — and
             # every hit/miss count, since repairs and discards are
             # unaccounted and the probe still pays the miss — is
             # identical.  Pruned columns are skipped (their cache state
-            # stays untouched while pruned, as before) and dangling
-            # flags of dropped entries wait for the entry to return.
+            # stays untouched while pruned) and dangling flags of
+            # dropped entries wait for the entry to return.
             for key in tuple(suspects):
                 if reps is not None and reps[key % n_procs] != key % n_procs:
                     continue
@@ -1116,6 +882,12 @@ class SchedulingKernel:
                             cache.discard(key)
                             break
                     continue
+                # Repair in place: replay the trial chains of every
+                # outdated link from its current free instant with the
+                # planner's float expressions (including the re-derived
+                # duration advance), so the entry equals a fresh plan.
+                # Inlined, not a method call: a fully connected N=2000
+                # run repairs about a million entries here.
                 feeds = entry[0]
                 touched: set[int] | None = None
                 for threshold in entry[5]:
@@ -1282,409 +1054,6 @@ class SchedulingKernel:
             pressures,
         )
 
-    # ------------------------------------------------------------------
-    # replay pools (vector mode)
-    # ------------------------------------------------------------------
-    def _try_pool(self, key: int, plan: KernelPlan) -> str | None:
-        """Admit a cache entry to the replay pools when it qualifies.
-
-        Every reservation becomes one leveled row whose replay from the
-        *current* link availabilities reproduces the trial plan's
-        floats exactly (the route structure, ready instants and
-        durations are static while the entry is alive); arrival and
-        feed reductions then rebuild the entry's worst — so the
-        per-sweep pool pass is the vectorised equivalent of a fresh
-        recomputation.  Repairable entries (``"pure"``) register no
-        thresholds: the pass *is* their repair.  Multi-hop and npl
-        entries (``"volatile"``) keep their thresholds so their
-        staleness is still accounted as the scalar discard + miss (see
-        the suspects loop).  Only plans that chose among parallel
-        direct links stay out: the choice itself can flip with the
-        availabilities.
-        """
-        rows = plan.pool_rows
-        if rows is None or not rows or plan.has_choice:
-            return None
-        slot = self._alloc_slot(key)
-        position_base = slot * self._feed_width
-        row_worst = self._slot_worst[slot]
-        feed_worsts = plan.feed_worsts
-        for feed_index, feed in enumerate(plan.feeds):
-            local_end = feed[_FEED_LOCAL_END]
-            row_worst[feed_index] = (
-                local_end if local_end is not None
-                else feed_worsts[feed_index]
-            )
-        # Reservation rows: free deps follow per-link plan order (the
-        # shared overlay the plan reserved against), ready deps the
-        # recorded previous hop; level = 1 + max(dep levels).
-        level_of = self._row_level_of
-        levels = self._row_levels
-        gids: list[int] = []
-        last_on_link: dict[int, int] = {}
-        for link, ready, ready_dep_local, duration, mode in rows:
-            free_dep = last_on_link.get(link, -1)
-            ready_dep = gids[ready_dep_local] if ready_dep_local >= 0 else -1
-            level = 0
-            if free_dep >= 0:
-                level = level_of[free_dep] + 1
-            if ready_dep >= 0 and level_of[ready_dep] + 1 > level:
-                level = level_of[ready_dep] + 1
-            gid = self._row_count
-            self._row_count = gid + 1
-            level_of.append(level)
-            while level >= len(levels):
-                levels.append(_RowPool(2, 5))
-            levels[level].append(
-                (ready, duration), (link, free_dep, ready_dep, gid, mode)
-            )
-            last_on_link[link] = gid
-            gids.append(gid)
-        for feed_index, descriptors in enumerate(plan.pool_feeds):
-            if descriptors is None:
-                continue  # local feed: static worst, written above
-            positions: list[int] = []
-            for descriptor in descriptors:
-                apos = self._alloc_arrival()
-                positions.append(apos)
-                if isinstance(descriptor, int):
-                    self._acopy.append((), (gids[descriptor], apos))
-                else:
-                    width = len(descriptor)
-                    pool = self._aroute.get(width)
-                    if pool is None:
-                        pool = self._aroute[width] = _RowPool(0, width + 1)
-                    pool.append(
-                        (),
-                        tuple(gids[i] for i in descriptor) + (apos,),
-                    )
-            arity = len(positions)
-            pool = self._afeeds.get(arity)
-            if pool is None:
-                pool = self._afeeds[arity] = _RowPool(0, arity + 1)
-            pool.append((), tuple(positions) + (position_base + feed_index,))
-        if plan.repairable:
-            return "pure"
-        first_gid: dict[int, int] = {}
-        for local, (link, _ready, _dep, _dur, _mode) in enumerate(rows):
-            if link not in first_gid:
-                first_gid[link] = gids[local]
-        self._volatile[key] = [
-            (threshold, first_gid[threshold[0]])
-            for threshold in plan.thresholds
-        ]
-        return "volatile"
-
-    def _alloc_slot(self, key: int) -> int:
-        slot = self._slot_count
-        if slot == len(self._slot_alive):
-            np = _numpy()
-            capacity = max(64, 2 * slot)
-            keys = np.zeros(capacity, dtype=np.int64)
-            keys[:slot] = self._slot_key[:slot]
-            self._slot_key = keys
-            alive = np.zeros(capacity, dtype=bool)
-            alive[:slot] = self._slot_alive[:slot]
-            self._slot_alive = alive
-            worst = np.full((capacity, self._feed_width), -_INF)
-            worst[:slot] = self._slot_worst[:slot]
-            self._slot_worst = worst
-        self._slot_key[slot] = key
-        self._slot_alive[slot] = True
-        self._slot_worst[slot] = -_INF
-        self._slot_count = slot + 1
-        self._slot_of[key] = slot
-        return slot
-
-    def _alloc_arrival(self) -> int:
-        # The store is only written by the level passes; capacity is
-        # ensured in ``_pool_pass``.
-        position = self._arrival_count
-        self._arrival_count = position + 1
-        return position
-
-    def _release_keys(self, keys) -> None:
-        """Drop the slots of dropped cache entries.
-
-        Pool rows and arrival positions are append-only and never
-        reused; a dead slot's rows keep computing into positions the
-        final scatter filters out via ``_slot_alive``.
-        """
-        slot_of = self._slot_of
-        slot_alive = self._slot_alive
-        volatile = self._volatile
-        for key in keys:
-            slot = slot_of.pop(key, None)
-            if slot is not None:
-                slot_alive[slot] = False
-                volatile.pop(key, None)
-
-    def _pool_pass(self) -> None:
-        """Replay-repair pass, timed into :attr:`phase_times` when on."""
-        pt = self.phase_times
-        if pt is None:
-            return self._pool_pass_impl()
-        t0 = time.perf_counter()
-        try:
-            return self._pool_pass_impl()
-        finally:
-            entry = pt.setdefault("kernel.replay_repair", [0.0, 0])
-            entry[0] += time.perf_counter() - t0
-            entry[1] += 1
-
-    def _pool_pass_impl(self) -> None:
-        """Recompute every pooled entry's worst from current availabilities.
-
-        Two level passes replay the reservation chains (level 1 queues
-        behind level 0's re-derived free pointer, mirroring
-        ``LinkState.reserve``), two feed passes reduce arrivals to feed
-        worsts, then a row-max and one scatter write the sweep's worst
-        array — the vectorised equivalent of every scalar repair
-        :meth:`_repair` would perform this step.
-        """
-        np = _numpy()
-        slots = self._slot_count
-        if not slots:
-            return
-        if self._arrival_count > len(self._arrivals):
-            self._arrivals = np.zeros(max(64, 2 * self._arrival_count))
-        if self._row_count > len(self._row_end):
-            capacity = max(64, 2 * self._row_count)
-            self._row_start = np.zeros(capacity)
-            self._row_end = np.zeros(capacity)
-            self._row_free = np.zeros(capacity)
-        avail = np.array(self._link_avail)
-        arrivals = self._arrivals
-        row_start = self._row_start
-        row_end = self._row_end
-        row_free = self._row_free
-        flat_worst = self._slot_worst.reshape(-1)
-        for pool in self._row_levels:
-            count = pool.count
-            if not count:
-                continue
-            pool.flush()
-            link = pool.int_cols[0][:count]
-            free_dep = pool.int_cols[1][:count]
-            ready_dep = pool.int_cols[2][:count]
-            gid = pool.int_cols[3][:count]
-            mode = pool.int_cols[4][:count]
-            base = np.where(
-                free_dep < 0,
-                avail[link],
-                row_free[np.maximum(free_dep, 0)],
-            )
-            ready = np.where(
-                ready_dep < 0,
-                pool.float_cols[0][:count],
-                row_end[np.maximum(ready_dep, 0)],
-            )
-            start = np.maximum(ready, base)
-            end = start + pool.float_cols[1][:count]
-            # A queued reservation advances the link by the re-derived
-            # duration (LinkState.reserve's ``start + (end - start)``)
-            # on direct links (mode 1), by the previewed end on route
-            # hops (mode 0) — both expressions verbatim from `_plan`.
-            free = np.where(mode == 1, start + (end - start), end)
-            row_start[gid] = start
-            row_end[gid] = end
-            row_free[gid] = free
-        pool = self._acopy
-        count = pool.count
-        if count:
-            pool.flush()
-            arrivals[pool.int_cols[1][:count]] = (
-                row_end[pool.int_cols[0][:count]]
-            )
-        for width, pool in self._aroute.items():
-            count = pool.count
-            if not count:
-                continue
-            pool.flush()
-            # A replica's guaranteed arrival is the max over its
-            # ``npl + 1`` disjoint routes' ends.
-            guaranteed = row_end[pool.int_cols[0][:count]]
-            for column in range(1, width):
-                guaranteed = np.maximum(
-                    guaranteed, row_end[pool.int_cols[column][:count]]
-                )
-            arrivals[pool.int_cols[width][:count]] = guaranteed
-        npf = self._c.npf
-        for arity, pool in self._afeeds.items():
-            count = pool.count
-            if not count:
-                continue
-            pool.flush()
-            positions = pool.int_cols[arity][:count]
-            if arity == 1:
-                flat_worst[positions] = arrivals[pool.int_cols[0][:count]]
-                continue
-            k = npf if npf < arity - 1 else arity - 1
-            if k == 0:
-                reduced = arrivals[pool.int_cols[0][:count]]
-                for column in range(1, arity):
-                    reduced = np.minimum(
-                        reduced, arrivals[pool.int_cols[column][:count]]
-                    )
-            elif k == arity - 1:
-                reduced = arrivals[pool.int_cols[0][:count]]
-                for column in range(1, arity):
-                    reduced = np.maximum(
-                        reduced, arrivals[pool.int_cols[column][:count]]
-                    )
-            else:
-                stacked = np.stack([
-                    arrivals[pool.int_cols[column][:count]]
-                    for column in range(arity)
-                ])
-                reduced = np.partition(stacked, k, axis=0)[k]
-            flat_worst[positions] = reduced
-        entry_worst = self._slot_worst[:slots].max(axis=1)
-        alive = self._slot_alive[:slots]
-        if alive.all():
-            self._arr_worst[self._slot_key[:slots]] = entry_worst
-        else:
-            self._arr_worst[self._slot_key[:slots][alive]] = entry_worst[alive]
-
-    def _select_vector(
-        self, candidates: "list[int]", record: bool
-    ) -> tuple[str, tuple[str, ...], float, dict | None]:
-        """The selection sweep as array passes (numpy available, no pins).
-
-        Suspect and absent entries are reconciled through the same
-        scalar ``_miss`` / ``_repair`` paths first (they are the rare
-        cases and they mutate cache state); every surviving hit is then
-        served by one gather + ``maximum`` + add over the parallel
-        arrays.  Sigma values, tie-breaks and counters are identical to
-        the scalar sweep: float64 arithmetic is the same IEEE arithmetic,
-        ids are name-ordered, and ``argmax`` / stable ``argsort`` pick
-        the same first-of-equals the tuple comparisons do.
-        """
-        np = _numpy()
-        c = self._c
-        n_procs = self._P
-        cache = self._cache
-        entries = cache.entries
-        self._pool_pass()
-        reps = self._orbit_reps() if self._sym_live else None
-        ids = np.fromiter(
-            candidates, dtype=np.int64, count=len(candidates)
-        )
-        if reps is None:
-            cols = self._pool_offsets
-            rep_cols: list[int] | None = None
-        else:
-            rep_cols = sorted(set(reps))
-            cols = np.fromiter(rep_cols, dtype=np.int64, count=len(rep_cols))
-        keys = ids[:, None] * n_procs + cols[None, :]
-        flat = keys.ravel()
-        misses_before = cache.misses
-        suspects = self._suspects
-        if suspects:
-            # Every live entry's candidate is ready (candidates only
-            # leave the ready set by being placed, which drops their
-            # entries), so the whole suspect set is due this sweep.
-            link_avail = self._link_avail
-            volatile = self._volatile
-            for key in tuple(suspects):
-                if reps is not None and reps[key % n_procs] != key % n_procs:
-                    # Pruned column: the scalar sweep leaves its cache
-                    # state untouched too — keep the flag for later.
-                    continue
-                entry = entries.get(key)
-                if entry is None:
-                    # Dangling flag of a dropped entry: the scalar path
-                    # leaves it for the next lookup — so do we.
-                    continue
-                suspects.discard(key)
-                for threshold in entry[5]:
-                    if link_avail[threshold[0]] > threshold[1]:
-                        vol = volatile.get(key)
-                        if vol is not None:
-                            # The pool pass already recomputed this
-                            # entry wholesale; account the staleness as
-                            # the scalar discard + replan would, then
-                            # refresh its thresholds/worst in place.
-                            cache.misses += 1
-                            self.evaluations += 1
-                            for item, gid in vol:
-                                item[1] = float(self._row_start[gid])
-                            entry[3] = float(self._arr_worst[key])
-                        elif entry[2] is None:
-                            cache.discard(key)
-                            self._miss(key // n_procs, key % n_procs, key)
-                        else:
-                            self._repair(entry)
-                            self._arr_worst[key] = entry[3]
-                        break
-        state = self._arr_state[flat]
-        if not state.all():
-            for key in flat[state == 0].tolist():
-                self._miss(key // n_procs, key % n_procs, key)
-            state = self._arr_state[flat]
-        ready = np.array(self._proc_avail)
-        shape = keys.shape
-        sigma = np.maximum(
-            ready[cols][None, :], self._arr_worst[flat].reshape(shape)
-        )
-        if self._aware:
-            sigma += self._arr_duration[flat].reshape(shape)
-        sigma += self._arr_static[flat].reshape(shape)
-        forbidden = state == 1
-        if forbidden.any():
-            sigma[forbidden.reshape(shape)] = _INF
-        cache.hits += flat.size - (cache.misses - misses_before)
-        if rep_cols is not None:
-            # Expand the representative columns back to full width: a
-            # pruned processor's σ is a bit-identical copy of its orbit
-            # minimum's (same IEEE floats by the invariance argument),
-            # so tie-breaks and the kept set match the exhaustive sweep.
-            col_of = {rep: index for index, rep in enumerate(rep_cols)}
-            expand = np.fromiter(
-                (col_of[reps[p]] for p in range(n_procs)),
-                dtype=np.int64, count=n_procs,
-            )
-            sigma = sigma[:, expand]
-            self.symmetry_pruned += len(candidates) * (
-                n_procs - len(rep_cols)
-            )
-        npf = c.npf
-        required = npf + 1
-        finite = (sigma != _INF).sum(axis=1)
-        feasible = finite >= required
-        if not feasible.all():
-            index = int(feasible.argmin())
-            raise InfeasibleReplicationError(
-                f"operation {c.op_names[candidates[index]]!r} can run on "
-                f"{int(finite[index])} processor(s), {required} required "
-                f"to tolerate {npf} failure(s)"
-            )
-        # The (npf + 1)-th smallest per row: partition places exactly
-        # the k-th order statistic at index k — the same float a full
-        # sort would put there — without sorting the whole row.
-        k = required - 1
-        urgencies = np.partition(sigma, k, axis=1)[:, k]
-        # Most urgent candidate; argmax keeps the first (= smallest id)
-        # among equals, the scalar loop's tie-break.
-        winner = int(urgencies.argmax())
-        kept = np.argsort(sigma[winner], kind="stable")[:required]
-        proc_names = c.proc_names
-        op_names = c.op_names
-        pressures: dict | None = None
-        if record:
-            pressures = {}
-            for row, o in enumerate(candidates):
-                values = sigma[row]
-                name = op_names[o]
-                for p in range(n_procs):
-                    pressures[(name, proc_names[p])] = float(values[p])
-        return (
-            c.op_names[int(ids[winner])],
-            tuple(proc_names[int(p)] for p in kept),
-            float(urgencies[winner]),
-            pressures,
-        )
-
     def _miss(self, o: int, p: int, key: int) -> float:
         """Plan the pair for real, cache it with its id dependencies."""
         cache = self._cache
@@ -1693,8 +1062,6 @@ class SchedulingKernel:
         plan = self._plan(o, p, False, True)
         if plan is None:
             cache.put(key, _FORBIDDEN)
-            if self._vector:
-                self._arr_state[key] = 1
             return _INF
         c = self._c
         if self._aware:
@@ -1711,66 +1078,13 @@ class SchedulingKernel:
             plan.feeds, static, plan.chains, plan.worst,
             plan.feed_worsts, thresholds, plan.duration,
         ]
-        # Pure pooled entries are recomputed wholesale by the per-sweep
-        # pool pass, so they register no threshold links (nothing to
-        # suspect or repair).  Volatile pooled entries keep theirs: the
-        # pass recomputes their floats too, but a tripped threshold must
-        # still be *accounted* as the scalar discard + miss.
-        pooled = self._try_pool(key, plan) if self._vector else None
         cache.put(
             key, entry,
             operations=c.preds[o],
-            threshold_links=(
-                () if pooled == "pure" else tuple(t[0] for t in thresholds)
-            ),
+            threshold_links=tuple(t[0] for t in thresholds),
         )
-        if self._vector:
-            self._arr_state[key] = 2
-            self._arr_worst[key] = plan.worst
-            self._arr_static[key] = static
-            self._arr_duration[key] = plan.duration
         return sigma
 
-    def _repair(self, entry: list) -> None:
-        """Replay the trial chains of every outdated link in place.
-
-        Each chain is re-reserved from the link's current free instant
-        with the planner's float expressions, including the re-derived
-        duration advance, so the repaired entry equals a fresh plan.
-        """
-        link_avail = self._link_avail
-        feeds = entry[0]
-        chains = entry[2]
-        feed_worsts = entry[4]
-        touched: set[int] = set()
-        for threshold in entry[5]:
-            available = link_avail[threshold[0]]
-            if available <= threshold[1]:
-                continue
-            free = available
-            first = None
-            for feed_index, arrival_index, ready, duration in chains[threshold[0]]:
-                start = ready if ready > free else free
-                end = start + duration
-                feeds[feed_index][2][arrival_index] = end
-                free = start + (end - start)
-                touched.add(feed_index)
-                if first is None:
-                    first = start
-            threshold[1] = first
-        npf = self._c.npf
-        for feed_index in touched:
-            arrivals = feeds[feed_index][2]
-            count = len(arrivals)
-            if count == 1:
-                feed_worsts[feed_index] = arrivals[0]
-            elif npf == 0:
-                feed_worsts[feed_index] = min(arrivals)
-            elif npf >= count - 1:
-                feed_worsts[feed_index] = max(arrivals)
-            else:
-                feed_worsts[feed_index] = sorted(arrivals)[npf]
-        entry[3] = max(feed_worsts)
 
     # ------------------------------------------------------------------
     # cache maintenance (driven by the FTBAR macro-step loop)
@@ -1796,20 +1110,14 @@ class SchedulingKernel:
             for comm, _ in self._comm_buffer[self._step_comm_mark:]
         }
         if replicated:
-            dropped = self._cache.invalidate_replicated(replicated)
-            if self._vector and dropped:
-                self._arr_state[list(dropped)] = 0
-                self._release_keys(dropped)
+            self._cache.invalidate_replicated(replicated)
         if links:
             self._suspects |= self._cache.suspects_for(links)
 
     def forget(self, operation: str) -> None:
         """Drop every cached plan of an operation that has been placed."""
         o = self._c.op_ids[operation]
-        dropped = self._cache.drop_range(o * self._P, (o + 1) * self._P)
-        if self._vector and dropped:
-            self._arr_state[list(dropped)] = 0
-            self._release_keys(dropped)
+        self._cache.drop_range(o * self._P, (o + 1) * self._P)
 
     def forget_range(self, start: int, stop: int) -> None:
         """Drop every cached entry in a candidate's key range (HBP)."""
@@ -1993,10 +1301,6 @@ class SchedulingKernel:
         plan.feed_worsts = feed_worsts
         plan.thresholds = _NO_THRESHOLDS
         plan.chains = None
-        plan.repairable = False
-        plan.pool_rows = None
-        plan.pool_feeds = None
-        plan.has_choice = False
         return plan
 
     def _minimize(self, o: int, p: int, duplicated: bool):

@@ -189,11 +189,10 @@ class Tracer:
     ) -> None:
         """Record an *aggregate* span: summed duration over ``count`` hits.
 
-        Used for sub-step phases too hot to span individually (the
-        kernel's replay-repair pass runs once per sweep); the renderer
-        folds aggregates into the per-phase table but excludes them
-        from tree coverage, since their time is already inside their
-        parent span.
+        Used for phases summarized elsewhere (a campaign worker's
+        per-phase job totals); the renderer folds aggregates into the
+        per-phase table but excludes them from tree coverage, since
+        their time is already inside their parent span.
         """
         if parent is None:
             parent = self.current_id()

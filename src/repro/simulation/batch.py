@@ -194,8 +194,6 @@ class BatchScenarioEngine:
             bool(order) for order in compiled.link_order
         )
         self._verdict_memo: dict[tuple, bool] = {}
-        self._cone_prefix: dict[tuple[int, ...], int] = {(): 0}
-        self._link_cone_prefix: dict[tuple[int, ...], int] = {(): 0}
 
     # ------------------------------------------------------------------
     # introspection
@@ -240,9 +238,9 @@ class BatchScenarioEngine:
         """Dirty-cone size of each involved processor as an event share.
 
         The fraction of all scheduled events reachable from the
-        processor's failures through data or resource-order edges —
-        the importance-sampling tilt of the sampled certifier (larger
-        cone = more decisions revisited = likelier to break).
+        processor's failures through data or resource-order edges; the
+        sampled certifier ranks processors by it (larger cone = more
+        decisions revisited = likelier to break).
         """
         compiled = self._compiled
         total = max(1, len(compiled.op_events) + len(compiled.comm_events))
@@ -250,16 +248,6 @@ class BatchScenarioEngine:
             name: compiled.proc_cone(compiled.proc_ids[name]).bit_count()
             / total
             for name in self.involved_processors()
-        }
-
-    def link_cone_fractions(self) -> dict[str, float]:
-        """Dirty-cone event share per involved link (see above)."""
-        compiled = self._compiled
-        total = max(1, len(compiled.op_events) + len(compiled.comm_events))
-        return {
-            name: compiled.link_cone(compiled.link_ids[name]).bit_count()
-            / total
-            for name in self.involved_links()
         }
 
     # ------------------------------------------------------------------
@@ -430,10 +418,15 @@ class BatchScenarioEngine:
         )
         state = None
         if self._cone_ok:
-            cone = self._subset_cone(reduced)
-            if reduced_links:
-                cone |= self._link_subset_cone(reduced_links)
-            state = self._compiled.replay(
+            # The subset's dirty cone is the union of its resources'
+            # cones, which ``CompiledSchedule`` memoizes per resource.
+            compiled = self._compiled
+            cone = 0
+            for proc in reduced:
+                cone |= compiled.proc_cone(proc)
+            for link in reduced_links:
+                cone |= compiled.link_cone(link)
+            state = compiled.replay(
                 baseline=self._baseline,
                 cone=cone,
                 verdict_only=True,
@@ -478,32 +471,3 @@ class BatchScenarioEngine:
             if link_last[link] > at:
                 return False
         return True
-
-    def _subset_cone(self, reduced: tuple[int, ...]) -> int:
-        """Dirty cone of a subset via the shared-prefix union cache.
-
-        ``cone(p1..pk) = cone(p1..pk-1) | cone(pk)`` — with subsets
-        enumerated lexicographically (``itertools.combinations`` order)
-        the prefix is almost always already cached.
-        """
-        cached = self._cone_prefix.get(reduced)
-        if cached is not None:
-            return cached
-        cone = (
-            self._subset_cone(reduced[:-1])
-            | self._compiled.proc_cone(reduced[-1])
-        )
-        self._cone_prefix[reduced] = cone
-        return cone
-
-    def _link_subset_cone(self, reduced_links: tuple[int, ...]) -> int:
-        """Union of link cones with the same prefix-cache trick."""
-        cached = self._link_cone_prefix.get(reduced_links)
-        if cached is not None:
-            return cached
-        cone = (
-            self._link_subset_cone(reduced_links[:-1])
-            | self._compiled.link_cone(reduced_links[-1])
-        )
-        self._link_cone_prefix[reduced_links] = cone
-        return cone

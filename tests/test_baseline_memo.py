@@ -137,12 +137,11 @@ class TestKey:
         [
             lambda: (problem(), SchedulerOptions(duplication=False)),
             lambda: (problem(), SchedulerOptions(processor_aware_pressure=True)),
-            lambda: (problem(), SchedulerOptions(npl=1)),
             lambda: (problem(topology="ring"), None),
             lambda: (problem(ccr=5.0), None),
             lambda: (problem(seed=4), None),
         ],
-        ids=["duplication", "aware", "npl-override", "topology", "ccr", "seed"],
+        ids=["duplication", "aware", "topology", "ccr", "seed"],
     )
     def test_each_input_misses(self, variant):
         non_fault_tolerant_makespan(problem())
@@ -156,14 +155,18 @@ class TestKey:
         ).makespan
 
     def test_effective_npl_keys_the_memo(self):
-        # The baseline problem keeps only an options-level npl (its own
-        # npl is dropped with npf), so the problem's npl shares the
-        # entry and the override does not.
+        # The baseline runs at npl 0 wherever the fault-tolerant run's
+        # npl comes from: the problem's own npl and an options.npl
+        # override share the plain problem's entry and its value.
         base = non_fault_tolerant_makespan(problem())
         assert non_fault_tolerant_makespan(problem(npl=1)) == base
-        assert memo_counts() == (1, 1)
-        non_fault_tolerant_makespan(problem(), SchedulerOptions(npl=1))
-        assert memo_counts() == (2, 1)
+        assert non_fault_tolerant_makespan(
+            problem(), SchedulerOptions(npl=1)
+        ) == base
+        assert memo_counts() == (1, 2)
+        reset_compile_cache()
+        fresh = schedule_non_fault_tolerant(problem(), SchedulerOptions(npl=1))
+        assert fresh.makespan == base == 56.41018271295942
 
     def test_reset_empties_the_memo(self):
         non_fault_tolerant_makespan(problem())

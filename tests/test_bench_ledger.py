@@ -19,6 +19,7 @@ SCALED = (
     "run_campaign_compile_reuse",
     "run_campaign_jobs_sweep",
     "run_campaign_backend_scaling",
+    "run_size_grid",
 )
 
 
@@ -56,6 +57,7 @@ def test_smoke_run_fills_missing_sections(ledger):
     assert recorded["symmetry_grid"] == {"kept": True}
     assert recorded["ftbar_kernel_vs_reference"]["full"] is False
     assert recorded["scale"]["ftbar_kernel_vs_reference"] == "smoke"
+    assert "ftbar_size_grid" not in recorded  # recorded at full scale only
 
 
 def test_pytest_bench_does_not_write_the_ledger(ledger, monkeypatch):

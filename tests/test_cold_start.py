@@ -152,3 +152,22 @@ def test_every_public_name_resolves(package):
         module.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         exec(f"from {package} import no_such_name", {})
+
+
+def test_large_problem_schedules_without_numpy():
+    """The kernel's one selection sweep is pure Python at every size."""
+    modules = loaded_modules(
+        "import sys, types\n"
+        "from repro.core.ftbar import schedule_ftbar\n"
+        "from repro.workloads.random_dag import (\n"
+        "    RandomWorkloadConfig, generate_problem,\n"
+        ")\n"
+        "problem = generate_problem(RandomWorkloadConfig(\n"
+        "    operations=400, ccr=1.0, processors=4, npf=1, seed=3,\n"
+        "))\n"
+        "assert len(problem.algorithm) * 4 > 1280\n"
+        "schedule_ftbar(problem)\n"
+        "sys.modules['scheduled'] = types.ModuleType('scheduled')\n"
+    )
+    assert "scheduled" in modules  # the schedule really ran
+    assert "numpy" not in modules

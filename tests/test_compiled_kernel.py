@@ -7,9 +7,9 @@ observer ``StepRecord`` streams.
 
 The corpus spans 32 problems — npf in {0, 1, 2} x npl in {0, 1} x
 ring / star / fully-connected / bus topologies x two seeds — plus the
-scheduler option variants, the scalar (numpy-free) sweep fallback, the
-pinned-memory sweep and the HBP baseline.  The work counters are pinned
-as literals on the kernel alone: ``PINNED_COUNTERS`` holds the
+scheduler option variants, the pinned-memory sweep and the HBP
+baseline.  The work counters are pinned as literals on the kernel
+alone: ``PINNED_COUNTERS`` holds the
 (pressure_evaluations, cache_hits) pairs of the exhaustive sweep
 (``symmetry=False``); with symmetry pruning on (the default) the
 schedules and observer streams stay bit-identical but the counters drop
@@ -27,13 +27,13 @@ import pytest
 from test_engine_equivalence import ftbar_trace, hbp_fingerprint
 
 from repro.baselines.hbp import schedule_hbp
-from repro.core import kernel as kernel_module
+from repro.campaign.jobs import build_problem as build_campaign_problem
+from repro.campaign.spec import WorkloadSpec
 from repro.core.compile import CompiledProblem
 from repro.core.ftbar import FTBARScheduler, schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.hardware.topologies import ring, single_bus, star
 from repro.problem import ProblemSpec
-from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.workloads.paper_example import build_problem
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
@@ -124,39 +124,6 @@ PRUNED_COUNTERS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _vector_sweep_everywhere(monkeypatch):
-    """Drop the scalar/vector size gate for this module.
-
-    The corpus problems sit below ``_VECTOR_MIN_CELLS`` (a pure speed
-    gate — both sweeps are bit-identical), and this module's job is to
-    pin the *vector* machinery (replay pools, batched passes) against
-    the reference engine.  ``test_small_problem_gates_to_scalar_sweep``
-    covers the gate itself.
-    """
-    monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
-
-
-def test_small_problem_gates_to_scalar_sweep(monkeypatch):
-    """Below the size gate the kernel picks the scalar sweep (same bits)."""
-    monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 1280)
-    problem = corpus_case("fc4-npf1-seed21")
-    scheduler = FTBARScheduler(problem, COMPILED)
-    kernel = kernel_module.SchedulingKernel(
-        scheduler._compiled,
-        Schedule(
-            processors=problem.architecture.processor_names(),
-            links=problem.architecture.link_names(),
-            npf=problem.npf,
-        ),
-    )
-    assert not kernel._vector
-    # The gated run stays bit-identical to the vector sweep.
-    gated_trace = ftbar_trace(problem, COMPILED)
-    monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
-    assert ftbar_trace(problem, COMPILED) == gated_trace
-
-
 def _variant(problem: ProblemSpec, architecture, suffix: str) -> ProblemSpec:
     """The same workload on a different interconnect (uniform durations)."""
     reference = problem.architecture.link_names()[0]
@@ -234,30 +201,8 @@ def test_compiled_bit_identical_and_counters_pinned(label):
     assert nosym_result.stats.symmetry_pruned == 0
 
 
-def test_scalar_sweep_matches_vector_sweep(monkeypatch):
-    """The numpy-free fallback produces the same schedules and counters."""
-    problem = corpus_case("fc4-npf1-seed21")
-    # Corpus problems sit below the scalar/vector crossover, so the
-    # vector leg must drop the size gate to actually exercise numpy.
-    monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
-    vector_trace = ftbar_trace(problem, COMPILED)
-    monkeypatch.setattr(kernel_module, "_numpy", lambda: None)
-    scalar_trace = ftbar_trace(problem, COMPILED)
-    assert scalar_trace == vector_trace
-    result = schedule_ftbar(problem, COMPILED)
-    assert (
-        result.stats.pressure_evaluations,
-        result.stats.cache_hits,
-        result.stats.symmetry_pruned,
-    ) == PRUNED_COUNTERS["fc4-npf1-seed21"]
-    nosym = schedule_ftbar(problem, COMPILED_NOSYM)
-    assert (
-        nosym.stats.pressure_evaluations, nosym.stats.cache_hits
-    ) == PINNED_COUNTERS["fc4-npf1-seed21"]
-
-
 def test_pinned_memory_problem_uses_scalar_sweep_bit_identically():
-    """Memory halves (pinned pools) fall back to the scalar sweep."""
+    """Memory halves (per-candidate processor pools) match the oracle."""
     problem = build_problem()
     assert ftbar_trace(problem, COMPILED) == reference_trace(problem)
 
@@ -287,6 +232,32 @@ def test_heterogeneous_problem_bit_identical():
         )
     )
     assert ftbar_trace(problem, COMPILED) == reference_trace(problem)
+
+
+#: (makespan, pressure_evaluations, cache_hits) of heterogeneous npf 1
+#: problems with 1,600 (operation, processor) cells each, sizes the
+#: corpus above does not reach.
+LARGE_PINS = {
+    ("fully_connected", 4, 400): (2217.2578339509196, 1972, 161636),
+    ("ring", 8, 200): (983.2075156968019, 6331, 29741),
+}
+
+
+@pytest.mark.parametrize(
+    "shape", sorted(LARGE_PINS), ids=lambda shape: f"{shape[0]}{shape[1]}"
+)
+def test_large_problem_makespan_and_counters_pinned(shape):
+    topology, processors, operations = shape
+    problem = build_campaign_problem(
+        WorkloadSpec(family="random", size=operations, heterogeneous=True),
+        topology, processors, 1, 1.0, 7,
+    )
+    result = schedule_ftbar(problem, COMPILED)
+    assert (
+        result.makespan,
+        result.stats.pressure_evaluations,
+        result.stats.cache_hits,
+    ) == LARGE_PINS[shape]
 
 
 #: (pair_evaluations, pair_cache_hits, fingerprint) of HBP per seed.

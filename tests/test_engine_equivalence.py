@@ -33,7 +33,6 @@ from repro.analysis.experiments import _bus_variant
 from repro.baselines.hbp import schedule_hbp
 from repro.campaign.jobs import build_problem
 from repro.campaign.spec import WorkloadSpec
-from repro.core import kernel as kernel_module
 from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.workloads.paper_example import build_problem as paper_problem_spec
@@ -295,11 +294,7 @@ class TestKernelVsReference:
         "index,label", list(enumerate(differential_cases())),
         ids=lambda value: str(value),
     )
-    def test_generated(self, index, label, monkeypatch):
-        if index % 2:
-            # Odd cases drop the scalar/vector size gate (a pure speed
-            # gate) so both sweeps meet the reference.
-            monkeypatch.setattr(kernel_module, "_VECTOR_MIN_CELLS", 0)
+    def test_generated(self, index, label):
         options = VARIANTS[label.split("-")[4]]
         assert_kernel_matches_reference(differential_problem(label), options)
 

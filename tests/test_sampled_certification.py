@@ -34,7 +34,6 @@ from repro.analysis.sampling import (
     ConditionalSubsetSampler,
     analytic_fault_bounds,
     derive_rng,
-    hoeffding_interval,
     poisson_binomial,
     wilson_interval,
 )
@@ -116,11 +115,6 @@ class TestIntervals:
         narrow = wilson_interval(50, 100, 0.90)
         wide = wilson_interval(50, 100, 0.999)
         assert wide[0] < narrow[0] and narrow[1] < wide[1]
-
-    def test_hoeffding_shrinks_with_trials(self):
-        small = hoeffding_interval(0.5, 10, 0.95, upper=1.0)
-        large = hoeffding_interval(0.5, 1000, 0.95, upper=1.0)
-        assert large[1] - large[0] < small[1] - small[0]
 
     def test_normal_quantile_matches_known_values(self):
         assert sampling.normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
