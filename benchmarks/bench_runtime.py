@@ -200,7 +200,6 @@ def run_reference_sweep(full: bool = False, repeats: int = 5) -> dict:
                 reference.stats.pressure_evaluations,
             "symmetry_pruned": kernel.stats.symmetry_pruned,
             "cache_hits": kernel.stats.cache_hits,
-            "buffer_reuses": kernel.stats.buffer_reuses,
             "compile_cache_core_hits": (
                 cache_after["core_hits"] - cache_before["core_hits"]
             ),
@@ -733,8 +732,7 @@ def main(argv: list[str]) -> int:
             f"compiled kernel N={n}: {point['speedup']:.2f}x vs reference "
             f"({point['pressure_evaluations']} evaluations, "
             f"{point['symmetry_pruned']} symmetry-pruned, "
-            f"{point['cache_hits']} cache hits, "
-            f"{point['buffer_reuses']} buffer reuses)",
+            f"{point['cache_hits']} cache hits)",
             file=sys.stderr,
         )
     if "--phases" in argv:

@@ -4,19 +4,26 @@ Finding the best fault-tolerant schedule is NP-hard (the paper cites
 Garey & Johnson), which is why FTBAR is a heuristic.  For *tiny*
 problems, however, the replica-assignment space can be enumerated: this
 module tries every way of assigning ``Npf + 1`` processors to every
-operation, builds each schedule with the same placement machinery FTBAR
-uses (operations in canonical topological order, replicas started at
-their earliest date, comms on their cheapest links), and keeps the best.
+operation, builds each schedule through the placement path FTBAR uses
+(:meth:`~repro.core.kernel.SchedulingKernel.place`, without LIP
+duplication: operations in canonical topological order, replicas
+started at their earliest date, comms on their cheapest links), and
+keeps the best.  One kernel serves the whole search: each assignment
+is placed from the kernel's rollback mark and undone afterwards.
 
 The result is a strong reference point for the optimality-gap
-experiment (E10 in DESIGN.md).  Two honest caveats, documented here and
-in the result object:
+experiment (E10 in DESIGN.md).  Three honest caveats, documented here
+and in the result object:
 
 * the canonical operation order is fixed, so this is the optimum over
   *assignments*, not over all static schedules;
 * FTBAR's LIP duplication can add replicas beyond ``Npf + 1``, which
   the enumeration does not, so the heuristic can occasionally *beat*
-  this reference — a negative gap is meaningful, not a bug.
+  this reference — a negative gap is meaningful, not a bug;
+* transfers are planned with single routes (``Npl`` 0) whatever the
+  problem's ``npl``: the search optimises processor crashes only, and
+  a problem with ``npl: 1`` gets the same result as its ``npl: 0``
+  twin.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from repro.core.compile import CompiledProblem
+from repro.core.kernel import SchedulingKernel
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
-from repro.core.placement import PlacementPlanner, commit_plan
 from repro.problem import ProblemSpec
 from repro.schedule.schedule import Schedule
 
@@ -65,12 +73,13 @@ class ExhaustiveScheduler:
         self._algorithm = problem.algorithm
         self._architecture = problem.architecture
         self._npf = problem.npf
-        self._planner = PlacementPlanner(
-            problem.algorithm,
-            problem.architecture,
+        self._compiled = CompiledProblem(
+            self._algorithm,
+            self._architecture,
             problem.exec_times,
             problem.comm_times,
             problem.npf,
+            0,
         )
         self._order = self._algorithm.topological_order()
         self._choices = self._assignment_choices()
@@ -97,50 +106,61 @@ class ExhaustiveScheduler:
         return choices
 
     def run(self) -> ExhaustiveResult:
-        """Enumerate every assignment; return the best schedule found."""
-        best_schedule: Schedule | None = None
+        """Enumerate every assignment; return the best schedule found.
+
+        An assignment is abandoned once the running makespan reaches the
+        best one so far: the makespan only grows as replicas are placed,
+        so the skipped assignments could not have won (the first minimal
+        assignment wins, as without pruning).
+        """
+        kernel = self._kernel()
+        start = kernel.mark()
+        best: tuple[tuple[str, ...], ...] | None = None
         best_makespan = math.inf
         tried = 0
         per_op_choices = [self._choices[op] for op in self._order]
         for assignment in itertools.product(*per_op_choices):
             tried += 1
-            schedule = self._build(dict(zip(self._order, assignment)), best_makespan)
-            if schedule is None:
-                continue
-            makespan = schedule.makespan()
-            if makespan < best_makespan:
-                best_makespan = makespan
-                best_schedule = schedule
-        if best_schedule is None:  # pragma: no cover - defensive
+            if self._place(kernel, assignment, best_makespan):
+                best_makespan = kernel.makespan
+                best = assignment
+            kernel.undo_to(start)
+        if best is None:  # pragma: no cover - defensive
             raise SchedulingError("no feasible assignment found")
+        kernel = self._kernel()
+        self._place(kernel, best, math.inf)
         return ExhaustiveResult(
-            schedule=best_schedule,
+            schedule=kernel.materialize(),
             makespan=best_makespan,
             assignments_tried=tried,
             assignments_total=self._total,
         )
 
-    def _build(
-        self,
-        assignment: dict[str, tuple[str, ...]],
-        prune_above: float,
-    ) -> Schedule | None:
-        """Schedule one assignment; None when pruned by the current best."""
+    def _kernel(self) -> SchedulingKernel:
+        """A fresh kernel over an empty ``-exhaustive`` schedule."""
         schedule = Schedule(
             processors=self._architecture.processor_names(),
             links=self._architecture.link_names(),
             npf=self._npf,
             name=f"{self._problem.name}-exhaustive",
         )
-        for operation in self._order:
-            for processor in assignment[operation]:
-                plan = self._planner.plan(operation, processor, schedule)
-                if plan is None:  # pragma: no cover - choices are pre-filtered
-                    return None
-                event = commit_plan(plan, schedule)
-                if event.end >= prune_above:
-                    return None
-        return schedule
+        return SchedulingKernel(
+            self._compiled, schedule, duplication=False, symmetry=False
+        )
+
+    def _place(
+        self,
+        kernel: SchedulingKernel,
+        assignment: tuple[tuple[str, ...], ...],
+        prune_at: float,
+    ) -> bool:
+        """Place one assignment; False once the makespan reaches ``prune_at``."""
+        for operation, processors in zip(self._order, assignment):
+            for processor in processors:
+                kernel.place(operation, processor)
+                if kernel.makespan >= prune_at:
+                    return False
+        return True
 
 
 def schedule_exhaustive(

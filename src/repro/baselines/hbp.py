@@ -128,8 +128,15 @@ class HBPScheduler:
     def _run_kernel(self, schedule: Schedule, stats: HBPStats) -> None:
         """The group loop over the compiled kernel's pair costs."""
         compiled = self._compiled
-        kernel = SchedulingKernel(compiled, schedule)
+        # No duplication: HBP places exactly the two replicas of the
+        # winning pair, each at its earliest start.  HBP never runs the
+        # selection sweep, so there is nothing for symmetry to prune.
+        kernel = SchedulingKernel(
+            compiled, schedule, duplication=False, symmetry=False
+        )
         op_ids = compiled.op_ids
+        op_names = compiled.op_names
+        proc_names = compiled.proc_names
         n_procs = compiled.n_procs
         pair_span = n_procs * n_procs
         for group in self._height_groups():
@@ -138,7 +145,8 @@ class HBPScheduler:
                 stats.steps += 1
                 task, first, second = self._select(remaining, kernel)
                 kernel.begin_step()
-                kernel.commit_pair(task, first, second)
+                kernel.place(op_names[task], proc_names[first])
+                kernel.place(op_names[task], proc_names[second])
                 kernel.forget_range(
                     task * pair_span, (task + 1) * pair_span
                 )

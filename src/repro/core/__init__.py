@@ -13,10 +13,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "SchedulingKernel",
     ),
     "options": ("SchedulerOptions",),
-    "placement": (
-        "LinkState", "PlacementPlan", "PlacementPlanner", "PlannedComm",
-        "PredecessorFeed", "commit_plan",
-    ),
 })
 
 __all__ = [
@@ -27,14 +23,8 @@ __all__ = [
     "FTBARScheduler",
     "FTBARStats",
     "KernelPlanCache",
-    "LinkState",
-    "PlacementPlan",
-    "PlacementPlanner",
-    "PlannedComm",
-    "PredecessorFeed",
     "SchedulerOptions",
     "SchedulingKernel",
     "StepRecord",
-    "commit_plan",
     "schedule_ftbar",
 ]

@@ -5,8 +5,8 @@ The paper-literal FTBAR loop (the kernel's test oracle,
 dicts:
 ``ExecutionTimes.time_of`` and ``CommunicationTimes.time_of`` hash a
 freshly built tuple per lookup, ``Architecture.links_between`` hashes a
-processor-name pair, and every trial plan allocates a
-:class:`~repro.core.placement.PlacementPlan` object graph.  None of that
+processor-name pair, and every trial plan allocates a plan object
+graph.  None of that
 varies across the thousands of candidate evaluations of one run, so —
 exactly like :mod:`repro.simulation.compiled` does for the batch
 failure simulator — :class:`CompiledProblem` interns every operation,

@@ -82,9 +82,6 @@ class FTBARStats:
     cache_hits: int = 0
     duplication: DuplicationStats = field(default_factory=DuplicationStats)
     wall_time_s: float = 0.0
-    #: Trial plans served by the compiled kernel's reused scratch
-    #: buffers — recorded by ``benchmarks/bench_runtime.py``.
-    buffer_reuses: int = 0
     #: ``(candidate, processor)`` pairs the compiled kernel skipped
     #: because a verified topology automorphism made their σ a
     #: bit-identical copy of an orbit representative's (0 with
@@ -216,7 +213,6 @@ class FTBARScheduler:
         metrics.inc("ftbar.steps", stats.steps)
         metrics.inc("ftbar.pressure_evaluations", stats.pressure_evaluations)
         metrics.inc("ftbar.cache_hits", stats.cache_hits)
-        metrics.inc("ftbar.buffer_reuses", stats.buffer_reuses)
         metrics.inc("ftbar.symmetry_pruned", stats.symmetry_pruned)
         metrics.inc(
             "ftbar.duplication_attempts", stats.duplication.attempts
@@ -290,10 +286,10 @@ class FTBARScheduler:
                 if tracer is not None
                 else obs.NOOP_SPAN
             ):
-                # Macro-step trial batching: the kernel plans the whole
-                # step's Npf + 1 trials in one pass where that is exact
-                # (see SchedulingKernel.place_step).
-                kernel.place_step(operation, processors)
+                # Micro-step Â: each kept processor receives its
+                # replica through Minimize_start_time, in rank order.
+                for processor in processors:
+                    kernel.place(operation, processor)
             ready.mark_scheduled(compiled.op_ids[operation])
             kernel.forget(operation)
             kernel.invalidate_step()
@@ -320,7 +316,6 @@ class FTBARScheduler:
         stats.pressure_evaluations = kernel.evaluations
         stats.cache_hits = kernel.hits
         stats.duplication = kernel.dup_stats
-        stats.buffer_reuses = kernel.buffer_reuses
         stats.symmetry_pruned = kernel.symmetry_pruned
 
 

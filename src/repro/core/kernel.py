@@ -6,19 +6,20 @@ problem on it.  It consumes the dense id tables of
 loop — the per-step ready-set sweep, the per-candidate
 ``(operation, processor)`` trial plan, the append-mode link reservation
 and the pressure/σ computation — as tight passes over preallocated
-lists with reused scratch buffers, instead of the per-pair
-:class:`~repro.core.placement.PlacementPlan` object graphs of the
-paper-literal reference engine (``tests/ftbar_oracle.py``, the test
-oracle).  The HBP baseline's ordered-pair cost search runs on
-the same kernel (:meth:`SchedulingKernel.pair_cost`), keeping the E6
-runtime comparison apples-to-apples.
+lists with reused scratch buffers, instead of the per-pair plan
+object graphs of the paper-literal reference engine
+(``tests/ftbar_oracle.py``, the test oracle).  :meth:`SchedulingKernel.place`
+is the only way a replica is placed: FTBAR, the HBP baseline (whose
+ordered-pair cost search runs on :meth:`SchedulingKernel.pair_cost`,
+keeping the E6 runtime comparison apples-to-apples) and the exhaustive
+E10 baseline all place through it.
 
 Bit-identity contract
 ---------------------
 Every float expression mirrors the reference engine *textually*, not
 just mathematically: the link reservation advances its free pointer by
-re-deriving the duration (``start + (end - start)``, see
-``LinkState.reserve``), the worst-case arrival is the ``(npf + 1)``-th
+re-deriving the duration (``start + (end - start)``, as the
+oracle's link overlay does), the worst-case arrival is the ``(npf + 1)``-th
 of a sorted copy, ties break on ids — which equal name order because
 :class:`CompiledProblem` interns ids in sorted-name order.  The plan
 cache (:class:`KernelPlanCache`) keeps each trial plan until a
@@ -35,13 +36,12 @@ by the goldens and by the randomized corpora of
 which also pin the work counters (``pressure_evaluations`` /
 ``cache_hits``) as literals.
 
-Scratch-buffer reuse
---------------------
+Trial link overlay
+------------------
 Trial link reservations use one pair of flat arrays (``free`` value +
-``stamp`` epoch) for the whole run: bumping the epoch invalidates every
-stale slot in O(1), so a trial plan costs zero allocation for its
-overlay.  ``buffer_reuses`` counts how many trial plans were served by
-the reused buffers (recorded by ``benchmarks/bench_runtime.py``).
+``stamp`` epoch) for the whole run: each trial plan bumps the epoch,
+which invalidates every stale slot in O(1), so a trial plan costs zero
+allocation for its overlay.
 
 Deferred materialization
 ------------------------
@@ -50,7 +50,7 @@ compiled run — resource availabilities, replica sets and the makespan
 live in flat kernel mirrors — so placements are buffered (rollbacks
 inside the duplication procedure just truncate the buffers) and only
 the *surviving* placements are written into the schedule at the end,
-through the exact calls the reference engine's ``commit_plan`` makes.
+through the exact calls the reference engine's commits make.
 """
 
 from __future__ import annotations
@@ -80,15 +80,13 @@ _NO_THRESHOLDS: list = []
 #: One predecessor feed of a kernel plan, as a plain tuple:
 #: ``(pred_id, local_end | None, arrivals | None, firsts | None)``.
 #: Plain tuples keep the trial-plan hot path allocation-light; the
-#: reference engine's :class:`~repro.core.placement.PredecessorFeed`
-#: remains the readable counterpart.
+#: oracle's ``PredecessorFeed`` (``tests/ftbar_oracle.py``) remains the
+#: readable counterpart.
 _FEED_PRED = 0
 _FEED_LOCAL_END = 1
-_FEED_ARRIVALS = 2
-_FEED_FIRSTS = 3
 
-#: One planned hop, as a plain tuple mirroring
-#: :class:`~repro.core.placement.PlannedComm`:
+#: One planned hop, as a plain tuple mirroring the oracle's
+#: ``PlannedComm``:
 #: ``(source, target, source_replica, link, start, end,
 #:    source_processor, target_processor, hop_index, route, link_id)``
 #: — ``link_id`` rides along so the kernel's commit can update its
@@ -119,7 +117,7 @@ class KernelPlan:
     placement API), ``op`` / ``proc`` the dense ids; ``earliest`` /
     ``worst`` are the feed aggregates the reference plan computes lazily;
     ``comms`` is the flat hop-tuple list a commit replays (in the exact
-    order ``commit_plan`` would place them).
+    order the oracle's commit places them).
     """
 
     __slots__ = (
@@ -312,17 +310,6 @@ class SchedulingKernel:
         self._duplication = duplication
         self._P = compiled.n_procs
         self._all_procs = tuple(range(compiled.n_procs))
-        # Macro-step trial batching is exact only when every overlay
-        # advance matches the committed advance: on all-direct
-        # interconnects (every ordered pair has a direct link and
-        # npl == 0) both use the re-derived ``start + (end - start)``.
-        # Multi-hop and npl routes advance the overlay by the previewed
-        # end instead, so those topologies keep the sequential path.
-        P = compiled.n_procs
-        self._batch_ok = compiled.npl == 0 and all(
-            compiled.direct[a * P + b]
-            for a in range(P) for b in range(P) if a != b
-        )
         # Symmetry pruning: the verified automorphisms of the problem
         # (None when there are none), as transposition classes plus the
         # other generators.  A transposition or generator stays usable
@@ -338,7 +325,7 @@ class SchedulingKernel:
         self.symmetry_pruned = 0
         # Resource mirrors.  Every placement of a kernel run flows
         # through :meth:`_commit` (and rollbacks through
-        # :meth:`_undo_to`), so availability, replica presence and
+        # :meth:`undo_to`), so availability, replica presence and
         # replica order are maintained as flat arrays instead of being
         # re-read from the schedule's name-keyed indexes on every trial
         # plan.  The schedule must be empty at kernel construction.
@@ -367,7 +354,6 @@ class SchedulingKernel:
         self._step_mark = 0
         self._step_comm_mark = 0
         self.evaluations = 0
-        self.buffer_reuses = 0
         self.dup_stats = DuplicationStats()
 
     @property
@@ -427,11 +413,11 @@ class SchedulingKernel:
         self._rep_end[key] = end
         self._rep_list[o].append((p, end))
 
-    def _mark(self) -> int:
+    def mark(self) -> int:
         """A rollback point over the placement buffers (LIFO only)."""
         return len(self._op_buffer)
 
-    def _undo_to(self, mark: int) -> None:
+    def undo_to(self, mark: int) -> None:
         """Unwind placements made since ``mark``, newest first."""
         ops = self._op_buffer
         comm_buffer = self._comm_buffer
@@ -493,7 +479,7 @@ class SchedulingKernel:
         return schedule
 
     # ------------------------------------------------------------------
-    # trial planning (the flat counterpart of PlacementPlanner.plan)
+    # trial planning (the flat counterpart of the oracle's planner)
     # ------------------------------------------------------------------
     def _plan(
         self,
@@ -523,8 +509,6 @@ class SchedulingKernel:
         proc_name = c.proc_names[p]
         if not shared_overlay:
             self._epoch += 1
-            if self._epoch > 1:
-                self.buffer_reuses += 1
         epoch = self._epoch
         stamp = self._link_stamp
         free = self._link_free
@@ -631,8 +615,9 @@ class SchedulingKernel:
                                 best_end = end
                                 best_start = start
                                 best_link = link
-                    # Mirror LinkState.reserve: the free pointer advances
-                    # by the re-derived duration, not the previewed end.
+                    # Mirror the oracle's reservation: the free pointer
+                    # advances by the re-derived duration, not the
+                    # previewed end.
                     stamp[best_link] = epoch
                     free[best_link] = best_start + (best_end - best_start)
                     if record_chains:
@@ -1127,7 +1112,14 @@ class SchedulingKernel:
     # placement (macro-step Â — the flat Minimize_start_time)
     # ------------------------------------------------------------------
     def place(self, operation: str, processor: str) -> None:
-        """Place one replica, mirroring the oracle's ``_place``."""
+        """Place one replica, mirroring the oracle's ``_place``.
+
+        The only placement path: FTBAR calls it once per kept processor
+        of a macro-step, HBP once per replica of the winning pair and
+        the exhaustive baseline once per replica of an assignment (the
+        last two build their kernels with ``duplication=False``, so the
+        replica is planned once and committed at ``S_best``).
+        """
         c = self._c
         o = c.op_ids[operation]
         p = c.proc_ids[processor]
@@ -1143,165 +1135,6 @@ class SchedulingKernel:
             self._commit(plan)
             return
         self._minimize(o, p, False)
-
-    def place_step(
-        self, operation: str, processors: "tuple[str, ...]"
-    ) -> None:
-        """Place one macro-step's ``Npf + 1`` replicas in one batch.
-
-        On all-direct interconnects (``_batch_ok``) the trial plans of
-        the whole step are built upfront against ONE shared reservation
-        overlay: each trial's overlay advances equal the committed
-        advances of the trials before it (both are the re-derived
-        ``start + (end - start)``), so every preplan is bit-identical
-        to the fresh plan the sequential path would compute after the
-        preceding commits.  Trials whose cache entry is repairable skip
-        planning entirely: :meth:`_rebuild` replays the recorded
-        reservation chains into a commit-ready plan (same floats — the
-        chains' ready instants and durations are static while the entry
-        lives).  A kept duplication invalidates the remaining preplans
-        (it commits extra replicas mid-step), so the loop falls back to
-        fresh sequential plans the moment a commit is not clean.
-        """
-        c = self._c
-        o = c.op_ids[operation]
-        if o in c.pins or not self._batch_ok:
-            for processor in processors:
-                self.place(operation, processor)
-            return
-        procs = [c.proc_ids[name] for name in processors]
-        entries = self._cache.entries
-        self._epoch += 1
-        if self._epoch > 1:
-            self.buffer_reuses += 1
-        base_key = o * self._P
-        plans: list[KernelPlan | None] = []
-        for index, p in enumerate(procs):
-            if index:
-                self.buffer_reuses += 1
-            entry = entries.get(base_key + p)
-            if (
-                entry is not None and entry[0] is not None
-                and entry[2] is not None
-            ):
-                plans.append(self._rebuild(o, p, entry))
-            else:
-                plans.append(
-                    self._plan(o, p, True, False, shared_overlay=True)
-                )
-        clean = True
-        for index, p in enumerate(procs):
-            plan = plans[index] if clean else self._plan(o, p, True, False)
-            if plan is None:
-                raise SchedulingError(
-                    f"operation {c.op_names[o]!r} cannot be scheduled on "
-                    f"{c.proc_names[p]!r}"
-                )
-            before = len(self._op_buffer)
-            if self._duplication:
-                plan = self._improve_by_duplication(plan)
-            self._commit(plan)
-            if len(self._op_buffer) != before + 1:
-                clean = False
-
-    def _rebuild(self, o: int, p: int, entry: list) -> KernelPlan:
-        """A commit-ready plan replayed from a repairable cache entry.
-
-        The entry's chains record every reservation's static operands
-        (ready instant, duration) in plan order per link; replaying
-        them against the current availabilities — through the shared
-        step overlay, so later trials of the same batch queue behind
-        this one exactly as they would behind its commit — reproduces
-        the floats of a fresh plan at *any* availabilities (the
-        threshold invariant: a repairable plan's structure never
-        depends on link load, only its starts do).  Entry arrays are
-        never mutated: the plan gets fresh feed and arrival lists.
-        """
-        c = self._c
-        epoch = self._epoch
-        stamp = self._link_stamp
-        free = self._link_free
-        base = self._link_avail
-        link_names = c.link_names
-        proc_names = c.proc_names
-        op_names = c.op_names
-        op_name = op_names[o]
-        proc_name = proc_names[p]
-        rep_list = self._rep_list
-        feeds_in = entry[0]
-        # Replay every link's chain; per-link order is plan order and
-        # links are independent, so chain-order replay == plan order.
-        ends: dict[tuple[int, int], tuple[int, float, float]] = {}
-        for link, chain in entry[2].items():
-            current = free[link] if stamp[link] == epoch else base[link]
-            for feed_index, arrival_index, ready, duration in chain:
-                start = ready if ready > current else current
-                end = start + duration
-                current = start + (end - start)
-                ends[(feed_index, arrival_index)] = (link, start, end)
-            stamp[link] = epoch
-            free[link] = current
-        feeds: list[tuple] = []
-        comms: list[tuple] = []
-        feed_worsts: list[float] = []
-        worst = -_INF
-        earliest = -_INF
-        npf = c.npf
-        for feed_index, feed in enumerate(feeds_in):
-            q = feed[_FEED_PRED]
-            local_end = feed[_FEED_LOCAL_END]
-            if local_end is not None:
-                feeds.append((q, local_end, None, None))
-                feed_worsts.append(local_end)
-                if local_end > worst:
-                    worst = local_end
-                if local_end > earliest:
-                    earliest = local_end
-                continue
-            count = len(feed[_FEED_ARRIVALS])
-            q_name = op_names[q]
-            replicas = rep_list[q]
-            arrivals: list[float] = []
-            for arrival_index in range(count):
-                link, start, end = ends[(feed_index, arrival_index)]
-                arrivals.append(end)
-                # Repairable plans are all-direct, so the replica index
-                # equals the arrival index (every remote replica sends).
-                comms.append((
-                    q_name, op_name, arrival_index, link_names[link],
-                    start, end, proc_names[replicas[arrival_index][0]],
-                    proc_name, 0, 0, link,
-                ))
-            if count == 1:
-                feed_worst = arrivals[0]
-            elif npf == 0:
-                feed_worst = min(arrivals)
-            elif npf >= count - 1:
-                feed_worst = max(arrivals)
-            else:
-                feed_worst = sorted(arrivals)[npf]
-            feed_worsts.append(feed_worst)
-            if feed_worst > worst:
-                worst = feed_worst
-            feed_earliest = min(arrivals)
-            if feed_earliest > earliest:
-                earliest = feed_earliest
-            feeds.append((q, None, arrivals, None))
-        plan = KernelPlan()
-        plan.operation = op_name
-        plan.processor = proc_name
-        plan.op = o
-        plan.proc = p
-        plan.duration = entry[6]
-        plan.processor_ready = self._proc_avail[p]
-        plan.feeds = feeds
-        plan.comms = comms
-        plan.earliest = earliest
-        plan.worst = worst
-        plan.feed_worsts = feed_worsts
-        plan.thresholds = _NO_THRESHOLDS
-        plan.chains = None
-        return plan
 
     def _minimize(self, o: int, p: int, duplicated: bool):
         """``Minimize_start_time(o, p)`` on kernel plans (steps Ê–Ñ)."""
@@ -1325,18 +1158,18 @@ class SchedulingKernel:
             if lip is None:
                 return plan
             stats.attempts += 1
-            saved = self._mark()
+            saved = self.mark()
             try:
                 # Step Í: recursively minimise the LIP's start on p.
                 self._minimize(lip, p, True)
             except SchedulingError:
-                self._undo_to(saved)
+                self.undo_to(saved)
                 stats.rolled_back += 1
                 return plan
             new_plan = self._plan(o, p, True, False)
             if new_plan is None or new_plan.s_worst >= best_worst - _EPSILON:
                 # Step Ð: the replication does not pay off — undo it all.
-                self._undo_to(saved)
+                self.undo_to(saved)
                 stats.rolled_back += 1
                 return plan
             # Step Ñ: improvement kept; hunt for the new LIP.
@@ -1449,15 +1282,3 @@ class SchedulingKernel:
         first_end = first_plan.s_best + first_plan.duration
         second_end = second_plan.s_best + second_plan.duration
         return max(first_end, second_end)
-
-    def commit_pair(self, task: int, first: int, second: int) -> None:
-        """Commit an HBP winning pair: both replicas, first then second."""
-        c = self._c
-        for p in (first, second):
-            plan = self._plan(task, p, True, False)
-            if plan is None:  # pragma: no cover - defensive
-                raise SchedulingError(
-                    f"placement of {c.op_names[task]!r} on "
-                    f"{c.proc_names[p]!r} became infeasible"
-                )
-            self._commit(plan)

@@ -127,6 +127,13 @@ def test_schedule_loads_only_the_kernel_engine():
         assert module not in modules, f"schedule imported {module}"
 
 
+def test_object_planner_lives_only_in_the_oracle():
+    """``SchedulingKernel.place`` is the only placement path in ``src/``."""
+    import importlib.util
+
+    assert importlib.util.find_spec("repro.core.placement") is None
+
+
 def test_example_loads_no_experiment_sweep():
     modules = loaded_modules(run_cli("example"))
     assert "repro.analysis.paper_example" in modules  # the command ran

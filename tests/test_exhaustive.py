@@ -4,15 +4,35 @@ import pytest
 
 from repro.analysis.experiments import run_optimality_gap
 from repro.baselines.exhaustive import ExhaustiveScheduler, schedule_exhaustive
+from repro.campaign.jobs import build_problem
+from repro.campaign.spec import WorkloadSpec
 from repro.core.ftbar import schedule_ftbar
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.graphs.builder import diamond, linear_chain
 from repro.graphs.operations import OperationKind
+from repro.schedule.serialization import schedule_to_dict
 from repro.schedule.validation import validate_schedule
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 
+from tests.ftbar_oracle import exhaustive_reference
 from tests.util import uniform_problem
+
+#: ``(seed, best_makespan, assignments_tried)`` of ``run_optimality_gap()``
+#: at its defaults, recorded on the object-planner enumeration (the
+#: search before it ran on the scheduling kernel).
+E10_DEFAULTS = [
+    (2003, 47.467003265410966, 729),
+    (3003, 56.28778151660418, 729),
+    (4003, 41.57731767477641, 729),
+    (5003, 39.91930243027039, 729),
+    (6003, 48.40040038743955, 729),
+    (7003, 56.553639927730195, 729),
+    (8003, 35.82791694906197, 729),
+    (9003, 49.86974860824226, 729),
+    (10003, 61.51938743900617, 729),
+    (11003, 51.29250264239006, 729),
+]
 
 
 class TestExhaustiveScheduler:
@@ -112,3 +132,56 @@ class TestOptimalityGap:
         plain = schedule_ftbar(problem, SchedulerOptions(duplication=False))
         best = schedule_exhaustive(problem)
         assert best.makespan <= plain.makespan + 1e-9
+
+    def test_defaults_pinned(self):
+        points = run_optimality_gap()
+        assert [
+            (p.seed, p.best_makespan, p.assignments) for p in points
+        ] == E10_DEFAULTS
+
+
+def _gen_problem(topology, processors=4, npf=1, npl=0, size=4):
+    return build_problem(
+        WorkloadSpec(family="random", size=size, heterogeneous=True),
+        topology, processors, npf, 1.0, 11, npl=npl,
+    )
+
+
+@pytest.mark.parametrize(
+    "topology,processors,npf",
+    [
+        ("fully_connected", 4, 1),
+        ("single_bus", 4, 1),
+        ("ring", 4, 1),
+        ("star", 4, 1),
+        ("fully_connected", 4, 2),
+    ],
+)
+def test_kernel_exhaustive_matches_object_oracle(topology, processors, npf):
+    """The kernel search equals the enumeration over the object planner.
+
+    Same winning schedule (bit for bit), makespan and number of
+    assignments tried: pruning on the kernel's running makespan skips
+    only assignments that could not have won.
+    """
+    problem = _gen_problem(topology, processors, npf)
+    result = schedule_exhaustive(problem)
+    oracle = exhaustive_reference(problem)
+    assert schedule_to_dict(result.schedule) == schedule_to_dict(oracle.schedule)
+    assert result.makespan == oracle.makespan
+    assert result.assignments_tried == oracle.assignments_tried
+    assert result.assignments_total == oracle.assignments_total
+
+
+def test_exhaustive_plans_single_routes_whatever_npl():
+    """An ``npl: 1`` problem gives the result of its ``npl: 0`` twin."""
+    with_links = _gen_problem("fully_connected", npl=1)
+    assert with_links.npl == 1
+    twin = _gen_problem("fully_connected", npl=0)
+    result = schedule_exhaustive(with_links)
+    baseline = schedule_exhaustive(twin)
+    assert schedule_to_dict(result.schedule) == schedule_to_dict(
+        baseline.schedule
+    )
+    assert result.makespan == baseline.makespan
+    assert result.assignments_tried == baseline.assignments_tried

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.core.kernel import DuplicationStats
-from repro.core.placement import PlacementPlanner
 from repro.exceptions import SchedulingError
 from repro.graphs.algorithm import from_dependencies
 from repro.hardware.topologies import fully_connected
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
-from tests.ftbar_oracle import LoggedSchedule, StartTimeMinimizer
+from tests.ftbar_oracle import (
+    LoggedSchedule,
+    PlacementPlanner,
+    StartTimeMinimizer,
+)
 
 
 def make_minimizer(comm_time: float, exec_time: float = 1.0, npf: int = 0,

@@ -1,8 +1,7 @@
-"""Unit tests for the placement planner (link slots, arrivals, plans)."""
+"""Unit tests for the oracle's object planner (link slots, arrivals, plans)."""
 
 import pytest
 
-from repro.core.placement import LinkState, PlacementPlanner, commit_plan
 from repro.graphs.algorithm import from_dependencies
 from repro.hardware.architecture import Architecture
 from repro.hardware.link import Link
@@ -10,7 +9,12 @@ from repro.hardware.topologies import fully_connected
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
-from tests.ftbar_oracle import critical_feed
+from tests.ftbar_oracle import (
+    LinkState,
+    PlacementPlanner,
+    commit_plan,
+    critical_feed,
+)
 
 
 def planner_setup(npf: int = 1):

@@ -4,13 +4,16 @@ import math
 
 import pytest
 
-from repro.core.placement import PlacementPlanner
 from repro.graphs.algorithm import from_dependencies
 from repro.hardware.topologies import fully_connected
 from repro.schedule.schedule import Schedule
 from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
-from tests.ftbar_oracle import PressureCalculator, ReferenceScheduler
+from tests.ftbar_oracle import (
+    PlacementPlanner,
+    PressureCalculator,
+    ReferenceScheduler,
+)
 
 
 def setup_chain(npf: int = 0):
