@@ -1,17 +1,20 @@
 """Pin the disabled-telemetry overhead of the observability layer.
 
 The obs layer promises an **off-by-default no-op fast path**: with no
-tracer installed, every instrumented site in the scheduler costs one
-``None`` check plus (at the hottest per-step sites) entering and
-exiting the shared :data:`repro.obs.NOOP_SPAN`.  This bench turns that
-promise into a recorded, CI-enforced number:
+tracer installed, every per-run instrumented site in the scheduler
+costs one ``None`` check plus entering and exiting the shared
+:data:`repro.obs.NOOP_SPAN`.  Each macro-step reads the clock three
+times, traced or not: the FTBAR loop adds up its ``kernel.sweep`` and
+``kernel.place`` phase times and hands them to a tracer once per run.
+This bench turns that promise into a recorded, CI-enforced number:
 
-1. time the exact hot-site idiom — ``tracer.span(...) if tracer is not
-   None else obs.NOOP_SPAN`` with ``tracer = None`` — in a tight loop
-   to get the per-site cost;
-2. count the sites one pinned ``repro bench --smoke`` scheduling run
-   executes (two per step — ``kernel.sweep`` and ``kernel.place`` —
-   plus a handful of per-run spans and the ``tracer()`` lookups);
+1. time the per-step idiom — three ``time.perf_counter()`` reads and
+   two additions — and the per-run site idiom — ``tracer.span(...) if
+   tracer is not None else obs.NOOP_SPAN`` with ``tracer = None`` — in
+   tight loops;
+2. count the steps of one pinned ``repro bench --smoke`` scheduling run
+   and its per-run sites (a handful of spans and the ``tracer()``
+   lookups);
 3. compare the projected total against the measured untraced run and
    assert the overhead stays **under 2 %** (with an order of magnitude
    to spare in practice);
@@ -49,10 +52,10 @@ _SMOKE = RandomWorkloadConfig(
 #: Enforced ceiling on the projected no-op overhead of one run.
 OVERHEAD_BOUND = 0.02
 
-#: Instrumented sites beyond the two per-step ones: ``ftbar.run`` /
-#: ``ftbar.compile`` / ``kernel.materialize`` spans, the ``tracer()``
-#: lookups, the post-run metrics publication guard.
-_PER_RUN_SITES = 8
+#: Per-run instrumented sites: ``ftbar.run`` / ``ftbar.compile`` /
+#: ``kernel.materialize`` spans, the ``tracer()`` lookups, the phase
+#: aggregate and post-run metrics publication guards.
+_PER_RUN_SITES = 9
 
 
 def measure_noop_site(iterations: int = 200_000, repeats: int = 5) -> float:
@@ -68,6 +71,24 @@ def measure_noop_site(iterations: int = 200_000, repeats: int = 5) -> float:
             with (tracer.span("kernel.sweep") if tracer is not None else noop):
                 pass
         best = min(best, time.perf_counter() - started)
+    return best / iterations
+
+
+def measure_step_clock(iterations: int = 200_000, repeats: int = 5) -> float:
+    """Best-of per-step cost of the FTBAR loop's phase clock."""
+    clock = time.perf_counter
+    best = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        sweep_s = place_s = 0.0
+        started_loop = time.perf_counter()
+        for _ in range(iterations):
+            started = clock()
+            swept = clock()
+            placed = clock()
+            sweep_s += swept - started
+            place_s += placed - swept
+        best = min(best, time.perf_counter() - started_loop)
     return best / iterations
 
 
@@ -94,9 +115,9 @@ def run_overhead_bench(repeats: int = 5) -> dict:
     problem = generate_problem(_SMOKE)
     reset_compile_cache()
     site_s = measure_noop_site()
+    step_s = measure_step_clock()
     untraced_s, result = measure_run(problem, repeats)
-    sites = result.stats.steps * 2 + _PER_RUN_SITES
-    projected_s = sites * site_s
+    projected_s = result.stats.steps * step_s + _PER_RUN_SITES * site_s
     overhead = projected_s / untraced_s
     exporter = obs.ListExporter()
     traced_s, traced = measure_run(
@@ -105,7 +126,8 @@ def run_overhead_bench(repeats: int = 5) -> dict:
     assert result.makespan == traced.makespan, "tracing changed the schedule"
     payload = {
         "noop_site_ns": round(site_s * 1e9, 2),
-        "sites_per_run": sites,
+        "sites_per_run": _PER_RUN_SITES,
+        "step_clock_ns": round(step_s * 1e9, 2),
         "run_untraced_s": round(untraced_s, 6),
         "noop_overhead_projected": round(overhead, 6),
         "bound": OVERHEAD_BOUND,
@@ -145,7 +167,9 @@ def main(argv: list[str]) -> int:
     section = payload["obs_overhead"]
     print(json.dumps(section, indent=1, sort_keys=True))
     print(
-        f"\nno-op telemetry: {section['noop_site_ns']:.0f} ns/site x "
+        f"\nno-op telemetry: {section['step_clock_ns']:.0f} ns/step x "
+        f"{section['steps']} steps + "
+        f"{section['noop_site_ns']:.0f} ns/site x "
         f"{section['sites_per_run']} sites = "
         f"{section['noop_overhead_projected']:.4%} of a "
         f"{section['run_untraced_s']*1e3:.1f} ms run "

@@ -231,8 +231,8 @@ def run_phase_breakdown() -> dict:
 
     Each problem is scheduled once untraced (warmup + compile-memo
     fill), then once under an in-memory tracer.  The folded span totals
-    — ``ftbar.compile``, per-step ``kernel.sweep`` / ``kernel.place``,
-    the kernel-internal phase aggregates, ``kernel.materialize`` —
+    — ``ftbar.compile``, the ``kernel.sweep`` / ``kernel.place``
+    phase aggregates (count = steps), ``kernel.materialize`` —
     become the ``phase_breakdown`` section of ``BENCH_runtime.json``,
     so perf PRs can point at the phase that moved instead of one
     opaque wall-time number.

@@ -313,17 +313,18 @@ def render_phase_breakdown(section: dict) -> list[str]:
 
 def render_obs_overhead(section: dict) -> list[str]:
     required = (
-        "noop_site_ns", "sites_per_run", "run_untraced_s",
-        "noop_overhead_projected", "bound",
+        "noop_site_ns", "sites_per_run", "step_clock_ns", "steps",
+        "run_untraced_s", "noop_overhead_projected", "bound",
     )
     if not all(key in section for key in required):
         return []
     lines = [
         "### PR 7 — telemetry overhead while disabled",
         "",
-        f"One disabled instrumentation site costs "
-        f"{section['noop_site_ns']:.0f} ns; the "
-        f"{section['sites_per_run']} sites of a smoke scheduling run "
+        f"The per-step phase clock costs {section['step_clock_ns']:.0f} ns "
+        f"and one disabled per-run instrumentation site "
+        f"{section['noop_site_ns']:.0f} ns; the {section['steps']} steps "
+        f"and {section['sites_per_run']} sites of a smoke scheduling run "
         f"project to {section['noop_overhead_projected']:.2%} of its "
         f"{_fmt_ms(section['run_untraced_s'])} wall time — enforced "
         f"below {section['bound']:.0%} by CI's obs-smoke job.",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from repro.analysis.metrics import degraded_lengths, overhead_percent
+from repro.analysis.metrics import overhead_percent
 from repro.baselines.hbp import schedule_hbp
 from repro.baselines.list_scheduler import (
     non_fault_tolerant_makespan,
@@ -65,42 +65,14 @@ class _GraphOverheads:
     hbp_presence: dict[str, float]
 
 
-def _overheads_for_problem(problem: ProblemSpec) -> _GraphOverheads:
-    """Absence and per-crashed-processor presence overheads of one graph.
-
-    *Absence* compares static schedule lengths.  *Presence* follows the
-    paper (section 6.2): simulate the crash of each processor at time 0
-    and measure the degraded schedule length; the sweep then averages
-    each processor's overhead over the graphs and plots the max over the
-    processors.
-    """
-    non_ft = schedule_non_fault_tolerant(problem)
-    non_ft_length = non_ft.makespan
-
-    ftbar = schedule_ftbar(problem)
-    ftbar_crash = degraded_lengths(ftbar.schedule, ftbar.expanded_algorithm)
-    hbp = schedule_hbp(problem)
-    hbp_crash = degraded_lengths(hbp.schedule, problem.algorithm)
-    return _GraphOverheads(
-        ftbar_absence=overhead_percent(ftbar.makespan, non_ft_length),
-        hbp_absence=overhead_percent(hbp.makespan, non_ft_length),
-        ftbar_presence={
-            processor: overhead_percent(length, non_ft_length)
-            for processor, length in ftbar_crash.items()
-        },
-        hbp_presence={
-            processor: overhead_percent(length, non_ft_length)
-            for processor, length in hbp_crash.items()
-        },
-    )
-
-
 def _overheads_from_record(record: dict) -> _GraphOverheads:
     """Map one campaign record onto :class:`_GraphOverheads`.
 
-    The campaign executor measures exactly what
-    :func:`_overheads_for_problem` measures (same scheduler calls, same
-    defaults), so the derived overheads are bit-identical.
+    The campaign executor measures absence and presence overheads with
+    the scheduler defaults: *absence* compares static schedule lengths,
+    *presence* the degraded length after each processor's crash at time
+    0 (section 6.2).  ``tests/experiments_oracle.py`` measures one
+    graph directly; the derived overheads are bit-identical.
     """
     non_ft_length = record["non_ft"]["makespan"]
     return _GraphOverheads(

@@ -43,7 +43,6 @@ from repro.analysis import sampling
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
-from repro.schedule.serialization import schedule_content_hash
 from repro.simulation.batch import MAX_SUBSETS_PER_LEVEL, BatchScenarioEngine
 from repro.simulation.failures import DetectionPolicy
 
@@ -433,14 +432,12 @@ def fault_tolerance_certificate(
         for link_size in range(link_bound + 1)
     )
     bounds: sampling.FaultBounds | None = None
-    content = ""
     involved_procs: tuple[str, ...] = ()
     involved_links: tuple[str, ...] = ()
     proc_cone_rank: tuple[str, ...] = ()
     if needs_sampling:
         with obs.span("certify.bounds"):
             bounds = sampling.analytic_fault_bounds(schedule)
-        content = schedule_content_hash(schedule)
         involved_procs = engine.involved_processors()
         involved_links = engine.involved_links()
         cone = engine.processor_cone_fractions()
@@ -452,6 +449,7 @@ def fault_tolerance_certificate(
     )
     pruned_before = engine.stats.pruned_nominal + engine.stats.memo_hits
     samples_total = 0
+    streams = sampling.RngStreams(schedule, seed)
     with obs.span("certify.sample") if needs_sampling else nullcontext():
         for size in range(bound + 1):
             for link_size in range(link_bound + 1):
@@ -470,9 +468,7 @@ def fault_tolerance_certificate(
                     confidence=confidence,
                     epsilon=epsilon,
                     budget=max(1, budget_left),
-                    rng=sampling.derive_rng(
-                        content, seed, f"level:{size}:{link_size}"
-                    ),
+                    streams=streams,
                     force_sampled=force_sampled,
                 )
                 budget_left = max(0, budget_left - outcome.samples)
@@ -659,7 +655,6 @@ def schedule_reliability(
                     else budget
                 ),
                 seed=seed,
-                content_hash=schedule_content_hash(schedule),
                 npf=schedule.npf,
                 npl=npl,
             )

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import SimulationError
+from repro.schedule.serialization import schedule_content_hash
 
 #: A many-pairs masking oracle: ``oracle(pairs, times)`` answers, for each
 #: ``(processors, links)`` pair in order, whether that crash subset is
@@ -238,6 +239,25 @@ def derive_rng(content_hash: str, seed: int, stream: str) -> random.Random:
     material = f"repro-certify:{content_hash}:{seed}:{stream}"
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+class RngStreams:
+    """The :func:`derive_rng` streams of one schedule and seed.
+
+    The schedule content hash is computed when the first stream is
+    asked for, so a certificate or reliability sum that resolves every
+    level and stratum exactly never hashes the schedule.
+    """
+
+    def __init__(self, schedule, seed: int) -> None:
+        self._schedule = schedule
+        self._seed = seed
+        self._content: str | None = None
+
+    def __call__(self, stream: str) -> random.Random:
+        if self._content is None:
+            self._content = schedule_content_hash(self._schedule)
+        return derive_rng(self._content, self._seed, stream)
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +445,7 @@ def evaluate_level(
     confidence: float,
     epsilon: float,
     budget: int,
-    rng: random.Random,
+    streams: RngStreams,
     force_sampled: bool = False,
 ) -> LevelEstimate:
     """Certify, refute or estimate one level of the certificate.
@@ -576,6 +596,7 @@ def evaluate_level(
         1e-12, (1.0 - confidence) / max(1, len(sampled_cells))
     )
     if sampled_cells:
+        rng = streams(f"level:{size}:{link_size}")
 
         def draw_batch(cell: _Cell, n: int) -> None:
             nonlocal drawn_total
@@ -693,7 +714,6 @@ def sampled_reliability(
     epsilon: float = 0.005,
     budget: int = DEFAULT_RELIABILITY_BUDGET,
     seed: int = 0,
-    content_hash: str = "",
     npf: int = 0,
     npl: int = 0,
 ) -> SampledReliability:
@@ -797,6 +817,7 @@ def sampled_reliability(
 
     sampled_strata: list[_Stratum] = []
     samplers: dict[int, tuple] = {}
+    streams = RngStreams(schedule, seed)
     samples_drawn = 0
     # Exact slabs: full conditional enumeration, collected first and
     # answered in one request; each slab's masses then sum in order.
@@ -832,9 +853,7 @@ def sampled_reliability(
                 ConditionalSubsetSampler(p_odds),
                 ConditionalSubsetSampler(l_odds),
                 kr, jr,
-                derive_rng(
-                    content_hash, seed, f"rel:{stratum.k}:{stratum.j}"
-                ),
+                streams(f"rel:{stratum.k}:{stratum.j}"),
             )
             sampled_strata.append(stratum)
 

@@ -8,8 +8,10 @@ operation, builds each schedule through the placement path FTBAR uses
 (:meth:`~repro.core.kernel.SchedulingKernel.place`, without LIP
 duplication: operations in canonical topological order, replicas
 started at their earliest date, comms on their cheapest links), and
-keeps the best.  One kernel serves the whole search: each assignment
-is placed from the kernel's rollback mark and undone afterwards.
+keeps the best.  One kernel serves the whole search, walked depth
+first: each operation's replicas are placed from a rollback mark and
+undone afterwards, so a prefix shared by many assignments is placed
+once.
 
 The result is a strong reference point for the optimality-gap
 experiment (E10 in DESIGN.md).  Three honest caveats, documented here
@@ -108,31 +110,49 @@ class ExhaustiveScheduler:
     def run(self) -> ExhaustiveResult:
         """Enumerate every assignment; return the best schedule found.
 
-        An assignment is abandoned once the running makespan reaches the
-        best one so far: the makespan only grows as replicas are placed,
-        so the skipped assignments could not have won (the first minimal
-        assignment wins, as without pruning).
+        The assignment tree is walked depth first in
+        ``itertools.product`` order, one operation per depth, so a
+        prefix shared by many assignments is placed once and undone to
+        its rollback mark.  A prefix is abandoned once the running
+        makespan reaches the best one so far: the makespan only grows
+        as replicas are placed, so none of its assignments could win
+        (the first minimal assignment wins, as without pruning).  Every
+        assignment is accounted for, so ``assignments_tried`` is the
+        whole space.
         """
         kernel = self._kernel()
-        start = kernel.mark()
+        choices = [self._choices[op] for op in self._order]
         best: tuple[tuple[str, ...], ...] | None = None
         best_makespan = math.inf
-        tried = 0
-        per_op_choices = [self._choices[op] for op in self._order]
-        for assignment in itertools.product(*per_op_choices):
-            tried += 1
-            if self._place(kernel, assignment, best_makespan):
+        prefix: list[tuple[str, ...]] = []
+
+        def walk(depth: int) -> None:
+            nonlocal best, best_makespan
+            if depth == len(choices):
                 best_makespan = kernel.makespan
-                best = assignment
-            kernel.undo_to(start)
+                best = tuple(prefix)
+                return
+            operation = self._order[depth]
+            for processors in choices[depth]:
+                if kernel.makespan >= best_makespan:
+                    return
+                mark = kernel.mark()
+                if self._place(kernel, operation, processors, best_makespan):
+                    prefix.append(processors)
+                    walk(depth + 1)
+                    prefix.pop()
+                kernel.undo_to(mark)
+
+        walk(0)
         if best is None:  # pragma: no cover - defensive
             raise SchedulingError("no feasible assignment found")
         kernel = self._kernel()
-        self._place(kernel, best, math.inf)
+        for operation, processors in zip(self._order, best):
+            self._place(kernel, operation, processors, math.inf)
         return ExhaustiveResult(
             schedule=kernel.materialize(),
             makespan=best_makespan,
-            assignments_tried=tried,
+            assignments_tried=self._total,
             assignments_total=self._total,
         )
 
@@ -148,18 +168,19 @@ class ExhaustiveScheduler:
             self._compiled, schedule, duplication=False, symmetry=False
         )
 
+    @staticmethod
     def _place(
-        self,
         kernel: SchedulingKernel,
-        assignment: tuple[tuple[str, ...], ...],
+        operation: str,
+        processors: tuple[str, ...],
         prune_at: float,
     ) -> bool:
-        """Place one assignment; False once the makespan reaches ``prune_at``."""
-        for operation, processors in zip(self._order, assignment):
-            for processor in processors:
-                kernel.place(operation, processor)
-                if kernel.makespan >= prune_at:
-                    return False
+        """Place ``operation``'s replicas; False once the makespan reaches
+        ``prune_at``."""
+        for processor in processors:
+            kernel.place(operation, processor)
+            if kernel.makespan >= prune_at:
+                return False
         return True
 
 

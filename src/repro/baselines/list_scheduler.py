@@ -28,18 +28,9 @@ from repro.core.options import SchedulerOptions
 from repro.problem import ProblemSpec
 
 
-def _with_npf_zero(
-    problem: ProblemSpec,
-    options: SchedulerOptions | None,
-    name_suffix: str,
-) -> tuple[ProblemSpec, SchedulerOptions | None]:
-    """The baseline's inputs: ``Npf = 0`` and ``Npl = 0``.
-
-    The problem is rebuilt without its ``npf`` / ``npl``, and an
-    ``options.npl`` override is dropped too, so the baseline does not
-    depend on where the fault-tolerant run's ``npl`` came from.
-    """
-    baseline = ProblemSpec(
+def _with_npf_zero(problem: ProblemSpec, name_suffix: str) -> ProblemSpec:
+    """The baseline's problem: rebuilt with ``Npf = 0`` and ``Npl = 0``."""
+    return ProblemSpec(
         algorithm=problem.algorithm,
         architecture=problem.architecture,
         exec_times=problem.exec_times,
@@ -48,9 +39,6 @@ def _with_npf_zero(
         rtc=problem.rtc,
         name=f"{problem.name}{name_suffix}",
     )
-    if options is not None and options.npl is not None:
-        options = dataclass_replace(options, npl=None)
-    return baseline, options
 
 
 def schedule_non_fault_tolerant(
@@ -63,7 +51,7 @@ def schedule_non_fault_tolerant(
     the fault-tolerant run so the overhead isolates the replication
     cost.
     """
-    return schedule_ftbar(*_with_npf_zero(problem, options, "-nonft"))
+    return schedule_ftbar(_with_npf_zero(problem, "-nonft"), options)
 
 
 def non_fault_tolerant_makespan(
@@ -79,7 +67,7 @@ def non_fault_tolerant_makespan(
     (:func:`repro.core.compile.baseline_makespan`).
     ``reset_compile_cache()`` empties the memo.
     """
-    scheduler = FTBARScheduler(*_with_npf_zero(problem, options, "-nonft"))
+    scheduler = FTBARScheduler(_with_npf_zero(problem, "-nonft"), options)
     return baseline_makespan(
         scheduler.compiled,
         scheduler.options,
@@ -96,8 +84,7 @@ def schedule_basic(
     This is the reference quoted in section 4.4 for the worked example
     (schedule length 10.7 on the authors' run).
     """
-    baseline, options = _with_npf_zero(problem, options, "-basic")
     return schedule_ftbar(
-        baseline,
+        _with_npf_zero(problem, "-basic"),
         dataclass_replace(options or SchedulerOptions(), duplication=False),
     )

@@ -15,6 +15,7 @@ The supported workload families are the repo's structured graphs
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -189,7 +190,7 @@ class CampaignSpec:
     failures: tuple[FailureSpec, ...] = ()
     measures: tuple[str, ...] = ("ftbar", "non_ft")
     mean_execution: float = 10.0
-    options: Mapping[str, bool | int | None] = field(default_factory=dict)
+    options: Mapping[str, bool] = field(default_factory=dict)
     reliability: ReliabilitySpec | None = None
     #: Default execution backend (``repro campaign run --backend``
     #: overrides).  Not part of any job's digest: the same campaign
@@ -221,20 +222,17 @@ class CampaignSpec:
                 raise SerializationError(
                     f"unknown measure {measure!r}; expected one of {MEASURES}"
                 )
-        unknown = set(self.options) - set(_OPTION_FIELDS)
+        unknown = set(self.options) - {
+            option.name for option in dataclasses.fields(SchedulerOptions)
+        }
         if unknown:
             raise SerializationError(f"unknown scheduler options: {sorted(unknown)}")
         for name, value in self.options.items():
-            kind = _OPTION_FIELDS[name]
-            if not _KINDS[kind](value):
+            # Every scheduler option is a boolean switch.
+            if not isinstance(value, bool):
                 raise SerializationError(
                     f"invalid campaign spec: field 'options.{name}' must be "
-                    f"{kind}, got {value!r}"
-                )
-            if name == "npl" and value is not None and value < 0:
-                raise SerializationError(
-                    f"invalid campaign spec: field 'options.npl' must be "
-                    f">= 0, got {value!r}"
+                    f"a boolean, got {value!r}"
                 )
         if "reliability" in self.measures and self.reliability is None:
             object.__setattr__(self, "reliability", ReliabilitySpec())
@@ -336,11 +334,6 @@ _WORKLOAD_FIELDS = {
     "heterogeneous": "a boolean", "max_predecessors": "an integer",
 }
 _FAILURE_FIELDS = {"processors": "a list of integers", "at": "a number"}
-#: One entry per :class:`SchedulerOptions` field.
-_OPTION_FIELDS = {
-    "duplication": "a boolean", "processor_aware_pressure": "a boolean",
-    "npl": "an integer or null", "symmetry": "a boolean",
-}
 _RELIABILITY_FIELDS = {
     "probabilities": "a list of numbers", "crash_times": "a string",
     "boundary_limit": "an integer", "max_failures": "an integer or null",

@@ -268,12 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="worker processes (0 = one per CPU)"
     )
     campaign_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="synonym for --jobs (the backend vocabulary)",
-    )
-    campaign_run.add_argument(
         "--backend",
         choices=["local", "serial", "directory"],
         default=None,
@@ -1158,10 +1152,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             else args.spec.parent / ".schedule-cache"
         )
     backend = args.backend or spec.backend
-    jobs = args.workers if args.workers is not None else args.jobs
     report = run_campaign(
         spec,
-        jobs=jobs,  # 0 = one per available CPU, resolved by the pool
+        jobs=args.jobs,  # 0 = one per available CPU, resolved by the pool
         store=store_path,
         cache=cache_dir,
         resume=args.resume,

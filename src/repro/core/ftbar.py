@@ -141,11 +141,7 @@ class FTBARScheduler:
         self._problem = problem
         self._options = options or SchedulerOptions()
         self._npf = problem.npf
-        self._npl = (
-            self._options.npl if self._options.npl is not None else problem.npl
-        )
-        if self._npl < 0:
-            raise SchedulingError(f"npl must be >= 0, got {self._npl}")
+        self._npl = problem.npl
         self._architecture = problem.architecture
         try:
             algorithm, pairs = problem.algorithm.expand_memories()
@@ -173,12 +169,6 @@ class FTBARScheduler:
         # hash of everything validate() cross-checks, so each distinct
         # problem content is validated exactly once.
         validated_once(self._compiled, problem)
-        if self._npl >= 1 and len(problem.architecture) > 1:
-            # The problem's own npl was checked by validate(); an
-            # options-level override needs the same feasibility gate.
-            problem.architecture.route_planner.require_disjoint_routes(
-                self._npl + 1
-            )
 
     @property
     def compiled(self) -> CompiledProblem:
@@ -267,32 +257,32 @@ class FTBARScheduler:
         # sorted-name candidate order by construction.
         ready = CompiledReadySet(compiled)
         op_names = compiled.op_names
+        # Phase times add up over the run and reach a tracer as one
+        # aggregate per phase; the clock reads cost well under 1 % of a
+        # step, so untraced runs take the same path.
+        clock = time.perf_counter
+        sweep_s = place_s = 0.0
         while True:
             candidate_ids = ready.candidates()
             if not candidate_ids:
                 break
             stats.steps += 1
-            with (
-                tracer.span("kernel.sweep", step=stats.steps)
-                if tracer is not None
-                else obs.NOOP_SPAN
-            ):
-                operation, processors, urgency, pressures = kernel.select_ids(
-                    candidate_ids, observer is not None
-                )
+            started = clock()
+            operation, processors, urgency, pressures = kernel.select_ids(
+                candidate_ids, observer is not None
+            )
             kernel.begin_step()
-            with (
-                tracer.span("kernel.place", step=stats.steps)
-                if tracer is not None
-                else obs.NOOP_SPAN
-            ):
-                # Micro-step Â: each kept processor receives its
-                # replica through Minimize_start_time, in rank order.
-                for processor in processors:
-                    kernel.place(operation, processor)
+            swept = clock()
+            # Micro-step Â: each kept processor receives its replica
+            # through Minimize_start_time, in rank order.
+            for processor in processors:
+                kernel.place(operation, processor)
             ready.mark_scheduled(compiled.op_ids[operation])
             kernel.forget(operation)
             kernel.invalidate_step()
+            placed = clock()
+            sweep_s += swept - started
+            place_s += placed - swept
             if observer is not None:
                 observer(
                     StepRecord(
@@ -305,6 +295,9 @@ class FTBARScheduler:
                         makespan=kernel.makespan,
                     )
                 )
+        if tracer is not None:
+            tracer.aggregate("kernel.sweep", sweep_s, stats.steps)
+            tracer.aggregate("kernel.place", place_s, stats.steps)
         # The kernel buffered its placements; write the survivors into
         # the real schedule now that the run is over.
         with (

@@ -16,7 +16,9 @@ class SchedulerOptions:
 
     No field picks an engine: the compiled kernel
     (:mod:`repro.core.kernel`) runs every problem.  Links are reserved
-    append-only, as in the paper.
+    append-only, as in the paper.  The fault hypothesis (``Npf``,
+    ``Npl``) is part of the problem (:class:`~repro.problem.ProblemSpec`),
+    not an option.
 
     Parameters
     ----------
@@ -33,12 +35,6 @@ class SchedulerOptions:
         numbers exactly (the worked example lands on 15.05 with it); the
         aware variant is an improvement measured by the ablation bench
         (it finds 12.05 on the same example).
-    npl:
-        Override of the problem's link-failure hypothesis ``Npl``
-        (``None`` keeps the problem's own value).  With an effective
-        ``Npl >= 1`` every inter-processor transfer is scheduled over
-        ``Npl + 1`` link-disjoint routes; ``Npl = 0`` is bit-identical
-        to the paper's single-route engine.
     symmetry:
         Prune isomorphic candidate placements in the compiled kernel:
         the architecture's processor/link automorphism group is computed
@@ -56,5 +52,4 @@ class SchedulerOptions:
 
     duplication: bool = True
     processor_aware_pressure: bool = False
-    npl: int | None = None
     symmetry: bool = True

@@ -122,10 +122,13 @@ def render_phase_table(lines: list[dict]) -> str:
 
 
 def render_tree(lines: list[dict], max_depth: int = 4) -> str:
-    """The span tree, siblings of one name collapsed into one row."""
-    spans = [line for line in _spans(lines) if "agg" not in line]
+    """The span tree, siblings of one name collapsed into one row.
+
+    Aggregate spans are listed under their parent, after its timed
+    children, with their summed count and an ``(agg)`` marker.
+    """
     by_parent: dict[int | None, list[dict]] = {}
-    for line in spans:
+    for line in _spans(lines):
         by_parent.setdefault(line.get("parent"), []).append(line)
 
     out: list[str] = []
@@ -137,12 +140,17 @@ def render_tree(lines: list[dict], max_depth: int = 4) -> str:
         for line in by_parent.get(parent, ()):
             groups.setdefault(line["name"], []).append(line)
         ordered = sorted(
-            groups.items(), key=lambda kv: min(s["t0"] for s in kv[1])
+            groups.items(),
+            key=lambda kv: min(s.get("t0", math.inf) for s in kv[1]),
         )
         for name, members in ordered:
             total = sum(line["dur"] for line in members)
-            count = f" x{len(members)}" if len(members) > 1 else ""
-            out.append(f"{'  ' * depth}{name}{count}  {_fmt_s(total).strip()}")
+            hits = sum(line.get("agg", {}).get("count", 1) for line in members)
+            count = f" x{hits}" if hits > 1 else ""
+            marker = " (agg)" if any("agg" in line for line in members) else ""
+            out.append(
+                f"{'  ' * depth}{name}{count}  {_fmt_s(total).strip()}{marker}"
+            )
             if len(members) == 1:
                 emit(members[0]["id"], depth + 1)
 

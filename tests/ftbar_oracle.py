@@ -470,19 +470,13 @@ class ReferenceScheduler:
         self._observer = observer
         self._problem = problem
         self._npf = problem.npf
-        self._npl = options.npl if options.npl is not None else problem.npl
-        if self._npl < 0:
-            raise SchedulingError(f"npl must be >= 0, got {self._npl}")
+        self._npl = problem.npl
         problem.validate()
         self._architecture = problem.architecture
         self._algorithm, pairs = problem.algorithm.expand_memories()
         self._memory_pairs = dict(pairs)
         self._pins = {write: read for read, write in self._memory_pairs.values()}
         exec_times, comm_times = _expand_timing(problem, self._memory_pairs)
-        if self._npl >= 1 and len(problem.architecture) > 1:
-            problem.architecture.route_planner.require_disjoint_routes(
-                self._npl + 1
-            )
         self.planner = PlacementPlanner(
             self._algorithm,
             self._architecture,

@@ -155,17 +155,13 @@ class TestKey:
         ).makespan
 
     def test_effective_npl_keys_the_memo(self):
-        # The baseline runs at npl 0 wherever the fault-tolerant run's
-        # npl comes from: the problem's own npl and an options.npl
-        # override share the plain problem's entry and its value.
+        # The baseline runs at npl 0: a problem with npl 1 shares the
+        # plain problem's entry and its value.
         base = non_fault_tolerant_makespan(problem())
         assert non_fault_tolerant_makespan(problem(npl=1)) == base
-        assert non_fault_tolerant_makespan(
-            problem(), SchedulerOptions(npl=1)
-        ) == base
-        assert memo_counts() == (1, 2)
+        assert memo_counts() == (1, 1)
         reset_compile_cache()
-        fresh = schedule_non_fault_tolerant(problem(), SchedulerOptions(npl=1))
+        fresh = schedule_non_fault_tolerant(problem(npl=1))
         assert fresh.makespan == base == 56.41018271295942
 
     def test_reset_empties_the_memo(self):

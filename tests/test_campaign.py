@@ -10,15 +10,11 @@ The two properties the subsystem promises (and the ISSUE pins):
   cache hits without recomputing anything.
 """
 
-import dataclasses
 import re
 
 import pytest
 
-from repro.analysis.experiments import (
-    _overheads_for_problem,
-    run_overhead_vs_operations,
-)
+from repro.analysis.experiments import run_overhead_vs_operations
 from repro.campaign import (
     CampaignSpec,
     FailureSpec,
@@ -35,15 +31,14 @@ from repro.campaign import (
     run_campaign,
     save_campaign,
 )
-from repro.campaign.spec import _OPTION_FIELDS
 from repro.cli import main
-from repro.core.options import SchedulerOptions
 from repro.exceptions import SerializationError
 from repro.schedule.serialization import (
     problem_content_hash,
     schedule_content_hash,
 )
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
+from tests.experiments_oracle import overheads_for_problem
 
 
 def golden_spec(**overrides) -> CampaignSpec:
@@ -110,17 +105,30 @@ class TestSpec:
         ):
             campaign_from_dict(document)
 
-    def test_option_fields_cover_scheduler_options(self):
-        assert set(_OPTION_FIELDS) == {
-            f.name for f in dataclasses.fields(SchedulerOptions)
-        }
+    @pytest.mark.parametrize(
+        "value",
+        [1, 0, None, "1", True, -1],
+        ids=["one", "zero", "null", "string", "bool", "negative"],
+    )
+    def test_npl_option_rejected(self, value):
+        # Npl is part of the problem (the npls axis), not an option.
+        document = campaign_to_dict(golden_spec())
+        document["options"] = {"npl": value, "symmetry": False}
+        with pytest.raises(
+            SerializationError,
+            match=r"^unknown scheduler options: \['npl'\]$",
+        ):
+            campaign_from_dict(document)
 
     @pytest.mark.parametrize(
         "options,message",
         [
-            ({"npl": "1"}, "'options.npl' must be an integer or null, got '1'"),
-            ({"npl": True}, "'options.npl' must be an integer or null, got True"),
-            ({"npl": -1}, "'options.npl' must be >= 0, got -1"),
+            ({"processor_aware_pressure": 1},
+             "'options.processor_aware_pressure' must be a boolean, got 1"),
+            ({"processor_aware_pressure": None},
+             "'options.processor_aware_pressure' must be a boolean, got None"),
+            ({"symmetry": "yes"},
+             "'options.symmetry' must be a boolean, got 'yes'"),
             ({"duplication": "no"},
              "'options.duplication' must be a boolean, got 'no'"),
             ({"symmetry": 0}, "'options.symmetry' must be a boolean, got 0"),
@@ -131,10 +139,6 @@ class TestSpec:
         document["options"] = options
         with pytest.raises(SerializationError, match=re.escape(message)):
             campaign_from_dict(document)
-
-    def test_option_null_npl_accepted(self):
-        spec = golden_spec(options={"npl": None, "symmetry": False})
-        assert spec.scheduler_options() == SchedulerOptions(symmetry=False)
 
     def test_gauss_size_one_rejected(self):
         # gauss needs a >= 2x2 matrix; clamping would silently collapse
@@ -414,7 +418,7 @@ class TestSweepsThroughCampaign:
             operation_counts=counts, ccr=5.0, graphs_per_point=graphs, seed=seed
         )
         direct = [
-            _overheads_for_problem(
+            overheads_for_problem(
                 generate_problem(
                     RandomWorkloadConfig(
                         operations=8, ccr=5.0, processors=4, npf=1,

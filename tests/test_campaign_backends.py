@@ -505,7 +505,7 @@ class TestBackendCli:
             [
                 "campaign", "run", str(spec_path),
                 "--backend", "directory", "--dir", str(tmp_path / "camp"),
-                "--workers", "2", "--store", str(store),
+                "--jobs", "2", "--store", str(store),
                 "--no-cache", "--quiet",
             ]
         ) == 0

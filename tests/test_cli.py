@@ -390,6 +390,7 @@ _BAD_SPECS = {
         "reliability": {"method": "exact"},
     },
     "option-npl-string": {**_SPEC, "options": {"npl": "1"}},
+    "option-npl": {**_SPEC, "options": {"npl": 1}},
     "option-bool-string": {**_SPEC, "options": {"duplication": "no"}},
     "removed-option": {**_SPEC, "options": {"link_insertion": True}},
 }
@@ -478,9 +479,9 @@ class TestMalformedCampaignInput:
             ("confidence-string", "'reliability.confidence' must be a number"),
             ("missing-section", "missing the required field 'workloads'"),
             ("exact-method", "expected one of ('auto', 'sampled')"),
-            ("option-npl-string", "'options.npl' must be an integer or null"),
             ("option-bool-string", "'options.duplication' must be a boolean"),
             ("removed-option", "unknown scheduler options: ['link_insertion']"),
+            ("option-npl", "unknown scheduler options: ['npl']"),
         ],
     )
     def test_spec_errors_name_the_field(
@@ -489,6 +490,25 @@ class TestMalformedCampaignInput:
         spec = _bad_document(tmp_path, case, "spec.json", _BAD_SPECS[case])
         assert main(["campaign", "report", str(spec)]) == 1
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["campaign-run", "campaign-report"])
+    def test_npl_option_is_one_error_line(self, tmp_path, capsys, command):
+        # Npl belongs to the problem (the npls axis); a spec that still
+        # names it as a scheduler option fails before any job runs or
+        # any cached record is read.
+        spec = _bad_document(
+            tmp_path, "option-npl", "spec.json", _BAD_SPECS["option-npl"]
+        )
+        argv = [
+            arg.format(spec=spec, dir=tmp_path / "campaign")
+            for arg in _CAMPAIGN_COMMANDS[command]
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: unknown scheduler options: ['npl']"
+        ]
+        assert "Traceback" not in captured.out
 
     def test_top_level_list_error_names_the_type(self, tmp_path, capsys):
         spec = _bad_document(tmp_path, "top-level-list", "spec.json", None)

@@ -7,6 +7,7 @@ from repro.baselines.exhaustive import ExhaustiveScheduler, schedule_exhaustive
 from repro.campaign.jobs import build_problem
 from repro.campaign.spec import WorkloadSpec
 from repro.core.ftbar import schedule_ftbar
+from repro.core.kernel import SchedulingKernel
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.graphs.builder import diamond, linear_chain
@@ -138,6 +139,26 @@ class TestOptimalityGap:
         assert [
             (p.seed, p.best_makespan, p.assignments) for p in points
         ] == E10_DEFAULTS
+
+    def test_shared_prefixes_are_placed_once(self, monkeypatch):
+        # 6 operations x 3 pairs: the prefix walk places at most
+        # 2 * (3 + 9 + ... + 729) = 2,184 replicas, plus 12 to replay
+        # the winner; re-placing every assignment would need 8,748.
+        calls = []
+        place = SchedulingKernel.place
+
+        def counting(kernel, operation, processor):
+            calls.append(operation)
+            return place(kernel, operation, processor)
+
+        monkeypatch.setattr(SchedulingKernel, "place", counting)
+        problem = generate_problem(
+            RandomWorkloadConfig(operations=6, ccr=1.0, processors=3,
+                                 npf=1, seed=2003)
+        )
+        result = schedule_exhaustive(problem)
+        assert result.exhaustive
+        assert len(calls) <= 2 * sum(3 ** d for d in range(1, 7)) + 12
 
 
 def _gen_problem(topology, processors=4, npf=1, npl=0, size=4):

@@ -173,11 +173,9 @@ class TestNplScheduling:
             assert set(by_route) == {0, 1}, f"{key} missing a route copy"
             assert not (by_route[0] & by_route[1]), f"{key} routes share a link"
 
-    def test_options_override_enables_replication(self):
-        problem = _uniform(fork_join(3), fully_connected(4), npf=1, npl=0)
-        result = schedule_ftbar(
-            problem, SchedulerOptions(duplication=False, npl=1)
-        )
+    def test_problem_npl_replicates_without_duplication(self):
+        problem = _uniform(fork_join(3), fully_connected(4), npf=1, npl=1)
+        result = schedule_ftbar(problem, SchedulerOptions(duplication=False))
         assert result.schedule.npl == 1
         assert any(c.route == 1 for c in result.schedule.all_comms())
 

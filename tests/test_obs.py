@@ -28,7 +28,7 @@ from repro.campaign import (
     expand_jobs,
     run_campaign,
 )
-from repro.campaign.jobs import execute_job
+from repro.campaign.jobs import execute_job, job_problem
 from repro.cli import main
 from repro.core.compile import reset_compile_cache
 from repro.core.ftbar import schedule_ftbar
@@ -352,6 +352,17 @@ class TestCampaignTelemetry:
         assert {"job.run", "job.build_problem", "job.schedule"} <= span_names
         # The job document stays strict JSON (cache/store requirement).
         json.dumps(document)
+
+    def test_job_spans_fold_kernel_phases_per_step(self):
+        # One aggregate per phase and run, counted in macro-steps: an
+        # FTBAR run places one operation per step.
+        job = expand_jobs(tiny_spec())[0]
+        telemetry = execute_job(job)["timing"]["obs"]
+        spans = {entry["name"]: entry for entry in telemetry["spans"]}
+        steps = len(job_problem(job).algorithm)
+        for phase in ("kernel.sweep", "kernel.place"):
+            assert spans[phase]["count"] == steps
+            assert spans[phase]["total_s"] > 0.0
 
     def test_job_document_has_no_events_key_when_clean(self):
         document = execute_job(expand_jobs(tiny_spec())[0])

@@ -421,3 +421,43 @@ class TestDeterminism:
         assert document["samples"] == certificate.samples
         assert "ci" in document
         assert any("ci" in level for level in document["levels"])
+
+
+class TestLazyContentHash:
+    """The schedule is hashed only when a stream draws a sample."""
+
+    def test_exactly_resolved_p16_requests_never_hash(self, monkeypatch):
+        def refuse(schedule):
+            raise AssertionError("hashed a schedule no sample needed")
+
+        monkeypatch.setattr(sampling, "schedule_content_hash", refuse)
+        # C(16, 5) = 4368 subsets put level 5 past the cap: the
+        # certificate takes the sampling path and resolves it by
+        # projection; P = 16 > 12 sends the reliability sum there too.
+        schedule, algorithm = _wide_schedule(16, npf=4)
+        certificate = fault_tolerance_certificate(schedule, algorithm)
+        assert certificate.verdict == "certified"
+        assert certificate.levels[-1].method == "projected"
+        assert certificate.samples == 0
+        report = schedule_reliability(
+            schedule, algorithm,
+            {p: 0.01 for p in schedule.processor_names()},
+        )
+        assert report.method == "sampled"
+        assert report.samples == 0
+
+    def test_drawing_hashes_the_schedule_once(self, monkeypatch):
+        calls = []
+        real = sampling.schedule_content_hash
+
+        def spy(schedule):
+            calls.append(schedule)
+            return real(schedule)
+
+        monkeypatch.setattr(sampling, "schedule_content_hash", spy)
+        schedule, algorithm = _schedule(6, npf=1)
+        certificate = fault_tolerance_certificate(
+            schedule, algorithm, method="sampled", seed=5
+        )
+        assert certificate.samples > 0
+        assert calls == [schedule]
