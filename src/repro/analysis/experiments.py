@@ -364,7 +364,7 @@ def run_optimality_gap(
                 operations=operations,
                 ftbar_makespan=ftbar.makespan,
                 best_makespan=best.makespan,
-                assignments=best.assignments_tried,
+                assignments=best.assignments_total,
             )
         )
     return points

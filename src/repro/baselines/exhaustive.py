@@ -43,17 +43,16 @@ from repro.schedule.schedule import Schedule
 
 @dataclass
 class ExhaustiveResult:
-    """Best assignment found by the enumeration."""
+    """Best assignment found by the enumeration.
+
+    ``assignments_total`` is the size of the assignment space; the
+    search always covers all of it (a space over the bound is refused
+    up front), so no partial optimum is ever returned.
+    """
 
     schedule: Schedule
     makespan: float
-    assignments_tried: int
     assignments_total: int
-
-    @property
-    def exhaustive(self) -> bool:
-        """True when the whole assignment space was enumerated."""
-        return self.assignments_tried == self.assignments_total
 
 
 class ExhaustiveScheduler:
@@ -116,9 +115,7 @@ class ExhaustiveScheduler:
         its rollback mark.  A prefix is abandoned once the running
         makespan reaches the best one so far: the makespan only grows
         as replicas are placed, so none of its assignments could win
-        (the first minimal assignment wins, as without pruning).  Every
-        assignment is accounted for, so ``assignments_tried`` is the
-        whole space.
+        (the first minimal assignment wins, as without pruning).
         """
         kernel = self._kernel()
         choices = [self._choices[op] for op in self._order]
@@ -152,7 +149,6 @@ class ExhaustiveScheduler:
         return ExhaustiveResult(
             schedule=kernel.materialize(),
             makespan=best_makespan,
-            assignments_tried=self._total,
             assignments_total=self._total,
         )
 

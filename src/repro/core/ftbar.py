@@ -296,8 +296,12 @@ class FTBARScheduler:
                     )
                 )
         if tracer is not None:
-            tracer.aggregate("kernel.sweep", sweep_s, stats.steps)
-            tracer.aggregate("kernel.place", place_s, stats.steps)
+            tracer.aggregate(
+                "kernel.sweep", sweep_s, stats.steps, disjoint=True
+            )
+            tracer.aggregate(
+                "kernel.place", place_s, stats.steps, disjoint=True
+            )
         # The kernel buffered its placements; write the survivors into
         # the real schedule now that the run is over.
         with (

@@ -45,16 +45,23 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.obs.export import JsonlExporter, ListExporter, read_trace
+from repro._lazy import lazy_exports
 from repro.obs.metrics import MetricsRegistry, registry as metrics
-from repro.obs.schema import (
+from repro.obs.spans import (
+    NOOP_SPAN,
     SCHEMA_NAME,
     SCHEMA_VERSION,
-    TRACE_LINE_SCHEMA,
-    validate_line,
-    validate_trace,
+    NoopSpan,
+    Span,
+    Tracer,
 )
-from repro.obs.spans import NOOP_SPAN, NoopSpan, Span, Tracer
+
+# The trace file writer/reader and the schema validator load on first
+# use: an untraced command never runs a line of either.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "export": ("JsonlExporter", "ListExporter", "read_trace"),
+    "schema": ("TRACE_LINE_SCHEMA", "validate_line", "validate_trace"),
+})
 
 __all__ = [
     "JsonlExporter",
@@ -132,10 +139,11 @@ def enable(target=None, *, meta: dict | None = None) -> Tracer:
         disable()
     if target is None:
         target = default_trace_path()
-    exporter = (
-        JsonlExporter(target) if isinstance(target, (str, Path)) else target
-    )
-    _TRACER = Tracer(exporter, meta=meta, header=startup)
+    if isinstance(target, (str, Path)):
+        from repro.obs.export import JsonlExporter
+
+        target = JsonlExporter(target)
+    _TRACER = Tracer(target, meta=meta, header=startup)
     return _TRACER
 
 

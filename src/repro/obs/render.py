@@ -63,15 +63,19 @@ def phase_table(lines: list[dict]) -> list[dict]:
 
     Returns rows ``{"name", "count", "total_s", "self_s", "agg"}``
     sorted by total duration descending.  ``self_s`` is the total
-    minus the time of real (non-aggregate) children — aggregate spans
-    double-book time already inside their parents by design, so they
-    are excluded from the subtraction and flagged.
+    minus the time of its children: the real spans and the *disjoint*
+    aggregates (``agg.disjoint``, e.g. the kernel phases inside
+    ``ftbar.run``).  Other aggregates (a campaign's re-emitted job
+    summaries) nest among themselves, so subtracting them would count
+    time twice; they stay out of the subtraction.  Aggregate rows are
+    flagged.
     """
     spans = _spans(lines)
     child_time: dict[int, float] = {}
     for line in spans:
         parent = line.get("parent")
-        if parent is not None and "agg" not in line:
+        agg = line.get("agg")
+        if parent is not None and (agg is None or agg.get("disjoint")):
             child_time[parent] = child_time.get(parent, 0.0) + line["dur"]
     rows: dict[str, dict] = {}
     for line in spans:

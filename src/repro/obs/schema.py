@@ -35,8 +35,7 @@ fail (append-only evolution, like the campaign store).
 
 from __future__ import annotations
 
-SCHEMA_NAME = "repro-trace"
-SCHEMA_VERSION = 1
+from repro.obs.spans import SCHEMA_NAME, SCHEMA_VERSION
 
 _ATTRS = {"type": "object"}
 
@@ -76,7 +75,8 @@ TRACE_LINE_SCHEMA: dict = {
                     "type": "object",
                     "required": ["count"],
                     "properties": {
-                        "count": {"type": "integer", "minimum": 0}
+                        "count": {"type": "integer", "minimum": 0},
+                        "disjoint": {"type": "boolean"},
                     },
                     "additionalProperties": False,
                 },

@@ -36,7 +36,9 @@ import os
 import threading
 import time
 
-from repro.obs.schema import SCHEMA_NAME, SCHEMA_VERSION
+#: Name and version of the trace line format (:mod:`repro.obs.schema`).
+SCHEMA_NAME = "repro-trace"
+SCHEMA_VERSION = 1
 
 
 class NoopSpan:
@@ -185,24 +187,35 @@ class Tracer:
         total_s: float,
         count: int,
         parent: int | None = None,
+        *,
+        disjoint: bool = False,
         **attrs,
     ) -> None:
         """Record an *aggregate* span: summed duration over ``count`` hits.
 
-        Used for phases summarized elsewhere (a campaign worker's
-        per-phase job totals); the renderer folds aggregates into the
-        per-phase table but excludes them from tree coverage, since
-        their time is already inside their parent span.
+        Used for phases timed in a loop (the kernel's sweep and place
+        phases inside ``ftbar.run``) and for phases summarized
+        elsewhere (a campaign worker's per-phase job totals); the
+        renderer folds aggregates into the per-phase table but excludes
+        them from tree coverage, since their time is already inside
+        their parent span.  ``disjoint=True`` (written as
+        ``agg.disjoint``) says the aggregate's time is a part of its
+        parent's that no sibling also counts, so the phase table
+        subtracts it from the parent's self time; re-emitted job
+        summaries nest among themselves and leave it unset.
         """
         if parent is None:
             parent = self.current_id()
+        agg: dict = {"count": count}
+        if disjoint:
+            agg["disjoint"] = True
         line = {
             "type": "span",
             "v": SCHEMA_VERSION,
             "name": name,
             "id": next(self._ids),
             "dur": total_s,
-            "agg": {"count": count},
+            "agg": agg,
         }
         if parent is not None:
             line["parent"] = parent

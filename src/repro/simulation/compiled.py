@@ -57,31 +57,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
 from repro.simulation.failures import DetectionPolicy, FailureScenario
-from repro.simulation.trace import (
-    EventStatus,
-    ExecutionTrace,
-    SimulatedComm,
-    SimulatedOperation,
-)
 
-#: Integer statuses of the array engine (index into ``_STATUS_VALUES``).
+if TYPE_CHECKING:
+    from repro.simulation.trace import ExecutionTrace
+
+#: Integer statuses of the array engine (index into the
+#: :class:`~repro.simulation.trace.EventStatus` members, in order).
 UNDECIDED = -1
 COMPLETED = 0
 LOST = 1
 SKIPPED = 2
 STARVED = 3
-
-_STATUS_VALUES = (
-    EventStatus.COMPLETED,
-    EventStatus.LOST,
-    EventStatus.SKIPPED,
-    EventStatus.STARVED,
-)
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +236,14 @@ class CompiledTrace:
                 "a verdict-mode replay is truncated; rerun without "
                 "verdict_only to obtain a full trace"
             )
+        from repro.simulation.trace import (
+            EventStatus,
+            ExecutionTrace,
+            SimulatedComm,
+            SimulatedOperation,
+        )
+
+        statuses = tuple(EventStatus)
         operations = []
         for op in compiled.ops_trace_order:
             event = compiled.op_events[op]
@@ -252,7 +252,7 @@ class CompiledTrace:
                     event.operation,
                     event.replica,
                     event.processor,
-                    _STATUS_VALUES[self.op_status[op]],
+                    statuses[self.op_status[op]],
                     start=self.op_start[op],
                     end=self.op_end[op],
                 )
@@ -271,7 +271,7 @@ class CompiledTrace:
                     target_processor=event.target_processor,
                     hop_index=event.hop_index,
                     route=event.route,
-                    status=_STATUS_VALUES[self.comm_status[comm]],
+                    status=statuses[self.comm_status[comm]],
                     start=self.comm_start[comm],
                     end=self.comm_end[comm],
                     delivered=self.comm_delivered[comm],

@@ -1084,9 +1084,7 @@ def exhaustive_reference(
         )
     best_schedule: Schedule | None = None
     best_makespan = math.inf
-    tried = 0
     for assignment in itertools.product(*choices):
-        tried += 1
         schedule = Schedule(
             processors=architecture.processor_names(),
             links=architecture.link_names(),
@@ -1113,6 +1111,5 @@ def exhaustive_reference(
     return ExhaustiveResult(
         schedule=best_schedule,
         makespan=best_makespan,
-        assignments_tried=tried,
         assignments_total=total,
     )

@@ -139,10 +139,10 @@ class TestSimulate:
         assert "outputs delivered at" in capsys.readouterr().out
 
     def test_detection_choices_match_the_policy_enum(self):
-        from repro.cli import _DETECTION_CHOICES
+        from repro.cli.common import DETECTION_CHOICES
         from repro.simulation import DetectionPolicy
 
-        assert _DETECTION_CHOICES == tuple(p.value for p in DetectionPolicy)
+        assert DETECTION_CHOICES == tuple(p.value for p in DetectionPolicy)
 
 
 class TestIterate:
@@ -554,14 +554,14 @@ class TestBench:
         assert "pair_evaluations" in output
 
     def test_bench_smoke_detects_counter_drift(self, capsys, monkeypatch):
-        from repro import cli as cli_module
+        from repro.cli import bench
 
         drifted = {
             label: dict(pins)
-            for label, pins in cli_module._PERF_SMOKE_PINS.items()
+            for label, pins in bench._PERF_SMOKE_PINS.items()
         }
         drifted["ftbar-N40-npf1"]["pressure_evaluations"] += 1
-        monkeypatch.setattr(cli_module, "_PERF_SMOKE_PINS", drifted)
+        monkeypatch.setattr(bench, "_PERF_SMOKE_PINS", drifted)
         assert main(["bench", "--smoke"]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 

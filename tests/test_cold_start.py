@@ -9,6 +9,7 @@ budget: no networkx or numpy in the common commands, and no subsystem
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import os
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import cli
 
 SRC = Path(repro.__file__).resolve().parent.parent
 EXAMPLES = SRC.parent / "examples"
@@ -72,6 +74,97 @@ def test_import_cli_loads_no_heavy_module():
     modules = loaded_modules("import repro.cli")
     for heavy in ("networkx", "numpy", "repro.campaign", "repro.analysis"):
         assert heavy not in modules
+
+
+def test_import_cli_loads_only_the_registry():
+    """``import repro.cli`` compiles the command registry and nothing
+    else: no command module, no telemetry package."""
+    modules = loaded_modules("import repro.cli")
+    assert {m for m in modules if m.startswith("repro")} == {
+        "repro", "repro._lazy", "repro.cli", "repro.exceptions",
+    }
+
+
+#: The ``repro.cli`` modules, by the commands they implement.
+_CLI_MODULES = {module for _, _, module in cli.COMMANDS}
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (("example",), "example"),
+        (("schedule", str(EXAMPLES / "problem_fc4_npf1_npl1.json")),
+         "schedule"),
+        (("certify", str(EXAMPLES / "problem_fc4_npf1_npl1.json"),
+          "--probability", "0.01"), "certify"),
+    ],
+    ids=["example", "schedule", "certify"],
+)
+def test_untraced_command_loads_no_trace_io_and_no_other_command(argv, own):
+    modules = loaded_modules(run_cli(*argv))
+    assert "repro.core.ftbar" in modules  # the command really ran
+    assert f"repro.cli.{own}" in modules
+    for module in ("repro.obs.export", "repro.obs.schema", *(
+        f"repro.cli.{other}" for other in _CLI_MODULES - {own}
+    )):
+        assert module not in modules, f"{argv[0]} imported {module}"
+
+
+def test_certify_builds_no_execution_trace():
+    """The batch engine answers verdicts without the object-level
+    :class:`~repro.simulation.trace.ExecutionTrace`."""
+    modules = loaded_modules(
+        run_cli("certify", str(EXAMPLES / "problem_fc4_npf1_npl1.json"))
+    )
+    assert "repro.simulation.batch" in modules  # the command really ran
+    assert "repro.simulation.trace" not in modules
+
+
+#: ``--help`` texts captured before the parser was split per command.
+#: argparse's layout may differ between Python versions, so the texts
+#: are compared on the version they were captured on.
+HELP = json.loads((Path(__file__).with_name("cli_help_texts.json")).read_text())
+
+
+def _help_text(argv: list[str], capsys) -> str:
+    with pytest.raises(SystemExit) as stop:
+        cli.main([*argv, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def _module_help(command: str) -> str:
+    """The help text of ``command`` on a parser of its module's own."""
+    name, *nested = command.split()
+    parser = argparse.ArgumentParser(prog=f"ftbar {name}")
+    cli._command_module(name).add_arguments(parser, name)
+    for word in nested:
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parser = commands.choices[word]
+    return parser.format_help()
+
+
+@pytest.mark.parametrize("command", list(HELP["texts"]))
+def test_help_text_unchanged(command, capsys, monkeypatch):
+    """Each help text is the one the single whole parser printed, so no
+    command lost an argument to the per-command parser."""
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    text = _help_text(command.split(), capsys)
+    if command:  # on any version: ``main`` added all the module adds
+        assert text == _module_help(command)
+    if f"{sys.version_info[0]}.{sys.version_info[1]}" == HELP["python"]:
+        assert text == HELP["texts"][command]
+
+
+def test_every_command_has_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    top = " ".join(_help_text([], capsys).split())
+    for name, summary, _ in cli.COMMANDS:
+        assert f"{name} {summary}" in top
+        assert _help_text([name], capsys).startswith(f"usage: ftbar {name}")
 
 
 #: What a replay-only command (``simulate``, ``iterate``) must not load:

@@ -489,6 +489,66 @@ class TestCli:
         assert main(["stats", str(old_path)]) == 0
         assert "ftbar.steps" in capsys.readouterr().out
 
+    def test_phase_table_subtracts_kernel_phases(self, tmp_path):
+        """``ftbar.run``'s self time excludes its in-process aggregates:
+        self = total - materialize - sweep - place."""
+        problem_path = tmp_path / "problem.json"
+        main(["generate", str(problem_path), "--operations", "30"])
+        trace_path = tmp_path / "trace.jsonl"
+        main(["schedule", str(problem_path), "--trace", str(trace_path)])
+        lines = obs.read_trace(trace_path)
+        run = next(
+            line for line in lines
+            if line.get("type") == "span" and line["name"] == "ftbar.run"
+        )
+        children = {
+            line["name"]: line for line in lines
+            if line.get("type") == "span" and line.get("parent") == run["id"]
+        }
+        assert set(children) == {
+            "kernel.materialize", "kernel.sweep", "kernel.place",
+        }
+        assert children["kernel.sweep"]["agg"] == {
+            "count": 30, "disjoint": True,
+        }
+        rows = {row["name"]: row for row in render.phase_table(lines)}
+        expected = run["dur"] - sum(line["dur"] for line in children.values())
+        assert rows["ftbar.run"]["self_s"] == pytest.approx(expected)
+        assert rows["ftbar.run"]["self_s"] < run["dur"] - (
+            children["kernel.materialize"]["dur"]
+        )
+
+    def test_phase_table_keeps_nested_job_aggregates(self):
+        """A campaign's re-emitted job summaries nest among themselves
+        (``job.run`` contains ``job.schedule``), so they are not
+        subtracted from the span they were re-emitted under."""
+        exporter = obs.ListExporter()
+        tracer = obs.Tracer(exporter)
+        with tracer.span("campaign.run"):
+            tracer.aggregate("job.run", 0.5, 1, job="abc")
+            tracer.aggregate("job.schedule", 0.4, 1, job="abc")
+        assert obs.validate_trace(exporter.lines) == []
+        rows = {row["name"]: row for row in render.phase_table(exporter.lines)}
+        campaign = rows["campaign.run"]
+        assert campaign["self_s"] == campaign["total_s"]
+        assert rows["job.run"]["agg"] and rows["job.run"]["self_s"] == 0.5
+
+    def test_schedule_and_certify_span_load_and_emit(self, tmp_path):
+        problem_path = tmp_path / "problem.json"
+        main(["generate", str(problem_path), "--operations", "12"])
+        for command in ("schedule", "certify"):
+            trace_path = tmp_path / f"{command}.jsonl"
+            main([command, str(problem_path), "--trace", str(trace_path)])
+            lines = obs.read_trace(trace_path)
+            assert obs.validate_trace(lines) == []
+            spans = [line for line in lines if line.get("type") == "span"]
+            root = next(s for s in spans if s["name"] == f"cli.{command}")
+            children = [s["name"] for s in spans if s.get("parent") == root["id"]]
+            for phase in ("cli.import", "cli.load", "cli.emit"):
+                assert children.count(phase) == 1, (command, children)
+            assert children[0] == "cli.import"
+            assert children[-1] == "cli.emit"
+
     def test_trace_command_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "span", "v": 1, "name": "x", "id": 1, '
