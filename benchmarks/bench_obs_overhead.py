@@ -22,11 +22,12 @@ This bench turns that promise into a recorded, CI-enforced number:
    against an in-memory exporter (recorded, not asserted — enabling
    tracing is allowed to cost more than the no-op path).
 
-Results merge into ``BENCH_runtime.json`` under ``obs_overhead``; CI's
-``obs-smoke`` job runs this module on every push, so a future span
-added inside a hot loop that breaks the bound fails loudly::
+CI's ``obs-smoke`` job runs this module on every push, so a future
+span added inside a hot loop that breaks the bound fails loudly.  A
+plain run checks the bound and prints; ``--record`` also merges the
+results into ``BENCH_runtime.json`` under ``obs_overhead``::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py [--record]
 """
 
 from __future__ import annotations
@@ -157,14 +158,16 @@ def main(argv: list[str]) -> int:
     repeats = 5
     if "--quick" in argv:
         repeats = 2
-    payload = (
-        json.loads(_RESULT_PATH.read_text()) if _RESULT_PATH.exists() else {}
-    )
-    payload["obs_overhead"] = run_overhead_bench(repeats)
-    _RESULT_PATH.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    section = payload["obs_overhead"]
+    section = run_overhead_bench(repeats)
+    if "--record" in argv:
+        payload = (
+            json.loads(_RESULT_PATH.read_text())
+            if _RESULT_PATH.exists() else {}
+        )
+        payload["obs_overhead"] = section
+        _RESULT_PATH.write_text(
+            json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        )
     print(json.dumps(section, indent=1, sort_keys=True))
     print(
         f"\nno-op telemetry: {section['step_clock_ns']:.0f} ns/step x "

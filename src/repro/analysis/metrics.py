@@ -17,7 +17,7 @@ from typing import Mapping
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
-from repro.simulation.compiled import CompiledSchedule
+from repro.simulation.compiled import COMPLETED, CompiledSchedule
 from repro.simulation.failures import DetectionPolicy, FailureScenario
 
 
@@ -67,12 +67,15 @@ def degraded_lengths(
     the schedule's failure hypothesis every single crash must be masked.
     """
     compiled = CompiledSchedule(schedule, algorithm)
+    groups = dict(zip(algorithm.operation_names(), compiled.operation_groups))
+    outputs = [groups[sink] for sink in algorithm.sinks()]
     lengths: dict[str, float] = {}
     for processor in schedule.processor_names():
-        trace = compiled.replay(
-            FailureScenario.crash(processor, at), detection
-        ).to_trace(compiled)
-        if require_delivery and trace.outputs_completion(algorithm) is None:
+        trace = compiled.replay(FailureScenario.crash(processor, at), detection)
+        status = trace.op_status
+        if require_delivery and not all(
+            any(status[op] == COMPLETED for op in group) for group in outputs
+        ):
             raise SimulationError(
                 f"crash of {processor!r} at {at} is not masked by the schedule"
             )

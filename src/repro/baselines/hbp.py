@@ -150,7 +150,7 @@ class HBPScheduler:
                 kernel.forget_range(
                     task * pair_span, (task + 1) * pair_span
                 )
-                kernel.invalidate_step()
+                kernel.invalidate_step(pair_span)
                 remaining.remove(task)
         kernel.materialize()
         stats.pair_evaluations = kernel.misses

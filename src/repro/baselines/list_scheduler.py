@@ -64,14 +64,15 @@ def non_fault_tolerant_makespan(
     fault-tolerant run has compiled it), validates and checks
     feasibility as a full run would; the kernel then runs only for a
     content and options value not seen before
-    (:func:`repro.core.compile.baseline_makespan`).
+    (:func:`repro.core.compile.baseline_makespan`), and only its
+    macro-step loop: the length is read off the kernel, so no
+    ``Schedule`` event is written and ``Rtc`` is not checked
+    (:meth:`~repro.core.ftbar.FTBARScheduler.makespan`).
     ``reset_compile_cache()`` empties the memo.
     """
     scheduler = FTBARScheduler(_with_npf_zero(problem, "-nonft"), options)
     return baseline_makespan(
-        scheduler.compiled,
-        scheduler.options,
-        lambda: scheduler.run().makespan,
+        scheduler.compiled, scheduler.options, scheduler.makespan
     )
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
-from typing import Mapping
+from dataclasses import asdict, dataclass, replace
+from typing import Mapping, NamedTuple
 
 from repro import obs
 from repro.baselines.hbp import schedule_hbp
 from repro.baselines.list_scheduler import non_fault_tolerant_makespan
-from repro.core.compile import compile_cache_stats
+from repro.core.compile import compile_cache_stats, shared_problem
 from repro.core.ftbar import schedule_ftbar
 from repro.core.options import SchedulerOptions
 from repro.campaign.spec import (
@@ -45,6 +45,8 @@ from repro.hardware.architecture import Architecture
 from repro.hardware.topologies import fully_connected, ring, single_bus, star
 from repro.problem import ProblemSpec
 from repro.schedule.serialization import (
+    canonical_hash,
+    canonical_json,
     content_hash,
     problem_to_dict,
     schedule_to_dict,
@@ -104,6 +106,55 @@ class Job:
         """Scheduler configuration this job runs with."""
         return SchedulerOptions(**dict(self.options))
 
+    def grid_point(self) -> "GridPoint":
+        """The npf-free part of this job's coordinate."""
+        return GridPoint(
+            self.workload, self.topology, self.processors, self.npl,
+            self.ccr, self.seed, self.mean_execution,
+        )
+
+
+class GridPoint(NamedTuple):
+    """A grid coordinate without its ``npf``: one problem up to ``npf``.
+
+    The jobs of one grid point schedule the same graph and timing
+    tables; only the problem's ``npf`` and, outside the random fully
+    connected family, its name follow the job.  So one build serves
+    every npf sibling (:meth:`at_npf`).
+    """
+
+    workload: WorkloadSpec
+    topology: str
+    processors: int
+    npl: int
+    ccr: float
+    seed: int
+    mean_execution: float
+
+    def build(self, npf: int) -> ProblemSpec:
+        """Build this point's problem at ``npf``."""
+        return build_problem(
+            self.workload, self.topology, self.processors, npf, self.ccr,
+            self.seed, self.mean_execution, npl=self.npl,
+        )
+
+    def problem_name(self, problem: ProblemSpec, npf: int) -> str:
+        """The name :meth:`build` gives the problem at ``npf``."""
+        if _generated_verbatim(self.workload, self.topology):
+            return problem.name
+        return _problem_name(
+            problem.algorithm.name, self.topology, self.processors, npf,
+            self.npl, self.ccr, self.seed,
+        )
+
+    def at_npf(self, problem: ProblemSpec, npf: int) -> ProblemSpec:
+        """``problem``, built for this point, at ``npf``.
+
+        A new :class:`ProblemSpec` that shares the graph and tables of
+        ``problem``, equal to what ``build(npf)`` returns.
+        """
+        return replace(problem, npf=npf, name=self.problem_name(problem, npf))
+
 
 def build_architecture(topology: str, processors: int) -> Architecture:
     """Build the named architecture topology."""
@@ -147,7 +198,7 @@ def build_problem(
     timing tables from the same seeded uniform distributions, which
     makes the ``seeds`` axis meaningful for the structured families too.
     """
-    if workload.family == "random" and topology == "fully_connected":
+    if _generated_verbatim(workload, topology):
         problem = generate_problem(
             RandomWorkloadConfig(
                 operations=workload.size,
@@ -194,27 +245,47 @@ def build_problem(
         comm_times=comm_times,
         npf=npf,
         npl=npl,
-        name=(
-            f"{algorithm.name}-{topology}-p{processors}"
-            f"-npf{npf}"
-            + (f"-npl{npl}" if npl else "")
-            + f"-ccr{ccr:g}-seed{seed}"
+        name=_problem_name(
+            algorithm.name, topology, processors, npf, npl, ccr, seed
         ),
     )
 
 
-def job_problem(job: Job) -> ProblemSpec:
-    """Rebuild the problem a job schedules (deterministic)."""
-    return build_problem(
-        job.workload,
-        job.topology,
-        job.processors,
-        job.npf,
-        job.ccr,
-        job.seed,
-        job.mean_execution,
-        npl=job.npl,
+def _generated_verbatim(workload: WorkloadSpec, topology: str) -> bool:
+    """True for the coordinates :func:`generate_problem` builds as is."""
+    return workload.family == "random" and topology == "fully_connected"
+
+
+def _problem_name(
+    algorithm_name: str,
+    topology: str,
+    processors: int,
+    npf: int,
+    npl: int,
+    ccr: float,
+    seed: int,
+) -> str:
+    return (
+        f"{algorithm_name}-{topology}-p{processors}"
+        f"-npf{npf}"
+        + (f"-npl{npl}" if npl else "")
+        + f"-ccr{ccr:g}-seed{seed}"
     )
+
+
+def job_problem(job: Job) -> ProblemSpec:
+    """The problem a job schedules (deterministic).
+
+    The npf siblings of a grid point share one build through a small
+    per-process memo (:func:`repro.core.compile.shared_problem`), so a
+    sibling's compilation finds the core key and comm rows already
+    cached on the shared tables.  The returned problem is a fresh
+    :class:`ProblemSpec` over those shared tables: callers must not
+    mutate the tables.
+    """
+    point = job.grid_point()
+    problem = shared_problem(point, lambda: point.build(job.npf))
+    return point.at_npf(problem, job.npf)
 
 
 def job_digest(
@@ -225,6 +296,20 @@ def job_digest(
     reliability: ReliabilitySpec | None = None,
 ) -> str:
     """Content hash identifying a job: problem + configuration."""
+    return content_hash(
+        "job",
+        _job_document(problem, options, measures, failures, reliability),
+    )
+
+
+def _job_document(
+    problem: ProblemSpec,
+    options: Mapping[str, bool],
+    measures: tuple[str, ...],
+    failures: tuple[FailureSpec, ...],
+    reliability: ReliabilitySpec | None,
+) -> dict:
+    """The document :func:`job_digest` hashes."""
     document = {
         "problem": problem_to_dict(problem),
         "options": dict(options),
@@ -248,7 +333,57 @@ def job_digest(
             if spec_document.get(knob) == default:
                 del spec_document[knob]
         document["reliability"] = spec_document
-    return content_hash("job", document)
+    return document
+
+
+#: Stand-ins for a problem's name and npf in the canonical text of a
+#: job document; a NUL appears in no generated name.
+_NAME_MARK = canonical_json("\x00name\x00")
+_NPF_MARK = canonical_json("\x00npf\x00")
+
+
+def _npf_digests(
+    point: GridPoint,
+    npfs: list[int],
+    options: Mapping[str, bool],
+    measures: tuple[str, ...],
+    failures: tuple[FailureSpec, ...],
+    reliability: ReliabilitySpec | None,
+) -> list[str]:
+    """The :func:`job_digest` of ``point`` at each of ``npfs``.
+
+    The problem is built and encoded once: its canonical text is made
+    with marks in place of the name and npf, and each sibling's values
+    are spliced in, which gives the very bytes ``job_digest`` hashes
+    (no key moves, since the problem object is not inside an array).
+    """
+    problem = point.build(npfs[0])
+    document = _job_document(problem, options, measures, failures, reliability)
+    document["problem"]["name"] = "\x00name\x00"
+    document["problem"]["npf"] = "\x00npf\x00"
+    text = canonical_json(document)
+    del document  # the largest object here; the siblings need only text
+    if text.count(_NAME_MARK) != 1 or text.count(_NPF_MARK) != 1:
+        # A mark occurs in the content itself: encode each sibling.
+        return [
+            job_digest(
+                point.at_npf(problem, npf), options, measures, failures,
+                reliability,
+            )
+            for npf in npfs
+        ]
+    # "name" sorts before "npf": the marks cut the text in three.
+    head, _, rest = text.partition(_NAME_MARK)
+    del text
+    middle, _, tail = rest.partition(_NPF_MARK)
+    del rest
+    return [
+        canonical_hash(
+            "job", head, canonical_json(point.problem_name(problem, npf)),
+            middle, canonical_json(npf), tail,
+        )
+        for npf in npfs
+    ]
 
 
 def expand_jobs(spec: CampaignSpec) -> list[Job]:
@@ -257,25 +392,39 @@ def expand_jobs(spec: CampaignSpec) -> list[Job]:
     Grid points whose problems (and configuration) hash identically are
     collapsed onto the first occurrence — identical work is never
     scheduled twice, the content-addressed guarantee of the subsystem.
-    Work *inside* distinct jobs that does not depend on their ``npf`` —
-    the ``non_ft`` baseline, FTBAR at ``Npf = 0`` — is shared the same
-    way at execution time: it is memoized per problem content
+    The coordinates that differ only in ``npf`` share one problem
+    build and one encoding (:func:`_npf_digests`), digested one grid
+    point at a time.  Work *inside* distinct jobs that does not depend
+    on their ``npf`` is shared the same way at execution time: the
+    built problem (:func:`job_problem`) and the ``non_ft`` baseline,
+    FTBAR at ``Npf = 0``
     (:func:`~repro.baselines.list_scheduler.non_fault_tolerant_makespan`),
-    so the jobs of one grid point's npf axis compute it once per
-    process.  Records do not depend on which job computed it.
+    are memoized per process, so the jobs of one grid point's npf axis
+    build and compute them once.  Records do not depend on which job
+    computed them.
     """
-    jobs: list[Job] = []
-    seen: set[str] = set()
     reliability = spec.reliability if "reliability" in spec.measures else None
+    coordinates: list[tuple[GridPoint, int]] = []
+    siblings: dict[GridPoint, list[int]] = {}
     for index, coordinate in enumerate(spec.coordinates()):
         workload, topology, processors, npf, npl, ccr, seed = coordinate
-        problem = build_problem(
-            workload, topology, processors, npf, ccr, seed,
-            spec.mean_execution, npl=npl,
+        point = GridPoint(
+            workload, topology, processors, npl, ccr, seed,
+            spec.mean_execution,
         )
-        digest = job_digest(
-            problem, spec.options, spec.measures, spec.failures, reliability
-        )
+        coordinates.append((point, npf))
+        siblings.setdefault(point, []).append(index)
+    digests: list[str] = [""] * len(coordinates)
+    for point, indices in siblings.items():
+        npfs = [coordinates[index][1] for index in indices]
+        for index, digest in zip(indices, _npf_digests(
+            point, npfs, spec.options, spec.measures, spec.failures,
+            reliability,
+        )):
+            digests[index] = digest
+    jobs: list[Job] = []
+    seen: set[str] = set()
+    for index, ((point, npf), digest) in enumerate(zip(coordinates, digests)):
         if digest in seen:
             continue
         seen.add(digest)
@@ -283,13 +432,13 @@ def expand_jobs(spec: CampaignSpec) -> list[Job]:
             Job(
                 index=index,
                 campaign=spec.name,
-                workload=workload,
-                topology=topology,
-                processors=processors,
+                workload=point.workload,
+                topology=point.topology,
+                processors=point.processors,
                 npf=npf,
-                npl=npl,
-                ccr=ccr,
-                seed=seed,
+                npl=point.npl,
+                ccr=point.ccr,
+                seed=point.seed,
                 failures=spec.failures,
                 measures=spec.measures,
                 options=dict(spec.options),

@@ -46,7 +46,8 @@ long-lived, so the reuse spans jobs); :func:`compile_cache_stats`
 exposes the hit counts the campaign records.  The same content key
 also shares *results*: :func:`baseline_makespan` keeps the makespan of
 the non-fault-tolerant baseline, which a campaign's npf axis would
-otherwise recompute once per ``npf`` value.
+otherwise recompute once per ``npf`` value, and :func:`shared_problem`
+keeps the built problem of a campaign grid point for its npf siblings.
 """
 
 from __future__ import annotations
@@ -88,11 +89,20 @@ _VALIDATED_MEMO: "OrderedDict[tuple, bool]" = OrderedDict()
 #: against, so a campaign's npf axis computes it once per content.
 #: Only the float is kept: no mutable ``Schedule`` is ever shared.
 _BASELINE_MEMO: "OrderedDict[tuple, float]" = OrderedDict()
+#: Built problems per npf-free campaign grid point
+#: (:func:`repro.campaign.jobs.job_problem`).  The npf siblings of one
+#: point schedule the same graph and tables, so sharing the built
+#: problem shares the core key and lowered comm rows cached on its
+#: tables too.  Siblings run ``|npls| x |ccrs| x |seeds|`` jobs apart
+#: in grid order; the cap covers up to 4 (every committed example
+#: spec) and bounds what the memo keeps alive.
+_PROBLEM_MEMO: "OrderedDict[object, object]" = OrderedDict()
 _CORE_CAP = 64
 _VARIANT_CAP = 128
 _SYMMETRY_CAP = 128
 _VALIDATED_CAP = 256
 _BASELINE_CAP = 256
+_PROBLEM_CAP = 4
 
 _STATS = {
     "core_hits": 0,
@@ -101,12 +111,15 @@ _STATS = {
     "variant_misses": 0,
     "baseline_hits": 0,
     "baseline_misses": 0,
+    "problem_hits": 0,
+    "problem_misses": 0,
 }
 
 
 def compile_cache_stats() -> dict[str, int]:
-    """Hit/miss counters of the shared-compilation memos and of the
-    non-FT baseline memo (cumulative)."""
+    """Hit/miss counters of the shared-compilation memos, of the
+    non-FT baseline memo and of the grid-point problem memo
+    (cumulative)."""
     stats = dict(_STATS)
     stats["core_entries"] = len(_CORE_MEMO)
     stats["variant_entries"] = len(_VARIANT_MEMO)
@@ -120,6 +133,7 @@ def reset_compile_cache() -> None:
     _SYMMETRY_MEMO.clear()
     _VALIDATED_MEMO.clear()
     _BASELINE_MEMO.clear()
+    _PROBLEM_MEMO.clear()
     for key in _STATS:
         _STATS[key] = 0
 
@@ -167,6 +181,19 @@ def baseline_makespan(
     makespan = run()
     _remember(_BASELINE_MEMO, _BASELINE_CAP, key, makespan)
     return makespan
+
+
+def shared_problem(key, build: "Callable[[], object]"):
+    """The problem memoized under ``key``, built by ``build`` on a miss."""
+    problem = _PROBLEM_MEMO.get(key)
+    if problem is not None:
+        _STATS["problem_hits"] += 1
+        _PROBLEM_MEMO.move_to_end(key)
+        return problem
+    _STATS["problem_misses"] += 1
+    problem = build()
+    _remember(_PROBLEM_MEMO, _PROBLEM_CAP, key, problem)
+    return problem
 
 
 def _remember(memo: OrderedDict, cap: int, key, value) -> None:

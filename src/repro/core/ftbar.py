@@ -210,26 +210,28 @@ class FTBARScheduler:
         metrics.observe("ftbar.run_s", stats.wall_time_s)
         return result
 
+    def makespan(self) -> float:
+        """The makespan :meth:`run` would report, without the schedule.
+
+        Runs the same macro-step loop and reads the kernel's running
+        makespan, which mirrors the schedule's arithmetic exactly; no
+        event is written and ``Rtc`` is not checked.  Callers that need
+        only the length (the non-FT baseline) skip materialization.
+        """
+        kernel, _, _ = self._macro_steps(obs.tracer())
+        return kernel.makespan
+
     def _run(self, tracer) -> FTBARResult:
         started = time.perf_counter()
-        schedule = Schedule(
-            processors=self._architecture.processor_names(),
-            links=self._architecture.link_names(),
-            npf=self._npf,
-            npl=self._npl,
-            name=f"{self._problem.name}-ftbar",
-        )
-        stats = FTBARStats()
-        self._run_kernel(schedule, stats, tracer)
-        # Every step places one new operation.
-        if stats.steps != len(self._algorithm):
-            missing = sorted(
-                set(self._algorithm.operation_names())
-                - set(schedule.scheduled_operations())
-            )
-            raise SchedulingError(
-                f"scheduling stalled; unplaced operations: {missing}"
-            )
+        kernel, schedule, stats = self._macro_steps(tracer)
+        # The kernel buffered its placements; write the survivors into
+        # the real schedule now that the run is over.
+        with (
+            tracer.span("kernel.materialize")
+            if tracer is not None
+            else obs.NOOP_SPAN
+        ):
+            kernel.materialize()
         stats.wall_time_s = time.perf_counter() - started
         rtc_report = _expanded_rtc(
             self._problem.rtc, self._memory_pairs
@@ -242,10 +244,24 @@ class FTBARScheduler:
             memory_pairs=self._memory_pairs,
         )
 
-    def _run_kernel(self, schedule: Schedule, stats: FTBARStats, tracer) -> None:
-        """The macro-step loop on the compiled kernel."""
+    def _macro_steps(
+        self, tracer
+    ) -> tuple[SchedulingKernel, Schedule, FTBARStats]:
+        """The macro-step loop on the compiled kernel.
+
+        Returns the kernel with every placement buffered, the (still
+        empty) schedule it materializes into, and the run statistics.
+        """
         compiled = self._compiled
         observer = self._observer
+        schedule = Schedule(
+            processors=self._architecture.processor_names(),
+            links=self._architecture.link_names(),
+            npf=self._npf,
+            npl=self._npl,
+            name=f"{self._problem.name}-ftbar",
+        )
+        stats = FTBARStats()
         kernel = SchedulingKernel(
             compiled,
             schedule,
@@ -302,18 +318,21 @@ class FTBARScheduler:
             tracer.aggregate(
                 "kernel.place", place_s, stats.steps, disjoint=True
             )
-        # The kernel buffered its placements; write the survivors into
-        # the real schedule now that the run is over.
-        with (
-            tracer.span("kernel.materialize")
-            if tracer is not None
-            else obs.NOOP_SPAN
-        ):
+        # Every step places one new operation.
+        if stats.steps != len(self._algorithm):
             kernel.materialize()
+            missing = sorted(
+                set(self._algorithm.operation_names())
+                - set(schedule.scheduled_operations())
+            )
+            raise SchedulingError(
+                f"scheduling stalled; unplaced operations: {missing}"
+            )
         stats.pressure_evaluations = kernel.evaluations
         stats.cache_hits = kernel.hits
         stats.duplication = kernel.dup_stats
         stats.symmetry_pruned = kernel.symmetry_pruned
+        return kernel, schedule, stats
 
 
 def _expanded_rtc(

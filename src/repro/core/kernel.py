@@ -189,29 +189,26 @@ class CompiledReadySet:
 
 
 class KernelPlanCache:
-    """Dependency-tracked trial-plan cache over dense integer ids.
+    """Trial-plan cache over dense integer ids.
 
     Keys are flat candidate-pair indices (``operation * P + processor``
     for FTBAR, ``task * P² + p1 * P + p2`` for HBP); values are opaque
     to the cache (the kernel stores mutable entry lists it updates in
-    place on threshold repairs).  Dependency declarations — the
-    operations whose replica sets the plan enumerated, the links whose
-    availability thresholds guard it — are ids too, so
-    :meth:`invalidate_replicated` and :meth:`suspects_for` are set
-    unions over small int sets.  Callers read ``entries`` directly on
-    the hot path and keep the ``hits`` / ``misses`` counters themselves.
+    place on threshold repairs).  Replica-set dependencies need no
+    index: an entry of candidate ``o`` depends on exactly the replica
+    sets of ``preds[o]``, so the kernel drops the key ranges of the
+    successors of each operation that gained replicas
+    (:meth:`SchedulingKernel.invalidate_step`).  The one index kept maps
+    a link to the keys whose availability thresholds watch it
+    (:meth:`suspects_for`); dropped keys leave it lazily.  Callers read
+    ``entries`` directly on the hot path and keep the ``hits`` /
+    ``misses`` counters themselves.
     """
 
-    __slots__ = (
-        "entries", "_meta", "_by_dependency", "_by_threshold_link",
-        "hits", "misses",
-    )
+    __slots__ = ("entries", "_by_threshold_link", "hits", "misses")
 
     def __init__(self) -> None:
         self.entries: dict[int, Any] = {}
-        #: key -> (dependency op ids, threshold link ids)
-        self._meta: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._by_dependency: dict[int, set[int]] = {}
         self._by_threshold_link: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
@@ -220,71 +217,43 @@ class KernelPlanCache:
         return len(self.entries)
 
     def put(
-        self,
-        key: int,
-        value: Any,
-        operations: tuple[int, ...] = (),
-        threshold_links: tuple[int, ...] = (),
+        self, key: int, value: Any, threshold_links: tuple[int, ...] = ()
     ) -> None:
-        """Store ``value`` under ``key`` with its id-level dependencies.
-
-        There is no candidate reverse index: a candidate's keys are a
-        computable id range (``op * P + p`` / ``task * P² + …``), so
-        dropping a placed candidate probes that range directly.
-        """
-        if key in self.entries:
-            self.discard(key)
+        """Store ``value`` under ``key``, watched by ``threshold_links``."""
         self.entries[key] = value
-        self._meta[key] = (operations, threshold_links)
-        for operation in operations:
-            self._by_dependency.setdefault(operation, set()).add(key)
         for link in threshold_links:
             self._by_threshold_link.setdefault(link, set()).add(key)
 
     def discard(self, key: int) -> None:
         """Drop one entry (used when a lookup finds it stale)."""
-        if self.entries.pop(key, None) is None:
-            return
-        operations, threshold_links = self._meta.pop(key)
-        for operation in operations:
-            dependents = self._by_dependency.get(operation)
-            if dependents is not None:
-                dependents.discard(key)
-        for link in threshold_links:
-            watchers = self._by_threshold_link.get(link)
-            if watchers is not None:
-                watchers.discard(key)
-
-    def invalidate_replicated(self, operations: Iterable[int]) -> None:
-        """Drop every entry depending on an operation that gained replicas."""
-        dead: set[int] = set()
-        for operation in operations:
-            dependents = self._by_dependency.get(operation)
-            if dependents:
-                dead |= dependents
-        for key in dead:
-            self.discard(key)
+        self.entries.pop(key, None)
 
     def suspects_for(self, links: Iterable[int]) -> set[int]:
-        """Keys whose thresholds watch one of the just-touched links.
+        """Live keys whose thresholds watch one of the just-touched links.
 
         Only these entries can have gone stale: availability of every
         other link is unchanged, so the threshold check can be skipped
-        for everything else.
+        for everything else.  Keys dropped since they were stored leave
+        the index here.  A key re-stored with other thresholds may stay
+        flagged on a link it no longer watches; the suspect pass then
+        finds nothing to repair, so such a flag changes no result.
         """
         suspects: set[int] = set()
+        index = self._by_threshold_link
+        live_keys = self.entries.keys()
         for link in links:
-            watchers = self._by_threshold_link.get(link)
+            watchers = index.get(link)
             if watchers:
-                suspects |= watchers
+                live = watchers & live_keys
+                index[link] = live
+                suspects |= live
         return suspects
 
     def drop_range(self, start: int, stop: int) -> None:
-        """Forget every entry in one candidate's key range (it placed)."""
-        entries = self.entries
-        dropped = [key for key in range(start, stop) if key in entries]
-        for key in dropped:
-            self.discard(key)
+        """Forget every entry in one candidate's key range."""
+        pop = self.entries.pop
+        for key in range(start, stop):
+            pop(key, None)
 
 
 class SchedulingKernel:
@@ -1040,7 +1009,7 @@ class SchedulingKernel:
         )
 
     def _miss(self, o: int, p: int, key: int) -> float:
-        """Plan the pair for real, cache it with its id dependencies."""
+        """Plan the pair for real and cache it with its threshold links."""
         cache = self._cache
         cache.misses += 1
         self.evaluations += 1
@@ -1063,11 +1032,7 @@ class SchedulingKernel:
             plan.feeds, static, plan.chains, plan.worst,
             plan.feed_worsts, thresholds, plan.duration,
         ]
-        cache.put(
-            key, entry,
-            operations=c.preds[o],
-            threshold_links=tuple(t[0] for t in thresholds),
-        )
+        cache.put(key, entry, tuple(t[0] for t in thresholds))
         return sigma
 
 
@@ -1079,23 +1044,41 @@ class SchedulingKernel:
         self._step_mark = len(self._op_buffer)
         self._step_comm_mark = len(self._comm_buffer)
 
-    def invalidate_step(self) -> None:
+    def invalidate_step(self, width: int | None = None) -> None:
         """Apply the dirty set of the committed macro-step.
 
         The buffer suffixes since :meth:`begin_step` are the step's dirty
         set: surviving records name the operations that gained replicas
         and the links their comms landed on (rollbacks truncated their
-        records, so the suffix is net).
+        records, so the suffix is net).  An entry of candidate ``o``
+        read the replica sets of ``preds[o]``, so each replicated ``q``
+        voids the key ranges of ``succs[q]``: ``width`` keys per
+        candidate, ``P`` for FTBAR (the default) and ``P²`` for HBP.
+        Forbidden pairs (:data:`_FORBIDDEN`) read no replica set and
+        stay.
         """
+        if width is None:
+            width = self._P
+        succs = self._c.succs
+        entries = self._cache.entries
         replicated = {
             record[6] for record in self._op_buffer[self._step_mark:]
         }
+        dropped: set[int] = set()
+        for q in replicated:
+            for o in succs[q]:
+                if o in dropped:
+                    continue
+                dropped.add(o)
+                base = o * width
+                for key in range(base, base + width):
+                    entry = entries.get(key)
+                    if entry is not None and entry is not _FORBIDDEN:
+                        del entries[key]
         links = {
             comm[10]
             for comm, _ in self._comm_buffer[self._step_comm_mark:]
         }
-        if replicated:
-            self._cache.invalidate_replicated(replicated)
         if links:
             self._suspects |= self._cache.suspects_for(links)
 
@@ -1252,14 +1235,13 @@ class SchedulingKernel:
                 return max(first_end, second_end)
             cache.discard(key)
         cache.misses += 1
-        dependencies = self._c.preds[task]
         first_plan = self._plan(task, first, False, True)
         if first_plan is None:
-            cache.put(key, [None, ()], operations=dependencies)
+            cache.put(key, [None, ()])
             return None
         second_plan = self._plan(task, second, False, True, shared_overlay=True)
         if second_plan is None:
-            cache.put(key, [None, ()], operations=dependencies)
+            cache.put(key, [None, ()])
             return None
         merged: dict[int, float] = {}
         for link, start in first_plan.thresholds:
@@ -1277,7 +1259,6 @@ class SchedulingKernel:
                 ),
                 tuple(merged.items()),
             ],
-            operations=dependencies,
         )
         first_end = first_plan.s_best + first_plan.duration
         second_end = second_plan.s_best + second_plan.duration

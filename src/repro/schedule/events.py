@@ -1,18 +1,28 @@
 """Immutable scheduled events: operation replicas and communications.
 
 A static schedule is a set of timed events on resources: operation
-replicas on processors and comms on links.  Events are frozen dataclasses
-so timelines can be snapshot by shallow list copies (used by the
-``Minimize_start_time`` rollback).
+replicas on processors and comms on links.  Events are named tuples:
+immutable, ordered and hashed by their fields in declaration order
+(``start`` first), with every compare, hash and sort running on the C
+tuple code.  Each class validates its fields on construction; the
+``_make`` / ``_replace`` helpers of named tuples skip that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ScheduledOperation:
+class _OperationFields(NamedTuple):
+    start: float
+    end: float
+    operation: str
+    replica: int
+    processor: str
+    duplicated: bool = False
+
+
+class ScheduledOperation(_OperationFields):
     """One replica of an operation placed on a processor.
 
     ``replica`` numbers the replicas of one operation from 0; the
@@ -21,21 +31,27 @@ class ScheduledOperation:
     ``Npf + 1`` active replicas.
     """
 
-    start: float
-    end: float
-    operation: str
-    replica: int
-    processor: str
-    duplicated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
+    def __new__(
+        cls,
+        start: float,
+        end: float,
+        operation: str,
+        replica: int,
+        processor: str,
+        duplicated: bool = False,
+    ) -> "ScheduledOperation":
+        if end < start:
             raise ValueError(
-                f"operation {self.operation!r} ends ({self.end}) before it "
-                f"starts ({self.start})"
+                f"operation {operation!r} ends ({end}) before it "
+                f"starts ({start})"
             )
-        if self.replica < 0:
+        if replica < 0:
             raise ValueError("replica index must be >= 0")
+        return tuple.__new__(
+            cls, (start, end, operation, replica, processor, duplicated)
+        )
 
     @property
     def duration(self) -> float:
@@ -48,11 +64,24 @@ class ScheduledOperation:
 
     def shifted(self, delta: float) -> "ScheduledOperation":
         """A copy displaced in time by ``delta`` (used by tests)."""
-        return replace(self, start=self.start + delta, end=self.end + delta)
+        return self._replace(start=self.start + delta, end=self.end + delta)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ScheduledComm:
+class _CommFields(NamedTuple):
+    start: float
+    end: float
+    source: str
+    target: str
+    source_replica: int
+    target_replica: int
+    link: str
+    source_processor: str
+    target_processor: str
+    hop_index: int = 0
+    route: int = 0
+
+
+class ScheduledComm(_CommFields):
     """One data transfer on a link, from one replica to another.
 
     A comm carries the data-dependency ``source . target`` from the
@@ -66,24 +95,31 @@ class ScheduledComm:
     own hop chain.
     """
 
-    start: float
-    end: float
-    source: str
-    target: str
-    source_replica: int
-    target_replica: int
-    link: str
-    source_processor: str
-    target_processor: str
-    hop_index: int = 0
-    route: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
+    def __new__(
+        cls,
+        start: float,
+        end: float,
+        source: str,
+        target: str,
+        source_replica: int,
+        target_replica: int,
+        link: str,
+        source_processor: str,
+        target_processor: str,
+        hop_index: int = 0,
+        route: int = 0,
+    ) -> "ScheduledComm":
+        if end < start:
             raise ValueError(
-                f"comm {self.source!r}->{self.target!r} ends ({self.end}) "
-                f"before it starts ({self.start})"
+                f"comm {source!r}->{target!r} ends ({end}) "
+                f"before it starts ({start})"
             )
+        return tuple.__new__(cls, (
+            start, end, source, target, source_replica, target_replica,
+            link, source_processor, target_processor, hop_index, route,
+        ))
 
     @property
     def duration(self) -> float:

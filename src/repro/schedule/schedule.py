@@ -161,14 +161,10 @@ class Schedule:
         """``bisect_left(events, event)`` with an O(1) tail fast path.
 
         Append-only list scheduling lands almost every event at the
-        tail; one start-date compare (``start`` is the first ordering
-        field of both event dataclasses) beats a bisect and the
-        generated dataclass comparison, which tuples all fields.
+        tail, so one tuple compare against the last event usually
+        settles it.
         """
-        if not events:
-            return 0
-        last = events[-1]
-        if last.start < event.start or (last.start == event.start and last < event):
+        if not events or events[-1] < event:
             return len(events)
         return bisect.bisect_left(events, event)
 

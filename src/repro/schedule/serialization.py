@@ -452,7 +452,7 @@ def _canonical_object(mapping: Mapping) -> str:
         return "{}"
     # str keys sort only among str keys, so the first key tells.
     encode_key = _encode_string if type(keys[0]) is str else _canonical_key
-    # ``_canonical`` inlined here and in arrays: a leaf costs one call.
+    # ``canonical_json`` inlined here and in arrays: a leaf costs one call.
     encoder = _CANONICAL_BY_TYPE.get
     parts = []
     for key in keys:
@@ -501,15 +501,29 @@ _CANONICAL_BY_TYPE = {
 }
 
 
-def _canonical(value: Any) -> str:
-    """The canonical JSON string of ``value``, built bottom-up once."""
+def canonical_json(value: Any) -> str:
+    """The canonical JSON string of ``value``, built bottom-up once.
+
+    This is the form :func:`content_hash` digests.
+    """
     return _CANONICAL_BY_TYPE.get(type(value), _canonical_other)(value)
+
+
+def canonical_hash(kind: str, *parts: str) -> str:
+    """SHA-256 of the version-tagged canonical form ``"".join(parts)``.
+
+    The parts stream into the digest one by one, so a caller can splice
+    values into a canonical text without concatenating it.
+    """
+    digest = hashlib.sha256(f"repro:{kind}:v{CONTENT_HASH_VERSION}:".encode())
+    for part in parts:
+        digest.update(part.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def content_hash(kind: str, document: Mapping) -> str:
     """SHA-256 of the version-tagged canonical form of a document."""
-    payload = f"repro:{kind}:v{CONTENT_HASH_VERSION}:" + _canonical(document)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_hash(kind, canonical_json(document))
 
 
 def problem_content_hash(problem: ProblemSpec) -> str:

@@ -229,6 +229,21 @@ class CompiledTrace:
                 return False
         return True
 
+    def makespan(self) -> float:
+        """Latest end over every completed event; 0.0 when none completed.
+
+        Equals ``to_trace(compiled).makespan()`` without building the
+        object-level trace.
+        """
+        latest = 0.0
+        for status, end in zip(self.op_status, self.op_end):
+            if status == COMPLETED and end > latest:
+                latest = end
+        for status, end in zip(self.comm_status, self.comm_end):
+            if status == COMPLETED and end > latest:
+                latest = end
+        return latest
+
     def to_trace(self, compiled: "CompiledSchedule") -> ExecutionTrace:
         """Rebuild the object-level :class:`ExecutionTrace`."""
         if self.truncated:

@@ -212,3 +212,53 @@ class TestNpfSweep:
                 )
             )
         assert points == expected
+
+
+def _baseline_corpus():
+    """Memories, npl 1 and every topology, npf 1 and 2."""
+    from repro.workloads.paper_example import build_problem as paper_problem
+
+    yield "paper-memories", paper_problem()
+    yield "paper-memories-npf2", paper_problem(npf=2)
+    cases = [
+        ("random", "fully_connected", 1, 0),
+        ("random", "fully_connected", 2, 1),
+        ("gauss", "ring", 1, 1),
+        ("random", "ring", 2, 0),
+        ("butterfly", "star", 1, 0),
+        ("random", "single_bus", 2, 0),
+    ]
+    for index, (family, topology, npf, npl) in enumerate(cases):
+        workload = WorkloadSpec(family=family, size=10 if family == "random" else 3)
+        yield (
+            f"{family}-{topology}-npf{npf}-npl{npl}",
+            build_problem(workload, topology, 4, npf, 2.0, 60 + index, npl=npl),
+        )
+
+
+class TestMakespanOnly:
+    """The memoized baseline reads the kernel's makespan: no events."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [None, SchedulerOptions(duplication=False)],
+        ids=["default", "nodup"],
+    )
+    def test_equals_the_full_run_and_places_no_event(self, monkeypatch, options):
+        from repro.schedule.schedule import Schedule
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the baseline placed a Schedule event")
+
+        corpus = list(_baseline_corpus())
+        values = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(Schedule, "place_operation", refuse)
+            patch.setattr(Schedule, "place_comm", refuse)
+            for label, problem in corpus:
+                values[label] = non_fault_tolerant_makespan(problem, options)
+        for label, problem in corpus:
+            reset_compile_cache()
+            assert values[label] == schedule_non_fault_tolerant(
+                problem, options
+            ).makespan, label

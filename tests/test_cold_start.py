@@ -271,3 +271,10 @@ def test_large_problem_schedules_without_numpy():
     )
     assert "scheduled" in modules  # the schedule really ran
     assert "numpy" not in modules
+
+
+def test_untraced_example_builds_no_execution_trace():
+    """Figure 8's degraded lengths are read off the replay arrays."""
+    modules = loaded_modules(run_cli("example"))
+    assert "repro.simulation.compiled" in modules  # the crashes ran
+    assert "repro.simulation.trace" not in modules

@@ -12,6 +12,9 @@ from repro.analysis.metrics import (
 from repro.core.ftbar import schedule_ftbar
 from repro.exceptions import SimulationError
 from repro.graphs.builder import diamond
+from repro.simulation.compiled import CompiledSchedule
+from repro.simulation.failures import DetectionPolicy, FailureScenario
+from repro.workloads.paper_example import build_problem as paper_example_problem
 
 from tests.util import uniform_problem
 
@@ -143,3 +146,77 @@ class TestDegradedLengths:
         assert set(overheads) == {"P1", "P2", "P3"}
         for value in overheads.values():
             assert 0.0 < value < 100.0
+
+
+def _degraded_via_trace(schedule, algorithm, at, detection, require_delivery):
+    """Figure 8 read off the object-level trace: the former path."""
+    compiled = CompiledSchedule(schedule, algorithm)
+    lengths = {}
+    for processor in schedule.processor_names():
+        trace = compiled.replay(
+            FailureScenario.crash(processor, at), detection
+        ).to_trace(compiled)
+        if require_delivery and trace.outputs_completion(algorithm) is None:
+            raise SimulationError(f"{processor} lost an output")
+        lengths[processor] = trace.makespan()
+    return lengths
+
+
+def _figure8_corpus():
+    from repro.campaign.jobs import build_problem as grid_problem
+    from repro.campaign.spec import WorkloadSpec
+
+    yield "paper", paper_example_problem()
+    for index, (family, topology, npf) in enumerate([
+        ("random", "fully_connected", 1),
+        ("random", "ring", 1),
+        ("gauss", "star", 1),
+        ("butterfly", "single_bus", 2),
+        ("random", "fully_connected", 0),
+        ("random", "ring", 0),
+    ]):
+        workload = WorkloadSpec(family=family, size=12 if family == "random" else 3)
+        yield (
+            f"{family}-{topology}-npf{npf}",
+            grid_problem(workload, topology, 4, npf, 2.0, 40 + index),
+        )
+
+
+class TestDegradedLengthsAgainstTraces:
+    """The arrays give the very Figure-8 values the traces gave."""
+
+    @pytest.mark.parametrize(
+        "at, detection",
+        [(0.0, DetectionPolicy.NONE), (7.5, DetectionPolicy.NONE),
+         (0.0, DetectionPolicy.TIMEOUT_ARRAY)],
+        ids=["t0", "t7.5", "timeout-array"],
+    )
+    def test_equal_to_the_trace_path(self, at, detection):
+        checked = 0
+        for label, problem in _figure8_corpus():
+            result = schedule_ftbar(problem)
+            schedule, algorithm = result.schedule, result.expanded_algorithm
+            for require in (True, False):
+                try:
+                    expected = _degraded_via_trace(
+                        schedule, algorithm, at, detection, require
+                    )
+                except SimulationError:
+                    with pytest.raises(SimulationError, match="not masked"):
+                        degraded_lengths(
+                            schedule, algorithm, at, detection, require
+                        )
+                    continue
+                assert degraded_lengths(
+                    schedule, algorithm, at, detection, require
+                ) == expected, label
+                checked += 1
+        assert checked >= 8
+
+    def test_paper_example_values_pinned(self, paper_result):
+        lengths = degraded_lengths(
+            paper_result.schedule, paper_result.expanded_algorithm
+        )
+        assert {p: round(v, 2) for p, v in lengths.items()} == {
+            "P1": 15.35, "P2": 15.05, "P3": 15.7,
+        }
