@@ -742,8 +742,8 @@ def _inject(
     processors = [names[i] for i in failure.processors]
     entry = {"processors": processors, "at": failure.at}
     scenario = FailureScenario.crashes(processors, failure.at)
-    trace = compiled.replay(scenario).to_trace(compiled)
-    completion = trace.outputs_completion(ftbar.expanded_algorithm)
+    trace = compiled.replay(scenario)
+    completion = trace.outputs_completion(compiled, ftbar.expanded_algorithm)
     entry.update(
         delivered=completion is not None,
         makespan=trace.makespan(),

@@ -60,14 +60,16 @@ _PERF_SMOKE_PINS = {
         "steps": 40,
         "pressure_evaluations": 101,
         "cache_hits": 750,
-        "duplication_attempts": 68,
+        "duplication_attempts": 16,
+        "duplication_pruned": 38,
         "symmetry_pruned": 861,
     },
     "ftbar-N24-npf2": {
         "steps": 24,
         "pressure_evaluations": 103,
         "cache_hits": 567,
-        "duplication_attempts": 21,
+        "duplication_attempts": 5,
+        "duplication_pruned": 10,
         "symmetry_pruned": 66,
     },
     "hbp-N40-npf1": {
@@ -99,6 +101,7 @@ def _bench_smoke() -> int:
             "pressure_evaluations": ftbar_40.stats.pressure_evaluations,
             "cache_hits": ftbar_40.stats.cache_hits,
             "duplication_attempts": ftbar_40.stats.duplication.attempts,
+            "duplication_pruned": ftbar_40.stats.duplication.pruned,
             "symmetry_pruned": ftbar_40.stats.symmetry_pruned,
         },
         "ftbar-N24-npf2": {
@@ -106,6 +109,7 @@ def _bench_smoke() -> int:
             "pressure_evaluations": ftbar_24.stats.pressure_evaluations,
             "cache_hits": ftbar_24.stats.cache_hits,
             "duplication_attempts": ftbar_24.stats.duplication.attempts,
+            "duplication_pruned": ftbar_24.stats.duplication.pruned,
             "symmetry_pruned": ftbar_24.stats.symmetry_pruned,
         },
         "hbp-N40-npf1": {

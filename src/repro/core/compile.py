@@ -77,12 +77,13 @@ _VARIANT_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
 #: checks candidate permutations against the tables and routes, which
 #: is worth sharing across the runs of one benchmark/campaign.
 _SYMMETRY_MEMO: "OrderedDict[tuple, object]" = OrderedDict()
-#: Content hashes of problems that already passed ``ProblemSpec.validate``
-#: (keyed per npf/npl, which the replica- and route-feasibility checks
-#: depend on).  The compiled path validates each distinct problem
-#: *content* once: re-running the same problem — the common shape in
-#: benchmarks and campaign grids — skips straight to scheduling.
-_VALIDATED_MEMO: "OrderedDict[tuple, bool]" = OrderedDict()
+#: Content hashes of problems that already passed ``ProblemSpec.validate``,
+#: each with the ``(npf, npl)`` pairs whose replica- and
+#: route-feasibility checks passed too.  The compiled path validates
+#: each distinct problem *content* once: re-running the same problem —
+#: the common shape in benchmarks and campaign grids, whose npf axis and
+#: non-FT baseline revisit each content — skips straight to scheduling.
+_VALIDATED_MEMO: "OrderedDict[tuple, set[tuple[int, int]]]" = OrderedDict()
 #: Makespans of the non-fault-tolerant baseline (FTBAR at ``Npf = 0``)
 #: per (content, effective npf/npl, options).  The baseline depends on
 #: the problem's content, not on the ``Npf`` of the run it is compared
@@ -149,16 +150,22 @@ def validated_once(compiled: "CompiledProblem", problem) -> None:
     The compiled path already derives a content hash of everything
     ``validate`` cross-checks (graph structure, both timing tables, the
     interconnect); equal hashes mean an equal validation outcome, so a
-    content seen passing before is not re-checked.  ``npf`` / ``npl``
-    join the key because the replica-count and disjoint-route
-    feasibility checks depend on them.
+    content seen passing before is not re-checked.  Only the
+    replica-count and disjoint-route checks depend on ``npf`` / ``npl``:
+    a passed content at a new pair runs just those
+    (``ProblemSpec.validate_replication``, same error texts).
     """
-    key = (*compiled.content_key, problem.npf, problem.npl)
-    if key in _VALIDATED_MEMO:
-        _VALIDATED_MEMO.move_to_end(key)
+    key = compiled.content_key
+    variant = (problem.npf, problem.npl)
+    passed = _VALIDATED_MEMO.get(key)
+    if passed is None:
+        problem.validate()
+        _remember(_VALIDATED_MEMO, _VALIDATED_CAP, key, {variant})
         return
-    problem.validate()
-    _remember(_VALIDATED_MEMO, _VALIDATED_CAP, key, True)
+    _VALIDATED_MEMO.move_to_end(key)
+    if variant not in passed:
+        problem.validate_replication()
+        passed.add(variant)
 
 
 def baseline_makespan(

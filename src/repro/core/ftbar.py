@@ -207,6 +207,7 @@ class FTBARScheduler:
         metrics.inc(
             "ftbar.duplication_attempts", stats.duplication.attempts
         )
+        metrics.inc("ftbar.duplication_pruned", stats.duplication.pruned)
         metrics.observe("ftbar.run_s", stats.wall_time_s)
         return result
 

@@ -73,17 +73,6 @@ _EPSILON = 1e-9
 #: as a hit, so a forbidden pair is planned once, not once per sweep.
 _FORBIDDEN = (None,)
 
-#: Shared empty threshold list for plans that record no chains.
-_NO_THRESHOLDS: list = []
-
-
-#: One predecessor feed of a kernel plan, as a plain tuple:
-#: ``(pred_id, local_end | None, arrivals | None, firsts | None)``.
-#: Plain tuples keep the trial-plan hot path allocation-light; the
-#: oracle's ``PredecessorFeed`` (``tests/ftbar_oracle.py``) remains the
-#: readable counterpart.
-_FEED_PRED = 0
-_FEED_LOCAL_END = 1
 
 #: One planned hop, as a plain tuple mirroring the oracle's
 #: ``PlannedComm``:
@@ -95,12 +84,21 @@ _FEED_LOCAL_END = 1
 
 @dataclass
 class DuplicationStats:
-    """Counters of the LIP-duplication procedure, for the ablation benches."""
+    """Counters of the LIP-duplication procedure, for the ablation benches.
+
+    ``attempts`` counts the trials run; each ends ``kept`` (one extra
+    replica, so ``extra_replicas == kept``) or ``rolled_back``:
+    ``attempts == kept + rolled_back``.  ``pruned`` counts the LIPs the
+    duplication bound skipped because step Ð was certain to roll their
+    trial back; a pruned LIP runs no trial, so it is in no other
+    counter.
+    """
 
     attempts: int = 0
     kept: int = 0
     rolled_back: int = 0
     extra_replicas: int = 0
+    pruned: int = 0
 
     def merge(self, other: "DuplicationStats") -> None:
         """Accumulate another run's counters into this one."""
@@ -108,22 +106,24 @@ class DuplicationStats:
         self.kept += other.kept
         self.rolled_back += other.rolled_back
         self.extra_replicas += other.extra_replicas
+        self.pruned += other.pruned
 
 
 class KernelPlan:
-    """Flat trial plan of the compiled kernel.
+    """Flat trial plan of the compiled kernel (placement and HBP).
 
-    ``operation`` / ``processor`` are names (they feed the schedule's
-    placement API), ``op`` / ``proc`` the dense ids; ``earliest`` /
-    ``worst`` are the feed aggregates the reference plan computes lazily;
+    ``op`` / ``proc`` are the dense ids; ``earliest`` / ``worst`` are
+    the feed aggregates the reference plan computes lazily; ``feeds``
+    holds one entry per predecessor (``None`` when co-located, else each
+    replica's first arrival) and ``feed_worsts`` its worst-case arrival;
     ``comms`` is the flat hop-tuple list a commit replays (in the exact
-    order the oracle's commit places them).
+    order the oracle's commit places them).  Sweep misses build no plan:
+    they write their cache entry directly (:meth:`SchedulingKernel._plan`).
     """
 
     __slots__ = (
-        "operation", "processor", "op", "proc", "duration",
-        "processor_ready", "feeds", "comms", "earliest", "worst",
-        "feed_worsts", "thresholds", "chains",
+        "op", "proc", "duration", "processor_ready", "feeds", "comms",
+        "earliest", "worst", "feed_worsts", "thresholds",
     )
 
     @property
@@ -202,27 +202,24 @@ class KernelPlanCache:
     a link to the keys whose availability thresholds watch it
     (:meth:`suspects_for`); dropped keys leave it lazily.  Callers read
     ``entries`` directly on the hot path and keep the ``hits`` /
-    ``misses`` counters themselves.
+    ``misses`` counters themselves; the FTBAR sweep planner also writes
+    its entries and their ``by_threshold_link`` watches in place.
     """
 
-    __slots__ = ("entries", "_by_threshold_link", "hits", "misses")
+    __slots__ = ("entries", "by_threshold_link", "hits", "misses")
 
     def __init__(self) -> None:
         self.entries: dict[int, Any] = {}
-        self._by_threshold_link: dict[int, set[int]] = {}
+        self.by_threshold_link: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def put(
-        self, key: int, value: Any, threshold_links: tuple[int, ...] = ()
-    ) -> None:
-        """Store ``value`` under ``key``, watched by ``threshold_links``."""
+    def put(self, key: int, value: Any) -> None:
+        """Store ``value`` under ``key`` (watched by no threshold link)."""
         self.entries[key] = value
-        for link in threshold_links:
-            self._by_threshold_link.setdefault(link, set()).add(key)
 
     def discard(self, key: int) -> None:
         """Drop one entry (used when a lookup finds it stale)."""
@@ -239,7 +236,7 @@ class KernelPlanCache:
         finds nothing to repair, so such a flag changes no result.
         """
         suspects: set[int] = set()
-        index = self._by_threshold_link
+        index = self.by_threshold_link
         live_keys = self.entries.keys()
         for link in links:
             watchers = index.get(link)
@@ -318,6 +315,17 @@ class SchedulingKernel:
         self._link_free = [0.0] * compiled.n_links
         self._link_stamp = [0] * compiled.n_links
         self._epoch = 0
+        #: Replay chains of the current plan, per link (opened at the
+        #: link's first reservation, filled by single-link transfers):
+        #: ``(feed, replica, ready, duration)`` each.  A new epoch
+        #: starts a new dict; a shared overlay shares it too.
+        self._chains: dict[int, list[tuple[int, int, float, float]]] = {}
+        #: The one direct link of each ordered processor pair (``-1``
+        #: for parallel links or a multi-hop route): the planner's
+        #: common-case test.
+        self._single_link = [
+            links[0] if len(links) == 1 else -1 for links in compiled.direct
+        ]
         self._cache = KernelPlanCache()
         self._suspects: set[int] = set()
         self._step_mark = 0
@@ -375,7 +383,8 @@ class SchedulingKernel:
         proc_avail = self._proc_avail
         key = o * self._P + p
         self._op_buffer.append((
-            plan.operation, plan.processor, start, duration, duplicated,
+            self._c.op_names[o], self._c.proc_names[p], start, duration,
+            duplicated,
             key, o, p, proc_avail[p], prev_makespan, comm_mark,
         ))
         proc_avail[p] = end
@@ -454,125 +463,124 @@ class SchedulingKernel:
         self,
         o: int,
         p: int,
-        record_comms: bool,
-        record_chains: bool,
+        key: int = -1,
+        placing: bool = False,
         shared_overlay: bool = False,
-    ) -> KernelPlan | None:
+    ) -> "KernelPlan | float | None":
         """Plan the next replica of ``o`` on ``p`` against the mirrors.
 
-        ``record_comms`` builds the hop records a commit needs;
-        ``record_chains`` the threshold / replay-chain records a cache
-        entry needs.  ``shared_overlay`` keeps the previous plan's
-        trial reservations visible (the HBP pair cost plans both
-        replicas against one overlay).
+        A sweep miss passes its cache ``key``: the planner writes the
+        entry ``[feeds, static, chains, worst, feed_worsts, thresholds,
+        duration]`` (and ``_FORBIDDEN`` for an ``Exe = inf`` pair) under
+        it, registers its threshold links, and returns σ — no
+        :class:`KernelPlan` is built.  Otherwise it returns the plan
+        (``None`` when the pair is forbidden or already placed);
+        ``placing`` builds the hop records a commit needs.
+        ``shared_overlay`` keeps the previous plan's trial reservations
+        visible (the HBP pair cost plans both replicas against one
+        overlay).
+
+        Each transfer reserves through the loop of its kind: one direct
+        link, parallel direct links, a multi-hop route, or — for every
+        remote feed of an ``npl >= 1`` problem — the replicated routes
+        of :meth:`_reserve_routes`.  A link's first reservation in the
+        plan (its stamp is behind the epoch) records its threshold and
+        opens the link's replay chain, which single-link transfers fill.
         """
         c = self._c
         n_procs = self._P
         duration = c.exe[o * n_procs + p]
         if duration == _INF:
+            if key >= 0:
+                self._cache.entries[key] = _FORBIDDEN
+                return _INF
             return None
         rep_end = self._rep_end
         if rep_end[o * n_procs + p] != 0.0:
             return None
-        op_name = c.op_names[o]
-        proc_name = c.proc_names[p]
         if not shared_overlay:
             self._epoch += 1
+            self._chains = {}
         epoch = self._epoch
+        chains = self._chains
         stamp = self._link_stamp
         free = self._link_free
         base = self._link_avail
         npf = c.npf
         npl = c.npl
         n_ops = c.n_ops
-        op_names = c.op_names
-        proc_names = c.proc_names
+        single = self._single_link
         rep_list = self._rep_list
-        feeds: list[tuple] = []
-        comms: list[tuple] | None = [] if record_comms else None
-        feed_worsts: list[float] = []
-        worst = -_INF
-        earliest = -_INF
-        if record_chains:
-            thresholds: list[list] = []
-            thr_seen: set[int] = set()
-            chains: dict[int, list[tuple[int, int, float, float]]] = {}
+        comm_rows = c.comm_rows
+        if placing:
+            comms: list[tuple] | None = []
+            op_name = c.op_names[o]
+            proc_name = c.proc_names[p]
+            op_names = c.op_names
+            proc_names = c.proc_names
+            link_names = c.link_names
         else:
-            thresholds = _NO_THRESHOLDS
-            chains = None
+            comms = None
+        #: Per feed: each replica's first arrival, or ``None`` when the
+        #: predecessor is co-located.  Repairs rewrite these in place.
+        feeds: list[list[float] | None] = []
+        feed_worsts: list[float] = []
+        thresholds: list[list] = []
+        worst = -_INF
         repairable = not npl
-        feed_index = 0
-        for q in c.preds[o]:
+        for feed_index, q in enumerate(c.preds[o]):
             local_end = rep_end[q * n_procs + p]
             if local_end != 0.0:
                 # §4.1 first case: co-located predecessor, zero-cost
                 # intra-processor comm, remote replicas do not send.
-                feeds.append((q, local_end, None, None))
+                feeds.append(None)
                 feed_worsts.append(local_end)
                 if local_end > worst:
                     worst = local_end
-                if local_end > earliest:
-                    earliest = local_end
-                feed_index += 1
                 continue
-            row = c.comm_rows[q * n_ops + o]
-            replicas = rep_list[q]
-            arrivals: list[float] = []
-            firsts: list[float] | None = [] if npl else None
+            row = comm_rows[q * n_ops + o]
             if npl:
-                sender_hosts = frozenset(
-                    proc_names[host] for host, _ in replicas
+                arrivals, firsts = self._reserve_routes(
+                    q, o, p, row, thresholds, comms
                 )
-            arrival_index = 0
-            for replica_index, (rp, rend) in enumerate(replicas):
-                if npl:
-                    rproc = proc_names[rp]
-                    routes = c.disjoint_routes(
-                        rproc, proc_name, sender_hosts - {rproc}
-                    )
-                    first_copy = _INF
-                    guaranteed = -_INF
-                    for route_index, hops in enumerate(routes):
-                        ready = rend
-                        for hop_index, (origin, link, relay) in enumerate(hops):
-                            current = free[link] if stamp[link] == epoch else base[link]
-                            start = ready if ready > current else current
-                            end = start + row[link]
-                            stamp[link] = epoch
-                            free[link] = end
-                            if record_chains and link not in thr_seen:
-                                thr_seen.add(link)
-                                thresholds.append([link, start])
-                            if record_comms:
-                                comms.append((
-                                    op_names[q], op_name, replica_index,
-                                    c.link_names[link], start, end,
-                                    origin, relay, hop_index, route_index,
-                                    link,
-                                ))
-                            ready = end
-                        if ready < first_copy:
-                            first_copy = ready
-                        if ready > guaranteed:
-                            guaranteed = ready
-                    arrivals.append(guaranteed)
-                    firsts.append(first_copy)
-                    arrival_index += 1
-                    continue
-                direct = c.direct[rp * n_procs + p]
-                if direct:
-                    if len(direct) == 1:
+            else:
+                arrivals = firsts = []
+                for replica_index, (rp, rend) in enumerate(rep_list[q]):
+                    link = single[rp * n_procs + p]
+                    if link >= 0:
                         # The common case (p2p and bus topologies): one
                         # direct link, no min-end choice to make.
-                        best_link = direct[0]
-                        current = (
-                            free[best_link] if stamp[best_link] == epoch
-                            else base[best_link]
-                        )
-                        best_start = rend if rend > current else current
-                        best_end = best_start + row[best_link]
-                    else:
-                        repairable = False
+                        if stamp[link] == epoch:
+                            current = free[link]
+                            start = rend if rend > current else current
+                        else:
+                            current = base[link]
+                            start = rend if rend > current else current
+                            stamp[link] = epoch
+                            thresholds.append([link, start])
+                            chains[link] = []
+                        dur = row[link]
+                        end = start + dur
+                        # Mirror the oracle's reservation: the free
+                        # pointer advances by the re-derived duration,
+                        # not the previewed end.
+                        free[link] = start + (end - start)
+                        if placing:
+                            comms.append((
+                                op_names[q], op_name, replica_index,
+                                link_names[link], start, end,
+                                proc_names[rp], proc_name, 0, 0, link,
+                            ))
+                        else:
+                            chains[link].append(
+                                (feed_index, replica_index, rend, dur)
+                            )
+                        arrivals.append(end)
+                        continue
+                    repairable = False
+                    direct = c.direct[rp * n_procs + p]
+                    if direct:
+                        # Parallel direct links: the earliest end wins.
                         best_end = _INF
                         best_start = 0.0
                         best_link = -1
@@ -584,54 +592,43 @@ class SchedulingKernel:
                                 best_end = end
                                 best_start = start
                                 best_link = link
-                    # Mirror the oracle's reservation: the free pointer
-                    # advances by the re-derived duration, not the
-                    # previewed end.
-                    stamp[best_link] = epoch
-                    free[best_link] = best_start + (best_end - best_start)
-                    if record_chains:
-                        if best_link not in thr_seen:
-                            thr_seen.add(best_link)
+                        if stamp[best_link] != epoch:
+                            stamp[best_link] = epoch
                             thresholds.append([best_link, best_start])
-                        chains.setdefault(best_link, []).append(
-                            (feed_index, arrival_index, rend, row[best_link])
-                        )
-                    if record_comms:
-                        comms.append((
-                            op_names[q], op_name, replica_index,
-                            c.link_names[best_link], best_start, best_end,
-                            proc_names[rp], proc_name, 0, 0, best_link,
-                        ))
-                    arrivals.append(best_end)
-                else:
+                            chains[best_link] = []
+                        free[best_link] = best_start + (best_end - best_start)
+                        if placing:
+                            comms.append((
+                                op_names[q], op_name, replica_index,
+                                link_names[best_link], best_start, best_end,
+                                proc_names[rp], proc_name, 0, 0, best_link,
+                            ))
+                        arrivals.append(best_end)
+                        continue
                     # Multi-hop store-and-forward over the shortest route.
-                    repairable = False
                     ready = rend
                     for hop_index, (origin, link, relay) in enumerate(
                         c.route_hops(rp, p)
                     ):
-                        current = free[link] if stamp[link] == epoch else base[link]
-                        start = ready if ready > current else current
-                        end = start + row[link]
-                        stamp[link] = epoch
-                        free[link] = end
-                        if record_chains and link not in thr_seen:
-                            thr_seen.add(link)
+                        if stamp[link] == epoch:
+                            current = free[link]
+                            start = ready if ready > current else current
+                        else:
+                            current = base[link]
+                            start = ready if ready > current else current
+                            stamp[link] = epoch
                             thresholds.append([link, start])
-                        if record_comms:
+                            chains[link] = []
+                        end = start + row[link]
+                        free[link] = end
+                        if placing:
                             comms.append((
                                 op_names[q], op_name, replica_index,
-                                c.link_names[link], start, end,
+                                link_names[link], start, end,
                                 origin, relay, hop_index, 0, link,
                             ))
                         ready = end
                     arrivals.append(ready)
-                arrival_index += 1
-            if not arrivals:
-                raise ValueError(
-                    f"predecessor {op_names[q]!r} of {op_name!r} has no replica; "
-                    f"candidate rule violated"
-                )
             # Worst case: the (npf + 1)-th earliest arrival — i.e.
             # ``sorted(arrivals)[min(npf, len - 1)]``, specialised for
             # the tiny lists of the hot path (min/max pick the same
@@ -639,35 +636,129 @@ class SchedulingKernel:
             count = len(arrivals)
             if count == 1:
                 feed_worst = arrivals[0]
+            elif count == 2:
+                # The npf=1 common case, as in the sweep's repair.
+                a, b = arrivals
+                if npf:
+                    feed_worst = a if a > b else b
+                else:
+                    feed_worst = a if a < b else b
+            elif count == 0:
+                raise ValueError(
+                    f"predecessor {c.op_names[q]!r} of {c.op_names[o]!r} "
+                    f"has no replica; candidate rule violated"
+                )
             elif npf == 0:
                 feed_worst = min(arrivals)
             elif npf >= count - 1:
                 feed_worst = max(arrivals)
             else:
                 feed_worst = sorted(arrivals)[npf]
+            feeds.append(firsts)
             feed_worsts.append(feed_worst)
             if feed_worst > worst:
                 worst = feed_worst
-            feed_earliest = min(arrivals if firsts is None else firsts)
-            if feed_earliest > earliest:
-                earliest = feed_earliest
-            feeds.append((q, None, arrivals, firsts))
-            feed_index += 1
+        ready = self._proc_avail[p]
+        if key >= 0:
+            if self._aware:
+                static = c.tail[o]
+                s_worst = ready if ready > worst else worst
+                sigma = s_worst + duration + static
+            else:
+                static = c.sbar[o]
+                sigma = (ready if ready > worst else worst) + static
+            self._cache.entries[key] = [
+                feeds, static, chains if repairable else None, worst,
+                feed_worsts, thresholds, duration,
+            ]
+            index = self._cache.by_threshold_link
+            for threshold in thresholds:
+                watchers = index.get(threshold[0])
+                if watchers is None:
+                    index[threshold[0]] = {key}
+                else:
+                    watchers.add(key)
+            return sigma
+        earliest = -_INF
+        for index, firsts in enumerate(feeds):
+            first = feed_worsts[index] if firsts is None else min(firsts)
+            if first > earliest:
+                earliest = first
         plan = KernelPlan()
-        plan.operation = op_name
-        plan.processor = proc_name
         plan.op = o
         plan.proc = p
         plan.duration = duration
-        plan.processor_ready = self._proc_avail[p]
+        plan.processor_ready = ready
         plan.feeds = feeds
         plan.comms = comms
         plan.earliest = earliest
         plan.worst = worst
         plan.feed_worsts = feed_worsts
         plan.thresholds = thresholds
-        plan.chains = chains if repairable else None
         return plan
+
+    def _reserve_routes(
+        self,
+        q: int,
+        o: int,
+        p: int,
+        row: list[float],
+        thresholds: list[list],
+        comms: list[tuple] | None,
+    ) -> tuple[list[float], list[float]]:
+        """Reserve the ``npl + 1`` disjoint routes from every replica of ``q``.
+
+        The transfer of every remote feed of an ``npl >= 1`` problem:
+        each replica sends over link-disjoint routes that avoid the
+        other sender hosts; its guaranteed arrival is the latest copy,
+        its first arrival the earliest.  Returns both per-replica lists.
+        Thresholds are recorded as in :meth:`_plan`; route plans are
+        not repairable, so no chain is opened.
+        """
+        c = self._c
+        epoch = self._epoch
+        stamp = self._link_stamp
+        free = self._link_free
+        base = self._link_avail
+        proc_names = c.proc_names
+        proc_name = proc_names[p]
+        replicas = self._rep_list[q]
+        sender_hosts = frozenset(proc_names[host] for host, _ in replicas)
+        arrivals: list[float] = []
+        firsts: list[float] = []
+        for replica_index, (rp, rend) in enumerate(replicas):
+            rproc = proc_names[rp]
+            first_copy = _INF
+            guaranteed = -_INF
+            for route_index, hops in enumerate(
+                c.disjoint_routes(rproc, proc_name, sender_hosts - {rproc})
+            ):
+                ready = rend
+                for hop_index, (origin, link, relay) in enumerate(hops):
+                    if stamp[link] == epoch:
+                        current = free[link]
+                        start = ready if ready > current else current
+                    else:
+                        current = base[link]
+                        start = ready if ready > current else current
+                        stamp[link] = epoch
+                        thresholds.append([link, start])
+                    end = start + row[link]
+                    free[link] = end
+                    if comms is not None:
+                        comms.append((
+                            c.op_names[q], c.op_names[o], replica_index,
+                            c.link_names[link], start, end,
+                            origin, relay, hop_index, route_index, link,
+                        ))
+                    ready = end
+                if ready < first_copy:
+                    first_copy = ready
+                if ready > guaranteed:
+                    guaranteed = ready
+            arrivals.append(guaranteed)
+            firsts.append(first_copy)
+        return arrivals, firsts
 
     # ------------------------------------------------------------------
     # selection sweep (macro-steps À and Á)
@@ -799,6 +890,7 @@ class SchedulingKernel:
         link_avail = self._link_avail
         aware = self._aware
         hits = 0
+        misses = 0
         two = required == 2
         one = required == 1
         best_urgency = 0.0
@@ -853,7 +945,7 @@ class SchedulingKernel:
                     for f_i, a_i, t_ready, dur in chains[threshold[0]]:
                         start = t_ready if t_ready > free else free
                         end = start + dur
-                        feeds[f_i][2][a_i] = end
+                        feeds[f_i][a_i] = end
                         free = start + (end - start)
                         if touched is None:
                             touched = {f_i}
@@ -865,7 +957,7 @@ class SchedulingKernel:
                 if touched is not None:
                     feed_worsts = entry[4]
                     for f_i in touched:
-                        arrivals = feeds[f_i][2]
+                        arrivals = feeds[f_i]
                         count = len(arrivals)
                         if count == 2:
                             # The npf=1 common case: the k-th-smallest
@@ -924,7 +1016,8 @@ class SchedulingKernel:
                     key = base_key + p
                     entry = entries.get(key)
                     if entry is None:
-                        value = self._miss(o, p, key)
+                        misses += 1
+                        value = self._plan(o, p, key)
                     elif entry[0] is None:
                         hits += 1
                         value = _INF
@@ -994,6 +1087,8 @@ class SchedulingKernel:
                 else:
                     best_kept = kept
         cache.hits += hits
+        cache.misses += misses
+        self.evaluations += misses
         assert best_op >= 0
         if two:
             placements = (proc_names[best_p0], proc_names[best_p1])
@@ -1007,34 +1102,6 @@ class SchedulingKernel:
             best_urgency,
             pressures,
         )
-
-    def _miss(self, o: int, p: int, key: int) -> float:
-        """Plan the pair for real and cache it with its threshold links."""
-        cache = self._cache
-        cache.misses += 1
-        self.evaluations += 1
-        plan = self._plan(o, p, False, True)
-        if plan is None:
-            cache.put(key, _FORBIDDEN)
-            return _INF
-        c = self._c
-        if self._aware:
-            static = c.tail[o]
-            sigma = plan.s_worst + plan.duration + static
-        else:
-            static = c.sbar[o]
-            sigma = plan.s_worst + static
-        thresholds = plan.thresholds
-        # Entry layout: [feeds, static, chains, worst, feed_worsts,
-        # thresholds, duration] — worst (index 3) and the threshold
-        # floats are updated in place by repairs.
-        entry = [
-            plan.feeds, static, plan.chains, plan.worst,
-            plan.feed_worsts, thresholds, plan.duration,
-        ]
-        cache.put(key, entry, tuple(t[0] for t in thresholds))
-        return sigma
-
 
     # ------------------------------------------------------------------
     # cache maintenance (driven by the FTBAR macro-step loop)
@@ -1109,7 +1176,7 @@ class SchedulingKernel:
         if o in c.pins:
             # Memory halves are placed directly: duplicating register
             # halves would break the read/write co-location invariant.
-            plan = self._plan(o, p, True, False)
+            plan = self._plan(o, p, placing=True)
             if plan is None:
                 raise InfeasibleReplicationError(
                     f"memory half {operation!r} is forbidden on {processor!r} "
@@ -1122,7 +1189,7 @@ class SchedulingKernel:
     def _minimize(self, o: int, p: int, duplicated: bool):
         """``Minimize_start_time(o, p)`` on kernel plans (steps Ê–Ñ)."""
         c = self._c
-        plan = self._plan(o, p, True, False)
+        plan = self._plan(o, p, placing=True)
         if plan is None:
             raise SchedulingError(
                 f"operation {c.op_names[o]!r} cannot be scheduled on "
@@ -1133,12 +1200,28 @@ class SchedulingKernel:
         return self._commit(plan, duplicated=duplicated)
 
     def _improve_by_duplication(self, plan: KernelPlan) -> KernelPlan:
+        """Steps Ì–Ñ: duplicate the LIP on ``p`` while ``S_worst`` improves.
+
+        The duplication bound skips a trial whose rollback is certain:
+        the LIP replica cannot start before ``proc_avail[p]`` (commits
+        on ``p`` only push it later), so it cannot end before
+        ``proc_avail[p] + Exe(lip, p)`` — IEEE addition is monotone —
+        and neither can the new ``S_worst`` of ``o``.  When that sum
+        already reaches ``S_worst - ε``, step Ð would undo the trial and
+        every nested one, so the plan is returned as is.
+        """
         stats = self.dup_stats
         o, p = plan.op, plan.proc
         best_worst = plan.s_worst
+        proc_avail = self._proc_avail
+        exe = self._c.exe
+        n_procs = self._P
         while True:
             lip = self._duplicable_lip(plan)
             if lip is None:
+                return plan
+            if proc_avail[p] + exe[lip * n_procs + p] >= best_worst - _EPSILON:
+                stats.pruned += 1
                 return plan
             stats.attempts += 1
             saved = self.mark()
@@ -1149,7 +1232,7 @@ class SchedulingKernel:
                 self.undo_to(saved)
                 stats.rolled_back += 1
                 return plan
-            new_plan = self._plan(o, p, True, False)
+            new_plan = self._plan(o, p, placing=True)
             if new_plan is None or new_plan.s_worst >= best_worst - _EPSILON:
                 # Step Ð: the replication does not pay off — undo it all.
                 self.undo_to(saved)
@@ -1167,25 +1250,26 @@ class SchedulingKernel:
         The critical feed maximises ``(worst_case, smallest name)``;
         with sorted-name ids the tie-break is a plain id comparison.
         """
-        feeds = plan.feeds
-        if not feeds:
-            return None
         feed_worsts = plan.feed_worsts
-        best_feed = None
-        best_worst = -_INF
-        best_pred = -1
-        for index, feed in enumerate(feeds):
-            worst = feed_worsts[index]
-            pred = feed[_FEED_PRED]
-            if best_feed is None or worst > best_worst or (
-                worst == best_worst and pred < best_pred
-            ):
-                best_feed = feed
-                best_worst = worst
-                best_pred = pred
-        if best_feed[_FEED_LOCAL_END] is not None:
+        if not feed_worsts:
             return None
         c = self._c
+        preds = c.preds[plan.op]
+        best_index = 0
+        best_worst = feed_worsts[0]
+        best_pred = preds[0]
+        for index in range(1, len(preds)):
+            worst = feed_worsts[index]
+            pred = preds[index]
+            if worst > best_worst or (
+                worst == best_worst and pred < best_pred
+            ):
+                best_index = index
+                best_worst = worst
+                best_pred = pred
+        if plan.feeds[best_index] is None:
+            # Co-located: the feed already costs nothing.
+            return None
         if c.is_memory_half[best_pred]:
             return None
         key = best_pred * self._P + plan.proc
@@ -1235,11 +1319,11 @@ class SchedulingKernel:
                 return max(first_end, second_end)
             cache.discard(key)
         cache.misses += 1
-        first_plan = self._plan(task, first, False, True)
+        first_plan = self._plan(task, first)
         if first_plan is None:
             cache.put(key, [None, ()])
             return None
-        second_plan = self._plan(task, second, False, True, shared_overlay=True)
+        second_plan = self._plan(task, second, shared_overlay=True)
         if second_plan is None:
             cache.put(key, [None, ()])
             return None

@@ -82,11 +82,7 @@ class ProblemSpec:
         self.algorithm.validate()
         self.architecture.validate()
         processors = self.architecture.processor_names()
-        if len(processors) < self.replication_factor:
-            raise SchedulingError(
-                f"{self.replication_factor} replicas required but architecture "
-                f"{self.architecture.name!r} only has {len(processors)} processors"
-            )
+        self._check_replica_count(processors)
         self.exec_times.validate_against(self.algorithm.operation_names(), processors)
         links = self.architecture.link_names()
         if links:
@@ -95,6 +91,27 @@ class ProblemSpec:
             raise SchedulingError(
                 "architecture has several processors but no communication link"
             )
+        self._check_disjoint_routes(processors)
+
+    def validate_replication(self) -> None:
+        """The checks of :meth:`validate` that depend on ``npf`` / ``npl``.
+
+        For a problem whose content (graphs, tables, interconnect) has
+        passed :meth:`validate` at another ``npf`` / ``npl``, these are
+        the only checks that can fail, with the same messages.
+        """
+        processors = self.architecture.processor_names()
+        self._check_replica_count(processors)
+        self._check_disjoint_routes(processors)
+
+    def _check_replica_count(self, processors: list[str]) -> None:
+        if len(processors) < self.replication_factor:
+            raise SchedulingError(
+                f"{self.replication_factor} replicas required but architecture "
+                f"{self.architecture.name!r} only has {len(processors)} processors"
+            )
+
+    def _check_disjoint_routes(self, processors: list[str]) -> None:
         if self.npl >= 1 and len(processors) > 1:
             # Replication may place communicating replicas on any
             # processor pair, so every pair must offer Npl + 1

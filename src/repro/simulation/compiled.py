@@ -244,6 +244,26 @@ class CompiledTrace:
                 latest = end
         return latest
 
+    def outputs_completion(
+        self, compiled: "CompiledSchedule", algorithm: AlgorithmGraph
+    ) -> float | None:
+        """When the last output delivers its first result; ``None`` if lost.
+
+        ``compiled`` must be built over ``algorithm``.  Equals
+        ``to_trace(compiled).outputs_completion(algorithm)`` without
+        building the object-level trace.
+        """
+        groups = dict(zip(algorithm.operation_names(), compiled.operation_groups))
+        status = self.op_status
+        ends = self.op_end
+        latest = 0.0
+        for sink in algorithm.sinks():
+            firsts = [ends[op] for op in groups[sink] if status[op] == COMPLETED]
+            if not firsts:
+                return None
+            latest = max(latest, min(firsts))
+        return latest
+
     def to_trace(self, compiled: "CompiledSchedule") -> ExecutionTrace:
         """Rebuild the object-level :class:`ExecutionTrace`."""
         if self.truncated:

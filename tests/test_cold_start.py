@@ -278,3 +278,22 @@ def test_untraced_example_builds_no_execution_trace():
     modules = loaded_modules(run_cli("example"))
     assert "repro.simulation.compiled" in modules  # the crashes ran
     assert "repro.simulation.trace" not in modules
+
+
+def test_failure_injection_builds_no_execution_trace():
+    """A campaign job's failure scenarios are read off the replay arrays."""
+    modules = loaded_modules(
+        "from repro.campaign import CampaignSpec, WorkloadSpec\n"
+        "from repro.campaign.jobs import execute_job, expand_jobs\n"
+        "from repro.campaign.spec import FailureSpec\n"
+        "spec = CampaignSpec(name='inject', "
+        "workloads=(WorkloadSpec(family='random', size=6),), "
+        "topologies=('fully_connected',), processors=(3,), npfs=(1,), "
+        "seeds=(1,), measures=('ftbar',), "
+        "failures=(FailureSpec(processors=(0,)), "
+        "FailureSpec(processors=(0, 1), at=1.0)))\n"
+        "(job,) = expand_jobs(spec)\n"
+        "assert len(execute_job(job)['record']['failures']) == 2\n"
+    )
+    assert "repro.simulation.compiled" in modules  # the crashes ran
+    assert "repro.simulation.trace" not in modules

@@ -220,3 +220,43 @@ class TestDegradedLengthsAgainstTraces:
         assert {p: round(v, 2) for p, v in lengths.items()} == {
             "P1": 15.35, "P2": 15.05, "P3": 15.7,
         }
+
+
+class TestInjectAgainstTraces:
+    """Campaign failure injection reads the replay arrays, not a trace."""
+
+    SCENARIOS = [((0,), 0.0), ((1,), 7.5), ((0, 1), 0.0), ((0, 1, 2), 2.0)]
+
+    @staticmethod
+    def via_trace(problem, ftbar, compiled, processors, at):
+        """The former path: the object-level trace of each replay."""
+        names = problem.architecture.processor_names()
+        crashed = [names[i] for i in processors]
+        trace = compiled.replay(
+            FailureScenario.crashes(crashed, at)
+        ).to_trace(compiled)
+        completion = trace.outputs_completion(ftbar.expanded_algorithm)
+        return {
+            "processors": crashed, "at": at,
+            "delivered": completion is not None,
+            "makespan": trace.makespan(), "outputs_at": completion,
+        }
+
+    def test_equal_to_the_trace_path(self):
+        from repro.campaign.jobs import _inject
+        from repro.campaign.spec import FailureSpec
+
+        lost = 0
+        for label, problem in _figure8_corpus():
+            ftbar = schedule_ftbar(problem)
+            compiled = CompiledSchedule(ftbar.schedule, ftbar.expanded_algorithm)
+            for processors, at in self.SCENARIOS:
+                entry = _inject(
+                    FailureSpec(processors=processors, at=at),
+                    ftbar, problem, compiled,
+                )
+                assert entry == self.via_trace(
+                    problem, ftbar, compiled, processors, at
+                ), (label, processors, at)
+                lost += not entry["delivered"]
+        assert lost > 0  # undelivered outputs were compared too
