@@ -23,11 +23,10 @@ and records it in ``BENCH_runtime.json`` at the repository root:
 * ``campaign_jobs1_vs_cpu`` — campaign throughput at ``jobs=1`` versus
   one worker per CPU (``--force-workers N`` oversubscribes on 1-CPU
   hosts so the comparison always produces numbers);
-* ``campaign_backend_scaling`` — the same campaign across execution
-  backends and worker counts (serial reference, then ``--backend``
-  at 1/2/4 workers), with every leg's canonically merged store
-  asserted byte-identical to the serial reference before its time
-  counts;
+* ``campaign_backend_scaling`` — the same campaign across worker counts
+  (serial reference, then ``jobs`` 1/2/4), with every leg's canonically
+  merged store asserted byte-identical to the serial reference before
+  its time counts;
 * ``ftbar_size_grid`` — FTBAR CPU seconds, makespan and counters of
   one cold run per size, N ∈ {500, 1000, 2000} × {fc, ring, star} at
   P=16 plus fc P=8 N=2000 (``--full`` only);
@@ -39,8 +38,7 @@ and records it in ``BENCH_runtime.json`` at the repository root:
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py \
-        [--full] [--profile] [--phases] [--force-workers N] \
-        [--backend local|directory]
+        [--full] [--profile] [--phases] [--force-workers N]
 
 Only a direct run writes ``BENCH_runtime.json``; the pytest benches
 print their tables and leave the file alone.  Every section whose size
@@ -81,7 +79,10 @@ from repro.analysis.reporting import format_runtime_comparison
 from repro.baselines.hbp import schedule_hbp
 from repro.campaign.jobs import build_problem
 from repro.campaign.merge import merge_stores
-from repro.campaign.pool import cpu_affinity_count, default_worker_count
+from repro.campaign.backends.directory import (
+    cpu_affinity_count,
+    default_worker_count,
+)
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, WorkloadSpec
 from repro.core.compile import compile_cache_stats, reset_compile_cache
@@ -377,19 +378,19 @@ def run_hbp_sweep(full: bool = False, repeats: int = 3) -> dict:
 def run_campaign_jobs_sweep(
     full: bool = False, force_workers: int | None = None
 ) -> dict:
-    """Wall-clock of one campaign at jobs=1 versus a worker pool.
+    """Wall-clock of one campaign at jobs=1 versus one worker per CPU.
 
     The campaign schedules ``graphs`` independent random problems —
-    embarrassingly parallel work, so the worker pool's scaling shows up
+    embarrassingly parallel work, so the workers' scaling shows up
     directly.  Both runs verify they produce identical record sets.
 
     On a single-CPU host both legs would take the same sequential path;
     without ``force_workers`` the entry is marked ``skipped`` with the
-    reason.  ``force_workers`` oversubscribes the pool to that many
+    reason.  ``force_workers`` oversubscribes to that many worker
     processes regardless of CPU count, so the jobs=1-vs-jobs=N
     comparison always produces numbers — the honest ``workers`` and
     ``cpu_count`` fields record what actually ran (an ``oversubscribed``
-    ratio near 1.0 on one CPU measures pool overhead, not scaling).
+    ratio near 1.0 on one CPU measures dispatch overhead, not scaling).
     """
     operations = 60 if full else 30
     graphs = 16 if full else 8
@@ -409,7 +410,7 @@ def run_campaign_jobs_sweep(
             "skipped": True,
             "reason": "only one CPU available — jobs=1 and jobs=cpu would "
             "run the same sequential path (pass --force-workers N to "
-            "measure the oversubscribed pool anyway)",
+            "measure the oversubscribed workers anyway)",
         }
     spec = CampaignSpec(
         name="bench-campaign",
@@ -441,16 +442,15 @@ def run_campaign_jobs_sweep(
 def run_campaign_backend_scaling(
     full: bool = False,
     force_workers: int | None = None,
-    backend: str = "directory",
 ) -> dict:
-    """Scaling sweep of one campaign across backend worker counts.
+    """Scaling sweep of one campaign across worker counts.
 
     The same embarrassingly-parallel campaign (``graphs`` independent
-    random problems) runs once on the serial in-process backend — the
-    wall-clock *and* bit-exactness reference — then on ``backend`` at 1,
-    2 and 4 workers.  Every leg gets a fresh campaign directory and
-    store (a shared schedule cache would fake the scaling), the legs are
-    interleaved across repeats (host drift lands on all of them
+    random problems) runs once serially — the wall-clock *and*
+    bit-exactness reference — then at ``jobs`` 1, 2 and 4 (in process
+    at 1, directory workers beyond).  Every leg gets a fresh store and
+    no schedule cache (a shared cache would fake the scaling), the legs
+    are interleaved across repeats (host drift lands on all of them
     equally), and each leg's canonically merged store is asserted
     byte-identical to the serial reference before its time is recorded:
     a speedup that changed the records would be worthless.
@@ -475,7 +475,6 @@ def run_campaign_backend_scaling(
         return {
             "operations": operations,
             "graphs": graphs,
-            "backend": backend,
             "cpu_count": os.cpu_count() or 1,
             "cpu_affinity": affinity,
             "skipped": True,
@@ -508,34 +507,21 @@ def run_campaign_backend_scaling(
         for _ in range(repeats):
             for workers in worker_counts:
                 leg += 1
-                root = scratch / f"leg-{leg}"
+                store = scratch / f"leg-{leg}.jsonl"
                 gc.collect()
                 started = time.perf_counter()
-                report = run_campaign(
-                    spec,
-                    backend=backend,
-                    jobs=workers,
-                    directory=root if backend == "directory" else None,
-                )
+                report = run_campaign(spec, jobs=workers, store=store)
                 elapsed = time.perf_counter() - started
                 assert report.completed == report.total_jobs, report.summary()
-                if backend == "directory":
-                    merged = scratch / f"leg-{leg}-canonical.jsonl"
-                    merge_stores([root], merged)
-                    assert merged.read_bytes() == reference_bytes, (
-                        f"{backend} backend at {workers} workers diverged "
-                        "from the serial reference"
-                    )
-                    shutil.rmtree(root)
-                else:
-                    assert report.records == serial.records, (
-                        f"{backend} backend at {workers} workers diverged"
-                    )
+                merged = scratch / f"leg-{leg}-canonical.jsonl"
+                merge_stores([store], merged)
+                assert merged.read_bytes() == reference_bytes, (
+                    f"jobs={workers} diverged from the serial reference"
+                )
                 best[workers] = min(best[workers], elapsed)
         return {
             "operations": operations,
             "graphs": graphs,
-            "backend": backend,
             "repeats": repeats,
             "cpu_count": os.cpu_count() or 1,
             "cpu_affinity": affinity,
@@ -599,7 +585,6 @@ def write_bench_json(
     repeats: int = 5,
     profile: bool = False,
     force_workers: int | None = None,
-    backend: str = "directory",
 ) -> dict:
     """Run the sweeps and record them in ``BENCH_runtime.json``.
 
@@ -627,7 +612,7 @@ def write_bench_json(
             full, force_workers
         ),
         "campaign_backend_scaling": lambda: run_campaign_backend_scaling(
-            full, force_workers, backend
+            full, force_workers
         ),
     }
     if full:
@@ -698,7 +683,7 @@ def main(argv: list[str]) -> int:
     profile = "--profile" in argv
     usage = (
         "usage: bench_runtime.py [--full] [--profile] [--phases] "
-        "[--force-workers N] [--backend local|directory]"
+        "[--force-workers N]"
     )
     force_workers = None
     if "--force-workers" in argv:
@@ -707,21 +692,8 @@ def main(argv: list[str]) -> int:
         except (IndexError, ValueError):
             print(usage, file=sys.stderr)
             return 2
-    backend = "directory"
-    if "--backend" in argv:
-        try:
-            backend = argv[argv.index("--backend") + 1]
-        except IndexError:
-            print(usage, file=sys.stderr)
-            return 2
-        if backend not in ("local", "directory"):
-            print(usage, file=sys.stderr)
-            return 2
     payload = write_bench_json(
-        full=full,
-        profile=profile,
-        force_workers=force_workers,
-        backend=backend,
+        full=full, profile=profile, force_workers=force_workers
     )
     print(json.dumps(payload, indent=1, sort_keys=True))
     for n, point in sorted(
@@ -760,7 +732,7 @@ def main(argv: list[str]) -> int:
     )
     campaign = payload["campaign_jobs1_vs_cpu"]
     if campaign.get("skipped"):
-        print(f"campaign pool bench skipped: {campaign['reason']}", file=sys.stderr)
+        print(f"campaign jobs bench skipped: {campaign['reason']}", file=sys.stderr)
     else:
         print(
             f"campaign {campaign['graphs']}xN={campaign['operations']} "
@@ -779,7 +751,7 @@ def main(argv: list[str]) -> int:
             scaling["sweep"].items(), key=lambda kv: int(kv[0])
         ):
             print(
-                f"{scaling['backend']} backend x{workers} workers: "
+                f"campaign x{workers} workers: "
                 f"{point['speedup_vs_serial']:.2f}x vs serial "
                 f"({point['elapsed_s']:.2f}s)",
                 file=sys.stderr,

@@ -20,9 +20,10 @@ Covered sections, one table per engine-trajectory PR:
 * ``campaign_compile_reuse`` — PR 6's shared-compilation memo hits
   across a npf/npl/ccr variant grid;
 * ``campaign_jobs1_vs_cpu`` — PR 2's worker pool;
-* ``campaign_backend_scaling`` — PR 9's execution backends (serial
-  reference vs the work-stealing directory backend at 1/2/4 workers,
-  merged stores verified byte-identical before timing);
+* ``campaign_backend_scaling`` — campaign scaling over worker counts
+  (serial reference vs 1/2/4 workers — recorded on PR 9's directory
+  backend, later on the one campaign dispatch — merged stores verified
+  byte-identical before timing);
 * ``phase_breakdown`` — PR 7's traced per-phase split of the smoke
   problems (where a scheduling run's wall time actually goes);
 * ``obs_overhead`` — PR 7's pinned no-op cost of disabled telemetry.
@@ -256,10 +257,12 @@ def render_backend_scaling(section: dict) -> list[str]:
         )
         return lines
     suffix = " — oversubscribed" if section.get("oversubscribed") else ""
+    # Sections recorded before dispatch had one path name their backend.
+    backend = section.get("backend", "run_campaign")
     lines += [
         f"Campaign of {section.get('graphs', '?')} x "
         f"N={section.get('operations', '?')} on the "
-        f"`{section.get('backend', '?')}` backend{host}{suffix}; every leg's "
+        f"`{backend}` backend{host}{suffix}; every leg's "
         "canonically merged store verified byte-identical to the serial "
         "reference.",
         "",
@@ -271,7 +274,7 @@ def render_backend_scaling(section: dict) -> list[str]:
         if not isinstance(point, dict) or "elapsed_s" not in point:
             continue
         lines.append(
-            f"| {section.get('backend', '?')} | {workers} "
+            f"| {backend} | {workers} "
             f"| {_fmt_ms(point['elapsed_s'])} "
             f"| {point['speedup_vs_serial']:.1f}x |"
         )

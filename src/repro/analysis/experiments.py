@@ -7,7 +7,8 @@ are seeded and deterministic.
 The large statistical sweeps (Figures 9 and 10) run *through* the
 campaign subsystem (:mod:`repro.campaign`): each sweep point becomes a
 campaign over the point's random-graph seeds, so the sweeps share the
-worker pool, the result store and the content-addressed schedule cache.
+campaign dispatch, the result store and the content-addressed schedule
+cache.
 ``jobs=1`` (the default) executes sequentially in-process and produces
 bit-identical numbers to the pre-campaign harness; ``jobs=N`` fans the
 graphs out over ``N`` worker processes without changing any result

@@ -1,25 +1,22 @@
-"""Batch experiment orchestration: specs, jobs, backends, store, merge.
+"""Batch experiment orchestration: specs, jobs, dispatch, store, merge.
 
 The campaign subsystem turns the one-shot scheduler into a batch
 service: declarative :class:`CampaignSpec` grids expand into
-content-hashed :class:`Job` units, executed through a pluggable
-:class:`ExecutionBackend` (in-process ``serial``, the single-host
-``local`` pool, or the work-stealing multi-host ``directory`` queue),
-persisted to an append-only JSONL :class:`ResultStore` (making every
-campaign resumable), memoized in a content-addressed
-:class:`ScheduleCache` shared across campaigns, and merged
-bit-identically across shards with :func:`merge_stores`.
+content-hashed :class:`Job` units, executed in process at one worker or
+on work-stealing directory workers (:func:`worker_loop`, on a private
+temporary directory or a persistent multi-host one), persisted to an
+append-only JSONL :class:`ResultStore` (making every campaign
+resumable), memoized in a content-addressed :class:`ScheduleCache`
+shared across campaigns, and merged bit-identically across shards with
+:func:`merge_stores`.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "backends": (
-        "BACKENDS", "DirectoryBackend", "ExecutionBackend", "LocalPoolBackend",
-        "SerialBackend", "make_backend",
-    ),
     "backends.directory": (
-        "DirectoryCampaign", "WorkerReport", "worker_loop",
+        "DirectoryCampaign", "WorkerReport", "cpu_affinity_count",
+        "default_worker_count", "worker_loop",
     ),
     "cache": ("ScheduleCache",),
     "jobs": (
@@ -27,14 +24,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "expand_jobs", "job_digest", "job_problem",
     ),
     "merge": ("MergeConflictError", "MergeReport", "merge_stores"),
-    "pool": ("cpu_affinity_count", "default_worker_count", "execute_jobs"),
     "runner": (
         "CampaignReport", "CampaignStatus", "campaign_report",
         "campaign_status", "reliability_heatmap", "run_campaign",
     ),
     "spec": (
-        "CampaignSpec", "FailureSpec", "ReliabilitySpec", "WorkloadSpec",
-        "campaign_from_dict", "campaign_to_dict", "load_campaign",
+        "BACKENDS", "CampaignSpec", "FailureSpec", "ReliabilitySpec",
+        "WorkloadSpec", "campaign_from_dict", "campaign_to_dict", "load_campaign",
         "save_campaign",
     ),
     "store": ("ResultStore",),
@@ -45,18 +41,14 @@ __all__ = [
     "CampaignReport",
     "CampaignSpec",
     "CampaignStatus",
-    "DirectoryBackend",
     "DirectoryCampaign",
-    "ExecutionBackend",
     "FailureSpec",
     "Job",
-    "LocalPoolBackend",
     "MergeConflictError",
     "MergeReport",
     "ReliabilitySpec",
     "ResultStore",
     "ScheduleCache",
-    "SerialBackend",
     "WorkerReport",
     "WorkloadSpec",
     "build_architecture",
@@ -68,12 +60,10 @@ __all__ = [
     "cpu_affinity_count",
     "default_worker_count",
     "execute_job",
-    "execute_jobs",
     "expand_jobs",
     "job_digest",
     "job_problem",
     "load_campaign",
-    "make_backend",
     "merge_stores",
     "reliability_heatmap",
     "run_campaign",

@@ -1,112 +1,10 @@
-"""Pluggable campaign execution backends.
+"""Campaign dispatch onto worker processes.
 
-The campaign runner is a policy-free loop: expand jobs, skip what the
-store and cache already answer, dispatch the rest, persist each result
-the moment it exists.  *How* the pending jobs turn into execution
-documents is the backend's business, behind one small contract:
-
-* :class:`SerialBackend` (``"serial"``) — in-process, no fork, no
-  pickling; the bit-exact legacy path and the debugger's friend;
-* :class:`LocalPoolBackend` (``"local"``) — the long-lived
-  ``multiprocessing`` pool (the historical default, unchanged
-  semantics);
-* :class:`DirectoryBackend` (``"directory"``) — a work-stealing queue
-  on shared storage: N worker processes (on any number of hosts)
-  lease-claim jobs from one campaign directory with zero coordination
-  beyond the filesystem, and their per-worker shards merge
-  bit-identically (:mod:`repro.campaign.merge`).
-
-Every backend yields the same execution documents in completion order,
-so the runner's persistence, caching, telemetry and resume logic are
-backend-agnostic.  New transports (SSH fan-out, a job server) slot in
-by registering another :class:`ExecutionBackend`.
+:mod:`repro.campaign.backends.directory` holds the one multi-worker
+path: the work-stealing lease protocol on a campaign directory, the
+``repro campaign worker`` loop, and ``dispatch``, which
+:func:`~repro.campaign.runner.run_campaign` uses for every run with
+more than one worker or a persistent campaign directory.  A one-worker
+run needs no process and no directory: the runner executes its jobs in
+process.
 """
-
-from __future__ import annotations
-
-from abc import ABC, abstractmethod
-from typing import Iterator, Sequence
-
-from repro.campaign.jobs import Job
-from repro.campaign.spec import BACKENDS, CampaignSpec
-from repro.exceptions import ReproError
-
-__all__ = [
-    "BACKENDS",
-    "DirectoryBackend",
-    "ExecutionBackend",
-    "LocalPoolBackend",
-    "SerialBackend",
-    "make_backend",
-]
-
-
-class ExecutionBackend(ABC):
-    """One way of turning pending campaign jobs into result documents.
-
-    ``execute`` yields per-job documents in *completion* order.  Result
-    documents carry at least ``digest``, ``record``, ``source`` and
-    ``timing.elapsed_s``; in-process backends yield the full
-    :func:`~repro.campaign.jobs.execute_job` document (schedule and
-    telemetry included).  A backend may interleave *event* documents
-    (``{"event": kind, ...}``) reporting operational facts — lease
-    reclaims, exhausted retries — which the runner records and re-emits
-    but never counts as results.
-    """
-
-    #: Registry name, also the CLI ``--backend`` value.
-    name: str = "?"
-
-    #: True when the backend persists full documents into the campaign's
-    #: content-addressed cache itself (the runner then skips its own
-    #: ``cache.put`` — the yielded documents may be record-only).
-    manages_cache: bool = False
-
-    @abstractmethod
-    def execute(
-        self, spec: CampaignSpec, jobs: Sequence[Job]
-    ) -> Iterator[dict]:
-        """Execute ``jobs`` of ``spec``, yielding documents as completed."""
-
-
-from repro.campaign.backends.directory import DirectoryBackend  # noqa: E402
-from repro.campaign.backends.local import LocalPoolBackend  # noqa: E402
-from repro.campaign.backends.serial import SerialBackend  # noqa: E402
-
-
-def make_backend(
-    name: str,
-    *,
-    workers: int = 1,
-    directory=None,
-    lease_ttl_s: float = 30.0,
-    poll_s: float = 0.2,
-    max_attempts: int = 5,
-) -> ExecutionBackend:
-    """Build the named backend with its transport-specific knobs.
-
-    ``workers`` follows the historical ``--jobs`` convention (``0`` =
-    one per available CPU); the serial backend ignores it.  The
-    directory knobs (``directory``, lease/poll/retry) only matter for
-    ``"directory"``, which requires a campaign directory path.
-    """
-    if name == "serial":
-        return SerialBackend()
-    if name == "local":
-        return LocalPoolBackend(workers=workers)
-    if name == "directory":
-        if directory is None:
-            raise ReproError(
-                "the directory backend needs a campaign directory "
-                "(--dir PATH on the CLI)"
-            )
-        return DirectoryBackend(
-            directory,
-            workers=workers,
-            lease_ttl_s=lease_ttl_s,
-            poll_s=poll_s,
-            max_attempts=max_attempts,
-        )
-    raise ReproError(
-        f"unknown execution backend {name!r}; expected one of {BACKENDS}"
-    )

@@ -5,10 +5,10 @@ no server, no network protocol beyond a filesystem that N worker
 processes (on any number of hosts) can all see::
 
     <dir>/
-      campaign.json        the spec (workers re-expand jobs from it)
+      campaign.json        the spec (joining workers re-expand jobs from it)
       claims/<digest>.claim  lease files: owner + attempt, heartbeat mtime
       shards/<worker>.jsonl  per-worker append-only result stores
-      cache/               content-addressed schedule cache (shared)
+      cache/               schedule cache of the joining workers (shared)
 
 The protocol (Dwork–Halpern–Waarts setting: many workers, independent
 idempotent jobs, workers that may stall or die):
@@ -33,6 +33,11 @@ idempotent jobs, workers that may stall or die):
   write contention), then the claim is released.  Workers exit when
   every job is recorded in some shard.
 
+:func:`dispatch` is how :func:`~repro.campaign.runner.run_campaign`
+runs a campaign on worker processes: it spawns local workers on a
+campaign directory (a private temporary one unless the caller names a
+persistent one) and streams their shard lines back as results.
+
 Correctness does not rest on the lease being a perfect mutex: jobs are
 deterministic and content-addressed, so the worst race (two workers
 computing the same job) yields byte-identical records that the merge
@@ -45,7 +50,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
+import signal
 import socket
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -53,7 +61,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro import obs
-from repro.campaign.backends import ExecutionBackend
 from repro.campaign.cache import ScheduleCache
 from repro.campaign.jobs import Job, execute_job, expand_jobs
 from repro.core.retry import retry_io
@@ -73,10 +80,42 @@ DEFAULT_LEASE_TTL_S = 30.0
 #: Default attempts before a job is declared poisonous.
 DEFAULT_MAX_ATTEMPTS = 5
 
+#: Idle poll of :func:`dispatch` and of the workers it spawns.  They
+#: idle only at the end of a run, waiting on the last jobs, so a short
+#: poll costs little and ends the run soon after its last record.
+DISPATCH_POLL_S = 0.02
+
 
 def worker_identity() -> str:
     """This process's worker id: ``<host>-<pid>`` (multi-host unique)."""
     return f"{socket.gethostname()}-{os.getpid()}"
+
+
+def cpu_affinity_count() -> int | None:
+    """CPUs this process may actually run on, or ``None`` if unknowable.
+
+    Under cgroup/taskset confinement (CI runners, batch schedulers,
+    containers) ``os.cpu_count()`` reports the whole machine while the
+    scheduler only ever grants the affinity mask — sizing the workers on
+    the former oversubscribes the mask and serializes the "parallel"
+    workers.
+    """
+    getter = getattr(os, "sched_getaffinity", None)
+    if getter is None:  # non-Linux
+        return None
+    try:
+        return len(getter(0)) or None
+    except OSError:
+        return None
+
+
+def default_worker_count() -> int:
+    """Worker count used for ``jobs=0`` / ``--jobs 0``.
+
+    One worker per *available* CPU: the scheduling affinity mask when
+    the platform exposes it, the raw CPU count otherwise.
+    """
+    return cpu_affinity_count() or os.cpu_count() or 1
 
 
 class DirectoryCampaign:
@@ -88,6 +127,8 @@ class DirectoryCampaign:
         self.claims_dir = self.root / "claims"
         self.shards_dir = self.root / "shards"
         self.cache_dir = self.root / "cache"
+        self._shards = _ShardTail(self)
+        self._recorded: set[str] = set()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -150,11 +191,15 @@ class DirectoryCampaign:
         return ResultStore(self.shards_dir / f"{worker}.jsonl")
 
     def recorded_digests(self) -> set[str]:
-        """Digests recorded in *any* shard (the shared done-set)."""
-        done: set[str] = set()
-        for path in self.shard_paths():
-            done |= ResultStore(path).digests()
-        return done
+        """Digests recorded in *any* shard (the shared done-set).
+
+        Shards only grow, so each call parses just the lines appended
+        since the previous one.
+        """
+        for document in self._shards.poll():
+            if "digest" in document:
+                self._recorded.add(document["digest"])
+        return set(self._recorded)
 
     # -- claims ---------------------------------------------------------
 
@@ -383,12 +428,13 @@ class WorkerReport:
 def worker_loop(
     root: str | Path,
     *,
+    jobs: Sequence[Job] | None = None,
     worker: str | None = None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     poll_s: float = 0.2,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     delay_s: float = 0.0,
-    use_cache: bool = True,
+    cache: str | Path | None = None,
     progress=None,
 ) -> WorkerReport:
     """Run one work-stealing worker against a campaign directory.
@@ -402,20 +448,23 @@ def worker_loop(
     directory from as many processes and hosts as you like, with zero
     coordination beyond the shared filesystem.
 
-    ``delay_s`` is a fault-injection knob (used by tests and the CI
-    dispatch-smoke job): sleep that long between claiming a job and
-    executing it, so a kill signal reliably lands mid-lease.
+    ``jobs`` is the work list; ``None`` re-expands the directory's
+    ``campaign.json`` (a worker joining from elsewhere).  ``cache`` is
+    the schedule-cache root the worker reads and fills (``None`` = no
+    cache).  ``delay_s`` is a fault-injection knob (used by tests and
+    the CI dispatch-smoke job): sleep that long between claiming a job
+    and executing it, so a kill signal reliably lands mid-lease.
     """
     started = time.perf_counter()
     campaign = DirectoryCampaign(root)
-    spec = campaign.spec()
-    jobs = expand_jobs(spec)
+    if jobs is None:
+        jobs = campaign.jobs()
     worker = worker or worker_identity()
     # Bind the identity fault-plan ``worker`` patterns match against
     # (no-op unless an injection plan is active in this process).
     set_worker(worker)
     shard = campaign.shard_for(worker)
-    cache = ScheduleCache(campaign.cache_dir) if use_cache else None
+    cache = ScheduleCache(cache) if cache is not None else None
     report = WorkerReport(worker=worker)
     say = progress or (lambda message: None)
     tracer = obs.tracer()
@@ -518,6 +567,7 @@ def worker_loop(
                         document["record"],
                         elapsed_s=document["timing"]["elapsed_s"],
                         source="computed",
+                        telemetry=document["timing"]["obs"],
                     )
                     report.executed += 1
                 recorded = True
@@ -643,112 +693,115 @@ def worker_loop(
     return report
 
 
-def _worker_process(root, worker, lease_ttl_s, poll_s, max_attempts) -> None:
-    """Entry point of a dispatched worker process (fork-safe)."""
+def _worker_process(root, jobs, worker, cache, lease_ttl_s, max_attempts) -> None:
+    """Entry point of a spawned worker process (fork-safe).
+
+    The dispatching process owns Ctrl-C (it terminates its workers) and
+    the trace stream (job telemetry travels in the shard lines), so the
+    worker ignores ``SIGINT`` and forgets any inherited tracer.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     obs.worker_reset()
     worker_loop(
         root,
+        jobs=jobs,
         worker=worker,
+        cache=cache,
         lease_ttl_s=lease_ttl_s,
-        poll_s=poll_s,
+        poll_s=DISPATCH_POLL_S,
         max_attempts=max_attempts,
     )
 
 
-class DirectoryBackend(ExecutionBackend):
-    """Dispatch a campaign onto directory workers and stream results.
+def dispatch(
+    spec: CampaignSpec,
+    jobs: Sequence[Job],
+    workers: int,
+    *,
+    root: str | Path | None = None,
+    cache: str | Path | None = None,
+    lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+) -> Iterator[dict]:
+    """Run ``jobs`` on local directory workers, streaming their results.
 
-    ``execute`` initializes the campaign directory, spawns ``workers``
-    local worker processes against it (more can join from other
-    processes or hosts via ``repro campaign worker <dir>``), and tails
-    the shards — yielding each result document the moment some worker
-    records it, plus any worker-event lines, in completion order.
-    Workers write full execution documents into the directory's shared
-    content-addressed cache themselves (``manages_cache``), so the
-    runner does not re-cache the record-only documents yielded here.
+    ``root`` is a persistent campaign directory that more workers may
+    join (``repro campaign worker <root>``); ``None`` runs over a
+    private temporary directory, removed when the stream ends — Ctrl-C
+    and an abandoned stream included.  Up to ``workers`` processes are
+    spawned, each handed ``jobs`` (no re-expansion) starting at its own
+    offset, and each fills the schedule cache at ``cache`` (``None`` =
+    no cache).  With no jobs no process starts.
+
+    Yields each result document the moment some worker records it —
+    ``digest`` / ``record`` / ``source`` / ``timing`` (``elapsed_s``
+    and, for computed jobs, the ``obs`` telemetry summary) — plus any
+    worker-event lines, in completion order.  Whatever is still missing
+    when every worker has exited stays missing: quietly when the workers
+    gave up on it (retries exhausted), as a :class:`ReproError` when a
+    worker crashed.
     """
-
-    name = "directory"
-    manages_cache = True
-
-    def __init__(
-        self,
-        root: str | Path,
-        workers: int = 1,
-        *,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-        poll_s: float = 0.2,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    ) -> None:
-        self.root = Path(root)
-        self.workers = workers
-        self.lease_ttl_s = lease_ttl_s
-        self.poll_s = poll_s
-        self.max_attempts = max_attempts
-
-    def execute(
-        self, spec: CampaignSpec, jobs: Sequence[Job]
-    ) -> Iterator[dict]:
-        from repro.campaign.pool import default_worker_count
-
-        campaign = DirectoryCampaign.initialize(spec, self.root)
-        count = self.workers if self.workers else default_worker_count()
-        count = min(max(count, 1), max(1, len(jobs)))
-        processes = [
-            multiprocessing.Process(
-                target=_worker_process,
-                args=(
-                    str(self.root),
-                    f"{worker_identity()}-w{index}",
-                    self.lease_ttl_s,
-                    self.poll_s,
-                    self.max_attempts,
-                ),
-                daemon=True,
+    private = root is None
+    if private:
+        root = tempfile.mkdtemp(prefix="repro-campaign-")
+    processes: list[multiprocessing.Process] = []
+    try:
+        campaign = DirectoryCampaign.initialize(spec, root)
+        if not jobs:
+            return
+        count = min(max(workers, 1), len(jobs))
+        for index in range(count):
+            # Each worker starts at its own slice of the grid, so grid
+            # neighbours, which share problem builds and baselines,
+            # mostly run on one worker.
+            offset = index * len(jobs) // count
+            processes.append(
+                multiprocessing.Process(
+                    target=_worker_process,
+                    args=(
+                        str(root),
+                        list(jobs[offset:]) + list(jobs[:offset]),
+                        f"{worker_identity()}-w{index}",
+                        None if cache is None else str(cache),
+                        lease_ttl_s,
+                        max_attempts,
+                    ),
+                    daemon=True,
+                )
             )
-            for index in range(count)
-        ]
+        for process in processes:
+            process.start()
         tail = _ShardTail(campaign)
         wanted = {job.digest for job in jobs}
-        yielded: set[str] = set()
-        try:
-            for process in processes:
-                process.start()
-            while True:
-                for document in tail.poll():
-                    if "event" in document:
-                        yield document
-                    elif (
-                        document["digest"] in wanted
-                        and document["digest"] not in yielded
-                    ):
-                        yielded.add(document["digest"])
-                        yield document
-                if wanted <= yielded:
-                    break
-                if not any(process.is_alive() for process in processes):
-                    # Workers exited; one final scan catches the tail,
-                    # then whatever is missing stays missing (e.g.
-                    # retries exhausted) — the runner reports it.
-                    for document in tail.poll():
-                        if "event" in document:
-                            yield document
-                        elif (
-                            document["digest"] in wanted
-                            and document["digest"] not in yielded
-                        ):
-                            yielded.add(document["digest"])
-                            yield document
-                    break
-                time.sleep(min(self.poll_s, 0.1))
-            for process in processes:
-                process.join()
-        finally:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join()
+        while wanted:
+            alive = any(process.is_alive() for process in processes)
+            for document in tail.poll():
+                if "event" in document:
+                    yield document
+                elif document["digest"] in wanted:
+                    wanted.discard(document["digest"])
+                    yield document
+            if not alive:
+                break  # the poll above saw every line the workers wrote
+            time.sleep(DISPATCH_POLL_S)
+        for process in processes:
+            process.join()
+        crashed = [p.exitcode for p in processes if p.exitcode]
+        if wanted and crashed:
+            # A job that raises kills every worker that claims it; fail
+            # the run as an in-process job error would, not quietly.
+            raise ReproError(
+                f"{len(wanted)} jobs unrecorded: campaign workers crashed "
+                f"(exit codes {crashed}); see their tracebacks above"
+            )
+    finally:
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        for process in processes:
+            process.join()
+        if private:
+            shutil.rmtree(root, ignore_errors=True)
 
 
 class _ShardTail:
@@ -762,8 +815,7 @@ class _ShardTail:
         """Yield the documents appended since the last poll.
 
         Result lines come back runner-shaped (``digest`` / ``record`` /
-        ``timing.elapsed_s`` / ``source``); event lines come back
-        verbatim.  Only byte ranges ending in a newline are consumed —
+        ``timing`` / ``source``); event lines come back verbatim.  Only byte ranges ending in a newline are consumed —
         a torn in-flight write is left for the next poll.
         """
         for path in self._campaign.shard_paths():
@@ -783,13 +835,18 @@ class _ShardTail:
                     continue
                 try:
                     line = json.loads(raw)
-                except json.JSONDecodeError:
+                except ValueError:
                     continue  # torn mid-file line from a killed worker
+                if not isinstance(line, dict):
+                    continue
                 if "digest" in line:
+                    timing = {"elapsed_s": line.get("elapsed_s", 0.0)}
+                    if "obs" in line:
+                        timing["obs"] = line["obs"]
                     yield {
                         "digest": line["digest"],
                         "record": line["record"],
-                        "timing": {"elapsed_s": line.get("elapsed_s", 0.0)},
+                        "timing": timing,
                         "source": line.get("source", "computed"),
                     }
                 elif "event" in line:

@@ -7,9 +7,9 @@ failure scenarios — so two jobs that would schedule the same problem the
 same way share a digest, are deduplicated at expansion time, and hit the
 same entry of the content-addressed cache across campaigns.
 
-Jobs are plain picklable dataclasses: the worker pool ships the
+Jobs are plain picklable dataclasses: a spawned worker gets the
 coordinate, not the built problem, and rebuilds it deterministically in
-the worker process.
+its own process.
 """
 
 from __future__ import annotations
@@ -505,10 +505,12 @@ def execute_job(job: Job) -> dict:
 def reemit_job_telemetry(tracer, job: Job, document: dict) -> None:
     """Fold one worker's job telemetry into the parent trace.
 
-    Workers trace into in-memory streams (their fork must not touch the
-    parent's file — see :func:`repro.campaign.pool._init_worker`); the
-    dispatching process re-emits the shipped summary: one
-    ``campaign.job`` completion event carrying the worker heartbeat and
+    Jobs trace into in-memory streams: a spawned worker must not write
+    the parent's trace file (``_worker_process`` in
+    :mod:`repro.campaign.backends.directory` drops the inherited
+    tracer), so its job summary travels in the shard line.  The
+    dispatching process re-emits the summary: one ``campaign.job``
+    completion event carrying the worker heartbeat and
     the job's per-phase aggregate spans.
     """
     timing = document.get("timing", {})

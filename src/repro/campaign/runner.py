@@ -8,8 +8,11 @@ benchmarks.  The flow per run:
 2. with ``resume=True``, skip every job whose digest the result store
    already records (a killed campaign continues where it stopped);
 3. serve the remaining jobs from the content-addressed schedule cache
-   when possible, dispatching only genuinely new work to the pool;
-4. persist every completed result to the store the moment it arrives.
+   when possible;
+4. run only genuinely new work: in process, one job after the other,
+   with one worker and no persistent campaign directory; otherwise on
+   spawned directory workers (``dispatch`` in ``backends/directory.py``);
+5. persist every completed result to the store the moment it arrives.
 
 A ``KeyboardInterrupt`` mid-run is caught after the flush of every
 completed result: the returned report is marked ``interrupted`` and the
@@ -20,16 +23,23 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from repro import obs
-from repro.campaign.backends import ExecutionBackend, make_backend
 from repro.campaign.cache import ScheduleCache
-from repro.campaign.jobs import Job, expand_jobs, reemit_job_telemetry
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.jobs import (
+    Job,
+    execute_job,
+    expand_jobs,
+    reemit_job_telemetry,
+)
+from repro.campaign.spec import BACKENDS, CampaignSpec
 from repro.campaign.store import ResultStore
+from repro.core.retry import retry_io
+from repro.exceptions import ReproError
 
 
 @dataclass
@@ -47,7 +57,7 @@ class CampaignReport:
     records: dict[str, dict] = field(default_factory=dict)
     jobs: list[Job] = field(default_factory=list)
     backend: str = "local"
-    #: Worker-event lines the backend reported (kind -> count), e.g.
+    #: Worker-event lines the workers reported (kind -> count), e.g.
     #: ``lease_reclaimed`` when a directory worker stole a dead lease.
     events: dict[str, int] = field(default_factory=dict)
 
@@ -88,6 +98,19 @@ class CampaignReport:
         )
 
 
+def _execute_inline(jobs: Iterable[Job]) -> Iterator[dict]:
+    """Execute jobs in this process, absorbing transient I/O faults.
+
+    A job hitting a transient ``OSError`` (flaky storage, an injected
+    fault) retries under the shared backoff policy instead of failing
+    the campaign; a retried job recomputes the exact same record.
+    """
+    for job in jobs:
+        yield retry_io(
+            lambda: execute_job(job), attempts=3, base_s=0.01, cap_s=0.1
+        )
+
+
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -96,40 +119,50 @@ def run_campaign(
     cache: ScheduleCache | str | Path | None = None,
     resume: bool = False,
     progress: Callable[[str], None] | None = None,
-    backend: ExecutionBackend | str | None = None,
+    backend: str | None = None,
     directory: str | Path | None = None,
     lease_ttl_s: float = 30.0,
     max_attempts: int = 5,
 ) -> CampaignReport:
     """Run a campaign and return its report.
 
-    ``jobs`` is the worker count (``1`` = sequential in-process, the
-    bit-exact legacy path; ``0`` = one worker per available CPU).
-    ``store`` and ``cache`` are optional: without a store the records
-    only live in the report; without a cache every pending job is
-    computed.
+    ``jobs`` is the worker count (``0`` = one worker per available
+    CPU).  One worker runs the jobs in this process, one after the
+    other; more run on spawned directory workers over a private
+    temporary campaign directory.  ``store`` and ``cache`` are
+    optional: without a store the records only live in the report;
+    without a cache every pending job is computed.
 
-    ``backend`` selects the execution transport — an
-    :class:`~repro.campaign.backends.ExecutionBackend` instance, a
-    registry name, or ``None`` for the spec's own ``backend`` field
-    (default ``"local"``, the historical pool path — the legacy
-    signature is bit-exact unchanged).  The remaining keywords only
-    matter for the ``"directory"`` backend: the campaign directory and
-    its lease/retry protocol knobs.
+    ``backend`` is a name from :data:`~repro.campaign.spec.BACKENDS`,
+    or ``None`` for the spec's own ``backend`` field.  ``"serial"`` and
+    ``"local"`` are the same dispatch; ``"directory"`` runs the workers
+    — even a single one — on the persistent campaign ``directory``,
+    which more workers may join, with the given lease/retry protocol
+    knobs.
     """
     started = time.perf_counter()
+    backend = backend or spec.backend
+    if backend not in BACKENDS:
+        raise ReproError(
+            f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
+        )
+    if backend != "directory":
+        directory = None
+    elif directory is None:
+        raise ReproError(
+            "the directory backend needs a campaign directory "
+            "(--dir PATH on the CLI)"
+        )
+    workers = jobs
+    if workers == 0:
+        from repro.campaign.backends.directory import default_worker_count
+
+        workers = default_worker_count()
+    inline = workers <= 1 and directory is None
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     if cache is not None and not isinstance(cache, ScheduleCache):
         cache = ScheduleCache(cache)
-    if not isinstance(backend, ExecutionBackend):
-        backend = make_backend(
-            backend or spec.backend,
-            workers=jobs,
-            directory=directory,
-            lease_ttl_s=lease_ttl_s,
-            max_attempts=max_attempts,
-        )
     say = progress or (lambda message: None)
     tracer = obs.tracer()
 
@@ -144,7 +177,7 @@ def run_campaign(
         grid_size=spec.grid_size,
         total_jobs=len(expanded),
         jobs=expanded,
-        backend=backend.name,
+        backend=backend,
     )
     by_digest = {job.digest: job for job in expanded}
 
@@ -217,18 +250,34 @@ def run_campaign(
         if report.cache_hits:
             say(f"cache: {report.cache_hits} jobs served from {cache.root}")
 
-        with (
+        if inline:
+            documents = _execute_inline(to_compute)
+        else:
+            from repro.campaign.backends.directory import dispatch
+
+            # Workers fill the cache themselves: their shard lines carry
+            # records, not the schedules a cache entry holds.
+            documents = dispatch(
+                spec,
+                to_compute,
+                workers,
+                root=directory,
+                cache=None if cache is None else cache.root,
+                lease_ttl_s=lease_ttl_s,
+                max_attempts=max_attempts,
+            )
+        with closing(documents), (
             tracer.span(
                 "campaign.dispatch",
                 campaign=spec.name,
                 jobs=len(to_compute),
-                workers=jobs,
-                backend=backend.name,
+                workers=workers,
+                backend=backend,
             )
             if tracer is not None
             else obs.NOOP_SPAN
         ):
-            for document in backend.execute(spec, to_compute):
+            for document in documents:
                 if "event" in document and "digest" not in document:
                     # A worker-event line (lease reclaim, exhausted
                     # retries): operational history, not a result.
@@ -255,7 +304,7 @@ def run_campaign(
                     report.cache_hits += 1
                 else:
                     report.executed += 1
-                if cache is not None and not backend.manages_cache:
+                if cache is not None and inline:
                     cache.put(digest, document)
                     note_cache_health()
                 if store is not None:

@@ -40,7 +40,10 @@ MEASURES = ("ftbar", "non_ft", "hbp", "degraded", "reliability")
 #: Crash-instant policies of the ``reliability`` measure.
 CRASH_TIME_POLICIES = ("zero", "boundaries")
 
-#: Execution backends a spec may select (see :mod:`repro.campaign.backends`).
+#: Execution backends a spec may select.  ``local`` and ``serial`` are
+#: one dispatch (in process at one worker, directory workers over a
+#: private temporary directory at more); ``directory`` runs the workers
+#: on a persistent campaign directory that more workers may join.
 BACKENDS = ("local", "serial", "directory")
 
 

@@ -50,7 +50,7 @@ from repro.faultinject import failpoint
 
 #: Envelope keys that legitimately differ between two runs of the same
 #: campaign (used by tests and ``diffable_lines``).
-VOLATILE_KEYS = ("elapsed_s", "finished_at", "source")
+VOLATILE_KEYS = ("elapsed_s", "finished_at", "source", "obs")
 
 
 class ResultStore:
@@ -96,19 +96,25 @@ class ResultStore:
         *,
         elapsed_s: float = 0.0,
         source: str = "computed",
+        telemetry: dict | None = None,
     ) -> None:
-        """Durably append one result line (repairing any torn tail)."""
-        line = json.dumps(
-            {
-                "digest": digest,
-                "record": record,
-                "elapsed_s": elapsed_s,
-                "source": source,
-                "finished_at": time.time(),
-            },
-            sort_keys=True,
-        )
-        self._append_line(line, key=digest)
+        """Durably append one result line (repairing any torn tail).
+
+        ``telemetry`` is the job's summary (``timing.obs`` of an
+        execution document); directory workers ship it to the runner
+        this way.  Like the rest of the envelope it never reaches a
+        merged store.
+        """
+        line = {
+            "digest": digest,
+            "record": record,
+            "elapsed_s": elapsed_s,
+            "source": source,
+            "finished_at": time.time(),
+        }
+        if telemetry is not None:
+            line["obs"] = telemetry
+        self._append_line(json.dumps(line, sort_keys=True), key=digest)
 
     def append_event(self, kind: str, **fields) -> None:
         """Durably append one worker-event line (e.g. a lease reclaim).

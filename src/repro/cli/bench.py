@@ -32,7 +32,7 @@ def add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
         type=int,
         default=1,
         help="worker processes for the overhead sweeps (0 = one per CPU); "
-        "routes figure9/figure10 through the campaign pool",
+        "routes figure9/figure10 through the campaign runner",
     )
     parser.add_argument(
         "--profile",
@@ -135,7 +135,7 @@ def _bench_smoke() -> int:
 
 def run(args: argparse.Namespace) -> int:
     graphs = args.graphs
-    jobs = args.jobs  # 0 = one per CPU, resolved by the campaign pool
+    jobs = args.jobs  # 0 = one per CPU, resolved by the campaign runner
     if args.figure is not None and (args.smoke or args.profile):
         print(
             "error: --smoke/--profile run their own fixed workloads; "

@@ -29,7 +29,9 @@ def add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
         "--backend",
         choices=["local", "serial", "directory"],
         default=None,
-        help="execution backend (default: the spec's, usually 'local')",
+        help="'directory' runs the workers on a persistent campaign "
+        "directory (--dir) that more workers may join; 'local' and "
+        "'serial' do not (default: the spec's)",
     )
     campaign_run.add_argument(
         "--dir",
@@ -213,7 +215,7 @@ def _default_campaign_dir(args: argparse.Namespace) -> Path:
 
 
 def _worker(args: argparse.Namespace) -> int:
-    from repro.campaign.backends.directory import worker_loop
+    from repro.campaign.backends.directory import DirectoryCampaign, worker_loop
 
     report = worker_loop(
         args.dir,
@@ -222,7 +224,7 @@ def _worker(args: argparse.Namespace) -> int:
         poll_s=args.poll,
         max_attempts=args.max_attempts,
         delay_s=args.delay,
-        use_cache=not args.no_cache,
+        cache=None if args.no_cache else DirectoryCampaign(args.dir).cache_dir,
         progress=None if args.quiet else print,
     )
     print(report.summary())
@@ -349,7 +351,7 @@ def run(args: argparse.Namespace) -> int:
     backend = args.backend or spec.backend
     report = run_campaign(
         spec,
-        jobs=args.jobs,  # 0 = one per available CPU, resolved by the pool
+        jobs=args.jobs,  # 0 = one per available CPU
         store=store_path,
         cache=cache_dir,
         resume=args.resume,

@@ -189,6 +189,7 @@ def _chaos_worker(
         worker_loop(
             root,
             worker=worker_id,
+            cache=DirectoryCampaign(root).cache_dir,
             lease_ttl_s=lease_ttl_s,
             poll_s=poll_s,
             max_attempts=max_attempts,

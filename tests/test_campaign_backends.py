@@ -1,9 +1,10 @@
-"""Execution backends, work-stealing dispatch, and bit-identical merge.
+"""Campaign dispatch, the work-stealing protocol, and bit-identical merge.
 
-The properties this PR pins:
+The properties pinned here:
 
-* every backend (serial, local pool, work-stealing directory) computes
-  the same deterministic records for the same spec;
+* every dispatch (in process at one worker, directory workers over a
+  private or a persistent campaign directory) computes the same
+  deterministic records for the same spec;
 * directory workers coordinate through the filesystem alone — claims
   are exclusive, expired leases are stolen with a structured
   ``lease_reclaimed`` event, poisonous jobs stop after bounded retries;
@@ -30,7 +31,6 @@ from repro.campaign import (
     cpu_affinity_count,
     default_worker_count,
     expand_jobs,
-    make_backend,
     merge_stores,
     run_campaign,
     save_campaign,
@@ -211,11 +211,13 @@ class TestMerge:
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError, match="unknown execution backend"):
-            make_backend("ssh")
+            run_campaign(small_spec(), backend="ssh")
 
     def test_directory_backend_requires_directory(self):
         with pytest.raises(ReproError, match="campaign directory"):
-            make_backend("directory")
+            run_campaign(small_spec(), backend="directory")
+        with pytest.raises(ReproError, match="campaign directory"):
+            run_campaign(small_spec(backend="directory"))
 
     def test_spec_backend_field_validated(self):
         with pytest.raises(SerializationError, match="unknown execution"):
@@ -245,6 +247,7 @@ class TestBackendEquivalence:
         stores = {
             "serial": tmp_path / "serial.jsonl",
             "local": tmp_path / "local.jsonl",
+            "directory": tmp_path / "directory.jsonl",
         }
         run_campaign(spec, backend="serial", store=stores["serial"])
         run_campaign(spec, backend="local", jobs=2, store=stores["local"])
@@ -252,12 +255,22 @@ class TestBackendEquivalence:
             spec,
             backend="directory",
             jobs=2,
+            store=stores["directory"],
             directory=tmp_path / "camp",
             lease_ttl_s=10.0,
         )
         reference = canonical_bytes(tmp_path, stores["serial"])
         assert canonical_bytes(tmp_path, stores["local"]) == reference
+        assert canonical_bytes(tmp_path, stores["directory"]) == reference
         assert canonical_bytes(tmp_path, tmp_path / "camp") == reference
+
+    def test_private_worker_directory_is_removed(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_campaign(small_spec(), jobs=2)
+        assert report.completed == report.total_jobs
+        assert list(tmp_path.iterdir()) == []
 
     def test_directory_backend_report_accounting(self, tmp_path):
         spec = small_spec()
@@ -267,6 +280,81 @@ class TestBackendEquivalence:
         assert report.backend == "directory"
         assert report.completed == report.total_jobs
         assert report.records_in_order()
+
+
+class TestDirectoryDispatch:
+    def test_fully_resumed_run_starts_no_worker(self, tmp_path):
+        spec = small_spec()
+        store = tmp_path / "results.jsonl"
+        run_campaign(spec, store=store)
+        report = run_campaign(
+            spec,
+            backend="directory",
+            jobs=2,
+            store=store,
+            directory=tmp_path / "camp",
+            resume=True,
+        )
+        assert report.resumed == report.total_jobs
+        assert report.executed == 0
+        # No worker started, so no shard (nor any line in one) exists.
+        assert DirectoryCampaign(tmp_path / "camp").shard_paths() == []
+
+    def test_directory_run_fills_the_runners_cache(self, tmp_path, capsys):
+        spec_path = (
+            Path(__file__).resolve().parent.parent
+            / "examples"
+            / "campaign_smoke.json"
+        )
+        cache = tmp_path / "cache"
+        assert main(
+            [
+                "campaign", "run", str(spec_path), "--backend", "directory",
+                "--dir", str(tmp_path / "camp"), "--jobs", "2",
+                "--cache", str(cache), "--store", str(tmp_path / "a.jsonl"),
+                "--quiet",
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            [
+                "campaign", "run", str(spec_path), "--backend", "serial",
+                "--cache", str(cache), "--store", str(tmp_path / "b.jsonl"),
+                "--quiet",
+            ]
+        ) == 0
+        assert "cache hits: 8/8" in capsys.readouterr().out
+
+    def test_crashing_job_fails_the_run(self, tmp_path, monkeypatch):
+        from repro.campaign.backends import directory
+
+        spec = small_spec()
+        poison = expand_jobs(spec)[1].digest
+        execute = directory.execute_job
+
+        def failing(job):
+            if job.digest == poison:
+                raise ValueError("job bug")
+            return execute(job)
+
+        # Spawned workers fork from this process and see the patch.
+        monkeypatch.setattr(directory, "execute_job", failing)
+        store = tmp_path / "results.jsonl"
+        with pytest.raises(ReproError, match="1 jobs unrecorded"):
+            run_campaign(spec, jobs=2, store=store)
+        assert len(ResultStore(store).digests()) == 3
+
+    def test_spawned_workers_take_the_job_list(self, tmp_path):
+        # Handed the runner's pending jobs, a worker never re-expands the
+        # spec: jobs the runner did not ask for stay uncomputed.
+        spec = small_spec()
+        wanted = expand_jobs(spec)[:1]
+        campaign = DirectoryCampaign.initialize(spec, tmp_path / "c")
+        report = worker_loop(
+            tmp_path / "c", jobs=wanted, worker="solo", poll_s=0.05
+        )
+        assert report.completed == 1
+        assert campaign.recorded_digests() == {wanted[0].digest}
 
 
 class TestDirectoryProtocol:

@@ -277,6 +277,7 @@ class TestHeartbeatDeath:
         report = worker_loop(
             campaign.root,
             worker="hb-victim",
+            cache=campaign.cache_dir,
             lease_ttl_s=0.4,
             poll_s=0.02,
         )

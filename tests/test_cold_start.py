@@ -85,6 +85,29 @@ def test_import_cli_loads_only_the_registry():
     }
 
 
+def test_import_campaign_runner_loads_no_dispatch():
+    """The runner runs one worker in process: it loads the directory
+    dispatch (processes, sockets, the lease protocol) only when it
+    starts workers."""
+    modules = loaded_modules("import repro.campaign.runner")
+    for module in (
+        "multiprocessing", "socket", "repro.campaign.backends",
+        "repro.campaign.backends.directory",
+    ):
+        assert module not in modules, module
+
+
+def test_one_worker_campaign_loads_no_dispatch(tmp_path):
+    store = tmp_path / "results.jsonl"
+    modules = loaded_modules(run_cli(
+        "campaign", "run", str(EXAMPLES / "campaign_smoke.json"),
+        "--no-cache", "--store", str(store), "--quiet",
+    ))
+    assert len(store.read_text().splitlines()) == 8  # the campaign ran
+    for module in ("multiprocessing", "repro.campaign.backends.directory"):
+        assert module not in modules, module
+
+
 #: The ``repro.cli`` modules, by the commands they implement.
 _CLI_MODULES = {module for _, _, module in cli.COMMANDS}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.campaign import (
     CampaignSpec,
     WorkloadSpec,
     expand_jobs,
+    load_campaign,
     run_campaign,
 )
 from repro.campaign.jobs import execute_job, job_problem
@@ -368,20 +370,36 @@ class TestCampaignTelemetry:
         document = execute_job(expand_jobs(tiny_spec())[0])
         assert "events" not in document["record"]
 
-    def test_traced_campaign_equals_untraced(self, tmp_path):
-        spec = tiny_spec()
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_traced_campaign_equals_untraced(self, tmp_path, jobs):
+        # Whatever runs the jobs — this process or spawned workers — the
+        # trace gets one job.run span and one campaign.job event per
+        # executed job, naming the process that ran it.
+        spec = load_campaign(
+            Path(__file__).resolve().parent.parent
+            / "examples"
+            / "campaign_smoke.json"
+        )
         obs.enable(tmp_path / "trace.jsonl")
-        traced = run_campaign(spec, jobs=1, store=tmp_path / "a.jsonl")
+        traced = run_campaign(spec, jobs=jobs, store=tmp_path / "a.jsonl")
         obs.disable()
         plain = run_campaign(spec, jobs=1, store=tmp_path / "b.jsonl")
         assert traced.records == plain.records
+        assert traced.executed == traced.total_jobs == 8
         lines = obs.read_trace(tmp_path / "trace.jsonl")
         assert obs.validate_trace(lines) == []
+        executed = sorted(digest[:12] for digest in traced.records)
         completions = [
             l for l in lines
             if l.get("type") == "event" and l["name"] == "campaign.job"
         ]
-        assert len(completions) == traced.executed
+        assert sorted(l["attrs"]["job"] for l in completions) == executed
+        assert all(l["attrs"]["worker"] is not None for l in completions)
+        runs = [
+            l for l in lines
+            if l.get("type") == "span" and l["name"] == "job.run"
+        ]
+        assert sorted(l["attrs"]["job"] for l in runs) == executed
 
     def test_warnings_still_reach_the_caller(self, monkeypatch):
         """A warning raised inside a job is not swallowed by the runner."""
