@@ -2,7 +2,7 @@
 
 The section-5 guarantee is machine-checked by replaying every crash
 subset; the batch engine (compile-once arrays, crash lanes at
-instant 0, dirty-cone re-decision, footprint-equivalence pruning) must
+instant 0, footprint-equivalence pruning, a verdict memo) must
 give *bit-identical* verdicts to the per-scenario oracle
 (``tests/certify_oracle.py``, one executor replay per scenario) while
 doing far less work.  This bench times ``fault_tolerance_certificate``

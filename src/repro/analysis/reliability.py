@@ -25,9 +25,10 @@ a quantified verdict-with-error-bars, never a silently truncated one.
 
 Both ask every masking verdict of the compile-once batch engine
 (:class:`~repro.simulation.batch.BatchScenarioEngine`: crash lanes at
-instant 0, dirty-cone re-decision, footprint-equivalence pruning).  The
-paper-literal one-simulation-per-scenario enumeration they are pinned
-against lives in the test suite (``tests/certify_oracle.py``).
+instant 0, footprint-equivalence pruning and a verdict memo, one
+verdict-only replay for any other scenario).  The paper-literal
+one-simulation-per-scenario enumeration they are pinned against lives
+in the test suite (``tests/certify_oracle.py``).
 """
 
 from __future__ import annotations

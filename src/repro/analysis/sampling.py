@@ -372,8 +372,9 @@ def analytic_fault_bounds(schedule) -> FaultBounds:
 EXACT_CELL_CAP = 1024
 
 #: Deterministic break-hunt candidates tested per sampled level before
-#: any random draw: combinations of the largest-dirty-cone resources,
-#: where a break (if one exists) is most likely to surface.
+#: any random draw: combinations of the processors whose failure can
+#: reach the most events (the largest cones), where a break (if one
+#: exists) is most likely to surface.
 HUNT_LIMIT = 32
 
 #: Default total sample budget of one sampled certificate.

@@ -138,7 +138,8 @@ def run_campaign(
     ``"local"`` are the same dispatch; ``"directory"`` runs the workers
     — even a single one — on the persistent campaign ``directory``,
     which more workers may join, with the given lease/retry protocol
-    knobs.
+    knobs; the jobs this run resumes or serves from its cache are
+    recorded there too, so a worker joining later skips them.
     """
     started = time.perf_counter()
     backend = backend or spec.backend
@@ -249,6 +250,23 @@ def run_campaign(
         note_cache_health()
         if report.cache_hits:
             say(f"cache: {report.cache_hits} jobs served from {cache.root}")
+        if directory is not None and report.records:
+            # Record the resumed and cache-served jobs in a runner shard,
+            # so workers joining the directory later find them done.
+            from repro.campaign.backends.directory import (
+                DirectoryCampaign,
+                worker_identity,
+            )
+
+            campaign = DirectoryCampaign.initialize(spec, directory)
+            recorded = campaign.recorded_digests()
+            shard = campaign.shard_for(f"{worker_identity()}-runner")
+            for digest, record in report.records.items():
+                if digest not in recorded:
+                    resumed = resume and digest in stored_digests
+                    shard.append(
+                        digest, record, source="resumed" if resumed else "cache"
+                    )
 
         if inline:
             documents = _execute_inline(to_compute)

@@ -158,8 +158,8 @@ def run(args: argparse.Namespace) -> int:
         stats = engine.stats
         print(
             f"batch engine: {stats.scenarios} scenario verdicts — "
-            f"{stats.simulated} simulated ({stats.simulated_cone} dirty-cone, "
-            f"{stats.simulated_full} full), {stats.pruned_nominal} pruned as "
+            f"{stats.simulated} simulated (verdict-only replays), "
+            f"{stats.pruned_nominal} pruned as "
             f"nominal-equivalent, {stats.memo_hits} memo hits, "
             f"{stats.decisions} event decisions, {stats.copied} copied, "
             f"{stats.lanes} lanes in {stats.lane_passes} passes"

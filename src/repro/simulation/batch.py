@@ -19,14 +19,6 @@ actually requires:
   trace.  The class membership test is O(|subset|), so the exact
   probability sum over all ``2^P`` subsets stays exact while most of
   the lattice is never simulated;
-* **shared-prefix dirty-cone re-decision** — a subset's dirty cone (the
-  events reachable from its silenced resources through data or
-  resource-order edges) is the union of its members' cones; member
-  cones are computed once and subset cones are assembled through a
-  prefix cache that mirrors the lexicographic enumeration order of
-  ``itertools.combinations``, so consecutive subsets reuse each other's
-  partial unions.  Events outside the cone are copied from the baseline
-  instead of re-decided;
 * **verdict memoization** — every ``(subset, instant)`` verdict is
   cached under its canonical reduced form, so equivalent scenarios
   across certificate levels, crash-instant sweeps and reliability sums
@@ -38,17 +30,15 @@ actually requires:
   request with one pass of
   :meth:`~repro.simulation.compiled.CompiledSchedule.crash_lanes`, bit
   ``i`` of every event value standing for the request's ``i``-th subset.
-  Every other instant, detection policy or baseline is replayed.
 
-All answers are bit-identical to one full
-:meth:`~repro.simulation.compiled.CompiledSchedule.replay` (the
-production simulator) per scenario — the pruning rules are exact
-theorems about the worklist semantics, and the cone replay falls back
-to a full compiled replay whenever its order-independence argument does
-not apply (failure detection enabled, a baseline that needed the
-stalled-worklist relaxation, or a scenario whose cone replay stalls).
-The tests pin the verdicts against the object executor kept as the
-oracle (``tests/simulation_oracle.py``).
+Whatever none of these answers gets one verdict-only replay
+(:meth:`~repro.simulation.compiled.CompiledSchedule.replay`, the
+production simulator) of the whole schedule.  All answers are
+bit-identical to one full replay per scenario — the pruning rules are
+exact theorems about the worklist semantics, and crash lanes run only
+where their completion-only argument holds.  The tests pin the
+verdicts against the object executor kept as the oracle
+(``tests/simulation_oracle.py``).
 """
 
 from __future__ import annotations
@@ -82,26 +72,19 @@ class BatchStats:
     pruned_nominal: int = 0
     #: Scenarios answered from the verdict memo.
     memo_hits: int = 0
-    #: Scenarios replayed with dirty-cone baseline copying.
-    simulated_cone: int = 0
-    #: Scenarios replayed in full (detection on, or cone stalled).
-    simulated_full: int = 0
-    #: Cone replays that stalled and re-ran as full replays.
-    cone_fallbacks: int = 0
+    #: Scenarios that ran a (verdict-only) replay.
+    simulated: int = 0
     #: Event decisions made across all replays (baseline included).
     decisions: int = 0
-    #: Event outcomes copied from the baseline instead of re-decided.
+    #: Event outcomes copied from the baseline instead of re-decided:
+    #: always 0, since every replay decides its events itself; kept
+    #: for the readers of this field and of the certify summary line.
     copied: int = 0
     #: Verdicts answered by a crash-lane pass instead of a replay.
     lanes: int = 0
     #: Crash-lane passes run (each answers up to
     #: :data:`MAX_SUBSETS_PER_LEVEL` lanes).
     lane_passes: int = 0
-
-    @property
-    def simulated(self) -> int:
-        """Scenarios that actually ran a replay."""
-        return self.simulated_cone + self.simulated_full
 
 
 #: Live engines, tracked weakly so the metrics snapshot can total their
@@ -157,11 +140,11 @@ class BatchScenarioEngine:
         _ENGINES.add(self)
         self.stats.decisions += self._baseline.decisions
         self._baseline_delivered = self._baseline.delivered(self._compiled)
-        # The cone-copy and nominal-pruning arguments need a clean,
-        # relaxation-free baseline; detection knowledge additionally
-        # makes decisions order-dependent, so cones are NONE-only.
+        # Nominal pruning and crash lanes need a clean, relaxation-free
+        # baseline; detection knowledge additionally makes decisions
+        # order-dependent, so crash lanes are NONE-only.
         self._baseline_clean = self._baseline.clean
-        self._cone_ok = (
+        self._lanes_ok = (
             self._detection is DetectionPolicy.NONE and self._baseline_clean
         )
         compiled = self._compiled
@@ -235,12 +218,13 @@ class BatchScenarioEngine:
         )
 
     def processor_cone_fractions(self) -> dict[str, float]:
-        """Dirty-cone size of each involved processor as an event share.
+        """Cone size of each involved processor as an event share.
 
         The fraction of all scheduled events reachable from the
-        processor's failures through data or resource-order edges; the
-        sampled certifier ranks processors by it (larger cone = more
-        decisions revisited = likelier to break).
+        processor's failures through data or resource-order edges
+        (:meth:`~repro.simulation.compiled.CompiledSchedule.proc_cone`);
+        the sampled certifier ranks processors by it (larger cone = more
+        decisions a failure can change = likelier to break).
         """
         compiled = self._compiled
         total = max(1, len(compiled.op_events) + len(compiled.comm_events))
@@ -342,7 +326,7 @@ class BatchScenarioEngine:
         repeats: list[tuple[int, tuple]] = []
         use_lanes = (
             at == 0.0
-            and self._cone_ok
+            and self._lanes_ok
             and self._compiled.lane_order() is not None
         )
         for index, (reduced, reduced_links) in enumerate(subsets):
@@ -413,36 +397,15 @@ class BatchScenarioEngine:
         reduced_links: tuple[int, ...],
     ) -> bool:
         """Replay verdict for one reduced subset at one crash instant."""
-        queries = _CrashSetQueries(
-            frozenset(reduced), at, frozenset(reduced_links)
+        state = self._compiled.replay(
+            detection=self._detection,
+            verdict_only=True,
+            queries=_CrashSetQueries(
+                frozenset(reduced), at, frozenset(reduced_links)
+            ),
         )
-        state = None
-        if self._cone_ok:
-            # The subset's dirty cone is the union of its resources'
-            # cones, which ``CompiledSchedule`` memoizes per resource.
-            compiled = self._compiled
-            cone = 0
-            for proc in reduced:
-                cone |= compiled.proc_cone(proc)
-            for link in reduced_links:
-                cone |= compiled.link_cone(link)
-            state = compiled.replay(
-                baseline=self._baseline,
-                cone=cone,
-                verdict_only=True,
-                queries=queries,
-            )
-            if state is None:
-                self.stats.cone_fallbacks += 1
-            else:
-                self.stats.simulated_cone += 1
-        if state is None:
-            state = self._compiled.replay(
-                detection=self._detection, verdict_only=True, queries=queries
-            )
-            self.stats.simulated_full += 1
+        self.stats.simulated += 1
         self.stats.decisions += state.decisions
-        self.stats.copied += state.copied
         return state.truncated or state.delivered(self._compiled)
 
     def _is_nominal_equivalent(

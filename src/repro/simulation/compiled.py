@@ -28,29 +28,20 @@ replay once per scenario.  The paper-literal object executor survives
 only as the test oracle (``tests/simulation_oracle.py``), which every
 trace of the differential corpus must equal exactly.
 
-:meth:`CompiledSchedule.replay` has three progressively cheaper modes:
-
-* a full replay (any scenario, any detection policy);
-* a *dirty-cone* replay that re-decides only the events reachable from
-  a scenario's silenced resources and copies every other outcome from a
-  baseline replay (exact: an event outside the cone has no data,
-  resource-order or failure-query dependence on any changed event);
-* a *verdict* replay that stops as soon as every algorithm operation
-  has one completed replica (exact for masking checks, which only ask
-  whether all operations were delivered).
+Every :meth:`CompiledSchedule.replay` decides the schedule from t = 0
+on, in one of two modes: a full replay (any scenario, any detection
+policy), or a *verdict* replay that stops as soon as every
+algorithm operation has one completed replica (exact for masking
+checks, which only ask whether all operations were delivered).
 
 Beside the replay, :meth:`CompiledSchedule.crash_lanes` answers the
 masking verdicts of many crash subsets at instant 0 in one dataflow
 pass (one bit per subset); it is exact only where the batch engine
 gates it (no detection, clean baseline, positive durations), and the
-replay stays its oracle.
-
-The cone replay is only attempted without failure detection and with a
-clean baseline: the timeout-array knowledge table makes decisions
-order-dependent, and a baseline that needed the stalled-worklist
-relaxation voids the order-independence argument.  A cone replay that
-stalls returns ``None`` and the caller falls back to the full replay,
-which needs the relaxation for that scenario too.
+replay stays its oracle.  :meth:`CompiledSchedule.proc_cone` measures
+how much of the schedule a processor's failure can reach, over an
+event successor graph built on first use; only the sampled
+certifier's break hunt asks for it.
 """
 
 from __future__ import annotations
@@ -214,8 +205,6 @@ class CompiledTrace:
     knowledge: dict[tuple[int, int], float] = field(default_factory=dict)
     #: Number of full event decisions made by this replay.
     decisions: int = 0
-    #: Number of outcomes copied verbatim from the baseline (cone mode).
-    copied: int = 0
     #: Number of stalled-worklist relaxations fired.
     relaxed_fires: int = 0
     #: True when the verdict-mode early exit truncated the replay.
@@ -468,12 +457,36 @@ class CompiledSchedule:
             comm_ids[e] for e in schedule.all_comms()
         )
 
-        # --- dirty-cone structure ---------------------------------------
-        # Event graph node ids: op ``i`` is node ``i``; comm ``j`` is node
-        # ``n_ops + j``.  ``successors`` holds every edge along which a
-        # changed outcome can influence another decision: data flow
-        # (producer→comm→next hop→consumer, local feed→consumer) and
-        # resource order (event→next event on the same processor/link).
+        #: Whether each processor appears in the schedule at all (hosts an
+        #: operation, sends or receives a comm) — crashing an uninvolved
+        #: processor can never change any decision.
+        involved = [False] * len(self.proc_names)
+        for proc in self.op_proc:
+            involved[proc] = True
+        for src, dst in zip(self.comm_src_proc, self.comm_dst_proc):
+            involved[src] = involved[dst] = True
+        self.proc_involved = tuple(involved)
+        self._n_ops = n_ops
+        #: Event successor graph of :meth:`proc_cone`, built on first use.
+        self._successors: list[list[int]] | None = None
+        self._proc_cones: list[int | None] = [None] * len(self.proc_names)
+        self._lane_order: list[int] | None | bool = False  # False: not built
+
+    # ------------------------------------------------------------------
+    # processor cones
+    # ------------------------------------------------------------------
+    def _event_successors(self) -> list[list[int]]:
+        """Event successor graph (built on first use, then kept).
+
+        Node ids: op ``i`` is node ``i``; comm ``j`` is node
+        ``n_ops + j``.  An edge runs wherever a changed outcome can
+        influence another decision: data flow (producer→comm→next
+        hop→consumer, local feed→consumer) and resource order
+        (event→next event on the same processor or link).
+        """
+        if self._successors is not None:
+            return self._successors
+        n_ops = self._n_ops
         successors: list[list[int]] = [
             [] for _ in range(n_ops + len(self.comm_events))
         ]
@@ -483,13 +496,15 @@ class CompiledSchedule:
         for order in self.link_order:
             for before, after in zip(order, order[1:]):
                 successors[n_ops + before].append(n_ops + after)
-        for comm in range(len(self.comm_events)):
+        replica_ids = {
+            (e.operation, e.replica): op for op, e in enumerate(self.op_events)
+        }
+        for comm, event in enumerate(self.comm_events):
             if self.comm_producer[comm] >= 0:
                 successors[self.comm_producer[comm]].append(n_ops + comm)
             if self.comm_prev_hop[comm] >= 0:
                 successors[n_ops + self.comm_prev_hop[comm]].append(n_ops + comm)
             if self.comm_is_final[comm]:
-                event = self.comm_events[comm]
                 target = replica_ids.get((event.target, event.target_replica))
                 if target is not None:
                     successors[n_ops + comm].append(target)
@@ -498,60 +513,35 @@ class CompiledSchedule:
                 if local_id >= 0:
                     successors[local_id].append(op)
         self._successors = successors
-        self._n_ops = n_ops
-        self._proc_seed_nodes: list[list[int]] = [
-            [] for _ in self.proc_names
-        ]
-        for op in range(n_ops):
-            self._proc_seed_nodes[self.op_proc[op]].append(op)
-        for comm in range(len(self.comm_events)):
-            node = n_ops + comm
-            self._proc_seed_nodes[self.comm_src_proc[comm]].append(node)
-            self._proc_seed_nodes[self.comm_dst_proc[comm]].append(node)
-        self._link_seed_nodes: list[list[int]] = [
-            [n_ops + comm for comm in order] for order in self.link_order
-        ]
-        #: Whether each processor appears in the schedule at all (hosts an
-        #: operation, sends or receives a comm) — crashing an uninvolved
-        #: processor can never change any decision.
-        self.proc_involved = tuple(
-            bool(seeds) for seeds in self._proc_seed_nodes
-        )
-        self._proc_cones: list[int | None] = [None] * len(self.proc_names)
-        self._link_cones: list[int | None] = [None] * len(self.link_names)
-        self._lane_order: list[int] | None | bool = False  # False: not built
-
-    # ------------------------------------------------------------------
-    # dirty cones
-    # ------------------------------------------------------------------
-    def _closure(self, seeds: list[int]) -> int:
-        """Bitmask of event nodes reachable from ``seeds`` (inclusive)."""
-        mask = 0
-        stack = list(seeds)
-        successors = self._successors
-        while stack:
-            node = stack.pop()
-            bit = 1 << node
-            if mask & bit:
-                continue
-            mask |= bit
-            stack.extend(successors[node])
-        return mask
+        return successors
 
     def proc_cone(self, proc: int) -> int:
-        """Dirty-cone bitmask of one failing processor (memoized)."""
+        """Bitmask of the events a failing processor can reach (memoized).
+
+        The closure, over :meth:`_event_successors`, of the processor's
+        operations and of the comms it sends or receives.
+        """
         cone = self._proc_cones[proc]
         if cone is None:
-            cone = self._closure(self._proc_seed_nodes[proc])
+            n_ops = self._n_ops
+            stack = [op for op, owner in enumerate(self.op_proc) if owner == proc]
+            stack += [
+                n_ops + comm
+                for comm, ends in enumerate(
+                    zip(self.comm_src_proc, self.comm_dst_proc)
+                )
+                if proc in ends
+            ]
+            successors = self._event_successors()
+            cone = 0
+            while stack:
+                node = stack.pop()
+                bit = 1 << node
+                if cone & bit:
+                    continue
+                cone |= bit
+                stack.extend(successors[node])
             self._proc_cones[proc] = cone
-        return cone
-
-    def link_cone(self, link: int) -> int:
-        """Dirty-cone bitmask of one failing link (memoized)."""
-        cone = self._link_cones[link]
-        if cone is None:
-            cone = self._closure(self._link_seed_nodes[link])
-            self._link_cones[link] = cone
         return cone
 
     # ------------------------------------------------------------------
@@ -692,21 +682,15 @@ class CompiledSchedule:
         self,
         scenario: FailureScenario | None = None,
         detection: DetectionPolicy = DetectionPolicy.NONE,
-        baseline: CompiledTrace | None = None,
-        cone: int | None = None,
         verdict_only: bool = False,
         queries=None,
         initial_knowledge: dict[str, set[str]] | None = None,
-    ) -> CompiledTrace | None:
+    ) -> CompiledTrace:
         """Replay the schedule under ``scenario`` on the compiled arrays.
 
-        With ``baseline`` and ``cone`` the replay re-decides only the
-        events inside the cone and copies every other outcome from the
-        baseline; it returns ``None`` when the worklist stalls (the
-        caller must fall back to a full replay, which resolves the stall
-        with the relaxation rule).  ``verdict_only`` stops as soon as
-        every operation has a completed replica — exact for masking
-        checks, but the returned trace is marked ``truncated``.
+        ``verdict_only`` stops as soon as every operation has a
+        completed replica — exact for masking checks, but the returned
+        trace is marked ``truncated``.
 
         ``initial_knowledge`` seeds the failure-detection arrays
         (option 2): ``{observer: {known_faulty, ...}}`` by processor
@@ -721,24 +705,14 @@ class CompiledSchedule:
         timeout_array = detection is DetectionPolicy.TIMEOUT_ARRAY
         n_ops = self._n_ops
         n_comms = len(self.comm_events)
-        cone_mode = baseline is not None and cone is not None
 
-        if cone_mode:
-            op_status = list(baseline.op_status)
-            op_start = list(baseline.op_start)
-            op_end = list(baseline.op_end)
-            comm_status = list(baseline.comm_status)
-            comm_start = list(baseline.comm_start)
-            comm_end = list(baseline.comm_end)
-            comm_delivered = list(baseline.comm_delivered)
-        else:
-            op_status = [UNDECIDED] * n_ops
-            op_start: list = [None] * n_ops
-            op_end: list = [None] * n_ops
-            comm_status = [UNDECIDED] * n_comms
-            comm_start: list = [None] * n_comms
-            comm_end: list = [None] * n_comms
-            comm_delivered = [False] * n_comms
+        op_status = [UNDECIDED] * n_ops
+        op_start: list = [None] * n_ops
+        op_end: list = [None] * n_ops
+        comm_status = [UNDECIDED] * n_comms
+        comm_start: list = [None] * n_comms
+        comm_end: list = [None] * n_comms
+        comm_delivered = [False] * n_comms
         state = CompiledTrace(
             op_status, op_start, op_end,
             comm_status, comm_start, comm_end, comm_delivered,
@@ -765,58 +739,13 @@ class CompiledSchedule:
                     )
 
         undecided = n_ops + n_comms
-        copied = 0
-        if cone_mode:
-            # Everything outside the cone keeps its baseline outcome;
-            # the cone is closed under resource order, so the skipped
-            # events form a prefix of every resource's static order.
-            for proc, order in enumerate(self.proc_order):
-                cut = 0
-                for op in order:
-                    if cone >> op & 1:
-                        break
-                    if op_status[op] == COMPLETED:
-                        proc_free[proc] = op_end[op]
-                    cut += 1
-                proc_index[proc] = cut
-                copied += cut
-                for op in order[cut:]:
-                    op_status[op] = UNDECIDED
-                    op_start[op] = None
-                    op_end[op] = None
-            for link, order in enumerate(self.link_order):
-                cut = 0
-                for comm in order:
-                    if cone >> (n_ops + comm) & 1:
-                        break
-                    if comm_status[comm] == COMPLETED:
-                        link_free[link] = comm_end[comm]
-                    cut += 1
-                link_index[link] = cut
-                copied += cut
-                for comm in order[cut:]:
-                    comm_status[comm] = UNDECIDED
-                    comm_start[comm] = None
-                    comm_end[comm] = None
-                    comm_delivered[comm] = False
-            undecided -= copied
-            state.copied = copied
-
-        verdict_pending = (
-            sum(
-                1 for group in self.operation_groups
-                if not any(op_status[op] == COMPLETED for op in group)
-            )
-            if verdict_only
-            else -1
-        )
-        # Operation-name index for the verdict countdown.
+        verdict_pending = -1
         if verdict_only:
+            # Countdown of the operations still without a completed
+            # replica.
             op_group = self.op_group_index
-            group_done = [
-                any(op_status[op] == COMPLETED for op in group)
-                for group in self.operation_groups
-            ]
+            group_done = [False] * len(self.operation_groups)
+            verdict_pending = len(group_done)
             if verdict_pending == 0:
                 state.truncated = True
                 return state
@@ -988,8 +917,6 @@ class CompiledSchedule:
                 continue
             if undecided == 0:
                 break
-            if cone_mode:
-                return None  # stall: the caller re-runs the full replay
             # Stalled worklist: fire the pending operation with the
             # earliest candidate start (the relaxation rule).
             best = None

@@ -121,7 +121,6 @@ class FailureScenario:
         # re-canonicalizing the interval tables per comparison.
         self._signature: tuple | None = None
         self._hash: int | None = None
-        self._crash_set: tuple[tuple[str, ...], float] | None | bool = False
         self._failure_set: tuple | None | bool = False
         for failure in failures:
             if isinstance(failure, LinkFailure):
@@ -260,31 +259,15 @@ class FailureScenario:
             return NotImplemented
         return self.signature() == other.signature()
 
-    def permanent_crash_set(self) -> tuple[tuple[str, ...], float] | None:
-        """The ``(processors, at)`` form of a uniform crash subset.
-
-        ``None`` unless every failure is a *permanent* processor crash
-        and all crashes share one instant — the link-free special case
-        of :meth:`permanent_failure_set` (the single place the
-        detection logic lives), memoized like :meth:`signature`.
-        """
-        if self._crash_set is False:
-            failure_set = self.permanent_failure_set()
-            if failure_set is None or failure_set[1]:
-                self._crash_set = None
-            else:
-                self._crash_set = (failure_set[0], failure_set[2])
-        return self._crash_set
-
     def permanent_failure_set(
         self,
     ) -> tuple[tuple[str, ...], tuple[str, ...], float] | None:
         """The ``(processors, links, at)`` form of a uniform crash subset.
 
-        Like :meth:`permanent_crash_set` but covering link failures:
         ``None`` unless every failure (processor *or* link) is permanent
-        and all share one instant — the shape of the combined
-        processor+link scenarios the certifier's batch engine fast-paths.
+        and all share one instant — the shape of the crash subsets and
+        combined processor+link scenarios the compiled replay answers
+        with its permanent-set queries.  Memoized like :meth:`signature`.
         """
         if self._failure_set is False:
             self._failure_set = None

@@ -3,20 +3,20 @@
 :meth:`CompiledSchedule.replay` is the only production simulator; the
 paper-literal executor survives as ``tests/simulation_oracle.py``.
 Every trace of the corpus — operations, comms and detections — must
-equal the oracle's exactly, through the three production entry points:
-the one-call :func:`simulate`, the cyclic :func:`simulate_iterations`
+equal the oracle's exactly, through the two production entry points:
+the one-call :func:`simulate` and the cyclic :func:`simulate_iterations`
 (each iteration's trace, with timeout-array knowledge carried across
-iterations) and the dirty-cone replay
-(``replay(baseline=..., cone=...)``).  The masking verdicts of the batch
-engine (crash lanes, cone replays, footprint-equivalence pruning) must
-equal one oracle replay per scenario too.
+iterations).  The verdict of every verdict-only replay, and the masking
+verdicts of the batch engine (crash lanes, replays,
+footprint-equivalence pruning), must equal one oracle replay per
+scenario too.
 
 The corpus crosses random-DAG schedules (seeds x npf) on point-to-point,
 bus, ring and star topologies and ``npl = 1`` route-replicated schedules
 with crash subsets at several instants, intermittent crashes and link
 failures, under both detection policies — plus a hand-built schedule
 whose nominal replay needs the stalled-worklist relaxation (the path
-that disables the dirty-cone optimization).
+that disables nominal pruning and crash lanes).
 """
 
 import itertools
@@ -121,29 +121,10 @@ def assert_traces_equal(reference, candidate, context: str) -> None:
     assert reference.detections == candidate.detections, context
 
 
-def scenario_cone(compiled: CompiledSchedule, scenario) -> int:
-    """Union of the dirty cones of the scenario's failing resources."""
-    cone = 0
-    for name in scenario.failed_processors():
-        cone |= compiled.proc_cone(compiled.proc_ids[name])
-    for name in scenario.failed_links():
-        cone |= compiled.link_cone(compiled.link_ids[name])
-    return cone
-
-
 def assert_matches_oracle(schedule, algorithm, scenarios, detection, label):
-    """``simulate()`` and the cone replay equal the oracle per scenario.
-
-    The cone replay is exact only without detection and on a clean
-    baseline (where the batch engine uses it); a cone replay that
-    stalls returns ``None`` and is not compared.  Returns the number of
-    cone replays compared.
-    """
+    """``simulate()`` and the verdict-only replay equal the oracle."""
     oracle = ScheduleSimulator(schedule, algorithm, detection)
     compiled = CompiledSchedule(schedule, algorithm)
-    baseline = compiled.replay(None, detection)
-    cone_ok = detection is DetectionPolicy.NONE and baseline.clean
-    cones = 0
     for scenario in [FailureScenario.none(), *scenarios]:
         context = f"{label} {detection} {scenario!r}"
         reference = oracle.run(scenario)
@@ -152,20 +133,10 @@ def assert_matches_oracle(schedule, algorithm, scenarios, detection, label):
             simulate(schedule, algorithm, scenario, detection),
             context,
         )
-        if not cone_ok:
-            continue
-        state = compiled.replay(
-            scenario,
-            detection,
-            baseline=baseline,
-            cone=scenario_cone(compiled, scenario),
-        )
-        if state is not None:
-            cones += 1
-            assert_traces_equal(
-                reference, state.to_trace(compiled), f"cone {context}"
-            )
-    return cones
+        state = compiled.replay(scenario, detection, verdict_only=True)
+        assert (
+            state.truncated or state.delivered(compiled)
+        ) == reference.all_operations_delivered(algorithm), f"verdict {context}"
 
 
 def oracle_iterations(schedule, algorithm, iterations, scenario, detection):
@@ -304,12 +275,10 @@ class TestTraceEquivalence:
     def test_intermittent_and_link_failures(self):
         schedule, algorithm = corpus_schedule(2, 1)
         for detection in DetectionPolicy:
-            cones = assert_matches_oracle(
+            assert_matches_oracle(
                 schedule, algorithm, mixed_scenarios(schedule), detection,
                 "mixed",
             )
-            if detection is DetectionPolicy.NONE:
-                assert cones > 0  # the cone replay really was compared
 
 
 class TestIterationEquivalence:
@@ -519,6 +488,34 @@ class TestBatchedReliability:
         assert report.reliability == oracle.reliability
         assert engine.stats.simulated + engine.stats.lanes >= before
 
+    def test_certificate_builds_no_successor_graph(self):
+        """Lanes, replays and pruning never need the event successor
+        graph; only the sampled certifier's processor ranking builds it."""
+        schedule, algorithm = corpus_schedule(0, 1)
+        engine = BatchScenarioEngine(schedule, algorithm)
+        compiled = engine._compiled
+        fault_tolerance_certificate(schedule, algorithm, engine=engine)
+        schedule_reliability(
+            schedule,
+            algorithm,
+            {p: 0.1 for p in schedule.processor_names()},
+            engine=engine,
+        )
+        assert engine.stats.lanes > 0
+        assert compiled._successors is None
+        fault_tolerance_certificate(
+            schedule,
+            algorithm,
+            crash_times=event_boundary_times(schedule, limit=6),
+            engine=engine,
+        )
+        assert engine.stats.simulated > 0
+        assert compiled._successors is None
+        fractions = engine.processor_cone_fractions()
+        assert compiled._successors is not None
+        assert set(fractions) == set(engine.involved_processors())
+        assert all(0.0 < share <= 1.0 for share in fractions.values())
+
     def test_engine_detection_mismatch_rejected(self):
         schedule, algorithm = corpus_schedule(0, 1)
         engine = BatchScenarioEngine(schedule, algorithm)
@@ -552,20 +549,23 @@ class TestFailureScenarioIdentity:
         assert one != FailureScenario.crashes(("P1", "P2"), at=4.0)
         assert len({one, two}) == 1
 
-    def test_permanent_crash_set_detection(self):
+    def test_permanent_failure_set_detection(self):
         crash = FailureScenario.crashes(("P1", "P3"), at=2.0)
-        assert crash.permanent_crash_set() == (("P1", "P3"), 2.0)
-        assert crash.permanent_crash_set() is crash.permanent_crash_set()
-        assert FailureScenario.none().permanent_crash_set() is None
+        assert crash.permanent_failure_set() == (("P1", "P3"), (), 2.0)
+        assert crash.permanent_failure_set() is crash.permanent_failure_set()
+        assert FailureScenario.none().permanent_failure_set() is None
         assert (
-            FailureScenario.intermittent("P1", 0.0, 5.0).permanent_crash_set()
+            FailureScenario.intermittent("P1", 0.0, 5.0).permanent_failure_set()
             is None
         )
-        assert FailureScenario.link_down("L1").permanent_crash_set() is None
+        assert FailureScenario.link_down("L1").permanent_failure_set() == (
+            (), ("L1",), 0.0
+        )
+        assert FailureScenario.link_down("L1", 0.0, 4.0).permanent_failure_set() is None
         mixed = FailureScenario(
             [ProcessorFailure("P1", 0.0), ProcessorFailure("P2", 1.0)]
         )
-        assert mixed.permanent_crash_set() is None
+        assert mixed.permanent_failure_set() is None
 
     def test_compiled_missing_operation_rejected(self):
         schedule, _ = corpus_schedule(0, 1)

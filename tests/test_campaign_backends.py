@@ -36,6 +36,7 @@ from repro.campaign import (
     save_campaign,
     worker_loop,
 )
+from repro.campaign.backends.directory import worker_identity
 from repro.cli import main
 from repro.exceptions import ReproError, SerializationError
 
@@ -297,8 +298,54 @@ class TestDirectoryDispatch:
         )
         assert report.resumed == report.total_jobs
         assert report.executed == 0
-        # No worker started, so no shard (nor any line in one) exists.
-        assert DirectoryCampaign(tmp_path / "camp").shard_paths() == []
+        # No worker started, so the runner's shard of the resumed
+        # records is the only shard.
+        shards = DirectoryCampaign(tmp_path / "camp").shard_paths()
+        assert [path.name for path in shards] == [
+            f"{worker_identity()}-runner.jsonl"
+        ]
+
+    @pytest.mark.parametrize("served", ["cache", "resume"])
+    def test_served_jobs_are_recorded_for_joining_workers(
+        self, tmp_path, served
+    ):
+        # Jobs the runner serves from its cache or its store reach the
+        # directory's shards, so a worker joining later finds them done.
+        spec = small_spec()
+        reference = tmp_path / "reference.jsonl"
+        run_campaign(spec, store=reference, cache=tmp_path / "cache")
+        report = run_campaign(
+            spec,
+            backend="directory",
+            jobs=2,
+            store=reference if served == "resume" else None,
+            cache=tmp_path / "cache" if served == "cache" else None,
+            resume=served == "resume",
+            directory=tmp_path / "camp",
+        )
+        assert report.executed == 0
+        joined = worker_loop(tmp_path / "camp", worker="late", poll_s=0.05)
+        assert (joined.executed, joined.cache_hits) == (0, 0)
+        assert canonical_bytes(tmp_path, tmp_path / "camp") == (
+            canonical_bytes(tmp_path, reference)
+        )
+        # A rerun adds no line: every served job is already recorded.
+        campaign = DirectoryCampaign(tmp_path / "camp")
+        lines = sum(
+            len(path.read_text().splitlines())
+            for path in campaign.shard_paths()
+        )
+        run_campaign(
+            spec,
+            backend="directory",
+            jobs=2,
+            cache=tmp_path / "cache",
+            directory=tmp_path / "camp",
+        )
+        assert lines == sum(
+            len(path.read_text().splitlines())
+            for path in campaign.shard_paths()
+        )
 
     def test_directory_run_fills_the_runners_cache(self, tmp_path, capsys):
         spec_path = (

@@ -567,6 +567,28 @@ class TestBench:
 
 
 class TestCertifyBatchLine:
+    #: Copied from ``_BATCH_LINE`` in ``perfbench/workloads.py``, which
+    #: parses this line out of ``repro certify`` runs.
+    BENCHMARK_PATTERN = re.compile(
+        r"batch engine: (\d+) scenario verdicts — (\d+) simulated .*?, "
+        r"(\d+) pruned as nominal-equivalent, (\d+) memo hits, "
+        r"(\d+) event decisions, (\d+) copied"
+    )
+
+    @pytest.mark.parametrize("boundaries", [False, True])
+    def test_batch_line_matches_benchmark_pattern(self, boundaries, capsys):
+        argv = ["certify", str(EXAMPLE.with_name("problem_ring4_npl1.json"))]
+        assert main(argv + ["--boundaries"] * boundaries) == 0
+        out = capsys.readouterr().out
+        match = self.BENCHMARK_PATTERN.search(out)
+        assert match is not None, out
+        scenarios, simulated, _, _, decisions, copied = map(
+            int, match.groups()
+        )
+        assert 0 < decisions and copied == 0
+        assert (simulated > 0) == boundaries
+        assert scenarios > simulated
+
     def test_batch_line_reports_crash_lanes(self, capsys):
         """At crash instant 0 every verdict is a lane, none a replay;
         the counters end the line so existing parsers still match."""

@@ -113,7 +113,7 @@ def level_pairs(schedule, max_procs: int, max_links: int):
 
 
 def replay_masked(compiled, algorithm, procs, links, at=0.0) -> bool:
-    """Verdict of one full compiled replay (no cone, no lanes)."""
+    """Verdict of one full compiled replay (no lanes)."""
     trace = compiled.replay(
         FailureScenario.resource_crashes(procs, links, at=at)
     )
