@@ -41,6 +41,8 @@ from typing import Iterable, Mapping
 
 from repro import obs
 from repro.analysis import sampling
+# Both result types are built in ``sampling`` and re-exported here.
+from repro.analysis.sampling import ReliabilityReport, ToleranceLevel
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
@@ -53,72 +55,24 @@ from repro.simulation.failures import DetectionPolicy
 ENUMERATION_CAP = 12
 
 
-@dataclass(frozen=True)
-class ToleranceLevel:
-    """Masking statistics for one combined crash-subset size.
-
-    ``failures`` counts crashed processors, ``link_failures`` broken
-    links (0 for the paper's processor-only levels).  ``method`` names
-    how the level was resolved:
-
-    * ``"exact"`` — every subset enumerated; the counts are the truth.
-    * ``"projected"`` — exact counts at arbitrary ``P`` via involved-set
-      projection (only the involved core was enumerated, uninvolved
-      paddings marginalize out analytically).
-    * ``"bounds"`` — refuted by a closed-form witness (minimum replica
-      placement or an uncovered link cut) without simulation;
-      ``masked_subsets``/``total_subsets`` report the witness evidence
-      (``0/1``).
-    * ``"sampled"`` — statistically estimated; ``masked_subsets`` /
-      ``total_subsets`` then honestly count the *samples* (masked /
-      drawn), the true population is in ``population`` and the
-      estimate carries a confidence interval.
-    """
-
-    failures: int
-    masked_subsets: int
-    total_subsets: int
-    link_failures: int = 0
-    method: str = "exact"
-    #: True subset count of the level (== ``total_subsets`` for exact
-    #: levels; the astronomically larger denominator for sampled ones).
-    population: int | None = None
-    samples: int = 0
-    estimate: float | None = None
-    ci: tuple[float, float] | None = None
-    #: A breaking subset was observed at this level (exact enumeration,
-    #: bounds witness, break hunt or random draw).
-    breaking_found: bool = False
-
-    @property
-    def fully_masked(self) -> bool:
-        """True when *provably* every subset of this size is masked.
-
-        Sampled levels can never prove full masking (only estimate the
-        masked fraction), bounds levels are refuted by construction —
-        both answer False.
-        """
-        if self.method in ("exact", "projected"):
-            return self.masked_subsets == self.total_subsets
-        return False
-
-    @property
-    def refuted(self) -> bool:
-        """True when at least one subset of this size provably breaks."""
-        if self.method in ("exact", "projected"):
-            return self.masked_subsets < self.total_subsets
-        if self.method == "bounds":
-            return True
-        return self.breaking_found
-
-    @property
-    def masked_fraction(self) -> float:
-        """Share of masked subsets (estimated for sampled levels)."""
-        if self.method == "sampled" and self.estimate is not None:
-            return self.estimate
-        if self.total_subsets == 0:
-            return 1.0
-        return self.masked_subsets / self.total_subsets
+def _level_document(level: ToleranceLevel) -> dict:
+    """One level of :meth:`FaultToleranceCertificate.to_dict`."""
+    document = {
+        "failures": level.failures,
+        "link_failures": level.link_failures,
+        "masked": level.masked_subsets,
+        "total": level.total_subsets,
+        "method": level.method,
+    }
+    if level.population not in (None, level.total_subsets):
+        document["population"] = level.population
+    if level.samples:
+        document["samples"] = level.samples
+    if level.estimate is not None:
+        document["estimate"] = level.estimate
+    if level.ci is not None:
+        document["ci"] = list(level.ci)
+    return document
 
 
 @dataclass
@@ -165,11 +119,7 @@ class FaultToleranceCertificate:
         link failures combined.  Sampled in-hypothesis levels can never
         certify (see :attr:`verdict` for the three-way answer).
         """
-        return all(
-            level.fully_masked
-            for level in self.levels
-            if level.failures <= self.npf and level.link_failures <= self.npl
-        )
+        return self.verdict == "certified"
 
     @property
     def verdict(self) -> str:
@@ -210,33 +160,7 @@ class FaultToleranceCertificate:
             "npl": self.npl,
             "method": self.method,
             "crash_times": list(self.crash_times),
-            "levels": [
-                {
-                    "failures": level.failures,
-                    "link_failures": level.link_failures,
-                    "masked": level.masked_subsets,
-                    "total": level.total_subsets,
-                    "method": level.method,
-                    **(
-                        {"population": level.population}
-                        if level.population is not None
-                        and level.population != level.total_subsets
-                        else {}
-                    ),
-                    **(
-                        {"samples": level.samples} if level.samples else {}
-                    ),
-                    **(
-                        {"estimate": level.estimate}
-                        if level.estimate is not None
-                        else {}
-                    ),
-                    **(
-                        {"ci": list(level.ci)} if level.ci is not None else {}
-                    ),
-                }
-                for level in self.levels
-            ],
+            "levels": [_level_document(level) for level in self.levels],
             "breaking_subsets": [
                 sorted(subset) for subset in self.breaking_subsets
             ],
@@ -341,14 +265,6 @@ def _resolve_engine(
     return engine
 
 
-def _check_method(method: str, kind: str) -> None:
-    if method not in sampling.METHODS:
-        raise SimulationError(
-            f"unknown {kind} method {method!r}; "
-            f"expected one of {sampling.METHODS}"
-        )
-
-
 def fault_tolerance_certificate(
     schedule: Schedule,
     algorithm: AlgorithmGraph,
@@ -357,11 +273,9 @@ def fault_tolerance_certificate(
     detection: DetectionPolicy = DetectionPolicy.NONE,
     engine: BatchScenarioEngine | None = None,
     max_link_failures: int | None = None,
-    method: str = "auto",
     confidence: float = 0.99,
     budget: int | None = None,
     seed: int = 0,
-    epsilon: float = 0.01,
 ) -> FaultToleranceCertificate:
     """Check masking of every crash subset up to a size.
 
@@ -381,27 +295,23 @@ def fault_tolerance_certificate(
     link-tolerant schedule is certified against what it promises.
     Negative bounds are rejected.
 
-    ``method`` selects the resolution strategy per level:
+    Each level's size picks its resolution: exhaustive enumeration
+    wherever it fits under :data:`MAX_SUBSETS_PER_LEVEL`, then
+    involved-set projection, closed-form bounds and seeded stratified
+    sampling for the levels enumeration cannot reach (see
+    :func:`repro.analysis.sampling.evaluate_level`).
 
-    * ``"auto"`` (default) — exhaustive enumeration wherever a level
-      fits under :data:`MAX_SUBSETS_PER_LEVEL`, then involved-set
-      projection, closed-form bounds and seeded stratified sampling for
-      the levels enumeration cannot reach (see
-      :mod:`repro.analysis.sampling`).
-    * ``"sampled"`` — force the sampling machinery even on levels small
-      enough to enumerate (test/benchmark escape hatch).
-
-    ``confidence``, ``budget``, ``seed`` and ``epsilon`` parameterize
-    the sampled levels: the adaptive loop refines each level until its
-    interval width undercuts ``epsilon`` or the total ``budget`` of
-    random draws is spent, and every draw derives deterministically
-    from the schedule content hash and ``seed``.
+    ``confidence``, ``budget`` and ``seed`` parameterize the sampled
+    levels: the adaptive loop refines each level until its interval
+    width undercuts :data:`~repro.analysis.sampling.CERTIFICATE_EPSILON`
+    or the total ``budget`` of random draws is spent, and every draw
+    derives deterministically from the schedule content hash and
+    ``seed``.
 
     Pass ``engine`` to share one prebuilt batch engine (and its caches)
     across calls — e.g. a certificate followed by a reliability sweep.
     """
-    _check_method(method, "certification")
-    sampling.check_sampling_parameters(confidence, budget, epsilon)
+    sampling.check_sampling_parameters(confidence, budget)
     for name, value in (
         ("max_failures", max_failures),
         ("max_link_failures", max_link_failures),
@@ -425,8 +335,7 @@ def fault_tolerance_certificate(
         crash_times=times,
         npl=min(npl, link_bound),
     )
-    force_sampled = method == "sampled"
-    needs_sampling = force_sampled or any(
+    needs_sampling = any(
         math.comb(len(processors), size) * math.comb(len(links), link_size)
         > MAX_SUBSETS_PER_LEVEL
         for size in range(bound + 1)
@@ -449,12 +358,11 @@ def fault_tolerance_certificate(
         sampling.DEFAULT_CERTIFICATE_BUDGET if budget is None else budget
     )
     pruned_before = engine.stats.pruned_nominal + engine.stats.memo_hits
-    samples_total = 0
     streams = sampling.RngStreams(schedule, seed)
     with obs.span("certify.sample") if needs_sampling else nullcontext():
         for size in range(bound + 1):
             for link_size in range(link_bound + 1):
-                outcome = sampling.evaluate_level(
+                level, breaking = sampling.evaluate_level(
                     size=size,
                     link_size=link_size,
                     oracle=engine.crash_subsets_masked,
@@ -467,29 +375,13 @@ def fault_tolerance_certificate(
                     level_cap=MAX_SUBSETS_PER_LEVEL,
                     bounds=bounds,
                     confidence=confidence,
-                    epsilon=epsilon,
                     budget=max(1, budget_left),
                     streams=streams,
-                    force_sampled=force_sampled,
                 )
-                budget_left = max(0, budget_left - outcome.samples)
-                samples_total += outcome.samples
-                certificate.levels.append(
-                    ToleranceLevel(
-                        size,
-                        outcome.masked_subsets,
-                        outcome.total_subsets,
-                        link_failures=link_size,
-                        method=outcome.method,
-                        population=outcome.population,
-                        samples=outcome.samples,
-                        estimate=outcome.estimate,
-                        ci=outcome.ci,
-                        breaking_found=bool(outcome.breaking),
-                    )
-                )
+                budget_left = max(0, budget_left - level.samples)
+                certificate.levels.append(level)
                 if size <= schedule.npf and link_size <= npl:
-                    for proc_subset, link_subset in outcome.breaking or ():
+                    for proc_subset, link_subset in breaking:
                         if link_size:
                             certificate.breaking_combined.append(
                                 (frozenset(proc_subset), frozenset(link_subset))
@@ -501,9 +393,9 @@ def fault_tolerance_certificate(
     if needs_sampling:
         certificate.method = "sampled"
         certificate.confidence = confidence
-        certificate.samples = samples_total
+        certificate.samples = sum(level.samples for level in certificate.levels)
         certificate.seed = seed
-        obs.metrics.inc("certify.samples_drawn", samples_total)
+        obs.metrics.inc("certify.samples_drawn", certificate.samples)
         obs.metrics.inc(
             "certify.samples_pruned",
             engine.stats.pruned_nominal + engine.stats.memo_hits
@@ -547,41 +439,6 @@ def _validate_probabilities(
             )
 
 
-@dataclass(frozen=True)
-class ReliabilityReport:
-    """Probability that one iteration delivers all outputs.
-
-    ``method == "exact"`` reports the enumerated truth;
-    ``method == "sampled"`` a stratified estimate whose ``ci`` holds at
-    ``confidence`` (``exhaustive_subsets`` then records how many
-    subsets exact enumeration would have had to sweep).
-    """
-
-    reliability: float
-    masked_probability_mass: float
-    evaluated_subsets: int
-    guaranteed_lower_bound: float
-    method: str = "exact"
-    confidence: float | None = None
-    ci: tuple[float, float] | None = None
-    samples: int = 0
-    exhaustive_subsets: int | None = None
-
-    def __str__(self) -> str:
-        text = (
-            f"reliability {self.reliability:.6f} "
-            f"(guaranteed lower bound {self.guaranteed_lower_bound:.6f}, "
-            f"{self.evaluated_subsets} crash subsets evaluated)"
-        )
-        if self.method == "sampled" and self.ci is not None:
-            text += (
-                f" — sampled: ci [{self.ci[0]:.6f}, {self.ci[1]:.6f}] at "
-                f"{self.confidence:.0%} confidence, {self.samples} draws "
-                f"for a {self.exhaustive_subsets}-subset exhaustive space"
-            )
-        return text
-
-
 def schedule_reliability(
     schedule: Schedule,
     algorithm: AlgorithmGraph,
@@ -590,11 +447,9 @@ def schedule_reliability(
     detection: DetectionPolicy = DetectionPolicy.NONE,
     engine: BatchScenarioEngine | None = None,
     link_failure_probabilities: Mapping[str, float] | None = None,
-    method: str = "auto",
     confidence: float = 0.99,
     budget: int | None = None,
     seed: int = 0,
-    epsilon: float = 0.005,
 ) -> ReliabilityReport:
     """Reliability over the ``2^P`` (or ``2^P x 2^L``) crash subsets.
 
@@ -611,20 +466,18 @@ def schedule_reliability(
     links.  ``None`` keeps the processor-only sum bit-identical to the
     pre-link-tolerance implementation.
 
-    ``method="auto"`` enumerates exactly up to ``P, L <= 12``
-    (:data:`ENUMERATION_CAP`) and switches to stratified
+    The sum is enumerated exactly up to ``P, L <= 12``
+    (:data:`ENUMERATION_CAP`) and estimated by stratified
     conditional-Bernoulli sampling beyond (seeded, deterministic, with
     a ``ci`` at ``confidence`` — see
-    :func:`repro.analysis.sampling.sampled_reliability`); ``"sampled"``
-    forces the sampled path.
+    :func:`repro.analysis.sampling.sampled_reliability`).
 
     The exact probability sum enumerates subsets in canonical order and
     asks the batch engine for all their verdicts in one request.
     ``engine`` shares a prebuilt batch engine's caches, e.g. with a
     preceding certificate.
     """
-    _check_method(method, "reliability")
-    sampling.check_sampling_parameters(confidence, budget, epsilon)
+    sampling.check_sampling_parameters(confidence, budget)
     processors = schedule.processor_names()
     _validate_probabilities(processors, failure_probabilities, "processor")
     links = schedule.link_names() if link_failure_probabilities is not None else ()
@@ -632,24 +485,18 @@ def schedule_reliability(
     engine = _resolve_engine(schedule, algorithm, detection, engine)
     npl = getattr(schedule, "npl", 0)
     times = tuple(crash_times)
-    small = (
-        len(processors) <= ENUMERATION_CAP and len(links) <= ENUMERATION_CAP
-    )
-    if method == "sampled" or not small:
+    if len(processors) > ENUMERATION_CAP or len(links) > ENUMERATION_CAP:
         with obs.span("certify.sample"):
-            estimate = sampling.sampled_reliability(
+            report = sampling.sampled_reliability(
                 schedule=schedule,
                 oracle=engine.crash_subsets_masked,
                 baseline_delivered=engine.baseline_delivered,
                 failure_probabilities=failure_probabilities,
                 times=times,
                 involved_procs=engine.involved_processors(),
-                involved_links=(
-                    engine.involved_links() if links else ()
-                ),
+                involved_links=engine.involved_links(),
                 link_failure_probabilities=link_failure_probabilities,
                 confidence=confidence,
-                epsilon=epsilon,
                 budget=(
                     sampling.DEFAULT_RELIABILITY_BUDGET
                     if budget is None
@@ -659,18 +506,8 @@ def schedule_reliability(
                 npf=schedule.npf,
                 npl=npl,
             )
-        obs.metrics.inc("certify.samples_drawn", estimate.samples)
-        return ReliabilityReport(
-            reliability=estimate.reliability,
-            masked_probability_mass=estimate.masked_probability_mass,
-            evaluated_subsets=estimate.evaluated_subsets,
-            guaranteed_lower_bound=estimate.guaranteed_lower_bound,
-            method="sampled",
-            confidence=estimate.confidence,
-            ci=estimate.ci,
-            samples=estimate.samples,
-            exhaustive_subsets=estimate.exhaustive_subsets,
-        )
+        obs.metrics.inc("certify.samples_drawn", report.samples)
+        return report
     guaranteed = 0.0
     evaluated = 0
     # With no link probabilities, ``links`` is empty and the inner loop

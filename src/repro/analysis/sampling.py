@@ -37,6 +37,10 @@ provides the three layers the sampled certifier is built from:
    largest mass-weighted width until the interval undercuts the target
    or the sample budget is hit.
 
+:func:`evaluate_level` builds the :class:`ToleranceLevel` and
+:func:`sampled_reliability` the :class:`ReliabilityReport` that callers
+receive (:mod:`repro.analysis.reliability` re-exports both types).
+
 Determinism: every random draw comes from a :class:`random.Random`
 seeded by SHA-256 over the *schedule content hash*, the user seed and
 the stratum label (:func:`derive_rng`) — verdicts are bit-for-bit
@@ -56,39 +60,32 @@ from typing import Callable, Mapping, Sequence
 from repro.exceptions import SimulationError
 from repro.schedule.serialization import schedule_content_hash
 
+#: A ``(processors, links)`` crash subset.
+Pair = tuple[tuple[str, ...], tuple[str, ...]]
+
 #: A many-pairs masking oracle: ``oracle(pairs, times)`` answers, for each
-#: ``(processors, links)`` pair in order, whether that crash subset is
-#: masked at every instant of ``times``
+#: pair in order, whether that crash subset is masked at every instant
+#: of ``times``
 #: (:meth:`~repro.simulation.batch.BatchScenarioEngine.crash_subsets_masked`).
 #: Callers collect the pairs a step needs and ask once, so the engine can
 #: answer them together.
-Oracle = Callable[
-    [Sequence[tuple[tuple[str, ...], tuple[str, ...]]], tuple[float, ...]],
-    list[bool],
-]
-
-#: Values of the ``method`` argument of the certifier and the
-#: reliability sum: the adaptive ladder, or sampling forced everywhere.
-METHODS = ("auto", "sampled")
+Oracle = Callable[[Sequence[Pair], tuple[float, ...]], list[bool]]
 
 
 def check_sampling_parameters(
     confidence: float,
     budget: int | None,
-    epsilon: float | None = None,
     error: type[Exception] = SimulationError,
 ) -> None:
     """Reject sampling parameters outside their domain with ``error``.
 
-    ``0 < confidence < 1``, ``budget >= 1`` (``None`` = the library
-    default) and ``epsilon > 0`` (``None`` = not configurable here).
+    ``0 < confidence < 1`` and ``budget >= 1`` (``None`` = the library
+    default).
     """
     if not 0.0 < confidence < 1.0:
         raise error(f"confidence must be in (0, 1), got {confidence!r}")
     if budget is not None and budget < 1:
         raise error(f"sample budget must be >= 1, got {budget!r}")
-    if epsilon is not None and not epsilon > 0.0:
-        raise error(f"epsilon must be > 0, got {epsilon!r}")
 
 
 # ----------------------------------------------------------------------
@@ -298,11 +295,6 @@ class FaultBounds:
         """Upper bound: no schedule survives ``min_replicas`` targeted crashes."""
         return self.min_replicas - 1
 
-    @property
-    def max_tolerable_link_faults(self) -> int | None:
-        """Upper bound on tolerable link failures (``None`` = no cut found)."""
-        return None if self.link_cut is None else self.link_cut - 1
-
 
 def analytic_fault_bounds(schedule) -> FaultBounds:
     """Compute :class:`FaultBounds` from schedule structure alone."""
@@ -363,7 +355,7 @@ def analytic_fault_bounds(schedule) -> FaultBounds:
 
 
 # ----------------------------------------------------------------------
-# sampled certificate levels
+# certificate levels
 # ----------------------------------------------------------------------
 
 #: Cells (involved sub-populations) at most this large are enumerated
@@ -383,21 +375,84 @@ DEFAULT_CERTIFICATE_BUDGET = 20_000
 #: Default total sample budget of one sampled reliability estimate.
 DEFAULT_RELIABILITY_BUDGET = 50_000
 
+#: A sampled level stops drawing once the mass-weighted width of its
+#: interval is at most this.
+CERTIFICATE_EPSILON = 0.01
+
+#: A sampled reliability estimate stops drawing once its interval,
+#: unexplored tail included, is at most this wide.
+RELIABILITY_EPSILON = 0.005
+
 #: Adaptive refinement batch size.
 BATCH = 128
 
-@dataclass
-class LevelEstimate:
-    """Outcome of evaluating one (crash size, link size) level."""
 
-    method: str                       # "exact" | "projected" | "bounds" | "sampled"
-    masked_subsets: int               # exact count, or masked *samples* when sampled
-    total_subsets: int                # true count, or drawn samples when sampled
-    population: int                   # true level subset count (always)
+@dataclass(frozen=True)
+class ToleranceLevel:
+    """Masking statistics for one combined crash-subset size.
+
+    ``failures`` counts crashed processors, ``link_failures`` broken
+    links (0 for the paper's processor-only levels).  ``method`` names
+    how the level was resolved:
+
+    * ``"exact"`` — every subset enumerated; the counts are the truth.
+    * ``"projected"`` — exact counts at arbitrary ``P`` via involved-set
+      projection (only the involved core was enumerated, uninvolved
+      paddings marginalize out analytically).
+    * ``"bounds"`` — refuted by a closed-form witness (minimum replica
+      placement or an uncovered link cut) without simulation;
+      ``masked_subsets``/``total_subsets`` report the witness evidence
+      (``0/1``).
+    * ``"sampled"`` — statistically estimated; ``masked_subsets`` /
+      ``total_subsets`` then honestly count the *samples* (masked /
+      drawn), the true population is in ``population`` and the
+      estimate carries a confidence interval.
+    """
+
+    failures: int
+    masked_subsets: int
+    total_subsets: int
+    link_failures: int = 0
+    method: str = "exact"
+    #: True subset count of the level (== ``total_subsets`` for exact
+    #: levels; the astronomically larger denominator for sampled ones).
+    population: int | None = None
     samples: int = 0
     estimate: float | None = None
     ci: tuple[float, float] | None = None
-    breaking: list[tuple[tuple[str, ...], tuple[str, ...]]] | None = None
+    #: A breaking subset was observed at this level (exact enumeration,
+    #: bounds witness, break hunt or random draw).
+    breaking_found: bool = False
+
+    @property
+    def fully_masked(self) -> bool:
+        """True when *provably* every subset of this size is masked.
+
+        Sampled levels can never prove full masking (only estimate the
+        masked fraction), bounds levels are refuted by construction —
+        both answer False.
+        """
+        if self.method in ("exact", "projected"):
+            return self.masked_subsets == self.total_subsets
+        return False
+
+    @property
+    def refuted(self) -> bool:
+        """True when at least one subset of this size provably breaks."""
+        if self.method in ("exact", "projected"):
+            return self.masked_subsets < self.total_subsets
+        if self.method == "bounds":
+            return True
+        return self.breaking_found
+
+    @property
+    def masked_fraction(self) -> float:
+        """Share of masked subsets (estimated for sampled levels)."""
+        if self.method == "sampled" and self.estimate is not None:
+            return self.estimate
+        if self.total_subsets == 0:
+            return 1.0
+        return self.masked_subsets / self.total_subsets
 
 
 def _pad_witness(
@@ -417,17 +472,50 @@ def _pad_witness(
 
 @dataclass
 class _Cell:
-    """One ``(k involved procs, j involved links)`` slice of a level."""
+    """One ``(k involved procs, j involved links)`` slice of a
+    certificate level or of the reliability sum (a stratum)."""
 
     k: int
     j: int
-    weight: int            # uninvolved-padding multiplicity C(Up, f-k)*C(Ul, l-j)
-    count: int             # involved combinations C(Ip, k)*C(Il, j)
+    #: A level cell's uninvolved-padding multiplicity
+    #: ``C(Up, f-k)*C(Ul, l-j)``; a stratum's probability mass.
+    weight: int | float
+    count: int             # combinations the cell holds
     drawn: int = 0
     masked: int = 0
 
     def share(self, level_total: int) -> float:
         return self.weight * self.count / level_total
+
+
+def _enumerate_cells(
+    cells: Sequence[_Cell],
+    procs: Sequence[str],
+    links: Sequence[str],
+    oracle: Oracle,
+    times: tuple[float, ...],
+) -> list[Pair]:
+    """Ask ``oracle`` about every core of ``cells`` in one request.
+
+    Cores run cell by cell in canonical combination order; each cell's
+    ``masked`` counts its masked cores, and the breaking cores come back
+    in the same order.
+    """
+    pairs = [
+        (core, link_core)
+        for cell in cells
+        for core in itertools.combinations(procs, cell.k)
+        for link_core in itertools.combinations(links, cell.j)
+    ]
+    verdicts = iter(zip(pairs, oracle(pairs, times)))
+    breaking = []
+    for cell in cells:
+        for pair, ok in itertools.islice(verdicts, cell.count):
+            if ok:
+                cell.masked += 1
+            else:
+                breaking.append(pair)
+    return breaking
 
 
 def evaluate_level(
@@ -444,51 +532,43 @@ def evaluate_level(
     level_cap: int,
     bounds: FaultBounds | None,
     confidence: float,
-    epsilon: float,
     budget: int,
     streams: RngStreams,
-    force_sampled: bool = False,
-) -> LevelEstimate:
+) -> tuple[ToleranceLevel, list[Pair]]:
     """Certify, refute or estimate one level of the certificate.
 
-    Resolution order: exhaustive enumeration when the level fits under
-    ``level_cap``; involved-set projection when the *core* fits (exact
-    counts at arbitrary ``P``); analytic-bounds refutation when the
-    level size reaches a witness (only if instant 0 is in the
-    hypothesis); otherwise stratified uniform sampling over the cells
-    with a deterministic large-cone break hunt first.
+    Returns the level and its breaking subsets (padded to the level's
+    sizes; at most 8 for a sampled level).  Resolution order: exhaustive
+    enumeration when the level fits under ``level_cap`` (the projection
+    below with every processor and link involved: one weight-1 cell);
+    involved-set projection when the *core* fits (exact counts at
+    arbitrary ``P``); analytic-bounds refutation when the level size
+    reaches a witness (only if instant 0 is in the hypothesis);
+    otherwise stratified uniform sampling over the cells with a
+    deterministic large-cone break hunt first.  ``processors`` and
+    ``links`` are sorted, so every enumerated subset is too.
     """
-    n_procs, n_links = len(processors), len(links)
-    population = math.comb(n_procs, size) * math.comb(n_links, link_size)
-    if population <= 0:
-        return LevelEstimate("exact", 0, 0, 0)
+    population = math.comb(len(processors), size) * math.comb(
+        len(links), link_size
+    )
+    method = "projected"
+    if population <= level_cap:
+        method = "exact"
+        involved_procs, involved_links = processors, links
 
-    uninvolved_procs = [p for p in processors if p not in set(involved_procs)]
-    uninvolved_links = [l for l in links if l not in set(involved_links)]
+    involved = set(involved_procs)
+    uninvolved_procs = [p for p in processors if p not in involved]
+    involved_link_set = set(involved_links)
+    uninvolved_links = [l for l in links if l not in involved_link_set]
     ip, il = len(involved_procs), len(involved_links)
     up, ul = len(uninvolved_procs), len(uninvolved_links)
 
-    def pad(proc_core, link_core) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    def pad(proc_core, link_core) -> Pair:
         return (
             _pad_witness(proc_core, size, uninvolved_procs),
             _pad_witness(link_core, link_size, uninvolved_links),
         )
 
-    # --- exhaustive ----------------------------------------------------
-    if population <= level_cap and not force_sampled:
-        pairs = [
-            (subset, link_subset)
-            for subset in itertools.combinations(processors, size)
-            for link_subset in itertools.combinations(links, link_size)
-        ]
-        verdicts = oracle(pairs, times)
-        breaking = [pair for pair, ok in zip(pairs, verdicts) if not ok]
-        return LevelEstimate(
-            "exact", population - len(breaking), population, population,
-            breaking=breaking,
-        )
-
-    # --- involved-set projection --------------------------------------
     cells = [
         _Cell(
             k,
@@ -501,86 +581,64 @@ def evaluate_level(
         if size - k <= up and link_size - j <= ul
     ]
     cells = [cell for cell in cells if cell.weight > 0 and cell.count > 0]
-    reduced_total = sum(cell.count for cell in cells)
-    if reduced_total <= level_cap and not force_sampled:
-        pairs = []
-        weights = []
-        for cell in cells:
-            for core in itertools.combinations(involved_procs, cell.k):
-                for link_core in itertools.combinations(involved_links, cell.j):
-                    pairs.append((core, link_core))
-                    weights.append(cell.weight)
-        masked_total = 0
-        breaking = []
-        for pair, weight, ok in zip(pairs, weights, oracle(pairs, times)):
-            if ok:
-                masked_total += weight
-            else:
-                breaking.append(pad(*pair))
-        return LevelEstimate(
-            "projected", masked_total, population, population,
-            breaking=breaking,
+
+    # --- exhaustive / involved-set projection --------------------------
+    if sum(cell.count for cell in cells) <= level_cap:
+        breaking = _enumerate_cells(
+            cells, involved_procs, involved_links, oracle, times
         )
+        masked = sum(cell.weight * cell.masked for cell in cells)
+        return ToleranceLevel(
+            size, masked, population, link_size, method,
+            population=population, breaking_found=bool(breaking),
+        ), [pad(*pair) for pair in breaking]
 
     # --- analytic-bounds refutation -----------------------------------
     if bounds is not None and 0.0 in times:
+        witness = None
         if size >= bounds.min_replicas > 0:
             witness = (
                 _pad_witness(bounds.processor_witness, size, processors),
                 _pad_witness((), link_size, links),
             )
-            return LevelEstimate(
-                "bounds", 0, 1, population, breaking=[witness]
-            )
-        if (
-            bounds.link_cut is not None
-            and link_size >= bounds.link_cut
-        ):
+        elif bounds.link_cut is not None and link_size >= bounds.link_cut:
             witness = (
                 _pad_witness((), size, processors),
                 _pad_witness(bounds.link_witness, link_size, links),
             )
-            return LevelEstimate(
-                "bounds", 0, 1, population, breaking=[witness]
-            )
+        if witness is not None:
+            return ToleranceLevel(
+                size, 0, 1, link_size, "bounds",
+                population=population, breaking_found=True,
+            ), [witness]
 
     # --- stratified sampling ------------------------------------------
-    breaking = []
-    exact_share = 0.0       # mass share resolved exactly
-    exact_masked_share = 0.0
     exact_cells: list[_Cell] = []
     sampled_cells: list[_Cell] = []
-    pairs = []
     for cell in cells:
-        if cell.count <= (0 if force_sampled else EXACT_CELL_CAP) or cell.count == 1:
+        if cell.count <= EXACT_CELL_CAP or cell.count == 1:
             exact_cells.append(cell)
-            pairs.extend(
-                (core, link_core)
-                for core in itertools.combinations(involved_procs, cell.k)
-                for link_core in itertools.combinations(involved_links, cell.j)
-            )
         else:
             sampled_cells.append(cell)
-    verdicts = iter(zip(pairs, oracle(pairs, times)))
+    breaking = [
+        pad(*pair)
+        for pair in _enumerate_cells(
+            exact_cells, involved_procs, involved_links, oracle, times
+        )[:8]
+    ]
+    exact_masked_share = 0.0
     for cell in exact_cells:
-        masked = 0
-        for pair, ok in itertools.islice(verdicts, cell.count):
-            if ok:
-                masked += 1
-            elif len(breaking) < 8:
-                breaking.append(pad(*pair))
-        exact_share += cell.share(population)
-        exact_masked_share += cell.share(population) * masked / cell.count
+        exact_masked_share += cell.share(population) * cell.masked / cell.count
 
     # Deterministic break hunt: combinations of the largest-cone
     # resources, the subsets most likely to break if any do.  Hunt
     # verdicts are *evidence only* (possibly biased toward breaks), so
     # they never enter the estimate.
     hunt = []
+    ranked = [p for p in proc_cone_rank if p in involved]
     for cell in sampled_cells:
         if len(hunt) >= HUNT_LIMIT:
             break
-        ranked = [p for p in proc_cone_rank if p in set(involved_procs)]
         link_core = tuple(involved_links[: cell.j])
         hunt.extend(
             (core, link_core)
@@ -627,8 +685,7 @@ def evaluate_level(
                  index)
                 for index, cell in enumerate(sampled_cells)
             ]
-            width_total = sum(w for w, _ in widths)
-            if width_total <= epsilon:
+            if sum(w for w, _ in widths) <= CERTIFICATE_EPSILON:
                 break
             _, worst = max(widths)
             draw_batch(
@@ -646,16 +703,18 @@ def evaluate_level(
         estimate += share * (cell.masked / cell.drawn if cell.drawn else 0.5)
         lo += share * cell_lo
         hi += share * cell_hi
-    return LevelEstimate(
-        "sampled",
+    return ToleranceLevel(
+        size,
         sum(cell.masked for cell in sampled_cells),
         drawn_total,
-        population,
+        link_size,
+        "sampled",
+        population=population,
         samples=drawn_total,
         estimate=min(1.0, estimate),
         ci=(max(0.0, lo), min(1.0, hi)),
-        breaking=breaking,
-    )
+        breaking_found=bool(breaking),
+    ), breaking
 
 
 # ----------------------------------------------------------------------
@@ -663,30 +722,38 @@ def evaluate_level(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SampledReliability:
-    """Stratified estimate of the all-outputs-delivered probability."""
+class ReliabilityReport:
+    """Probability that one iteration delivers all outputs.
+
+    ``method == "exact"`` reports the enumerated truth;
+    ``method == "sampled"`` a stratified estimate whose ``ci`` holds at
+    ``confidence`` (``exhaustive_subsets`` then records how many
+    subsets exact enumeration would have had to sweep).
+    """
 
     reliability: float
-    ci: tuple[float, float]
-    confidence: float
-    samples: int
-    evaluated_subsets: int
-    exhaustive_subsets: int
     masked_probability_mass: float
+    evaluated_subsets: int
     guaranteed_lower_bound: float
-    tail_mass: float
+    method: str = "exact"
+    confidence: float | None = None
+    ci: tuple[float, float] | None = None
+    samples: int = 0
+    exhaustive_subsets: int | None = None
 
-
-@dataclass
-class _Stratum:
-    """One ``(k involved proc failures, j involved link failures)`` slab."""
-
-    k: int
-    j: int
-    mass: float
-    count: int
-    drawn: int = 0
-    masked_draws: int = 0
+    def __str__(self) -> str:
+        text = (
+            f"reliability {self.reliability:.6f} "
+            f"(guaranteed lower bound {self.guaranteed_lower_bound:.6f}, "
+            f"{self.evaluated_subsets} crash subsets evaluated)"
+        )
+        if self.method == "sampled" and self.ci is not None:
+            text += (
+                f" — sampled: ci [{self.ci[0]:.6f}, {self.ci[1]:.6f}] at "
+                f"{self.confidence:.0%} confidence, {self.samples} draws "
+                f"for a {self.exhaustive_subsets}-subset exhaustive space"
+            )
+        return text
 
 
 def _partition(
@@ -712,12 +779,11 @@ def sampled_reliability(
     involved_links: Sequence[str],
     link_failure_probabilities: Mapping[str, float] | None = None,
     confidence: float = 0.99,
-    epsilon: float = 0.005,
     budget: int = DEFAULT_RELIABILITY_BUDGET,
     seed: int = 0,
     npf: int = 0,
     npl: int = 0,
-) -> SampledReliability:
+) -> ReliabilityReport:
     """Estimate reliability with a confidence interval, adaptively.
 
     Strata are the joint involved failure counts; uninvolved resources
@@ -770,9 +836,7 @@ def sampled_reliability(
     )
 
     def cell_mass(k: int, j: int) -> float:
-        pk = proc_strata_mass[k] if k < len(proc_strata_mass) else 0.0
-        lj = link_strata_mass[j] if j < len(link_strata_mass) else 0.0
-        return pk * lj
+        return proc_strata_mass[k] * link_strata_mass[j]
 
     # Mass of involved-core-empty scenarios: every subset in it reduces
     # to the baseline — delivered iff the baseline delivers — except
@@ -790,9 +854,9 @@ def sampled_reliability(
         if (k, j) != (0, 0)
     ]
     candidates.sort(key=lambda kj: (-cell_mass(*kj), kj))
-    tail_target = max(epsilon / 10.0, 1e-15)
+    tail_target = max(RELIABILITY_EPSILON / 10.0, 1e-15)
     covered = core_empty
-    strata: list[_Stratum] = []
+    strata: list[_Cell] = []
     for k, j in candidates:
         mass = cell_mass(k, j)
         if 1.0 - covered <= tail_target:
@@ -803,7 +867,7 @@ def sampled_reliability(
         if kr < 0 or jr < 0 or kr > len(p_rand) or jr > len(l_rand):
             continue  # inconsistent with always-failing resources: mass 0
         count = math.comb(len(p_rand), kr) * math.comb(len(l_rand), jr)
-        strata.append(_Stratum(k, j, mass, count))
+        strata.append(_Cell(k, j, mass, count))
         covered += mass
     tail_mass = max(0.0, 1.0 - covered)
 
@@ -816,14 +880,14 @@ def sampled_reliability(
             mass *= q if name in in_core else 1.0 - q
         return mass
 
-    sampled_strata: list[_Stratum] = []
+    sampled_strata: list[_Cell] = []
     samplers: dict[int, tuple] = {}
     streams = RngStreams(schedule, seed)
     samples_drawn = 0
     # Exact slabs: full conditional enumeration, collected first and
     # answered in one request; each slab's masses then sum in order.
     slab_sizes: list[int] = []
-    slab_pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    slab_pairs: list[Pair] = []
     slab_masses: list[float] = []
     for stratum in strata:
         kr = stratum.k - len(p_always)
@@ -848,7 +912,6 @@ def sampled_reliability(
                     slab_pairs.append((proc_core, link_core))
                     slab_masses.append(pm * lm)
             slab_sizes.append(len(slab_pairs) - before)
-            stratum.drawn = -1  # marker: resolved exactly
         else:
             samplers[id(stratum)] = (
                 ConditionalSubsetSampler(p_odds),
@@ -867,14 +930,11 @@ def sampled_reliability(
                 masked_mass += mass
         exact_contribution += masked_mass
 
-    alpha_each = (
-        max(1e-12, (1.0 - confidence) / len(sampled_strata))
-        if sampled_strata
-        else 1.0 - confidence
+    stratum_confidence = 1.0 - max(
+        1e-12, (1.0 - confidence) / max(1, len(sampled_strata))
     )
-    stratum_confidence = 1.0 - alpha_each
 
-    def draw_batch(stratum: _Stratum, n: int) -> None:
+    def draw_batch(stratum: _Cell, n: int) -> None:
         nonlocal samples_drawn, evaluated
         sampler_p, sampler_l, kr, jr, rng = samplers[id(stratum)]
         draws = []
@@ -888,13 +948,11 @@ def sampled_reliability(
         stratum.drawn += n
         samples_drawn += n
         evaluated += n
-        stratum.masked_draws += sum(1 for ok in oracle(draws, times) if ok)
+        stratum.masked += sum(1 for ok in oracle(draws, times) if ok)
 
-    def interval(stratum: _Stratum) -> tuple[float, float]:
-        if stratum.drawn <= 0:
-            return (0.0, 1.0)
+    def interval(stratum: _Cell) -> tuple[float, float]:
         return wilson_interval(
-            stratum.masked_draws, stratum.drawn, stratum_confidence
+            stratum.masked, stratum.drawn, stratum_confidence
         )
 
     if sampled_strata:
@@ -903,10 +961,10 @@ def sampled_reliability(
             draw_batch(stratum, min(initial, max(0, budget - samples_drawn)))
         while samples_drawn < budget:
             widths = [
-                (s.mass * (interval(s)[1] - interval(s)[0]), index)
+                (s.weight * (interval(s)[1] - interval(s)[0]), index)
                 for index, s in enumerate(sampled_strata)
             ]
-            if sum(w for w, _ in widths) + tail_mass <= epsilon:
+            if sum(w for w, _ in widths) + tail_mass <= RELIABILITY_EPSILON:
                 break
             _, worst = max(widths)
             draw_batch(
@@ -919,21 +977,19 @@ def sampled_reliability(
     hi_total = exact_contribution + tail_mass
     for stratum in sampled_strata:
         s_lo, s_hi = interval(stratum)
-        mean = (
-            stratum.masked_draws / stratum.drawn if stratum.drawn else 0.5
-        )
-        point += stratum.mass * mean
-        lo_total += stratum.mass * s_lo
-        hi_total += stratum.mass * s_hi
+        mean = stratum.masked / stratum.drawn if stratum.drawn else 0.5
+        point += stratum.weight * mean
+        lo_total += stratum.weight * s_lo
+        hi_total += stratum.weight * s_hi
     point = min(1.0, max(0.0, point))
-    return SampledReliability(
+    return ReliabilityReport(
         reliability=point,
-        ci=(min(1.0, max(0.0, lo_total)), min(1.0, max(0.0, hi_total))),
-        confidence=confidence,
-        samples=samples_drawn,
-        evaluated_subsets=evaluated,
-        exhaustive_subsets=exhaustive,
         masked_probability_mass=max(0.0, point - empty_mass),
+        evaluated_subsets=evaluated,
         guaranteed_lower_bound=min(guaranteed, 1.0),
-        tail_mass=tail_mass,
+        method="sampled",
+        confidence=confidence,
+        ci=(min(1.0, max(0.0, lo_total)), min(1.0, max(0.0, hi_total))),
+        samples=samples_drawn,
+        exhaustive_subsets=exhaustive,
     )

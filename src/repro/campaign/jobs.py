@@ -327,9 +327,7 @@ def _job_document(
                 del spec_document[knob]
         # Default-valued sampling knobs are likewise dropped: a spec
         # predating sampled certification must keep its digests.
-        for knob, default in (
-            ("method", "auto"), ("confidence", 0.99), ("seed", 0)
-        ):
+        for knob, default in (("confidence", 0.99), ("seed", 0)):
             if spec_document.get(knob) == default:
                 del spec_document[knob]
         document["reliability"] = spec_document
@@ -637,7 +635,6 @@ def _certify(spec: ReliabilitySpec, ftbar) -> dict:
         detection=spec.detection,
         engine=engine,
         max_link_failures=spec.max_link_failures,
-        method=spec.method,
         confidence=spec.confidence,
         budget=spec.budget,
         seed=spec.seed,
@@ -657,7 +654,6 @@ def _certify(spec: ReliabilitySpec, ftbar) -> dict:
             detection=spec.detection,
             engine=engine,
             link_failure_probabilities=link_probabilities,
-            method=spec.method,
             confidence=spec.confidence,
             budget=spec.budget,
             seed=spec.seed,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.analysis.sampling import METHODS, check_sampling_parameters
+from repro.analysis.sampling import check_sampling_parameters
 from repro.core.options import SchedulerOptions
 from repro.exceptions import SerializationError
 from repro.schedule.serialization import load_json, save_json
@@ -120,12 +120,9 @@ class ReliabilitySpec:
     #: Uniform per-link failure probability for the reliability sweep
     #: (None keeps the processor-only probability sum).
     link_probability: float | None = None
-    #: Certification method: ``"auto"`` (exact enumeration where a
-    #: level fits, adaptive bounds/projection/sampling past it) or
-    #: ``"sampled"``.  The defaults of these four knobs are dropped
-    #: from job digests so pre-sampling specs keep their identities.
-    method: str = "auto"
-    #: Confidence level of sampled intervals.
+    #: Confidence level of sampled intervals.  The defaults of these
+    #: three knobs are dropped from job digests so pre-sampling specs
+    #: keep their identities.
     confidence: float = 0.99
     #: Total sample budget per certificate / reliability estimate
     #: (None = the library defaults).
@@ -163,11 +160,6 @@ class ReliabilitySpec:
         if self.detection not in ("none", "timeout-array"):
             raise SerializationError(
                 f"unknown detection policy {self.detection!r}"
-            )
-        if self.method not in METHODS:
-            raise SerializationError(
-                f"unknown certification method {self.method!r}; "
-                f"expected one of {METHODS}"
             )
         for knob in ("max_failures", "max_link_failures"):
             value = getattr(self, knob)
@@ -410,9 +402,17 @@ def campaign_from_dict(document: Mapping) -> CampaignSpec:
     if "mean_execution" in values:
         values["mean_execution"] = float(values["mean_execution"])
     if values.get("reliability") is not None:
-        values["reliability"] = ReliabilitySpec(
-            **_read(values["reliability"], _RELIABILITY_FIELDS, "reliability.")
+        reliability = _read(
+            values["reliability"], _RELIABILITY_FIELDS, "reliability."
         )
+        # Documents written while ``method`` was a field carry "auto".
+        if reliability.pop("method", "auto") != "auto":
+            raise SerializationError(
+                "invalid campaign spec: field 'reliability.method' was "
+                "retired; only \"auto\" is accepted (each level's size "
+                "picks exact or sampled certification)"
+            )
+        values["reliability"] = ReliabilitySpec(**reliability)
     return CampaignSpec(**values)
 
 

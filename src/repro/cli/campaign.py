@@ -349,6 +349,14 @@ def run(args: argparse.Namespace) -> int:
             else args.spec.parent / ".schedule-cache"
         )
     backend = args.backend or spec.backend
+    if args.campaign_dir is not None and backend != "directory":
+        from repro.exceptions import ReproError
+
+        raise ReproError(
+            f"--dir names the campaign directory of the 'directory' "
+            f"backend, but this run uses the {backend!r} backend "
+            f"(add --backend directory)"
+        )
     report = run_campaign(
         spec,
         jobs=args.jobs,  # 0 = one per available CPU

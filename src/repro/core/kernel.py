@@ -485,7 +485,8 @@ class SchedulingKernel:
         remote feed of an ``npl >= 1`` problem — the replicated routes
         of :meth:`_reserve_routes`.  A link's first reservation in the
         plan (its stamp is behind the epoch) records its threshold and
-        opens the link's replay chain, which single-link transfers fill.
+        opens the link's replay chain, which the single-link transfers
+        of a sweep miss fill (only the cache entry reads chains).
         """
         c = self._c
         n_procs = self._P
@@ -571,7 +572,7 @@ class SchedulingKernel:
                                 link_names[link], start, end,
                                 proc_names[rp], proc_name, 0, 0, link,
                             ))
-                        else:
+                        elif key >= 0:
                             chains[link].append(
                                 (feed_index, replica_index, rend, dur)
                             )

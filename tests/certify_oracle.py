@@ -25,6 +25,8 @@ import itertools
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro.analysis import reliability as reliability_module
+from repro.analysis import sampling
 from repro.analysis.reliability import (
     FaultToleranceCertificate,
     ReliabilityReport,
@@ -38,6 +40,39 @@ from repro.schedule.serialization import load_json, problem_from_dict, save_json
 from repro.simulation.failures import DetectionPolicy, FailureScenario
 from repro.workloads.paper_example import build_problem
 from tests.simulation_oracle import ScheduleSimulator
+
+
+@contextlib.contextmanager
+def _zeroed(*caps):
+    saved = [(module, name, getattr(module, name)) for module, name in caps]
+    try:
+        for module, name, _ in saved:
+            setattr(module, name, 0)
+        yield
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
+
+
+def sampled_certificates():
+    """Within the ``with`` body every certificate level is sampled.
+
+    ``MAX_SUBSETS_PER_LEVEL`` and ``EXACT_CELL_CAP`` drop to 0, so no
+    level is enumerated or projected and only single-subset cells are
+    answered exactly: the production ladder on a small instance whose
+    truth this oracle knows.
+    """
+    return _zeroed(
+        (reliability_module, "MAX_SUBSETS_PER_LEVEL"),
+        (sampling, "EXACT_CELL_CAP"),
+    )
+
+
+def sampled_reliability():
+    """Within the ``with`` body the reliability sum takes the sampled
+    path (``ENUMERATION_CAP`` drops to 0; strata under
+    ``EXACT_CELL_CAP`` are still enumerated)."""
+    return _zeroed((reliability_module, "ENUMERATION_CAP"))
 
 
 def masked(simulator, algorithm, processors, times, links=()) -> bool:

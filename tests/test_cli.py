@@ -389,6 +389,10 @@ _BAD_SPECS = {
         **_SPEC, "measures": ["ftbar", "reliability"],
         "reliability": {"method": "exact"},
     },
+    "sampled-method": {
+        **_SPEC, "measures": ["ftbar", "reliability"],
+        "reliability": {"method": "sampled"},
+    },
     "option-npl-string": {**_SPEC, "options": {"npl": "1"}},
     "option-npl": {**_SPEC, "options": {"npl": 1}},
     "option-bool-string": {**_SPEC, "options": {"duplication": "no"}},
@@ -478,7 +482,8 @@ class TestMalformedCampaignInput:
              "a list of numbers"),
             ("confidence-string", "'reliability.confidence' must be a number"),
             ("missing-section", "missing the required field 'workloads'"),
-            ("exact-method", "expected one of ('auto', 'sampled')"),
+            ("exact-method", "'reliability.method' was retired"),
+            ("sampled-method", 'only "auto" is accepted'),
             ("option-bool-string", "'options.duplication' must be a boolean"),
             ("removed-option", "unknown scheduler options: ['link_insertion']"),
             ("option-npl", "unknown scheduler options: ['npl']"),
@@ -509,6 +514,26 @@ class TestMalformedCampaignInput:
             "error: unknown scheduler options: ['npl']"
         ]
         assert "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("backend", [None, "local", "serial"])
+    def test_dir_without_the_directory_backend_is_one_error_line(
+        self, tmp_path, capsys, backend
+    ):
+        # --dir only means something to the directory backend; any
+        # other run used to ignore it silently and create no directory.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SPEC))
+        argv = ["campaign", "run", str(spec), "--no-cache",
+                "--dir", str(tmp_path / "D")]
+        if backend is not None:
+            argv += ["--backend", backend]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --dir "), lines
+        assert "Traceback" not in captured.out
+        assert not (tmp_path / "D").exists()
+        assert not (tmp_path / "spec-results.jsonl").exists()
 
     def test_top_level_list_error_names_the_type(self, tmp_path, capsys):
         spec = _bad_document(tmp_path, "top-level-list", "spec.json", None)

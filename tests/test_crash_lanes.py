@@ -208,9 +208,10 @@ def test_sampled_paths_match_replay(topology, processors, monkeypatch):
 
     def run():
         engine = BatchScenarioEngine(schedule, algorithm)
-        certificate = fault_tolerance_certificate(
-            schedule, algorithm, engine=engine, method="sampled", budget=600
-        )
+        with certify_oracle.sampled_certificates():
+            certificate = fault_tolerance_certificate(
+                schedule, algorithm, engine=engine, budget=600
+            )
         report = schedule_reliability(
             schedule, algorithm, probabilities, engine=engine, budget=600
         )

@@ -86,7 +86,7 @@ RELIABILITY = {
     "defaults": ReliabilitySpec(),
     "off-defaults": ReliabilitySpec(
         probabilities=(0.01, 0.1), crash_times="boundaries",
-        max_link_failures=1, link_probability=0.001, method="sampled",
+        max_link_failures=1, link_probability=0.001,
         confidence=0.95, budget=500, seed=3,
     ),
     "absent": None,

@@ -90,7 +90,7 @@ class TestDigestStability:
             for key, value in asdict(spec).items()
             if key not in (
                 "max_link_failures", "link_probability",
-                "method", "confidence", "budget", "seed",
+                "confidence", "budget", "seed",
             )
         }
         legacy = content_hash(

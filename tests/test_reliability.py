@@ -106,7 +106,6 @@ class TestOutOfRangeArguments:
             ({"confidence": 0.0}, "confidence must be in"),
             ({"budget": 0}, "budget must be >= 1"),
             ({"budget": -5}, "budget must be >= 1"),
-            ({"epsilon": 0.0}, "epsilon must be > 0"),
         ],
     )
     def test_sampling_parameters_validated(self, knobs, message):

@@ -109,10 +109,22 @@ class TestReliabilitySpec:
         ]
 
     def test_exact_method_rejected_naming_the_allowed_values(self):
-        document = campaign_to_dict(heatmap_spec())
-        document["reliability"]["method"] = "exact"
-        with pytest.raises(SerializationError, match="'auto', 'sampled'"):
-            campaign_from_dict(document)
+        for method in ("exact", "sampled"):
+            document = campaign_to_dict(heatmap_spec())
+            document["reliability"]["method"] = method
+            with pytest.raises(
+                SerializationError, match='only "auto" is accepted'
+            ):
+                campaign_from_dict(document)
+
+    def test_documents_written_with_method_auto_still_load(self):
+        """Older ``campaign.json`` files carry ``"method": "auto"`` in
+        every reliability section; the key is read and dropped."""
+        spec = heatmap_spec()
+        document = campaign_to_dict(spec)
+        assert "method" not in document["reliability"]
+        document["reliability"]["method"] = "auto"
+        assert campaign_from_dict(document) == spec
 
     def test_reliability_config_changes_job_digest(self):
         plain = heatmap_spec(probabilities=(0.01,))

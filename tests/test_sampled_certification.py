@@ -5,7 +5,8 @@ behind ``fault_tolerance_certificate`` / ``schedule_reliability``):
 
 * on every small instance the auto path is *bit-identical* to the
   exhaustive per-scenario oracle (``tests/certify_oracle.py``);
-* forced sampling never contradicts exhaustive truth — same
+* sampling (forced by lowering the exact caps to 0) never
+  contradicts exhaustive truth — same
   refuted-or-not verdict, and the exhaustive masked fraction /
   reliability lies inside every reported confidence interval;
 * closed-form bounds are tight on the structured topologies
@@ -38,7 +39,6 @@ from repro.analysis.sampling import (
     wilson_interval,
 )
 from repro.core.ftbar import schedule_ftbar
-from repro.exceptions import SimulationError
 from repro.graphs.algorithm import from_dependencies
 from repro.hardware.topologies import fully_connected, ring, single_bus, star
 from repro.problem import ProblemSpec
@@ -246,9 +246,8 @@ class TestSmallInstanceAgreement:
     ):
         schedule, algorithm = _schedule(processors, npf=npf, seed=seed)
         exact = certify_oracle.certificate(schedule, algorithm)
-        sampled = fault_tolerance_certificate(
-            schedule, algorithm, method="sampled", seed=1
-        )
+        with certify_oracle.sampled_certificates():
+            sampled = fault_tolerance_certificate(schedule, algorithm, seed=1)
         assert (sampled.verdict == "refuted") == (exact.verdict == "refuted")
         # Every exhaustive masked fraction lies inside the level's ci.
         for level in sampled.levels:
@@ -269,10 +268,10 @@ class TestSmallInstanceAgreement:
         exact = schedule_reliability(
             schedule, algorithm, probabilities, engine=engine
         )
-        sampled = schedule_reliability(
-            schedule, algorithm, probabilities, method="sampled",
-            engine=engine, seed=1,
-        )
+        with certify_oracle.sampled_reliability():
+            sampled = schedule_reliability(
+                schedule, algorithm, probabilities, engine=engine, seed=1
+            )
         assert exact.method == "exact" and sampled.method == "sampled"
         lo, hi = sampled.ci
         assert lo - 1e-12 <= exact.reliability <= hi + 1e-12
@@ -281,6 +280,34 @@ class TestSmallInstanceAgreement:
             sampled.guaranteed_lower_bound
             == pytest.approx(exact.guaranteed_lower_bound)
         )
+
+
+class TestSampledReliabilityDraws:
+    """With ``EXACT_CELL_CAP`` at 0 a ``P <= 12`` reliability sum draws
+    samples in every stratum (the default cap enumerates them all)."""
+
+    @pytest.mark.parametrize("processors,npf,seed", [
+        (4, 2, 7), (8, 1, 5), (12, 1, 2003),
+    ])
+    @pytest.mark.parametrize("user_seed", [0, 1, 2])
+    def test_draws_are_seeded_and_bracket_the_exact_sum(
+        self, monkeypatch, processors, npf, seed, user_seed
+    ):
+        schedule, algorithm = _schedule(processors, npf=npf, seed=seed)
+        probabilities = {p: 0.05 for p in schedule.processor_names()}
+        exact = schedule_reliability(schedule, algorithm, probabilities)
+        monkeypatch.setattr(sampling, "EXACT_CELL_CAP", 0)
+        with certify_oracle.sampled_reliability():
+            first, second = (
+                schedule_reliability(
+                    schedule, algorithm, probabilities, seed=user_seed
+                )
+                for _ in range(2)
+            )
+        assert first.method == "sampled" and first.samples > 0
+        assert first == second
+        lo, hi = first.ci
+        assert lo <= exact.reliability <= hi
 
 
 # ----------------------------------------------------------------------
@@ -360,18 +387,6 @@ class TestBeyondTheCap:
         assert lo <= report.reliability <= hi
         assert report.guaranteed_lower_bound <= hi + 1e-12
 
-    def test_unknown_method_rejected(self):
-        schedule, algorithm = _schedule(4)
-        # "exact" was the retired capped enumerator: gone, not aliased.
-        for method in ("bogus", "exact"):
-            with pytest.raises(SimulationError, match="unknown certification"):
-                fault_tolerance_certificate(schedule, algorithm, method=method)
-            with pytest.raises(SimulationError, match="unknown reliability"):
-                schedule_reliability(
-                    schedule, algorithm,
-                    {p: 0.01 for p in schedule.processor_names()},
-                    method=method,
-                )
 
 
 # ----------------------------------------------------------------------
@@ -381,12 +396,11 @@ class TestBeyondTheCap:
 class TestDeterminism:
     def test_same_seed_same_certificate(self):
         schedule, algorithm = _schedule(6, npf=1)
-        runs = [
-            fault_tolerance_certificate(
-                schedule, algorithm, method="sampled", seed=5
-            )
-            for _ in range(2)
-        ]
+        with certify_oracle.sampled_certificates():
+            runs = [
+                fault_tolerance_certificate(schedule, algorithm, seed=5)
+                for _ in range(2)
+            ]
         assert _levels(runs[0]) == _levels(runs[1])
         assert [l.ci for l in runs[0].levels] == [l.ci for l in runs[1].levels]
         assert runs[0].breaking_subsets == runs[1].breaking_subsets
@@ -395,25 +409,25 @@ class TestDeterminism:
 
     def test_different_seed_different_draws(self):
         schedule, algorithm = _schedule(6, npf=1)
-        a = schedule_reliability(
-            schedule, algorithm,
-            {p: 0.05 for p in schedule.processor_names()},
-            method="sampled", seed=0, budget=256,
-        )
-        b = schedule_reliability(
-            schedule, algorithm,
-            {p: 0.05 for p in schedule.processor_names()},
-            method="sampled", seed=1, budget=256,
-        )
+        with certify_oracle.sampled_reliability():
+            a, b = (
+                schedule_reliability(
+                    schedule, algorithm,
+                    {p: 0.05 for p in schedule.processor_names()},
+                    seed=seed, budget=256,
+                )
+                for seed in (0, 1)
+            )
         # Both bracket the truth; the draws (and hence the point
         # estimates) are independent replications.
         assert a.ci is not None and b.ci is not None
 
     def test_sampled_certificate_reports_the_contract_fields(self):
         schedule, algorithm = _schedule(5, npf=1)
-        certificate = fault_tolerance_certificate(
-            schedule, algorithm, method="sampled", seed=2, confidence=0.95
-        )
+        with certify_oracle.sampled_certificates():
+            certificate = fault_tolerance_certificate(
+                schedule, algorithm, seed=2, confidence=0.95
+            )
         document = certificate.to_dict()
         assert document["method"] == "sampled"
         assert document["confidence"] == 0.95
@@ -456,8 +470,9 @@ class TestLazyContentHash:
 
         monkeypatch.setattr(sampling, "schedule_content_hash", spy)
         schedule, algorithm = _schedule(6, npf=1)
-        certificate = fault_tolerance_certificate(
-            schedule, algorithm, method="sampled", seed=5
-        )
+        with certify_oracle.sampled_certificates():
+            certificate = fault_tolerance_certificate(
+                schedule, algorithm, seed=5
+            )
         assert certificate.samples > 0
         assert calls == [schedule]
