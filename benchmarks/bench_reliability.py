@@ -7,19 +7,21 @@ give *bit-identical* verdicts to the per-scenario oracle
 (``tests/certify_oracle.py``, one executor replay per scenario) while
 doing far less work.  This bench times ``fault_tolerance_certificate``
 at t = 0 against the oracle over P ∈ {4, 6, 8, 16, 32} processors (Npf = 1,
-N = 20 operations, CCR = 1, seed 2003), records scenarios/sec, the
-event-decision counts of both engines and the batched engine's crash
-lanes and lane passes in ``BENCH_runtime.json`` (merging with the
-sweeps written by ``bench_runtime.py``), and asserts the verdicts
-agree.
+N = 20 operations, CCR = 1, seed 2003), and next to it the q = 0.01
+reliability sum (exact up to P = 12, the stratum sum beyond).  It
+records scenarios/sec, the event-decision counts of both engines and
+the batched engine's crash lanes and lane passes in
+``BENCH_runtime.json`` (merging with the sweeps written by
+``bench_runtime.py``), and asserts the verdicts agree.
 
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_reliability.py [--smoke]
 
-``--smoke`` runs a reduced configuration (P = 4 only), checks the
-engine agrees with the oracle, and does not touch ``BENCH_runtime.json`` — the CI
-guard that keeps the batch path exercised.
+``--smoke`` runs a reduced configuration (P = 4 and P = 16, so the
+stratum sum runs too), checks the engine agrees with the oracle, and
+does not touch ``BENCH_runtime.json`` — the CI guard that keeps the
+batch path exercised.
 """
 
 import gc
@@ -76,10 +78,11 @@ def _levels(certificate) -> list[tuple[int, int, int, int]]:
 def bench_certificate(processors: int, repeats: int = 5) -> dict:
     """Time the batch engine and the oracle; verify identical verdicts.
 
-    Each repeat rebuilds its engine, so the batched time honestly
-    includes the compile-once cost the engine amortizes per schedule.
-    The work counters (scenarios replayed, event decisions) come from
-    one dedicated fresh run of each.
+    Each repeat rebuilds its engine, so the batched times (certificate,
+    then the q = 0.01 reliability sum) honestly include the
+    compile-once cost the engine amortizes per schedule.  The work
+    counters (scenarios replayed, event decisions) come from one
+    dedicated fresh run of each.
     """
     schedule, algorithm = _certificate_problem(processors)
 
@@ -100,6 +103,14 @@ def bench_certificate(processors: int, repeats: int = 5) -> dict:
         batched_s = min(batched_s, time.perf_counter() - started)
     engine = BatchScenarioEngine(schedule, algorithm)
     fault_tolerance_certificate(schedule, algorithm, engine=engine)
+
+    probabilities = {p: 0.01 for p in schedule.processor_names()}
+    reliability_s = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        started = time.perf_counter()
+        report = schedule_reliability(schedule, algorithm, probabilities)
+        reliability_s = min(reliability_s, time.perf_counter() - started)
 
     assert _levels(legacy) == _levels(batched), (
         f"engines diverge at P={processors}"
@@ -123,6 +134,8 @@ def bench_certificate(processors: int, repeats: int = 5) -> dict:
         "batched_decisions": stats.decisions,
         "batched_copied": stats.copied,
         "certified": batched.certified,
+        "reliability_s": reliability_s,
+        "reliability_method": report.method,
     }
 
 
@@ -406,7 +419,7 @@ def write_bench_json(repeats: int = 5) -> dict:
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv and not full_scale()
     if smoke:
-        sweep = run_reliability_sweep(processor_counts=(4,), repeats=2)
+        sweep = run_reliability_sweep(processor_counts=(4, 16), repeats=2)
         combined = run_combined_sweep(processor_counts=(4,), repeats=2)
         sampled = run_sampled_sweep(agreement_processors=(4,), smoke=True)
     else:
@@ -419,6 +432,8 @@ def main(argv: list[str]) -> int:
         print(
             f"P={key}: certificate {point['legacy_s']*1e3:8.2f} ms -> "
             f"{point['batched_s']*1e3:8.2f} ms  ({point['speedup']:.2f}x, "
+            f"q=0.01 {point['reliability_method']} reliability "
+            f"{point['reliability_s']*1e3:.2f} ms, "
             f"{point['legacy_scenarios_per_s']:.0f} -> "
             f"{point['batched_scenarios_per_s']:.0f} scenarios/s, "
             f"{point['legacy_decisions']} -> {point['batched_decisions']} "

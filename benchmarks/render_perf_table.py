@@ -126,8 +126,8 @@ def render_reliability(label: str, section: dict) -> list[str]:
         f"### Batched scenario engine and crash lanes ({label})",
         "",
         "| P | per-scenario | batched | speedup | verdicts | replays "
-        "| lanes (passes) |",
-        "|---:|---:|---:|---:|---:|---:|---:|",
+        "| lanes (passes) | reliability q=0.01 |",
+        "|---:|---:|---:|---:|---:|---:|---:|---:|",
     ]
     for processors, point in sorted(
         ((k, v) for k, v in section.items() if isinstance(v, dict)),
@@ -140,12 +140,19 @@ def render_reliability(label: str, section: dict) -> list[str]:
             if "batched_lanes" in point
             else "–"
         )
+        reliability = (
+            f"{_fmt_ms(point['reliability_s'])} "
+            f"({point['reliability_method']})"
+            if "reliability_s" in point
+            else "–"
+        )
         lines.append(
             f"| {processors} | {_fmt_ms(point['legacy_s'])} "
             f"| {_fmt_ms(point['batched_s'])} "
             f"| {point['speedup']:.1f}x "
             f"| {point.get('batched_scenarios', '–')} "
-            f"| {point.get('batched_simulated', '–')} | {lanes} |"
+            f"| {point.get('batched_simulated', '–')} | {lanes} "
+            f"| {reliability} |"
         )
     return lines
 

@@ -365,7 +365,7 @@ def fault_tolerance_certificate(
                 level, breaking = sampling.evaluate_level(
                     size=size,
                     link_size=link_size,
-                    oracle=engine.crash_subsets_masked,
+                    oracle=engine.crash_masks_masked,
                     times=times,
                     processors=processors,
                     links=links,
@@ -375,7 +375,7 @@ def fault_tolerance_certificate(
                     level_cap=MAX_SUBSETS_PER_LEVEL,
                     bounds=bounds,
                     confidence=confidence,
-                    budget=max(1, budget_left),
+                    budget=budget_left,
                     streams=streams,
                 )
                 budget_left = max(0, budget_left - level.samples)
@@ -390,11 +390,12 @@ def fault_tolerance_certificate(
                             certificate.breaking_subsets.append(
                                 frozenset(proc_subset)
                             )
-    if needs_sampling:
+    if {level.method for level in certificate.levels} & {"sampled", "bounds"}:
         certificate.method = "sampled"
         certificate.confidence = confidence
         certificate.samples = sum(level.samples for level in certificate.levels)
         certificate.seed = seed
+    if needs_sampling:
         obs.metrics.inc("certify.samples_drawn", certificate.samples)
         obs.metrics.inc(
             "certify.samples_pruned",
@@ -489,7 +490,7 @@ def schedule_reliability(
         with obs.span("certify.sample"):
             report = sampling.sampled_reliability(
                 schedule=schedule,
-                oracle=engine.crash_subsets_masked,
+                oracle=engine.crash_masks_masked,
                 baseline_delivered=engine.baseline_delivered,
                 failure_probabilities=failure_probabilities,
                 times=times,
@@ -511,41 +512,35 @@ def schedule_reliability(
     guaranteed = 0.0
     evaluated = 0
     # With no link probabilities, ``links`` is empty and the inner loop
-    # degenerates to a single ``link_subset = ()`` iteration whose mass,
-    # enumeration order and masking keys are exactly the historical
-    # processor-only sum — bit-identical floats, one code path.  The
-    # subsets to ask about are collected first and answered in one
-    # request; the sums then run in the same canonical order.
+    # degenerates to one empty link subset: the processor-only sum.  A
+    # mass is the left-to-right product over the resources in canonical
+    # order.  The subsets to ask about are collected first and answered
+    # in one request; the sums then run in the same canonical order.
+    proc_terms = sampling.MassTerms(processors, processors, failure_probabilities)
+    link_terms = sampling.MassTerms(links, links, link_failure_probabilities)
+    link_masks = [
+        (link_size, sum(subset))
+        for link_size in range(len(links) + 1)
+        for subset in itertools.combinations(link_terms.bits, link_size)
+    ]
     masses: list[tuple[float, bool]] = []
-    pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    pairs: list[sampling.Pair] = []
     for size in range(len(processors) + 1):
-        for subset in itertools.combinations(processors, size):
-            proc_mass = 1.0
-            for processor in processors:
-                probability = failure_probabilities[processor]
-                proc_mass *= (
-                    probability if processor in subset else 1.0 - probability
-                )
-            for link_size in range(len(links) + 1):
-                for link_subset in itertools.combinations(links, link_size):
-                    evaluated += 1
-                    mass = proc_mass
-                    for link in links:
-                        probability = link_failure_probabilities[link]
-                        mass *= (
-                            probability
-                            if link in link_subset
-                            else 1.0 - probability
-                        )
-                    if mass == 0.0:
-                        continue
-                    if size <= schedule.npf and link_size <= npl:
-                        guaranteed += mass
-                    empty = size == 0 and link_size == 0
-                    masses.append((mass, empty))
-                    if not empty:
-                        pairs.append((subset, link_subset))
-    verdicts = iter(engine.crash_subsets_masked(pairs, times))
+        for subset in itertools.combinations(proc_terms.bits, size):
+            proc_mask = sum(subset)
+            proc_mass = proc_terms.mass(proc_mask)
+            for link_size, link_mask in link_masks:
+                evaluated += 1
+                mass = link_terms.mass(link_mask, proc_mass)
+                if mass == 0.0:
+                    continue
+                if size <= schedule.npf and link_size <= npl:
+                    guaranteed += mass
+                empty = size == 0 and link_size == 0
+                masses.append((mass, empty))
+                if not empty:
+                    pairs.append((proc_mask, link_mask))
+    verdicts = iter(engine.crash_masks_masked(pairs, times))
     reliability = 0.0
     masked_mass = 0.0
     for mass, empty in masses:

@@ -59,17 +59,57 @@ from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import SimulationError
 from repro.schedule.serialization import schedule_content_hash
+from repro.simulation.batch import set_bits
 
-#: A ``(processors, links)`` crash subset.
-Pair = tuple[tuple[str, ...], tuple[str, ...]]
+#: A ``(processor mask, link mask)`` crash subset: bit ``i`` of a mask
+#: stands for the ``i``-th name of ``schedule.processor_names()``
+#: (``schedule.link_names()``), the resource's compiled id.
+Pair = tuple[int, int]
+
+#: A breaking ``(processors, links)`` subset by name, each sorted.
+Witness = tuple[tuple[str, ...], tuple[str, ...]]
 
 #: A many-pairs masking oracle: ``oracle(pairs, times)`` answers, for each
 #: pair in order, whether that crash subset is masked at every instant
 #: of ``times``
-#: (:meth:`~repro.simulation.batch.BatchScenarioEngine.crash_subsets_masked`).
+#: (:meth:`~repro.simulation.batch.BatchScenarioEngine.crash_masks_masked`).
 #: Callers collect the pairs a step needs and ask once, so the engine can
 #: answer them together.
 Oracle = Callable[[Sequence[Pair], tuple[float, ...]], list[bool]]
+
+
+def name_bits(names: Sequence[str], universe: Sequence[str]) -> list[int]:
+    """Each name's mask bit: ``1 << i`` for ``universe[i]``."""
+    index = {name: i for i, name in enumerate(universe)}
+    return [1 << index[name] for name in names]
+
+
+def mask_names(mask: int, universe: Sequence[str]) -> tuple[str, ...]:
+    """The names of ``universe`` whose bits ``mask`` sets, in order."""
+    return tuple(universe[i] for i in set_bits(mask))
+
+
+class MassTerms:
+    """Failure probabilities of ``names`` by their bits over ``universe``."""
+
+    def __init__(self, names: Sequence[str], universe: Sequence[str],
+                 probabilities: Mapping[str, float]) -> None:
+        self.bits = name_bits(names, universe)
+        self._position = {bit: i for i, bit in enumerate(self.bits)}
+        self._fail = [probabilities[name] for name in names]
+        self._survive = [1.0 - q for q in self._fail]
+
+    def mass(self, mask: int, mass: float = 1.0) -> float:
+        """``mass`` times, resource by resource from left to right, ``q``
+        for each resource ``mask`` sets and ``1 - q`` for the others."""
+        factors = list(self._survive)
+        while mask:
+            low = mask & -mask
+            position = self._position[low]
+            factors[position] = self._fail[position]
+            mask ^= low
+        # ``math.prod`` multiplies left to right, as a ``*=`` loop does.
+        return math.prod(factors, start=mass)
 
 
 def check_sampling_parameters(
@@ -490,8 +530,8 @@ class _Cell:
 
 def _enumerate_cells(
     cells: Sequence[_Cell],
-    procs: Sequence[str],
-    links: Sequence[str],
+    proc_bits: Sequence[int],
+    link_bits: Sequence[int],
     oracle: Oracle,
     times: tuple[float, ...],
 ) -> list[Pair]:
@@ -501,12 +541,14 @@ def _enumerate_cells(
     ``masked`` counts its masked cores, and the breaking cores come back
     in the same order.
     """
-    pairs = [
-        (core, link_core)
-        for cell in cells
-        for core in itertools.combinations(procs, cell.k)
-        for link_core in itertools.combinations(links, cell.j)
-    ]
+    pairs: list[Pair] = []
+    for cell in cells:
+        link_cores = [
+            sum(core) for core in itertools.combinations(link_bits, cell.j)
+        ]
+        for core in itertools.combinations(proc_bits, cell.k):
+            proc_core = sum(core)
+            pairs.extend((proc_core, link_core) for link_core in link_cores)
     verdicts = iter(zip(pairs, oracle(pairs, times)))
     breaking = []
     for cell in cells:
@@ -534,7 +576,7 @@ def evaluate_level(
     confidence: float,
     budget: int,
     streams: RngStreams,
-) -> tuple[ToleranceLevel, list[Pair]]:
+) -> tuple[ToleranceLevel, list[Witness]]:
     """Certify, refute or estimate one level of the certificate.
 
     Returns the level and its breaking subsets (padded to the level's
@@ -545,8 +587,9 @@ def evaluate_level(
     arbitrary ``P``); analytic-bounds refutation when the level size
     reaches a witness (only if instant 0 is in the hypothesis);
     otherwise stratified uniform sampling over the cells with a
-    deterministic large-cone break hunt first.  ``processors`` and
-    ``links`` are sorted, so every enumerated subset is too.
+    deterministic large-cone break hunt first.  Subsets are asked
+    about as masks over ``processors`` and ``links`` and named again
+    only as breaking witnesses.
     """
     population = math.comb(len(processors), size) * math.comb(
         len(links), link_size
@@ -562,11 +605,13 @@ def evaluate_level(
     uninvolved_links = [l for l in links if l not in involved_link_set]
     ip, il = len(involved_procs), len(involved_links)
     up, ul = len(uninvolved_procs), len(uninvolved_links)
+    proc_bits = name_bits(involved_procs, processors)
+    link_bits = name_bits(involved_links, links)
 
-    def pad(proc_core, link_core) -> Pair:
+    def pad(pair: Pair) -> Witness:
         return (
-            _pad_witness(proc_core, size, uninvolved_procs),
-            _pad_witness(link_core, link_size, uninvolved_links),
+            _pad_witness(mask_names(pair[0], processors), size, uninvolved_procs),
+            _pad_witness(mask_names(pair[1], links), link_size, uninvolved_links),
         )
 
     cells = [
@@ -584,14 +629,12 @@ def evaluate_level(
 
     # --- exhaustive / involved-set projection --------------------------
     if sum(cell.count for cell in cells) <= level_cap:
-        breaking = _enumerate_cells(
-            cells, involved_procs, involved_links, oracle, times
-        )
+        breaking = _enumerate_cells(cells, proc_bits, link_bits, oracle, times)
         masked = sum(cell.weight * cell.masked for cell in cells)
         return ToleranceLevel(
             size, masked, population, link_size, method,
             population=population, breaking_found=bool(breaking),
-        ), [pad(*pair) for pair in breaking]
+        ), [pad(pair) for pair in breaking]
 
     # --- analytic-bounds refutation -----------------------------------
     if bounds is not None and 0.0 in times:
@@ -621,9 +664,9 @@ def evaluate_level(
         else:
             sampled_cells.append(cell)
     breaking = [
-        pad(*pair)
+        pad(pair)
         for pair in _enumerate_cells(
-            exact_cells, involved_procs, involved_links, oracle, times
+            exact_cells, proc_bits, link_bits, oracle, times
         )[:8]
     ]
     exact_masked_share = 0.0
@@ -634,36 +677,36 @@ def evaluate_level(
     # resources, the subsets most likely to break if any do.  Hunt
     # verdicts are *evidence only* (possibly biased toward breaks), so
     # they never enter the estimate.
-    hunt = []
-    ranked = [p for p in proc_cone_rank if p in involved]
+    hunt: list[Pair] = []
+    ranked = name_bits(
+        [p for p in proc_cone_rank if p in involved], processors
+    )
     for cell in sampled_cells:
         if len(hunt) >= HUNT_LIMIT:
             break
-        link_core = tuple(involved_links[: cell.j])
+        link_core = sum(link_bits[: cell.j])
         hunt.extend(
-            (core, link_core)
+            (sum(core), link_core)
             for core in itertools.islice(
                 itertools.combinations(ranked, cell.k), HUNT_LIMIT - len(hunt)
             )
         )
     for pair, ok in zip(hunt, oracle(hunt, times)):
         if not ok and len(breaking) < 8:
-            breaking.append(pad(*pair))
+            breaking.append(pad(pair))
 
     drawn_total = 0
     cell_confidence = 1.0 - max(
         1e-12, (1.0 - confidence) / max(1, len(sampled_cells))
     )
-    if sampled_cells:
+    if sampled_cells and budget > 0:
         rng = streams(f"level:{size}:{link_size}")
 
         def draw_batch(cell: _Cell, n: int) -> None:
             nonlocal drawn_total
             draws = [
-                (
-                    tuple(sorted(rng.sample(list(involved_procs), cell.k))),
-                    tuple(sorted(rng.sample(list(involved_links), cell.j))),
-                )
+                (sum(rng.sample(proc_bits, cell.k)),
+                 sum(rng.sample(link_bits, cell.j)))
                 for _ in range(n)
             ]
             cell.drawn += n
@@ -672,13 +715,14 @@ def evaluate_level(
                 if ok:
                     cell.masked += 1
                 elif len(breaking) < 8:
-                    breaking.append(pad(*pair))
+                    breaking.append(pad(pair))
 
         def interval(cell: _Cell) -> tuple[float, float]:
             return wilson_interval(cell.masked, cell.drawn, cell_confidence)
 
+        per_cell = min(BATCH, max(1, budget // len(sampled_cells)))
         for cell in sampled_cells:
-            draw_batch(cell, min(BATCH, max(1, budget // len(sampled_cells))))
+            draw_batch(cell, min(per_cell, budget - drawn_total))
         while drawn_total < budget:
             widths = [
                 (cell.share(population) * (interval(cell)[1] - interval(cell)[0]),
@@ -871,14 +915,12 @@ def sampled_reliability(
         covered += mass
     tail_mass = max(0.0, 1.0 - covered)
 
-    def conditional_core_mass(core: Sequence[str], names: Sequence[str],
-                              probs: Mapping[str, float]) -> float:
-        mass = 1.0
-        in_core = set(core)
-        for name in names:
-            q = probs[name]
-            mass *= q if name in in_core else 1.0 - q
-        return mass
+    proc_terms = MassTerms(inv_procs, processors, failure_probabilities)
+    link_terms = MassTerms(inv_links, links, link_failure_probabilities)
+    p_always_mask = sum(name_bits(p_always, processors))
+    l_always_mask = sum(name_bits(l_always, links))
+    p_rand_bits = name_bits(p_rand, processors)
+    l_rand_bits = name_bits(l_rand, links)
 
     sampled_strata: list[_Cell] = []
     samplers: dict[int, tuple] = {}
@@ -893,25 +935,20 @@ def sampled_reliability(
         kr = stratum.k - len(p_always)
         jr = stratum.j - len(l_always)
         if stratum.count <= EXACT_CELL_CAP:
-            before = len(slab_pairs)
-            for core in itertools.combinations(p_rand, kr):
-                proc_core = tuple(sorted(set(core) | set(p_always)))
-                pm = conditional_core_mass(proc_core, inv_procs,
-                                           failure_probabilities)
-                for link_core_r in itertools.combinations(l_rand, jr):
-                    link_core = tuple(
-                        sorted(set(link_core_r) | set(l_always))
-                    )
-                    lm = (
-                        conditional_core_mass(
-                            link_core, inv_links, link_failure_probabilities
-                        )
-                        if links
-                        else 1.0
-                    )
+            link_cores = [
+                (link_core, link_terms.mass(link_core))
+                for link_core in (
+                    sum(core) | l_always_mask
+                    for core in itertools.combinations(l_rand_bits, jr)
+                )
+            ]
+            for core in itertools.combinations(p_rand_bits, kr):
+                proc_core = sum(core) | p_always_mask
+                pm = proc_terms.mass(proc_core)
+                for link_core, lm in link_cores:
                     slab_pairs.append((proc_core, link_core))
                     slab_masses.append(pm * lm)
-            slab_sizes.append(len(slab_pairs) - before)
+            slab_sizes.append(stratum.count)
         else:
             samplers[id(stratum)] = (
                 ConditionalSubsetSampler(p_odds),
@@ -942,8 +979,8 @@ def sampled_reliability(
             idx_p = sampler_p.draw(kr, rng) if kr else ()
             idx_l = sampler_l.draw(jr, rng) if jr else ()
             draws.append((
-                tuple(sorted({p_rand[i] for i in idx_p} | set(p_always))),
-                tuple(sorted({l_rand[i] for i in idx_l} | set(l_always))),
+                sum(p_rand_bits[i] for i in idx_p) | p_always_mask,
+                sum(l_rand_bits[i] for i in idx_l) | l_always_mask,
             ))
         stratum.drawn += n
         samples_drawn += n

@@ -4,7 +4,10 @@
 thousands of scenarios against one schedule — including the *combined*
 processor+link subsets of link-failure certification (``npl >= 1``
 schedules), which silence links exactly like a per-scenario replay
-does.  It compiles the schedule once
+does.  A crash subset is a pair of ints, a processor mask and a link
+mask whose bit ``i`` is compiled id ``i``
+(:meth:`BatchScenarioEngine.crash_masks_masked`; the name entry points
+only build the masks).  The engine compiles the schedule once
 (:mod:`repro.simulation.compiled`), simulates the failure-free
 baseline once, and then spends per scenario only what the scenario
 actually requires:
@@ -12,21 +15,22 @@ actually requires:
 * **footprint-equivalence pruning** — crash subsets that silence no
   scheduled event are grouped into the *nominal* equivalence class and
   answered from the baseline without simulating: processors (and
-  links) the schedule never involves are dropped from every subset,
+  links) the schedule never involves are masked out of every subset,
   and a crash instant past a resource's last involvement (a
   processor's final replica end / last sent comm / last received comm,
   a link's last transmission end) provably reproduces the baseline
-  trace.  The class membership test is O(|subset|), so the exact
-  probability sum over all ``2^P`` subsets stays exact while most of
-  the lattice is never simulated;
-* **verdict memoization** — every ``(subset, instant)`` verdict is
-  cached under its canonical reduced form, so equivalent scenarios
-  across certificate levels, crash-instant sweeps and reliability sums
-  are decided once per equivalence class;
+  trace.  The class membership test is one ``&`` against the
+  instant's quiet resources, so the exact probability sum over all
+  ``2^P`` subsets stays exact while most of the lattice is never
+  simulated;
+* **verdict memoization** — every verdict is cached per crash instant
+  under the reduced scenario key, so equivalent scenarios across
+  certificate levels, crash-instant sweeps and reliability sums are
+  decided once per equivalence class;
 * **crash lanes** — at crash instant 0 (the certificates' default) on a
   clean ``NONE``-detection baseline with positive durations, a verdict
   depends only on which events complete, so
-  :meth:`BatchScenarioEngine.crash_subsets_masked` answers a whole
+  :meth:`BatchScenarioEngine.crash_masks_masked` answers a whole
   request with one pass of
   :meth:`~repro.simulation.compiled.CompiledSchedule.crash_lanes`, bit
   ``i`` of every event value standing for the request's ``i``-th subset.
@@ -113,7 +117,7 @@ class BatchScenarioEngine:
 
     Build once per ``(schedule, algorithm, detection)``; every query is
     side-effect free apart from cache growth.
-    :meth:`crash_subsets_masked` is the many-pairs verdict path used by the
+    :meth:`crash_masks_masked` is the many-pairs verdict path used by the
     reliability certificates.
     """
 
@@ -149,12 +153,21 @@ class BatchScenarioEngine:
         )
         compiled = self._compiled
         n_procs = len(compiled.proc_names)
-        n_links = len(compiled.link_names)
+        #: A scenario key holds processor id ``i`` at bit ``i`` and link
+        #: id ``l`` at bit ``n_procs + l``.
+        self._link_shift = n_procs
+        self._involved_procs = sum(
+            1 << proc for proc, used in enumerate(compiled.proc_involved) if used
+        )
+        #: Links that carry no comm never change a decision.
+        self._involved_links = sum(
+            1 << link for link, order in enumerate(compiled.link_order) if order
+        )
         self._host_send_last = [0.0] * n_procs
         self._recv_last = [-1.0] * n_procs
         #: Baseline end of the last comm on each link — a link failing
         #: after its last transmission reproduces the baseline verbatim.
-        self._link_last = [0.0] * n_links
+        self._link_last = [0.0] * len(compiled.link_names)
         if self._baseline_clean:
             for op, proc in enumerate(compiled.op_proc):
                 end = self._baseline.op_end[op]
@@ -171,12 +184,10 @@ class BatchScenarioEngine:
                     self._recv_last[dst] = end
                 if end > self._link_last[link]:
                     self._link_last[link] = end
-        #: Whether each link carries any comm at all — silencing an
-        #: unused link can never change a decision.
-        self._link_involved = tuple(
-            bool(order) for order in compiled.link_order
-        )
-        self._verdict_memo: dict[tuple, bool] = {}
+        #: Per crash instant: :meth:`_quiet_at`'s key bits.
+        self._quiet: dict[float, int] = {}
+        #: Per crash instant: verdicts by reduced scenario key.
+        self._verdict_memo: dict[float, dict[int, bool]] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -195,27 +206,17 @@ class BatchScenarioEngine:
         """Processors the schedule involves at all, in canonical order.
 
         A crash subset's verdict depends only on its intersection with
-        this set (the reduction :meth:`crash_subset_masked` applies) —
+        this set (the reduction :meth:`crash_masks_masked` applies) —
         the exactness theorem the sampled certifier's involved-set
         projection is built on.
         """
-        return tuple(
-            name
-            for name, involved in zip(
-                self._compiled.proc_names, self._compiled.proc_involved
-            )
-            if involved
-        )
+        names = self._compiled.proc_names
+        return tuple(names[proc] for proc in set_bits(self._involved_procs))
 
     def involved_links(self) -> tuple[str, ...]:
         """Links that carry at least one comm, in canonical order."""
-        return tuple(
-            name
-            for name, involved in zip(
-                self._compiled.link_names, self._link_involved
-            )
-            if involved
-        )
+        names = self._compiled.link_names
+        return tuple(names[link] for link in set_bits(self._involved_links))
 
     def processor_cone_fractions(self) -> dict[str, float]:
         """Cone size of each involved processor as an event share.
@@ -253,26 +254,52 @@ class BatchScenarioEngine:
         pairs: Sequence[tuple[Iterable[str], Iterable[str]]],
         crash_times: Iterable[float],
     ) -> list[bool]:
-        """Whether each ``(processors, links)`` crash subset is masked.
+        """:meth:`crash_masks_masked` for ``(processors, links)`` names.
 
-        Mirrors the per-scenario rule: every operation must complete on
-        at least one processor under simultaneous permanent crashes of
-        the pair's processors (and, for combined processor+link
-        certification, permanent failures of its links) at each instant
-        of ``crash_times``.  Instants are checked in order and a pair
-        stops at its first break, so a later instant only asks about
-        the pairs still masked (verdicts are memoized, so the
-        short-circuit never loses information).  At instant 0 the
+        Names the schedule does not know are ignored.
+        """
+        proc_ids = self._compiled.proc_ids
+        link_ids = self._compiled.link_ids
+        return self.crash_masks_masked([
+            (sum({1 << proc_ids[name] for name in procs if name in proc_ids}),
+             sum({1 << link_ids[name] for name in links if name in link_ids}))
+            for procs, links in pairs
+        ], crash_times)
+
+    def crash_masks_masked(
+        self,
+        pairs: Sequence[tuple[int, int]],
+        crash_times: Iterable[float],
+    ) -> list[bool]:
+        """Whether each ``(processor mask, link mask)`` crash subset is masked.
+
+        Bit ``i`` of a mask crashes the processor (link) of compiled id
+        ``i``.  Mirrors the per-scenario rule: every operation must
+        complete on at least one processor under simultaneous permanent
+        crashes of the pair's processors (and, for combined
+        processor+link certification, permanent failures of its links)
+        at each instant of ``crash_times``.  Instants are checked in
+        order and a pair stops at its first break, so a later instant
+        only asks about the pairs still masked (verdicts are memoized,
+        so the short-circuit never loses information).  At instant 0 the
         pending pairs are answered by crash lanes in as few passes as
         possible (see :meth:`_verdicts_at`).
         """
-        reduced = [self._reduce(procs, links) for procs, links in pairs]
-        verdicts = [True] * len(reduced)
-        pending = list(range(len(reduced)))
+        procs_used = self._involved_procs
+        links_used = self._involved_links
+        shift = self._link_shift
+        # Uninvolved resources never change a decision, so the verdict
+        # depends only on the involved bits: the scenario key.
+        keys = [
+            (procs & procs_used) | ((links & links_used) << shift)
+            for procs, links in pairs
+        ]
+        verdicts = [True] * len(keys)
+        pending = list(range(len(keys)))
         for at in crash_times:
             if not pending:
                 break
-            answers = self._verdicts_at([reduced[i] for i in pending], at)
+            answers = self._verdicts_at([keys[i] for i in pending], at)
             still = []
             for index, masked in zip(pending, answers):
                 if masked:
@@ -282,70 +309,64 @@ class BatchScenarioEngine:
             pending = still
         return verdicts
 
-    def _reduce(
-        self, processors: Iterable[str], links: Iterable[str]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """A subset's involved processor and link ids, sorted.
+    def _quiet_at(self, at: float) -> int:
+        """Key bits of the resources whose every involvement ends by ``at``.
 
-        Uninvolved resources never change a decision, so the verdict
-        depends only on this reduced form.
+        A processor whose hosted operations and sent comms all end by
+        ``at`` (and whose received comms end strictly before ``at``)
+        answers every scenario query exactly as the nominal scenario
+        does; a link whose last comm ends by ``at`` likewise never
+        blocks a transmit window (a failure interval ``[at, inf)``
+        overlaps a window ``[start, end)`` only when ``at < end``).  A
+        subset of quiet resources therefore replays the baseline
+        verbatim.  Nothing is quiet on a baseline that is not clean.
         """
-        proc_ids = self._compiled.proc_ids
-        involved = self._compiled.proc_involved
-        link_ids = self._compiled.link_ids
-        link_involved = self._link_involved
-        return (
-            tuple(sorted(
-                proc_ids[name]
-                for name in processors
-                if name in proc_ids and involved[proc_ids[name]]
-            )),
-            tuple(sorted(
-                link_ids[name]
-                for name in links
-                if name in link_ids and link_involved[link_ids[name]]
-            )),
-        )
+        quiet = self._quiet.get(at)
+        if quiet is None:
+            quiet = 0
+            if self._baseline_clean:
+                for proc, (send, recv) in enumerate(
+                    zip(self._host_send_last, self._recv_last)
+                ):
+                    if not (send > at or recv >= at):
+                        quiet |= 1 << proc
+                for link, last in enumerate(self._link_last, self._link_shift):
+                    if not last > at:
+                        quiet |= 1 << link
+            self._quiet[at] = quiet
+        return quiet
 
-    def _verdicts_at(
-        self, subsets: list[tuple[tuple[int, ...], tuple[int, ...]]], at: float
-    ) -> list[bool]:
-        """Verdicts for reduced subsets at one crash instant.
+    def _verdicts_at(self, keys: list[int], at: float) -> list[bool]:
+        """Verdicts for reduced scenario keys at one crash instant.
 
-        Each subset is answered, in order, from the baseline (empty
-        subset), the nominal class, or the verdict memo.  The rest are
-        replayed one by one, except at instant 0 on a clean
+        Each key is answered, in order, from the baseline (empty key),
+        the nominal class (only quiet bits), or the verdict memo.  The
+        rest are replayed one by one, except at instant 0 on a clean
         ``NONE``-detection baseline with positive durations, where
         :meth:`CompiledSchedule.crash_lanes` answers them all together
         (a repeat within the request counts as a memo hit, as it would
         one subset at a time).
         """
         stats = self.stats
-        verdicts: list[bool | None] = [None] * len(subsets)
-        lanes: dict[tuple, int] = {}  # memo key -> its first index
-        repeats: list[tuple[int, tuple]] = []
+        stats.scenarios += len(keys)
+        memo = self._verdict_memo.setdefault(at, {})
+        loud = ~self._quiet_at(at)
+        nominal = self._baseline_delivered
+        verdicts: list[bool | None] = [None] * len(keys)
+        lanes: dict[int, int] = {}  # key -> its first index
+        repeats: list[tuple[int, int]] = []
         use_lanes = (
             at == 0.0
             and self._lanes_ok
             and self._compiled.lane_order() is not None
         )
-        for index, (reduced, reduced_links) in enumerate(subsets):
-            stats.scenarios += 1
-            if not reduced and not reduced_links:
-                verdicts[index] = self._baseline_delivered
+        for index, key in enumerate(keys):
+            if not key & loud:
+                if key:
+                    stats.pruned_nominal += 1
+                verdicts[index] = nominal
                 continue
-            if self._baseline_clean and self._is_nominal_equivalent(
-                reduced, at, reduced_links
-            ):
-                stats.pruned_nominal += 1
-                verdicts[index] = self._baseline_delivered
-                continue
-            key = (
-                (reduced, at)
-                if not reduced_links
-                else (reduced, at, reduced_links)
-            )
-            cached = self._verdict_memo.get(key)
+            cached = memo.get(key)
             if cached is not None:
                 stats.memo_hits += 1
             elif use_lanes:
@@ -356,81 +377,57 @@ class BatchScenarioEngine:
                     lanes[key] = index
                 continue
             else:
-                cached = self._replay_masked(reduced, at, reduced_links)
-                self._verdict_memo[key] = cached
+                cached = self._replay_masked(key, at)
+                memo[key] = cached
             verdicts[index] = cached
-        keys = list(lanes)
-        for first in range(0, len(keys), MAX_SUBSETS_PER_LEVEL):
-            chunk = keys[first:first + MAX_SUBSETS_PER_LEVEL]
-            masked = self._lane_pass([subsets[lanes[key]] for key in chunk])
-            for key, verdict in zip(chunk, masked):
-                self._verdict_memo[key] = verdict
+        pending = list(lanes)
+        for first in range(0, len(pending), MAX_SUBSETS_PER_LEVEL):
+            chunk = pending[first:first + MAX_SUBSETS_PER_LEVEL]
+            for key, verdict in zip(chunk, self._lane_pass(chunk)):
+                memo[key] = verdict
                 verdicts[lanes[key]] = verdict
         for index, key in repeats:
-            verdicts[index] = self._verdict_memo[key]
+            verdicts[index] = memo[key]
         return verdicts
 
-    def _lane_pass(
-        self, subsets: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    ) -> list[bool]:
-        """One crash-lane pass at instant 0: lane ``i`` is ``subsets[i]``."""
+    def _lane_pass(self, keys: list[int]) -> list[bool]:
+        """One crash-lane pass at instant 0: lane ``i`` is ``keys[i]``."""
         compiled = self._compiled
-        proc_down = [0] * len(compiled.proc_names)
-        link_down = [0] * len(compiled.link_names)
-        bit = 1
-        for reduced, reduced_links in subsets:
-            for proc in reduced:
-                proc_down[proc] |= bit
-            for link in reduced_links:
-                link_down[link] |= bit
-            bit <<= 1
-        masked = compiled.crash_lanes(proc_down, link_down, len(subsets))
-        self.stats.lanes += len(subsets)
+        shift = self._link_shift
+        down = [0] * (shift + len(compiled.link_names))
+        lane = 1
+        for key in keys:
+            for resource in set_bits(key):
+                down[resource] |= lane
+            lane <<= 1
+        masked = compiled.crash_lanes(down[:shift], down[shift:], len(keys))
+        self.stats.lanes += len(keys)
         self.stats.lane_passes += 1
-        bits = format(masked, f"0{len(subsets)}b")
+        bits = format(masked, f"0{len(keys)}b")
         return [bit == "1" for bit in reversed(bits)]
 
-    def _replay_masked(
-        self,
-        reduced: tuple[int, ...],
-        at: float,
-        reduced_links: tuple[int, ...],
-    ) -> bool:
-        """Replay verdict for one reduced subset at one crash instant."""
+    def _replay_masked(self, key: int, at: float) -> bool:
+        """Replay verdict for one reduced scenario key at one crash instant."""
+        shift = self._link_shift
         state = self._compiled.replay(
             detection=self._detection,
             verdict_only=True,
             queries=_CrashSetQueries(
-                frozenset(reduced), at, frozenset(reduced_links)
+                frozenset(set_bits(key & ((1 << shift) - 1))),
+                at,
+                frozenset(set_bits(key >> shift)),
             ),
         )
         self.stats.simulated += 1
         self.stats.decisions += state.decisions
         return state.truncated or state.delivered(self._compiled)
 
-    def _is_nominal_equivalent(
-        self,
-        reduced: tuple[int, ...],
-        at: float,
-        reduced_links: tuple[int, ...] = (),
-    ) -> bool:
-        """Exact test: the crash lands after every involvement of the subset.
 
-        A processor whose hosted operations and sent comms all end by
-        ``at`` (and whose received comms end strictly before ``at``)
-        answers every scenario query exactly as the nominal scenario
-        does; a link whose last comm ends by ``at`` likewise never
-        blocks a transmit window (a failure interval ``[at, inf)``
-        overlaps a window ``[start, end)`` only when ``at < end``) — so
-        the whole replay reproduces the baseline verbatim.
-        """
-        host_send = self._host_send_last
-        recv = self._recv_last
-        for proc in reduced:
-            if host_send[proc] > at or recv[proc] >= at:
-                return False
-        link_last = self._link_last
-        for link in reduced_links:
-            if link_last[link] > at:
-                return False
-        return True
+def set_bits(mask: int) -> list[int]:
+    """The ids of the set bits of ``mask``, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids

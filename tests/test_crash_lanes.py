@@ -27,6 +27,7 @@ import random
 
 import pytest
 
+from repro.analysis import sampling
 from repro.analysis.reliability import (
     fault_tolerance_certificate,
     schedule_reliability,
@@ -255,6 +256,69 @@ def test_masking_is_downward_closed_at_instant_zero(
     # Not vacuous: the empty subset is masked and something breaks.
     assert (frozenset(), frozenset()) in masked
     assert len(masked) < len(pairs)
+
+
+@pytest.mark.parametrize(
+    "topology,processors,npf,npl",
+    [("fully_connected", 5, 1, 1), ("ring", 6, 1, 1), ("single_bus", 7, 1, 0),
+     ("star", 16, 1, 0), ("single_bus", 32, 1, 0)],
+)
+def test_name_and_mask_entry_points_agree_with_the_replay(
+    topology, processors, npf, npl
+):
+    """Random subsets, uninvolved and unknown names, several instants.
+
+    The name entry point, the mask entry point and the per-scenario
+    oracle must give the same verdicts, and both engines must count the
+    same work.  Breaking the P 7 bus breaks its schedule, so a link bit
+    lost on the way to a verdict shows.
+    """
+    schedule, algorithm = lane_schedule(topology, processors, npf, npl)
+    procs, links = schedule.processor_names(), schedule.link_names()
+    by_names = BatchScenarioEngine(schedule, algorithm)
+    by_masks = BatchScenarioEngine(schedule, algorithm)
+    simulator = ScheduleSimulator(schedule, algorithm)
+    involved = by_names.involved_processors()
+    if processors > 8:
+        # The wide points leave processors out of the schedule.
+        assert len(involved) < processors
+    rng = random.Random(f"entry-points:{topology}:{processors}")
+    makespan = schedule.makespan()
+    pairs = []
+    breaks = 0
+    for _ in range(60):
+        pool = involved if rng.random() < 0.5 else procs
+        crashed = rng.sample(pool, rng.randint(0, min(npf + 2, len(pool))))
+        broken = rng.sample(links, rng.randint(0, min(npl + 1, len(links))))
+        if rng.random() < 0.3:
+            crashed.append("P-unknown")
+        if rng.random() < 0.3:
+            broken.append("L-unknown")
+        pairs.append((tuple(crashed), tuple(broken)))
+    for times in ((0.0,), (0.0, makespan / 3), (makespan / 2, 0.0),
+                  (makespan * 2,)):
+        expected = [
+            certify_oracle.masked(
+                simulator, algorithm,
+                [p for p in crashed if p in procs], times,
+                [l for l in broken if l in links],
+            )
+            for crashed, broken in pairs
+        ]
+        assert by_names.crash_subsets_masked(pairs, times) == expected
+        masks = [
+            (
+                sum(sampling.name_bits([p for p in crashed if p in procs], procs)),
+                sum(sampling.name_bits([l for l in broken if l in links], links)),
+            )
+            for crashed, broken in pairs
+        ]
+        assert by_masks.crash_masks_masked(masks, times) == expected
+        breaks += expected.count(False)
+    assert by_names.stats == by_masks.stats
+    assert breaks >= 3
+    assert by_names.stats.lanes > 0 and by_names.stats.simulated > 0
+    assert by_names.stats.pruned_nominal > 0 and by_names.stats.memo_hits > 0
 
 
 # ----------------------------------------------------------------------

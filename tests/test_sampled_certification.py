@@ -47,6 +47,7 @@ from repro.timing.comm_times import CommunicationTimes
 from repro.timing.exec_times import ExecutionTimes
 from repro.workloads.random_dag import RandomWorkloadConfig, generate_problem
 from tests import certify_oracle
+from tests.test_wide_certification_pinned import wide_schedule
 
 
 def _schedule(processors: int, npf: int = 1, seed: int = 2003,
@@ -435,6 +436,50 @@ class TestDeterminism:
         assert document["samples"] == certificate.samples
         assert "ci" in document
         assert any("ci" in level for level in document["levels"])
+
+
+class TestBudgetAndMethodLabel:
+    def test_certificate_never_draws_past_its_budget(self):
+        problem = generate_problem(
+            RandomWorkloadConfig(
+                operations=12, ccr=1.0, processors=10, npf=2, seed=3
+            )
+        )
+        result = schedule_ftbar(problem)
+        with certify_oracle.sampled_certificates():
+            certificate = fault_tolerance_certificate(
+                result.schedule, result.expanded_algorithm,
+                budget=600, seed=0,
+            )
+        assert certificate.samples == 600
+        # Level 1 spends the whole budget; the sampled levels after it
+        # draw nothing at all.
+        assert [level.samples for level in certificate.levels] == [
+            0, 600, 0, 0,
+        ]
+        assert certificate.levels[2].method == "sampled"
+        assert certificate.levels[2].total_subsets == 0
+
+    def test_exact_and_projected_levels_are_labelled_exact(self):
+        schedule, algorithm = _wide_schedule(16, npf=4)
+        certificate = fault_tolerance_certificate(schedule, algorithm)
+        assert [level.method for level in certificate.levels] == (
+            ["exact"] * 5 + ["projected"]
+        )
+        assert certificate.method == "exact"
+        document = certificate.to_dict()
+        assert document["method"] == "exact"
+        assert "samples" not in document and "seed" not in document
+        assert str(certificate).splitlines()[0].endswith(": CERTIFIED")
+
+    def test_a_bounds_level_keeps_the_sampled_label(self):
+        # Every processor is involved, so level 3 (C(32, 3) subsets)
+        # cannot be projected and the minimum-replica bound refutes it.
+        schedule, algorithm = wide_schedule("fully_connected", 32, 2, 0, 48)
+        certificate = fault_tolerance_certificate(schedule, algorithm)
+        assert certificate.level(3).method == "bounds"
+        assert certificate.method == "sampled"
+        assert certificate.to_dict()["samples"] == 0
 
 
 class TestLazyContentHash:
