@@ -33,18 +33,25 @@ and records it in ``BENCH_runtime.json`` at the repository root:
 * ``phase_breakdown`` — per-phase wall time of the pinned
   ``repro bench --smoke`` problems from a traced run (``--phases``
   also prints the table), sourced from the observability layer's span
-  aggregates.
+  aggregates;
+* ``cold_start`` — cold ``repro example``, ``schedule`` and
+  ``certify`` processes with bytecode writing off: child CPU (minimum
+  of 7 at full scale, of 3 otherwise) and peak RSS, plus the
+  deterministic counts of loaded ``repro`` modules, their source lines
+  (all compiled, since no bytecode cache is written) and other loaded
+  modules.
 
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_runtime.py \
-        [--full] [--profile] [--phases] [--force-workers N]
+        [--full] [--profile] [--phases] [--force-workers N] [--smoke]
 
-Only a direct run writes ``BENCH_runtime.json``; the pytest benches
-print their tables and leave the file alone.  Every section whose size
-depends on ``--full`` records its scale in the file's ``scale`` map,
-and a run without ``--full`` never replaces a section recorded at full
-scale.
+``--smoke`` measures only the cold-start section and prints it.  Only
+a direct run without ``--smoke`` writes ``BENCH_runtime.json``; the
+pytest benches print their tables and leave the file alone.  Every
+section whose size depends on ``--full`` records its scale in the
+file's ``scale`` map, and a run without ``--full`` never replaces a
+section recorded at full scale.
 """
 
 import cProfile
@@ -53,6 +60,7 @@ import json
 import os
 import pstats
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -580,6 +588,102 @@ def run_campaign_compile_reuse(full: bool = False) -> dict:
     }
 
 
+_EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+#: Reports, as a cold process exits, its peak RSS in kB (``VmHWM``:
+#: the ``ru_maxrss`` a parent reads also counts the parent's own RSS
+#: when the child was spawned), how many ``repro`` modules it loaded,
+#: how many source lines they hold (each one compiled: no bytecode
+#: cache is written) and how many other modules it loaded.
+_COLD_PROBE = """\
+import atexit, sys
+def _report():
+    with open("/proc/self/status") as status:
+        peak = status.read().split("VmHWM:")[1].split()[0]
+    names = [name for name in sys.modules if name != "__main__"]
+    own = [name for name in names if name.split(".")[0] == "repro"]
+    lines = 0
+    for name in own:
+        with open(sys.modules[name].__file__, "rb") as source:
+            lines += source.read().count(b"\\n")
+    sys.stderr.write(
+        f"\\nCOLD {peak} {len(own)} {lines} {len(names) - len(own)}\\n"
+    )
+atexit.register(_report)
+from repro.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def _cold_commands(directory: Path, env: dict) -> dict[str, list[str]]:
+    """The measured commands; writes the generated N100 problem."""
+    n100 = directory / "n100-fc-p8.json"
+    subprocess.run(
+        [sys.executable, "-m", "repro", "generate", "--operations", "100",
+         "--processors", "8", "--npf", "1", "--seed", "1", str(n100)],
+        env=env, check=True, capture_output=True,
+    )
+    fc4 = str(_EXAMPLES / "problem_fc4_npf1_npl1.json")
+    return {
+        "example": ["example"],
+        "schedule fc4": ["schedule", fc4],
+        "certify fc4": ["certify", fc4],
+        "schedule N100 fc P8": ["schedule", str(n100)],
+        "certify N100 fc P8": ["certify", str(n100)],
+    }
+
+
+def run_cold_start(repeats: int = 7) -> dict:
+    """Cold ``repro`` processes: child CPU, peak RSS, compiled source.
+
+    Each command runs ``repeats`` times as ``python -m repro`` with
+    ``PYTHONDONTWRITEBYTECODE=1``; CPU (user + system) comes from the
+    child's own ``wait4`` usage.  One more run under
+    :data:`_COLD_PROBE` reads the peak RSS and counts what the process
+    loaded (Linux only: the probe reads ``/proc/self/status``).
+    """
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    section = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for label, argv in _cold_commands(Path(scratch), env).items():
+            cpu = []
+            for _ in range(repeats):
+                child = subprocess.Popen(
+                    [sys.executable, "-m", "repro", *argv], env=env,
+                    cwd=scratch, stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL,
+                )
+                _, status, usage = os.wait4(child.pid, 0)
+                child.returncode = os.waitstatus_to_exitcode(status)
+                if child.returncode not in (0, 1, 2):
+                    raise RuntimeError(f"{label}: exit {child.returncode}")
+                cpu.append(usage.ru_utime + usage.ru_stime)
+            probe = subprocess.run(
+                [sys.executable, "-c", _COLD_PROBE, *argv], env=env,
+                cwd=scratch, capture_output=True, text=True,
+            )
+            report = probe.stderr[probe.stderr.rindex("\nCOLD "):].split()
+            peak, modules, lines, others = (int(value) for value in report[1:])
+            section[label] = {
+                "cpu_s": min(cpu),
+                "peak_rss_mb": peak / 1024.0,
+                "repro_modules": modules,
+                "repro_source_lines": lines,
+                "other_modules": others,
+            }
+    section["config"] = {
+        "repeats": repeats,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "cpu": "min over repeats of the child's user + system time",
+        "rss": "VmHWM of one probed run",
+    }
+    return section
+
+
 def write_bench_json(
     full: bool = False,
     repeats: int = 5,
@@ -614,6 +718,7 @@ def write_bench_json(
         "campaign_backend_scaling": lambda: run_campaign_backend_scaling(
             full, force_workers
         ),
+        "cold_start": lambda: run_cold_start(7 if full else 3),
     }
     if full:
         scaled["ftbar_size_grid"] = run_size_grid
@@ -678,13 +783,30 @@ def bench_runtime_kernel_vs_reference(benchmark, record_result):
     record_result("runtime_kernel_vs_reference", "\n".join(lines))
 
 
+def _print_cold_start(section: dict) -> None:
+    for label, point in section.items():
+        if label == "config":
+            continue
+        print(
+            f"cold {label}: {point['cpu_s']*1e3:.0f} ms CPU, "
+            f"{point['peak_rss_mb']:.1f} MB peak RSS, "
+            f"{point['repro_modules']} repro modules "
+            f"({point['repro_source_lines']:,} lines), "
+            f"{point['other_modules']} other modules",
+            file=sys.stderr,
+        )
+
+
 def main(argv: list[str]) -> int:
     full = full_scale() or "--full" in argv
     profile = "--profile" in argv
     usage = (
         "usage: bench_runtime.py [--full] [--profile] [--phases] "
-        "[--force-workers N]"
+        "[--force-workers N] [--smoke]"
     )
+    if "--smoke" in argv:
+        _print_cold_start(run_cold_start(repeats=2))
+        return 0
     force_workers = None
     if "--force-workers" in argv:
         try:
@@ -722,6 +844,7 @@ def main(argv: list[str]) -> int:
                     f"x{phase['count']:<5d} {phase['share']*100:5.1f}%",
                     file=sys.stderr,
                 )
+    _print_cold_start(payload["cold_start"])
     reuse = payload["campaign_compile_reuse"]
     print(
         f"campaign compile reuse ({reuse['jobs']} variant jobs): "

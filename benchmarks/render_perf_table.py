@@ -26,7 +26,9 @@ Covered sections, one table per engine-trajectory PR:
   byte-identical before timing);
 * ``phase_breakdown`` — PR 7's traced per-phase split of the smoke
   problems (where a scheduling run's wall time actually goes);
-* ``obs_overhead`` — PR 7's pinned no-op cost of disabled telemetry.
+* ``obs_overhead`` — PR 7's pinned no-op cost of disabled telemetry;
+* ``cold_start`` — PR 35's cold ``example`` / ``schedule`` /
+  ``certify`` processes: CPU, peak RSS and what each one compiles.
 
 Entries that are missing fields (interrupted bench, older schema,
 partial sweep) are skipped with a visible note instead of crashing.
@@ -347,6 +349,40 @@ def render_obs_overhead(section: dict) -> list[str]:
     return lines
 
 
+def render_cold_start(section: dict) -> list[str]:
+    required = (
+        "cpu_s", "peak_rss_mb", "repro_modules", "repro_source_lines",
+        "other_modules",
+    )
+    rows = [
+        (label, point) for label, point in section.items()
+        if label != "config" and isinstance(point, dict)
+        and all(key in point for key in required)
+    ]
+    if not rows:
+        return []
+    config = section.get("config", {})
+    lines = [
+        "### PR 35 — cold processes",
+        "",
+        f"Each command as a fresh `python -m repro` process with bytecode "
+        f"writing off (Python {config.get('python', '?')}): CPU is the "
+        f"minimum of {config.get('repeats', '?')} runs, peak RSS the "
+        f"`VmHWM` of one; `repro` source lines are all compiled.",
+        "",
+        "| command | CPU | peak RSS | `repro` modules | `repro` source lines "
+        "| other modules |",
+        "|:--|--:|--:|--:|--:|--:|",
+    ]
+    for label, point in rows:
+        lines.append(
+            f"| `{label}` | {_fmt_ms(point['cpu_s'])} "
+            f"| {point['peak_rss_mb']:.1f} MB | {point['repro_modules']} "
+            f"| {point['repro_source_lines']:,} | {point['other_modules']} |"
+        )
+    return lines
+
+
 def render(payload: dict) -> str:
     blocks: list[list[str]] = []
     if "ftbar_kernel_vs_reference" in payload:
@@ -386,6 +422,8 @@ def render(payload: dict) -> str:
         blocks.append(render_phase_breakdown(payload["phase_breakdown"]))
     if "obs_overhead" in payload:
         blocks.append(render_obs_overhead(payload["obs_overhead"]))
+    if "cold_start" in payload:
+        blocks.append(render_cold_start(payload["cold_start"]))
     return "\n\n".join("\n".join(block) for block in blocks if block) + "\n"
 
 

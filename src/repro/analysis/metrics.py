@@ -11,9 +11,9 @@ length produced by FTBAR with ``Npf = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from repro._record import FrozenRecord
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
@@ -28,14 +28,20 @@ def overhead_percent(ft_length: float, non_ft_length: float) -> float:
     return (ft_length - non_ft_length) / ft_length * 100.0
 
 
-@dataclass(frozen=True)
-class ReplicationProfile:
+class ReplicationProfile(FrozenRecord):
     """How much redundancy a schedule carries."""
 
-    operations: int
-    replicas: int
-    duplicated: int
-    comms: int
+    _fields = ("operations", "replicas", "duplicated", "comms")
+
+    def __init__(
+        self, operations: int, replicas: int, duplicated: int, comms: int
+    ) -> None:
+        self.__dict__.update(
+            operations=operations,
+            replicas=replicas,
+            duplicated=duplicated,
+            comms=comms,
+        )
 
     @property
     def average_replication(self) -> float:
@@ -110,14 +116,26 @@ def presence_overheads(
     }
 
 
-@dataclass(frozen=True)
-class OutputLatency:
+class OutputLatency(FrozenRecord):
     """Reaction latency of one output operation (sensor-to-actuator)."""
 
-    operation: str
-    nominal: float
-    worst_single_crash: float
-    worst_crashed_processor: str | None
+    _fields = (
+        "operation", "nominal", "worst_single_crash", "worst_crashed_processor"
+    )
+
+    def __init__(
+        self,
+        operation: str,
+        nominal: float,
+        worst_single_crash: float,
+        worst_crashed_processor: str | None,
+    ) -> None:
+        self.__dict__.update(
+            operation=operation,
+            nominal=nominal,
+            worst_single_crash=worst_single_crash,
+            worst_crashed_processor=worst_crashed_processor,
+        )
 
     @property
     def degradation(self) -> float:
@@ -171,13 +189,22 @@ def output_latencies(
     return results
 
 
-@dataclass(frozen=True)
-class LoadProfile:
+class LoadProfile(FrozenRecord):
     """Resource occupation of a schedule."""
 
-    processor_busy: Mapping[str, float]
-    link_busy: Mapping[str, float]
-    makespan: float
+    _fields = ("processor_busy", "link_busy", "makespan")
+
+    def __init__(
+        self,
+        processor_busy: Mapping[str, float],
+        link_busy: Mapping[str, float],
+        makespan: float,
+    ) -> None:
+        self.__dict__.update(
+            processor_busy=processor_busy,
+            link_busy=link_busy,
+            makespan=makespan,
+        )
 
     def processor_utilization(self, processor: str) -> float:
         """Busy fraction of one processor over the schedule length."""

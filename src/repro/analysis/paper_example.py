@@ -7,8 +7,7 @@ the HBP baseline or the random-graph generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import Record
 from repro.analysis.metrics import degraded_lengths
 from repro.baselines.list_scheduler import (
     schedule_basic,
@@ -18,18 +17,33 @@ from repro.core.ftbar import schedule_ftbar
 from repro.workloads.paper_example import build_problem
 
 
-@dataclass
-class PaperExampleResults:
+class PaperExampleResults(Record):
     """Every number section 4.3/4.4 reports for the worked example."""
 
-    ft_length: float
-    basic_length: float
-    non_ft_length: float
-    overhead: float
-    degraded: dict[str, float]
-    rtc_satisfied: bool
-    replicas: int
-    comms: int
+    _fields = (
+        "ft_length", "basic_length", "non_ft_length", "overhead", "degraded",
+        "rtc_satisfied", "replicas", "comms",
+    )
+
+    def __init__(
+        self,
+        ft_length: float,
+        basic_length: float,
+        non_ft_length: float,
+        overhead: float,
+        degraded: dict[str, float],
+        rtc_satisfied: bool,
+        replicas: int,
+        comms: int,
+    ) -> None:
+        self.ft_length = ft_length
+        self.basic_length = basic_length
+        self.non_ft_length = non_ft_length
+        self.overhead = overhead
+        self.degraded = degraded
+        self.rtc_satisfied = rtc_satisfied
+        self.replicas = replicas
+        self.comms = comms
 
 
 def run_paper_example() -> PaperExampleResults:

@@ -36,10 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro import obs
+from repro._record import Record
 from repro.analysis import sampling
 # Both result types are built in ``sampling`` and re-exported here.
 from repro.analysis.sampling import ReliabilityReport, ToleranceLevel
@@ -75,8 +75,7 @@ def _level_document(level: ToleranceLevel) -> dict:
     return document
 
 
-@dataclass
-class FaultToleranceCertificate:
+class FaultToleranceCertificate(Record):
     """Outcome of the exhaustive (combined) crash-subset replay.
 
     With ``npl = 0`` and no link levels requested this is exactly the
@@ -84,31 +83,55 @@ class FaultToleranceCertificate:
     enumerates link-failure subsets and reports the joint verdict.
     """
 
-    npf: int
-    crash_times: tuple[float, ...]
-    levels: list[ToleranceLevel] = field(default_factory=list)
-    breaking_subsets: list[frozenset[str]] = field(default_factory=list)
-    #: The link-failure hypothesis this certificate actually *verified*
-    #: — ``min(schedule.npl, max_link_failures)`` when the enumeration
-    #: was capped, so an under-enumerated run can never claim the
-    #: schedule's full ``npl`` promise vacuously.
-    npl: int = 0
-    #: Combined ``(processors, links)`` subsets within the hypothesis
-    #: that broke the schedule (link-involving ones only; pure processor
-    #: breaks stay in ``breaking_subsets``).
-    breaking_combined: list[tuple[frozenset[str], frozenset[str]]] = field(
-        default_factory=list
+    _fields = (
+        "npf", "crash_times", "levels", "breaking_subsets", "npl",
+        "breaking_combined", "method", "confidence", "samples", "seed",
     )
-    #: ``"exact"`` when every level was resolved by (projected)
-    #: enumeration; ``"sampled"`` when any level carries a statistical
-    #: estimate or a bounds refutation.
-    method: str = "exact"
-    #: Confidence of the sampled levels' intervals (None for exact runs).
-    confidence: float | None = None
-    #: Total random samples drawn across all sampled levels.
-    samples: int = 0
-    #: User seed the RNG streams were derived from (None for exact runs).
-    seed: int | None = None
+
+    def __init__(
+        self,
+        npf: int,
+        crash_times: tuple[float, ...],
+        levels: list[ToleranceLevel] | None = None,
+        breaking_subsets: list[frozenset[str]] | None = None,
+        npl: int = 0,
+        breaking_combined: (
+            list[tuple[frozenset[str], frozenset[str]]] | None
+        ) = None,
+        method: str = "exact",
+        confidence: float | None = None,
+        samples: int = 0,
+        seed: int | None = None,
+    ) -> None:
+        self.npf = npf
+        self.crash_times = crash_times
+        self.levels = [] if levels is None else levels
+        self.breaking_subsets = (
+            [] if breaking_subsets is None else breaking_subsets
+        )
+        #: The link-failure hypothesis this certificate actually
+        #: *verified* — ``min(schedule.npl, max_link_failures)`` when the
+        #: enumeration was capped, so an under-enumerated run can never
+        #: claim the schedule's full ``npl`` promise vacuously.
+        self.npl = npl
+        #: Combined ``(processors, links)`` subsets within the hypothesis
+        #: that broke the schedule (link-involving ones only; pure
+        #: processor breaks stay in ``breaking_subsets``).
+        self.breaking_combined = (
+            [] if breaking_combined is None else breaking_combined
+        )
+        #: ``"exact"`` when every level was resolved by (projected)
+        #: enumeration; ``"sampled"`` when any level carries a
+        #: statistical estimate or a bounds refutation.
+        self.method = method
+        #: Confidence of the sampled levels' intervals (None for exact
+        #: runs).
+        self.confidence = confidence
+        #: Total random samples drawn across all sampled levels.
+        self.samples = samples
+        #: User seed the RNG streams were derived from (None for exact
+        #: runs).
+        self.seed = seed
 
     @property
     def certified(self) -> bool:
@@ -211,10 +234,14 @@ class FaultToleranceCertificate:
                 label += f" + {level.link_failures} link(s)"
             if level.method == "sampled":
                 lo, hi = level.ci if level.ci is not None else (0.0, 1.0)
+                measured = (
+                    "not sampled (budget spent; "
+                    if level.estimate is None
+                    else f"~{level.estimate:.2%} masked ("
+                )
                 lines.append(
-                    f"{label}: ~{level.masked_fraction:.2%} masked "
-                    f"(sampled {level.samples} of {level.population} "
-                    f"subsets, ci [{lo:.4f}, {hi:.4f}])"
+                    f"{label}: {measured}sampled {level.samples} of "
+                    f"{level.population} subsets, ci [{lo:.4f}, {hi:.4f}])"
                 )
             elif level.method == "bounds":
                 lines.append(

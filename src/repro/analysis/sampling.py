@@ -54,9 +54,9 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro._record import FrozenRecord, Record
 from repro.exceptions import SimulationError
 from repro.schedule.serialization import schedule_content_hash
 from repro.simulation.batch import set_bits
@@ -301,8 +301,7 @@ class RngStreams:
 # closed-form fault bounds
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FaultBounds:
+class FaultBounds(FrozenRecord):
     """Simulation-free brackets on the tolerable fault counts.
 
     ``min_replicas`` is the smallest distinct-host replica count over
@@ -319,16 +318,38 @@ class FaultBounds:
     requested instant).
     """
 
-    min_replicas: int
-    witness_operation: str
-    processor_witness: tuple[str, ...]
-    link_cut: int | None
-    link_witness: tuple[str, ...]
-    link_witness_edge: tuple[str, str] | None
-    involved_processors: int
-    involved_links: int
-    total_processors: int
-    total_links: int
+    _fields = (
+        "min_replicas", "witness_operation", "processor_witness",
+        "link_cut", "link_witness", "link_witness_edge",
+        "involved_processors", "involved_links", "total_processors",
+        "total_links",
+    )
+
+    def __init__(
+        self,
+        min_replicas: int,
+        witness_operation: str,
+        processor_witness: tuple[str, ...],
+        link_cut: int | None,
+        link_witness: tuple[str, ...],
+        link_witness_edge: tuple[str, str] | None,
+        involved_processors: int,
+        involved_links: int,
+        total_processors: int,
+        total_links: int,
+    ) -> None:
+        self.__dict__.update(
+            min_replicas=min_replicas,
+            witness_operation=witness_operation,
+            processor_witness=processor_witness,
+            link_cut=link_cut,
+            link_witness=link_witness,
+            link_witness_edge=link_witness_edge,
+            involved_processors=involved_processors,
+            involved_links=involved_links,
+            total_processors=total_processors,
+            total_links=total_links,
+        )
 
     @property
     def max_tolerable_processor_faults(self) -> int:
@@ -427,8 +448,7 @@ RELIABILITY_EPSILON = 0.005
 BATCH = 128
 
 
-@dataclass(frozen=True)
-class ToleranceLevel:
+class ToleranceLevel(FrozenRecord):
     """Masking statistics for one combined crash-subset size.
 
     ``failures`` counts crashed processors, ``link_failures`` broken
@@ -446,23 +466,48 @@ class ToleranceLevel:
     * ``"sampled"`` — statistically estimated; ``masked_subsets`` /
       ``total_subsets`` then honestly count the *samples* (masked /
       drawn), the true population is in ``population`` and the
-      estimate carries a confidence interval.
+      estimate carries a confidence interval.  When the budget ran out
+      before every sampled cell drew, ``estimate`` is ``None``: only
+      the interval is known.
+
+    ``population`` is the level's true subset count (``total_subsets``
+    for exact levels; the astronomically larger denominator for sampled
+    ones).  ``breaking_found`` says a breaking subset was observed at
+    this level (exact enumeration, bounds witness, break hunt or random
+    draw).
     """
 
-    failures: int
-    masked_subsets: int
-    total_subsets: int
-    link_failures: int = 0
-    method: str = "exact"
-    #: True subset count of the level (== ``total_subsets`` for exact
-    #: levels; the astronomically larger denominator for sampled ones).
-    population: int | None = None
-    samples: int = 0
-    estimate: float | None = None
-    ci: tuple[float, float] | None = None
-    #: A breaking subset was observed at this level (exact enumeration,
-    #: bounds witness, break hunt or random draw).
-    breaking_found: bool = False
+    _fields = (
+        "failures", "masked_subsets", "total_subsets", "link_failures",
+        "method", "population", "samples", "estimate", "ci",
+        "breaking_found",
+    )
+
+    def __init__(
+        self,
+        failures: int,
+        masked_subsets: int,
+        total_subsets: int,
+        link_failures: int = 0,
+        method: str = "exact",
+        population: int | None = None,
+        samples: int = 0,
+        estimate: float | None = None,
+        ci: tuple[float, float] | None = None,
+        breaking_found: bool = False,
+    ) -> None:
+        self.__dict__.update(
+            failures=failures,
+            masked_subsets=masked_subsets,
+            total_subsets=total_subsets,
+            link_failures=link_failures,
+            method=method,
+            population=population,
+            samples=samples,
+            estimate=estimate,
+            ci=ci,
+            breaking_found=breaking_found,
+        )
 
     @property
     def fully_masked(self) -> bool:
@@ -487,7 +532,11 @@ class ToleranceLevel:
 
     @property
     def masked_fraction(self) -> float:
-        """Share of masked subsets (estimated for sampled levels)."""
+        """Share of masked subsets (estimated for sampled levels).
+
+        A sampled level without an ``estimate`` reads the masked share
+        of its draws (1.0 when it drew none); its ``ci`` is the answer.
+        """
         if self.method == "sampled" and self.estimate is not None:
             return self.estimate
         if self.total_subsets == 0:
@@ -510,19 +559,32 @@ def _pad_witness(
     return tuple(sorted(padded))
 
 
-@dataclass
-class _Cell:
+class _Cell(Record):
     """One ``(k involved procs, j involved links)`` slice of a
-    certificate level or of the reliability sum (a stratum)."""
+    certificate level or of the reliability sum (a stratum).
 
-    k: int
-    j: int
-    #: A level cell's uninvolved-padding multiplicity
-    #: ``C(Up, f-k)*C(Ul, l-j)``; a stratum's probability mass.
-    weight: int | float
-    count: int             # combinations the cell holds
-    drawn: int = 0
-    masked: int = 0
+    ``weight`` is a level cell's uninvolved-padding multiplicity
+    ``C(Up, f-k)*C(Ul, l-j)``, or a stratum's probability mass;
+    ``count`` is the number of combinations the cell holds.
+    """
+
+    __slots__ = _fields = ("k", "j", "weight", "count", "drawn", "masked")
+
+    def __init__(
+        self,
+        k: int,
+        j: int,
+        weight: int | float,
+        count: int,
+        drawn: int = 0,
+        masked: int = 0,
+    ) -> None:
+        self.k = k
+        self.j = j
+        self.weight = weight
+        self.count = count
+        self.drawn = drawn
+        self.masked = masked
 
     def share(self, level_total: int) -> float:
         return self.weight * self.count / level_total
@@ -736,7 +798,9 @@ def evaluate_level(
                 sampled_cells[worst], min(BATCH, budget - drawn_total)
             )
 
-    estimate = exact_masked_share
+    # A cell the budget never reached has an interval (its whole share)
+    # but no point estimate, and then neither has the level.
+    estimate: float | None = exact_masked_share
     lo = exact_masked_share
     hi = exact_masked_share
     for cell in sampled_cells:
@@ -744,7 +808,10 @@ def evaluate_level(
         cell_lo, cell_hi = wilson_interval(
             cell.masked, cell.drawn, cell_confidence
         )
-        estimate += share * (cell.masked / cell.drawn if cell.drawn else 0.5)
+        if not cell.drawn:
+            estimate = None
+        elif estimate is not None:
+            estimate += share * (cell.masked / cell.drawn)
         lo += share * cell_lo
         hi += share * cell_hi
     return ToleranceLevel(
@@ -755,7 +822,7 @@ def evaluate_level(
         "sampled",
         population=population,
         samples=drawn_total,
-        estimate=min(1.0, estimate),
+        estimate=None if estimate is None else min(1.0, estimate),
         ci=(max(0.0, lo), min(1.0, hi)),
         breaking_found=bool(breaking),
     ), breaking
@@ -765,8 +832,7 @@ def evaluate_level(
 # sampled reliability
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReliabilityReport:
+class ReliabilityReport(FrozenRecord):
     """Probability that one iteration delivers all outputs.
 
     ``method == "exact"`` reports the enumerated truth;
@@ -775,15 +841,35 @@ class ReliabilityReport:
     subsets exact enumeration would have had to sweep).
     """
 
-    reliability: float
-    masked_probability_mass: float
-    evaluated_subsets: int
-    guaranteed_lower_bound: float
-    method: str = "exact"
-    confidence: float | None = None
-    ci: tuple[float, float] | None = None
-    samples: int = 0
-    exhaustive_subsets: int | None = None
+    _fields = (
+        "reliability", "masked_probability_mass", "evaluated_subsets",
+        "guaranteed_lower_bound", "method", "confidence", "ci", "samples",
+        "exhaustive_subsets",
+    )
+
+    def __init__(
+        self,
+        reliability: float,
+        masked_probability_mass: float,
+        evaluated_subsets: int,
+        guaranteed_lower_bound: float,
+        method: str = "exact",
+        confidence: float | None = None,
+        ci: tuple[float, float] | None = None,
+        samples: int = 0,
+        exhaustive_subsets: int | None = None,
+    ) -> None:
+        self.__dict__.update(
+            reliability=reliability,
+            masked_probability_mass=masked_probability_mass,
+            evaluated_subsets=evaluated_subsets,
+            guaranteed_lower_bound=guaranteed_lower_bound,
+            method=method,
+            confidence=confidence,
+            ci=ci,
+            samples=samples,
+            exhaustive_subsets=exhaustive_subsets,
+        )
 
     def __str__(self) -> str:
         text = (

@@ -20,8 +20,6 @@ fault-tolerant runs they are compared against.
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
-
 from repro.core.compile import baseline_makespan
 from repro.core.ftbar import FTBARResult, FTBARScheduler, schedule_ftbar
 from repro.core.options import SchedulerOptions
@@ -30,15 +28,7 @@ from repro.problem import ProblemSpec
 
 def _with_npf_zero(problem: ProblemSpec, name_suffix: str) -> ProblemSpec:
     """The baseline's problem: rebuilt with ``Npf = 0`` and ``Npl = 0``."""
-    return ProblemSpec(
-        algorithm=problem.algorithm,
-        architecture=problem.architecture,
-        exec_times=problem.exec_times,
-        comm_times=problem.comm_times,
-        npf=0,
-        rtc=problem.rtc,
-        name=f"{problem.name}{name_suffix}",
-    )
+    return problem.replace(npf=0, npl=0, name=f"{problem.name}{name_suffix}")
 
 
 def schedule_non_fault_tolerant(
@@ -87,5 +77,5 @@ def schedule_basic(
     """
     return schedule_ftbar(
         _with_npf_zero(problem, "-basic"),
-        dataclass_replace(options or SchedulerOptions(), duplication=False),
+        (options or SchedulerOptions()).replace(duplication=False),
     )

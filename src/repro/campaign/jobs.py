@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Mapping, NamedTuple
 
 from repro import obs
@@ -153,7 +153,7 @@ class GridPoint(NamedTuple):
         A new :class:`ProblemSpec` that shares the graph and tables of
         ``problem``, equal to what ``build(npf)`` returns.
         """
-        return replace(problem, npf=npf, name=self.problem_name(problem, npf))
+        return problem.replace(npf=npf, name=self.problem_name(problem, npf))
 
 
 def build_architecture(topology: str, processors: int) -> Architecture:

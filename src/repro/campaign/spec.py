@@ -15,7 +15,6 @@ The supported workload families are the repo's structured graphs
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -217,9 +216,7 @@ class CampaignSpec:
                 raise SerializationError(
                     f"unknown measure {measure!r}; expected one of {MEASURES}"
                 )
-        unknown = set(self.options) - {
-            option.name for option in dataclasses.fields(SchedulerOptions)
-        }
+        unknown = set(self.options) - set(SchedulerOptions._fields)
         if unknown:
             raise SerializationError(f"unknown scheduler options: {sorted(unknown)}")
         for name, value in self.options.items():

@@ -53,10 +53,10 @@ bit-identical (``tests/test_engine_equivalence.py`` and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro import obs
+from repro._record import FrozenRecord, Record
 from repro.exceptions import SchedulingError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.core.compile import CompiledProblem, validated_once
@@ -69,28 +69,42 @@ from repro.timing.constraints import RealTimeConstraints, RtcReport
 from repro.timing.exec_times import ExecutionTimes
 
 
-@dataclass
-class FTBARStats:
+class FTBARStats(Record):
     """Run statistics, used by the complexity experiment (E6).
 
     ``pressure_evaluations`` counts *computed* trial plans; the kernel's
-    plan cache serves the rest (``cache_hits``).
+    plan cache serves the rest (``cache_hits``).  ``symmetry_pruned``
+    counts the ``(candidate, processor)`` pairs the compiled kernel
+    skipped because a verified topology automorphism made their σ a
+    bit-identical copy of an orbit representative's (0 with
+    ``SchedulerOptions.symmetry=False``).
     """
 
-    steps: int = 0
-    pressure_evaluations: int = 0
-    cache_hits: int = 0
-    duplication: DuplicationStats = field(default_factory=DuplicationStats)
-    wall_time_s: float = 0.0
-    #: ``(candidate, processor)`` pairs the compiled kernel skipped
-    #: because a verified topology automorphism made their σ a
-    #: bit-identical copy of an orbit representative's (0 with
-    #: ``SchedulerOptions.symmetry=False``).
-    symmetry_pruned: int = 0
+    _fields = (
+        "steps", "pressure_evaluations", "cache_hits", "duplication",
+        "wall_time_s", "symmetry_pruned",
+    )
+
+    def __init__(
+        self,
+        steps: int = 0,
+        pressure_evaluations: int = 0,
+        cache_hits: int = 0,
+        duplication: DuplicationStats | None = None,
+        wall_time_s: float = 0.0,
+        symmetry_pruned: int = 0,
+    ) -> None:
+        self.steps = steps
+        self.pressure_evaluations = pressure_evaluations
+        self.cache_hits = cache_hits
+        self.duplication = (
+            DuplicationStats() if duplication is None else duplication
+        )
+        self.wall_time_s = wall_time_s
+        self.symmetry_pruned = symmetry_pruned
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(FrozenRecord):
     """What one FTBAR macro-step decided (for observers, section 4.3).
 
     Emitted after the selected operation has been placed, so the
@@ -98,24 +112,53 @@ class StepRecord:
     5 and 6 show "after step n".
     """
 
-    step: int
-    candidates: tuple[str, ...]
-    operation: str
-    processors: tuple[str, ...]
-    urgency: float
-    pressures: Mapping[tuple[str, str], float]
-    makespan: float
+    _fields = (
+        "step", "candidates", "operation", "processors", "urgency",
+        "pressures", "makespan",
+    )
+
+    def __init__(
+        self,
+        step: int,
+        candidates: tuple[str, ...],
+        operation: str,
+        processors: tuple[str, ...],
+        urgency: float,
+        pressures: Mapping[tuple[str, str], float],
+        makespan: float,
+    ) -> None:
+        self.__dict__.update(
+            step=step,
+            candidates=candidates,
+            operation=operation,
+            processors=processors,
+            urgency=urgency,
+            pressures=pressures,
+            makespan=makespan,
+        )
 
 
-@dataclass
-class FTBARResult:
+class FTBARResult(Record):
     """Everything FTBAR returns: the schedule, the ``Rtc`` verdict, stats."""
 
-    schedule: Schedule
-    rtc_report: RtcReport
-    stats: FTBARStats
-    expanded_algorithm: AlgorithmGraph
-    memory_pairs: Mapping[str, tuple[str, str]]
+    _fields = (
+        "schedule", "rtc_report", "stats", "expanded_algorithm",
+        "memory_pairs",
+    )
+
+    def __init__(
+        self,
+        schedule: Schedule,
+        rtc_report: RtcReport,
+        stats: FTBARStats,
+        expanded_algorithm: AlgorithmGraph,
+        memory_pairs: Mapping[str, tuple[str, str]],
+    ) -> None:
+        self.schedule = schedule
+        self.rtc_report = rtc_report
+        self.stats = stats
+        self.expanded_algorithm = expanded_algorithm
+        self.memory_pairs = memory_pairs
 
     @property
     def makespan(self) -> float:

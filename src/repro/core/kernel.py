@@ -56,9 +56,9 @@ through the exact calls the reference engine's commits make.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable
 
+from repro._record import Record
 from repro.core.compile import CompiledProblem
 from repro.core.symmetry import orbit_representatives
 from repro.exceptions import InfeasibleReplicationError, SchedulingError
@@ -82,8 +82,7 @@ _FORBIDDEN = (None,)
 #: link-availability mirror without a name lookup.
 
 
-@dataclass
-class DuplicationStats:
+class DuplicationStats(Record):
     """Counters of the LIP-duplication procedure, for the ablation benches.
 
     ``attempts`` counts the trials run; each ends ``kept`` (one extra
@@ -94,11 +93,21 @@ class DuplicationStats:
     counter.
     """
 
-    attempts: int = 0
-    kept: int = 0
-    rolled_back: int = 0
-    extra_replicas: int = 0
-    pruned: int = 0
+    _fields = ("attempts", "kept", "rolled_back", "extra_replicas", "pruned")
+
+    def __init__(
+        self,
+        attempts: int = 0,
+        kept: int = 0,
+        rolled_back: int = 0,
+        extra_replicas: int = 0,
+        pruned: int = 0,
+    ) -> None:
+        self.attempts = attempts
+        self.kept = kept
+        self.rolled_back = rolled_back
+        self.extra_replicas = extra_replicas
+        self.pruned = pruned
 
     def merge(self, other: "DuplicationStats") -> None:
         """Accumulate another run's counters into this one."""

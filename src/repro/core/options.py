@@ -7,11 +7,10 @@ design choice contributes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class SchedulerOptions:
+class SchedulerOptions(FrozenRecord):
     """Configuration of :class:`~repro.core.ftbar.FTBARScheduler`.
 
     No field picks an engine: the compiled kernel
@@ -48,8 +47,21 @@ class SchedulerOptions:
         ``symmetry=False`` restores
         the exhaustive sweep (and the ``PINNED_COUNTERS`` pins of
         ``tests/test_compiled_kernel.py``).
+
+    Options compare and hash by value: compiled problems are memoized
+    per options.  ``_fields`` names every option.
     """
 
-    duplication: bool = True
-    processor_aware_pressure: bool = False
-    symmetry: bool = True
+    _fields = ("duplication", "processor_aware_pressure", "symmetry")
+
+    def __init__(
+        self,
+        duplication: bool = True,
+        processor_aware_pressure: bool = False,
+        symmetry: bool = True,
+    ) -> None:
+        self.__dict__.update(
+            duplication=duplication,
+            processor_aware_pressure=processor_aware_pressure,
+            symmetry=symmetry,
+        )

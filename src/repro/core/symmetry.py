@@ -49,8 +49,7 @@ invariant under ``g``?) is the kernel's per-sweep aliveness check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import FrozenRecord
 from repro.exceptions import ArchitectureError
 
 #: With link replication the verification enumerates avoidance subsets,
@@ -59,16 +58,26 @@ from repro.exceptions import ArchitectureError
 _NPL_VERIFY_MAX_PROCS = 6
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(FrozenRecord):
     """A verified processor permutation and its sparse induced link
     permutation: ``moved_links[i]`` (ascending) maps to ``link_images[i]``
     and every other link is fixed."""
 
-    proc: tuple[int, ...]
-    moved_procs: tuple[int, ...]
-    moved_links: tuple[int, ...]
-    link_images: tuple[int, ...]
+    _fields = ("proc", "moved_procs", "moved_links", "link_images")
+
+    def __init__(
+        self,
+        proc: tuple[int, ...],
+        moved_procs: tuple[int, ...],
+        moved_links: tuple[int, ...],
+        link_images: tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(
+            proc=proc,
+            moved_procs=moved_procs,
+            moved_links=moved_links,
+            link_images=link_images,
+        )
 
 
 def _swap(n_procs: int, a: int, b: int) -> tuple[int, ...]:
@@ -110,15 +119,17 @@ class _Links:
         return self.by_ends.get(frozenset(perm[p] for p in self.ends[l]), -1)
 
 
-@dataclass(frozen=True)
-class _GeneratorView:
+class _GeneratorView(FrozenRecord):
     """Every verified generator, in candidate order: the transpositions
     ``(i j)``, ``i < j``, lexicographically, then the other generators.
 
     ``len()`` counts; only iteration builds :class:`Generator` objects.
     """
 
-    group: "KernelSymmetry"
+    _fields = ("group",)
+
+    def __init__(self, group: "KernelSymmetry") -> None:
+        self.__dict__["group"] = group
 
     def __len__(self) -> int:
         return (

@@ -15,7 +15,8 @@ carries the kind and is hashable so it can live in sets and dict keys.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from repro._record import FrozenRecord
 
 
 class OperationKind(str, enum.Enum):
@@ -29,9 +30,10 @@ class OperationKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class Operation:
+class Operation(FrozenRecord):
     """A vertex of the algorithm graph.
+
+    Operations compare, hash and sort by name alone.
 
     Parameters
     ----------
@@ -48,14 +50,29 @@ class Operation:
     <OperationKind.EXTERNAL_IO: 'extio'>
     """
 
-    name: str
-    kind: OperationKind = field(default=OperationKind.COMPUTATION, compare=False)
+    _fields = ("name", "kind")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self, name: str, kind: OperationKind = OperationKind.COMPUTATION
+    ) -> None:
+        if not name:
             raise ValueError("operation name must be a non-empty string")
-        if not isinstance(self.kind, OperationKind):
-            object.__setattr__(self, "kind", OperationKind(self.kind))
+        if not isinstance(kind, OperationKind):
+            kind = OperationKind(kind)
+        self.__dict__.update(name=name, kind=kind)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __lt__(self, other: "Operation") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name < other.name
 
     def is_computation(self) -> bool:
         """True when the operation is a pure computation (``comp``)."""

@@ -9,8 +9,9 @@ link is identified by name and knows the set of processors it connects.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable
+
+from repro._record import FrozenRecord
 
 
 class LinkKind(str, enum.Enum):
@@ -23,8 +24,7 @@ class LinkKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(FrozenRecord):
     """A communication medium connecting two or more processors.
 
     Parameters
@@ -45,24 +45,28 @@ class Link:
     True
     """
 
-    name: str
-    endpoints: frozenset[str]
-    kind: LinkKind = LinkKind.POINT_TO_POINT
+    _fields = ("name", "endpoints", "kind")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        endpoints: Iterable[str],
+        kind: LinkKind = LinkKind.POINT_TO_POINT,
+    ) -> None:
+        if not name:
             raise ValueError("link name must be a non-empty string")
-        if not isinstance(self.endpoints, frozenset):
-            object.__setattr__(self, "endpoints", frozenset(self.endpoints))
-        if not isinstance(self.kind, LinkKind):
-            object.__setattr__(self, "kind", LinkKind(self.kind))
-        if self.kind is LinkKind.POINT_TO_POINT and len(self.endpoints) != 2:
+        if not isinstance(endpoints, frozenset):
+            endpoints = frozenset(endpoints)
+        if not isinstance(kind, LinkKind):
+            kind = LinkKind(kind)
+        if kind is LinkKind.POINT_TO_POINT and len(endpoints) != 2:
             raise ValueError(
-                f"point-to-point link {self.name!r} needs exactly 2 endpoints, "
-                f"got {sorted(self.endpoints)}"
+                f"point-to-point link {name!r} needs exactly 2 endpoints, "
+                f"got {sorted(endpoints)}"
             )
-        if self.kind is LinkKind.BUS and len(self.endpoints) < 2:
-            raise ValueError(f"bus {self.name!r} needs at least 2 endpoints")
+        if kind is LinkKind.BUS and len(endpoints) < 2:
+            raise ValueError(f"bus {name!r} needs at least 2 endpoints")
+        self.__dict__.update(name=name, endpoints=endpoints, kind=kind)
 
     @classmethod
     def between(cls, name: str, first: str, second: str) -> "Link":

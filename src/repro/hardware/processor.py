@@ -9,12 +9,11 @@ processor in the :class:`~repro.hardware.Architecture`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import FrozenRecord
 
 
-@dataclass(frozen=True, order=True)
-class Processor:
-    """A computing site of the target architecture.
+class Processor(FrozenRecord):
+    """A computing site of the target architecture; sorts by name.
 
     Examples
     --------
@@ -22,11 +21,17 @@ class Processor:
     'P1'
     """
 
-    name: str
+    _fields = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("processor name must be a non-empty string")
+        self.__dict__["name"] = name
+
+    def __lt__(self, other: "Processor") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name < other.name
 
     def __str__(self) -> str:
         return self.name

@@ -9,8 +9,7 @@ serializers all speak the same vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._record import Record
 from repro.exceptions import SchedulingError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.hardware.architecture import Architecture
@@ -19,8 +18,7 @@ from repro.timing.constraints import RealTimeConstraints
 from repro.timing.exec_times import ExecutionTimes
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(Record):
     """Everything the distribution heuristic needs (Figure 1 of the paper).
 
     Parameters
@@ -45,22 +43,39 @@ class ProblemSpec:
         leaves link failures as future work (``npl = 0`` reproduces its
         engine exactly); with ``npl >= 1`` every inter-processor
         transfer is replicated over ``npl + 1`` link-disjoint routes.
+
+    :meth:`replace` builds a variant (another ``npf``, say) through the
+    constructor, so its checks run again.
     """
 
-    algorithm: AlgorithmGraph
-    architecture: Architecture
-    exec_times: ExecutionTimes
-    comm_times: CommunicationTimes
-    npf: int = 0
-    rtc: RealTimeConstraints = field(default_factory=RealTimeConstraints)
-    name: str = "problem"
-    npl: int = 0
+    _fields = (
+        "algorithm", "architecture", "exec_times", "comm_times", "npf",
+        "rtc", "name", "npl",
+    )
 
-    def __post_init__(self) -> None:
-        if self.npf < 0:
-            raise SchedulingError(f"npf must be >= 0, got {self.npf}")
-        if self.npl < 0:
-            raise SchedulingError(f"npl must be >= 0, got {self.npl}")
+    def __init__(
+        self,
+        algorithm: AlgorithmGraph,
+        architecture: Architecture,
+        exec_times: ExecutionTimes,
+        comm_times: CommunicationTimes,
+        npf: int = 0,
+        rtc: RealTimeConstraints | None = None,
+        name: str = "problem",
+        npl: int = 0,
+    ) -> None:
+        if npf < 0:
+            raise SchedulingError(f"npf must be >= 0, got {npf}")
+        if npl < 0:
+            raise SchedulingError(f"npl must be >= 0, got {npl}")
+        self.algorithm = algorithm
+        self.architecture = architecture
+        self.exec_times = exec_times
+        self.comm_times = comm_times
+        self.npf = npf
+        self.rtc = RealTimeConstraints() if rtc is None else rtc
+        self.name = name
+        self.npl = npl
 
     @property
     def replication_factor(self) -> int:

@@ -48,10 +48,10 @@ verdicts against the object executor kept as the oracle
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from repro import obs
+from repro._record import Record
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
 from repro.simulation.compiled import (
@@ -66,29 +66,49 @@ from repro.simulation.failures import DetectionPolicy
 MAX_SUBSETS_PER_LEVEL = 4096
 
 
-@dataclass
-class BatchStats:
-    """Work accounting of one :class:`BatchScenarioEngine`."""
+class BatchStats(Record):
+    """Work accounting of one :class:`BatchScenarioEngine`.
 
-    #: Scenario verdicts requested (one per ``(subset, instant)`` pair).
-    scenarios: int = 0
-    #: Scenarios answered from the nominal equivalence class.
-    pruned_nominal: int = 0
-    #: Scenarios answered from the verdict memo.
-    memo_hits: int = 0
-    #: Scenarios that ran a (verdict-only) replay.
-    simulated: int = 0
-    #: Event decisions made across all replays (baseline included).
-    decisions: int = 0
-    #: Event outcomes copied from the baseline instead of re-decided:
-    #: always 0, since every replay decides its events itself; kept
-    #: for the readers of this field and of the certify summary line.
-    copied: int = 0
-    #: Verdicts answered by a crash-lane pass instead of a replay.
-    lanes: int = 0
-    #: Crash-lane passes run (each answers up to
-    #: :data:`MAX_SUBSETS_PER_LEVEL` lanes).
-    lane_passes: int = 0
+    Every field is a counter, and ``_fields`` names them all.
+    """
+
+    _fields = (
+        "scenarios", "pruned_nominal", "memo_hits", "simulated",
+        "decisions", "copied", "lanes", "lane_passes",
+    )
+
+    def __init__(
+        self,
+        scenarios: int = 0,
+        pruned_nominal: int = 0,
+        memo_hits: int = 0,
+        simulated: int = 0,
+        decisions: int = 0,
+        copied: int = 0,
+        lanes: int = 0,
+        lane_passes: int = 0,
+    ) -> None:
+        #: Scenario verdicts requested (one per ``(subset, instant)``
+        #: pair).
+        self.scenarios = scenarios
+        #: Scenarios answered from the nominal equivalence class.
+        self.pruned_nominal = pruned_nominal
+        #: Scenarios answered from the verdict memo.
+        self.memo_hits = memo_hits
+        #: Scenarios that ran a (verdict-only) replay.
+        self.simulated = simulated
+        #: Event decisions made across all replays (baseline included).
+        self.decisions = decisions
+        #: Event outcomes copied from the baseline instead of
+        #: re-decided: always 0, since every replay decides its events
+        #: itself; kept for the readers of this field and of the
+        #: certify summary line.
+        self.copied = copied
+        #: Verdicts answered by a crash-lane pass instead of a replay.
+        self.lanes = lanes
+        #: Crash-lane passes run (each answers up to
+        #: :data:`MAX_SUBSETS_PER_LEVEL` lanes).
+        self.lane_passes = lane_passes
 
 
 #: Live engines, tracked weakly so the metrics snapshot can total their
@@ -98,7 +118,7 @@ _ENGINES: "weakref.WeakSet[BatchScenarioEngine]" = weakref.WeakSet()
 
 def _collect_batch_stats() -> dict:
     """Sum the :class:`BatchStats` of every live engine (pull-style)."""
-    totals = {f.name: 0 for f in fields(BatchStats)}
+    totals = dict.fromkeys(BatchStats._fields, 0)
     engines = 0
     for engine in list(_ENGINES):
         engines += 1

@@ -47,9 +47,9 @@ certifier's break hunt asks for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro._record import Record
 from repro.exceptions import SimulationError
 from repro.graphs.algorithm import AlgorithmGraph
 from repro.schedule.schedule import Schedule
@@ -190,25 +190,47 @@ def _queries(
 # replay outcome
 # ----------------------------------------------------------------------
 
-@dataclass
-class CompiledTrace:
-    """Struct-of-arrays outcome of one compiled replay."""
+class CompiledTrace(Record):
+    """Struct-of-arrays outcome of one compiled replay.
 
-    op_status: list[int]
-    op_start: list[float | None]
-    op_end: list[float | None]
-    comm_status: list[int]
-    comm_start: list[float | None]
-    comm_end: list[float | None]
-    comm_delivered: list[bool]
-    #: ``(observer, faulty) -> detection time`` (timeout-array only).
-    knowledge: dict[tuple[int, int], float] = field(default_factory=dict)
-    #: Number of full event decisions made by this replay.
-    decisions: int = 0
-    #: Number of stalled-worklist relaxations fired.
-    relaxed_fires: int = 0
-    #: True when the verdict-mode early exit truncated the replay.
-    truncated: bool = False
+    ``knowledge`` maps ``(observer, faulty)`` to a detection time
+    (timeout-array only); ``decisions`` counts the full event decisions
+    of the replay and ``relaxed_fires`` the stalled-worklist
+    relaxations fired; ``truncated`` says the verdict-mode early exit
+    cut the replay short.
+    """
+
+    __slots__ = _fields = (
+        "op_status", "op_start", "op_end", "comm_status", "comm_start",
+        "comm_end", "comm_delivered", "knowledge", "decisions",
+        "relaxed_fires", "truncated",
+    )
+
+    def __init__(
+        self,
+        op_status: list[int],
+        op_start: list[float | None],
+        op_end: list[float | None],
+        comm_status: list[int],
+        comm_start: list[float | None],
+        comm_end: list[float | None],
+        comm_delivered: list[bool],
+        knowledge: dict[tuple[int, int], float] | None = None,
+        decisions: int = 0,
+        relaxed_fires: int = 0,
+        truncated: bool = False,
+    ) -> None:
+        self.op_status = op_status
+        self.op_start = op_start
+        self.op_end = op_end
+        self.comm_status = comm_status
+        self.comm_start = comm_start
+        self.comm_end = comm_end
+        self.comm_delivered = comm_delivered
+        self.knowledge = {} if knowledge is None else knowledge
+        self.decisions = decisions
+        self.relaxed_fires = relaxed_fires
+        self.truncated = truncated
 
     def delivered(self, compiled: "CompiledSchedule") -> bool:
         """True when every algorithm operation completed somewhere."""

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro._record import FrozenRecord
 from repro.exceptions import SimulationError
 
 
@@ -42,27 +42,34 @@ class DetectionPolicy(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class _Interval:
-    resource: str
-    at: float
-    until: float = math.inf
+class _Interval(FrozenRecord):
+    """A down interval ``[at, until)``; sorts by its fields within a class."""
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.at) or math.isnan(self.until):
+    _fields = ("resource", "at", "until")
+
+    def __init__(
+        self, resource: str, at: float, until: float = math.inf
+    ) -> None:
+        if math.isnan(at) or math.isnan(until):
             raise SimulationError(
-                f"failure of {self.resource!r} at a NaN instant "
-                f"({self.at!r} until {self.until!r})"
+                f"failure of {resource!r} at a NaN instant "
+                f"({at!r} until {until!r})"
             )
-        if self.at < 0:
+        if at < 0:
             raise SimulationError(
-                f"failure of {self.resource!r} at negative time {self.at!r}"
+                f"failure of {resource!r} at negative time {at!r}"
             )
-        if self.until <= self.at:
+        if until <= at:
             raise SimulationError(
-                f"failure of {self.resource!r} recovers at {self.until!r} "
-                f"before failing at {self.at!r}"
+                f"failure of {resource!r} recovers at {until!r} "
+                f"before failing at {at!r}"
             )
+        self.__dict__.update(resource=resource, at=at, until=until)
+
+    def __lt__(self, other: "_Interval") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
 
     @property
     def permanent(self) -> bool:
@@ -78,7 +85,6 @@ class _Interval:
         return self.at < end and start < self.until
 
 
-@dataclass(frozen=True, order=True)
 class ProcessorFailure(_Interval):
     """One down interval ``[at, until)`` of one processor."""
 
@@ -88,7 +94,6 @@ class ProcessorFailure(_Interval):
         return self.resource
 
 
-@dataclass(frozen=True, order=True)
 class LinkFailure(_Interval):
     """One down interval ``[at, until)`` of one communication link."""
 

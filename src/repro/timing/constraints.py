@@ -10,22 +10,22 @@ or relax the constraints — the scheduler never fails because of ``Rtc``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro._record import FrozenRecord
 from repro.exceptions import ConstraintError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedule.schedule import Schedule
 
 
-@dataclass(frozen=True)
-class RtcViolation:
+class RtcViolation(FrozenRecord):
     """A single missed deadline: what, by when, and when it actually ends."""
 
-    subject: str
-    deadline: float
-    actual: float
+    _fields = ("subject", "deadline", "actual")
+
+    def __init__(self, subject: str, deadline: float, actual: float) -> None:
+        self.__dict__.update(subject=subject, deadline=deadline, actual=actual)
 
     @property
     def lateness(self) -> float:
@@ -39,13 +39,20 @@ class RtcViolation:
         )
 
 
-@dataclass(frozen=True)
-class RtcReport:
+class RtcReport(FrozenRecord):
     """Outcome of checking a schedule against real-time constraints."""
 
-    satisfied: bool
-    makespan: float
-    violations: tuple[RtcViolation, ...] = ()
+    _fields = ("satisfied", "makespan", "violations")
+
+    def __init__(
+        self,
+        satisfied: bool,
+        makespan: float,
+        violations: tuple[RtcViolation, ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            satisfied=satisfied, makespan=makespan, violations=violations
+        )
 
     def __str__(self) -> str:
         if self.satisfied:
@@ -55,8 +62,7 @@ class RtcReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class RealTimeConstraints:
+class RealTimeConstraints(FrozenRecord):
     """Deadline on the whole schedule plus optional per-operation deadlines.
 
     Per-operation deadlines are checked against the *latest* replica of
@@ -70,20 +76,27 @@ class RealTimeConstraints:
     16.0
     """
 
-    global_deadline: float | None = None
-    operation_deadlines: Mapping[str, float] = field(default_factory=dict)
+    _fields = ("global_deadline", "operation_deadlines")
 
-    def __post_init__(self) -> None:
-        if self.global_deadline is not None and self.global_deadline <= 0:
+    def __init__(
+        self,
+        global_deadline: float | None = None,
+        operation_deadlines: Mapping[str, float] | None = None,
+    ) -> None:
+        if global_deadline is not None and global_deadline <= 0:
             raise ConstraintError(
-                f"global deadline must be positive, got {self.global_deadline!r}"
+                f"global deadline must be positive, got {global_deadline!r}"
             )
-        for operation, deadline in self.operation_deadlines.items():
+        operation_deadlines = dict(operation_deadlines or {})
+        for operation, deadline in operation_deadlines.items():
             if deadline <= 0:
                 raise ConstraintError(
                     f"deadline of {operation!r} must be positive, got {deadline!r}"
                 )
-        object.__setattr__(self, "operation_deadlines", dict(self.operation_deadlines))
+        self.__dict__.update(
+            global_deadline=global_deadline,
+            operation_deadlines=operation_deadlines,
+        )
 
     def is_trivial(self) -> bool:
         """True when no constraint is actually specified."""

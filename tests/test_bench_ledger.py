@@ -20,6 +20,7 @@ SCALED = (
     "run_campaign_jobs_sweep",
     "run_campaign_backend_scaling",
     "run_size_grid",
+    "run_cold_start",
 )
 
 
@@ -94,3 +95,19 @@ def test_profile_section_records_its_scale(ledger, monkeypatch):
     after = json.loads(ledger.read_text())
     assert after["profile_top"] == {"operations": 300}
     assert after["scale"]["profile_top"] == "full"
+
+
+def test_smoke_flag_measures_cold_start_and_writes_nothing(
+    ledger, monkeypatch, capsys
+):
+    point = {
+        "cpu_s": 0.1, "peak_rss_mb": 20.0, "repro_modules": 34,
+        "repro_source_lines": 7000, "other_modules": 117,
+    }
+    monkeypatch.setattr(
+        bench_runtime, "run_cold_start",
+        lambda repeats=7: {"schedule": point, "config": {"repeats": repeats}},
+    )
+    assert bench_runtime.main(["--smoke"]) == 0
+    assert not ledger.exists()
+    assert "cold schedule: 100 ms CPU" in capsys.readouterr().err

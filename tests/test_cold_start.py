@@ -133,6 +133,29 @@ def test_untraced_command_loads_no_trace_io_and_no_other_command(argv, own):
         assert module not in modules, f"{argv[0]} imported {module}"
 
 
+@pytest.mark.parametrize(
+    "code, ran",
+    [
+        (run_cli("example"), "repro.analysis.paper_example"),
+        (run_cli("schedule", str(EXAMPLES / "problem_fc4_npf1_npl1.json")),
+         "repro.core.ftbar"),
+        (run_cli("certify", str(EXAMPLES / "problem_fc4_npf1_npl1.json"),
+                 "--probability", "0.01"), "repro.analysis.reliability"),
+        ("import repro.core, repro.analysis, repro.simulation.batch",
+         "repro.simulation.batch"),
+    ],
+    ids=["example", "schedule", "certify", "import"],
+)
+def test_cold_path_defines_plain_classes(code, ran):
+    """The modules a cold command loads define plain record classes
+    (``repro._record``): ``@dataclass`` would load ``dataclasses`` and,
+    through it, ``inspect`` and generate source for every class."""
+    modules = loaded_modules(code)
+    assert ran in modules  # the code really ran
+    for module in ("dataclasses", "inspect"):
+        assert module not in modules, module
+
+
 def test_certify_builds_no_execution_trace():
     """The batch engine answers verdicts without the object-level
     :class:`~repro.simulation.trace.ExecutionTrace`."""

@@ -438,19 +438,23 @@ class TestDeterminism:
         assert any("ci" in level for level in document["levels"])
 
 
+def _budget_spent_certificate():
+    """random_dag P10 npf 2 at ``budget=600``: level 1 spends it all."""
+    problem = generate_problem(
+        RandomWorkloadConfig(
+            operations=12, ccr=1.0, processors=10, npf=2, seed=3
+        )
+    )
+    result = schedule_ftbar(problem)
+    with certify_oracle.sampled_certificates():
+        return fault_tolerance_certificate(
+            result.schedule, result.expanded_algorithm, budget=600, seed=0,
+        )
+
+
 class TestBudgetAndMethodLabel:
     def test_certificate_never_draws_past_its_budget(self):
-        problem = generate_problem(
-            RandomWorkloadConfig(
-                operations=12, ccr=1.0, processors=10, npf=2, seed=3
-            )
-        )
-        result = schedule_ftbar(problem)
-        with certify_oracle.sampled_certificates():
-            certificate = fault_tolerance_certificate(
-                result.schedule, result.expanded_algorithm,
-                budget=600, seed=0,
-            )
+        certificate = _budget_spent_certificate()
         assert certificate.samples == 600
         # Level 1 spends the whole budget; the sampled levels after it
         # draw nothing at all.
@@ -459,6 +463,24 @@ class TestBudgetAndMethodLabel:
         ]
         assert certificate.levels[2].method == "sampled"
         assert certificate.levels[2].total_subsets == 0
+
+    def test_an_undrawn_level_reports_no_estimate(self):
+        """A level the budget never reached has an interval, not a
+        made-up point estimate."""
+        certificate = _budget_spent_certificate()
+        undrawn = certificate.levels[2]
+        assert undrawn.samples == 0
+        assert undrawn.estimate is None
+        assert undrawn.ci == (0.0, 1.0)
+        assert certificate.levels[1].estimate == 1.0
+        document = certificate.to_dict()["levels"][2]
+        assert "estimate" not in document
+        assert document["ci"] == [0.0, 1.0]
+        assert str(certificate).splitlines()[3] == (
+            "  2 crash(es): not sampled (budget spent; sampled 0 of 45 "
+            "subsets, ci [0.0000, 1.0000])"
+        )
+        assert "~50.00%" not in str(certificate)
 
     def test_exact_and_projected_levels_are_labelled_exact(self):
         schedule, algorithm = _wide_schedule(16, npf=4)

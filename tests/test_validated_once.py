@@ -10,8 +10,6 @@ replication-only path.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.campaign import run_campaign
@@ -75,7 +73,7 @@ def test_infeasible_variant_of_a_validated_content_fails_the_same(
     )
     FTBARScheduler(problem)
     assert validations == {"full": 1, "replication": 0}
-    variant = dataclasses.replace(problem, **change)
+    variant = problem.replace(**change)
     with pytest.raises(ReproError) as fresh:
         variant.validate()
     with pytest.raises(ReproError) as memoized:

@@ -19,7 +19,6 @@ name tuples; the bitmask path must reproduce them.  Run this module as
 a script to print the current values.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -116,7 +115,7 @@ def observe(
         ),
     )
     document = json.dumps(certificate.to_dict(), sort_keys=True)
-    stats = dataclasses.asdict(engine.stats)
+    stats = vars(engine.stats)
     return (
         hashlib.sha256(document.encode()).hexdigest(),
         repr(report),
